@@ -6,7 +6,6 @@ coordinates; generate synthetic arenas with exact annotations, model
 predictor noise, and score everything with the standard metric suite.
 """
 
-from ._accel import NUMBA_ENABLED
 from .camera import (
     Axis,
     AxisPlane,
@@ -46,7 +45,6 @@ from .reconstruct import (
     AffineTransform,
     BALL_DIAMETER_M,
     HeightBatch,
-    HeightPrediction,
     Reconstruction,
     crop_transform,
     diameter_px_of,
@@ -84,10 +82,8 @@ __all__ = [
     "EvalReport",
     "HeightBatch",
     "HeightDistSpec",
-    "HeightPrediction",
     "ImagePoint",
     "METRIC_NAMES",
-    "NUMBA_ENABLED",
     "PredictorSpec",
     "Ray",
     "Reconstruction",

@@ -1,9 +1,13 @@
 """Numeric kernels behind the camera and reconstruction modules.
 
-Calibration travels through these functions as a packed float64 vector
-(offsets below) so the same code runs as plain Python or under numba.
-Kernels report failures through integer status codes instead of raising;
-the public wrappers translate codes into typed exceptions.
+Every kernel works on whole arrays of rows. A calibration travels as a
+packed float64 array of shape (CAL_LEN, n), one column per row (offsets
+below); one camera for one row is ``CameraCalibration.as_array()[:, None]``.
+Kernels report failures through int64
+status codes per row instead of raising; the public wrappers translate
+codes into typed exceptions. A row's status is its first failure in
+pipeline order, and its other outputs are undefined unless the status is
+STATUS_OK.
 
 World frame: right-handed, Z up, ground plane Z = 0.
 Image frame: origin top-left, x right, y down, pixel centers at integers.
@@ -12,9 +16,9 @@ Extrinsics: x_cam = R @ X_world + t.
 
 from __future__ import annotations
 
-import math
+import functools
 
-from ._accel import njit
+import numpy as np
 
 # Packed calibration layout.
 CAL_FX = 0
@@ -43,6 +47,7 @@ STATUS_DEGENERATE_VERTICAL = 5
 STATUS_GROUND_FAILED = 6
 STATUS_BOTH_PLANES_DEGENERATE = 7
 STATUS_NONPOSITIVE_DIAMETER = 8
+STATUS_NONFINITE_INPUT = 9
 
 # Numeric guards; far below physical scales, above double-precision noise.
 EPS_DEPTH = 1e-9
@@ -64,7 +69,34 @@ FOOT_STEP_TOL_PX = 0.01
 FOOT_MAX_ITERS = 5
 
 
-@njit(cache=True, nogil=True)
+def _quiet(kernel):
+    """Silence float warnings: failed rows may divide by zero or overflow."""
+
+    @functools.wraps(kernel)
+    def run(*args):
+        with np.errstate(all="ignore"):
+            return kernel(*args)
+
+    return run
+
+
+def _flag(condition, code: int) -> np.ndarray:
+    return np.where(condition, code, STATUS_OK)
+
+
+def _then(status: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Per-row status after a later step: an earlier failure stands."""
+    return np.where(status == STATUS_OK, later, status)
+
+
+def _finite(*values) -> np.ndarray:
+    """STATUS_NONFINITE_INPUT on rows where any input is NaN or infinite."""
+    ok = np.isfinite(values[0])
+    for value in values[1:]:
+        ok &= np.isfinite(value)
+    return _flag(~ok, STATUS_NONFINITE_INPUT)
+
+
 def distort_norm(cal, x, y):
     """Brown-Conrady distortion of normalized camera coordinates."""
     k1 = cal[CAL_K1]
@@ -79,95 +111,115 @@ def distort_norm(cal, x, y):
     return xd, yd
 
 
-@njit(cache=True, nogil=True)
+@_quiet
 def undistort_norm(cal, xd, yd):
-    """Invert distort_norm by fixed-point iteration on normalized coords."""
-    k1 = cal[CAL_K1]
-    k2 = cal[CAL_K2]
-    k3 = cal[CAL_K3]
-    p1 = cal[CAL_P1]
-    p2 = cal[CAL_P2]
-    x = xd
-    y = yd
-    ex = 0.0
-    ey = 0.0
+    """Invert distort_norm by fixed-point iteration on normalized coords.
+
+    A row stops once its residual is at float noise, its radial factor
+    collapses or after UNDISTORT_MAX_ITER steps, and fails when the
+    residual it stopped at is above UNDISTORT_FAIL_TOL. Each step
+    computes only the rows still iterating. Returns (x, y, status).
+    """
+    x = np.empty_like(xd)
+    y = np.empty_like(yd)
+    status = np.empty(xd.shape, dtype=np.int64)
+    rows = np.arange(xd.shape[0])
+    k1, k2, k3, p1, p2 = (cal[c] for c in (CAL_K1, CAL_K2, CAL_K3, CAL_P1, CAL_P2))
+    xi, yi = xd, yd
     for it in range(UNDISTORT_MAX_ITER + 1):
-        r2 = x * x + y * y
+        r2 = xi * xi + yi * yi
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        tx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-        ty = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-        ex = x * radial + tx - xd
-        ey = y * radial + ty - yd
-        if abs(ex) <= UNDISTORT_STOP_TOL and abs(ey) <= UNDISTORT_STOP_TOL:
-            return x, y, STATUS_OK
-        if it == UNDISTORT_MAX_ITER or radial <= 1e-9:
-            break
-        x = (xd - tx) / radial
-        y = (yd - ty) / radial
-    if abs(ex) <= UNDISTORT_FAIL_TOL and abs(ey) <= UNDISTORT_FAIL_TOL:
-        return x, y, STATUS_OK
-    return x, y, STATUS_NO_CONVERGENCE
+        tx = 2.0 * p1 * xi * yi + p2 * (r2 + 2.0 * xi * xi)
+        ty = p1 * (r2 + 2.0 * yi * yi) + 2.0 * p2 * xi * yi
+        ex = np.abs(xi * radial + tx - xd)
+        ey = np.abs(yi * radial + ty - yd)
+        stop = (ex <= UNDISTORT_STOP_TOL) & (ey <= UNDISTORT_STOP_TOL)
+        stop |= radial <= 1e-9
+        if it == UNDISTORT_MAX_ITER:
+            stop[:] = True
+        if stop.any():
+            done = rows[stop]
+            x[done] = xi[stop]
+            y[done] = yi[stop]
+            ok = (ex[stop] <= UNDISTORT_FAIL_TOL) & (ey[stop] <= UNDISTORT_FAIL_TOL)
+            status[done] = _flag(~ok, STATUS_NO_CONVERGENCE)
+            keep = ~stop
+            rows = rows[keep]
+            if rows.size == 0:
+                break
+            xi, yi, xd, yd, tx, ty, radial, k1, k2, k3, p1, p2 = (
+                a[keep] for a in (xi, yi, xd, yd, tx, ty, radial, k1, k2, k3, p1, p2)
+            )
+        xi = (xd - tx) / radial
+        yi = (yd - ty) / radial
+    return x, y, status
 
 
-@njit(cache=True, nogil=True)
-def project_point(cal, wx, wy, wz):
-    """World point -> distorted pixel. Returns (u, v, status)."""
+def _camera_coords(cal, wx, wy, wz):
     xc = cal[CAL_R + 0] * wx + cal[CAL_R + 1] * wy + cal[CAL_R + 2] * wz + cal[CAL_T + 0]
     yc = cal[CAL_R + 3] * wx + cal[CAL_R + 4] * wy + cal[CAL_R + 5] * wz + cal[CAL_T + 1]
     zc = cal[CAL_R + 6] * wx + cal[CAL_R + 7] * wy + cal[CAL_R + 8] * wz + cal[CAL_T + 2]
-    if zc <= EPS_DEPTH:
-        return 0.0, 0.0, STATUS_DEPTH_NONPOSITIVE
-    xn = xc / zc
-    yn = yc / zc
-    xd, yd = distort_norm(cal, xn, yn)
-    u = cal[CAL_FX] * xd + cal[CAL_SKEW] * yd + cal[CAL_CX]
-    v = cal[CAL_FY] * yd + cal[CAL_CY]
-    return u, v, STATUS_OK
+    return xc, yc, zc
 
 
-@njit(cache=True, nogil=True)
-def project_point_nodist(cal, wx, wy, wz):
-    """World point -> undistorted pixel (distortion ignored)."""
-    xc = cal[CAL_R + 0] * wx + cal[CAL_R + 1] * wy + cal[CAL_R + 2] * wz + cal[CAL_T + 0]
-    yc = cal[CAL_R + 3] * wx + cal[CAL_R + 4] * wy + cal[CAL_R + 5] * wz + cal[CAL_T + 1]
-    zc = cal[CAL_R + 6] * wx + cal[CAL_R + 7] * wy + cal[CAL_R + 8] * wz + cal[CAL_T + 2]
-    if zc <= EPS_DEPTH:
-        return 0.0, 0.0, STATUS_DEPTH_NONPOSITIVE
-    xn = xc / zc
-    yn = yc / zc
-    u = cal[CAL_FX] * xn + cal[CAL_SKEW] * yn + cal[CAL_CX]
-    v = cal[CAL_FY] * yn + cal[CAL_CY]
-    return u, v, STATUS_OK
+def _to_pixel(cal, x, y):
+    return cal[CAL_FX] * x + cal[CAL_SKEW] * y + cal[CAL_CX], cal[CAL_FY] * y + cal[CAL_CY]
 
 
-@njit(cache=True, nogil=True)
-def camera_depth(cal, wx, wy, wz):
-    """Camera-frame depth (z) of a world point."""
-    return cal[CAL_R + 6] * wx + cal[CAL_R + 7] * wy + cal[CAL_R + 8] * wz + cal[CAL_T + 2]
-
-
-@njit(cache=True, nogil=True)
-def undistort_pixel(cal, u, v):
-    """Distorted pixel -> undistorted pixel under the same intrinsics."""
-    if (
-        cal[CAL_K1] == 0.0
-        and cal[CAL_K2] == 0.0
-        and cal[CAL_K3] == 0.0
-        and cal[CAL_P1] == 0.0
-        and cal[CAL_P2] == 0.0
-    ):
-        return u, v, STATUS_OK
+def _to_norm(cal, u, v):
     yn = (v - cal[CAL_CY]) / cal[CAL_FY]
     xn = (u - cal[CAL_CX] - cal[CAL_SKEW] * yn) / cal[CAL_FX]
-    xu, yu, status = undistort_norm(cal, xn, yn)
-    uu = cal[CAL_FX] * xu + cal[CAL_SKEW] * yu + cal[CAL_CX]
-    vv = cal[CAL_FY] * yu + cal[CAL_CY]
-    return uu, vv, status
+    return xn, yn
 
 
-@njit(cache=True, nogil=True)
+@_quiet
+def project_point(cal, wx, wy, wz):
+    """World points -> distorted pixels. Returns (u, v, status)."""
+    xc, yc, zc = _camera_coords(cal, wx, wy, wz)
+    xd, yd = distort_norm(cal, xc / zc, yc / zc)
+    u, v = _to_pixel(cal, xd, yd)
+    return u, v, _flag(zc <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
+
+
+@_quiet
+def project_point_nodist(cal, wx, wy, wz):
+    """World points -> undistorted pixels (distortion ignored)."""
+    xc, yc, zc = _camera_coords(cal, wx, wy, wz)
+    u, v = _to_pixel(cal, xc / zc, yc / zc)
+    return u, v, _flag(zc <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
+
+
+@_quiet
+def ball_diameter_px(cal, wx, wy, wz, ball_diameter_m):
+    """Image diameters of balls centred at world points, from their
+    camera-frame depths by similar triangles. Returns (diameter, status)."""
+    depth = _camera_coords(cal, wx, wy, wz)[2]
+    diameter = 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / depth
+    return diameter, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
+
+
+@_quiet
+def undistort_pixel(cal, u, v):
+    """Distorted pixels -> undistorted pixels under the same intrinsics.
+
+    Rows of a camera without distortion pass through unchanged.
+    """
+    xu, yu, status = undistort_norm(cal, *_to_norm(cal, u, v))
+    uu, vv = _to_pixel(cal, xu, yu)
+    plain = (
+        (cal[CAL_K1] == 0.0)
+        & (cal[CAL_K2] == 0.0)
+        & (cal[CAL_K3] == 0.0)
+        & (cal[CAL_P1] == 0.0)
+        & (cal[CAL_P2] == 0.0)
+    )
+    status = np.where(plain, STATUS_OK, status)
+    status = _then(_finite(u, v), status)
+    return np.where(plain, u, uu), np.where(plain, v, vv), status
+
+
 def camera_center(cal):
-    """Camera optical center in world coordinates: -R^T t."""
+    """Camera optical centers in world coordinates: -R^T t."""
     t0 = cal[CAL_T + 0]
     t1 = cal[CAL_T + 1]
     t2 = cal[CAL_T + 2]
@@ -177,272 +229,185 @@ def camera_center(cal):
     return cx, cy, cz
 
 
-@njit(cache=True, nogil=True)
 def ray_direction(cal, u, v):
-    """Unit world direction of the ray through an UNDISTORTED pixel."""
-    yn = (v - cal[CAL_CY]) / cal[CAL_FY]
-    xn = (u - cal[CAL_CX] - cal[CAL_SKEW] * yn) / cal[CAL_FX]
+    """Unit world directions of the rays through UNDISTORTED pixels."""
+    xn, yn = _to_norm(cal, u, v)
     dx = cal[CAL_R + 0] * xn + cal[CAL_R + 3] * yn + cal[CAL_R + 6]
     dy = cal[CAL_R + 1] * xn + cal[CAL_R + 4] * yn + cal[CAL_R + 7]
     dz = cal[CAL_R + 2] * xn + cal[CAL_R + 5] * yn + cal[CAL_R + 8]
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
     return dx / norm, dy / norm, dz / norm
 
 
-@njit(cache=True, nogil=True)
-def intersect_axis_plane(ox, oy, oz, dx, dy, dz, axis, value):
-    """Intersect a ray with the plane {axis coordinate == value}.
+@_quiet
+def intersect_axis_plane(origin, direction, axis: int, value):
+    """Intersect rays with the planes {axis coordinate == value}.
 
-    The returned point carries exactly `value` along the plane axis.
+    ``origin`` and ``direction`` are (x, y, z) triples of arrays. The
+    returned points carry exactly ``value`` along the plane axis.
+    Returns (px, py, pz, status).
     """
-    if axis == 0:
-        comp = dx
-        oc = ox
-    elif axis == 1:
-        comp = dy
-        oc = oy
-    else:
-        comp = dz
-        oc = oz
-    if abs(comp) < EPS_AXIS:
-        return 0.0, 0.0, 0.0, STATUS_RAY_PARALLEL
-    s = (value - oc) / comp
-    if s < 0.0:
-        return 0.0, 0.0, 0.0, STATUS_BEHIND_CAMERA
-    px = ox + s * dx
-    py = oy + s * dy
-    pz = oz + s * dz
-    if axis == 0:
-        px = value
-    elif axis == 1:
-        py = value
-    else:
-        pz = value
-    return px, py, pz, STATUS_OK
+    comp = direction[axis]
+    s = (value - origin[axis]) / comp
+    point = [o + s * d for o, d in zip(origin, direction)]
+    point[axis] = np.broadcast_to(value, s.shape)
+    status = np.where(
+        np.abs(comp) < EPS_AXIS,
+        STATUS_RAY_PARALLEL,
+        _flag(s < 0.0, STATUS_BEHIND_CAMERA),
+    )
+    return point[0], point[1], point[2], status
 
 
-@njit(cache=True, nogil=True)
+@_quiet
 def vertical_direction(cal, u, v):
-    """Unit image direction of decreasing world Z at an undistorted pixel.
+    """Unit image directions of decreasing world Z at undistorted pixels.
 
-    Evaluated at the ground point hit by the pixel's ray, by projecting a
+    Evaluated at the ground point hit by each pixel's ray, by projecting a
     0.1 m vertical probe; both probe images lie on the image of that world
     vertical, so the direction is exact for a pinhole camera.
     Returns (vx, vy, angle, status) with angle = atan2(vx, vy).
     """
-    ox, oy, oz = camera_center(cal)
-    dx, dy, dz = ray_direction(cal, u, v)
-    gx, gy, gz, status = intersect_axis_plane(ox, oy, oz, dx, dy, dz, 2, 0.0)
-    if status != STATUS_OK:
-        return 0.0, 0.0, 0.0, status
+    status = _finite(u, v)
+    center = camera_center(cal)
+    gx, gy, _, st = intersect_axis_plane(center, ray_direction(cal, u, v), 2, 0.0)
+    status = _then(status, st)
     u0, v0, st0 = project_point_nodist(cal, gx, gy, 0.0)
     u1, v1, st1 = project_point_nodist(cal, gx, gy, VERTICAL_PROBE_M)
-    if st0 != STATUS_OK or st1 != STATUS_OK:
-        return 0.0, 0.0, 0.0, STATUS_DEPTH_NONPOSITIVE
+    behind = (st0 != STATUS_OK) | (st1 != STATUS_OK)
+    status = _then(status, _flag(behind, STATUS_DEPTH_NONPOSITIVE))
     ex = u0 - u1
     ey = v0 - v1
-    norm = math.sqrt(ex * ex + ey * ey)
-    if norm < VERTICAL_MIN_PX:
-        return 0.0, 0.0, 0.0, STATUS_DEGENERATE_VERTICAL
+    norm = np.sqrt(ex * ex + ey * ey)
+    status = _then(status, _flag(norm < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
     vx = ex / norm
     vy = ey / norm
-    return vx, vy, math.atan2(vx, vy), STATUS_OK
+    return vx, vy, np.arctan2(vx, vy), status
 
 
-@njit(cache=True, nogil=True)
+@_quiet
 def foot_pixel(cal, u, v, h):
-    """Foot pixel = ball pixel displaced h px along the local vertical.
+    """Foot pixels = ball pixels displaced h px along the local vertical.
 
     Fixed-point refinement: the vertical is re-evaluated at the ground
-    point of the ray through the current foot iterate.
+    point of the ray through the current foot iterate. A row stops after
+    a step below FOOT_STEP_TOL_PX, after FOOT_MAX_ITERS steps, or on a
+    failed vertical; each step computes only the rows still iterating.
     Returns (fu, fv, vx, vy, angle, status).
     """
     vx, vy, angle, status = vertical_direction(cal, u, v)
-    if status != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, status
+    status = _then(_finite(h), status)
     fu = u + h * vx
     fv = v + h * vy
+    rows = np.flatnonzero(status == STATUS_OK)
     for _ in range(FOOT_MAX_ITERS):
-        vx2, vy2, angle2, status = vertical_direction(cal, fu, fv)
-        if status != STATUS_OK:
-            return 0.0, 0.0, 0.0, 0.0, 0.0, status
-        nu = u + h * vx2
-        nv = v + h * vy2
-        step = math.hypot(nu - fu, nv - fv)
-        fu = nu
-        fv = nv
-        vx = vx2
-        vy = vy2
-        angle = angle2
-        if step < FOOT_STEP_TOL_PX:
+        if rows.size == 0:
             break
-    return fu, fv, vx, vy, angle, STATUS_OK
+        u_r = u[rows]
+        v_r = v[rows]
+        h_r = h[rows]
+        fu_r = fu[rows]
+        fv_r = fv[rows]
+        vx2, vy2, angle2, st = vertical_direction(cal[:, rows], fu_r, fv_r)
+        nu = u_r + h_r * vx2
+        nv = v_r + h_r * vy2
+        step = np.hypot(nu - fu_r, nv - fv_r)
+        fu[rows] = nu
+        fv[rows] = nv
+        vx[rows] = vx2
+        vy[rows] = vy2
+        angle[rows] = angle2
+        status[rows] = st
+        rows = rows[(st == STATUS_OK) & ~(step < FOOT_STEP_TOL_PX)]
+    return fu, fv, vx, vy, angle, status
 
 
-@njit(cache=True, nogil=True)
+@_quiet
 def reconstruct_height(cal, u_raw, v_raw, h):
-    """Full height-based reconstruction from a raw (distorted) ball pixel.
+    """Full height-based reconstruction from raw (distorted) ball pixels.
 
     Returns (bx, by, bz, gx, gy, fu, fv, angle, plane_gap, status).
     """
-    u, v, status = undistort_pixel(cal, u_raw, v_raw)
-    if status != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, status
-    fu, fv, vx, vy, angle, status = foot_pixel(cal, u, v, h)
-    if status != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, status
+    status = _finite(u_raw, v_raw, h)
+    u, v, st = undistort_pixel(cal, u_raw, v_raw)
+    status = _then(status, st)
+    fu, fv, _, _, angle, st = foot_pixel(cal, u, v, h)
+    status = _then(status, st)
 
-    ox, oy, oz = camera_center(cal)
-    fdx, fdy, fdz = ray_direction(cal, fu, fv)
-    gx, gy, gz, gstatus = intersect_axis_plane(ox, oy, oz, fdx, fdy, fdz, 2, 0.0)
-    if gstatus != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, fu, fv, angle, 0.0, STATUS_GROUND_FAILED
+    center = camera_center(cal)
+    gx, gy, _, st = intersect_axis_plane(center, ray_direction(cal, fu, fv), 2, 0.0)
+    status = _then(status, _flag(st != STATUS_OK, STATUS_GROUND_FAILED))
 
-    bdx, bdy, bdz = ray_direction(cal, u, v)
     # Vertical-plane intersections; a plane is skipped when the ray is
     # (near-)parallel to it or meets it behind the camera.
-    x_ok = False
-    y_ok = False
-    x_px = 0.0
-    x_py = 0.0
-    x_pz = 0.0
-    y_px = 0.0
-    y_py = 0.0
-    y_pz = 0.0
-    if abs(bdx) >= EPS_AXIS:
-        x_px, x_py, x_pz, st = intersect_axis_plane(ox, oy, oz, bdx, bdy, bdz, 0, gx)
-        x_ok = st == STATUS_OK
-    if abs(bdy) >= EPS_AXIS:
-        y_px, y_py, y_pz, st = intersect_axis_plane(ox, oy, oz, bdx, bdy, bdz, 1, gy)
-        y_ok = st == STATUS_OK
-    if x_ok and y_ok:
-        bx = 0.5 * (x_px + y_px)
-        by = 0.5 * (x_py + y_py)
-        bz = 0.5 * (x_pz + y_pz)
-        gap = math.sqrt(
-            (x_px - y_px) ** 2 + (x_py - y_py) ** 2 + (x_pz - y_pz) ** 2
-        )
-    elif x_ok:
-        bx = x_px
-        by = x_py
-        bz = x_pz
-        gap = 0.0
-    elif y_ok:
-        bx = y_px
-        by = y_py
-        bz = y_pz
-        gap = 0.0
-    else:
-        return 0.0, 0.0, 0.0, gx, gy, fu, fv, angle, 0.0, STATUS_BOTH_PLANES_DEGENERATE
-    return bx, by, bz, gx, gy, fu, fv, angle, gap, STATUS_OK
+    ray = ray_direction(cal, u, v)
+    xx, xy, xz, st = intersect_axis_plane(center, ray, 0, gx)
+    x_ok = st == STATUS_OK
+    yx, yy, yz, st = intersect_axis_plane(center, ray, 1, gy)
+    y_ok = st == STATUS_OK
+    both = x_ok & y_ok
+    bx = np.where(both, 0.5 * (xx + yx), np.where(x_ok, xx, yx))
+    by = np.where(both, 0.5 * (xy + yy), np.where(x_ok, xy, yy))
+    bz = np.where(both, 0.5 * (xz + yz), np.where(x_ok, xz, yz))
+    gap = np.where(both, np.sqrt((xx - yx) ** 2 + (xy - yy) ** 2 + (xz - yz) ** 2), 0.0)
+    status = _then(status, _flag(~(x_ok | y_ok), STATUS_BOTH_PLANES_DEGENERATE))
+    return bx, by, bz, gx, gy, fu, fv, angle, gap, status
 
 
-@njit(cache=True, nogil=True)
+@_quiet
 def reconstruct_diameter(cal, u_raw, v_raw, diameter_px, ball_diameter_m):
-    """Diameter-baseline reconstruction. Returns (bx, by, bz, status)."""
-    if diameter_px <= 0.0:
-        return 0.0, 0.0, 0.0, STATUS_NONPOSITIVE_DIAMETER
-    u, v, status = undistort_pixel(cal, u_raw, v_raw)
-    if status != STATUS_OK:
-        return 0.0, 0.0, 0.0, status
+    """Diameter-baseline reconstruction.
+
+    Returns (bx, by, bz, fu, fv, angle, status). The foot pixel (fu, fv)
+    is the undistorted image of the ground point below the ball and angle
+    the vertical direction there; both are NaN where undefined.
+    """
+    status = _finite(u_raw, v_raw, diameter_px)
+    status = _then(status, _flag(diameter_px <= 0.0, STATUS_NONPOSITIVE_DIAMETER))
+    u, v, st = undistort_pixel(cal, u_raw, v_raw)
+    status = _then(status, st)
     depth = 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / diameter_px
     ox, oy, oz = camera_center(cal)
     dx, dy, dz = ray_direction(cal, u, v)
     # Camera-frame depth grows at rate (R d)_z per unit ray parameter.
     rz = cal[CAL_R + 6] * dx + cal[CAL_R + 7] * dy + cal[CAL_R + 8] * dz
-    if rz <= 1e-12:
-        return 0.0, 0.0, 0.0, STATUS_DEPTH_NONPOSITIVE
+    status = _then(status, _flag(rz <= 1e-12, STATUS_DEPTH_NONPOSITIVE))
     s = depth / rz
-    return ox + s * dx, oy + s * dy, oz + s * dz, STATUS_OK
+    # A diameter too small for a finite depth is as unusable as zero.
+    status = _then(status, _flag(~np.isfinite(s), STATUS_NONPOSITIVE_DIAMETER))
+    bx = ox + s * dx
+    by = oy + s * dy
+    bz = oz + s * dz
+    fu, fv, st = project_point_nodist(cal, bx, by, 0.0)
+    on_image = st == STATUS_OK
+    _, _, angle, st = vertical_direction(cal, fu, fv)
+    fu = np.where(on_image, fu, np.nan)
+    fv = np.where(on_image, fv, np.nan)
+    angle = np.where(on_image & (st == STATUS_OK), angle, np.nan)
+    return bx, by, bz, fu, fv, angle, status
 
 
-@njit(cache=True, nogil=True)
+@_quiet
 def true_pixel_height(cal, wx, wy, wz):
-    """Undistorted-image Euclidean distance ball -> ground projection."""
-    u0, v0, st0 = project_point_nodist(cal, wx, wy, wz)
-    if st0 != STATUS_OK:
-        return 0.0, st0
-    u1, v1, st1 = project_point_nodist(cal, wx, wy, 0.0)
-    if st1 != STATUS_OK:
-        return 0.0, st1
-    return math.hypot(u0 - u1, v0 - v1), STATUS_OK
+    """Undistorted-image Euclidean distances ball -> ground projection."""
+    u0, v0, status = project_point_nodist(cal, wx, wy, wz)
+    u1, v1, st = project_point_nodist(cal, wx, wy, 0.0)
+    return np.hypot(u0 - u1, v0 - v1), _then(status, st)
 
 
-@njit(cache=True, nogil=True)
-def forward_sample(cal, wx, wy, wz):
-    """Forward oracle for one ball: all image-space annotations at once.
+@_quiet
+def forward_sample(cal, wx, wy, wz, ball_diameter_m):
+    """Forward oracle for balls: all image-space annotations at once.
 
-    Returns (u, v, foot_u, foot_v, h_true, depth, status) where (u, v) and
-    (foot_u, foot_v) are distorted pixels of the ball and its ground
-    projection, h_true the undistorted pixel height, depth the camera-frame
-    depth of the ball.
+    Returns (u, v, foot_u, foot_v, h_true, diameter, status) where (u, v)
+    and (foot_u, foot_v) are distorted pixels of the ball and its ground
+    projection, h_true the undistorted pixel height and diameter the
+    ball's image diameter.
     """
-    u, v, st = project_point(cal, wx, wy, wz)
-    if st != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, st
+    u, v, status = project_point(cal, wx, wy, wz)
     fu, fv, st = project_point(cal, wx, wy, 0.0)
-    if st != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, st
+    status = _then(status, st)
     h, st = true_pixel_height(cal, wx, wy, wz)
-    if st != STATUS_OK:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, st
-    depth = camera_depth(cal, wx, wy, wz)
-    return u, v, fu, fv, h, depth, STATUS_OK
-
-
-@njit(cache=True, nogil=True)
-def reconstruct_height_batch(
-    cals,
-    cal_idx,
-    px,
-    heights,
-    out_ball,
-    out_ground,
-    out_foot,
-    out_angle,
-    out_gap,
-    out_status,
-    start,
-    stop,
-):
-    for i in range(start, stop):
-        c = cals[cal_idx[i]]
-        bx, by, bz, gx, gy, fu, fv, angle, gap, st = reconstruct_height(
-            c, px[i, 0], px[i, 1], heights[i]
-        )
-        out_ball[i, 0] = bx
-        out_ball[i, 1] = by
-        out_ball[i, 2] = bz
-        out_ground[i, 0] = gx
-        out_ground[i, 1] = gy
-        out_foot[i, 0] = fu
-        out_foot[i, 1] = fv
-        out_angle[i] = angle
-        out_gap[i] = gap
-        out_status[i] = st
-
-
-@njit(cache=True, nogil=True)
-def reconstruct_diameter_batch(
-    cals,
-    cal_idx,
-    px,
-    diameters,
-    ball_diameter_m,
-    out_ball,
-    out_ground,
-    out_status,
-    start,
-    stop,
-):
-    for i in range(start, stop):
-        c = cals[cal_idx[i]]
-        bx, by, bz, st = reconstruct_diameter(
-            c, px[i, 0], px[i, 1], diameters[i], ball_diameter_m
-        )
-        out_ball[i, 0] = bx
-        out_ball[i, 1] = by
-        out_ball[i, 2] = bz
-        out_ground[i, 0] = bx
-        out_ground[i, 1] = by
-        out_status[i] = st
+    status = _then(status, st)
+    diameter, _ = ball_diameter_px(cal, wx, wy, wz, ball_diameter_m)
+    return u, v, fu, fv, h, diameter, status

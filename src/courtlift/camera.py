@@ -35,6 +35,7 @@ from .errors import (
     GroundIntersectionFailed,
     IntersectionBehindCamera,
     NoConvergence,
+    NonFiniteInput,
     NonPositiveDiameter,
     NonPositiveScale,
     RayParallelToPlane,
@@ -49,6 +50,7 @@ _STATUS_EXCEPTIONS = {
     _k.STATUS_GROUND_FAILED: GroundIntersectionFailed,
     _k.STATUS_BOTH_PLANES_DEGENERATE: BothPlanesDegenerate,
     _k.STATUS_NONPOSITIVE_DIAMETER: NonPositiveDiameter,
+    _k.STATUS_NONFINITE_INPUT: NonFiniteInput,
 }
 
 STATUS_NAMES = {
@@ -61,6 +63,7 @@ STATUS_NAMES = {
     _k.STATUS_GROUND_FAILED: "GroundIntersectionFailed",
     _k.STATUS_BOTH_PLANES_DEGENERATE: "BothPlanesDegenerate",
     _k.STATUS_NONPOSITIVE_DIAMETER: "NonPositiveDiameter",
+    _k.STATUS_NONFINITE_INPUT: "NonFiniteInput",
 }
 
 
@@ -72,6 +75,16 @@ def raise_for_status(status: int, context: str = "") -> None:
     if exc is None:  # pragma: no cover - codes are exhaustive
         raise RuntimeError(f"unknown kernel status {status}")
     raise exc(context or STATUS_NAMES[int(status)])
+
+
+def column(cal: CameraCalibration) -> np.ndarray:
+    """One camera in the kernels' (CAL_LEN, 1) layout, for a one-row call."""
+    return cal.as_array()[:, None]
+
+
+def one_row(*values: float) -> list[np.ndarray]:
+    """Each scalar as a length-1 float64 array, for a one-row kernel call."""
+    return [np.array([v], dtype=np.float64) for v in values]
 
 
 class Axis(enum.IntEnum):
@@ -206,27 +219,28 @@ def project(cal: CameraCalibration, p: WorldPoint) -> ImagePoint:
 
     Raises DepthNonPositive when the camera-frame depth is <= 1e-9 m.
     """
-    u, v, status = _k.project_point(cal.as_array(), p.x, p.y, p.z)
-    raise_for_status(status, "point is behind or on the camera plane")
-    return ImagePoint(float(u), float(v))
+    u, v, status = _k.project_point(column(cal), *one_row(p.x, p.y, p.z))
+    raise_for_status(status[0], "point is behind or on the camera plane")
+    return ImagePoint(float(u[0]), float(v[0]))
 
 
 def distort(cal: CameraCalibration, n) -> np.ndarray:
     """Apply the distortion model to normalized camera coordinates."""
     n = np.asarray(n, dtype=np.float64).reshape(2)
-    xd, yd = _k.distort_norm(cal.as_array(), float(n[0]), float(n[1]))
-    return np.array([xd, yd], dtype=np.float64)
+    xd, yd = _k.distort_norm(column(cal), *one_row(n[0], n[1]))
+    return np.concatenate([xd, yd])
 
 
 def undistort_point(cal: CameraCalibration, p: ImagePoint) -> ImagePoint:
     """Map a distorted pixel to the undistorted pixel under the same K.
 
     Raises NoConvergence when the fixed point leaves a residual above
-    1e-8 in normalized coordinates (extreme distortion).
+    1e-8 in normalized coordinates (extreme distortion), NonFiniteInput
+    for a NaN or infinite pixel.
     """
-    u, v, status = _k.undistort_pixel(cal.as_array(), p.x, p.y)
-    raise_for_status(status, "undistortion residual above 1e-8")
-    return ImagePoint(float(u), float(v))
+    u, v, status = _k.undistort_pixel(column(cal), *one_row(p.x, p.y))
+    raise_for_status(status[0], "cannot undistort this pixel")
+    return ImagePoint(float(u[0]), float(v[0]))
 
 
 def back_project(cal: CameraCalibration, p: ImagePoint) -> Ray:
@@ -235,16 +249,18 @@ def back_project(cal: CameraCalibration, p: ImagePoint) -> Ray:
     The caller applies undistort_point first when the pixel comes from a
     distorted image.
     """
-    arr = cal.as_array()
-    ox, oy, oz = _k.camera_center(arr)
-    dx, dy, dz = _k.ray_direction(arr, p.x, p.y)
-    return Ray(WorldPoint(float(ox), float(oy), float(oz)), np.array([dx, dy, dz]))
+    arr = column(cal)
+    direction = _k.ray_direction(arr, *one_row(p.x, p.y))
+    return Ray(_world_point(_k.camera_center(arr)), np.concatenate(direction))
 
 
 def camera_center(cal: CameraCalibration) -> WorldPoint:
     """Camera optical center in world coordinates, -R^T t."""
-    ox, oy, oz = _k.camera_center(cal.as_array())
-    return WorldPoint(float(ox), float(oy), float(oz))
+    return _world_point(_k.camera_center(column(cal)))
+
+
+def _world_point(xyz) -> WorldPoint:
+    return WorldPoint(*(float(c[0]) for c in xyz))
 
 
 def intersect_ray_plane(ray: Ray, plane: AxisPlane) -> WorldPoint:
@@ -256,12 +272,11 @@ def intersect_ray_plane(ray: Ray, plane: AxisPlane) -> WorldPoint:
     plane axis.
     """
     o = ray.origin
-    d = ray.direction
-    px, py, pz, status = _k.intersect_axis_plane(
-        o.x, o.y, o.z, d[0], d[1], d[2], int(plane.axis), plane.value
+    *point, status = _k.intersect_axis_plane(
+        one_row(o.x, o.y, o.z), one_row(*ray.direction), int(plane.axis), plane.value
     )
-    raise_for_status(status, f"plane {plane.axis.name}={plane.value}")
-    return WorldPoint(float(px), float(py), float(pz))
+    raise_for_status(status[0], f"plane {plane.axis.name}={plane.value}")
+    return _world_point(point)
 
 
 def scale_calibration(cal: CameraCalibration, s: float) -> CameraCalibration:

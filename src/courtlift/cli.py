@@ -1,25 +1,25 @@
 """Command-line frontend: synth, evaluate, reconstruct, sweep.
 
 Every command is deterministic given its flags and seed: reports carry no
-timestamps or scheduling information, and per-sample random streams make
-results independent of --threads. Exit codes: 0 success, 1 runtime or
-geometry failure, 2 usage error.
+timestamps or scheduling information, and randomness comes from
+per-sample streams. Exit codes: 0 success, 1 runtime or geometry
+failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .camera import ImagePoint, calibration_from_json_dict
+from .camera import ImagePoint, calibration_from_json_dict, validate
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
-from .errors import CourtliftError
+from .errors import CourtliftError, InvalidCalibration
 from .metrics import (
     EvalReport,
     METRIC_NAMES,
@@ -38,22 +38,13 @@ from .synth import ArenaSpec, BallSample, HeightDistSpec, generate_dataset
 
 DEFAULT_HIST_EDGES = (0.0, 1.0, 2.0, 3.0)
 
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("COURTLIFT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+# --threads predates the single-threaded array kernels; scripts still pass it.
+THREADS_HELP = "accepted and ignored; results never depend on it"
 
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -62,14 +53,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _sample_arrays(samples: Sequence[BallSample]):
-    """Pack per-sample arrays and one calibration row per arena."""
-    arena_order = sorted({s.arena_id for s in samples})
-    row_of = {arena: i for i, arena in enumerate(arena_order)}
-    cal_by_arena = {}
-    for s in samples:
-        cal_by_arena.setdefault(s.arena_id, s.cal)
-    packed = pack_calibrations([cal_by_arena[a] for a in arena_order])
-    idx = np.array([row_of[s.arena_id] for s in samples], dtype=np.int64)
+    """Pack per-sample arrays and one calibration row per distinct camera."""
+    cals = {id(s.cal): s.cal for s in samples}
+    row_of = {key: row for row, key in enumerate(cals)}
+    packed = pack_calibrations(list(cals.values()))
+    idx = np.array([row_of[id(s.cal)] for s in samples], dtype=np.int64)
     px = np.array([[s.ball_px.x, s.ball_px.y] for s in samples], dtype=np.float64)
     truth = np.array(
         [[s.ball_3d.x, s.ball_3d.y, s.ball_3d.z] for s in samples], dtype=np.float64
@@ -82,7 +70,6 @@ def evaluate_once(
     samples: Sequence[BallSample],
     spec: PredictorSpec,
     method: str = "height",
-    threads: int = 1,
     ball_diameter_m: float = 0.24,
     height_offset: float | None = None,
 ) -> tuple[EvalReport, int]:
@@ -100,7 +87,7 @@ def evaluate_once(
             preds = h_true + float(height_offset)
         else:
             preds = predict_heights(spec, samples)
-        batch = reconstruct_from_height_batch(packed, idx, px, preds, threads=threads)
+        batch = reconstruct_from_height_batch(packed, idx, px, preds)
         ok = batch.ok
         report = evaluate_arrays(
             truth[ok],
@@ -111,9 +98,7 @@ def evaluate_once(
         )
     elif method == "diameter":
         preds = predict_diameters(spec, samples, ball_diameter_m)
-        batch = reconstruct_from_diameter_batch(
-            packed, idx, px, preds, ball_diameter_m, threads=threads
-        )
+        batch = reconstruct_from_diameter_batch(packed, idx, px, preds, ball_diameter_m)
         ok = batch.ok
         report = evaluate_arrays(
             truth[ok], None, None, batch.ball_3d[ok], batch.ground_projection[ok]
@@ -128,23 +113,14 @@ def run_evaluation(
     spec: PredictorSpec,
     method: str = "height",
     repeats: int = 1,
-    threads: int = 1,
     ball_diameter_m: float = 0.24,
 ) -> tuple[list[EvalReport], list[int]]:
     """k seeded repeats; repeat r uses predictor seed spec.seed + r."""
     reports: list[EvalReport] = []
     failed: list[int] = []
     for r in range(repeats):
-        spec_r = PredictorSpec(
-            kind=spec.kind,
-            sigma=spec.sigma,
-            nu=spec.nu,
-            target_mae=spec.target_mae,
-            seed=spec.seed + r,
-        )
-        report, n_failed = evaluate_once(
-            samples, spec_r, method, threads, ball_diameter_m
-        )
+        spec_r = dataclasses.replace(spec, seed=spec.seed + r)
+        report, n_failed = evaluate_once(samples, spec_r, method, ball_diameter_m)
         reports.append(report)
         failed.append(n_failed)
     return reports, failed
@@ -238,13 +214,11 @@ def cmd_evaluate(args, parser) -> int:
         target_mae=args.target_mae,
         seed=args.seed,
     )
-    threads = _resolve_threads(args.threads)
     reports, failed = run_evaluation(
         samples,
         spec,
         method=args.method,
         repeats=args.repeats,
-        threads=threads,
         ball_diameter_m=args.ball_diameter,
     )
     agg = aggregate_repeats(reports)
@@ -282,6 +256,9 @@ def cmd_evaluate(args, parser) -> int:
 def cmd_reconstruct(args, parser) -> int:
     with open(args.cal, "r", encoding="utf-8") as f:
         cal = calibration_from_json_dict(json.load(f))
+    violations = validate(cal)
+    if violations:
+        raise InvalidCalibration(f"{args.cal}: {', '.join(violations)}")
     result = reconstruct_from_height(cal, ImagePoint(args.x, args.y), args.height)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0
@@ -295,13 +272,10 @@ def cmd_sweep(args, parser) -> int:
     if not grid:
         parser.error("--grid must contain at least one noise level")
     samples = _load_samples(args, parser)
-    threads = _resolve_threads(args.threads)
     oracle = PredictorSpec(kind="oracle")
     rows = []
     for level in grid:
-        report, n_failed = evaluate_once(
-            samples, oracle, method="height", threads=threads, height_offset=level
-        )
+        report, n_failed = evaluate_once(samples, oracle, height_offset=level)
         rows.append(
             {
                 "level_px": level,
@@ -369,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--repeats", type=int, default=1, help="seeded repetitions")
     p_eval.add_argument("--seed", type=int, default=0, help="base predictor seed")
     p_eval.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
-    p_eval.add_argument(
-        "--threads", type=int, default=None, help="worker threads (COURTLIFT_THREADS)"
-    )
+    p_eval.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rec = sub.add_parser("reconstruct", help="lift one pixel + height to 3D")
@@ -391,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, help="comma-separated height offsets in px, e.g. 0,5,10"
     )
     p_sweep.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
-    p_sweep.add_argument("--threads", type=int, default=None)
+    p_sweep.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -100,15 +100,26 @@ def _sample_to_record(s: BallSample) -> dict:
     }
 
 
-def _sample_from_record(obj: dict, index: int) -> BallSample:
+def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
+    """Parse one record. ``arena_cals`` maps each arena seen so far to its
+    first record's calibration JSON and object; later records of the arena
+    must carry the same calibration and share that object."""
     missing = [k for k in _RECORD_KEYS if k not in obj]
     if missing:
         raise MalformedRecord(index, f"missing keys {missing}")
     try:
+        arena_id = int(obj["arena"])
+        if arena_id not in arena_cals:
+            arena_cals[arena_id] = (obj["cal"], calibration_from_json_dict(obj["cal"]))
+        first_json, cal = arena_cals[arena_id]
+        if obj["cal"] != first_json:
+            raise MalformedRecord(
+                index, f"arena {arena_id} calibration differs from its first record's"
+            )
         return BallSample(
             sample_id=int(obj["id"]),
-            arena_id=int(obj["arena"]),
-            cal=calibration_from_json_dict(obj["cal"]),
+            arena_id=arena_id,
+            cal=cal,
             ball_3d=WorldPoint(*[float(x) for x in obj["ball_3d"]]),
             ball_px=ImagePoint(*[float(x) for x in obj["ball_px"]]),
             foot_px=ImagePoint(*[float(x) for x in obj["foot_px"]]),
@@ -156,12 +167,13 @@ def read_dataset(source) -> Dataset:
         for name, ids in header.get("folds", {}).items()
     }
     samples = []
+    arena_cals: dict = {}
     for index, line in enumerate(lines[1:]):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(index, f"invalid JSON: {exc}") from exc
-        samples.append(_sample_from_record(obj, index))
+        samples.append(_sample_from_record(obj, index, arena_cals))
     return Dataset(samples=samples, folds=folds)
 
 

@@ -47,7 +47,15 @@ class BothPlanesDegenerate(GeometryError):
 
 
 class NonPositiveDiameter(GeometryError):
-    """Image-space ball diameter must be > 0."""
+    """Image-space ball diameter must be > 0 and give a finite depth."""
+
+
+class NonFiniteInput(GeometryError):
+    """A pixel, height or diameter is NaN or infinite."""
+
+
+class InvalidCalibration(CourtliftError):
+    """Calibration violates an invariant checked by camera.validate."""
 
 
 class MissingGroundTruth(CourtliftError):

@@ -132,24 +132,25 @@ def predict_diameter(
     spec: PredictorSpec, sample, ball_diameter_m: float = BALL_DIAMETER_M
 ) -> float:
     """Predicted image diameter (px) with relative (multiplicative) noise."""
-    cal = _require(sample, "cal")
-    ball = _require(sample, "ball_3d")
-    depth = float(_k.camera_depth(cal.as_array(), ball.x, ball.y, ball.z))
-    if depth <= _k.EPS_DEPTH:
-        raise MissingGroundTruth("sample ball is behind its camera")
-    d_true = 0.5 * (cal.fx + cal.fy) * ball_diameter_m / depth
-    if spec.kind == "oracle":
-        return d_true
-    sample_id = int(_require(sample, "sample_id"))
-    rel = noise_scale(spec) * _noise_draw(spec, sample_id, PURPOSE_DIAMETER_NOISE)
-    return d_true * (1.0 + rel)
+    return float(predict_diameters(spec, [sample], ball_diameter_m)[0])
 
 
 def predict_diameters(
     spec: PredictorSpec, samples: Sequence, ball_diameter_m: float = BALL_DIAMETER_M
 ) -> np.ndarray:
     """Vectorized predict_diameter over a sample sequence."""
-    out = np.empty(len(samples), dtype=np.float64)
-    for i, sample in enumerate(samples):
-        out[i] = predict_diameter(spec, sample, ball_diameter_m)
-    return out
+    cals = np.array([_require(s, "cal").as_array() for s in samples], dtype=np.float64)
+    balls = [_require(s, "ball_3d") for s in samples]
+    xyz = np.array([[b.x, b.y, b.z] for b in balls], dtype=np.float64).reshape(-1, 3)
+    d_true, status = _k.ball_diameter_px(
+        cals.reshape(-1, _k.CAL_LEN).T, *xyz.T, ball_diameter_m
+    )
+    if (status != _k.STATUS_OK).any():
+        raise MissingGroundTruth("sample ball is behind its camera")
+    if spec.kind == "oracle":
+        return d_true
+    draws = [
+        _noise_draw(spec, int(_require(s, "sample_id")), PURPOSE_DIAMETER_NOISE)
+        for s in samples
+    ]
+    return d_true * (1.0 + noise_scale(spec) * np.array(draws, dtype=np.float64))

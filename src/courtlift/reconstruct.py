@@ -21,18 +21,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels as _k
-from ._accel import run_chunked
 from .camera import (
     CameraCalibration,
     ImagePoint,
     WorldPoint,
+    column,
+    one_row,
     raise_for_status,
 )
 from .errors import NonPositiveDiameter
-
-# A predicted pixel height is just a float (px along the image vertical);
-# negative values are legal predictor outputs and propagate through.
-HeightPrediction = float
 
 BALL_DIAMETER_M = 0.24
 
@@ -84,22 +81,20 @@ def vertical_direction(cal: CameraCalibration, ball_px: ImagePoint) -> VerticalD
     Angle 0 means the world vertical maps to the image +y direction (the
     rectified case); the sign follows atan2(v.x, v.y).
     """
-    vx, vy, angle, status = _k.vertical_direction(cal.as_array(), ball_px.x, ball_px.y)
-    raise_for_status(status, "vertical direction undefined at this pixel")
-    return VerticalDirection(np.array([vx, vy], dtype=np.float64), float(angle))
+    vx, vy, angle, status = _k.vertical_direction(column(cal), *one_row(ball_px.x, ball_px.y))
+    raise_for_status(status[0], "vertical direction undefined at this pixel")
+    return VerticalDirection(np.concatenate([vx, vy]), float(angle[0]))
 
 
-def foot_pixel(
-    cal: CameraCalibration, ball_px: ImagePoint, h: HeightPrediction
-) -> ImagePoint:
+def foot_pixel(cal: CameraCalibration, ball_px: ImagePoint, h: float) -> ImagePoint:
     """Ground-projection pixel: ball pixel + h px along the local vertical.
 
     The vertical is refined at the ground point of the ray through each
     foot iterate (step tolerance 0.01 px, at most 5 iterations).
     """
-    fu, fv, _, _, _, status = _k.foot_pixel(cal.as_array(), ball_px.x, ball_px.y, h)
-    raise_for_status(status, "vertical direction failed during foot refinement")
-    return ImagePoint(float(fu), float(fv))
+    fu, fv, _, _, _, status = _k.foot_pixel(column(cal), *one_row(ball_px.x, ball_px.y, h))
+    raise_for_status(status[0], "vertical direction failed during foot refinement")
+    return ImagePoint(float(fu[0]), float(fv[0]))
 
 
 def true_pixel_height(cal: CameraCalibration, ball_3d: WorldPoint) -> float:
@@ -109,26 +104,21 @@ def true_pixel_height(cal: CameraCalibration, ball_3d: WorldPoint) -> float:
     its vertical projection on the ground. This is the supervision target
     a height predictor learns and what the oracle predictor returns.
     """
-    h, status = _k.true_pixel_height(cal.as_array(), ball_3d.x, ball_3d.y, ball_3d.z)
-    raise_for_status(status, "ball or its ground projection is behind the camera")
-    return float(h)
+    h, status = _k.true_pixel_height(column(cal), *one_row(ball_3d.x, ball_3d.y, ball_3d.z))
+    raise_for_status(status[0], "ball or its ground projection is behind the camera")
+    return float(h[0])
 
 
 def reconstruct_from_height(
-    cal: CameraCalibration, ball_px_raw: ImagePoint, h: HeightPrediction
+    cal: CameraCalibration, ball_px_raw: ImagePoint, h: float
 ) -> Reconstruction:
-    """Reconstruct the 3D ball from a raw (distorted) pixel and a height."""
-    bx, by, bz, gx, gy, fu, fv, angle, gap, status = _k.reconstruct_height(
-        cal.as_array(), ball_px_raw.x, ball_px_raw.y, h
-    )
-    raise_for_status(status, "height reconstruction failed")
-    return Reconstruction(
-        ball_3d=WorldPoint(float(bx), float(by), float(bz)),
-        ground_projection=WorldPoint(float(gx), float(gy), 0.0),
-        foot_pixel=ImagePoint(float(fu), float(fv)),
-        vertical_angle=float(angle),
-        plane_gap=float(gap),
-    )
+    """Reconstruct the 3D ball from a raw (distorted) pixel and a height.
+
+    Negative heights are legal predictor outputs and propagate through.
+    """
+    batch = reconstruct_from_height_batch([cal], [0], [[ball_px_raw.x, ball_px_raw.y]], [h])
+    raise_for_status(batch.status[0], "height reconstruction failed")
+    return batch.row(0)
 
 
 def reconstruct_from_diameter(
@@ -143,28 +133,11 @@ def reconstruct_from_diameter(
     diameter_px by similar triangles; the ball is placed on the
     back-projected ray at that camera-frame depth.
     """
-    if not (ball_diameter_m > 0.0):
-        raise NonPositiveDiameter(f"ball diameter must be > 0 m, got {ball_diameter_m}")
-    arr = cal.as_array()
-    bx, by, bz, status = _k.reconstruct_diameter(
-        arr, ball_px_raw.x, ball_px_raw.y, diameter_px, ball_diameter_m
+    batch = reconstruct_from_diameter_batch(
+        [cal], [0], [[ball_px_raw.x, ball_px_raw.y]], [diameter_px], ball_diameter_m
     )
-    raise_for_status(status, "diameter reconstruction failed")
-    foot: ImagePoint | None = None
-    angle: float | None = None
-    fu, fv, st = _k.project_point_nodist(arr, bx, by, 0.0)
-    if st == _k.STATUS_OK:
-        foot = ImagePoint(float(fu), float(fv))
-        vx, vy, ang, st = _k.vertical_direction(arr, float(fu), float(fv))
-        if st == _k.STATUS_OK:
-            angle = float(ang)
-    return Reconstruction(
-        ball_3d=WorldPoint(float(bx), float(by), float(bz)),
-        ground_projection=WorldPoint(float(bx), float(by), 0.0),
-        foot_pixel=foot,
-        vertical_angle=angle,
-        plane_gap=0.0,
-    )
+    raise_for_status(batch.status[0], "diameter reconstruction failed")
+    return batch.row(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +170,12 @@ def crop_transform(
         raise ValueError(f"crop_size must be > 0, got {crop_size}")
     if not (scale > 0.0):
         raise ValueError(f"scale must be > 0, got {scale}")
-    uu, vv, status = _k.undistort_pixel(cal.as_array(), ball_px_raw.x, ball_px_raw.y)
-    raise_for_status(status, "undistortion failed for crop anchor")
-    vx, vy, _, status = _k.vertical_direction(cal.as_array(), float(uu), float(vv))
-    raise_for_status(status, "vertical direction undefined at crop anchor")
+    arr = column(cal)
+    uu, vv, status = _k.undistort_pixel(arr, *one_row(ball_px_raw.x, ball_px_raw.y))
+    raise_for_status(status[0], "undistortion failed for crop anchor")
+    vx, vy, _, status = _k.vertical_direction(arr, uu, vv)
+    raise_for_status(status[0], "vertical direction undefined at crop anchor")
+    uu, vv, vx, vy = (float(a[0]) for a in (uu, vv, vx, vy))
     # Rotation sending the unit vertical (vx, vy) to (0, 1).
     rot = np.array([[vy, -vx], [vx, vy]], dtype=np.float64)
     matrix = scale * rot
@@ -211,10 +186,12 @@ def crop_transform(
 
 @dataclass(frozen=True, eq=False)
 class HeightBatch:
-    """Array-of-structs result of a batch height reconstruction.
+    """Array-of-structs result of a batch reconstruction.
 
-    Rows with ``status != 0`` carry undefined geometry; ``status_name``
-    maps codes to error names.
+    Rows with ``status != 0`` carry NaN geometry; ``camera.STATUS_NAMES``
+    maps codes to error names. For the diameter baseline ``plane_gap`` is 0,
+    and ``foot_px`` and ``vertical_angle`` are NaN on rows where the local
+    geometry does not define them.
     """
 
     ball_3d: np.ndarray  # (n, 3)
@@ -228,34 +205,45 @@ class HeightBatch:
     def ok(self) -> np.ndarray:
         return self.status == _k.STATUS_OK
 
-
-@dataclass(frozen=True, eq=False)
-class DiameterBatch:
-    ball_3d: np.ndarray
-    ground_projection: np.ndarray
-    status: np.ndarray
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.status == _k.STATUS_OK
+    def row(self, i: int) -> Reconstruction:
+        """Row i as a Reconstruction; NaN foot pixel or angle become None."""
+        foot = self.foot_px[i]
+        angle = float(self.vertical_angle[i])
+        return Reconstruction(
+            ball_3d=WorldPoint(*(float(c) for c in self.ball_3d[i])),
+            ground_projection=WorldPoint(*(float(c) for c in self.ground_projection[i]), 0.0),
+            foot_pixel=None if np.isnan(foot).any() else ImagePoint(float(foot[0]), float(foot[1])),
+            vertical_angle=None if np.isnan(angle) else angle,
+            plane_gap=float(self.plane_gap[i]),
+        )
 
 
 def pack_calibrations(cals: Sequence[CameraCalibration]) -> np.ndarray:
-    """Stack calibrations into the (m, 24) array the batch kernels expect."""
-    out = np.empty((len(cals), _k.CAL_LEN), dtype=np.float64)
-    for i, cal in enumerate(cals):
-        out[i] = cal.as_array()
-    return out
+    """Stack calibrations into the (m, 24) array the batch functions accept."""
+    return np.array([cal.as_array() for cal in cals]).reshape(-1, _k.CAL_LEN)
 
 
-def _as_batch_inputs(px, values):
-    px = np.ascontiguousarray(px, dtype=np.float64)
+def _batch_inputs(cals, cal_index, px, values):
+    """Per-row calibration columns, raw pixel coordinates and values."""
+    px = np.asarray(px, dtype=np.float64)
     if px.ndim != 2 or px.shape[1] != 2:
         raise ValueError("ball pixels must have shape (n, 2)")
-    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.shape[0] != px.shape[0]:
         raise ValueError("pixel and value arrays must have equal length")
-    return px, values
+    idx = np.asarray(cal_index, dtype=np.int64).reshape(-1)
+    if idx.shape[0] != px.shape[0]:
+        raise ValueError("cal_index must match the number of samples")
+    packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
+    return np.ascontiguousarray(packed[idx].T), px[:, 0].copy(), px[:, 1].copy(), values
+
+
+def _batch(ball, ground, foot, angle, gap, status) -> HeightBatch:
+    failed = status != _k.STATUS_OK
+    ball, ground, foot = np.column_stack(ball), np.column_stack(ground), np.column_stack(foot)
+    for out in (ball, ground, foot, angle, gap):
+        out[failed] = np.nan
+    return HeightBatch(ball, ground, foot, angle, gap, status)
 
 
 def reconstruct_from_height_batch(
@@ -263,43 +251,16 @@ def reconstruct_from_height_batch(
     cal_index: np.ndarray,
     ball_px_raw: np.ndarray,
     heights: np.ndarray,
-    threads: int = 1,
 ) -> HeightBatch:
-    """Vectorized reconstruct_from_height over n samples.
+    """reconstruct_from_height over n samples, as whole-array operations.
 
     ``cals`` is a calibration sequence (or pre-packed (m, 24) array) and
     ``cal_index[i]`` selects the camera of sample i. Failures surface as
-    nonzero statuses rather than exceptions. Results are identical for
-    any thread count.
+    nonzero statuses rather than exceptions.
     """
-    packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
-    px, h = _as_batch_inputs(ball_px_raw, heights)
-    idx = np.ascontiguousarray(cal_index, dtype=np.int64).reshape(-1)
-    if idx.shape[0] != px.shape[0]:
-        raise ValueError("cal_index must match the number of samples")
-    n = px.shape[0]
-    out_ball = np.empty((n, 3), dtype=np.float64)
-    out_ground = np.empty((n, 2), dtype=np.float64)
-    out_foot = np.empty((n, 2), dtype=np.float64)
-    out_angle = np.empty(n, dtype=np.float64)
-    out_gap = np.empty(n, dtype=np.float64)
-    out_status = np.empty(n, dtype=np.int64)
-    run_chunked(
-        _k.reconstruct_height_batch,
-        n,
-        threads,
-        packed,
-        idx,
-        px,
-        h,
-        out_ball,
-        out_ground,
-        out_foot,
-        out_angle,
-        out_gap,
-        out_status,
-    )
-    return HeightBatch(out_ball, out_ground, out_foot, out_angle, out_gap, out_status)
+    cal, u, v, h = _batch_inputs(cals, cal_index, ball_px_raw, heights)
+    bx, by, bz, gx, gy, fu, fv, angle, gap, status = _k.reconstruct_height(cal, u, v, h)
+    return _batch((bx, by, bz), (gx, gy), (fu, fv), angle, gap, status)
 
 
 def reconstruct_from_diameter_batch(
@@ -308,40 +269,26 @@ def reconstruct_from_diameter_batch(
     ball_px_raw: np.ndarray,
     diameters_px: np.ndarray,
     ball_diameter_m: float = BALL_DIAMETER_M,
-    threads: int = 1,
-) -> DiameterBatch:
-    """Vectorized reconstruct_from_diameter over n samples."""
-    packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
-    px, diam = _as_batch_inputs(ball_px_raw, diameters_px)
-    idx = np.ascontiguousarray(cal_index, dtype=np.int64).reshape(-1)
-    if idx.shape[0] != px.shape[0]:
-        raise ValueError("cal_index must match the number of samples")
-    n = px.shape[0]
-    out_ball = np.empty((n, 3), dtype=np.float64)
-    out_ground = np.empty((n, 2), dtype=np.float64)
-    out_status = np.empty(n, dtype=np.int64)
-    run_chunked(
-        _k.reconstruct_diameter_batch,
-        n,
-        threads,
-        packed,
-        idx,
-        px,
-        diam,
-        float(ball_diameter_m),
-        out_ball,
-        out_ground,
-        out_status,
+) -> HeightBatch:
+    """reconstruct_from_diameter over n samples, as whole-array operations."""
+    if not (ball_diameter_m > 0.0):
+        raise NonPositiveDiameter(f"ball diameter must be > 0 m, got {ball_diameter_m}")
+    cal, u, v, d = _batch_inputs(cals, cal_index, ball_px_raw, diameters_px)
+    bx, by, bz, fu, fv, angle, status = _k.reconstruct_diameter(
+        cal, u, v, d, float(ball_diameter_m)
     )
-    return DiameterBatch(out_ball, out_ground, out_status)
+    return _batch((bx, by, bz), (bx, by), (fu, fv), angle, np.zeros(len(d)), status)
 
 
-def diameter_px_of(cal: CameraCalibration, ball_3d: WorldPoint, ball_diameter_m: float = BALL_DIAMETER_M) -> float:
+def diameter_px_of(
+    cal: CameraCalibration, ball_3d: WorldPoint, ball_diameter_m: float = BALL_DIAMETER_M
+) -> float:
     """Exact image-space diameter of a ball at its camera-frame depth."""
-    depth = float(_k.camera_depth(cal.as_array(), ball_3d.x, ball_3d.y, ball_3d.z))
-    if depth <= _k.EPS_DEPTH:
-        raise_for_status(_k.STATUS_DEPTH_NONPOSITIVE, "ball is behind the camera")
-    return 0.5 * (cal.fx + cal.fy) * ball_diameter_m / depth
+    d, status = _k.ball_diameter_px(
+        column(cal), *one_row(ball_3d.x, ball_3d.y, ball_3d.z), ball_diameter_m
+    )
+    raise_for_status(status[0], "ball is behind the camera")
+    return float(d[0])
 
 
 def status_counts(status: np.ndarray) -> dict[str, int]:
@@ -352,8 +299,3 @@ def status_counts(status: np.ndarray) -> dict[str, int]:
     for code in np.unique(status):
         out[STATUS_NAMES.get(int(code), str(int(code)))] = int((status == code).sum())
     return out
-
-
-def euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance between equally shaped arrays."""
-    return np.linalg.norm(np.asarray(a, float) - np.asarray(b, float), axis=-1)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .camera import CameraCalibration, ImagePoint, WorldPoint, validate
-from .errors import FrameCoverageFailure
+from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
+from .errors import DepthNonPositive, FrameCoverageFailure
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
@@ -31,6 +31,11 @@ BALLISTIC_P_ABOVE_3M = 102.0 / 233.0
 LOW_HEIGHT_MEAN_M = 1.2
 
 _MAX_PLACEMENT_RETRIES = 100
+
+# Samples placed together: one kernel call annotates a block's pending
+# candidates per retry round. Every sample of a block keeps its random
+# stream alive until the block is placed, so this also bounds memory.
+_PLACEMENT_BLOCK = 500
 
 
 @dataclass(frozen=True)
@@ -202,8 +207,11 @@ def make_camera(
     )
 
 
-def _in_bounds(u: float, v: float, spec: ArenaSpec) -> bool:
-    return 0.0 <= u <= spec.image_width - 1.0 and 0.0 <= v <= spec.image_height - 1.0
+def _in_bounds(u, v, spec: ArenaSpec):
+    """Whether pixels lie in the frame; floats or arrays."""
+    return (
+        (0.0 <= u) & (u <= spec.image_width - 1.0) & (0.0 <= v) & (v <= spec.image_height - 1.0)
+    )
 
 
 def sample_camera(rng: np.random.Generator, arena: ArenaSpec) -> CameraCalibration:
@@ -233,8 +241,11 @@ def sample_camera(rng: np.random.Generator, arena: ArenaSpec) -> CameraCalibrati
         )
         if validate(cal):
             continue
-        u, v, status = _k.project_point(cal.as_array(), 0.0, 0.0, 0.0)
-        if status == _k.STATUS_OK and _in_bounds(float(u), float(v), arena):
+        try:
+            center_px = project(cal, WorldPoint(0.0, 0.0, 0.0))
+        except DepthNonPositive:
+            continue
+        if _in_bounds(center_px.x, center_px.y, arena):
             return cal
     raise FrameCoverageFailure("no valid camera after retry budget")
 
@@ -261,34 +272,29 @@ def sample_ball(
     )
 
 
-def _annotate(
-    cal: CameraCalibration, ball: WorldPoint, arena: ArenaSpec
-) -> tuple | None:
-    """Forward-oracle annotations, or None when the placement is unusable.
+def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
+    """Forward-oracle annotations of candidate balls, one per column of cal.
 
-    Unusable means: ball or foot behind the camera, ball pixel out of
-    frame, annotation ill-posed under distortion, or the height
-    reconstruction degenerate at exact inputs, so that every emitted
-    sample survives the full round trip.
+    Returns (usable, u, v, foot_u, foot_v, h, diameter). A placement is
+    unusable when the ball or foot is behind the camera, the ball pixel
+    is out of frame, the annotation is ill-posed under distortion, or the
+    height reconstruction is degenerate at exact inputs, so that every
+    emitted sample survives the full round trip.
     """
-    arr = cal.as_array()
-    u, v, fu, fv, h, depth, status = _k.forward_sample(arr, ball.x, ball.y, ball.z)
-    if status != _k.STATUS_OK or not _in_bounds(float(u), float(v), arena):
-        return None
+    u, v, fu, fv, h, diameter, status = _k.forward_sample(
+        cal, bx, by, bz, arena.ball_diameter_m
+    )
+    usable = (status == _k.STATUS_OK) & _in_bounds(u, v, arena)
     # Well-posedness: undistorting the annotation must recover the
     # distortion-free pixel. Strong coefficients fold the Brown-Conrady
     # polynomial at large field radii, where the pixel has multiple
     # preimages and no camera-model inverse exists.
-    uu, vv, st = _k.undistort_pixel(arr, u, v)
-    if st != _k.STATUS_OK:
-        return None
-    un, vn, st = _k.project_point_nodist(arr, ball.x, ball.y, ball.z)
-    if st != _k.STATUS_OK or math.hypot(uu - un, vv - vn) > 1e-6:
-        return None
-    if _k.reconstruct_height(arr, u, v, h)[-1] != _k.STATUS_OK:
-        return None
-    diameter = 0.5 * (cal.fx + cal.fy) * arena.ball_diameter_m / float(depth)
-    return float(u), float(v), float(fu), float(fv), float(h), diameter
+    uu, vv, status = _k.undistort_pixel(cal, u, v)
+    un, vn, st = _k.project_point_nodist(cal, bx, by, bz)
+    usable &= (status == _k.STATUS_OK) & (st == _k.STATUS_OK)
+    usable &= ~(np.hypot(uu - un, vv - vn) > 1e-6)
+    usable &= _k.reconstruct_height(cal, u, v, h)[-1] == _k.STATUS_OK
+    return usable, u, v, fu, fv, h, diameter
 
 
 def generate_dataset(
@@ -315,32 +321,39 @@ def generate_dataset(
     cameras = [
         sample_camera(stream(seed, i, PURPOSE_CAMERA), arena) for i in range(n_arenas)
     ]
+    packed = np.stack([cal.as_array() for cal in cameras], axis=1)
     samples: list[BallSample] = []
-    for i in range(n):
-        arena_id = i % n_arenas
-        cal = cameras[arena_id]
-        rng = stream(seed, i, PURPOSE_BALL)
-        for _ in range(_MAX_PLACEMENT_RETRIES):
-            ball = sample_ball(rng, arena, dist)
-            annotation = _annotate(cal, ball, arena)
-            if annotation is None:
-                continue
-            u, v, fu, fv, h, diameter = annotation
-            samples.append(
-                BallSample(
-                    sample_id=i,
-                    arena_id=arena_id,
-                    cal=cal,
-                    ball_3d=ball,
-                    ball_px=ImagePoint(u, v),
-                    foot_px=ImagePoint(fu, fv),
-                    h_true=h,
-                    diameter_px_true=diameter,
-                )
-            )
-            break
-        else:
-            raise FrameCoverageFailure(
-                f"sample {i}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
-            )
+    for start in range(0, n, _PLACEMENT_BLOCK):
+        ids = range(start, min(n, start + _PLACEMENT_BLOCK))
+        samples.extend(_place_block(seed, ids, cameras, packed, arena, dist))
     return samples
+
+
+def _place_block(seed, ids, cameras, packed, arena, dist) -> list[BallSample]:
+    """Samples `ids`, each redrawn from its own stream until usable."""
+    rngs = {i: stream(seed, i, PURPOSE_BALL) for i in ids}
+    placed: dict[int, BallSample] = {}
+    pending = list(ids)
+    for _ in range(_MAX_PLACEMENT_RETRIES):
+        balls = [sample_ball(rngs[i], arena, dist) for i in pending]
+        xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
+        cal = packed[:, np.array(pending) % len(cameras)]
+        usable, u, v, fu, fv, h, diameter = _annotate(cal, *xyz, arena)
+        for j in np.flatnonzero(usable):
+            i = pending[j]
+            placed[i] = BallSample(
+                sample_id=i,
+                arena_id=i % len(cameras),
+                cal=cameras[i % len(cameras)],
+                ball_3d=balls[j],
+                ball_px=ImagePoint(float(u[j]), float(v[j])),
+                foot_px=ImagePoint(float(fu[j]), float(fv[j])),
+                h_true=float(h[j]),
+                diameter_px_true=float(diameter[j]),
+            )
+        pending = [i for i, ok in zip(pending, usable) if not ok]
+        if not pending:
+            return [placed[i] for i in ids]
+    raise FrameCoverageFailure(
+        f"sample {pending[0]}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
+    )

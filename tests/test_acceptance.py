@@ -66,13 +66,13 @@ def sweep_set():
 
 
 def test_criterion_1_master_round_trip(big_clean_set):
-    # Warm any JIT compilation out of the timed region.
-    evaluate_once(big_clean_set[:16], ORACLE, threads=1)
+    # Warm caches out of the timed region.
+    evaluate_once(big_clean_set[:16], ORACLE)
     t0 = time.perf_counter()
-    report, n_failed = evaluate_once(big_clean_set, ORACLE, threads=1)
+    report, n_failed = evaluate_once(big_clean_set, ORACLE)
     elapsed = time.perf_counter() - t0
     distorted = generate_dataset(seed=204, n=10_000, arena=STRONG_DIST_ARENA, n_arenas=12)
-    report_d, n_failed_d = evaluate_once(distorted, ORACLE, threads=1)
+    report_d, n_failed_d = evaluate_once(distorted, ORACLE)
     ok = (
         n_failed == 0
         and report.ma3de_m < 1e-6

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from courtlift import calibration_to_json_dict, make_camera, project, WorldPoint
-from courtlift.cli import main
+from courtlift.cli import _write_json, main
 
 
 @pytest.fixture(scope="module")
@@ -198,18 +198,25 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert "error:" in err and "RayParallelToPlane" in err
 
+    @pytest.mark.parametrize(
+        "edit, violation",
+        [({"fx": -2000.0}, "FocalNonPositive"), ({"cx": float("nan")}, "NonFinite")],
+    )
+    def test_invalid_calibration_exits_1_with_typed_error(
+        self, side_cal_file, tmp_path, capsys, edit, violation
+    ):
+        path, _ = side_cal_file
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        rc = main(["reconstruct", "--cal", str(bad), "--x", "2250", "--y", "900", "--height", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InvalidCalibration" in err and violation in err
 
-class TestThreadResolution:
-    def test_env_var_fallback(self, monkeypatch):
-        from courtlift.cli import _resolve_threads
 
-        monkeypatch.setenv("COURTLIFT_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        assert _resolve_threads(2) == 2  # flag wins over env
-        monkeypatch.setenv("COURTLIFT_THREADS", "not-a-number")
-        assert _resolve_threads(None) >= 1
-        monkeypatch.delenv("COURTLIFT_THREADS")
-        assert _resolve_threads(None) >= 1
+def test_reports_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "r.json"), {"mape_m": float("nan")})
 
 
 class TestSweep:

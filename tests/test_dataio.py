@@ -113,6 +113,21 @@ class TestReadValidation:
         with pytest.raises(MalformedRecord):
             read_dataset(io.StringIO(text))
 
+    def test_arena_with_two_calibrations_is_malformed_with_index(self):
+        ds = Dataset(samples=[_sample(0), _sample(1), _sample(2)], folds={"A": {0}})
+        header, *records = self._text(ds)
+        moved = json.loads(records[2])
+        moved["cal"]["fx"] += 1.0
+        records[2] = json.dumps(moved)
+        with pytest.raises(MalformedRecord, match="record 2: arena 0 calibration"):
+            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
+
+    def test_records_of_one_arena_share_one_calibration(self):
+        ds = Dataset(samples=[_sample(0), _sample(1), _sample(2, arena_id=1)], folds={"A": {0, 1}})
+        first, second, other = read_dataset(io.StringIO(dataset_to_string(ds))).samples
+        assert second.cal is first.cal
+        assert other.cal is not first.cal
+
 
 class TestDatasetInvariants:
     def test_arena_in_two_folds(self):

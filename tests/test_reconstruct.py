@@ -29,17 +29,17 @@ from courtlift import (
     true_pixel_height,
     vertical_direction,
 )
-from courtlift import _kernels as _k
-from courtlift._accel import NUMBA_ENABLED
 from courtlift.errors import (
     DegenerateVertical,
     DepthNonPositive,
     GroundIntersectionFailed,
     IntersectionBehindCamera,
+    NonFiniteInput,
     NonPositiveDiameter,
     RayParallelToPlane,
 )
-from courtlift.reconstruct import pack_calibrations
+from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_OK
+from courtlift.reconstruct import pack_calibrations, reconstruct_from_diameter_batch
 
 
 def _overhead_cal() -> CameraCalibration:
@@ -276,7 +276,7 @@ class TestBatchPaths:
         idx = np.arange(len(subset), dtype=np.int64)
         px = np.array([[s.ball_px.x, s.ball_px.y] for s in subset])
         h = np.array([s.h_true for s in subset])
-        batch = reconstruct_from_height_batch(cals, idx, px, h, threads=3)
+        batch = reconstruct_from_height_batch(cals, idx, px, h)
         assert batch.ok.all()
         for i, s in enumerate(subset):
             rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
@@ -287,45 +287,29 @@ class TestBatchPaths:
             )
             assert batch.plane_gap[i] == rec.plane_gap
 
-    @pytest.mark.skipif(not NUMBA_ENABLED, reason="pure path is already active")
-    def test_pure_numpy_mode_matches_jit(self):
-        # COURTLIFT_NUMBA=0 swaps every kernel for its Python source; a
-        # subprocess exercises that whole path on the same seeded data.
-        import json
-        import os
-        import subprocess
-        import sys
 
-        script = (
-            "import json\n"
-            "import numpy as np\n"
-            "from courtlift._accel import NUMBA_ENABLED\n"
-            "assert not NUMBA_ENABLED\n"
-            "from courtlift import ArenaSpec, generate_dataset\n"
-            "from courtlift.reconstruct import pack_calibrations, reconstruct_from_height_batch\n"
-            "samples = generate_dataset(seed=55, n=40, arena=ArenaSpec(), n_arenas=4)\n"
-            "cals = pack_calibrations([s.cal for s in samples[:4]])\n"
-            "idx = np.array([s.arena_id for s in samples], dtype=np.int64)\n"
-            "px = np.array([[s.ball_px.x, s.ball_px.y] for s in samples])\n"
-            "h = np.array([s.h_true for s in samples])\n"
-            "b = reconstruct_from_height_batch(cals, idx, px, h)\n"
-            "print(json.dumps({'ball': b.ball_3d.tolist(), 'status': b.status.tolist()}))\n"
-        )
-        env = dict(os.environ, COURTLIFT_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        pure = json.loads(out.stdout.strip().splitlines()[-1])
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_scalar_calls_raise(self, side_cal, bad):
+        px = project(side_cal, WorldPoint(0.5, 0.0, 1.0))
+        with pytest.raises(NonFiniteInput):
+            reconstruct_from_height(side_cal, px, bad)
+        with pytest.raises(NonFiniteInput):
+            reconstruct_from_height(side_cal, ImagePoint(px.x, bad), 50.0)
+        with pytest.raises(NonFiniteInput):
+            reconstruct_from_diameter(side_cal, px, bad)
+        with pytest.raises(NonFiniteInput):
+            foot_pixel(side_cal, px, bad)
 
-        from courtlift import ArenaSpec, generate_dataset
-        from courtlift.reconstruct import reconstruct_from_height_batch
-
-        samples = generate_dataset(seed=55, n=40, arena=ArenaSpec(), n_arenas=4)
-        cals = pack_calibrations([s.cal for s in samples[:4]])
-        idx = np.arange(40, dtype=np.int64) % 4
-        px = np.array([[s.ball_px.x, s.ball_px.y] for s in samples])
-        h = np.array([s.h_true for s in samples])
-        jit = reconstruct_from_height_batch(cals, idx, px, h)
-        np.testing.assert_array_equal(jit.status, pure["status"])
-        np.testing.assert_allclose(jit.ball_3d, pure["ball"], rtol=1e-12, atol=1e-12)
+    def test_batch_rows_carry_the_status(self, side_cal):
+        px = project(side_cal, WorldPoint(0.5, 0.0, 1.0))
+        pixels = [[px.x, px.y], [px.x, px.y], [float("nan"), px.y]]
+        values = [50.0, float("inf"), 50.0]
+        for batch in (
+            reconstruct_from_height_batch([side_cal], [0, 0, 0], pixels, values),
+            reconstruct_from_diameter_batch([side_cal], [0, 0, 0], pixels, values),
+        ):
+            expected = [STATUS_OK, STATUS_NONFINITE_INPUT, STATUS_NONFINITE_INPUT]
+            np.testing.assert_array_equal(batch.status, expected)
+            assert np.isfinite(batch.ball_3d[0]).all()
+            assert np.isnan(batch.ball_3d[1:]).all()
