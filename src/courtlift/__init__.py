@@ -30,15 +30,12 @@ from .metrics import (
     EvalReport,
     METRIC_NAMES,
     aggregate_repeats,
-    evaluate,
     evaluate_arrays,
     height_histogram,
 )
 from .predictors import (
     PredictorSpec,
-    predict_diameter,
     predict_diameters,
-    predict_height,
     predict_heights,
 )
 from .reconstruct import (
@@ -98,16 +95,13 @@ __all__ = [
     "diameter_px_of",
     "distort",
     "errors",
-    "evaluate",
     "evaluate_arrays",
     "foot_pixel",
     "generate_dataset",
     "height_histogram",
     "intersect_ray_plane",
     "make_camera",
-    "predict_diameter",
     "predict_diameters",
-    "predict_height",
     "predict_heights",
     "project",
     "read_dataset",

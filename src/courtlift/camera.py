@@ -206,10 +206,6 @@ class CameraCalibration:
         """Packed float64 vector consumed by the numeric kernels."""
         return self._packed
 
-    @property
-    def has_distortion(self) -> bool:
-        return any(c != 0.0 for c in (self.k1, self.k2, self.k3, self.p1, self.p2))
-
     def without_distortion(self) -> "CameraCalibration":
         return replace(self, k1=0.0, k2=0.0, k3=0.0, p1=0.0, p2=0.0)
 

@@ -29,6 +29,7 @@ from .metrics import (
 )
 from .predictors import PredictorSpec, predict_diameters, predict_heights
 from .reconstruct import (
+    BALL_DIAMETER_M,
     pack_calibrations,
     reconstruct_from_diameter_batch,
     reconstruct_from_height,
@@ -43,9 +44,10 @@ THREADS_HELP = "accepted and ignored; results never depend on it"
 
 
 def _write_json(path: str, obj) -> None:
+    # Serialize first: a payload that cannot be written leaves no file.
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -53,24 +55,29 @@ def _write_json(path: str, obj) -> None:
 
 
 def _sample_arrays(samples: Sequence[BallSample]):
-    """Pack per-sample arrays and one calibration row per distinct camera."""
+    """Pack per-sample arrays and one calibration row per distinct camera.
+
+    The only place evaluation inputs are read off sample objects; the
+    predictors, reconstruction and metrics take these arrays.
+    """
     cals = {id(s.cal): s.cal for s in samples}
     row_of = {key: row for row, key in enumerate(cals)}
     packed = pack_calibrations(list(cals.values()))
     idx = np.array([row_of[id(s.cal)] for s in samples], dtype=np.int64)
+    ids = np.array([s.sample_id for s in samples], dtype=np.int64)
     px = np.array([[s.ball_px.x, s.ball_px.y] for s in samples], dtype=np.float64)
     truth = np.array(
         [[s.ball_3d.x, s.ball_3d.y, s.ball_3d.z] for s in samples], dtype=np.float64
     )
     h_true = np.array([s.h_true for s in samples], dtype=np.float64)
-    return packed, idx, px, truth, h_true
+    return packed, idx, ids, px, truth, h_true
 
 
 def evaluate_once(
     samples: Sequence[BallSample],
     spec: PredictorSpec,
     method: str = "height",
-    ball_diameter_m: float = 0.24,
+    ball_diameter_m: float = BALL_DIAMETER_M,
     height_offset: float | None = None,
 ) -> tuple[EvalReport, int]:
     """One predict -> reconstruct -> evaluate pass.
@@ -81,12 +88,12 @@ def evaluate_once(
     by an extreme prediction) are excluded from the metrics; the second
     return value counts them.
     """
-    packed, idx, px, truth, h_true = _sample_arrays(samples)
+    packed, idx, ids, px, truth, h_true = _sample_arrays(samples)
     if method == "height":
         if height_offset is not None:
             preds = h_true + float(height_offset)
         else:
-            preds = predict_heights(spec, samples)
+            preds = predict_heights(spec, ids, h_true)
         batch = reconstruct_from_height_batch(packed, idx, px, preds)
         ok = batch.ok
         report = evaluate_arrays(
@@ -97,7 +104,7 @@ def evaluate_once(
             batch.ground_projection[ok],
         )
     elif method == "diameter":
-        preds = predict_diameters(spec, samples, ball_diameter_m)
+        preds = predict_diameters(spec, ids, packed, idx, truth, ball_diameter_m)
         batch = reconstruct_from_diameter_batch(packed, idx, px, preds, ball_diameter_m)
         ok = batch.ok
         report = evaluate_arrays(
@@ -113,7 +120,7 @@ def run_evaluation(
     spec: PredictorSpec,
     method: str = "height",
     repeats: int = 1,
-    ball_diameter_m: float = 0.24,
+    ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> tuple[list[EvalReport], list[int]]:
     """k seeded repeats; repeat r uses predictor seed spec.seed + r."""
     reports: list[EvalReport] = []
@@ -194,7 +201,7 @@ def cmd_synth(args, parser) -> int:
     folds = assign_folds([s.arena_id for s in samples], args.n_folds)
     ds = Dataset(samples=samples, folds=folds)
     write_dataset(ds, args.out)
-    counts = height_histogram(samples, DEFAULT_HIST_EDGES)
+    counts = height_histogram([s.ball_3d.z for s in samples], DEFAULT_HIST_EDGES)
     print(f"wrote {len(samples)} samples / {args.arenas} arenas to {args.out}")
     edges = list(DEFAULT_HIST_EDGES)
     labels = [f"[{edges[i]:g},{edges[i + 1]:g})" for i in range(len(edges) - 1)]
@@ -339,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fold", default=None, help="restrict to this test fold")
     _add_predictor_args(p_eval)
     p_eval.add_argument("--method", choices=["height", "diameter"], default="height")
-    p_eval.add_argument("--ball-diameter", type=float, default=0.24, help="real size (m)")
+    p_eval.add_argument(
+        "--ball-diameter", type=float, default=BALL_DIAMETER_M, help="real size (m)"
+    )
     p_eval.add_argument("--repeats", type=int, default=1, help="seeded repetitions")
     p_eval.add_argument("--seed", type=int, default=0, help="base predictor seed")
     p_eval.add_argument("--out", required=True, help="report path prefix (.json/.csv)")

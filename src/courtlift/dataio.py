@@ -19,6 +19,7 @@ from .camera import (
     WorldPoint,
     calibration_from_json_dict,
     calibration_to_json_dict,
+    validate,
 )
 from .errors import (
     FoldViolation,
@@ -100,17 +101,33 @@ def _sample_to_record(s: BallSample) -> dict:
     }
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+# One decoder for every line: json.loads with a keyword argument would
+# build a new one per call. It rejects the NaN, Infinity and -Infinity tokens.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
     """Parse one record. ``arena_cals`` maps each arena seen so far to its
-    first record's calibration JSON and object; later records of the arena
-    must carry the same calibration and share that object."""
+    first record's calibration JSON and object; the first calibration must
+    be valid, and later records of the arena must carry the same one and
+    share that object."""
     missing = [k for k in _RECORD_KEYS if k not in obj]
     if missing:
         raise MalformedRecord(index, f"missing keys {missing}")
     try:
         arena_id = int(obj["arena"])
         if arena_id not in arena_cals:
-            arena_cals[arena_id] = (obj["cal"], calibration_from_json_dict(obj["cal"]))
+            cal = calibration_from_json_dict(obj["cal"])
+            violations = validate(cal)
+            if violations:
+                raise MalformedRecord(
+                    index, f"arena {arena_id} calibration is invalid: {', '.join(violations)}"
+                )
+            arena_cals[arena_id] = (obj["cal"], cal)
         first_json, cal = arena_cals[arena_id]
         if obj["cal"] != first_json:
             raise MalformedRecord(
@@ -154,8 +171,8 @@ def read_dataset(source) -> Dataset:
     if not lines:
         raise SchemaVersionMismatch("empty dataset file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = _DECODER.decode(lines[0])
+    except ValueError as exc:
         raise SchemaVersionMismatch(f"unreadable header: {exc}") from exc
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -170,8 +187,8 @@ def read_dataset(source) -> Dataset:
     arena_cals: dict = {}
     for index, line in enumerate(lines[1:]):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = _DECODER.decode(line)
+        except ValueError as exc:
             raise MalformedRecord(index, f"invalid JSON: {exc}") from exc
         samples.append(_sample_from_record(obj, index, arena_cals))
     return Dataset(samples=samples, folds=folds)

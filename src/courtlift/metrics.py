@@ -23,9 +23,7 @@ class EvalReport:
     """Metrics over one evaluation run.
 
     ``mae_px`` is None when no height predictions exist (the diameter
-    baseline). ``per_sample_errors`` is an optional (n, 3) array with
-    columns (h_err_px, proj_err_m, err3d_m); the height-error column is
-    NaN when mae_px is None.
+    baseline).
     """
 
     mae_px: float | None
@@ -34,10 +32,9 @@ class EvalReport:
     ma3de_m: float
     mdna3de_m: float
     n_samples: int
-    per_sample_errors: np.ndarray | None = None
 
     def metric(self, name: str) -> float | None:
-        return getattr(self, name)
+        return self.to_json_dict()[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -48,13 +45,6 @@ class EvalReport:
             "mdna3de_m": self.mdna3de_m,
             "n_samples": self.n_samples,
         }
-
-    def to_csv_rows(self) -> list[tuple[str, str]]:
-        rows = []
-        for name in METRIC_NAMES:
-            value = self.metric(name)
-            rows.append((name, "" if value is None else repr(float(value))))
-        return rows
 
 
 @dataclass(frozen=True)
@@ -89,9 +79,8 @@ def evaluate_arrays(
     h_pred: np.ndarray | None,
     ball_xyz: np.ndarray,
     ground_xy: np.ndarray,
-    keep_per_sample: bool = False,
 ) -> EvalReport:
-    """Metrics from plain arrays (the batch pipeline's entry point).
+    """Metrics from plain arrays.
 
     truth_xyz: (n, 3) ground-truth ball positions; ball_xyz: (n, 3)
     reconstructed positions; ground_xy: (n, 2) predicted floor
@@ -110,7 +99,6 @@ def evaluate_arrays(
     proj_err = np.hypot(ground[:, 0] - truth[:, 0], ground[:, 1] - truth[:, 1])
     err3d = np.linalg.norm(ball - truth, axis=1)
     mae: float | None = None
-    h_err = np.full(n, np.nan)
     if h_pred is not None:
         if h_true is None:
             raise LengthMismatch("h_pred given without h_true")
@@ -118,8 +106,7 @@ def evaluate_arrays(
         h_pred = np.asarray(h_pred, dtype=np.float64)
         if h_true.shape[0] != n or h_pred.shape[0] != n:
             raise LengthMismatch("height arrays must match the sample count")
-        h_err = np.abs(h_pred - h_true)
-        mae = float(np.mean(h_err))
+        mae = float(np.mean(np.abs(h_pred - h_true)))
     return EvalReport(
         mae_px=mae,
         mape_m=float(np.mean(proj_err)),
@@ -127,43 +114,7 @@ def evaluate_arrays(
         ma3de_m=float(np.mean(err3d)),
         mdna3de_m=float(np.median(err3d)),
         n_samples=int(n),
-        per_sample_errors=np.column_stack([h_err, proj_err, err3d])
-        if keep_per_sample
-        else None,
     )
-
-
-def evaluate(
-    samples: Sequence,
-    reconstructions: Sequence,
-    predictions: Sequence[float] | None = None,
-    keep_per_sample: bool = False,
-) -> EvalReport:
-    """Metrics over parallel sequences of samples and reconstructions.
-
-    Each sample carries the ground-truth 3D position (and h_true when
-    height predictions are scored); reconstructions carry ball_3d and
-    ground_projection.
-    """
-    n = len(samples)
-    if n == 0:
-        raise EmptyInput("evaluate needs at least one sample")
-    if len(reconstructions) != n or (predictions is not None and len(predictions) != n):
-        raise LengthMismatch(
-            f"lengths differ: {n} samples, {len(reconstructions)} reconstructions"
-            + ("" if predictions is None else f", {len(predictions)} predictions")
-        )
-    truth = np.array([[s.ball_3d.x, s.ball_3d.y, s.ball_3d.z] for s in samples])
-    ball = np.array([[r.ball_3d.x, r.ball_3d.y, r.ball_3d.z] for r in reconstructions])
-    ground = np.array(
-        [[r.ground_projection.x, r.ground_projection.y] for r in reconstructions]
-    )
-    h_true = None
-    h_pred = None
-    if predictions is not None:
-        h_true = np.array([s.h_true for s in samples], dtype=np.float64)
-        h_pred = np.asarray(predictions, dtype=np.float64)
-    return evaluate_arrays(truth, h_true, h_pred, ball, ground, keep_per_sample)
 
 
 def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:
@@ -185,7 +136,7 @@ def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:
     return AggregateReport(k=k, mean=mean, std=std)
 
 
-def height_histogram(samples: Sequence, bin_edges_m: Sequence[float]) -> np.ndarray:
+def height_histogram(heights_m, bin_edges_m: Sequence[float]) -> np.ndarray:
     """Counts of true ball heights per bin, plus a trailing overflow bin.
 
     For edges (e0, ..., em) the bins are [e0, e1), ..., [e_{m-1}, em),
@@ -198,7 +149,6 @@ def height_histogram(samples: Sequence, bin_edges_m: Sequence[float]) -> np.ndar
         raise BadBins("need at least two bin edges")
     if not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0.0):
         raise BadBins("bin edges must be finite and strictly increasing")
-    z = np.array([s.ball_3d.z for s in samples], dtype=np.float64)
-    z = np.maximum(z, edges[0])
+    z = np.maximum(np.asarray(heights_m, dtype=np.float64), edges[0])
     counts, _ = np.histogram(z, bins=np.append(edges, np.inf))
     return counts

@@ -24,8 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels as _k
+from .camera import CameraCalibration
 from .errors import MissingGroundTruth
-from .reconstruct import BALL_DIAMETER_M
+from .reconstruct import BALL_DIAMETER_M, calibration_columns
 from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, stream
 
 KINDS = ("oracle", "gaussian", "heavy_tailed")
@@ -97,60 +98,48 @@ def noise_scale(spec: PredictorSpec) -> float:
     return spec.sigma
 
 
-def _noise_draw(spec: PredictorSpec, sample_id: int, purpose: int) -> float:
-    rng = stream(spec.seed, sample_id, purpose)
+def _noise(spec: PredictorSpec, sample_ids, purpose: int) -> np.ndarray:
+    """Unit noise draws, one from each sample's own stream."""
+    ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1).tolist()
     if spec.kind == "gaussian":
-        return float(rng.standard_normal())
-    return float(rng.standard_t(spec.nu))
+        draws = [stream(spec.seed, i, purpose).standard_normal() for i in ids]
+    else:
+        draws = [stream(spec.seed, i, purpose).standard_t(spec.nu) for i in ids]
+    return np.array(draws, dtype=np.float64)
 
 
-def _require(sample, attr: str):
-    value = getattr(sample, attr, None)
-    if value is None:
-        raise MissingGroundTruth(f"sample lacks {attr}")
-    return value
+def predict_heights(spec: PredictorSpec, sample_ids, h_true) -> np.ndarray:
+    """Predicted pixel heights (px; may be negative), additive noise.
 
-
-def predict_height(spec: PredictorSpec, sample) -> float:
-    """Predicted pixel height for one sample (px; may be negative)."""
-    h_true = float(_require(sample, "h_true"))
+    ``sample_ids`` keys each sample's noise stream; ``h_true`` holds the
+    true pixel heights, one per id.
+    """
+    h_true = np.asarray(h_true, dtype=np.float64).reshape(-1)
     if spec.kind == "oracle":
-        return h_true
-    sample_id = int(_require(sample, "sample_id"))
-    return h_true + noise_scale(spec) * _noise_draw(spec, sample_id, PURPOSE_HEIGHT_NOISE)
-
-
-def predict_heights(spec: PredictorSpec, samples: Sequence) -> np.ndarray:
-    """Vectorized predict_height over a sample sequence."""
-    out = np.empty(len(samples), dtype=np.float64)
-    for i, sample in enumerate(samples):
-        out[i] = predict_height(spec, sample)
-    return out
-
-
-def predict_diameter(
-    spec: PredictorSpec, sample, ball_diameter_m: float = BALL_DIAMETER_M
-) -> float:
-    """Predicted image diameter (px) with relative (multiplicative) noise."""
-    return float(predict_diameters(spec, [sample], ball_diameter_m)[0])
+        return h_true.copy()
+    return h_true + noise_scale(spec) * _noise(spec, sample_ids, PURPOSE_HEIGHT_NOISE)
 
 
 def predict_diameters(
-    spec: PredictorSpec, samples: Sequence, ball_diameter_m: float = BALL_DIAMETER_M
+    spec: PredictorSpec,
+    sample_ids,
+    cals: Sequence[CameraCalibration] | np.ndarray,
+    cal_index,
+    ball_3d,
+    ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> np.ndarray:
-    """Vectorized predict_diameter over a sample sequence."""
-    cals = np.array([_require(s, "cal").as_array() for s in samples], dtype=np.float64)
-    balls = [_require(s, "ball_3d") for s in samples]
-    xyz = np.array([[b.x, b.y, b.z] for b in balls], dtype=np.float64).reshape(-1, 3)
+    """Predicted image diameters (px) with relative (multiplicative) noise.
+
+    ``cals`` and ``cal_index`` select each sample's camera as in
+    ``reconstruct_from_diameter_batch``; ``ball_3d`` is (n, 3) world
+    positions. Raises MissingGroundTruth when a ball is behind its camera.
+    """
+    xyz = np.asarray(ball_3d, dtype=np.float64).reshape(-1, 3)
     d_true, status = _k.ball_diameter_px(
-        cals.reshape(-1, _k.CAL_LEN).T, *xyz.T, ball_diameter_m
+        calibration_columns(cals, cal_index), *xyz.T, ball_diameter_m
     )
     if (status != _k.STATUS_OK).any():
         raise MissingGroundTruth("sample ball is behind its camera")
     if spec.kind == "oracle":
         return d_true
-    draws = [
-        _noise_draw(spec, int(_require(s, "sample_id")), PURPOSE_DIAMETER_NOISE)
-        for s in samples
-    ]
-    return d_true * (1.0 + noise_scale(spec) * np.array(draws, dtype=np.float64))
+    return d_true * (1.0 + noise_scale(spec) * _noise(spec, sample_ids, PURPOSE_DIAMETER_NOISE))

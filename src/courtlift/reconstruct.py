@@ -223,6 +223,18 @@ def pack_calibrations(cals: Sequence[CameraCalibration]) -> np.ndarray:
     return np.array([cal.as_array() for cal in cals]).reshape(-1, _k.CAL_LEN)
 
 
+def calibration_columns(
+    cals: Sequence[CameraCalibration] | np.ndarray, cal_index
+) -> np.ndarray:
+    """Kernel layout (24, n) whose column i is the camera cal_index[i] selects.
+
+    ``cals`` is a calibration sequence or a pack_calibrations array.
+    """
+    packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
+    idx = np.asarray(cal_index, dtype=np.int64).reshape(-1)
+    return np.ascontiguousarray(packed[idx].T)
+
+
 def _batch_inputs(cals, cal_index, px, values):
     """Per-row calibration columns, raw pixel coordinates and values."""
     px = np.asarray(px, dtype=np.float64)
@@ -231,11 +243,10 @@ def _batch_inputs(cals, cal_index, px, values):
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.shape[0] != px.shape[0]:
         raise ValueError("pixel and value arrays must have equal length")
-    idx = np.asarray(cal_index, dtype=np.int64).reshape(-1)
-    if idx.shape[0] != px.shape[0]:
+    cal = calibration_columns(cals, cal_index)
+    if cal.shape[1] != px.shape[0]:
         raise ValueError("cal_index must match the number of samples")
-    packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
-    return np.ascontiguousarray(packed[idx].T), px[:, 0].copy(), px[:, 1].copy(), values
+    return cal, px[:, 0].copy(), px[:, 1].copy(), values
 
 
 def _batch(ball, ground, foot, angle, gap, status) -> HeightBatch:

@@ -22,6 +22,7 @@ import numpy as np
 from . import _kernels as _k
 from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure
+from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
@@ -51,7 +52,7 @@ class ArenaSpec:
     image_height: float = 1500.0
     k1_range: tuple[float, float] = (-0.15, 0.0)
     k2_range: tuple[float, float] = (0.0, 0.03)
-    ball_diameter_m: float = 0.24
+    ball_diameter_m: float = BALL_DIAMETER_M
 
     def __post_init__(self):
         if self.court_half_length <= 0 or self.court_half_width <= 0:
@@ -67,20 +68,6 @@ class ArenaSpec:
         lo, hi = self.focal_range
         if lo <= 0:
             raise ValueError("focal lengths must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "court_half_length": self.court_half_length,
-            "court_half_width": self.court_half_width,
-            "camera_height_range": list(self.camera_height_range),
-            "camera_distance_range": list(self.camera_distance_range),
-            "focal_range": list(self.focal_range),
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "k1_range": list(self.k1_range),
-            "k2_range": list(self.k2_range),
-            "ball_diameter_m": self.ball_diameter_m,
-        }
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ArenaSpec":
@@ -321,7 +308,7 @@ def generate_dataset(
     cameras = [
         sample_camera(stream(seed, i, PURPOSE_CAMERA), arena) for i in range(n_arenas)
     ]
-    packed = np.stack([cal.as_array() for cal in cameras], axis=1)
+    packed = pack_calibrations(cameras)
     samples: list[BallSample] = []
     for start in range(0, n, _PLACEMENT_BLOCK):
         ids = range(start, min(n, start + _PLACEMENT_BLOCK))
@@ -337,7 +324,7 @@ def _place_block(seed, ids, cameras, packed, arena, dist) -> list[BallSample]:
     for _ in range(_MAX_PLACEMENT_RETRIES):
         balls = [sample_ball(rngs[i], arena, dist) for i in pending]
         xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
-        cal = packed[:, np.array(pending) % len(cameras)]
+        cal = calibration_columns(packed, np.array(pending) % len(cameras))
         usable, u, v, fu, fv, h, diameter = _annotate(cal, *xyz, arena)
         for j in np.flatnonzero(usable):
             i = pending[j]

@@ -215,8 +215,10 @@ class TestReconstruct:
 
 
 def test_reports_refuse_non_finite_numbers(tmp_path):
+    path = tmp_path / "r.json"
     with pytest.raises(ValueError):
-        _write_json(str(tmp_path / "r.json"), {"mape_m": float("nan")})
+        _write_json(str(path), {"mape_m": float("nan")})
+    assert not path.exists()  # no partial report is left behind
 
 
 class TestSweep:

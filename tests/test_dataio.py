@@ -122,6 +122,33 @@ class TestReadValidation:
         with pytest.raises(MalformedRecord, match="record 2: arena 0 calibration"):
             read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
 
+    def test_infinity_in_record_is_malformed_with_index(self):
+        ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
+        header, *records = self._text(ds)
+        broken = json.loads(records[1])
+        broken["ball_3d"][2] = float("inf")
+        records[1] = json.dumps(broken)
+        assert "Infinity" in records[1]
+        with pytest.raises(MalformedRecord, match="record 1: .*non-finite number Infinity"):
+            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
+
+    def test_nan_in_header_is_schema_mismatch(self):
+        text = '{"schema_version": 1, "folds": {"A": [NaN]}}\n'
+        with pytest.raises(SchemaVersionMismatch, match="non-finite number NaN"):
+            read_dataset(io.StringIO(text))
+
+    def test_invalid_calibration_is_malformed_naming_arena(self):
+        ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
+        header, *records = self._text(ds)
+        for i, record in enumerate(records):
+            broken = json.loads(record)
+            broken["cal"]["fx"] = -1000.0
+            records[i] = json.dumps(broken)
+        with pytest.raises(
+            MalformedRecord, match="record 0: arena 0 calibration is invalid: FocalNonPositive"
+        ):
+            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
+
     def test_records_of_one_arena_share_one_calibration(self):
         ds = Dataset(samples=[_sample(0), _sample(1), _sample(2, arena_id=1)], folds={"A": {0, 1}})
         first, second, other = read_dataset(io.StringIO(dataset_to_string(ds))).samples

@@ -6,18 +6,15 @@ sample std sqrt(0.5) ~= 0.7071.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from courtlift import WorldPoint
 from courtlift.errors import BadBins, EmptyInput, LengthMismatch
 from courtlift.metrics import (
     EvalReport,
     METRIC_NAMES,
     aggregate_repeats,
-    evaluate,
     evaluate_arrays,
     height_histogram,
 )
@@ -50,20 +47,11 @@ class TestEvaluate:
         assert report.mae_px is None
         assert report.n_samples == 4
 
-    def test_object_api_matches_arrays(self):
-        samples = [
-            SimpleNamespace(ball_3d=WorldPoint(1.0, 2.0, 0.5), h_true=10.0),
-            SimpleNamespace(ball_3d=WorldPoint(-1.0, 0.0, 2.0), h_true=20.0),
-        ]
-        recs = [
-            SimpleNamespace(
-                ball_3d=WorldPoint(1.5, 2.0, 0.5), ground_projection=WorldPoint(1.5, 2.0, 0.0)
-            ),
-            SimpleNamespace(
-                ball_3d=WorldPoint(-1.0, 1.0, 2.0), ground_projection=WorldPoint(-1.0, 1.0, 0.0)
-            ),
-        ]
-        report = evaluate(samples, recs, predictions=[12.0, 17.0])
+    def test_two_sample_hand_values(self):
+        truth = [[1.0, 2.0, 0.5], [-1.0, 0.0, 2.0]]
+        ball = [[1.5, 2.0, 0.5], [-1.0, 1.0, 2.0]]
+        ground = [[1.5, 2.0], [-1.0, 1.0]]
+        report = evaluate_arrays(truth, [10.0, 20.0], [12.0, 17.0], ball, ground)
         assert report.mae_px == pytest.approx(2.5)  # (|2| + |-3|) / 2
         assert report.mape_m == pytest.approx((0.5 + 1.0) / 2)
         assert report.ma3de_m == pytest.approx((0.5 + 1.0) / 2)
@@ -140,29 +128,23 @@ class TestAggregateRepeats:
             aggregate_repeats([])
 
 
-def _height_samples(zs):
-    return [SimpleNamespace(ball_3d=WorldPoint(0, 0, z)) for z in zs]
-
-
 class TestHeightHistogram:
     def test_all_on_ground_fall_in_first_bin(self):
-        counts = height_histogram(_height_samples([0.0] * 7), [0, 1, 2, 3])
+        counts = height_histogram([0.0] * 7, [0, 1, 2, 3])
         np.testing.assert_array_equal(counts, [7, 0, 0, 0])
 
     def test_overflow_bin_and_sum(self):
-        counts = height_histogram(
-            _height_samples([0.5, 1.5, 2.5, 3.5, 9.0]), [0, 1, 2, 3]
-        )
+        counts = height_histogram(np.array([0.5, 1.5, 2.5, 3.5, 9.0]), [0, 1, 2, 3])
         np.testing.assert_array_equal(counts, [1, 1, 1, 2])
         assert counts.sum() == 5
 
     def test_bad_bins(self):
         with pytest.raises(BadBins):
-            height_histogram(_height_samples([1.0]), [])
+            height_histogram([1.0], [])
         with pytest.raises(BadBins):
-            height_histogram(_height_samples([1.0]), [2.0])
+            height_histogram([1.0], [2.0])
         with pytest.raises(BadBins):
-            height_histogram(_height_samples([1.0]), [0.0, 0.0, 1.0])
+            height_histogram([1.0], [0.0, 0.0, 1.0])
 
 
 class TestSerialization:

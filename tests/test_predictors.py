@@ -8,32 +8,29 @@ so a 5% relative gaussian diameter error gives relative MAE
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from courtlift import WorldPoint
 from courtlift.errors import MissingGroundTruth
 from courtlift.predictors import (
     PredictorSpec,
     mean_abs_student_t,
-    predict_diameter,
+    noise_scale,
     predict_diameters,
-    predict_height,
     predict_heights,
 )
+from courtlift.rng import PURPOSE_HEIGHT_NOISE, stream
 
 
 def _fake_heights(n: int, h_true: float = 50.0):
-    return [SimpleNamespace(h_true=h_true, sample_id=i) for i in range(n)]
+    """Sample ids 0..n-1, all with the same true pixel height."""
+    return np.arange(n), np.full(n, h_true)
 
 
-def _fake_diameters(identity_cal, n: int, depth: float = 5.0):
-    ball = WorldPoint(0.0, 0.0, depth)
-    return [
-        SimpleNamespace(cal=identity_cal, ball_3d=ball, sample_id=i) for i in range(n)
-    ]
+def _fake_diameters(n: int, depth: float = 5.0):
+    """Sample ids 0..n-1, camera indices and balls on the optical axis."""
+    return np.arange(n), np.zeros(n, dtype=np.int64), np.tile([0.0, 0.0, depth], (n, 1))
 
 
 class TestSpecValidation:
@@ -58,24 +55,24 @@ class TestSpecValidation:
 
 class TestPredictHeight:
     def test_oracle_is_exact(self):
-        samples = _fake_heights(10, h_true=42.5)
-        preds = predict_heights(PredictorSpec(kind="oracle"), samples)
+        ids, h_true = _fake_heights(10, h_true=42.5)
+        preds = predict_heights(PredictorSpec(kind="oracle"), ids, h_true)
         np.testing.assert_array_equal(preds, 42.5)
 
     def test_gaussian_mae_calibrated_to_34(self):
-        samples = _fake_heights(100_000)
+        ids, h_true = _fake_heights(100_000)
         spec = PredictorSpec(kind="gaussian", target_mae=34.0, seed=5)
-        preds = predict_heights(spec, samples)
+        preds = predict_heights(spec, ids, h_true)
         mae = np.abs(preds - 50.0).mean()
         assert 33.0 <= mae <= 35.0
 
     def test_heavy_tail_beats_gaussian_at_99th_percentile(self):
-        samples = _fake_heights(100_000)
+        ids, h_true = _fake_heights(100_000)
         gauss = predict_heights(
-            PredictorSpec(kind="gaussian", target_mae=34.0, seed=5), samples
+            PredictorSpec(kind="gaussian", target_mae=34.0, seed=5), ids, h_true
         )
         heavy = predict_heights(
-            PredictorSpec(kind="heavy_tailed", nu=3.0, target_mae=34.0, seed=5), samples
+            PredictorSpec(kind="heavy_tailed", nu=3.0, target_mae=34.0, seed=5), ids, h_true
         )
         assert np.abs(heavy - 50.0).mean() == pytest.approx(34.0, rel=0.05)
         p99_gauss = np.percentile(np.abs(gauss - 50.0), 99)
@@ -85,40 +82,35 @@ class TestPredictHeight:
     @pytest.mark.parametrize("target", [5.0, 60.0])
     @pytest.mark.parametrize("kind", ["gaussian", "heavy_tailed"])
     def test_calibration_across_target_range(self, kind, target):
-        samples = _fake_heights(100_000)
+        ids, h_true = _fake_heights(100_000)
         preds = predict_heights(
-            PredictorSpec(kind=kind, nu=3.0, target_mae=target, seed=9), samples
+            PredictorSpec(kind=kind, nu=3.0, target_mae=target, seed=9), ids, h_true
         )
         mae = np.abs(preds - 50.0).mean()
         assert abs(mae - target) / target < 0.05
-
-    def test_missing_ground_truth(self):
-        with pytest.raises(MissingGroundTruth):
-            predict_height(
-                PredictorSpec(kind="oracle"), SimpleNamespace(sample_id=0)
-            )
 
 
 class TestPredictDiameter:
     def test_oracle_similar_triangles(self, identity_cal):
         # f_mean * D / depth = 1000 * 0.24 / 5 = 48 px; doubling the depth
         # halves it.
-        near = SimpleNamespace(
-            cal=identity_cal, ball_3d=WorldPoint(0, 0, 5.0), sample_id=0
-        )
-        far = SimpleNamespace(
-            cal=identity_cal, ball_3d=WorldPoint(0, 0, 10.0), sample_id=1
-        )
+        balls = [[0.0, 0.0, 5.0], [0.0, 0.0, 10.0]]
         spec = PredictorSpec(kind="oracle")
-        assert predict_diameter(spec, near, 0.24) == pytest.approx(48.0)
-        assert predict_diameter(spec, far, 0.24) == pytest.approx(24.0)
+        near, far = predict_diameters(spec, [0, 1], [identity_cal], [0, 0], balls, 0.24)
+        assert near == pytest.approx(48.0)
+        assert far == pytest.approx(24.0)
 
     def test_relative_gaussian_mae(self, identity_cal):
-        samples = _fake_diameters(identity_cal, 100_000)
+        ids, idx, balls = _fake_diameters(100_000)
         spec = PredictorSpec(kind="gaussian", sigma=0.05, seed=2)
-        preds = predict_diameters(spec, samples, 0.24)
+        preds = predict_diameters(spec, ids, [identity_cal], idx, balls, 0.24)
         rel_mae = np.abs(preds / 48.0 - 1.0).mean()
         assert rel_mae == pytest.approx(0.05 * math.sqrt(2.0 / math.pi), abs=0.002)
+
+    def test_ball_behind_camera_raises(self, identity_cal):
+        balls = [[0.0, 0.0, 5.0], [0.0, 0.0, -5.0]]
+        with pytest.raises(MissingGroundTruth):
+            predict_diameters(PredictorSpec(kind="oracle"), [0, 1], [identity_cal], [0, 0], balls)
 
 
 class TestSpecJson:
@@ -136,26 +128,36 @@ class TestSpecJson:
 
 class TestDeterminism:
     def test_identical_runs_are_bitwise_equal(self):
-        samples = _fake_heights(2000)
+        ids, h_true = _fake_heights(2000)
         spec = PredictorSpec(kind="heavy_tailed", target_mae=20.0, seed=77)
-        a = predict_heights(spec, samples)
-        b = predict_heights(spec, samples)
+        a = predict_heights(spec, ids, h_true)
+        b = predict_heights(spec, ids, h_true)
         np.testing.assert_array_equal(a, b)
 
     def test_prediction_keyed_by_sample_id_not_position(self):
         # A subset evaluated alone gets exactly the predictions it would
         # get inside the full set: streams are keyed by sample id.
-        samples = _fake_heights(500)
+        ids, h_true = _fake_heights(500)
         spec = PredictorSpec(kind="gaussian", target_mae=10.0, seed=3)
-        full = predict_heights(spec, samples)
-        subset = predict_heights(spec, samples[200:300])
+        full = predict_heights(spec, ids, h_true)
+        subset = predict_heights(spec, ids[200:300], h_true[200:300])
         np.testing.assert_array_equal(full[200:300], subset)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "heavy_tailed"])
+    def test_each_draw_comes_from_its_sample_stream(self, kind):
+        ids, h_true = _fake_heights(50)
+        ids = ids * 7 + 3
+        spec = PredictorSpec(kind=kind, nu=4.0, target_mae=20.0, seed=11)
+        expected = []
+        for i in ids.tolist():
+            rng = stream(11, i, PURPOSE_HEIGHT_NOISE)
+            draw = rng.standard_normal() if kind == "gaussian" else rng.standard_t(4.0)
+            expected.append(50.0 + noise_scale(spec) * draw)
+        np.testing.assert_array_equal(predict_heights(spec, ids, h_true), expected)
+
     def test_height_and_diameter_streams_are_independent(self, identity_cal):
-        sample = SimpleNamespace(
-            cal=identity_cal, ball_3d=WorldPoint(0, 0, 5.0), h_true=50.0, sample_id=4
-        )
         spec = PredictorSpec(kind="gaussian", sigma=1.0, seed=8)
-        h_noise = predict_height(spec, sample) - 50.0
-        d_noise = predict_diameter(spec, sample, 0.24) / 48.0 - 1.0
+        h_noise = predict_heights(spec, [4], [50.0])[0] - 50.0
+        d_pred = predict_diameters(spec, [4], [identity_cal], [0], [[0.0, 0.0, 5.0]], 0.24)
+        d_noise = d_pred[0] / 48.0 - 1.0
         assert h_noise != pytest.approx(d_noise)
