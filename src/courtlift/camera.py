@@ -55,15 +55,7 @@ _STATUS_EXCEPTIONS = {
 
 STATUS_NAMES = {
     _k.STATUS_OK: "OK",
-    _k.STATUS_DEPTH_NONPOSITIVE: "DepthNonPositive",
-    _k.STATUS_NO_CONVERGENCE: "NoConvergence",
-    _k.STATUS_RAY_PARALLEL: "RayParallelToPlane",
-    _k.STATUS_BEHIND_CAMERA: "IntersectionBehindCamera",
-    _k.STATUS_DEGENERATE_VERTICAL: "DegenerateVertical",
-    _k.STATUS_GROUND_FAILED: "GroundIntersectionFailed",
-    _k.STATUS_BOTH_PLANES_DEGENERATE: "BothPlanesDegenerate",
-    _k.STATUS_NONPOSITIVE_DIAMETER: "NonPositiveDiameter",
-    _k.STATUS_NONFINITE_INPUT: "NonFiniteInput",
+    **{code: exc.__name__ for code, exc in _STATUS_EXCEPTIONS.items()},
 }
 
 

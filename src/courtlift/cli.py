@@ -70,25 +70,13 @@ def _sample_arrays(samples: Sequence[BallSample]):
         [[s.ball_3d.x, s.ball_3d.y, s.ball_3d.z] for s in samples], dtype=np.float64
     )
     h_true = np.array([s.h_true for s in samples], dtype=np.float64)
-    return packed, idx, ids, px, truth, h_true
+    d_true = np.array([s.diameter_px_true for s in samples], dtype=np.float64)
+    return packed, idx, ids, px, truth, h_true, d_true
 
 
-def evaluate_once(
-    samples: Sequence[BallSample],
-    spec: PredictorSpec,
-    method: str = "height",
-    ball_diameter_m: float = BALL_DIAMETER_M,
-    height_offset: float | None = None,
-) -> tuple[EvalReport, int]:
-    """One predict -> reconstruct -> evaluate pass.
-
-    `height_offset` bypasses the predictor with a constant shift of the
-    true height (the noise-sweep mode). Samples whose reconstruction is
-    geometrically impossible (e.g. a foot pixel pushed past the horizon
-    by an extreme prediction) are excluded from the metrics; the second
-    return value counts them.
-    """
-    packed, idx, ids, px, truth, h_true = _sample_arrays(samples)
+def _evaluate_packed(arrays, spec, method, ball_diameter_m, height_offset):
+    """One pass of `evaluate_once` over the output of `_sample_arrays`."""
+    packed, idx, ids, px, truth, h_true, d_true = arrays
     if method == "height":
         if height_offset is not None:
             preds = h_true + float(height_offset)
@@ -104,7 +92,7 @@ def evaluate_once(
             batch.ground_projection[ok],
         )
     elif method == "diameter":
-        preds = predict_diameters(spec, ids, packed, idx, truth, ball_diameter_m)
+        preds = predict_diameters(spec, ids, d_true)
         batch = reconstruct_from_diameter_batch(packed, idx, px, preds, ball_diameter_m)
         ok = batch.ok
         report = evaluate_arrays(
@@ -115,6 +103,28 @@ def evaluate_once(
     return report, int((~ok).sum())
 
 
+def evaluate_once(
+    samples: Sequence[BallSample],
+    spec: PredictorSpec,
+    method: str = "height",
+    ball_diameter_m: float = BALL_DIAMETER_M,
+    height_offset: float | None = None,
+) -> tuple[EvalReport, int]:
+    """One predict -> reconstruct -> evaluate pass.
+
+    Both predictors perturb the samples' stored true pixel heights or
+    image diameters; `ball_diameter_m` is the ball size the diameter
+    reconstruction assumes. `height_offset` bypasses the predictor with a
+    constant shift of the true height (the noise-sweep mode). Samples
+    whose reconstruction is geometrically impossible (e.g. a foot pixel
+    pushed past the horizon by an extreme prediction) are excluded from
+    the metrics; the second return value counts them.
+    """
+    return _evaluate_packed(
+        _sample_arrays(samples), spec, method, ball_diameter_m, height_offset
+    )
+
+
 def run_evaluation(
     samples: Sequence[BallSample],
     spec: PredictorSpec,
@@ -123,11 +133,12 @@ def run_evaluation(
     ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> tuple[list[EvalReport], list[int]]:
     """k seeded repeats; repeat r uses predictor seed spec.seed + r."""
+    arrays = _sample_arrays(samples)
     reports: list[EvalReport] = []
     failed: list[int] = []
     for r in range(repeats):
         spec_r = dataclasses.replace(spec, seed=spec.seed + r)
-        report, n_failed = evaluate_once(samples, spec_r, method, ball_diameter_m)
+        report, n_failed = _evaluate_packed(arrays, spec_r, method, ball_diameter_m, None)
         reports.append(report)
         failed.append(n_failed)
     return reports, failed
@@ -137,33 +148,26 @@ def run_evaluation(
 # Subcommands.
 
 
-def _load_samples(args, parser) -> list[BallSample]:
-    if args.dataset is not None:
-        ds = read_dataset(args.dataset)
-        if getattr(args, "fold", None):
-            _, test = split(ds, args.fold)
-            return test.samples
-        return ds.samples
-    dist = HeightDistSpec(kind=args.synth_dist)
-    return generate_dataset(
-        seed=args.synth_seed, n=args.synth_n, dist=dist, n_arenas=args.synth_arenas
-    )
+def _load_samples(args) -> list[BallSample]:
+    ds = read_dataset(args.dataset)
+    if getattr(args, "fold", None):
+        _, test = split(ds, args.fold)
+        return test.samples
+    return ds.samples
+
+
+def _write_report(out: str, payload: dict, csv_rows: list, lines: list[str]) -> None:
+    """Write `out`.json and `out`.csv (header row first), then print `lines`."""
+    _write_json(out + ".json", payload)
+    with open(out + ".csv", "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows(csv_rows)
+    for line in lines:
+        print(line)
+    print(f"wrote {out}.json and {out}.csv")
 
 
 def _add_input_args(sub) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dataset", help="dataset file written by `courtlift synth`")
-    group.add_argument(
-        "--synth-n", type=int, metavar="N", help="generate N synthetic samples instead"
-    )
-    sub.add_argument("--synth-arenas", type=int, default=10, help="cameras for --synth-n")
-    sub.add_argument("--synth-seed", type=int, default=0, help="seed for --synth-n")
-    sub.add_argument(
-        "--synth-dist",
-        choices=["deepsport_like", "ballistic_like", "uniform"],
-        default="deepsport_like",
-        help="height distribution for --synth-n",
-    )
+    sub.add_argument("--dataset", required=True, help="dataset file written by `courtlift synth`")
 
 
 def _add_predictor_args(sub) -> None:
@@ -213,7 +217,7 @@ def cmd_synth(args, parser) -> int:
 def cmd_evaluate(args, parser) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    samples = _load_samples(args, parser)
+    samples = _load_samples(args)
     spec = PredictorSpec(
         kind=args.predictor,
         sigma=args.sigma,
@@ -244,19 +248,12 @@ def cmd_evaluate(args, parser) -> int:
             {**r.to_json_dict(), "n_failed": nf} for r, nf in zip(reports, failed)
         ],
     }
-    _write_json(args.out + ".json", payload)
-    with open(args.out + ".csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "mean", "std"])
-        writer.writerows(agg.to_csv_rows())
+    lines = []
     for name in METRIC_NAMES:
         m = agg.mean[name]
         s = agg.std[name]
-        if m is None:
-            print(f"{name}: n/a")
-        else:
-            print(f"{name}: {m:.6g} +/- {s:.6g}")
-    print(f"wrote {args.out}.json and {args.out}.csv")
+        lines.append(f"{name}: n/a" if m is None else f"{name}: {m:.6g} +/- {s:.6g}")
+    _write_report(args.out, payload, [["metric", "mean", "std"], *agg.to_csv_rows()], lines)
     return 0
 
 
@@ -278,11 +275,11 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"--grid must be a comma-separated number list, got {args.grid!r}")
     if not grid:
         parser.error("--grid must contain at least one noise level")
-    samples = _load_samples(args, parser)
+    arrays = _sample_arrays(_load_samples(args))
     oracle = PredictorSpec(kind="oracle")
     rows = []
     for level in grid:
-        report, n_failed = evaluate_once(samples, oracle, height_offset=level)
+        report, n_failed = _evaluate_packed(arrays, oracle, "height", BALL_DIAMETER_M, level)
         rows.append(
             {
                 "level_px": level,
@@ -299,20 +296,14 @@ def cmd_sweep(args, parser) -> int:
         "config": {"dataset": args.dataset, "grid_px": grid},
         "levels": rows,
     }
-    _write_json(args.out + ".json", payload)
-    with open(args.out + ".csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["level_px", "mae_px", "mape_m", "ma3de_m"])
-        for row in rows:
-            writer.writerow(
-                [repr(row["level_px"]), repr(row["mae_px"]), repr(row["mape_m"]), repr(row["ma3de_m"])]
-            )
-    for row in rows:
-        print(
-            f"level {row['level_px']:g} px -> MAPE {row['mape_m']:.6g} m, "
-            f"MA3DE {row['ma3de_m']:.6g} m"
-        )
-    print(f"wrote {args.out}.json and {args.out}.csv")
+    keys = ["level_px", "mae_px", "mape_m", "ma3de_m"]
+    csv_rows = [keys, *([repr(row[k]) for k in keys] for row in rows)]
+    lines = [
+        f"level {row['level_px']:g} px -> MAPE {row['mape_m']:.6g} m, "
+        f"MA3DE {row['ma3de_m']:.6g} m"
+        for row in rows
+    ]
+    _write_report(args.out, payload, csv_rows, lines)
     return 0
 
 
@@ -347,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_predictor_args(p_eval)
     p_eval.add_argument("--method", choices=["height", "diameter"], default="height")
     p_eval.add_argument(
-        "--ball-diameter", type=float, default=BALL_DIAMETER_M, help="real size (m)"
+        "--ball-diameter",
+        type=float,
+        default=BALL_DIAMETER_M,
+        help="ball size (m) the diameter reconstruction assumes",
     )
     p_eval.add_argument("--repeats", type=int, default=1, help="seeded repetitions")
     p_eval.add_argument("--seed", type=int, default=0, help="base predictor seed")

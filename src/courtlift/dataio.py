@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -110,6 +111,12 @@ def _reject_constant(token: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _integer(value, key: str) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return int(value)
+
+
 def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
     """Parse one record. ``arena_cals`` maps each arena seen so far to its
     first record's calibration JSON and object; the first calibration must
@@ -119,7 +126,7 @@ def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
     if missing:
         raise MalformedRecord(index, f"missing keys {missing}")
     try:
-        arena_id = int(obj["arena"])
+        arena_id = _integer(obj["arena"], "arena")
         if arena_id not in arena_cals:
             cal = calibration_from_json_dict(obj["cal"])
             violations = validate(cal)
@@ -133,17 +140,25 @@ def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
             raise MalformedRecord(
                 index, f"arena {arena_id} calibration differs from its first record's"
             )
+        ball_3d = [float(x) for x in obj["ball_3d"]]
+        ball_px = [float(x) for x in obj["ball_px"]]
+        foot_px = [float(x) for x in obj["foot_px"]]
+        h_true, diam_px = float(obj["h_true"]), float(obj["diam_px"])
+        # One check per record: json parses an overflowing literal such as
+        # 1e999 to infinity without a constant token.
+        if not all(map(math.isfinite, (*ball_3d, *ball_px, *foot_px, h_true, diam_px))):
+            raise ValueError("ball_3d, ball_px, foot_px, h_true or diam_px is not finite")
         return BallSample(
-            sample_id=int(obj["id"]),
+            sample_id=_integer(obj["id"], "id"),
             arena_id=arena_id,
             cal=cal,
-            ball_3d=WorldPoint(*[float(x) for x in obj["ball_3d"]]),
-            ball_px=ImagePoint(*[float(x) for x in obj["ball_px"]]),
-            foot_px=ImagePoint(*[float(x) for x in obj["foot_px"]]),
-            h_true=float(obj["h_true"]),
-            diameter_px_true=float(obj["diam_px"]),
+            ball_3d=WorldPoint(*ball_3d),
+            ball_px=ImagePoint(*ball_px),
+            foot_px=ImagePoint(*foot_px),
+            h_true=h_true,
+            diameter_px_true=diam_px,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecord(index, str(exc)) from exc
 
 

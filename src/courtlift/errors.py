@@ -58,10 +58,6 @@ class InvalidCalibration(CourtliftError):
     """Calibration violates an invariant checked by camera.validate."""
 
 
-class MissingGroundTruth(CourtliftError):
-    """Sample lacks the ground-truth value a predictor needs."""
-
-
 class LengthMismatch(CourtliftError):
     """Parallel input sequences differ in length."""
 

@@ -19,14 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import _kernels as _k
-from .camera import CameraCalibration
-from .errors import MissingGroundTruth
-from .reconstruct import BALL_DIAMETER_M, calibration_columns
 from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, stream
 
 KINDS = ("oracle", "gaussian", "heavy_tailed")
@@ -67,16 +62,6 @@ class PredictorSpec:
             "target_mae": self.target_mae,
             "seed": self.seed,
         }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "PredictorSpec":
-        return PredictorSpec(
-            kind=obj["kind"],
-            sigma=float(obj.get("sigma", 0.0)),
-            nu=float(obj.get("nu", 3.0)),
-            target_mae=None if obj.get("target_mae") is None else float(obj["target_mae"]),
-            seed=int(obj.get("seed", 0)),
-        )
 
 
 def mean_abs_student_t(nu: float) -> float:
@@ -120,26 +105,13 @@ def predict_heights(spec: PredictorSpec, sample_ids, h_true) -> np.ndarray:
     return h_true + noise_scale(spec) * _noise(spec, sample_ids, PURPOSE_HEIGHT_NOISE)
 
 
-def predict_diameters(
-    spec: PredictorSpec,
-    sample_ids,
-    cals: Sequence[CameraCalibration] | np.ndarray,
-    cal_index,
-    ball_3d,
-    ball_diameter_m: float = BALL_DIAMETER_M,
-) -> np.ndarray:
+def predict_diameters(spec: PredictorSpec, sample_ids, d_true) -> np.ndarray:
     """Predicted image diameters (px) with relative (multiplicative) noise.
 
-    ``cals`` and ``cal_index`` select each sample's camera as in
-    ``reconstruct_from_diameter_batch``; ``ball_3d`` is (n, 3) world
-    positions. Raises MissingGroundTruth when a ball is behind its camera.
+    ``sample_ids`` keys each sample's noise stream; ``d_true`` holds the
+    true image diameters, one per id.
     """
-    xyz = np.asarray(ball_3d, dtype=np.float64).reshape(-1, 3)
-    d_true, status = _k.ball_diameter_px(
-        calibration_columns(cals, cal_index), *xyz.T, ball_diameter_m
-    )
-    if (status != _k.STATUS_OK).any():
-        raise MissingGroundTruth("sample ball is behind its camera")
+    d_true = np.asarray(d_true, dtype=np.float64).reshape(-1)
     if spec.kind == "oracle":
-        return d_true
+        return d_true.copy()
     return d_true * (1.0 + noise_scale(spec) * _noise(spec, sample_ids, PURPOSE_DIAMETER_NOISE))

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .camera import (
+    STATUS_NAMES,
     CameraCalibration,
     ImagePoint,
     WorldPoint,
@@ -304,8 +305,6 @@ def diameter_px_of(
 
 def status_counts(status: np.ndarray) -> dict[str, int]:
     """Histogram of batch status codes by error name (for diagnostics)."""
-    from .camera import STATUS_NAMES
-
     out: dict[str, int] = {}
     for code in np.unique(status):
         out[STATUS_NAMES.get(int(code), str(int(code)))] = int((status == code).sum())

@@ -31,6 +31,9 @@ from courtlift import (
     undistort_point,
     validate,
 )
+from courtlift import _kernels as _k
+from courtlift import errors
+from courtlift.camera import STATUS_NAMES, raise_for_status
 from courtlift.errors import (
     DepthNonPositive,
     IntersectionBehindCamera,
@@ -349,3 +352,16 @@ class TestCalibrationJson:
         np.testing.assert_array_equal(rec.rotation, cal.rotation)
         np.testing.assert_array_equal(rec.translation, cal.translation)
         assert rec.image_width == cal.image_width
+
+
+def test_every_kernel_status_names_its_error_class():
+    codes = [value for name, value in vars(_k).items() if name.startswith("STATUS_")]
+    assert sorted(STATUS_NAMES) == sorted(codes)
+    assert STATUS_NAMES[_k.STATUS_OK] == "OK"
+    raise_for_status(_k.STATUS_OK)
+    for code in codes:
+        if code == _k.STATUS_OK:
+            continue
+        with pytest.raises(errors.GeometryError) as exc_info:
+            raise_for_status(code)
+        assert exc_info.type is getattr(errors, STATUS_NAMES[code])

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from courtlift import calibration_to_json_dict, make_camera, project, WorldPoint
-from courtlift.cli import _write_json, main
+from courtlift.cli import _write_json, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -120,25 +122,28 @@ class TestEvaluate:
         assert rc == 1
         assert "UnknownFold" in capsys.readouterr().err
 
-    def test_synth_input_mode(self, tmp_path):
-        out = tmp_path / "synth_mode"
+    def test_assumed_ball_size_differs_from_the_dataset(self, dataset_file, tmp_path):
+        # The oracle returns the stored diameters of 0.24 m balls; assuming
+        # 0.30 m puts every ball 25 % too far from its camera.
+        out = tmp_path / "wrong_size"
         rc = main(
             [
                 "evaluate",
-                "--synth-n",
-                "120",
-                "--synth-arenas",
-                "4",
-                "--synth-seed",
-                "11",
+                "--dataset",
+                str(dataset_file),
+                "--method",
+                "diameter",
+                "--predictor",
+                "oracle",
+                "--ball-diameter",
+                "0.30",
                 "--out",
                 str(out),
             ]
         )
         assert rc == 0
-        payload = json.loads((tmp_path / "synth_mode.json").read_text())
-        assert payload["repeats"][0]["n_samples"] == 120
-        assert payload["config"]["dataset"] is None
+        payload = json.loads((tmp_path / "wrong_size.json").read_text())
+        assert payload["aggregate"]["mean"]["mape_m"] > 1.0
 
     def test_thread_count_does_not_change_output(self, dataset_file, tmp_path):
         outs = []
@@ -256,3 +261,18 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--grid", "0,1", "--out", str(tmp_path / "s")])
         assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("courtlift ")
+    ]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]

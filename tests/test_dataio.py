@@ -132,6 +132,32 @@ class TestReadValidation:
         with pytest.raises(MalformedRecord, match="record 1: .*non-finite number Infinity"):
             read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
 
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("ball_3d", "1e999"),
+            ("ball_px", "-1e999"),
+            ("foot_px", "1e999"),
+            ("h_true", "1e999"),
+            ("diam_px", "-1e999"),
+            ("id", "1e999"),
+            ("arena", "1e999"),
+            ("id", "3.7"),
+            ("arena", "0.5"),
+        ],
+    )
+    def test_overflowing_or_non_integral_number_is_malformed_with_index(self, key, literal):
+        ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
+        header, *records = self._text(ds)
+        broken = json.loads(records[1])
+        if isinstance(broken[key], list):
+            broken[key][0] = "SLOT"
+        else:
+            broken[key] = "SLOT"
+        records[1] = json.dumps(broken).replace('"SLOT"', literal)
+        with pytest.raises(MalformedRecord, match=f"record 1: .*{key}"):
+            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
+
     def test_nan_in_header_is_schema_mismatch(self):
         text = '{"schema_version": 1, "folds": {"A": [NaN]}}\n'
         with pytest.raises(SchemaVersionMismatch, match="non-finite number NaN"):
