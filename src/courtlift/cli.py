@@ -19,7 +19,7 @@ import numpy as np
 
 from .camera import ImagePoint, calibration_from_json_dict, validate
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
-from .errors import CourtliftError, InvalidCalibration
+from .errors import CourtliftError, EmptyInput, InvalidCalibration
 from .metrics import (
     EvalReport,
     METRIC_NAMES,
@@ -150,10 +150,12 @@ def run_evaluation(
 
 def _load_samples(args) -> list[BallSample]:
     ds = read_dataset(args.dataset)
-    if getattr(args, "fold", None):
-        _, test = split(ds, args.fold)
-        return test.samples
-    return ds.samples
+    fold = getattr(args, "fold", None)
+    samples = split(ds, fold)[1].samples if fold else ds.samples
+    if not samples:
+        where = f"fold {fold!r} of {args.dataset}" if fold else args.dataset
+        raise EmptyInput(f"no samples in {where}")
+    return samples
 
 
 def _write_report(out: str, payload: dict, csv_rows: list, lines: list[str]) -> None:

@@ -162,6 +162,21 @@ def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
         raise MalformedRecord(index, str(exc)) from exc
 
 
+def _folds_from_header(folds) -> dict[str, frozenset[int]]:
+    """The header's fold map: each fold names a list of integral arena ids."""
+    if not isinstance(folds, dict):
+        raise SchemaVersionMismatch(f"folds must be a JSON object, got {folds!r}")
+    parsed = {}
+    for name, ids in folds.items():
+        if not isinstance(ids, list):
+            raise SchemaVersionMismatch(f"fold {name!r}: arena ids must be a list, got {ids!r}")
+        try:
+            parsed[str(name)] = frozenset(_integer(a, "arena") for a in ids)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaVersionMismatch(f"fold {name!r}: {exc}") from exc
+    return parsed
+
+
 def write_dataset(ds: Dataset, sink) -> None:
     """Write a dataset as JSON Lines to a path or text file object."""
     if isinstance(sink, (str, Path)):
@@ -189,15 +204,14 @@ def read_dataset(source) -> Dataset:
         header = _DECODER.decode(lines[0])
     except ValueError as exc:
         raise SchemaVersionMismatch(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SchemaVersionMismatch(f"header must be a JSON object, got {header!r}")
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"expected schema_version {SCHEMA_VERSION}, got {version!r}"
         )
-    folds = {
-        str(name): frozenset(int(a) for a in ids)
-        for name, ids in header.get("folds", {}).items()
-    }
+    folds = _folds_from_header(header.get("folds", {}))
     samples = []
     arena_cals: dict = {}
     for index, line in enumerate(lines[1:]):

@@ -10,19 +10,22 @@ for Student-t with nu > 1.
 
 Draws come from per-sample Philox streams keyed by (seed, sample_id), so
 the prediction for a sample never depends on evaluation order, subset
-choice, or thread count. Height noise is additive in pixels; diameter
-noise is multiplicative (relative), since diameter errors scale with
-apparent size.
+choice, or thread count. One call draws every sample's value through a
+single reused bit generator (``rng.draws``); the values are those of a
+fresh ``rng.stream`` per sample. Height noise is additive in pixels;
+diameter noise is multiplicative (relative), since diameter errors scale
+with apparent size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, stream
+from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, draws
 
 KINDS = ("oracle", "gaussian", "heavy_tailed")
 
@@ -87,10 +90,10 @@ def _noise(spec: PredictorSpec, sample_ids, purpose: int) -> np.ndarray:
     """Unit noise draws, one from each sample's own stream."""
     ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1).tolist()
     if spec.kind == "gaussian":
-        draws = [stream(spec.seed, i, purpose).standard_normal() for i in ids]
+        draw = np.random.Generator.standard_normal
     else:
-        draws = [stream(spec.seed, i, purpose).standard_t(spec.nu) for i in ids]
-    return np.array(draws, dtype=np.float64)
+        draw = partial(np.random.Generator.standard_t, df=spec.nu)
+    return draws(spec.seed, ids, purpose, draw)
 
 
 def predict_heights(spec: PredictorSpec, sample_ids, h_true) -> np.ndarray:

@@ -122,6 +122,27 @@ class TestEvaluate:
         assert rc == 1
         assert "UnknownFold" in capsys.readouterr().err
 
+    def test_empty_fold_is_empty_input(self, dataset_file, tmp_path, capsys):
+        header, *lines = dataset_file.read_text().splitlines()
+        folds = json.loads(header)
+        folds["folds"]["Z"] = [99]
+        path = tmp_path / "empty_fold.jsonl"
+        path.write_text("\n".join([json.dumps(folds), *lines]) + "\n")
+        out = tmp_path / "x"
+        rc = main(["evaluate", "--dataset", str(path), "--fold", "Z", "--out", str(out)])
+        assert rc == 1
+        assert "error: EmptyInput: no samples in fold 'Z'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_header_only_dataset_is_empty_input(self, dataset_file, tmp_path, capsys):
+        path = tmp_path / "header_only.jsonl"
+        path.write_text(dataset_file.read_text().splitlines()[0] + "\n")
+        for command in (["evaluate"], ["sweep", "--grid", "0,10"]):
+            rc = main([*command, "--dataset", str(path), "--out", str(tmp_path / "x")])
+            assert rc == 1
+            assert "error: EmptyInput: no samples in" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
     def test_assumed_ball_size_differs_from_the_dataset(self, dataset_file, tmp_path):
         # The oracle returns the stored diameters of 0.24 m balls; assuming
         # 0.30 m puts every ball 25 % too far from its camera.

@@ -163,6 +163,20 @@ class TestReadValidation:
         with pytest.raises(SchemaVersionMismatch, match="non-finite number NaN"):
             read_dataset(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ('{"schema_version": 1, "folds": {"A": [1e999]}}', "fold 'A': arena inf"),
+            ('{"schema_version": 1, "folds": {"A": ["x"]}}', "fold 'A': could not convert"),
+            ('{"schema_version": 1, "folds": {"A": 3}}', "fold 'A': arena ids must be a list"),
+            ('{"schema_version": 1, "folds": [1]}', "folds must be a JSON object"),
+            ("[1]", "header must be a JSON object"),
+        ],
+    )
+    def test_malformed_folds_header_is_schema_mismatch(self, header, match):
+        with pytest.raises(SchemaVersionMismatch, match=match):
+            read_dataset(io.StringIO(header + "\n"))
+
     def test_invalid_calibration_is_malformed_naming_arena(self):
         ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
         header, *records = self._text(ds)

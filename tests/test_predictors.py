@@ -20,7 +20,7 @@ from courtlift.predictors import (
     predict_diameters,
     predict_heights,
 )
-from courtlift.rng import PURPOSE_HEIGHT_NOISE, stream
+from courtlift.rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, stream
 
 
 def _fake_heights(n: int, h_true: float = 50.0):
@@ -142,6 +142,18 @@ class TestDeterminism:
             draw = rng.standard_normal() if kind == "gaussian" else rng.standard_t(4.0)
             expected.append(50.0 + noise_scale(spec) * draw)
         np.testing.assert_array_equal(predict_heights(spec, ids, h_true), expected)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heavy_tailed"])
+    def test_each_diameter_draw_comes_from_its_sample_stream(self, kind):
+        ids = np.arange(50)[::-1] * 5 + 2
+        d_true = np.linspace(20.0, 60.0, 50)
+        spec = PredictorSpec(kind=kind, nu=4.0, target_mae=0.1, seed=11)
+        expected = []
+        for i, d in zip(ids.tolist(), d_true.tolist()):
+            rng = stream(11, i, PURPOSE_DIAMETER_NOISE)
+            draw = rng.standard_normal() if kind == "gaussian" else rng.standard_t(4.0)
+            expected.append(d * (1.0 + noise_scale(spec) * draw))
+        np.testing.assert_array_equal(predict_diameters(spec, ids, d_true), expected)
 
     def test_height_and_diameter_streams_are_independent(self):
         spec = PredictorSpec(kind="gaussian", sigma=1.0, seed=8)
