@@ -102,6 +102,54 @@ def _sample_to_record(s: BallSample) -> dict:
     }
 
 
+def _record_values(s: BallSample) -> tuple:
+    """A record's numbers other than its calibration's, in key order."""
+    b, p, f = s.ball_3d, s.ball_px, s.foot_px
+    return (
+        s.arena_id, b.x, b.y, b.z, p.x, p.y, s.diameter_px_true, f.x, f.y, s.h_true, s.sample_id
+    )
+
+
+# json.dumps(record, sort_keys=True) with the calibration's text at %s.
+# %r writes an exact int or float as json does: int.__repr__, float.__repr__.
+_RECORD_LINE = (
+    '{"arena": %r, "ball_3d": [%r, %r, %r], "ball_px": [%r, %r], "cal": %s, '
+    '"diam_px": %r, "foot_px": [%r, %r], "h_true": %r, "id": %r}\n'
+)
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _checked_calibration_texts(samples: Sequence[BallSample]) -> dict[int, str]:
+    """Each distinct calibration's JSON text, keyed by the object's id.
+
+    Every number of every record is checked on the way: a non-finite one
+    raises MalformedRecord with the sample's index."""
+    texts: dict[int, str] = {}
+    for index, s in enumerate(samples):
+        if id(s.cal) not in texts:
+            try:
+                text = json.dumps(calibration_to_json_dict(s.cal), sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                raise MalformedRecord(index, "calibration is not finite") from exc
+            texts[id(s.cal)] = text
+        try:
+            finite = all(map(math.isfinite, _record_values(s)))
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise MalformedRecord(index, "a value is not a finite number")
+    return texts
+
+
+def _record_line(s: BallSample, cal_text: str) -> str:
+    """The record's line, byte for byte json.dumps(record, sort_keys=True)."""
+    values = _record_values(s)
+    if not _PLAIN_NUMBERS.issuperset(map(type, values)):
+        # bool, numpy scalars and other subclasses: json's own formatting.
+        return json.dumps(_sample_to_record(s), sort_keys=True) + "\n"
+    return _RECORD_LINE % (*values[:6], cal_text, *values[6:])
+
+
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
@@ -178,18 +226,29 @@ def _folds_from_header(folds) -> dict[str, frozenset[int]]:
 
 
 def write_dataset(ds: Dataset, sink) -> None:
-    """Write a dataset as JSON Lines to a path or text file object."""
+    """Write a dataset as JSON Lines to a path or text file object.
+
+    Every number is checked finite before anything is written, and for a
+    path before the file is opened; a non-finite one raises
+    MalformedRecord with the sample's index. Each distinct calibration is
+    serialized once, and records go to the sink one line at a time.
+    """
+    cal_texts = _checked_calibration_texts(ds.samples)
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as f:
-            write_dataset(ds, f)
-        return
+            _write_lines(ds, cal_texts, f)
+    else:
+        _write_lines(ds, cal_texts, sink)
+
+
+def _write_lines(ds: Dataset, cal_texts: dict[int, str], sink) -> None:
     header = {
         "schema_version": ds.schema_version,
         "folds": {name: sorted(ids) for name, ids in sorted(ds.folds.items())},
     }
     sink.write(json.dumps(header, sort_keys=True) + "\n")
     for s in ds.samples:
-        sink.write(json.dumps(_sample_to_record(s), sort_keys=True) + "\n")
+        sink.write(_record_line(s, cal_texts[id(s.cal)]))
 
 
 def read_dataset(source) -> Dataset:

@@ -5,11 +5,12 @@ Every consumer of randomness derives an independent stream keyed by
 reproducible bit-for-bit across platforms and independent of evaluation
 order or thread count.
 
-``stream`` builds the generator of one stream. ``draws`` takes one draw
-from each of many streams through a single reused bit generator: Philox
-is counter-based, so a stream is fully defined by its key and counter,
-and resetting them gives the same values as a fresh generator without
-building one per index.
+``stream`` builds the generator of one stream. ``Cursor`` moves one
+reused bit generator between the streams of a (seed, purpose): Philox is
+counter-based, so a stream's state is fully defined by its key, its
+counter and the position in the current block, and setting them gives
+the same values as a fresh generator without building one per index.
+``draws`` takes one draw from each of many streams through a cursor.
 """
 
 from __future__ import annotations
@@ -32,9 +33,14 @@ def _check_uint64(name: str, value: int) -> None:
         raise ValueError(f"{name} must fit in uint64, got {value}")
 
 
-def _key_counter(seed: int, index: int, purpose: int) -> tuple[tuple, tuple]:
-    """The Philox key and counter that stream (seed, index, purpose) starts from."""
-    return (seed, index), (0, 0, 0, purpose)
+# Philox computes four uint64 words per counter step into a buffer.
+_BLOCK_WORDS = 4
+
+
+def _key_counter(seed: int, index: int, purpose: int, blocks: int) -> tuple[tuple, tuple]:
+    """The Philox key and counter of stream (seed, index, purpose) once
+    ``blocks`` counter steps have been drawn; 0 is where the stream starts."""
+    return (seed, index), (blocks, 0, 0, purpose)
 
 
 def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
@@ -44,12 +50,65 @@ def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
     """
     _check_uint64("seed", seed)
     _check_uint64("index", index)
-    key, counter = _key_counter(seed, index, purpose)
+    key, counter = _key_counter(seed, index, purpose, 0)
     return np.random.Generator(
         np.random.Philox(
             key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
         )
     )
+
+
+class Cursor:
+    """One Philox bit generator that stands anywhere in the streams of (seed, purpose).
+
+    ``seek(index, words)`` puts the generator where ``stream(seed, index,
+    purpose)`` stands after ``words`` 64-bit words have been drawn from
+    it, and ``tell()`` reads that word count back, so many streams can
+    take turns on one generator and each resumes exactly where it
+    stopped. Draws must use whole words, as doubles and the Generator's
+    float distributions do; a 32-bit integer draw caches half a word,
+    which ``tell`` rejects. Indices are not range-checked here.
+    """
+
+    def __init__(self, seed: int, purpose: int):
+        _check_uint64("seed", seed)
+        self._seed = seed
+        self._purpose = purpose
+        self._bitgen = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._bitgen)
+        self._inner: dict = {}
+        # buffer_pos 4 marks the buffer spent, as in a fresh generator, so
+        # no word of the previous stream's block leaks into the next draw.
+        self._state = {
+            "bit_generator": "Philox",
+            "state": self._inner,
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": _BLOCK_WORDS,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def seek(self, index: int, words: int) -> np.random.Generator:
+        """The generator, ``words`` 64-bit words into stream ``index``."""
+        blocks, spare = divmod(words, _BLOCK_WORDS)
+        inner = self._inner
+        inner["key"], inner["counter"] = _key_counter(self._seed, index, self._purpose, blocks)
+        self._bitgen.state = self._state
+        if spare:
+            self._bitgen.random_raw(spare)
+        return self._generator
+
+    def tell(self) -> int:
+        """64-bit words drawn so far from the stream last sought."""
+        state = self._bitgen.state
+        if state["has_uint32"]:
+            raise ValueError("a 32-bit draw left half a word cached")
+        # The counter steps before each block is computed, so a stream
+        # that has drawn w >= 1 words stands in block ceil(w / 4) at
+        # buffer position w - 4 * (ceil(w / 4) - 1), and a fresh one at
+        # block 0 with its buffer spent.
+        blocks = int(state["state"]["counter"][0])
+        return _BLOCK_WORDS * (blocks - 1) + int(state["buffer_pos"])
 
 
 def draws(
@@ -60,33 +119,16 @@ def draws(
 ) -> np.ndarray:
     """``draw(stream(seed, i, purpose))`` for each index ``i``, as float64.
 
-    One Philox bit generator serves every index: its state is reset to the
-    one a fresh ``stream(seed, i, purpose)`` starts in before each draw, so
-    the values are identical. The seed and every index are range-checked
-    before the first draw.
+    One cursor serves every index and puts its generator at the start of
+    stream ``i`` before each draw, so the values are identical. The seed
+    and every index are range-checked before the first draw.
     """
     ids = list(indices)
-    _check_uint64("seed", seed)
+    seek = Cursor(seed, purpose).seek
     if ids:
         _check_uint64("index", min(ids))
         _check_uint64("index", max(ids))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    inner: dict = {}
-    # Philox computes four uint64 words per counter step into a buffer;
-    # position 4 marks it spent, as in a fresh generator, so no word of
-    # the previous index's block leaks into the next draw.
-    state = {
-        "bit_generator": "Philox",
-        "state": inner,
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
     out = np.empty(len(ids), dtype=np.float64)
     for j, index in enumerate(ids):
-        inner["key"], inner["counter"] = _key_counter(seed, index, purpose)
-        bitgen.state = state
-        out[j] = draw(gen)
+        out[j] = draw(seek(index, 0))
     return out

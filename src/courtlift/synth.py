@@ -23,7 +23,7 @@ from . import _kernels as _k
 from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
-from .rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
+from .rng import PURPOSE_BALL, PURPOSE_CAMERA, Cursor, stream
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
 BALLISTIC_P_ABOVE_3M = 102.0 / 233.0
@@ -33,10 +33,15 @@ LOW_HEIGHT_MEAN_M = 1.2
 
 _MAX_PLACEMENT_RETRIES = 100
 
-# Samples placed together: one kernel call annotates a block's pending
-# candidates per retry round. Every sample of a block keeps its random
-# stream alive until the block is placed, so this also bounds memory.
-_PLACEMENT_BLOCK = 500
+# Candidates annotated per kernel call. The samples a call cannot place
+# are redrawn in the next call, topped up with fresh samples, so every
+# call but the last few runs full and per-call numpy overhead is spread
+# over many rows. The cap bounds the kernels' temporaries, the largest
+# being the per-row calibration gather, (CAL_LEN, rows) float64: 384 KiB
+# here. glibc keeps up to twice the size of the largest freed large
+# block in its heap, and at 8192 rows synth's peak RSS rose by 2 MiB on
+# some seeds; at 2048 it stays at what 500-row blocks gave.
+_PLACEMENT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -296,8 +301,9 @@ def generate_dataset(
     Fully deterministic in `seed`: cameras and each sample draw from
     independent Philox streams keyed by their index, so output is
     identical no matter how generation is scheduled. Balls that fail the
-    visibility/reconstructability check are redrawn, up to 100 times
-    each, then FrameCoverageFailure is raised.
+    visibility/reconstructability check are redrawn from the rest of
+    their stream, up to 100 times each, then FrameCoverageFailure is
+    raised.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -309,26 +315,40 @@ def generate_dataset(
         sample_camera(stream(seed, i, PURPOSE_CAMERA), arena) for i in range(n_arenas)
     ]
     packed = pack_calibrations(cameras)
-    samples: list[BallSample] = []
-    for start in range(0, n, _PLACEMENT_BLOCK):
-        ids = range(start, min(n, start + _PLACEMENT_BLOCK))
-        samples.extend(_place_block(seed, ids, cameras, packed, arena, dist))
+    cursor = Cursor(seed, PURPOSE_BALL)
+    samples: list = [None] * n
+    redraw: list[tuple[int, int, int]] = []
+    start = 0
+    while start < n or redraw:
+        fresh = range(start, min(n, start + _PLACEMENT_BLOCK - len(redraw)))
+        start = fresh.stop
+        batch = redraw + [(i, 0, 0) for i in fresh]
+        redraw = _place_batch(cursor, batch, samples, cameras, packed, arena, dist)
     return samples
 
 
-def _place_block(seed, ids, cameras, packed, arena, dist) -> list[BallSample]:
-    """Samples `ids`, each redrawn from its own stream until usable."""
-    rngs = {i: stream(seed, i, PURPOSE_BALL) for i in ids}
-    placed: dict[int, BallSample] = {}
-    pending = list(ids)
-    for _ in range(_MAX_PLACEMENT_RETRIES):
-        balls = [sample_ball(rngs[i], arena, dist) for i in pending]
-        xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
-        cal = calibration_columns(packed, np.array(pending) % len(cameras))
-        usable, u, v, fu, fv, h, diameter = _annotate(cal, *xyz, arena)
-        for j in np.flatnonzero(usable):
-            i = pending[j]
-            placed[i] = BallSample(
+def _place_batch(cursor: Cursor, batch, samples, cameras, packed, arena, dist) -> list:
+    """Draw and annotate one ball per (sample id, words drawn, attempts
+    made) in `batch`. Usable ones go into `samples`; the others come back
+    with their stream position and attempt count advanced.
+
+    Every attempt of sample i draws from stream (seed, i, PURPOSE_BALL)
+    through the one cursor: the first from its start, each retry from
+    where the previous attempt stopped.
+    """
+    balls, words = [], []
+    for i, drawn, _ in batch:
+        balls.append(sample_ball(cursor.seek(i, drawn), arena, dist))
+        words.append(cursor.tell())
+    xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
+    arena_ids = np.array([i for i, _, _ in batch]) % len(cameras)
+    usable, u, v, fu, fv, h, diameter = _annotate(
+        calibration_columns(packed, arena_ids), *xyz, arena
+    )
+    redraw = []
+    for j, ((i, _, attempts), ok) in enumerate(zip(batch, usable.tolist())):
+        if ok:
+            samples[i] = BallSample(
                 sample_id=i,
                 arena_id=i % len(cameras),
                 cal=cameras[i % len(cameras)],
@@ -338,9 +358,10 @@ def _place_block(seed, ids, cameras, packed, arena, dist) -> list[BallSample]:
                 h_true=float(h[j]),
                 diameter_px_true=float(diameter[j]),
             )
-        pending = [i for i, ok in zip(pending, usable) if not ok]
-        if not pending:
-            return [placed[i] for i in ids]
-    raise FrameCoverageFailure(
-        f"sample {pending[0]}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
-    )
+        elif attempts + 1 < _MAX_PLACEMENT_RETRIES:
+            redraw.append((i, words[j], attempts + 1))
+        else:
+            raise FrameCoverageFailure(
+                f"sample {i}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
+            )
+    return redraw

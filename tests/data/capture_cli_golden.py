@@ -15,7 +15,12 @@ written:
   relative MAE of 0.10;
 - ``sweep`` over height offsets 0, 10, 40, -400 and 3000 px; at -400 px
   some rows of this dataset fail to reconstruct, so the failure count
-  is pinned too.
+  is pinned too;
+- two more ``synth`` runs at n = 1200 over 12 arenas, seed 2, with
+  ``--dist uniform`` and ``--dist ballistic_like``; 1200 samples span
+  more than one placement block of 500 rows, the block size these
+  datasets were first captured with, so the pins show that the bytes
+  do not depend on how placement is blocked.
 
 The JSON and CSV reports of the last three are stored as text. The
 golden file holds each command's argv next to its outputs, so the test
@@ -44,6 +49,14 @@ COMMANDS = (
         "--out", "diameter",
     ],
     ["sweep", "--dataset", DATASET, "--grid=0,10,40,-400,3000", "--out", "sweep"],
+    [
+        "synth", "--n", "1200", "--arenas", "12", "--seed", "2", "--dist", "uniform",
+        "--out", "uniform.jsonl",
+    ],
+    [
+        "synth", "--n", "1200", "--arenas", "12", "--seed", "2",
+        "--dist", "ballistic_like", "--out", "ballistic.jsonl",
+    ],
 )
 
 

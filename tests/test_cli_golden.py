@@ -5,8 +5,10 @@ tests/data/capture_cli_golden.py: `courtlift synth` at n = 300 over 3
 arenas, `evaluate` on the height path (gaussian, MAE 34 px, 2 repeats)
 and the diameter path (heavy-tailed, relative MAE 0.10), and `sweep`
 over offsets 0, 10, 40, -400 and 3000 px, where the -400 px level sends
-rows down the failure path. Rerunning the recorded commands must give
-the same dataset bytes (by sha256) and byte-identical reports.
+rows down the failure path; and two more `synth` runs at n = 1200 over
+12 arenas with `--dist uniform` and `--dist ballistic_like`, which span
+more than one 500-row placement block. Rerunning the recorded commands
+must give the same dataset bytes (by sha256) and byte-identical reports.
 """
 
 import hashlib

@@ -2,12 +2,14 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from courtlift import (
     CameraCalibration,
+    calibration_to_json_dict,
     Dataset,
     ImagePoint,
     WorldPoint,
@@ -83,6 +85,84 @@ class TestRoundTrip:
         rec = read_dataset(path)
         assert len(rec.samples) == 20
         assert rec.folds == {"A": frozenset({0}), "B": frozenset({1})}
+
+
+def _reference_record(s: BallSample) -> dict:
+    return {
+        "id": s.sample_id,
+        "arena": s.arena_id,
+        "cal": calibration_to_json_dict(s.cal),
+        "ball_3d": [s.ball_3d.x, s.ball_3d.y, s.ball_3d.z],
+        "ball_px": [s.ball_px.x, s.ball_px.y],
+        "foot_px": [s.foot_px.x, s.foot_px.y],
+        "h_true": s.h_true,
+        "diam_px": s.diameter_px_true,
+    }
+
+
+EDGE_FLOATS = (-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, -1.7976931348623157e308, 123456.789)
+
+
+class TestWrite:
+    def test_every_line_is_json_dumps_of_its_record(self):
+        shared = _dummy_cal()  # arenas 0 and 1 share this object
+        equal = _dummy_cal()  # arena 2: a distinct object with equal values
+        other = replace(_dummy_cal(), fx=1234.5, k1=-0.0, p2=1e-05, cx=5e-324)
+        cals = [shared, shared, equal, other]
+        samples = []
+        for i in range(len(EDGE_FLOATS)):
+            x = EDGE_FLOATS[i:] + EDGE_FLOATS[:i]
+            samples.append(
+                BallSample(
+                    sample_id=i,
+                    arena_id=i % 4,
+                    cal=cals[i % 4],
+                    ball_3d=WorldPoint(x[0], x[1], x[2]),
+                    ball_px=ImagePoint(x[3], x[4]),
+                    foot_px=ImagePoint(x[5], x[6]),
+                    h_true=x[0],
+                    diameter_px_true=x[1],
+                )
+            )
+        # Numbers that are not exact floats: ints and numpy floats.
+        samples.append(
+            replace(samples[0], sample_id=7, h_true=60, ball_px=ImagePoint(np.float64(0.1), 2))
+        )
+        samples.append(replace(samples[1], sample_id=8, diameter_px_true=np.float64(1e16)))
+        ds = Dataset(samples=samples, folds={"A": {0, 1}, "B": {2, 3}})
+        header, *lines = dataset_to_string(ds).split("\n")
+        assert lines.pop() == ""
+        assert header == json.dumps(
+            {"folds": {"A": [0, 1], "B": [2, 3]}, "schema_version": 1}, sort_keys=True
+        )
+        assert len(lines) == len(samples)
+        for line, s in zip(lines, samples):
+            assert line == json.dumps(_reference_record(s), sort_keys=True)
+
+    def test_nan_is_rejected_before_the_file_is_opened(self, tmp_path):
+        samples = [_sample(0), replace(_sample(1), h_true=float("nan")), _sample(2)]
+        ds = Dataset(samples=samples, folds={"A": {0}})
+        path = tmp_path / "ds.jsonl"
+        with pytest.raises(MalformedRecord, match="record 1: .*not a finite number"):
+            write_dataset(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"ball_3d": WorldPoint(0.0, float("inf"), 1.0)},
+            {"foot_px": ImagePoint(float("-inf"), 1.0)},
+            {"diameter_px_true": float("nan")},
+            {"cal": replace(_dummy_cal(), k2=float("nan"))},
+        ],
+    )
+    def test_non_finite_number_is_rejected_before_any_line(self, broken):
+        samples = [_sample(0), _sample(1), replace(_sample(2), **broken)]
+        ds = Dataset(samples=samples, folds={"A": {0}})
+        sink = io.StringIO()
+        with pytest.raises(MalformedRecord, match="record 2: "):
+            write_dataset(ds, sink)
+        assert sink.getvalue() == ""
 
 
 class TestReadValidation:

@@ -1,10 +1,17 @@
-"""rng.draws: one reused Philox bit generator, the values of a fresh
-rng.stream per index, bit for bit."""
+"""rng.Cursor and rng.draws: one reused Philox bit generator, the values
+of a fresh rng.stream per index, bit for bit."""
 
 import numpy as np
 import pytest
 
-from courtlift.rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, draws, stream
+from courtlift.rng import (
+    PURPOSE_BALL,
+    PURPOSE_DIAMETER_NOISE,
+    PURPOSE_HEIGHT_NOISE,
+    Cursor,
+    draws,
+    stream,
+)
 
 UINT64_MAX = 2**64 - 1
 
@@ -74,3 +81,40 @@ def test_back_to_back_calls_with_different_purposes_are_independent():
         diameter, [draw(stream(7, i, PURPOSE_DIAMETER_NOISE)) for i in indices]
     )
     assert not np.any(height == diameter)
+
+
+@pytest.mark.parametrize("words", range(10))
+def test_seek_stands_where_a_stream_stands_after_that_many_words(words):
+    cursor = Cursor(3, PURPOSE_BALL)
+    cursor.seek(8, 13)  # leave another stream's block behind
+    gen = cursor.seek(5, words)
+    assert cursor.tell() == words
+    fresh = stream(3, 5, PURPOSE_BALL)
+    fresh.bit_generator.random_raw(words)
+    assert gen.bit_generator.random_raw(9).tolist() == fresh.bit_generator.random_raw(9).tolist()
+
+
+def test_streams_resume_where_they_stopped_when_interleaved():
+    # Three streams take turns on one cursor, drawing 3 doubles a turn,
+    # so every resume after the first starts inside a Philox block.
+    cursor = Cursor(11, PURPOSE_BALL)
+    fresh = {i: stream(11, i, PURPOSE_BALL) for i in (0, 7, UINT64_MAX)}
+    words = dict.fromkeys(fresh, 0)
+    for _ in range(4):
+        for i, gen in fresh.items():
+            got = cursor.seek(i, words[i]).random(3)
+            words[i] = cursor.tell()
+            np.testing.assert_array_equal(got, gen.random(3))
+    assert set(words.values()) == {12}
+
+
+def test_tell_rejects_a_half_used_word():
+    cursor = Cursor(1, PURPOSE_BALL)
+    cursor.seek(0, 0).integers(0, 10, dtype=np.uint32)
+    with pytest.raises(ValueError, match="32-bit"):
+        cursor.tell()
+
+
+def test_cursor_checks_its_seed():
+    with pytest.raises(ValueError, match="seed must fit in uint64, got -1"):
+        Cursor(-1, PURPOSE_BALL)

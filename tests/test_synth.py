@@ -17,9 +17,11 @@ from courtlift import (
     validate,
     write_dataset,
 )
+from courtlift import synth
+from courtlift.camera import column, one_row
 from courtlift.errors import FrameCoverageFailure
-from courtlift.rng import PURPOSE_CAMERA, stream
-from courtlift.synth import generate_dataset, sample_camera, sample_height
+from courtlift.rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
+from courtlift.synth import DIST_KINDS, generate_dataset, sample_camera, sample_height
 
 from conftest import ZERO_DIST_ARENA
 
@@ -138,6 +140,73 @@ class TestGenerateDataset:
         )
         with pytest.raises(FrameCoverageFailure):
             generate_dataset(seed=1, n=5, arena=arena, n_arenas=1)
+
+
+# A small frame misses many balls, so samples need several attempts.
+RETRY_ARENA = ArenaSpec(image_width=1500.0, image_height=700.0)
+
+
+def _fields(s):
+    """A sample's values; calibrations compare by their packed numbers."""
+    return (
+        s.sample_id,
+        s.arena_id,
+        s.cal.as_array().tolist(),
+        s.ball_3d,
+        s.ball_px,
+        s.foot_px,
+        s.h_true,
+        s.diameter_px_true,
+    )
+
+
+def _reference_sample(seed, i, cameras, dist):
+    """Sample i from a fresh stream of its own, one row at a time, and
+    the number of attempts it took."""
+    rng = stream(seed, i, PURPOSE_BALL)
+    cal = cameras[i % len(cameras)]
+    for attempt in range(1, 101):
+        ball = sample_ball(rng, RETRY_ARENA, dist)
+        usable, u, v, fu, fv, h, diameter = synth._annotate(
+            column(cal), *one_row(ball.x, ball.y, ball.z), RETRY_ARENA
+        )
+        if usable[0]:
+            sample = synth.BallSample(
+                sample_id=i,
+                arena_id=i % len(cameras),
+                cal=cal,
+                ball_3d=ball,
+                ball_px=synth.ImagePoint(float(u[0]), float(v[0])),
+                foot_px=synth.ImagePoint(float(fu[0]), float(fv[0])),
+                h_true=float(h[0]),
+                diameter_px_true=float(diameter[0]),
+            )
+            return sample, attempt
+    raise AssertionError(f"sample {i} found no usable ball")
+
+
+class TestStreamContract:
+    """Sample i's attempts read stream (seed, i, PURPOSE_BALL) in order:
+    the first from its start, each retry from where the last one stopped,
+    whatever the placement block size."""
+
+    @pytest.mark.parametrize("kind", DIST_KINDS)
+    def test_block_size_and_per_sample_reference_agree(self, kind, monkeypatch):
+        seed, n, n_arenas = 5, 40, 3
+        dist = HeightDistSpec(kind=kind)
+        runs = []
+        for block in (1, 7, n):
+            monkeypatch.setattr(synth, "_PLACEMENT_BLOCK", block)
+            samples = generate_dataset(seed, n, arena=RETRY_ARENA, dist=dist, n_arenas=n_arenas)
+            runs.append([_fields(s) for s in samples])
+        assert runs[0] == runs[1] == runs[2]
+        cameras = [
+            sample_camera(stream(seed, a, PURPOSE_CAMERA), RETRY_ARENA) for a in range(n_arenas)
+        ]
+        reference = [_reference_sample(seed, i, cameras, dist) for i in range(n)]
+        assert runs[0] == [_fields(sample) for sample, _ in reference]
+        attempts = [a for _, a in reference]
+        assert max(attempts) >= 3, attempts  # retries, and retries of retries, were taken
 
 
 class TestMakeCamera:
