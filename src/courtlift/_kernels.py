@@ -330,7 +330,13 @@ def reconstruct_height(cal, u_raw, v_raw, h):
     """
     status = _finite(u_raw, v_raw, h)
     u, v, st = undistort_pixel(cal, u_raw, v_raw)
-    status = _then(status, st)
+    return lift_height(cal, u, v, h, _then(status, st))
+
+
+@_quiet
+def lift_height(cal, u, v, h, status):
+    """reconstruct_height from UNDISTORTED ball pixels; ``status`` is each
+    row's status so far, and an earlier failure stands."""
     fu, fv, _, _, angle, st = foot_pixel(cal, u, v, h)
     status = _then(status, st)
 
@@ -393,21 +399,3 @@ def true_pixel_height(cal, wx, wy, wz):
     u0, v0, status = project_point_nodist(cal, wx, wy, wz)
     u1, v1, st = project_point_nodist(cal, wx, wy, 0.0)
     return np.hypot(u0 - u1, v0 - v1), _then(status, st)
-
-
-@_quiet
-def forward_sample(cal, wx, wy, wz, ball_diameter_m):
-    """Forward oracle for balls: all image-space annotations at once.
-
-    Returns (u, v, foot_u, foot_v, h_true, diameter, status) where (u, v)
-    and (foot_u, foot_v) are distorted pixels of the ball and its ground
-    projection, h_true the undistorted pixel height and diameter the
-    ball's image diameter.
-    """
-    u, v, status = project_point(cal, wx, wy, wz)
-    fu, fv, st = project_point(cal, wx, wy, 0.0)
-    status = _then(status, st)
-    h, st = true_pixel_height(cal, wx, wy, wz)
-    status = _then(status, st)
-    diameter, _ = ball_diameter_px(cal, wx, wy, wz, ball_diameter_m)
-    return u, v, fu, fv, h, diameter, status

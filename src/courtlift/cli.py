@@ -186,21 +186,32 @@ def _add_predictor_args(sub) -> None:
     )
 
 
+def _check_seeds(parser, seed: int, count: int) -> None:
+    """Usage error unless seeds seed .. seed + count - 1 all fit in uint64,
+    as the key of a Philox stream must."""
+    if not 0 <= seed <= 2**64 - count:
+        parser.error(f"--seed must be in [0, 2**64 - {count}], got {seed}")
+
+
 def cmd_synth(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     if args.arenas < 1:
         parser.error("--arenas must be >= 1")
-    arena = ArenaSpec()
-    if args.arena_json:
-        with open(args.arena_json, "r", encoding="utf-8") as f:
-            arena = ArenaSpec.from_json_dict(json.load(f))
+    _check_seeds(parser, args.seed, 1)
     dist_kwargs = {}
     if args.p_above_3m is not None:
         dist_kwargs["p_above_3m"] = args.p_above_3m
     if args.max_height is not None:
         dist_kwargs["max_height"] = args.max_height
-    dist = HeightDistSpec(kind=args.dist, **dist_kwargs)
+    try:
+        arena = ArenaSpec()
+        if args.arena_json:
+            with open(args.arena_json, "r", encoding="utf-8") as f:
+                arena = ArenaSpec.from_json_dict(json.load(f))
+        dist = HeightDistSpec(kind=args.dist, **dist_kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     samples = generate_dataset(
         seed=args.seed, n=args.n, arena=arena, dist=dist, n_arenas=args.arenas
     )
@@ -219,14 +230,18 @@ def cmd_synth(args, parser) -> int:
 def cmd_evaluate(args, parser) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    _check_seeds(parser, args.seed, args.repeats)
+    try:
+        spec = PredictorSpec(
+            kind=args.predictor,
+            sigma=args.sigma,
+            nu=args.nu,
+            target_mae=args.target_mae,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     samples = _load_samples(args)
-    spec = PredictorSpec(
-        kind=args.predictor,
-        sigma=args.sigma,
-        nu=args.nu,
-        target_mae=args.target_mae,
-        seed=args.seed,
-    )
     reports, failed = run_evaluation(
         samples,
         spec,

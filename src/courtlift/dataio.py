@@ -43,7 +43,6 @@ class Dataset:
 
     samples: list[BallSample]
     folds: dict[str, frozenset[int]]
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         object.__setattr__(
@@ -188,6 +187,10 @@ def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
             raise MalformedRecord(
                 index, f"arena {arena_id} calibration differs from its first record's"
             )
+        # An id keys the predictors' per-sample streams and is packed as int64.
+        sample_id = _integer(obj["id"], "id")
+        if not 0 <= sample_id < 2**63:
+            raise ValueError(f"id {sample_id} is outside [0, 2**63)")
         ball_3d = [float(x) for x in obj["ball_3d"]]
         ball_px = [float(x) for x in obj["ball_px"]]
         foot_px = [float(x) for x in obj["foot_px"]]
@@ -197,7 +200,7 @@ def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
         if not all(map(math.isfinite, (*ball_3d, *ball_px, *foot_px, h_true, diam_px))):
             raise ValueError("ball_3d, ball_px, foot_px, h_true or diam_px is not finite")
         return BallSample(
-            sample_id=_integer(obj["id"], "id"),
+            sample_id=sample_id,
             arena_id=arena_id,
             cal=cal,
             ball_3d=WorldPoint(*ball_3d),
@@ -243,7 +246,7 @@ def write_dataset(ds: Dataset, sink) -> None:
 
 def _write_lines(ds: Dataset, cal_texts: dict[int, str], sink) -> None:
     header = {
-        "schema_version": ds.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "folds": {name: sorted(ids) for name, ids in sorted(ds.folds.items())},
     }
     sink.write(json.dumps(header, sort_keys=True) + "\n")

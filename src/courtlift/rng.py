@@ -10,7 +10,10 @@ reused bit generator between the streams of a (seed, purpose): Philox is
 counter-based, so a stream's state is fully defined by its key, its
 counter and the position in the current block, and setting them gives
 the same values as a fresh generator without building one per index.
-``draws`` takes one draw from each of many streams through a cursor.
+A position is a count of 64-bit words drawn; a double takes one word,
+so a caller that knows how many doubles it drew knows where a stream
+stands. ``draws`` takes one draw from each of many streams through a
+cursor.
 """
 
 from __future__ import annotations
@@ -63,11 +66,9 @@ class Cursor:
 
     ``seek(index, words)`` puts the generator where ``stream(seed, index,
     purpose)`` stands after ``words`` 64-bit words have been drawn from
-    it, and ``tell()`` reads that word count back, so many streams can
-    take turns on one generator and each resumes exactly where it
-    stopped. Draws must use whole words, as doubles and the Generator's
-    float distributions do; a 32-bit integer draw caches half a word,
-    which ``tell`` rejects. Indices are not range-checked here.
+    it, so many streams can take turns on one generator and each resumes
+    exactly where it stopped. A double takes one word, so the caller
+    counts the words from its draws. Indices are not range-checked here.
     """
 
     def __init__(self, seed: int, purpose: int):
@@ -97,18 +98,6 @@ class Cursor:
         if spare:
             self._bitgen.random_raw(spare)
         return self._generator
-
-    def tell(self) -> int:
-        """64-bit words drawn so far from the stream last sought."""
-        state = self._bitgen.state
-        if state["has_uint32"]:
-            raise ValueError("a 32-bit draw left half a word cached")
-        # The counter steps before each block is computed, so a stream
-        # that has drawn w >= 1 words stands in block ceil(w / 4) at
-        # buffer position w - 4 * (ceil(w / 4) - 1), and a fresh one at
-        # block 0 with its buffer spent.
-        blocks = int(state["state"]["counter"][0])
-        return _BLOCK_WORDS * (blocks - 1) + int(state["buffer_pos"])
 
 
 def draws(

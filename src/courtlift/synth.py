@@ -15,7 +15,7 @@ studies never hit degenerate geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,14 +33,14 @@ LOW_HEIGHT_MEAN_M = 1.2
 
 _MAX_PLACEMENT_RETRIES = 100
 
-# Candidates annotated per kernel call. The samples a call cannot place
-# are redrawn in the next call, topped up with fresh samples, so every
-# call but the last few runs full and per-call numpy overhead is spread
-# over many rows. The cap bounds the kernels' temporaries, the largest
-# being the per-row calibration gather, (CAL_LEN, rows) float64: 384 KiB
-# here. glibc keeps up to twice the size of the largest freed large
-# block in its heap, and at 8192 rows synth's peak RSS rose by 2 MiB on
-# some seeds; at 2048 it stays at what 500-row blocks gave.
+# Candidates annotated per kernel call: each placement round annotates
+# its samples in chunks of at most this many rows, so per-call numpy
+# overhead is spread over many rows. The cap bounds the kernels'
+# temporaries, the largest being the per-row calibration gather,
+# (CAL_LEN, rows) float64: 384 KiB here. glibc keeps up to twice the
+# size of the largest freed large block in its heap, and at 8192 rows
+# synth's peak RSS rose by 2 MiB on some seeds; at 2048 it stays at what
+# 500-row blocks gave.
 _PLACEMENT_BLOCK = 2048
 
 
@@ -76,26 +76,25 @@ class ArenaSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ArenaSpec":
+        """The spec with the fields `obj` names overridden: a number, or a
+        [min, max] pair for a range. ValueError on an unknown key or a
+        value of the wrong shape."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"arena spec must be a JSON object, got {obj!r}")
+        defaults = {f.name: f.default for f in fields(ArenaSpec)}
+        unknown = sorted(set(obj) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown arena spec keys {unknown}")
         kwargs = {}
-        for name in (
-            "court_half_length",
-            "court_half_width",
-            "image_width",
-            "image_height",
-            "ball_diameter_m",
-        ):
-            if name in obj:
-                kwargs[name] = float(obj[name])
-        for name in (
-            "camera_height_range",
-            "camera_distance_range",
-            "focal_range",
-            "k1_range",
-            "k2_range",
-        ):
-            if name in obj:
-                lo, hi = obj[name]
-                kwargs[name] = (float(lo), float(hi))
+        for name, value in obj.items():
+            try:
+                if isinstance(defaults[name], tuple):
+                    lo, hi = value
+                    kwargs[name] = (float(lo), float(hi))
+                else:
+                    kwargs[name] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"arena spec {name}: {exc}") from exc
         return ArenaSpec(**kwargs)
 
 
@@ -253,6 +252,11 @@ def sample_height(rng: np.random.Generator, dist: HeightDistSpec) -> float:
     return -LOW_HEIGHT_MEAN_M * math.log1p(-rng.random() * mass)
 
 
+# 64-bit words one sample_ball call draws, by height-law kind: x, y and
+# a uniform height, or x, y, the above-3 m coin and the height's draw.
+_BALL_WORDS = {"uniform": 3, "deepsport_like": 4, "ballistic_like": 4}
+
+
 def sample_ball(
     rng: np.random.Generator, arena: ArenaSpec, dist: HeightDistSpec
 ) -> WorldPoint:
@@ -273,19 +277,23 @@ def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     height reconstruction is degenerate at exact inputs, so that every
     emitted sample survives the full round trip.
     """
-    u, v, fu, fv, h, diameter, status = _k.forward_sample(
-        cal, bx, by, bz, arena.ball_diameter_m
-    )
-    usable = (status == _k.STATUS_OK) & _in_bounds(u, v, arena)
+    u, v, ball_status = _k.project_point(cal, bx, by, bz)
+    fu, fv, foot_status = _k.project_point(cal, bx, by, 0.0)
+    # Undistorted images of the ball and its ground point; their depth
+    # checks are those of the distorted projections above.
+    un, vn, _ = _k.project_point_nodist(cal, bx, by, bz)
+    gu, gv, _ = _k.project_point_nodist(cal, bx, by, 0.0)
+    h = np.hypot(un - gu, vn - gv)
+    diameter, _ = _k.ball_diameter_px(cal, bx, by, bz, arena.ball_diameter_m)
     # Well-posedness: undistorting the annotation must recover the
     # distortion-free pixel. Strong coefficients fold the Brown-Conrady
     # polynomial at large field radii, where the pixel has multiple
     # preimages and no camera-model inverse exists.
     uu, vv, status = _k.undistort_pixel(cal, u, v)
-    un, vn, st = _k.project_point_nodist(cal, bx, by, bz)
-    usable &= (status == _k.STATUS_OK) & (st == _k.STATUS_OK)
+    status = _k.lift_height(cal, uu, vv, h, status)[-1]
+    usable = (ball_status == _k.STATUS_OK) & (foot_status == _k.STATUS_OK)
+    usable &= (status == _k.STATUS_OK) & _in_bounds(u, v, arena)
     usable &= ~(np.hypot(uu - un, vv - vn) > 1e-6)
-    usable &= _k.reconstruct_height(cal, u, v, h)[-1] == _k.STATUS_OK
     return usable, u, v, fu, fv, h, diameter
 
 
@@ -317,51 +325,47 @@ def generate_dataset(
     packed = pack_calibrations(cameras)
     cursor = Cursor(seed, PURPOSE_BALL)
     samples: list = [None] * n
-    redraw: list[tuple[int, int, int]] = []
-    start = 0
-    while start < n or redraw:
-        fresh = range(start, min(n, start + _PLACEMENT_BLOCK - len(redraw)))
-        start = fresh.stop
-        batch = redraw + [(i, 0, 0) for i in fresh]
-        redraw = _place_batch(cursor, batch, samples, cameras, packed, arena, dist)
-    return samples
-
-
-def _place_batch(cursor: Cursor, batch, samples, cameras, packed, arena, dist) -> list:
-    """Draw and annotate one ball per (sample id, words drawn, attempts
-    made) in `batch`. Usable ones go into `samples`; the others come back
-    with their stream position and attempt count advanced.
-
-    Every attempt of sample i draws from stream (seed, i, PURPOSE_BALL)
-    through the one cursor: the first from its start, each retry from
-    where the previous attempt stopped.
-    """
-    balls, words = [], []
-    for i, drawn, _ in batch:
-        balls.append(sample_ball(cursor.seek(i, drawn), arena, dist))
-        words.append(cursor.tell())
-    xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
-    arena_ids = np.array([i for i, _, _ in batch]) % len(cameras)
-    usable, u, v, fu, fv, h, diameter = _annotate(
-        calibration_columns(packed, arena_ids), *xyz, arena
+    # Round k draws attempt k of every sample not yet placed. Each attempt
+    # draws _BALL_WORDS words, so attempt k starts k times that many words
+    # into the sample's stream.
+    todo = range(n)
+    for attempt in range(_MAX_PLACEMENT_RETRIES):
+        words = attempt * _BALL_WORDS[dist.kind]
+        missed = []
+        for start in range(0, len(todo), _PLACEMENT_BLOCK):
+            chunk = todo[start : start + _PLACEMENT_BLOCK]
+            missed += _place(cursor, chunk, words, samples, cameras, packed, arena, dist)
+        if not missed:
+            return samples
+        todo = missed
+    raise FrameCoverageFailure(
+        f"sample {todo[0]}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
     )
-    redraw = []
-    for j, ((i, _, attempts), ok) in enumerate(zip(batch, usable.tolist())):
+
+
+def _place(cursor: Cursor, ids, words, samples, cameras, packed, arena, dist) -> list:
+    """Draw and annotate one ball per sample id in `ids`, from `words`
+    words into stream (seed, id, PURPOSE_BALL). Usable ones go into
+    `samples`; the ids of the others come back."""
+    balls = [sample_ball(cursor.seek(i, words), arena, dist) for i in ids]
+    xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
+    arena_ids = np.array(ids) % len(cameras)
+    annotations = _annotate(calibration_columns(packed, arena_ids), *xyz, arena)
+    missed = []
+    for i, a, ball, ok, u, v, fu, fv, h, diameter in zip(
+        ids, arena_ids.tolist(), balls, *(x.tolist() for x in annotations)
+    ):
         if ok:
             samples[i] = BallSample(
                 sample_id=i,
-                arena_id=i % len(cameras),
-                cal=cameras[i % len(cameras)],
-                ball_3d=balls[j],
-                ball_px=ImagePoint(float(u[j]), float(v[j])),
-                foot_px=ImagePoint(float(fu[j]), float(fv[j])),
-                h_true=float(h[j]),
-                diameter_px_true=float(diameter[j]),
+                arena_id=a,
+                cal=cameras[a],
+                ball_3d=ball,
+                ball_px=ImagePoint(u, v),
+                foot_px=ImagePoint(fu, fv),
+                h_true=h,
+                diameter_px_true=diameter,
             )
-        elif attempts + 1 < _MAX_PLACEMENT_RETRIES:
-            redraw.append((i, words[j], attempts + 1))
         else:
-            raise FrameCoverageFailure(
-                f"sample {i}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
-            )
-    return redraw
+            missed.append(i)
+    return missed

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from courtlift import calibration_to_json_dict, make_camera, project, WorldPoint
+from courtlift import calibration_to_json_dict, make_camera, project, read_dataset, WorldPoint
 from courtlift.cli import _write_json, build_parser, main
 
 
@@ -57,6 +57,64 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--n", "0", "--out", str(tmp_path / "x.jsonl")])
         assert exc.value.code == 2
+
+    def test_height_law_flags_bound_every_height(self, tmp_path):
+        out = tmp_path / "high.jsonl"
+        argv = ["synth", "--n", "60", "--arenas", "3", "--seed", "2", "--out", str(out)]
+        assert main([*argv, "--p-above-3m", "1", "--max-height", "4"]) == 0
+        heights = [s.ball_3d.z for s in read_dataset(out).samples]
+        assert len(heights) == 60
+        assert all(3.0 <= z <= 4.0 for z in heights)
+
+    def test_arena_json_overrides_reach_the_cameras(self, tmp_path):
+        spec = tmp_path / "arena.json"
+        spec.write_text(json.dumps({"image_width": 3000, "focal_range": [1800, 1800]}))
+        out = tmp_path / "arena.jsonl"
+        argv = ["synth", "--n", "30", "--arenas", "3", "--seed", "5", "--out", str(out)]
+        assert main([*argv, "--arena-json", str(spec)]) == 0
+        cals = [s.cal for s in read_dataset(out).samples]
+        assert {c.image_width for c in cals} == {3000.0}
+        assert {(c.fx, c.fy) for c in cals} == {(1800.0, 1800.0)}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"focal_rnage": [100, 200]}, "unknown arena spec keys ['focal_rnage']"),
+            ({"focal_range": [100]}, "arena spec focal_range"),
+            ([1, 2], "arena spec must be a JSON object"),
+        ],
+    )
+    def test_bad_arena_json_is_usage_error(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--n", "5", "--arena-json", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "synth --n 5 --out {out} --seed -1",
+        "synth --n 5 --out {out} --seed 18446744073709551616",
+        "synth --n 5 --out {out} --p-above-3m 2",
+        "synth --n 5 --out {out} --max-height 2",
+        "evaluate --dataset {dataset} --out {out} --seed -1",
+        "evaluate --dataset {dataset} --out {out} --seed 18446744073709551615 --repeats 2",
+        "evaluate --dataset {dataset} --out {out} --nu 0.5",
+        "evaluate --dataset {dataset} --out {out} --sigma -1",
+        "evaluate --dataset {dataset} --out {out} --target-mae 0",
+    ],
+)
+def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(dataset=dataset_file, out=out).split())
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEvaluate:

@@ -224,6 +224,8 @@ class TestReadValidation:
             ("arena", "1e999"),
             ("id", "3.7"),
             ("arena", "0.5"),
+            ("id", "-1"),
+            ("id", "9223372036854775808"),
         ],
     )
     def test_overflowing_or_non_integral_number_is_malformed_with_index(self, key, literal):
