@@ -57,6 +57,7 @@ from .synth import (
     ArenaSpec,
     BallSample,
     HeightDistSpec,
+    Samples,
     generate_dataset,
     make_camera,
     sample_ball,
@@ -84,6 +85,7 @@ __all__ = [
     "PredictorSpec",
     "Ray",
     "Reconstruction",
+    "Samples",
     "WorldPoint",
     "aggregate_repeats",
     "assign_folds",

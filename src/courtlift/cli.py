@@ -15,8 +15,6 @@ import json
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .camera import ImagePoint, calibration_from_json_dict, validate
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
 from .errors import CourtliftError, EmptyInput, InvalidCalibration
@@ -35,7 +33,7 @@ from .reconstruct import (
     reconstruct_from_height,
     reconstruct_from_height_batch,
 )
-from .synth import ArenaSpec, BallSample, HeightDistSpec, generate_dataset
+from .synth import ArenaSpec, BallSample, HeightDistSpec, Samples, generate_dataset
 
 DEFAULT_HIST_EDGES = (0.0, 1.0, 2.0, 3.0)
 
@@ -54,24 +52,11 @@ def _write_json(path: str, obj) -> None:
 # Evaluation pipeline shared by `evaluate` and `sweep`.
 
 
-def _sample_arrays(samples: Sequence[BallSample]):
-    """Pack per-sample arrays and one calibration row per distinct camera.
-
-    The only place evaluation inputs are read off sample objects; the
-    predictors, reconstruction and metrics take these arrays.
-    """
-    cals = {id(s.cal): s.cal for s in samples}
-    row_of = {key: row for row, key in enumerate(cals)}
-    packed = pack_calibrations(list(cals.values()))
-    idx = np.array([row_of[id(s.cal)] for s in samples], dtype=np.int64)
-    ids = np.array([s.sample_id for s in samples], dtype=np.int64)
-    px = np.array([[s.ball_px.x, s.ball_px.y] for s in samples], dtype=np.float64)
-    truth = np.array(
-        [[s.ball_3d.x, s.ball_3d.y, s.ball_3d.z] for s in samples], dtype=np.float64
-    )
-    h_true = np.array([s.h_true for s in samples], dtype=np.float64)
-    d_true = np.array([s.diameter_px_true for s in samples], dtype=np.float64)
-    return packed, idx, ids, px, truth, h_true, d_true
+def _sample_arrays(samples: Samples):
+    """The columns the predictors, reconstruction and metrics take, with
+    one packed calibration row per distinct camera."""
+    s = samples
+    return pack_calibrations(s.cals), s.cal_index, s.ids, s.ball_px, s.ball_3d, s.h_true, s.d_true
 
 
 def _evaluate_packed(arrays, spec, method, ball_diameter_m, height_offset):
@@ -104,7 +89,7 @@ def _evaluate_packed(arrays, spec, method, ball_diameter_m, height_offset):
 
 
 def evaluate_once(
-    samples: Sequence[BallSample],
+    samples: Sequence[BallSample] | Samples,
     spec: PredictorSpec,
     method: str = "height",
     ball_diameter_m: float = BALL_DIAMETER_M,
@@ -121,19 +106,19 @@ def evaluate_once(
     the metrics; the second return value counts them.
     """
     return _evaluate_packed(
-        _sample_arrays(samples), spec, method, ball_diameter_m, height_offset
+        _sample_arrays(Samples.from_rows(samples)), spec, method, ball_diameter_m, height_offset
     )
 
 
 def run_evaluation(
-    samples: Sequence[BallSample],
+    samples: Sequence[BallSample] | Samples,
     spec: PredictorSpec,
     method: str = "height",
     repeats: int = 1,
     ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> tuple[list[EvalReport], list[int]]:
     """k seeded repeats; repeat r uses predictor seed spec.seed + r."""
-    arrays = _sample_arrays(samples)
+    arrays = _sample_arrays(Samples.from_rows(samples))
     reports: list[EvalReport] = []
     failed: list[int] = []
     for r in range(repeats):
@@ -148,7 +133,7 @@ def run_evaluation(
 # Subcommands.
 
 
-def _load_samples(args) -> list[BallSample]:
+def _load_samples(args) -> Samples:
     ds = read_dataset(args.dataset)
     fold = getattr(args, "fold", None)
     samples = split(ds, fold)[1].samples if fold else ds.samples
@@ -215,10 +200,10 @@ def cmd_synth(args, parser) -> int:
     samples = generate_dataset(
         seed=args.seed, n=args.n, arena=arena, dist=dist, n_arenas=args.arenas
     )
-    folds = assign_folds([s.arena_id for s in samples], args.n_folds)
+    folds = assign_folds(samples.arena.tolist(), args.n_folds)
     ds = Dataset(samples=samples, folds=folds)
     write_dataset(ds, args.out)
-    counts = height_histogram([s.ball_3d.z for s in samples], DEFAULT_HIST_EDGES)
+    counts = height_histogram(samples.ball_3d[:, 2], DEFAULT_HIST_EDGES)
     print(f"wrote {len(samples)} samples / {args.arenas} arenas to {args.out}")
     edges = list(DEFAULT_HIST_EDGES)
     labels = [f"[{edges[i]:g},{edges[i + 1]:g})" for i in range(len(edges) - 1)]
@@ -393,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except CourtliftError as exc:
+    except (CourtliftError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,27 +1,34 @@
 """Dataset serialization (JSON Lines), arena-fold splitting, rebalancing.
 
-File format: a header line ``{"schema_version": 1, "folds": {...}}``
-followed by one JSON object per sample. Floats are serialized with
-round-trip-exact decimal formatting (Python's repr), so read(write(ds))
-is bit-exact.
+File format (schema version 2): a header line
+
+    {"cameras": [{"arena": a, "cal": {...}}, ...], "folds": {...}, "schema_version": 2}
+
+that carries each arena's calibration once, followed by one JSON array
+of 11 numbers per sample:
+
+    [id, arena, bx, by, bz, u, v, foot_u, foot_v, h_true, diam_px]
+
+the sample id, its arena, the ball's world position (m), its raw pixel,
+its foot pixel, the undistorted pixel height and the true image
+diameter. A record takes about 186 bytes; a version 1 record, which
+copied the calibration into every record, took 766. Version 1 files
+(one JSON object per sample with keys id, arena, cal, ball_3d, ball_px,
+foot_px, h_true, diam_px) still read. Floats are written with Python's
+round-trip-exact repr, so read(write(ds)) is bit-exact.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .camera import (
-    ImagePoint,
-    WorldPoint,
-    calibration_from_json_dict,
-    calibration_to_json_dict,
-    validate,
-)
+import numpy as np
+
+from .camera import calibration_from_json_dict, calibration_to_json_dict, validate
 from .errors import (
     FoldViolation,
     MalformedRecord,
@@ -30,21 +37,33 @@ from .errors import (
     UnknownFold,
 )
 from .rng import PURPOSE_REBALANCE, stream
-from .synth import BallSample
+from .synth import BallSample, Samples
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_RECORD_KEYS = ("id", "arena", "cal", "ball_3d", "ball_px", "foot_px", "h_true", "diam_px")
+# The field each position of a version 2 record holds.
+_RECORD_FIELDS = (
+    "id", "arena", "ball_3d", "ball_3d", "ball_3d", "ball_px", "ball_px",
+    "foot_px", "foot_px", "h_true", "diam_px",
+)
+_RECORD_LEN = len(_RECORD_FIELDS)
+_RECORD_LINE = "[%d, %d, %r, %r, %r, %r, %r, %r, %r, %r, %r]\n"
+
+_V1_KEYS = ("id", "arena", "cal", "ball_3d", "ball_px", "foot_px", "h_true", "diam_px")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Samples plus a partition of arena ids into named folds."""
+    """Samples plus a partition of arena ids into named folds.
 
-    samples: list[BallSample]
+    ``samples`` may be given as `BallSample` rows; it is stored as a
+    `Samples` table."""
+
+    samples: Samples
     folds: dict[str, frozenset[int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", Samples.from_rows(self.samples))
         object.__setattr__(
             self, "folds", {name: frozenset(ids) for name, ids in self.folds.items()}
         )
@@ -59,17 +78,29 @@ class Dataset:
                         f"arena {arena} appears in folds {seen_arenas[arena]!r} and {name!r}"
                     )
                 seen_arenas[arena] = name
-        seen_ids = set()
-        for i, s in enumerate(self.samples):
-            if s.sample_id in seen_ids:
-                raise MalformedRecord(i, f"duplicate sample id {s.sample_id}")
-            seen_ids.add(s.sample_id)
-            if s.arena_id not in seen_arenas:
-                raise FoldViolation(f"sample {s.sample_id}: arena {s.arena_id} is in no fold")
+        ids = self.samples.ids
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if len(repeats):
+            index = int(repeats.min())
+            raise MalformedRecord(index, f"duplicate sample id {ids[index]}")
+        arena = self.samples.arena
+        unfolded = ~_rows_in(arena, seen_arenas)
+        if unfolded.any():
+            index = int(np.argmax(unfolded))
+            raise FoldViolation(f"sample {ids[index]}: arena {arena[index]} is in no fold")
 
     @property
     def arena_ids(self) -> set[int]:
-        return {s.arena_id for s in self.samples}
+        return set(self.samples.arena.tolist())
+
+
+def _rows_in(arena: np.ndarray, arenas) -> np.ndarray:
+    """Mask of the rows whose arena is in ``arenas``, a set of ints."""
+    mask = np.zeros(len(arena), dtype=bool)
+    for a in set(arena.tolist()).intersection(arenas):
+        mask |= arena == a
+    return mask
 
 
 def assign_folds(arena_ids: Sequence[int], n_folds: int) -> dict[str, set[int]]:
@@ -88,65 +119,70 @@ def _fold_name(i: int) -> str:
     return letters[i] if i < len(letters) else f"F{i}"
 
 
-def _sample_to_record(s: BallSample) -> dict:
-    return {
-        "id": s.sample_id,
-        "arena": s.arena_id,
-        "cal": calibration_to_json_dict(s.cal),
-        "ball_3d": [s.ball_3d.x, s.ball_3d.y, s.ball_3d.z],
-        "ball_px": [s.ball_px.x, s.ball_px.y],
-        "foot_px": [s.foot_px.x, s.foot_px.y],
-        "h_true": s.h_true,
-        "diam_px": s.diameter_px_true,
-    }
+# ---------------------------------------------------------------------------
+# Writing.
 
 
-def _record_values(s: BallSample) -> tuple:
-    """A record's numbers other than its calibration's, in key order."""
-    b, p, f = s.ball_3d, s.ball_px, s.foot_px
-    return (
-        s.arena_id, b.x, b.y, b.z, p.x, p.y, s.diameter_px_true, f.x, f.y, s.h_true, s.sample_id
-    )
-
-
-# json.dumps(record, sort_keys=True) with the calibration's text at %s.
-# %r writes an exact int or float as json does: int.__repr__, float.__repr__.
-_RECORD_LINE = (
-    '{"arena": %r, "ball_3d": [%r, %r, %r], "ball_px": [%r, %r], "cal": %s, '
-    '"diam_px": %r, "foot_px": [%r, %r], "h_true": %r, "id": %r}\n'
-)
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
-def _checked_calibration_texts(samples: Sequence[BallSample]) -> dict[int, str]:
-    """Each distinct calibration's JSON text, keyed by the object's id.
-
-    Every number of every record is checked on the way: a non-finite one
-    raises MalformedRecord with the sample's index."""
-    texts: dict[int, str] = {}
-    for index, s in enumerate(samples):
-        if id(s.cal) not in texts:
+def _cameras(samples: Samples) -> list[dict]:
+    """One header camera entry per arena, in the order of each arena's
+    first record. A calibration that is not finite, or an arena whose
+    records carry calibrations that differ, raises MalformedRecord with
+    the index of the first record concerned."""
+    first: dict[tuple[int, int], int] = {}  # (arena, cal_index) -> first record
+    for index, pair in enumerate(zip(samples.arena.tolist(), samples.cal_index.tolist())):
+        first.setdefault(pair, index)
+    texts: dict[int, str] = {}  # cal_index -> JSON text
+    arena_cal: dict[int, int] = {}  # arena -> cal_index of its first record
+    for (arena, j), index in first.items():
+        if j not in texts:
+            cal = calibration_to_json_dict(samples.cals[j])
             try:
-                text = json.dumps(calibration_to_json_dict(s.cal), sort_keys=True, allow_nan=False)
+                texts[j] = json.dumps(cal, sort_keys=True, allow_nan=False)
             except ValueError as exc:
                 raise MalformedRecord(index, "calibration is not finite") from exc
-            texts[id(s.cal)] = text
-        try:
-            finite = all(map(math.isfinite, _record_values(s)))
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise MalformedRecord(index, "a value is not a finite number")
-    return texts
+        if texts[arena_cal.setdefault(arena, j)] != texts[j]:
+            message = f"arena {arena} calibration differs from its first record's"
+            raise MalformedRecord(index, message)
+    cals = samples.cals
+    return [{"arena": a, "cal": calibration_to_json_dict(cals[j])} for a, j in arena_cal.items()]
 
 
-def _record_line(s: BallSample, cal_text: str) -> str:
-    """The record's line, byte for byte json.dumps(record, sort_keys=True)."""
-    values = _record_values(s)
-    if not _PLAIN_NUMBERS.issuperset(map(type, values)):
-        # bool, numpy scalars and other subclasses: json's own formatting.
-        return json.dumps(_sample_to_record(s), sort_keys=True) + "\n"
-    return _RECORD_LINE % (*values[:6], cal_text, *values[6:])
+def write_dataset(ds: Dataset, sink) -> None:
+    """Write a dataset as JSON Lines to a path or text file object.
+
+    Every number is checked finite, and every arena's records checked to
+    carry one calibration, before anything is written, and for a path
+    before the file is opened; a failure raises MalformedRecord with the
+    sample's index.
+    """
+    s = ds.samples
+    header = {
+        "cameras": _cameras(s),
+        "folds": {name: sorted(ids) for name, ids in sorted(ds.folds.items())},
+        "schema_version": SCHEMA_VERSION,
+    }
+    values = np.column_stack([s.ball_3d, s.ball_px, s.foot_px, s.h_true, s.d_true])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise MalformedRecord(int(np.argmin(finite)), "a value is not a finite number")
+    lines = (
+        _RECORD_LINE % row
+        for row in zip(s.ids.tolist(), s.arena.tolist(), *values.T.tolist())
+    )
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8") as f:
+            _write_lines(f, header, lines)
+    else:
+        _write_lines(sink, header, lines)
+
+
+def _write_lines(sink, header: dict, lines) -> None:
+    sink.write(json.dumps(header, sort_keys=True) + "\n")
+    sink.writelines(lines)
+
+
+# ---------------------------------------------------------------------------
+# Reading.
 
 
 def _reject_constant(token: str):
@@ -164,53 +200,16 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _sample_from_record(obj: dict, index: int, arena_cals: dict) -> BallSample:
-    """Parse one record. ``arena_cals`` maps each arena seen so far to its
-    first record's calibration JSON and object; the first calibration must
-    be valid, and later records of the arena must carry the same one and
-    share that object."""
-    missing = [k for k in _RECORD_KEYS if k not in obj]
-    if missing:
-        raise MalformedRecord(index, f"missing keys {missing}")
+def _camera(arena: int, obj):
+    """The calibration of a camera entry; ValueError if it is invalid."""
     try:
-        arena_id = _integer(obj["arena"], "arena")
-        if arena_id not in arena_cals:
-            cal = calibration_from_json_dict(obj["cal"])
-            violations = validate(cal)
-            if violations:
-                raise MalformedRecord(
-                    index, f"arena {arena_id} calibration is invalid: {', '.join(violations)}"
-                )
-            arena_cals[arena_id] = (obj["cal"], cal)
-        first_json, cal = arena_cals[arena_id]
-        if obj["cal"] != first_json:
-            raise MalformedRecord(
-                index, f"arena {arena_id} calibration differs from its first record's"
-            )
-        # An id keys the predictors' per-sample streams and is packed as int64.
-        sample_id = _integer(obj["id"], "id")
-        if not 0 <= sample_id < 2**63:
-            raise ValueError(f"id {sample_id} is outside [0, 2**63)")
-        ball_3d = [float(x) for x in obj["ball_3d"]]
-        ball_px = [float(x) for x in obj["ball_px"]]
-        foot_px = [float(x) for x in obj["foot_px"]]
-        h_true, diam_px = float(obj["h_true"]), float(obj["diam_px"])
-        # One check per record: json parses an overflowing literal such as
-        # 1e999 to infinity without a constant token.
-        if not all(map(math.isfinite, (*ball_3d, *ball_px, *foot_px, h_true, diam_px))):
-            raise ValueError("ball_3d, ball_px, foot_px, h_true or diam_px is not finite")
-        return BallSample(
-            sample_id=sample_id,
-            arena_id=arena_id,
-            cal=cal,
-            ball_3d=WorldPoint(*ball_3d),
-            ball_px=ImagePoint(*ball_px),
-            foot_px=ImagePoint(*foot_px),
-            h_true=h_true,
-            diameter_px_true=diam_px,
-        )
+        cal = calibration_from_json_dict(obj)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRecord(index, str(exc)) from exc
+        raise ValueError(f"arena {arena} calibration is unreadable: {exc!r}") from exc
+    violations = validate(cal)
+    if violations:
+        raise ValueError(f"arena {arena} calibration is invalid: {', '.join(violations)}")
+    return cal
 
 
 def _folds_from_header(folds) -> dict[str, frozenset[int]]:
@@ -228,61 +227,170 @@ def _folds_from_header(folds) -> dict[str, frozenset[int]]:
     return parsed
 
 
-def write_dataset(ds: Dataset, sink) -> None:
-    """Write a dataset as JSON Lines to a path or text file object.
+def _cameras_from_header(cameras) -> dict:
+    """Each header camera's calibration, keyed by arena, in file order."""
+    if not isinstance(cameras, list):
+        raise SchemaVersionMismatch(f"cameras must be a list, got {cameras!r}")
+    cals = {}
+    for k, entry in enumerate(cameras):
+        try:
+            if not isinstance(entry, dict) or set(entry) != {"arena", "cal"}:
+                raise ValueError(f"expected an object with keys arena and cal, got {entry!r}")
+            arena = _integer(entry["arena"], "arena")
+            if arena in cals:
+                raise ValueError(f"arena {arena} has a second camera")
+            cals[arena] = _camera(arena, entry["cal"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaVersionMismatch(f"camera {k}: {exc}") from exc
+    return cals
 
-    Every number is checked finite before anything is written, and for a
-    path before the file is opened; a non-finite one raises
-    MalformedRecord with the sample's index. Each distinct calibration is
-    serialized once, and records go to the sink one line at a time.
-    """
-    cal_texts = _checked_calibration_texts(ds.samples)
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as f:
-            _write_lines(ds, cal_texts, f)
-    else:
-        _write_lines(ds, cal_texts, sink)
+
+def _decode(line: str, index: int):
+    """The JSON value of a stripped record line."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except ValueError as exc:
+        raise MalformedRecord(index, f"invalid JSON: {exc}") from exc
+    if end != len(line):
+        raise MalformedRecord(index, f"invalid JSON: extra data at column {end + 1}")
+    return value
 
 
-def _write_lines(ds: Dataset, cal_texts: dict[int, str], sink) -> None:
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "folds": {name: sorted(ids) for name, ids in sorted(ds.folds.items())},
-    }
-    sink.write(json.dumps(header, sort_keys=True) + "\n")
-    for s in ds.samples:
-        sink.write(_record_line(s, cal_texts[id(s.cal)]))
+def _v2_records(lines) -> list[list]:
+    records = []
+    for index, line in enumerate(lines):
+        record = _decode(line, index)
+        if type(record) is not list or len(record) != _RECORD_LEN:
+            raise MalformedRecord(index, f"expected a list of {_RECORD_LEN} numbers")
+        records.append(record)
+    return records
+
+
+def _v1_records(lines) -> tuple[dict, list[list]]:
+    """Version 1 records as version 2 ones, and the calibration of each
+    arena. An arena's first record supplies its calibration, and every
+    later record of the arena must carry the same one."""
+    cals, cal_json, records = {}, {}, []
+    for index, line in enumerate(lines):
+        obj = _decode(line, index)
+        if not isinstance(obj, dict):
+            raise MalformedRecord(index, "expected a JSON object")
+        missing = [k for k in _V1_KEYS if k not in obj]
+        if missing:
+            raise MalformedRecord(index, f"missing keys {missing}")
+        try:
+            arena = _integer(obj["arena"], "arena")
+            if arena not in cals:
+                cals[arena] = _camera(arena, obj["cal"])
+                cal_json[arena] = obj["cal"]
+            elif obj["cal"] != cal_json[arena]:
+                raise ValueError(f"arena {arena} calibration differs from its first record's")
+            lists = [obj[k] for k in ("ball_3d", "ball_px", "foot_px")]
+            if [len(x) if isinstance(x, list) else None for x in lists] != [3, 2, 2]:
+                raise ValueError("ball_3d, ball_px and foot_px must be lists of 3, 2 and 2")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRecord(index, str(exc)) from exc
+        ball_3d, ball_px, foot_px = lists
+        records.append(
+            [obj["id"], obj["arena"], *ball_3d, *ball_px, *foot_px, obj["h_true"], obj["diam_px"]]
+        )
+    return cals, records
+
+
+def _reject_non_numbers(records: list[list]) -> None:
+    """Raise MalformedRecord at the first record value that is not a
+    number, or for id and arena not an int64."""
+    for index, record in enumerate(records):
+        for position, value in enumerate(record):
+            name = _RECORD_FIELDS[position]
+            try:
+                float(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedRecord(index, f"{name} {value!r} is not a number") from exc
+            if position < 2:
+                try:
+                    np.array([value], dtype=np.int64)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    message = f"{name} {value!r} is outside the int64 range"
+                    raise MalformedRecord(index, message) from exc
+
+
+def _samples(records: list[list], cals: dict) -> Samples:
+    """The table of version 2 records, checked column by column: every
+    value a finite number, id and arena integral, ids in [0, 2**63), and
+    every arena with a camera in ``cals``."""
+    try:
+        values = np.array(records, dtype=np.float64).reshape(-1, _RECORD_LEN)
+        keys = np.array([r[:2] for r in records], dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        _reject_non_numbers(records)
+        raise
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index, position = np.argwhere(bad)[0].tolist()
+        raise MalformedRecord(index, f"{_RECORD_FIELDS[position]} is not a finite number")
+    fractional = keys != values[:, :2]
+    if fractional.any():
+        index, position = np.argwhere(fractional)[0].tolist()
+        value = records[index][position]
+        raise MalformedRecord(index, f"{_RECORD_FIELDS[position]} {value!r} is not an integer")
+    ids, arena = keys.T
+    # An id keys the predictors' per-sample streams and is packed as int64.
+    negative = ids < 0
+    if negative.any():
+        index = int(np.argmax(negative))
+        raise MalformedRecord(index, f"id {ids[index]} is outside [0, 2**63)")
+    position = {a: j for j, a in enumerate(cals)}
+    cal_index = np.array([position.get(a, -1) for a in arena.tolist()], dtype=np.int64)
+    unknown = cal_index < 0
+    if unknown.any():
+        index = int(np.argmax(unknown))
+        raise MalformedRecord(index, f"arena {arena[index]} has no camera in the header")
+    return Samples(
+        ids=np.ascontiguousarray(ids),
+        arena=np.ascontiguousarray(arena),
+        cals=tuple(cals.values()),
+        cal_index=cal_index,
+        ball_3d=np.ascontiguousarray(values[:, 2:5]),
+        ball_px=np.ascontiguousarray(values[:, 5:7]),
+        foot_px=np.ascontiguousarray(values[:, 7:9]),
+        h_true=np.ascontiguousarray(values[:, 9]),
+        d_true=np.ascontiguousarray(values[:, 10]),
+    )
 
 
 def read_dataset(source) -> Dataset:
-    """Read a dataset from a path or text file object, validating as it goes."""
+    """Read a dataset from a path or text file object, validating it.
+
+    The file is read a line at a time; blank lines are skipped. A bad
+    header raises SchemaVersionMismatch, and a bad record MalformedRecord
+    with its index among the records.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
             return read_dataset(f)
-    lines = [line for line in source.read().splitlines() if line.strip()]
-    if not lines:
+    lines = filter(None, map(str.strip, source))
+    first = next(lines, None)
+    if first is None:
         raise SchemaVersionMismatch("empty dataset file")
     try:
-        header = _DECODER.decode(lines[0])
+        header = _DECODER.decode(first)
     except ValueError as exc:
         raise SchemaVersionMismatch(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise SchemaVersionMismatch(f"header must be a JSON object, got {header!r}")
     version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in (1, SCHEMA_VERSION):
         raise SchemaVersionMismatch(
-            f"expected schema_version {SCHEMA_VERSION}, got {version!r}"
+            f"expected schema_version 1 or {SCHEMA_VERSION}, got {version!r}"
         )
     folds = _folds_from_header(header.get("folds", {}))
-    samples = []
-    arena_cals: dict = {}
-    for index, line in enumerate(lines[1:]):
-        try:
-            obj = _DECODER.decode(line)
-        except ValueError as exc:
-            raise MalformedRecord(index, f"invalid JSON: {exc}") from exc
-        samples.append(_sample_from_record(obj, index, arena_cals))
-    return Dataset(samples=samples, folds=folds)
+    if version == 1:
+        cals, records = _v1_records(lines)
+    else:
+        cals = _cameras_from_header(header.get("cameras"))
+        records = _v2_records(lines)
+    return Dataset(samples=_samples(records, cals), folds=folds)
 
 
 def dataset_to_string(ds: Dataset) -> str:
@@ -296,16 +404,15 @@ def split(ds: Dataset, test_fold: str) -> tuple[Dataset, Dataset]:
     if test_fold not in ds.folds:
         raise UnknownFold(f"fold {test_fold!r} not in {sorted(ds.folds)}")
     test_arenas = ds.folds[test_fold]
-    train_samples = [s for s in ds.samples if s.arena_id not in test_arenas]
-    test_samples = [s for s in ds.samples if s.arena_id in test_arenas]
+    in_test = _rows_in(ds.samples.arena, test_arenas)
     train_folds = {name: ids for name, ids in ds.folds.items() if name != test_fold}
-    train = Dataset(samples=train_samples, folds=train_folds)
-    test = Dataset(samples=test_samples, folds={test_fold: test_arenas})
+    train = Dataset(samples=ds.samples[~in_test], folds=train_folds)
+    test = Dataset(samples=ds.samples[in_test], folds={test_fold: test_arenas})
     return train, test
 
 
 def rebalance(
-    samples: Sequence[BallSample], threshold_m: float, seed: int
+    samples: Sequence[BallSample] | Samples, threshold_m: float, seed: int
 ) -> list[BallSample]:
     """Equalize counts above/below a height threshold by oversampling.
 
@@ -314,6 +421,7 @@ def rebalance(
     duplicates are appended. "Above" means ball z >= threshold.
     Idempotent on balanced input and deterministic under a fixed seed.
     """
+    samples = list(samples)
     above = [s for s in samples if s.ball_3d.z >= threshold_m]
     below = [s for s in samples if s.ball_3d.z < threshold_m]
     if not above or not below:
@@ -322,8 +430,8 @@ def rebalance(
         )
     need = len(above) - len(below)
     if need == 0:
-        return list(samples)
+        return samples
     minority = below if need > 0 else above
     rng = stream(seed, 0, PURPOSE_REBALANCE)
     picks = rng.integers(0, len(minority), size=abs(need))
-    return list(samples) + [minority[int(j)] for j in picks]
+    return samples + [minority[int(j)] for j in picks]

@@ -15,7 +15,8 @@ studies never hit degenerate geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -142,6 +143,76 @@ class BallSample:
     foot_px: ImagePoint
     h_true: float
     diameter_px_true: float
+
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Annotated samples as columns: row i of every array is sample i.
+
+    ``cals`` holds each distinct calibration once and ``cal_index[i]`` is
+    the position of row i's. ``len()``, iteration and an integer index
+    give `BallSample` rows; a slice, boolean mask or index array gives
+    the table of those rows.
+    """
+
+    ids: np.ndarray  # (n,) int64
+    arena: np.ndarray  # (n,) int64
+    cals: tuple[CameraCalibration, ...]
+    cal_index: np.ndarray  # (n,) int64 into cals
+    ball_3d: np.ndarray  # (n, 3) world metres
+    ball_px: np.ndarray  # (n, 2) raw pixels
+    foot_px: np.ndarray  # (n, 2) raw pixels
+    h_true: np.ndarray  # (n,) undistorted pixel height
+    d_true: np.ndarray  # (n,) true image diameter, pixels
+
+    @staticmethod
+    def from_rows(rows: Iterable[BallSample] | Samples) -> Samples:
+        """The table of `BallSample` rows; a table is returned as it is.
+        Rows share a ``cals`` entry when they share a calibration object."""
+        if isinstance(rows, Samples):
+            return rows
+        rows = list(rows)
+        cals = {id(s.cal): s.cal for s in rows}
+        position = {key: j for j, key in enumerate(cals)}
+
+        def column(values, width=None):
+            array = np.array(list(values), dtype=np.float64)
+            return array if width is None else array.reshape(-1, width)
+
+        return Samples(
+            ids=np.array([s.sample_id for s in rows], dtype=np.int64),
+            arena=np.array([s.arena_id for s in rows], dtype=np.int64),
+            cals=tuple(cals.values()),
+            cal_index=np.array([position[id(s.cal)] for s in rows], dtype=np.int64),
+            ball_3d=column(((s.ball_3d.x, s.ball_3d.y, s.ball_3d.z) for s in rows), 3),
+            ball_px=column(((s.ball_px.x, s.ball_px.y) for s in rows), 2),
+            foot_px=column(((s.foot_px.x, s.foot_px.y) for s in rows), 2),
+            h_true=column(s.h_true for s in rows),
+            d_true=column(s.diameter_px_true for s in rows),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[BallSample]:
+        cals = [self.cals[j] for j in self.cal_index.tolist()]
+        for i, a, cal, b, p, f, h, d in zip(
+            self.ids.tolist(),
+            self.arena.tolist(),
+            cals,
+            self.ball_3d.tolist(),
+            self.ball_px.tolist(),
+            self.foot_px.tolist(),
+            self.h_true.tolist(),
+            self.d_true.tolist(),
+        ):
+            yield BallSample(i, a, cal, WorldPoint(*b), ImagePoint(*p), ImagePoint(*f), h, d)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[[key]]))
+        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cals"}
+        return replace(self, **{name: column[key] for name, column in columns.items()})
 
 
 def make_camera(
@@ -303,7 +374,7 @@ def generate_dataset(
     arena: ArenaSpec | None = None,
     dist: HeightDistSpec | None = None,
     n_arenas: int = 1,
-) -> list[BallSample]:
+) -> Samples:
     """Generate n annotated samples over n_arenas cameras (round-robin).
 
     Fully deterministic in `seed`: cameras and each sample draw from
@@ -324,48 +395,39 @@ def generate_dataset(
     ]
     packed = pack_calibrations(cameras)
     cursor = Cursor(seed, PURPOSE_BALL)
-    samples: list = [None] * n
+    ids = np.arange(n, dtype=np.int64)
+    columns = (np.empty((n, 3)), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n))
     # Round k draws attempt k of every sample not yet placed. Each attempt
     # draws _BALL_WORDS words, so attempt k starts k times that many words
     # into the sample's stream.
-    todo = range(n)
+    todo = ids
     for attempt in range(_MAX_PLACEMENT_RETRIES):
         words = attempt * _BALL_WORDS[dist.kind]
         missed = []
         for start in range(0, len(todo), _PLACEMENT_BLOCK):
             chunk = todo[start : start + _PLACEMENT_BLOCK]
-            missed += _place(cursor, chunk, words, samples, cameras, packed, arena, dist)
-        if not missed:
-            return samples
-        todo = missed
+            missed.append(_place(cursor, chunk, words, columns, packed, arena, dist))
+        todo = np.concatenate(missed)
+        if not len(todo):
+            arena_ids = ids % n_arenas
+            return Samples(ids, arena_ids, tuple(cameras), arena_ids, *columns)
     raise FrameCoverageFailure(
         f"sample {todo[0]}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
     )
 
 
-def _place(cursor: Cursor, ids, words, samples, cameras, packed, arena, dist) -> list:
+def _place(cursor: Cursor, ids, words, columns, packed, arena, dist) -> np.ndarray:
     """Draw and annotate one ball per sample id in `ids`, from `words`
-    words into stream (seed, id, PURPOSE_BALL). Usable ones go into
-    `samples`; the ids of the others come back."""
-    balls = [sample_ball(cursor.seek(i, words), arena, dist) for i in ids]
-    xyz = np.array([[b.x, b.y, b.z] for b in balls]).T
-    arena_ids = np.array(ids) % len(cameras)
-    annotations = _annotate(calibration_columns(packed, arena_ids), *xyz, arena)
-    missed = []
-    for i, a, ball, ok, u, v, fu, fv, h, diameter in zip(
-        ids, arena_ids.tolist(), balls, *(x.tolist() for x in annotations)
-    ):
-        if ok:
-            samples[i] = BallSample(
-                sample_id=i,
-                arena_id=a,
-                cal=cameras[a],
-                ball_3d=ball,
-                ball_px=ImagePoint(u, v),
-                foot_px=ImagePoint(fu, fv),
-                h_true=h,
-                diameter_px_true=diameter,
-            )
-        else:
-            missed.append(i)
-    return missed
+    words into stream (seed, id, PURPOSE_BALL). Usable ones are written
+    to their rows of `columns` (ball_3d, ball_px, foot_px, h_true,
+    d_true); the ids of the others come back."""
+    balls = [sample_ball(cursor.seek(i, words), arena, dist) for i in ids.tolist()]
+    xyz = np.array([[b.x, b.y, b.z] for b in balls])
+    usable, u, v, fu, fv, h, diameter = _annotate(
+        calibration_columns(packed, ids % len(packed)), *xyz.T, arena
+    )
+    rows = ids[usable]
+    values = (xyz, np.column_stack([u, v]), np.column_stack([fu, fv]), h, diameter)
+    for column, value in zip(columns, values):
+        column[rows] = value[usable]
+    return ids[~usable]

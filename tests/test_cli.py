@@ -41,7 +41,9 @@ class TestSynth:
         lines = dataset_file.read_text().splitlines()
         assert len(lines) == 301  # header + samples
         header = json.loads(lines[0])
-        assert header["schema_version"] == 1
+        assert header["schema_version"] == 2
+        assert [camera["arena"] for camera in header["cameras"]] == list(range(6))
+        assert all(len(json.loads(line)) == 11 for line in lines[1:])
         assert sum(len(v) for v in header["folds"].values()) == 6
 
     def test_same_flags_give_identical_files(self, tmp_path):
@@ -114,6 +116,24 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(argv.format(dataset=dataset_file, out=out).split())
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "evaluate --dataset {missing} --out {out}",
+        "sweep --dataset {missing} --grid 0 --out {out}",
+        "synth --n 5 --arena-json {missing} --out {out}",
+        "reconstruct --cal {missing} --x 1 --y 1 --height 1",
+    ],
+)
+def test_missing_input_file_is_an_error_line(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "nope.json"
+    assert main(argv.format(missing=missing, out="out").split()) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{missing}'\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from courtlift import (
     split,
     write_dataset,
 )
+from courtlift.cli import main
 from courtlift.dataio import dataset_to_string
 from courtlift.errors import (
     FoldViolation,
@@ -28,7 +30,10 @@ from courtlift.errors import (
     SchemaVersionMismatch,
     UnknownFold,
 )
+from courtlift.reconstruct import pack_calibrations
 from courtlift.synth import BallSample
+
+DATASET_V1 = Path(__file__).parent / "data" / "dataset_v1.jsonl"
 
 
 def _dummy_cal() -> CameraCalibration:
@@ -62,7 +67,7 @@ class TestRoundTrip:
         ds = Dataset(samples=[], folds={})
         text = dataset_to_string(ds)
         rec = read_dataset(io.StringIO(text))
-        assert rec.samples == [] and rec.folds == {}
+        assert len(rec.samples) == 0 and rec.folds == {}
         assert dataset_to_string(rec) == text
 
     def test_synthetic_dataset_is_bit_exact(self):
@@ -86,8 +91,34 @@ class TestRoundTrip:
         assert len(rec.samples) == 20
         assert rec.folds == {"A": frozenset({0}), "B": frozenset({1})}
 
+    def test_version_1_file_reads_as_the_version_2_file_synth_writes(self, tmp_path):
+        # dataset_v1.jsonl was written by `courtlift synth` with these flags
+        # before the format changed.
+        path = tmp_path / "v2.jsonl"
+        argv = ["synth", "--n", "300", "--arenas", "3", "--seed", "1", "--out", str(path)]
+        assert main(argv) == 0
+        assert json.loads(path.read_text().splitlines()[0])["schema_version"] == 2
+        old, new = read_dataset(DATASET_V1), read_dataset(path)
+        assert old.folds == new.folds
+        assert len(new.samples) == 300
+        columns = ("ids", "arena", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true", "d_true")
+        for name in columns:
+            a, b = getattr(old.samples, name), getattr(new.samples, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        old_cals, new_cals = (pack_calibrations(d.samples.cals) for d in (old, new))
+        assert old_cals.tobytes() == new_cals.tobytes()
 
-def _reference_record(s: BallSample) -> dict:
+
+def _record(s: BallSample) -> list:
+    return [
+        s.sample_id,
+        s.arena_id,
+        *map(float, (s.ball_3d.x, s.ball_3d.y, s.ball_3d.z, s.ball_px.x, s.ball_px.y)),
+        *map(float, (s.foot_px.x, s.foot_px.y, s.h_true, s.diameter_px_true)),
+    ]
+
+
+def _v1_record(s: BallSample) -> dict:
     return {
         "id": s.sample_id,
         "arena": s.arena_id,
@@ -98,6 +129,13 @@ def _reference_record(s: BallSample) -> dict:
         "h_true": s.h_true,
         "diam_px": s.diameter_px_true,
     }
+
+
+def _v1_text(samples, folds) -> str:
+    """A version 1 file: the calibration in every record."""
+    header = {"folds": {name: sorted(ids) for name, ids in folds.items()}, "schema_version": 1}
+    lines = [header, *(_v1_record(s) for s in samples)]
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines)
 
 
 EDGE_FLOATS = (-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, -1.7976931348623157e308, 123456.789)
@@ -129,15 +167,19 @@ class TestWrite:
             replace(samples[0], sample_id=7, h_true=60, ball_px=ImagePoint(np.float64(0.1), 2))
         )
         samples.append(replace(samples[1], sample_id=8, diameter_px_true=np.float64(1e16)))
+        # A record of arena 2 with a distinct calibration object of equal value.
+        samples.append(replace(samples[2], sample_id=9, cal=_dummy_cal()))
         ds = Dataset(samples=samples, folds={"A": {0, 1}, "B": {2, 3}})
         header, *lines = dataset_to_string(ds).split("\n")
         assert lines.pop() == ""
+        cameras = [{"arena": a, "cal": calibration_to_json_dict(cals[a])} for a in range(4)]
         assert header == json.dumps(
-            {"folds": {"A": [0, 1], "B": [2, 3]}, "schema_version": 1}, sort_keys=True
+            {"cameras": cameras, "folds": {"A": [0, 1], "B": [2, 3]}, "schema_version": 2},
+            sort_keys=True,
         )
         assert len(lines) == len(samples)
         for line, s in zip(lines, samples):
-            assert line == json.dumps(_reference_record(s), sort_keys=True)
+            assert line == json.dumps(_record(s))
 
     def test_nan_is_rejected_before_the_file_is_opened(self, tmp_path):
         samples = [_sample(0), replace(_sample(1), h_true=float("nan")), _sample(2)]
@@ -154,6 +196,8 @@ class TestWrite:
             {"foot_px": ImagePoint(float("-inf"), 1.0)},
             {"diameter_px_true": float("nan")},
             {"cal": replace(_dummy_cal(), k2=float("nan"))},
+            # Finite, but not the calibration of the arena's first record.
+            {"cal": replace(_dummy_cal(), fx=1001.0)},
         ],
     )
     def test_non_finite_number_is_rejected_before_any_line(self, broken):
@@ -165,13 +209,24 @@ class TestWrite:
         assert sink.getvalue() == ""
 
 
+# Positions of the record fields in a version 2 record.
+FIELD_POSITION = {
+    "id": 0, "arena": 1, "ball_3d": 2, "ball_px": 5, "foot_px": 7, "h_true": 9, "diam_px": 10
+}
+CAL_JSON = json.dumps(calibration_to_json_dict(_dummy_cal()))
+
+
 class TestReadValidation:
     def _text(self, ds: Dataset) -> list[str]:
         return dataset_to_string(ds).splitlines()
 
+    def _two_records(self) -> tuple[str, list[list]]:
+        header, *records = self._text(Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}}))
+        return header, [json.loads(r) for r in records]
+
     def test_missing_key_is_malformed_with_index(self):
-        ds = Dataset(samples=[_sample(0)], folds={"A": {0}})
-        header, record = self._text(ds)
+        text = _v1_text([_sample(0)], {"A": {0}})
+        header, record = text.splitlines()
         broken = json.loads(record)
         del broken["cal"]
         text = header + "\n" + json.dumps(broken) + "\n"
@@ -187,30 +242,28 @@ class TestReadValidation:
         with pytest.raises(SchemaVersionMismatch):
             read_dataset(io.StringIO(""))
 
-    def test_invalid_record_json(self):
-        ds = Dataset(samples=[], folds={})
-        text = dataset_to_string(ds) + "{not json}\n"
-        with pytest.raises(MalformedRecord):
+    @pytest.mark.parametrize("record", ["{not json}", "[1, 0" + ", 1.0" * 9 + "] 5"])
+    def test_invalid_record_json(self, record):
+        ds = Dataset(samples=[], folds={"A": {0}})
+        text = dataset_to_string(ds) + record + "\n"
+        with pytest.raises(MalformedRecord, match="record 0: invalid JSON"):
             read_dataset(io.StringIO(text))
 
     def test_arena_with_two_calibrations_is_malformed_with_index(self):
-        ds = Dataset(samples=[_sample(0), _sample(1), _sample(2)], folds={"A": {0}})
-        header, *records = self._text(ds)
+        header, *records = _v1_text([_sample(0), _sample(1), _sample(2)], {"A": {0}}).splitlines()
         moved = json.loads(records[2])
         moved["cal"]["fx"] += 1.0
         records[2] = json.dumps(moved)
         with pytest.raises(MalformedRecord, match="record 2: arena 0 calibration"):
             read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
 
-    def test_infinity_in_record_is_malformed_with_index(self):
-        ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
-        header, *records = self._text(ds)
-        broken = json.loads(records[1])
-        broken["ball_3d"][2] = float("inf")
-        records[1] = json.dumps(broken)
-        assert "Infinity" in records[1]
-        with pytest.raises(MalformedRecord, match="record 1: .*non-finite number Infinity"):
-            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_infinity_in_record_is_malformed_with_index(self, token):
+        header, records = self._two_records()
+        records[1][4] = "SLOT"
+        lines = [header, *(json.dumps(r).replace('"SLOT"', token) for r in records)]
+        with pytest.raises(MalformedRecord, match=f"record 1: .*non-finite number {token}"):
+            read_dataset(io.StringIO("\n".join(lines) + "\n"))
 
     @pytest.mark.parametrize(
         "key, literal",
@@ -226,19 +279,36 @@ class TestReadValidation:
             ("arena", "0.5"),
             ("id", "-1"),
             ("id", "9223372036854775808"),
+            ("id", "1e19"),
+            ("h_true", '"x"'),
+            ("ball_px", "[1.0]"),
         ],
     )
     def test_overflowing_or_non_integral_number_is_malformed_with_index(self, key, literal):
-        ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
-        header, *records = self._text(ds)
-        broken = json.loads(records[1])
-        if isinstance(broken[key], list):
-            broken[key][0] = "SLOT"
-        else:
-            broken[key] = "SLOT"
-        records[1] = json.dumps(broken).replace('"SLOT"', literal)
+        header, records = self._two_records()
+        records[1][FIELD_POSITION[key]] = "SLOT"
+        lines = [header, *(json.dumps(r).replace('"SLOT"', literal) for r in records)]
         with pytest.raises(MalformedRecord, match=f"record 1: .*{key}"):
-            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
+            read_dataset(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"id": 1}', "7", "[1, 0" + ", 1.0" * 8 + "]", "[1, 0" + ", 1.0" * 10 + "]"],
+    )
+    def test_record_that_is_not_a_list_of_eleven_is_malformed(self, record):
+        header, records = self._two_records()
+        lines = [header, json.dumps(records[0]), record]
+        with pytest.raises(MalformedRecord, match="record 1: expected a list of 11 numbers"):
+            read_dataset(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_blank_lines_are_skipped(self):
+        text = dataset_to_string(Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}}))
+        header, first, second = text.splitlines()
+        spaced = "\n".join(["", header, "  ", first, "", "\t", second, ""]) + "\n"
+        assert dataset_to_string(read_dataset(io.StringIO(spaced))) == text
+        broken = spaced.replace(second, second.replace("[1, 0,", "[1, 5,"))
+        with pytest.raises(MalformedRecord, match="record 1: arena 5 has no camera"):
+            read_dataset(io.StringIO(broken))
 
     def test_nan_in_header_is_schema_mismatch(self):
         text = '{"schema_version": 1, "folds": {"A": [NaN]}}\n'
@@ -253,15 +323,37 @@ class TestReadValidation:
             ('{"schema_version": 1, "folds": {"A": 3}}', "fold 'A': arena ids must be a list"),
             ('{"schema_version": 1, "folds": [1]}', "folds must be a JSON object"),
             ("[1]", "header must be a JSON object"),
+            ('{"schema_version": 2, "folds": {"A": [0]}}', "cameras must be a list, got None"),
+            ('{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0}]}', "camera 0: expected"),
+            ('{"schema_version": 2, "folds": {}, "cameras": [7]}', "camera 0: expected"),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": '
+                f'[{{"arena": 0, "cal": {CAL_JSON}}}, {{"arena": 0, "cal": {CAL_JSON}}}]}}',
+                "camera 1: arena 0 has a second camera",
+            ),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": '
+                + CAL_JSON.replace('"fx": 1000.0', '"fx": -1000.0')
+                + "}]}",
+                "camera 0: arena 0 calibration is invalid: FocalNonPositive",
+            ),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": {"fx": 1}}]}',
+                "camera 0: arena 0 calibration is unreadable",
+            ),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": '
+                f'[{{"arena": 0.5, "cal": {CAL_JSON}}}]}}',
+                "camera 0: arena 0.5 is not an integer",
+            ),
         ],
     )
-    def test_malformed_folds_header_is_schema_mismatch(self, header, match):
+    def test_malformed_header_is_schema_mismatch(self, header, match):
         with pytest.raises(SchemaVersionMismatch, match=match):
             read_dataset(io.StringIO(header + "\n"))
 
     def test_invalid_calibration_is_malformed_naming_arena(self):
-        ds = Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}})
-        header, *records = self._text(ds)
+        header, *records = _v1_text([_sample(0), _sample(1)], {"A": {0}}).splitlines()
         for i, record in enumerate(records):
             broken = json.loads(record)
             broken["cal"]["fx"] = -1000.0
@@ -271,9 +363,20 @@ class TestReadValidation:
         ):
             read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
 
-    def test_records_of_one_arena_share_one_calibration(self):
-        ds = Dataset(samples=[_sample(0), _sample(1), _sample(2, arena_id=1)], folds={"A": {0, 1}})
-        first, second, other = read_dataset(io.StringIO(dataset_to_string(ds))).samples
+    def test_arena_without_camera_is_malformed_with_index(self):
+        header, records = self._two_records()
+        records[1][FIELD_POSITION["arena"]] = 3
+        header = header.replace('"A": [0]', '"A": [0, 3]')
+        lines = [header, *map(json.dumps, records)]
+        with pytest.raises(MalformedRecord, match="record 1: arena 3 has no camera"):
+            read_dataset(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_records_of_one_arena_share_one_calibration(self, version):
+        samples, folds = [_sample(0), _sample(1), _sample(2, arena_id=1)], {"A": {0, 1}}
+        ds = Dataset(samples=samples, folds=folds)
+        text = _v1_text(samples, folds) if version == 1 else dataset_to_string(ds)
+        first, second, other = read_dataset(io.StringIO(text)).samples
         assert second.cal is first.cal
         assert other.cal is not first.cal
 
@@ -296,7 +399,7 @@ class TestSplit:
     def test_single_fold_gives_empty_train(self):
         ds = Dataset(samples=[_sample(i) for i in range(4)], folds={"A": {0}})
         train, test = split(ds, "A")
-        assert train.samples == []
+        assert len(train.samples) == 0
         assert [s.sample_id for s in test.samples] == [0, 1, 2, 3]
 
     def test_fifteen_arena_split_is_disjoint(self):

@@ -10,16 +10,18 @@ from courtlift import (
     ArenaSpec,
     Dataset,
     HeightDistSpec,
+    ImagePoint,
     WorldPoint,
     make_camera,
     project,
+    reconstruct_from_height,
     sample_ball,
     validate,
     write_dataset,
 )
 from courtlift import synth
 from courtlift.camera import column, one_row
-from courtlift.errors import FrameCoverageFailure
+from courtlift.errors import DepthNonPositive, FrameCoverageFailure
 from courtlift.rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
 from courtlift.synth import DIST_KINDS, generate_dataset, sample_camera, sample_height
 
@@ -207,6 +209,23 @@ class TestStreamContract:
         assert runs[0] == [_fields(sample) for sample, _ in reference]
         attempts = [a for _, a in reference]
         assert max(attempts) >= 3, attempts  # retries, and retries of retries, were taken
+
+
+def test_ball_whose_ground_point_is_behind_the_camera_is_unusable():
+    # A camera 5 m up, pitched 45 degrees upward: the ball at (0, 4.5, 3) is
+    # in front of it and in frame, its ground point (0, 4.5, 0) behind it.
+    # The height lift from the ball pixel still succeeds, at the wrong
+    # point, so only the ground point's depth check rejects the placement.
+    arena = ArenaSpec(image_width=4000.0, image_height=4000.0)
+    cal = make_camera((0.0, 0.0, 5.0), (0.0, 10.0, 15.0), 500.0, 4000.0, 4000.0)
+    ball = WorldPoint(0.0, 4.5, 3.0)
+    with pytest.raises(DepthNonPositive):
+        project(cal, WorldPoint(ball.x, ball.y, 0.0))
+    usable, u, v, _, _, h, _ = synth._annotate(column(cal), *one_row(ball.x, ball.y, ball.z), arena)
+    assert synth._in_bounds(u[0], v[0], arena)
+    lifted = reconstruct_from_height(cal, ImagePoint(u[0], v[0]), h[0]).ball_3d
+    assert math.dist(lifted.as_array(), ball.as_array()) > 0.5
+    assert not usable[0]
 
 
 class TestMakeCamera:
