@@ -355,3 +355,19 @@ def calibration_from_json_dict(obj: dict) -> CameraCalibration:
         image_width=float(obj["width"]),
         image_height=float(obj["height"]),
     )
+
+
+def load_calibration(label: str, obj) -> CameraCalibration:
+    """The calibration a JSON value describes, checked with `validate`.
+
+    Raises ValueError, its message starting with ``label``, when the
+    value is unreadable as a calibration or fails a check.
+    """
+    try:
+        cal = calibration_from_json_dict(obj)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{label} is unreadable: {exc!r}") from exc
+    violations = validate(cal)
+    if violations:
+        raise ValueError(f"{label} is invalid: {', '.join(violations)}")
+    return cal

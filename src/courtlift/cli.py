@@ -1,5 +1,9 @@
 """Command-line frontend: synth, evaluate, reconstruct, sweep.
 
+`evaluate` and `sweep` share one pass: predictions in, 3D positions
+through the known cameras, a report out. `run_evaluation` and
+`run_sweep` drive it over a `Samples` table.
+
 Every command is deterministic given its flags and seed: reports carry no
 timestamps or scheduling information, and randomness comes from
 per-sample streams. Exit codes: 0 success, 1 runtime or geometry
@@ -15,7 +19,7 @@ import json
 import sys
 from typing import Sequence
 
-from .camera import ImagePoint, calibration_from_json_dict, validate
+from .camera import ImagePoint, load_calibration
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
 from .errors import CourtliftError, EmptyInput, InvalidCalibration
 from .metrics import (
@@ -33,7 +37,7 @@ from .reconstruct import (
     reconstruct_from_height,
     reconstruct_from_height_batch,
 )
-from .synth import ArenaSpec, BallSample, HeightDistSpec, Samples, generate_dataset
+from .synth import ArenaSpec, HeightDistSpec, Samples, generate_dataset
 
 DEFAULT_HIST_EDGES = (0.0, 1.0, 2.0, 3.0)
 
@@ -53,80 +57,62 @@ def _write_json(path: str, obj) -> None:
 
 
 def _sample_arrays(samples: Samples):
-    """The columns the predictors, reconstruction and metrics take, with
-    one packed calibration row per distinct camera."""
+    """The columns the reconstruction and metrics take, with one packed
+    calibration row per distinct camera."""
     s = samples
-    return pack_calibrations(s.cals), s.cal_index, s.ids, s.ball_px, s.ball_3d, s.h_true, s.d_true
+    return pack_calibrations(s.cals), s.cal_index, s.ball_px, s.ball_3d, s.h_true
 
 
-def _evaluate_packed(arrays, spec, method, ball_diameter_m, height_offset):
-    """One pass of `evaluate_once` over the output of `_sample_arrays`."""
-    packed, idx, ids, px, truth, h_true, d_true = arrays
+def _evaluate(arrays, method, preds, ball_diameter_m=None):
+    """Reconstruct `preds`, a pixel height or image diameter per sample as
+    `method` says, and evaluate the rows that succeed; also return how
+    many failed (e.g. a foot pixel pushed past the horizon by an extreme
+    prediction). The diameter method assumes a ball of `ball_diameter_m`."""
+    packed, idx, px, truth, h_true = arrays
     if method == "height":
-        if height_offset is not None:
-            preds = h_true + float(height_offset)
-        else:
-            preds = predict_heights(spec, ids, h_true)
         batch = reconstruct_from_height_batch(packed, idx, px, preds)
-        ok = batch.ok
-        report = evaluate_arrays(
-            truth[ok],
-            h_true[ok],
-            preds[ok],
-            batch.ball_3d[ok],
-            batch.ground_projection[ok],
-        )
-    elif method == "diameter":
-        preds = predict_diameters(spec, ids, d_true)
-        batch = reconstruct_from_diameter_batch(packed, idx, px, preds, ball_diameter_m)
-        ok = batch.ok
-        report = evaluate_arrays(
-            truth[ok], None, None, batch.ball_3d[ok], batch.ground_projection[ok]
-        )
+        heights = (h_true[batch.ok], preds[batch.ok])
     else:
-        raise ValueError(f"unknown method {method!r}")
+        batch = reconstruct_from_diameter_batch(packed, idx, px, preds, ball_diameter_m)
+        heights = (None, None)
+    ok = batch.ok
+    report = evaluate_arrays(truth[ok], *heights, batch.ball_3d[ok], batch.ground_projection[ok])
     return report, int((~ok).sum())
 
 
-def evaluate_once(
-    samples: Sequence[BallSample] | Samples,
-    spec: PredictorSpec,
-    method: str = "height",
-    ball_diameter_m: float = BALL_DIAMETER_M,
-    height_offset: float | None = None,
-) -> tuple[EvalReport, int]:
-    """One predict -> reconstruct -> evaluate pass.
-
-    Both predictors perturb the samples' stored true pixel heights or
-    image diameters; `ball_diameter_m` is the ball size the diameter
-    reconstruction assumes. `height_offset` bypasses the predictor with a
-    constant shift of the true height (the noise-sweep mode). Samples
-    whose reconstruction is geometrically impossible (e.g. a foot pixel
-    pushed past the horizon by an extreme prediction) are excluded from
-    the metrics; the second return value counts them.
-    """
-    return _evaluate_packed(
-        _sample_arrays(Samples.from_rows(samples)), spec, method, ball_diameter_m, height_offset
-    )
-
-
 def run_evaluation(
-    samples: Sequence[BallSample] | Samples,
+    samples: Samples,
     spec: PredictorSpec,
     method: str = "height",
     repeats: int = 1,
     ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> tuple[list[EvalReport], list[int]]:
-    """k seeded repeats; repeat r uses predictor seed spec.seed + r."""
-    arrays = _sample_arrays(Samples.from_rows(samples))
+    """k seeded repeats of predict -> reconstruct -> evaluate; repeat r
+    uses predictor seed spec.seed + r. Both predictors perturb the
+    samples' true pixel heights or image diameters."""
+    if method not in ("height", "diameter"):
+        raise ValueError(f"unknown method {method!r}")
+    arrays = _sample_arrays(samples)
     reports: list[EvalReport] = []
     failed: list[int] = []
     for r in range(repeats):
         spec_r = dataclasses.replace(spec, seed=spec.seed + r)
-        report, n_failed = _evaluate_packed(arrays, spec_r, method, ball_diameter_m, None)
+        if method == "height":
+            preds = predict_heights(spec_r, samples.ids, samples.h_true)
+        else:
+            preds = predict_diameters(spec_r, samples.ids, samples.d_true)
+        report, n_failed = _evaluate(arrays, method, preds, ball_diameter_m)
         reports.append(report)
         failed.append(n_failed)
     return reports, failed
+
+
+def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[EvalReport], list[int]]:
+    """One height-method pass per level of `grid`, the level (px) added
+    to every true pixel height as the prediction."""
+    arrays = _sample_arrays(samples)
+    results = [_evaluate(arrays, "height", samples.h_true + float(level)) for level in grid]
+    return [report for report, _ in results], [n_failed for _, n_failed in results]
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +247,10 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_reconstruct(args, parser) -> int:
     with open(args.cal, "r", encoding="utf-8") as f:
-        cal = calibration_from_json_dict(json.load(f))
-    violations = validate(cal)
-    if violations:
-        raise InvalidCalibration(f"{args.cal}: {', '.join(violations)}")
+        try:
+            cal = load_calibration("calibration", json.load(f))
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise InvalidCalibration(f"{args.cal}: {exc}") from exc
     result = reconstruct_from_height(cal, ImagePoint(args.x, args.y), args.height)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0
@@ -277,21 +263,18 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"--grid must be a comma-separated number list, got {args.grid!r}")
     if not grid:
         parser.error("--grid must contain at least one noise level")
-    arrays = _sample_arrays(_load_samples(args))
-    oracle = PredictorSpec(kind="oracle")
-    rows = []
-    for level in grid:
-        report, n_failed = _evaluate_packed(arrays, oracle, "height", BALL_DIAMETER_M, level)
-        rows.append(
-            {
-                "level_px": level,
-                "mae_px": report.mae_px,
-                "mape_m": report.mape_m,
-                "ma3de_m": report.ma3de_m,
-                "n_samples": report.n_samples,
-                "n_failed": n_failed,
-            }
-        )
+    reports, failed = run_sweep(_load_samples(args), grid)
+    rows = [
+        {
+            "level_px": level,
+            "mae_px": report.mae_px,
+            "mape_m": report.mape_m,
+            "ma3de_m": report.ma3de_m,
+            "n_samples": report.n_samples,
+            "n_failed": n_failed,
+        }
+        for level, report, n_failed in zip(grid, reports, failed)
+    ]
     payload = {
         "schema_version": 1,
         "command": "sweep",

@@ -23,12 +23,13 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .camera import calibration_from_json_dict, calibration_to_json_dict, validate
+from .camera import calibration_to_json_dict, load_calibration
 from .errors import (
     FoldViolation,
     MalformedRecord,
@@ -48,6 +49,9 @@ _RECORD_FIELDS = (
 )
 _RECORD_LEN = len(_RECORD_FIELDS)
 _RECORD_LINE = "[%d, %d, %r, %r, %r, %r, %r, %r, %r, %r, %r]\n"
+
+# The Python types json decodes a number to; a boolean's is bool, not int.
+_NUMBER_TYPES = {int, float}
 
 _V1_KEYS = ("id", "arena", "cal", "ball_3d", "ball_px", "foot_px", "h_true", "diam_px")
 
@@ -195,21 +199,9 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _integer(value, key: str) -> int:
-    if not float(value).is_integer():
+    if not float(value).is_integer() or type(value) not in _NUMBER_TYPES:
         raise ValueError(f"{key} {value!r} is not an integer")
     return int(value)
-
-
-def _camera(arena: int, obj):
-    """The calibration of a camera entry; ValueError if it is invalid."""
-    try:
-        cal = calibration_from_json_dict(obj)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"arena {arena} calibration is unreadable: {exc!r}") from exc
-    violations = validate(cal)
-    if violations:
-        raise ValueError(f"arena {arena} calibration is invalid: {', '.join(violations)}")
-    return cal
 
 
 def _folds_from_header(folds) -> dict[str, frozenset[int]]:
@@ -239,7 +231,7 @@ def _cameras_from_header(cameras) -> dict:
             arena = _integer(entry["arena"], "arena")
             if arena in cals:
                 raise ValueError(f"arena {arena} has a second camera")
-            cals[arena] = _camera(arena, entry["cal"])
+            cals[arena] = load_calibration(f"arena {arena} calibration", entry["cal"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaVersionMismatch(f"camera {k}: {exc}") from exc
     return cals
@@ -281,7 +273,7 @@ def _v1_records(lines) -> tuple[dict, list[list]]:
         try:
             arena = _integer(obj["arena"], "arena")
             if arena not in cals:
-                cals[arena] = _camera(arena, obj["cal"])
+                cals[arena] = load_calibration(f"arena {arena} calibration", obj["cal"])
                 cal_json[arena] = obj["cal"]
             elif obj["cal"] != cal_json[arena]:
                 raise ValueError(f"arena {arena} calibration differs from its first record's")
@@ -298,14 +290,17 @@ def _v1_records(lines) -> tuple[dict, list[list]]:
 
 
 def _reject_non_numbers(records: list[list]) -> None:
-    """Raise MalformedRecord at the first record value that is not a
-    number, or for id and arena not an int64."""
+    """Raise MalformedRecord at the first record value that is not a JSON
+    number (a string or a boolean is not), or for id and arena not an
+    int64."""
     for index, record in enumerate(records):
         for position, value in enumerate(record):
             name = _RECORD_FIELDS[position]
             try:
+                if type(value) not in _NUMBER_TYPES:
+                    raise TypeError(f"{type(value).__name__} is not a number type")
                 float(value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, OverflowError) as exc:
                 raise MalformedRecord(index, f"{name} {value!r} is not a number") from exc
             if position < 2:
                 try:
@@ -319,6 +314,9 @@ def _samples(records: list[list], cals: dict) -> Samples:
     """The table of version 2 records, checked column by column: every
     value a finite number, id and arena integral, ids in [0, 2**63), and
     every arena with a camera in ``cals``."""
+    # np.array would parse a string holding a number, and take a boolean as 0 or 1.
+    if not set(map(type, chain.from_iterable(records))) <= _NUMBER_TYPES:
+        _reject_non_numbers(records)
     try:
         values = np.array(records, dtype=np.float64).reshape(-1, _RECORD_LEN)
         keys = np.array([r[:2] for r in records], dtype=np.int64).reshape(-1, 2)

@@ -110,11 +110,22 @@ def evaluate_arrays(
     return EvalReport(
         mae_px=mae,
         mape_m=float(np.mean(proj_err)),
-        mdnape_m=float(np.median(proj_err)),
+        mdnape_m=_median(proj_err),
         ma3de_m=float(np.mean(err3d)),
-        mdna3de_m=float(np.median(err3d)),
+        mdna3de_m=_median(err3d),
         n_samples=int(n),
     )
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, computed as np.median computes
+    it: a partition, then the mean of the middle one or two values. The
+    first np.median call in a process imports numpy.ma (numpy 2 and
+    later); this does not."""
+    mid = len(x) // 2
+    middle = [mid] if len(x) % 2 else [mid - 1, mid]
+    part = np.partition(x, middle + [-1])  # -1: a NaN sorts last
+    return float("nan") if np.isnan(part[-1]) else float(np.mean(part[middle]))
 
 
 def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:

@@ -31,7 +31,7 @@ from courtlift import (
     reconstruct_from_height,
     scale_calibration,
 )
-from courtlift.cli import evaluate_once, main, run_evaluation
+from courtlift.cli import main, run_evaluation, run_sweep
 from courtlift.metrics import METRIC_NAMES, aggregate_repeats
 from courtlift.predictors import PredictorSpec
 from courtlift.rng import stream
@@ -67,12 +67,12 @@ def sweep_set():
 
 def test_criterion_1_master_round_trip(big_clean_set):
     # Warm caches out of the timed region.
-    evaluate_once(big_clean_set[:16], ORACLE)
+    run_evaluation(big_clean_set[:16], ORACLE)
     t0 = time.perf_counter()
-    report, n_failed = evaluate_once(big_clean_set, ORACLE)
+    [report], [n_failed] = run_evaluation(big_clean_set, ORACLE)
     elapsed = time.perf_counter() - t0
     distorted = generate_dataset(seed=204, n=10_000, arena=STRONG_DIST_ARENA, n_arenas=12)
-    report_d, n_failed_d = evaluate_once(distorted, ORACLE)
+    [report_d], [n_failed_d] = run_evaluation(distorted, ORACLE)
     ok = (
         n_failed == 0
         and report.ma3de_m < 1e-6
@@ -104,11 +104,9 @@ def test_criterion_2_scale_invariance(big_clean_set):
 
 def test_criterion_3_noise_monotonicity(sweep_set):
     levels = [0.0, 5.0, 10.0, 20.0, 40.0]
-    mapes = []
-    for level in levels:
-        report, n_failed = evaluate_once(sweep_set, ORACLE, height_offset=level)
-        assert n_failed == 0
-        mapes.append(report.mape_m)
+    reports, failed = run_sweep(sweep_set, levels)
+    assert failed == [0] * len(levels)
+    mapes = [report.mape_m for report in reports]
     steps = np.diff(mapes)
     ok = bool(np.all(steps >= 0.0) and (mapes[-1] - mapes[0]) > 0.0)
     _criterion(

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import courtlift
 from courtlift import calibration_to_json_dict, make_camera, project, read_dataset, WorldPoint
 from courtlift.cli import _write_json, build_parser, main
 
@@ -304,18 +308,28 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "edit, violation",
-        [({"fx": -2000.0}, "FocalNonPositive"), ({"cx": float("nan")}, "NonFinite")],
+        [
+            ({"fx": -2000.0}, "FocalNonPositive"),
+            ({"cx": float("nan")}, "NonFinite"),
+            # A string is the whole file.
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "unreadable: TypeError"),
+            ('{"fx": 1}', "unreadable: KeyError('dist')"),
+        ],
     )
     def test_invalid_calibration_exits_1_with_typed_error(
         self, side_cal_file, tmp_path, capsys, edit, violation
     ):
         path, _ = side_cal_file
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        if isinstance(edit, str):
+            bad.write_text(edit)
+        else:
+            bad.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         rc = main(["reconstruct", "--cal", str(bad), "--x", "2250", "--y", "900", "--height", "10"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "InvalidCalibration" in err and violation in err
+        assert err.startswith(f"error: InvalidCalibration: {bad}: ") and violation in err
 
 
 def test_reports_refuse_non_finite_numbers(tmp_path):
@@ -360,6 +374,34 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--grid", "0,1", "--out", str(tmp_path / "s")])
         assert exc.value.code == 2
+
+
+def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
+    # The first np.median call in a process imports numpy.ma, about 15 ms.
+    # numpy 1.x imports numpy.ma with numpy itself; there is nothing to save.
+    commands = [
+        ["evaluate", "--dataset", str(dataset_file), "--out", str(tmp_path / "e")],
+        ["sweep", "--dataset", str(dataset_file), "--grid", "0,10", "--out", str(tmp_path / "s")],
+    ]
+    code = (
+        "import sys\n"
+        "from courtlift.cli import main\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        f"assert all(main(argv) == 0 for argv in {commands!r})\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(courtlift.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    before, after = result.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("numpy.ma is loaded with numpy itself (numpy < 2)")
+    assert after == "False"
 
 
 def test_readme_cli_examples_parse():

@@ -282,14 +282,25 @@ class TestReadValidation:
             ("id", "1e19"),
             ("h_true", '"x"'),
             ("ball_px", "[1.0]"),
+            ("h_true", '"276.15"'),
+            ("ball_3d", "true"),
+            ("id", "false"),
         ],
     )
     def test_overflowing_or_non_integral_number_is_malformed_with_index(self, key, literal):
         header, records = self._two_records()
         records[1][FIELD_POSITION[key]] = "SLOT"
         lines = [header, *(json.dumps(r).replace('"SLOT"', literal) for r in records)]
-        with pytest.raises(MalformedRecord, match=f"record 1: .*{key}"):
+        with pytest.raises(MalformedRecord, match=f"record 1: {key} "):
             read_dataset(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_v1_number_as_string_is_malformed_with_index(self):
+        header, *records = _v1_text([_sample(0), _sample(1)], {"A": {0}}).splitlines()
+        broken = json.loads(records[1])
+        broken["h_true"] = str(broken["h_true"])
+        records[1] = json.dumps(broken)
+        with pytest.raises(MalformedRecord, match="record 1: h_true '.*' is not a number"):
+            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
 
     @pytest.mark.parametrize(
         "record",
@@ -320,6 +331,8 @@ class TestReadValidation:
         [
             ('{"schema_version": 1, "folds": {"A": [1e999]}}', "fold 'A': arena inf"),
             ('{"schema_version": 1, "folds": {"A": ["x"]}}', "fold 'A': could not convert"),
+            ('{"schema_version": 1, "folds": {"A": ["0"]}}', "fold 'A': arena '0' is not an"),
+            ('{"schema_version": 1, "folds": {"A": [true]}}', "fold 'A': arena True is not an"),
             ('{"schema_version": 1, "folds": {"A": 3}}', "fold 'A': arena ids must be a list"),
             ('{"schema_version": 1, "folds": [1]}', "folds must be a JSON object"),
             ("[1]", "header must be a JSON object"),
@@ -345,6 +358,11 @@ class TestReadValidation:
                 '{"schema_version": 2, "folds": {}, "cameras": '
                 f'[{{"arena": 0.5, "cal": {CAL_JSON}}}]}}',
                 "camera 0: arena 0.5 is not an integer",
+            ),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": '
+                f'[{{"arena": "0", "cal": {CAL_JSON}}}]}}',
+                "camera 0: arena '0' is not an integer",
             ),
         ],
     )

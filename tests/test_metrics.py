@@ -15,6 +15,7 @@ from courtlift.metrics import (
     EvalReport,
     METRIC_NAMES,
     aggregate_repeats,
+    _median,
     evaluate_arrays,
     height_histogram,
 )
@@ -93,6 +94,13 @@ class TestEvaluate:
         # MdnAPE moves by at most the largest gap between adjacent order stats.
         max_gap = np.diff(np.sort(errors)).max()
         assert abs(after.mdnape_m - base.mdnape_m) <= max_gap + 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 57, 58, 4999, 5000])
+    def test_median_equals_np_median(self, n):
+        x = np.random.default_rng(n).exponential(size=n)
+        assert _median(x) == float(np.median(x))
+        x[n // 2] = np.nan
+        assert math.isnan(_median(x)) and math.isnan(np.median(x))
 
     def test_length_mismatch_and_empty(self):
         truth, ball, ground = _arrays_from_proj_errors([1.0, 2.0])
