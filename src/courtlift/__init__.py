@@ -41,8 +41,10 @@ from .predictors import (
 from .reconstruct import (
     AffineTransform,
     BALL_DIAMETER_M,
+    BallRays,
     HeightBatch,
     Reconstruction,
+    ball_rays,
     crop_transform,
     diameter_px_of,
     foot_pixel,
@@ -74,6 +76,7 @@ __all__ = [
     "AggregateReport",
     "ArenaSpec",
     "BALL_DIAMETER_M",
+    "BallRays",
     "BallSample",
     "CameraCalibration",
     "Dataset",
@@ -90,6 +93,7 @@ __all__ = [
     "aggregate_repeats",
     "assign_folds",
     "back_project",
+    "ball_rays",
     "calibration_from_json_dict",
     "calibration_to_json_dict",
     "camera_center",

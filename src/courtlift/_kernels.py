@@ -323,20 +323,14 @@ def foot_pixel(cal, u, v, h):
 
 
 @_quiet
-def reconstruct_height(cal, u_raw, v_raw, h):
-    """Full height-based reconstruction from raw (distorted) ball pixels.
+def lift_height(cal, u, v, h, status):
+    """Height-based reconstruction from UNDISTORTED ball pixels.
 
+    ``status`` is each pixel's status so far (undistort_pixel's). A
+    non-finite h comes before it, and it before any later failure.
     Returns (bx, by, bz, gx, gy, fu, fv, angle, plane_gap, status).
     """
-    status = _finite(u_raw, v_raw, h)
-    u, v, st = undistort_pixel(cal, u_raw, v_raw)
-    return lift_height(cal, u, v, h, _then(status, st))
-
-
-@_quiet
-def lift_height(cal, u, v, h, status):
-    """reconstruct_height from UNDISTORTED ball pixels; ``status`` is each
-    row's status so far, and an earlier failure stands."""
+    status = _then(_finite(h), status)
     fu, fv, _, _, angle, st = foot_pixel(cal, u, v, h)
     status = _then(status, st)
 
@@ -361,17 +355,20 @@ def lift_height(cal, u, v, h, status):
 
 
 @_quiet
-def reconstruct_diameter(cal, u_raw, v_raw, diameter_px, ball_diameter_m):
-    """Diameter-baseline reconstruction.
+def reconstruct_diameter(cal, u, v, status, diameter_px, ball_diameter_m):
+    """Diameter-baseline reconstruction from UNDISTORTED ball pixels.
 
+    ``status`` is each pixel's status so far (undistort_pixel's). A
+    non-finite pixel or diameter comes first, then a non-positive
+    diameter, then the pixel's undistortion failure.
     Returns (bx, by, bz, fu, fv, angle, status). The foot pixel (fu, fv)
     is the undistorted image of the ground point below the ball and angle
     the vertical direction there; both are NaN where undefined.
     """
-    status = _finite(u_raw, v_raw, diameter_px)
-    status = _then(status, _flag(diameter_px <= 0.0, STATUS_NONPOSITIVE_DIAMETER))
-    u, v, st = undistort_pixel(cal, u_raw, v_raw)
-    status = _then(status, st)
+    nonfinite = (status == STATUS_NONFINITE_INPUT) | ~np.isfinite(diameter_px)
+    first = _flag(nonfinite, STATUS_NONFINITE_INPUT)
+    first = _then(first, _flag(diameter_px <= 0.0, STATUS_NONPOSITIVE_DIAMETER))
+    status = _then(first, status)
     depth = 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / diameter_px
     ox, oy, oz = camera_center(cal)
     dx, dy, dz = ray_direction(cal, u, v)

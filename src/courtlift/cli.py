@@ -32,7 +32,7 @@ from .metrics import (
 from .predictors import PredictorSpec, predict_diameters, predict_heights
 from .reconstruct import (
     BALL_DIAMETER_M,
-    pack_calibrations,
+    ball_rays,
     reconstruct_from_diameter_batch,
     reconstruct_from_height,
     reconstruct_from_height_batch,
@@ -57,10 +57,10 @@ def _write_json(path: str, obj) -> None:
 
 
 def _sample_arrays(samples: Samples):
-    """The columns the reconstruction and metrics take, with one packed
-    calibration row per distinct camera."""
+    """The samples' ball rays, built once per command for every set of
+    predictions, and the truth columns the metrics take."""
     s = samples
-    return pack_calibrations(s.cals), s.cal_index, s.ball_px, s.ball_3d, s.h_true
+    return ball_rays(s.cals, s.cal_index, s.ball_px), s.ball_3d, s.h_true
 
 
 def _evaluate(arrays, method, preds, ball_diameter_m=None):
@@ -68,12 +68,12 @@ def _evaluate(arrays, method, preds, ball_diameter_m=None):
     `method` says, and evaluate the rows that succeed; also return how
     many failed (e.g. a foot pixel pushed past the horizon by an extreme
     prediction). The diameter method assumes a ball of `ball_diameter_m`."""
-    packed, idx, px, truth, h_true = arrays
+    rays, truth, h_true = arrays
     if method == "height":
-        batch = reconstruct_from_height_batch(packed, idx, px, preds)
+        batch = reconstruct_from_height_batch(rays, preds)
         heights = (h_true[batch.ok], preds[batch.ok])
     else:
-        batch = reconstruct_from_diameter_batch(packed, idx, px, preds, ball_diameter_m)
+        batch = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
         heights = (None, None)
     ok = batch.ok
     report = evaluate_arrays(truth[ok], *heights, batch.ball_3d[ok], batch.ground_projection[ok])

@@ -11,6 +11,14 @@ the vanishing point of the world Z axis, so the local vertical evaluated
 at the pixel's own ground point is exact and the foot fixed point
 converges immediately for exact inputs; the iteration only matters for
 pathological predictions.
+
+Batch reconstruction runs in two steps. ``ball_rays`` does the part no
+prediction changes: it gathers each row's camera and undistorts the raw
+ball pixel. ``reconstruct_from_height_batch`` and
+``reconstruct_from_diameter_batch`` then lift one set of predictions
+from those rays, so scoring many predictions of the same balls (the
+repeats of ``evaluate``, the levels of ``sweep``) undistorts each pixel
+once.
 """
 
 from __future__ import annotations
@@ -117,7 +125,8 @@ def reconstruct_from_height(
 
     Negative heights are legal predictor outputs and propagate through.
     """
-    batch = reconstruct_from_height_batch([cal], [0], [[ball_px_raw.x, ball_px_raw.y]], [h])
+    rays = ball_rays([cal], [0], [[ball_px_raw.x, ball_px_raw.y]])
+    batch = reconstruct_from_height_batch(rays, [h])
     raise_for_status(batch.status[0], "height reconstruction failed")
     return batch.row(0)
 
@@ -134,9 +143,8 @@ def reconstruct_from_diameter(
     diameter_px by similar triangles; the ball is placed on the
     back-projected ray at that camera-frame depth.
     """
-    batch = reconstruct_from_diameter_batch(
-        [cal], [0], [[ball_px_raw.x, ball_px_raw.y]], [diameter_px], ball_diameter_m
-    )
+    rays = ball_rays([cal], [0], [[ball_px_raw.x, ball_px_raw.y]])
+    batch = reconstruct_from_diameter_batch(rays, [diameter_px], ball_diameter_m)
     raise_for_status(batch.status[0], "diameter reconstruction failed")
     return batch.row(0)
 
@@ -233,21 +241,57 @@ def calibration_columns(
     """
     packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
     idx = np.asarray(cal_index, dtype=np.int64).reshape(-1)
-    return np.ascontiguousarray(packed[idx].T)
+    # One (24, n) gather; indexing rows first and transposing copies twice.
+    return packed.T.take(idx, axis=1)
 
 
-def _batch_inputs(cals, cal_index, px, values):
-    """Per-row calibration columns, raw pixel coordinates and values."""
-    px = np.asarray(px, dtype=np.float64)
+@dataclass(frozen=True, eq=False)
+class BallRays:
+    """The part of a batch reconstruction that no prediction changes.
+
+    ``cal`` is the (24, n) kernel layout of each row's camera, ``u`` and
+    ``v`` the undistorted ball pixels (which, with the camera, give the
+    ball's ray) and ``status`` each row's status so far: non-finite pixel
+    or failed undistortion. Build it once with ``ball_rays`` and pass it
+    to ``reconstruct_from_height_batch`` or
+    ``reconstruct_from_diameter_batch`` for each set of predictions.
+    """
+
+    cal: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return self.status.shape[0]
+
+
+def ball_rays(
+    cals: Sequence[CameraCalibration] | np.ndarray, cal_index, ball_px_raw
+) -> BallRays:
+    """Undistort n raw (distorted) ball pixels through their cameras.
+
+    ``cals`` is a calibration sequence (or pre-packed (m, 24) array) and
+    ``cal_index[i]`` selects the camera of sample i.
+    """
+    px = np.asarray(ball_px_raw, dtype=np.float64)
     if px.ndim != 2 or px.shape[1] != 2:
         raise ValueError("ball pixels must have shape (n, 2)")
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.shape[0] != px.shape[0]:
-        raise ValueError("pixel and value arrays must have equal length")
     cal = calibration_columns(cals, cal_index)
     if cal.shape[1] != px.shape[0]:
         raise ValueError("cal_index must match the number of samples")
-    return cal, px[:, 0].copy(), px[:, 1].copy(), values
+    u, v, status = _k.undistort_pixel(cal, px[:, 0], px[:, 1])
+    # Every set of predictions reads these arrays; none may write them.
+    for array in (cal, u, v, status):
+        array.flags.writeable = False
+    return BallRays(cal, u, v, status)
+
+
+def _per_ray(rays: BallRays, values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if values.shape[0] != len(rays):
+        raise ValueError(f"need one prediction per ball ray: {values.shape[0]} for {len(rays)}")
+    return values
 
 
 def _batch(ball, ground, foot, angle, gap, status) -> HeightBatch:
@@ -258,36 +302,31 @@ def _batch(ball, ground, foot, angle, gap, status) -> HeightBatch:
     return HeightBatch(ball, ground, foot, angle, gap, status)
 
 
-def reconstruct_from_height_batch(
-    cals: Sequence[CameraCalibration] | np.ndarray,
-    cal_index: np.ndarray,
-    ball_px_raw: np.ndarray,
-    heights: np.ndarray,
-) -> HeightBatch:
-    """reconstruct_from_height over n samples, as whole-array operations.
-
-    ``cals`` is a calibration sequence (or pre-packed (m, 24) array) and
-    ``cal_index[i]`` selects the camera of sample i. Failures surface as
-    nonzero statuses rather than exceptions.
+def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> HeightBatch:
+    """reconstruct_from_height over the n rows of ``rays``, as whole-array
+    operations; ``heights[i]`` is row i's pixel height. Failures surface
+    as nonzero statuses rather than exceptions.
     """
-    cal, u, v, h = _batch_inputs(cals, cal_index, ball_px_raw, heights)
-    bx, by, bz, gx, gy, fu, fv, angle, gap, status = _k.reconstruct_height(cal, u, v, h)
+    h = _per_ray(rays, heights)
+    bx, by, bz, gx, gy, fu, fv, angle, gap, status = _k.lift_height(
+        rays.cal, rays.u, rays.v, h, rays.status
+    )
     return _batch((bx, by, bz), (gx, gy), (fu, fv), angle, gap, status)
 
 
 def reconstruct_from_diameter_batch(
-    cals: Sequence[CameraCalibration] | np.ndarray,
-    cal_index: np.ndarray,
-    ball_px_raw: np.ndarray,
+    rays: BallRays,
     diameters_px: np.ndarray,
     ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> HeightBatch:
-    """reconstruct_from_diameter over n samples, as whole-array operations."""
+    """reconstruct_from_diameter over the n rows of ``rays``, as
+    whole-array operations; ``diameters_px[i]`` is row i's image diameter.
+    """
     if not (ball_diameter_m > 0.0):
         raise NonPositiveDiameter(f"ball diameter must be > 0 m, got {ball_diameter_m}")
-    cal, u, v, d = _batch_inputs(cals, cal_index, ball_px_raw, diameters_px)
+    d = _per_ray(rays, diameters_px)
     bx, by, bz, fu, fv, angle, status = _k.reconstruct_diameter(
-        cal, u, v, d, float(ball_diameter_m)
+        rays.cal, rays.u, rays.v, rays.status, d, float(ball_diameter_m)
     )
     return _batch((bx, by, bz), (bx, by), (fu, fv), angle, np.zeros(len(d)), status)
 

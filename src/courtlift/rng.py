@@ -12,8 +12,8 @@ counter and the position in the current block, and setting them gives
 the same values as a fresh generator without building one per index.
 A position is a count of 64-bit words drawn; a double takes one word,
 so a caller that knows how many doubles it drew knows where a stream
-stands. ``draws`` takes one draw from each of many streams through a
-cursor.
+stands. ``draws`` takes one draw from the start of each of many streams
+through one bit generator, setting only the key between them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,20 @@ def _key_counter(seed: int, index: int, purpose: int, blocks: int) -> tuple[tupl
     """The Philox key and counter of stream (seed, index, purpose) once
     ``blocks`` counter steps have been drawn; 0 is where the stream starts."""
     return (seed, index), (blocks, 0, 0, purpose)
+
+
+def _spent_state(inner: dict) -> dict:
+    """A Philox state dict around ``inner``, which holds the key and the
+    counter. buffer_pos 4 marks the buffer spent, as in a fresh generator,
+    so no word of the previous stream's block leaks into the next draw."""
+    return {
+        "bit_generator": "Philox",
+        "state": inner,
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": _BLOCK_WORDS,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
@@ -78,16 +92,7 @@ class Cursor:
         self._bitgen = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bitgen)
         self._inner: dict = {}
-        # buffer_pos 4 marks the buffer spent, as in a fresh generator, so
-        # no word of the previous stream's block leaks into the next draw.
-        self._state = {
-            "bit_generator": "Philox",
-            "state": self._inner,
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": _BLOCK_WORDS,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._state = _spent_state(self._inner)
 
     def seek(self, index: int, words: int) -> np.random.Generator:
         """The generator, ``words`` 64-bit words into stream ``index``."""
@@ -108,16 +113,25 @@ def draws(
 ) -> np.ndarray:
     """``draw(stream(seed, i, purpose))`` for each index ``i``, as float64.
 
-    One cursor serves every index and puts its generator at the start of
-    stream ``i`` before each draw, so the values are identical. The seed
-    and every index are range-checked before the first draw.
+    One reused bit generator is put at the start of stream ``i`` before
+    each draw, so the values are identical. Every stream starts at
+    counter block 0 of ``purpose``, so from one index to the next only
+    the key changes. The seed and every index are range-checked before
+    the first draw.
     """
+    _check_uint64("seed", seed)
     ids = list(indices)
-    seek = Cursor(seed, purpose).seek
     if ids:
         _check_uint64("index", min(ids))
         _check_uint64("index", max(ids))
+    key, counter = _key_counter(seed, 0, purpose, 0)
+    inner = {"key": key, "counter": counter}
+    state = _spent_state(inner)
+    bitgen = np.random.Philox(key=0)
+    generator = np.random.Generator(bitgen)
     out = np.empty(len(ids), dtype=np.float64)
     for j, index in enumerate(ids):
-        out[j] = draw(seek(index, 0))
+        inner["key"] = (seed, index)  # the key _key_counter gives stream index
+        bitgen.state = state
+        out[j] = draw(generator)
     return out

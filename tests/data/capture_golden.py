@@ -15,8 +15,9 @@ undistortion failure and other failure paths.
 
 The file stores the inputs next to the outputs, so the test replays the
 same numbers even when the synthetic generator changes. The script uses
-only the batch API, plus scalar reconstruct_from_diameter for the
-diameter path's foot pixel and vertical angle (NaN where it gives None).
+only the batch API (``ball_rays`` and the two batch reconstructions),
+plus scalar reconstruct_from_diameter for the diameter path's foot pixel
+and vertical angle (NaN where it gives None).
 """
 
 import sys
@@ -25,6 +26,7 @@ import numpy as np
 
 from courtlift import generate_dataset, reconstruct_from_diameter
 from courtlift.reconstruct import (
+    ball_rays,
     pack_calibrations,
     reconstruct_from_diameter_batch,
     reconstruct_from_height_batch,
@@ -47,15 +49,14 @@ def main(path: str) -> None:
     d_true = np.array([s.diameter_px_true for s in samples])
 
     k = len(OFFSETS_PX)
-    h_idx = np.tile(idx, k)
-    h_px = np.tile(px, (k, 1))
     heights = np.concatenate([h_true + off for off in OFFSETS_PX])
-    hb = reconstruct_from_height_batch(packed, h_idx, h_px, heights)
+    h_rays = ball_rays(packed, np.tile(idx, k), np.tile(px, (k, 1)))
+    hb = reconstruct_from_height_batch(h_rays, heights)
 
     rel = 0.3 * np.random.default_rng(SEED).standard_t(2.0, size=N)
     diameters = d_true * (1.0 + rel)
     diameters[::97] = 0.0
-    db = reconstruct_from_diameter_batch(packed, idx, px, diameters)
+    db = reconstruct_from_diameter_batch(ball_rays(packed, idx, px), diameters)
     d_foot = np.full((N, 2), np.nan)
     d_angle = np.full(N, np.nan)
     for i in np.flatnonzero(db.status == 0):
@@ -70,7 +71,7 @@ def main(path: str) -> None:
     w_idx = rng.integers(0, ARENAS, WILD)
     w_px = np.column_stack([rng.uniform(-4500, 9000, WILD), rng.uniform(-1500, 3000, WILD)])
     w_heights = rng.uniform(-1000, 3000, WILD)
-    wb = reconstruct_from_height_batch(packed, w_idx, w_px, w_heights)
+    wb = reconstruct_from_height_batch(ball_rays(packed, w_idx, w_px), w_heights)
 
     np.savez_compressed(
         path,

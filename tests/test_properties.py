@@ -20,7 +20,11 @@ from courtlift import (
 from courtlift._kernels import STATUS_NONFINITE_INPUT
 from courtlift.camera import STATUS_NAMES
 from courtlift import errors
-from courtlift.reconstruct import reconstruct_from_diameter_batch, reconstruct_from_height_batch
+from courtlift.reconstruct import (
+    ball_rays,
+    reconstruct_from_diameter_batch,
+    reconstruct_from_height_batch,
+)
 
 from conftest import STRONG_DIST_ARENA, ZERO_DIST_ARENA
 
@@ -58,12 +62,13 @@ def _pixels(samples):
 
 def _height_batch(samples, heights):
     cals = [s.cal for s in samples]
-    return reconstruct_from_height_batch(cals, np.arange(N), _pixels(samples), heights)
+    return reconstruct_from_height_batch(ball_rays(cals, np.arange(N), _pixels(samples)), heights)
 
 
 def _diameter_batch(samples, diameters):
     cals = [s.cal for s in samples]
-    return reconstruct_from_diameter_batch(cals, np.arange(N), _pixels(samples), diameters)
+    rays = ball_rays(cals, np.arange(N), _pixels(samples))
+    return reconstruct_from_diameter_batch(rays, diameters)
 
 
 def _assert_row_matches(batch, i, call):
@@ -116,12 +121,9 @@ def test_power_of_two_scale_invariance_is_bit_exact(seed, arena, ratio):
     samples = _samples(seed, arena)
     heights = np.array([s.h_true for s in samples])
     base = _height_batch(samples, heights)
-    scaled = reconstruct_from_height_batch(
-        [scale_calibration(s.cal, ratio) for s in samples],
-        np.arange(N),
-        _pixels(samples) * ratio,
-        heights * ratio,
-    )
+    scaled_cals = [scale_calibration(s.cal, ratio) for s in samples]
+    rays = ball_rays(scaled_cals, np.arange(N), _pixels(samples) * ratio)
+    scaled = reconstruct_from_height_batch(rays, heights * ratio)
     assert base.ok.all() and scaled.ok.all()
     np.testing.assert_array_equal(scaled.ball_3d, base.ball_3d)
     np.testing.assert_array_equal(scaled.ground_projection, base.ground_projection)

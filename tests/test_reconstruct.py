@@ -10,6 +10,7 @@ the hand-projected pixel height of a ball at (0, 0, 1) seen from
   y_foot = cy + 2000 * 1.5 / 20 = cy + 150   ->   h = 100 px exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from courtlift import (
     CameraCalibration,
     ImagePoint,
     WorldPoint,
+    ball_rays,
     crop_transform,
     diameter_px_of,
     foot_pixel,
@@ -276,7 +278,7 @@ class TestBatchPaths:
         idx = np.arange(len(subset), dtype=np.int64)
         px = np.array([[s.ball_px.x, s.ball_px.y] for s in subset])
         h = np.array([s.h_true for s in subset])
-        batch = reconstruct_from_height_batch(cals, idx, px, h)
+        batch = reconstruct_from_height_batch(ball_rays(cals, idx, px), h)
         assert batch.ok.all()
         for i, s in enumerate(subset):
             rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
@@ -286,6 +288,22 @@ class TestBatchPaths:
                 [rec.ground_projection.x, rec.ground_projection.y],
             )
             assert batch.plane_gap[i] == rec.plane_gap
+
+    def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
+        subset = distorted_samples[:50]
+        rays = ball_rays(subset.cals, subset.cal_index, subset.ball_px)
+        before = [a.copy() for a in (rays.cal, rays.u, rays.v, rays.status)]
+        first = reconstruct_from_height_batch(rays, subset.h_true)
+        reconstruct_from_diameter_batch(rays, subset.d_true)
+        reconstruct_from_height_batch(rays, subset.h_true - 400.0)
+        again = reconstruct_from_height_batch(rays, subset.h_true)
+        np.testing.assert_array_equal(again.ball_3d, first.ball_3d)
+        for array, copy in zip((rays.cal, rays.u, rays.v, rays.status), before):
+            np.testing.assert_array_equal(array, copy)
+            assert not array.flags.writeable
+        for batch in (reconstruct_from_height_batch, reconstruct_from_diameter_batch):
+            with pytest.raises(ValueError, match="one prediction per ball ray"):
+                batch(rays, subset.h_true[:-1])
 
 
 class TestNonFiniteInput:
@@ -305,11 +323,52 @@ class TestNonFiniteInput:
         px = project(side_cal, WorldPoint(0.5, 0.0, 1.0))
         pixels = [[px.x, px.y], [px.x, px.y], [float("nan"), px.y]]
         values = [50.0, float("inf"), 50.0]
+        rays = ball_rays([side_cal], [0, 0, 0], pixels)
         for batch in (
-            reconstruct_from_height_batch([side_cal], [0, 0, 0], pixels, values),
-            reconstruct_from_diameter_batch([side_cal], [0, 0, 0], pixels, values),
+            reconstruct_from_height_batch(rays, values),
+            reconstruct_from_diameter_batch(rays, values),
         ):
             expected = [STATUS_OK, STATUS_NONFINITE_INPUT, STATUS_NONFINITE_INPUT]
             np.testing.assert_array_equal(batch.status, expected)
             assert np.isfinite(batch.ball_3d[0]).all()
             assert np.isnan(batch.ball_3d[1:]).all()
+
+
+class TestStatusPrecedence:
+    """A row's status is its first failure in pipeline order: a non-finite
+    pixel or prediction (9) before the diameter path's non-positive
+    diameter (8), before the raw pixel's undistortion failure (2), before
+    anything later, such as the diameter path's non-finite depth (8)."""
+
+    @pytest.fixture
+    def strong_barrel(self, side_cal):
+        # x = 9000 px is far enough outside this frame that undistortion fails.
+        return dataclasses.replace(side_cal, k1=-0.3)
+
+    ROWS = [
+        # (pixel x, value, height-path status, diameter-path status)
+        (9000.0, float("nan"), 9, 9),
+        (9000.0, float("inf"), 9, 9),
+        (9000.0, -float("inf"), 9, 9),
+        (9000.0, 0.0, 2, 8),
+        (9000.0, -50.0, 2, 8),
+        (9000.0, 1e-320, 2, 2),
+        (float("nan"), float("nan"), 9, 9),
+        (float("inf"), -50.0, 9, 9),
+        (float("nan"), 0.0, 9, 9),
+        (2300.0, 1e-320, 0, 8),
+        (2300.0, 50.0, 0, 0),
+    ]
+
+    @pytest.mark.parametrize("method", ["height", "diameter"])
+    def test_first_failure_stands(self, strong_barrel, method):
+        pixels = [[x, 850.0] for x, _, _, _ in self.ROWS]
+        values = [value for _, value, _, _ in self.ROWS]
+        rays = ball_rays([strong_barrel], [0] * len(self.ROWS), pixels)
+        if method == "height":
+            batch = reconstruct_from_height_batch(rays, values)
+            expected = [row[2] for row in self.ROWS]
+        else:
+            batch = reconstruct_from_diameter_batch(rays, values)
+            expected = [row[3] for row in self.ROWS]
+        np.testing.assert_array_equal(batch.status, expected)
