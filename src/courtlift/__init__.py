@@ -7,21 +7,13 @@ predictor noise, and score everything with the standard metric suite.
 """
 
 from .camera import (
-    Axis,
-    AxisPlane,
     CameraCalibration,
     ImagePoint,
-    Ray,
     WorldPoint,
-    back_project,
     calibration_from_json_dict,
     calibration_to_json_dict,
-    camera_center,
-    distort,
-    intersect_ray_plane,
     project,
     scale_calibration,
-    undistort_point,
     validate,
 )
 from .dataio import Dataset, assign_folds, read_dataset, rebalance, split, write_dataset
@@ -47,13 +39,11 @@ from .reconstruct import (
     ball_rays,
     crop_transform,
     diameter_px_of,
-    foot_pixel,
     reconstruct_from_diameter,
     reconstruct_from_diameter_batch,
     reconstruct_from_height,
     reconstruct_from_height_batch,
     true_pixel_height,
-    vertical_direction,
 )
 from .synth import (
     ArenaSpec,
@@ -70,8 +60,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
-    "AxisPlane",
     "AffineTransform",
     "AggregateReport",
     "ArenaSpec",
@@ -86,26 +74,20 @@ __all__ = [
     "ImagePoint",
     "METRIC_NAMES",
     "PredictorSpec",
-    "Ray",
     "Reconstruction",
     "Samples",
     "WorldPoint",
     "aggregate_repeats",
     "assign_folds",
-    "back_project",
     "ball_rays",
     "calibration_from_json_dict",
     "calibration_to_json_dict",
-    "camera_center",
     "crop_transform",
     "diameter_px_of",
-    "distort",
     "errors",
     "evaluate_arrays",
-    "foot_pixel",
     "generate_dataset",
     "height_histogram",
-    "intersect_ray_plane",
     "make_camera",
     "predict_diameters",
     "predict_heights",
@@ -121,8 +103,6 @@ __all__ = [
     "scale_calibration",
     "split",
     "true_pixel_height",
-    "undistort_point",
     "validate",
-    "vertical_direction",
     "write_dataset",
 ]

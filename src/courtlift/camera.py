@@ -1,4 +1,4 @@
-"""Calibrated camera model: projection, distortion, rays, plane intersection.
+"""Calibrated camera model: calibration, projection, validation, JSON form.
 
 Coordinate conventions
 ----------------------
@@ -20,7 +20,6 @@ iteration (max 50 iterations, failure above 1e-8 in normalized units).
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -79,21 +78,12 @@ def one_row(*values: float) -> list[np.ndarray]:
     return [np.array([v], dtype=np.float64) for v in values]
 
 
-class Axis(enum.IntEnum):
-    X = 0
-    Y = 1
-    Z = 2
-
-
 @dataclass(frozen=True)
 class ImagePoint:
     """Pixel position, origin top-left, y down. May lie outside the frame."""
 
     x: float
     y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -106,42 +96,6 @@ class WorldPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
-@dataclass(frozen=True, eq=False)
-class Ray:
-    """World-space ray; the stored direction is normalized to unit length."""
-
-    origin: WorldPoint
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3).copy()
-        norm = float(np.linalg.norm(d))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError("ray direction must be a finite nonzero vector")
-        d /= norm
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
-
-    def point_at(self, s: float) -> WorldPoint:
-        o = self.origin
-        return WorldPoint(
-            o.x + s * self.direction[0],
-            o.y + s * self.direction[1],
-            o.z + s * self.direction[2],
-        )
-
-
-@dataclass(frozen=True)
-class AxisPlane:
-    """Axis-aligned plane {axis coordinate == value}."""
-
-    axis: Axis
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", Axis(self.axis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,61 +166,6 @@ def project(cal: CameraCalibration, p: WorldPoint) -> ImagePoint:
     return ImagePoint(float(u[0]), float(v[0]))
 
 
-def distort(cal: CameraCalibration, n) -> np.ndarray:
-    """Apply the distortion model to normalized camera coordinates."""
-    n = np.asarray(n, dtype=np.float64).reshape(2)
-    xd, yd = _k.distort_norm(column(cal), *one_row(n[0], n[1]))
-    return np.concatenate([xd, yd])
-
-
-def undistort_point(cal: CameraCalibration, p: ImagePoint) -> ImagePoint:
-    """Map a distorted pixel to the undistorted pixel under the same K.
-
-    Raises NoConvergence when the fixed point leaves a residual above
-    1e-8 in normalized coordinates (extreme distortion), NonFiniteInput
-    for a NaN or infinite pixel.
-    """
-    u, v, status = _k.undistort_pixel(column(cal), *one_row(p.x, p.y))
-    raise_for_status(status[0], "cannot undistort this pixel")
-    return ImagePoint(float(u[0]), float(v[0]))
-
-
-def back_project(cal: CameraCalibration, p: ImagePoint) -> Ray:
-    """Ray of world points imaging to an UNDISTORTED pixel.
-
-    The caller applies undistort_point first when the pixel comes from a
-    distorted image.
-    """
-    arr = column(cal)
-    direction = _k.ray_direction(arr, *one_row(p.x, p.y))
-    return Ray(_world_point(_k.camera_center(arr)), np.concatenate(direction))
-
-
-def camera_center(cal: CameraCalibration) -> WorldPoint:
-    """Camera optical center in world coordinates, -R^T t."""
-    return _world_point(_k.camera_center(column(cal)))
-
-
-def _world_point(xyz) -> WorldPoint:
-    return WorldPoint(*(float(c[0]) for c in xyz))
-
-
-def intersect_ray_plane(ray: Ray, plane: AxisPlane) -> WorldPoint:
-    """Intersect a ray with an axis-aligned plane.
-
-    Raises RayParallelToPlane when the direction component along the plane
-    axis is below 1e-9, IntersectionBehindCamera when the hit lies at a
-    negative ray parameter. The result carries exactly plane.value on the
-    plane axis.
-    """
-    o = ray.origin
-    *point, status = _k.intersect_axis_plane(
-        one_row(o.x, o.y, o.z), one_row(*ray.direction), int(plane.axis), plane.value
-    )
-    raise_for_status(status[0], f"plane {plane.axis.name}={plane.value}")
-    return _world_point(point)
-
-
 def scale_calibration(cal: CameraCalibration, s: float) -> CameraCalibration:
     """Rescale the image grid by s (the shrunk-image calibration).
 
@@ -312,10 +211,10 @@ def validate(cal: CameraCalibration) -> list[str]:
     elif abs(float(np.linalg.det(cal.rotation)) - 1.0) >= 1e-9:
         violations.append("RotationNotProper")
     if not violations:
-        center = camera_center(cal)
-        if center.z <= 0.0:
+        z = float(_k.camera_center(column(cal))[2][0])
+        if z <= 0.0:
             warnings.warn(
-                f"camera center z = {center.z:.3f} m is not above the ground plane",
+                f"camera center z = {z:.3f} m is not above the ground plane",
                 stacklevel=2,
             )
     return violations

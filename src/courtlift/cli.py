@@ -63,11 +63,12 @@ def _sample_arrays(samples: Samples):
     return ball_rays(s.cals, s.cal_index, s.ball_px), s.ball_3d, s.h_true
 
 
-def _evaluate(arrays, method, preds, ball_diameter_m=None):
+def _evaluate(arrays, method, preds, ball_diameter_m, what):
     """Reconstruct `preds`, a pixel height or image diameter per sample as
     `method` says, and evaluate the rows that succeed; also return how
     many failed (e.g. a foot pixel pushed past the horizon by an extreme
-    prediction). The diameter method assumes a ball of `ball_diameter_m`."""
+    prediction). The diameter method assumes a ball of `ball_diameter_m`.
+    When every row fails, raise EmptyInput naming the pass, `what`."""
     rays, truth, h_true = arrays
     if method == "height":
         batch = reconstruct_from_height_batch(rays, preds)
@@ -76,8 +77,11 @@ def _evaluate(arrays, method, preds, ball_diameter_m=None):
         batch = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
         heights = (None, None)
     ok = batch.ok
+    n_failed = int((~ok).sum())
+    if n_failed and n_failed == len(ok):
+        raise EmptyInput(f"{what}: all {n_failed} samples failed to reconstruct")
     report = evaluate_arrays(truth[ok], *heights, batch.ball_3d[ok], batch.ground_projection[ok])
-    return report, int((~ok).sum())
+    return report, n_failed
 
 
 def run_evaluation(
@@ -101,7 +105,7 @@ def run_evaluation(
             preds = predict_heights(spec_r, samples.ids, samples.h_true)
         else:
             preds = predict_diameters(spec_r, samples.ids, samples.d_true)
-        report, n_failed = _evaluate(arrays, method, preds, ball_diameter_m)
+        report, n_failed = _evaluate(arrays, method, preds, ball_diameter_m, f"repeat {r}")
         reports.append(report)
         failed.append(n_failed)
     return reports, failed
@@ -111,7 +115,10 @@ def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[EvalReport]
     """One height-method pass per level of `grid`, the level (px) added
     to every true pixel height as the prediction."""
     arrays = _sample_arrays(samples)
-    results = [_evaluate(arrays, "height", samples.h_true + float(level)) for level in grid]
+    results = [
+        _evaluate(arrays, "height", samples.h_true + float(level), None, f"level {level:g} px")
+        for level in grid
+    ]
     return [report for report, _ in results], [n_failed for _, n_failed in results]
 
 
@@ -169,6 +176,8 @@ def cmd_synth(args, parser) -> int:
         parser.error("--n must be >= 1")
     if args.arenas < 1:
         parser.error("--arenas must be >= 1")
+    if args.n_folds < 1:
+        parser.error("--n-folds must be >= 1")
     _check_seeds(parser, args.seed, 1)
     dist_kwargs = {}
     if args.p_above_3m is not None:

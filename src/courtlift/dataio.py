@@ -11,11 +11,10 @@ of 11 numbers per sample:
 
 the sample id, its arena, the ball's world position (m), its raw pixel,
 its foot pixel, the undistorted pixel height and the true image
-diameter. A record takes about 186 bytes; a version 1 record, which
-copied the calibration into every record, took 766. Version 1 files
-(one JSON object per sample with keys id, arena, cal, ball_3d, ball_px,
-foot_px, h_true, diam_px) still read. Floats are written with Python's
-round-trip-exact repr, so read(write(ds)) is bit-exact.
+diameter. A record takes about 186 bytes, against 766 for version 1,
+which is no longer read: `courtlift synth` run again with the flags that
+wrote a version 1 file writes the same samples. Floats are written with
+Python's round-trip-exact repr, so read(write(ds)) is bit-exact.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ _RECORD_LINE = "[%d, %d, %r, %r, %r, %r, %r, %r, %r, %r, %r]\n"
 
 # The Python types json decodes a number to; a boolean's is bool, not int.
 _NUMBER_TYPES = {int, float}
-
-_V1_KEYS = ("id", "arena", "cal", "ball_3d", "ball_px", "foot_px", "h_true", "diam_px")
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -248,7 +244,7 @@ def _decode(line: str, index: int):
     return value
 
 
-def _v2_records(lines) -> list[list]:
+def _records(lines) -> list[list]:
     records = []
     for index, line in enumerate(lines):
         record = _decode(line, index)
@@ -256,37 +252,6 @@ def _v2_records(lines) -> list[list]:
             raise MalformedRecord(index, f"expected a list of {_RECORD_LEN} numbers")
         records.append(record)
     return records
-
-
-def _v1_records(lines) -> tuple[dict, list[list]]:
-    """Version 1 records as version 2 ones, and the calibration of each
-    arena. An arena's first record supplies its calibration, and every
-    later record of the arena must carry the same one."""
-    cals, cal_json, records = {}, {}, []
-    for index, line in enumerate(lines):
-        obj = _decode(line, index)
-        if not isinstance(obj, dict):
-            raise MalformedRecord(index, "expected a JSON object")
-        missing = [k for k in _V1_KEYS if k not in obj]
-        if missing:
-            raise MalformedRecord(index, f"missing keys {missing}")
-        try:
-            arena = _integer(obj["arena"], "arena")
-            if arena not in cals:
-                cals[arena] = load_calibration(f"arena {arena} calibration", obj["cal"])
-                cal_json[arena] = obj["cal"]
-            elif obj["cal"] != cal_json[arena]:
-                raise ValueError(f"arena {arena} calibration differs from its first record's")
-            lists = [obj[k] for k in ("ball_3d", "ball_px", "foot_px")]
-            if [len(x) if isinstance(x, list) else None for x in lists] != [3, 2, 2]:
-                raise ValueError("ball_3d, ball_px and foot_px must be lists of 3, 2 and 2")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedRecord(index, str(exc)) from exc
-        ball_3d, ball_px, foot_px = lists
-        records.append(
-            [obj["id"], obj["arena"], *ball_3d, *ball_px, *foot_px, obj["h_true"], obj["diam_px"]]
-        )
-    return cals, records
 
 
 def _reject_non_numbers(records: list[list]) -> None:
@@ -378,17 +343,16 @@ def read_dataset(source) -> Dataset:
     if not isinstance(header, dict):
         raise SchemaVersionMismatch(f"header must be a JSON object, got {header!r}")
     version = header.get("schema_version")
-    if version not in (1, SCHEMA_VERSION):
-        raise SchemaVersionMismatch(
-            f"expected schema_version 1 or {SCHEMA_VERSION}, got {version!r}"
-        )
-    folds = _folds_from_header(header.get("folds", {}))
     if version == 1:
-        cals, records = _v1_records(lines)
-    else:
-        cals = _cameras_from_header(header.get("cameras"))
-        records = _v2_records(lines)
-    return Dataset(samples=_samples(records, cals), folds=folds)
+        raise SchemaVersionMismatch(
+            "schema_version 1 files are no longer read; run `courtlift synth` again "
+            "with the flags that wrote this file for the same samples as a version 2 file"
+        )
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {version!r}")
+    folds = _folds_from_header(header.get("folds", {}))
+    cals = _cameras_from_header(header.get("cameras"))
+    return Dataset(samples=_samples(_records(lines), cals), folds=folds)
 
 
 def dataset_to_string(ds: Dataset) -> str:

@@ -19,18 +19,21 @@ ball pixel. ``reconstruct_from_height_batch`` and
 from those rays, so scoring many predictions of the same balls (the
 repeats of ``evaluate``, the levels of ``sweep``) undistorts each pixel
 once.
+
+The one-ball functions run the same kernels on length-one rows and raise
+a failed row's typed error. The local vertical and the foot pixel have no
+wrapper: ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels as _k
 from .camera import (
-    STATUS_NAMES,
     CameraCalibration,
     ImagePoint,
     WorldPoint,
@@ -75,35 +78,6 @@ class Reconstruction:
             "vertical_angle": self.vertical_angle,
             "plane_gap": self.plane_gap,
         }
-
-
-class VerticalDirection(NamedTuple):
-    """Unit image direction of decreasing world Z, plus its angle to +y."""
-
-    direction: np.ndarray
-    angle: float
-
-
-def vertical_direction(cal: CameraCalibration, ball_px: ImagePoint) -> VerticalDirection:
-    """Local image-space vertical at an undistorted pixel.
-
-    Angle 0 means the world vertical maps to the image +y direction (the
-    rectified case); the sign follows atan2(v.x, v.y).
-    """
-    vx, vy, angle, status = _k.vertical_direction(column(cal), *one_row(ball_px.x, ball_px.y))
-    raise_for_status(status[0], "vertical direction undefined at this pixel")
-    return VerticalDirection(np.concatenate([vx, vy]), float(angle[0]))
-
-
-def foot_pixel(cal: CameraCalibration, ball_px: ImagePoint, h: float) -> ImagePoint:
-    """Ground-projection pixel: ball pixel + h px along the local vertical.
-
-    The vertical is refined at the ground point of the ray through each
-    foot iterate (step tolerance 0.01 px, at most 5 iterations).
-    """
-    fu, fv, _, _, _, status = _k.foot_pixel(column(cal), *one_row(ball_px.x, ball_px.y, h))
-    raise_for_status(status[0], "vertical direction failed during foot refinement")
-    return ImagePoint(float(fu[0]), float(fv[0]))
 
 
 def true_pixel_height(cal: CameraCalibration, ball_3d: WorldPoint) -> float:
@@ -340,11 +314,3 @@ def diameter_px_of(
     )
     raise_for_status(status[0], "ball is behind the camera")
     return float(d[0])
-
-
-def status_counts(status: np.ndarray) -> dict[str, int]:
-    """Histogram of batch status codes by error name (for diagnostics)."""
-    out: dict[str, int] = {}
-    for code in np.unique(status):
-        out[STATUS_NAMES.get(int(code), str(int(code)))] = int((status == code).sum())
-    return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from courtlift import ArenaSpec, CameraCalibration, generate_dataset, make_camera
+from courtlift.camera import column, one_row
 from courtlift.rng import PURPOSE_CAMERA, stream
 from courtlift.synth import sample_camera
 
@@ -55,6 +56,11 @@ def side_cal() -> CameraCalibration:
 
 ZERO_DIST_ARENA = ArenaSpec(k1_range=(0.0, 0.0), k2_range=(0.0, 0.0))
 STRONG_DIST_ARENA = ArenaSpec(k1_range=(-0.3, 0.3), k2_range=(-0.05, 0.05))
+
+
+def kernel_row(kernel, cal: CameraCalibration, *values):
+    """A kernel's outputs for one camera and one row, as Python scalars."""
+    return [out[0].item() for out in kernel(column(cal), *one_row(*values))]
 
 
 def random_cameras(n: int, seed: int = 0, arena: ArenaSpec = ZERO_DIST_ARENA):

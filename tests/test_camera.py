@@ -14,35 +14,21 @@ import numpy as np
 import pytest
 
 from courtlift import (
-    Axis,
-    AxisPlane,
     CameraCalibration,
     ImagePoint,
-    Ray,
     WorldPoint,
-    back_project,
     calibration_from_json_dict,
     calibration_to_json_dict,
-    camera_center,
-    distort,
-    intersect_ray_plane,
     project,
     scale_calibration,
-    undistort_point,
     validate,
 )
 from courtlift import _kernels as _k
 from courtlift import errors
-from courtlift.camera import STATUS_NAMES, raise_for_status
-from courtlift.errors import (
-    DepthNonPositive,
-    IntersectionBehindCamera,
-    NoConvergence,
-    NonPositiveScale,
-    RayParallelToPlane,
-)
+from courtlift.camera import STATUS_NAMES, one_row, raise_for_status
+from courtlift.errors import DepthNonPositive, NonPositiveScale
 
-from conftest import random_cameras
+from conftest import kernel_row, random_cameras
 
 
 def _with_distortion(cal: CameraCalibration, **coeffs) -> CameraCalibration:
@@ -80,20 +66,29 @@ class TestProject:
         np.testing.assert_allclose([p.x, p.y], [1162.5, 640.0], rtol=1e-12)
 
 
+def _distort(cal: CameraCalibration, n) -> np.ndarray:
+    return np.array(kernel_row(_k.distort_norm, cal, *n))
+
+
+def _undistort(cal: CameraCalibration, p: ImagePoint) -> tuple[ImagePoint, int]:
+    u, v, status = kernel_row(_k.undistort_pixel, cal, p.x, p.y)
+    return ImagePoint(u, v), status
+
+
 class TestDistort:
     def test_identity_when_no_coefficients(self, identity_cal):
         np.testing.assert_array_equal(
-            distort(identity_cal, [0.3, -0.2]), [0.3, -0.2]
+            _distort(identity_cal, [0.3, -0.2]), [0.3, -0.2]
         )
 
     def test_center_is_fixed_point(self, identity_cal):
         cal = _with_distortion(identity_cal, k1=-0.1)
-        np.testing.assert_array_equal(distort(cal, [0.0, 0.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(_distort(cal, [0.0, 0.0]), [0.0, 0.0])
 
     def test_radial_polynomial_value(self, identity_cal):
         # (0.5, 0): r2 = 0.25, scale = 1 - 0.1*0.25 = 0.975 -> 0.4875
         cal = _with_distortion(identity_cal, k1=-0.1)
-        np.testing.assert_allclose(distort(cal, [0.5, 0.0]), [0.4875, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(_distort(cal, [0.5, 0.0]), [0.4875, 0.0], rtol=1e-15)
 
     def test_tangential_terms(self, identity_cal):
         cal = _with_distortion(identity_cal, p1=0.01, p2=-0.005)
@@ -103,13 +98,13 @@ class TestDistort:
             x + 2 * 0.01 * x * y + (-0.005) * (r2 + 2 * x * x),
             y + 0.01 * (r2 + 2 * y * y) + 2 * (-0.005) * x * y,
         ]
-        np.testing.assert_allclose(distort(cal, [x, y]), expected, rtol=1e-15)
+        np.testing.assert_allclose(_distort(cal, [x, y]), expected, rtol=1e-15)
 
 
 class TestUndistortPoint:
     def test_identity_with_zero_distortion(self, identity_cal):
-        q = undistort_point(identity_cal, ImagePoint(123.4, 567.8))
-        assert (q.x, q.y) == (123.4, 567.8)
+        q, status = _undistort(identity_cal, ImagePoint(123.4, 567.8))
+        assert (q.x, q.y, status) == (123.4, 567.8, _k.STATUS_OK)
 
     def test_round_trip_mild(self, identity_cal):
         cal = _with_distortion(identity_cal, k1=-0.1)
@@ -117,7 +112,8 @@ class TestUndistortPoint:
         for _ in range(1000):
             q = ImagePoint(rng.uniform(0, 1920), rng.uniform(0, 1080))
             distorted = _project_with_distortion_of(cal, q)
-            rec = undistort_point(cal, distorted)
+            rec, status = _undistort(cal, distorted)
+            assert status == _k.STATUS_OK
             assert math.hypot(rec.x - q.x, rec.y - q.y) < 1e-6
 
     def test_round_trip_strong_wide_angle(self, identity_cal):
@@ -125,7 +121,8 @@ class TestUndistortPoint:
         rng = np.random.default_rng(7)
         for _ in range(500):
             q = ImagePoint(rng.uniform(0, 1920), rng.uniform(0, 1080))
-            rec = undistort_point(cal, _project_with_distortion_of(cal, q))
+            rec, status = _undistort(cal, _project_with_distortion_of(cal, q))
+            assert status == _k.STATUS_OK
             assert math.hypot(rec.x - q.x, rec.y - q.y) < 1e-6
 
     def test_inverse_property_over_coefficient_ranges(self, identity_cal):
@@ -146,110 +143,112 @@ class TestUndistortPoint:
                 p2=rng.uniform(-0.01, 0.01),
             )
             p = ImagePoint(rng.uniform(0, 1920), rng.uniform(0, 1080))
-            q = undistort_point(cal, p)
+            q, status = _undistort(cal, p)
+            assert status == _k.STATUS_OK
             n_q = np.array([(q.x - cal.cx) / cal.fx, (q.y - cal.cy) / cal.fy])
             n_p = np.array([(p.x - cal.cx) / cal.fx, (p.y - cal.cy) / cal.fy])
-            np.testing.assert_allclose(distort(cal, n_q), n_p, atol=1e-8)
+            np.testing.assert_allclose(_distort(cal, n_q), n_p, atol=1e-8)
 
     def test_no_convergence_outside_model_range(self, identity_cal):
         # k1 = -0.5 folds the radial polynomial at |n| ~ 0.82; a distorted
         # radius beyond the fold maximum (~0.544) has no preimage.
         cal = _with_distortion(identity_cal, k1=-0.5)
         target = ImagePoint(cal.cx + cal.fx * 0.9, cal.cy)
-        with pytest.raises(NoConvergence):
-            undistort_point(cal, target)
+        assert _undistort(cal, target)[1] == _k.STATUS_NO_CONVERGENCE
 
 
 def _project_with_distortion_of(cal: CameraCalibration, q: ImagePoint) -> ImagePoint:
     """Distorted pixel whose undistorted position is q (forward model)."""
     ny = (q.y - cal.cy) / cal.fy
     nx = (q.x - cal.cx - cal.skew * ny) / cal.fx
-    d = distort(cal, [nx, ny])
+    d = _distort(cal, [nx, ny])
     return ImagePoint(cal.fx * d[0] + cal.skew * d[1] + cal.cx, cal.fy * d[1] + cal.cy)
 
 
 class TestBackProject:
     def test_principal_point_gives_optical_axis(self, identity_cal):
-        ray = back_project(identity_cal, ImagePoint(960, 540))
-        np.testing.assert_allclose(
-            [ray.origin.x, ray.origin.y, ray.origin.z], [0, 0, 0], atol=1e-12
-        )
-        np.testing.assert_allclose(ray.direction, [0, 0, 1], atol=1e-12)
+        origin = kernel_row(_k.camera_center, identity_cal)
+        np.testing.assert_allclose(origin, [0, 0, 0], atol=1e-12)
+        direction = kernel_row(_k.ray_direction, identity_cal, 960, 540)
+        np.testing.assert_allclose(direction, [0, 0, 1], atol=1e-12)
 
     def test_inverse_of_project_example(self, identity_cal):
-        ray = back_project(identity_cal, ImagePoint(1160, 540))
+        direction = kernel_row(_k.ray_direction, identity_cal, 1160, 540)
         expected = np.array([0.2, 0.0, 1.0])
         expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(ray.direction, expected, atol=1e-12)
+        np.testing.assert_allclose(direction, expected, atol=1e-12)
 
     def test_project_round_trip_along_ray(self):
         cams = random_cameras(50, seed=21)
         rng = np.random.default_rng(3)
         for cal in cams:
             nodist = cal.without_distortion()
+            origin = np.array(kernel_row(_k.camera_center, nodist))
             for _ in range(20):
                 p = ImagePoint(
                     rng.uniform(0, cal.image_width), rng.uniform(0, cal.image_height)
                 )
-                ray = back_project(nodist, p)
+                direction = np.array(kernel_row(_k.ray_direction, nodist, p.x, p.y))
                 for s in (1.0, 5.0, 50.0):
-                    q = project(nodist, ray.point_at(s))
+                    q = project(nodist, WorldPoint(*(origin + s * direction)))
                     assert math.hypot(q.x - p.x, q.y - p.y) < 1e-9
+
+
+def _intersect(origin, direction, axis: int, value: float):
+    """One ray, with its direction made unit length, against a plane."""
+    d = np.asarray(direction, dtype=np.float64)
+    unit = one_row(*(d / np.linalg.norm(d)))
+    *point, status = _k.intersect_axis_plane(one_row(*origin), unit, axis, value)
+    return WorldPoint(*(float(c[0]) for c in point)), int(status[0])
 
 
 class TestIntersectRayPlane:
     def test_straight_down(self):
-        ray = Ray(WorldPoint(0, 0, 10), np.array([0.0, 0.0, -1.0]))
-        p = intersect_ray_plane(ray, AxisPlane(Axis.Z, 0.0))
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 0.0)
+        p, status = _intersect((0, 0, 10), [0.0, 0.0, -1.0], 2, 0.0)
+        assert (p.x, p.y, p.z, status) == (0.0, 0.0, 0.0, _k.STATUS_OK)
 
-    def test_parallel_raises(self):
-        ray = Ray(WorldPoint(0, 0, 10), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(RayParallelToPlane):
-            intersect_ray_plane(ray, AxisPlane(Axis.Z, 0.0))
+    def test_parallel_is_flagged(self):
+        _, status = _intersect((0, 0, 10), [1.0, 0.0, 0.0], 2, 0.0)
+        assert status == _k.STATUS_RAY_PARALLEL
 
-    def test_behind_raises(self):
-        ray = Ray(WorldPoint(0, 0, 10), np.array([0.0, 0.0, -1.0]))
-        with pytest.raises(IntersectionBehindCamera):
-            intersect_ray_plane(ray, AxisPlane(Axis.Z, 20.0))
+    def test_behind_is_flagged(self):
+        _, status = _intersect((0, 0, 10), [0.0, 0.0, -1.0], 2, 20.0)
+        assert status == _k.STATUS_BEHIND_CAMERA
 
     def test_constructed_direction_hits_target(self):
         origin = WorldPoint(0, -20, 3)
         target = np.array([2.0, 1.0, 0.0])
-        ray = Ray(origin, target - origin.as_array())
-        p = intersect_ray_plane(ray, AxisPlane(Axis.Z, 0.0))
+        p, status = _intersect(origin.as_array(), target - origin.as_array(), 2, 0.0)
+        assert status == _k.STATUS_OK
         np.testing.assert_allclose([p.x, p.y, p.z], target, atol=1e-12)
         assert p.z == 0.0  # plane coordinate is exact
 
     def test_plane_coordinate_exact_on_x_and_y(self):
-        ray = Ray(WorldPoint(0, -20, 3), np.array([0.3, 1.0, -0.1]))
-        px = intersect_ray_plane(ray, AxisPlane(Axis.X, 1.234))
-        py = intersect_ray_plane(ray, AxisPlane(Axis.Y, -3.5))
+        direction = [0.3, 1.0, -0.1]
+        px, _ = _intersect((0, -20, 3), direction, 0, 1.234)
+        py, _ = _intersect((0, -20, 3), direction, 1, -3.5)
         assert px.x == 1.234
         assert py.y == -3.5
 
 
 class TestCameraCenter:
     def test_identity(self, identity_cal):
-        c = camera_center(identity_cal)
-        assert (c.x, c.y, c.z) == (0.0, 0.0, 0.0)
+        assert kernel_row(_k.camera_center, identity_cal) == [0.0, 0.0, 0.0]
 
     def test_translated(self, identity_cal):
         from dataclasses import replace
 
         cal = replace(identity_cal, translation=np.array([0.0, 0.0, -5.0]))
-        c = camera_center(cal)
-        np.testing.assert_allclose([c.x, c.y, c.z], [0, 0, 5], atol=1e-12)
+        np.testing.assert_allclose(kernel_row(_k.camera_center, cal), [0, 0, 5], atol=1e-12)
 
     def test_cam_a_matches_construction(self, cam_a):
-        c = camera_center(cam_a)
-        np.testing.assert_allclose([c.x, c.y, c.z], [0, -20, 3], atol=1e-9)
+        np.testing.assert_allclose(kernel_row(_k.camera_center, cam_a), [0, -20, 3], atol=1e-9)
 
     def test_center_to_point_segment_projects_to_same_pixel(self, cam_a):
         # Collinearity: points on the segment center -> p image to p's pixel.
         p = WorldPoint(3.0, 2.0, 1.0)
         target = project(cam_a, p)
-        c = camera_center(cam_a).as_array()
+        c = np.array(kernel_row(_k.camera_center, cam_a))
         for alpha in (0.25, 0.5, 0.9):
             mid = c + alpha * (p.as_array() - c)
             q = project(cam_a, WorldPoint(*mid))
@@ -335,9 +334,11 @@ class TestRoundTripToRay:
                 px = project(cal, p)
             except DepthNonPositive:
                 continue
-            ray = back_project(cal, undistort_point(cal, px))
-            rel = p.as_array() - ray.origin.as_array()
-            closest = np.linalg.norm(rel - (rel @ ray.direction) * ray.direction)
+            u, v, status = kernel_row(_k.undistort_pixel, cal, px.x, px.y)
+            assert status == _k.STATUS_OK
+            direction = np.array(kernel_row(_k.ray_direction, cal, u, v))
+            rel = p.as_array() - np.array(kernel_row(_k.camera_center, cal))
+            closest = np.linalg.norm(rel - (rel @ direction) * direction)
             assert closest < 1e-6
             checked += 1
 

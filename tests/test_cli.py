@@ -113,6 +113,7 @@ class TestSynth:
         "evaluate --dataset {dataset} --out {out} --nu 0.5",
         "evaluate --dataset {dataset} --out {out} --sigma -1",
         "evaluate --dataset {dataset} --out {out} --target-mae 0",
+        "synth --n 10 --arenas 3 --n-folds 0 --out {out}",
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
@@ -375,6 +376,14 @@ class TestSweep:
             main(["sweep", "--grid", "0,1", "--out", str(tmp_path / "s")])
         assert exc.value.code == 2
 
+    def test_level_where_every_sample_fails_is_empty_input(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["sweep", "--dataset", str(dataset_file), "--grid=0,-100000", "--out", str(out)])
+        assert rc == 1
+        message = "level -100000 px: all 300 samples failed to reconstruct"
+        assert capsys.readouterr().err == f"error: EmptyInput: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
     # The first np.median call in a process imports numpy.ma, about 15 ms.
@@ -417,3 +426,13 @@ def test_readme_cli_examples_parse():
     for line in commands:
         argv = shlex.split(line)[1:]
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_library_examples_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -3,7 +3,6 @@
 import io
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from courtlift import (
     split,
     write_dataset,
 )
-from courtlift.cli import main
 from courtlift.dataio import dataset_to_string
 from courtlift.errors import (
     FoldViolation,
@@ -30,11 +28,7 @@ from courtlift.errors import (
     SchemaVersionMismatch,
     UnknownFold,
 )
-from courtlift.reconstruct import pack_calibrations
 from courtlift.synth import BallSample
-
-DATASET_V1 = Path(__file__).parent / "data" / "dataset_v1.jsonl"
-
 
 def _dummy_cal() -> CameraCalibration:
     return CameraCalibration(
@@ -91,24 +85,6 @@ class TestRoundTrip:
         assert len(rec.samples) == 20
         assert rec.folds == {"A": frozenset({0}), "B": frozenset({1})}
 
-    def test_version_1_file_reads_as_the_version_2_file_synth_writes(self, tmp_path):
-        # dataset_v1.jsonl was written by `courtlift synth` with these flags
-        # before the format changed.
-        path = tmp_path / "v2.jsonl"
-        argv = ["synth", "--n", "300", "--arenas", "3", "--seed", "1", "--out", str(path)]
-        assert main(argv) == 0
-        assert json.loads(path.read_text().splitlines()[0])["schema_version"] == 2
-        old, new = read_dataset(DATASET_V1), read_dataset(path)
-        assert old.folds == new.folds
-        assert len(new.samples) == 300
-        columns = ("ids", "arena", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true", "d_true")
-        for name in columns:
-            a, b = getattr(old.samples, name), getattr(new.samples, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        old_cals, new_cals = (pack_calibrations(d.samples.cals) for d in (old, new))
-        assert old_cals.tobytes() == new_cals.tobytes()
-
-
 def _record(s: BallSample) -> list:
     return [
         s.sample_id,
@@ -116,26 +92,6 @@ def _record(s: BallSample) -> list:
         *map(float, (s.ball_3d.x, s.ball_3d.y, s.ball_3d.z, s.ball_px.x, s.ball_px.y)),
         *map(float, (s.foot_px.x, s.foot_px.y, s.h_true, s.diameter_px_true)),
     ]
-
-
-def _v1_record(s: BallSample) -> dict:
-    return {
-        "id": s.sample_id,
-        "arena": s.arena_id,
-        "cal": calibration_to_json_dict(s.cal),
-        "ball_3d": [s.ball_3d.x, s.ball_3d.y, s.ball_3d.z],
-        "ball_px": [s.ball_px.x, s.ball_px.y],
-        "foot_px": [s.foot_px.x, s.foot_px.y],
-        "h_true": s.h_true,
-        "diam_px": s.diameter_px_true,
-    }
-
-
-def _v1_text(samples, folds) -> str:
-    """A version 1 file: the calibration in every record."""
-    header = {"folds": {name: sorted(ids) for name, ids in folds.items()}, "schema_version": 1}
-    lines = [header, *(_v1_record(s) for s in samples)]
-    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines)
 
 
 EDGE_FLOATS = (-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, -1.7976931348623157e308, 123456.789)
@@ -224,15 +180,6 @@ class TestReadValidation:
         header, *records = self._text(Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}}))
         return header, [json.loads(r) for r in records]
 
-    def test_missing_key_is_malformed_with_index(self):
-        text = _v1_text([_sample(0)], {"A": {0}})
-        header, record = text.splitlines()
-        broken = json.loads(record)
-        del broken["cal"]
-        text = header + "\n" + json.dumps(broken) + "\n"
-        with pytest.raises(MalformedRecord, match="record 0"):
-            read_dataset(io.StringIO(text))
-
     def test_wrong_schema_version(self):
         text = '{"schema_version": 99, "folds": {}}\n'
         with pytest.raises(SchemaVersionMismatch):
@@ -248,14 +195,6 @@ class TestReadValidation:
         text = dataset_to_string(ds) + record + "\n"
         with pytest.raises(MalformedRecord, match="record 0: invalid JSON"):
             read_dataset(io.StringIO(text))
-
-    def test_arena_with_two_calibrations_is_malformed_with_index(self):
-        header, *records = _v1_text([_sample(0), _sample(1), _sample(2)], {"A": {0}}).splitlines()
-        moved = json.loads(records[2])
-        moved["cal"]["fx"] += 1.0
-        records[2] = json.dumps(moved)
-        with pytest.raises(MalformedRecord, match="record 2: arena 0 calibration"):
-            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_infinity_in_record_is_malformed_with_index(self, token):
@@ -294,14 +233,6 @@ class TestReadValidation:
         with pytest.raises(MalformedRecord, match=f"record 1: {key} "):
             read_dataset(io.StringIO("\n".join(lines) + "\n"))
 
-    def test_v1_number_as_string_is_malformed_with_index(self):
-        header, *records = _v1_text([_sample(0), _sample(1)], {"A": {0}}).splitlines()
-        broken = json.loads(records[1])
-        broken["h_true"] = str(broken["h_true"])
-        records[1] = json.dumps(broken)
-        with pytest.raises(MalformedRecord, match="record 1: h_true '.*' is not a number"):
-            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
-
     @pytest.mark.parametrize(
         "record",
         ['{"id": 1}', "7", "[1, 0" + ", 1.0" * 8 + "]", "[1, 0" + ", 1.0" * 10 + "]"],
@@ -322,19 +253,23 @@ class TestReadValidation:
             read_dataset(io.StringIO(broken))
 
     def test_nan_in_header_is_schema_mismatch(self):
-        text = '{"schema_version": 1, "folds": {"A": [NaN]}}\n'
+        text = '{"schema_version": 2, "folds": {"A": [NaN]}}\n'
         with pytest.raises(SchemaVersionMismatch, match="non-finite number NaN"):
             read_dataset(io.StringIO(text))
 
     @pytest.mark.parametrize(
         "header, match",
         [
-            ('{"schema_version": 1, "folds": {"A": [1e999]}}', "fold 'A': arena inf"),
-            ('{"schema_version": 1, "folds": {"A": ["x"]}}', "fold 'A': could not convert"),
-            ('{"schema_version": 1, "folds": {"A": ["0"]}}', "fold 'A': arena '0' is not an"),
-            ('{"schema_version": 1, "folds": {"A": [true]}}', "fold 'A': arena True is not an"),
-            ('{"schema_version": 1, "folds": {"A": 3}}', "fold 'A': arena ids must be a list"),
-            ('{"schema_version": 1, "folds": [1]}', "folds must be a JSON object"),
+            ('{"schema_version": 2, "folds": {"A": [1e999]}}', "fold 'A': arena inf"),
+            ('{"schema_version": 2, "folds": {"A": ["x"]}}', "fold 'A': could not convert"),
+            ('{"schema_version": 2, "folds": {"A": ["0"]}}', "fold 'A': arena '0' is not an"),
+            ('{"schema_version": 2, "folds": {"A": [true]}}', "fold 'A': arena True is not an"),
+            ('{"schema_version": 2, "folds": {"A": 3}}', "fold 'A': arena ids must be a list"),
+            ('{"schema_version": 2, "folds": [1]}', "folds must be a JSON object"),
+            (
+                '{"schema_version": 1, "folds": {"A": [0]}}',
+                "schema_version 1 files are no longer read; run `courtlift synth` again",
+            ),
             ("[1]", "header must be a JSON object"),
             ('{"schema_version": 2, "folds": {"A": [0]}}', "cameras must be a list, got None"),
             ('{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0}]}', "camera 0: expected"),
@@ -370,17 +305,6 @@ class TestReadValidation:
         with pytest.raises(SchemaVersionMismatch, match=match):
             read_dataset(io.StringIO(header + "\n"))
 
-    def test_invalid_calibration_is_malformed_naming_arena(self):
-        header, *records = _v1_text([_sample(0), _sample(1)], {"A": {0}}).splitlines()
-        for i, record in enumerate(records):
-            broken = json.loads(record)
-            broken["cal"]["fx"] = -1000.0
-            records[i] = json.dumps(broken)
-        with pytest.raises(
-            MalformedRecord, match="record 0: arena 0 calibration is invalid: FocalNonPositive"
-        ):
-            read_dataset(io.StringIO("\n".join([header, *records]) + "\n"))
-
     def test_arena_without_camera_is_malformed_with_index(self):
         header, records = self._two_records()
         records[1][FIELD_POSITION["arena"]] = 3
@@ -389,11 +313,9 @@ class TestReadValidation:
         with pytest.raises(MalformedRecord, match="record 1: arena 3 has no camera"):
             read_dataset(io.StringIO("\n".join(lines) + "\n"))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_records_of_one_arena_share_one_calibration(self, version):
+    def test_records_of_one_arena_share_one_calibration(self):
         samples, folds = [_sample(0), _sample(1), _sample(2, arena_id=1)], {"A": {0, 1}}
-        ds = Dataset(samples=samples, folds=folds)
-        text = _v1_text(samples, folds) if version == 1 else dataset_to_string(ds)
+        text = dataset_to_string(Dataset(samples=samples, folds=folds))
         first, second, other = read_dataset(io.StringIO(text)).samples
         assert second.cal is first.cal
         assert other.cal is not first.cal

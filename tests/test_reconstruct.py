@@ -23,16 +23,14 @@ from courtlift import (
     ball_rays,
     crop_transform,
     diameter_px_of,
-    foot_pixel,
     project,
     reconstruct_from_diameter,
     reconstruct_from_height,
     reconstruct_from_height_batch,
     true_pixel_height,
-    vertical_direction,
 )
+from courtlift import _kernels as _k
 from courtlift.errors import (
-    DegenerateVertical,
     DepthNonPositive,
     GroundIntersectionFailed,
     IntersectionBehindCamera,
@@ -42,6 +40,8 @@ from courtlift.errors import (
 )
 from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_OK
 from courtlift.reconstruct import pack_calibrations, reconstruct_from_diameter_batch
+
+from conftest import kernel_row
 
 
 def _overhead_cal() -> CameraCalibration:
@@ -59,50 +59,66 @@ def _overhead_cal() -> CameraCalibration:
     )
 
 
+def _vertical(cal: CameraCalibration, x: float, y: float):
+    """(vx, vy), angle and status of the local vertical at a pixel."""
+    vx, vy, angle, status = kernel_row(_k.vertical_direction, cal, x, y)
+    return (vx, vy), angle, status
+
+
+def _foot(cal: CameraCalibration, px: ImagePoint, h: float):
+    """Foot pixel and status of a ball pixel lifted by h px."""
+    fu, fv, _, _, _, status = kernel_row(_k.foot_pixel, cal, px.x, px.y, h)
+    return ImagePoint(fu, fv), status
+
+
 class TestVerticalDirection:
     def test_side_on_vertical_is_image_column(self, side_cal):
-        vd = vertical_direction(side_cal, ImagePoint(1400.0, 950.0))
-        np.testing.assert_allclose(vd.direction, [0.0, 1.0], atol=1e-12)
-        assert abs(vd.angle) < 1e-12
+        direction, angle, status = _vertical(side_cal, 1400.0, 950.0)
+        assert status == STATUS_OK
+        np.testing.assert_allclose(direction, [0.0, 1.0], atol=1e-12)
+        assert abs(angle) < 1e-12
 
     def test_overhead_nadir_is_degenerate(self):
         cal = _overhead_cal()
-        with pytest.raises(DegenerateVertical):
-            vertical_direction(cal, ImagePoint(cal.cx, cal.cy))
+        assert _vertical(cal, cal.cx, cal.cy)[2] == _k.STATUS_DEGENERATE_VERTICAL
 
     def test_fan_pattern_across_panorama(self, cam_a):
         # Verticals lean toward the nadir vanishing point below the image:
         # positive angle left of center, negative right, growing outward.
         def angle_at(dx):
-            return vertical_direction(cam_a, ImagePoint(cam_a.cx + dx, cam_a.cy)).angle
+            _, angle, status = _vertical(cam_a, cam_a.cx + dx, cam_a.cy)
+            assert status == STATUS_OK
+            return angle
 
         assert angle_at(-1500) > 0 > angle_at(+1500)
         assert abs(angle_at(1500)) > abs(angle_at(700)) > abs(angle_at(100))
         np.testing.assert_allclose(angle_at(-1500), -angle_at(1500), atol=1e-12)
 
     def test_sky_pixel_errors(self, side_cal):
-        with pytest.raises(IntersectionBehindCamera):
-            vertical_direction(side_cal, ImagePoint(2250.0, side_cal.cy - 200.0))
-        with pytest.raises(RayParallelToPlane):
-            vertical_direction(side_cal, ImagePoint(2250.0, side_cal.cy))
+        sky = _vertical(side_cal, 2250.0, side_cal.cy - 200.0)[2]
+        assert sky == _k.STATUS_BEHIND_CAMERA
+        assert _vertical(side_cal, 2250.0, side_cal.cy)[2] == _k.STATUS_RAY_PARALLEL
 
 
 class TestFootPixel:
     def test_zero_height_is_identity(self, side_cal):
         px = ImagePoint(1800.0, 1000.0)
-        f = foot_pixel(side_cal, px, 0.0)
+        f, status = _foot(side_cal, px, 0.0)
+        assert status == STATUS_OK
         np.testing.assert_allclose([f.x, f.y], [px.x, px.y], atol=1e-9)
 
     def test_side_on_offset_is_exact(self, side_cal):
         px = ImagePoint(2000.0, 900.0)
-        f = foot_pixel(side_cal, px, 100.0)
+        f, status = _foot(side_cal, px, 100.0)
+        assert status == STATUS_OK
         np.testing.assert_allclose([f.x, f.y], [2000.0, 1000.0], atol=1e-9)
 
     def test_forward_oracle_consistency(self, clean_samples):
         # foot_pixel at the true height must land on the projected ground
         # point within 0.05 px (it is exact up to float noise).
         for s in clean_samples:
-            f = foot_pixel(s.cal, s.ball_px, s.h_true)
+            f, status = _foot(s.cal, s.ball_px, s.h_true)
+            assert status == STATUS_OK
             expected = project(
                 s.cal.without_distortion(),
                 WorldPoint(s.ball_3d.x, s.ball_3d.y, 0.0),
@@ -169,8 +185,9 @@ class TestReconstructFromHeight:
     def test_vertical_angle_reported(self, cam_a, clean_samples):
         s = clean_samples[0]
         rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
-        vd = vertical_direction(s.cal, ImagePoint(rec.foot_pixel.x, rec.foot_pixel.y))
-        assert rec.vertical_angle == pytest.approx(vd.angle, abs=1e-9)
+        _, angle, status = _vertical(s.cal, rec.foot_pixel.x, rec.foot_pixel.y)
+        assert status == STATUS_OK
+        assert rec.vertical_angle == pytest.approx(angle, abs=1e-9)
 
 
 class TestTruePixelHeight:
@@ -316,8 +333,7 @@ class TestNonFiniteInput:
             reconstruct_from_height(side_cal, ImagePoint(px.x, bad), 50.0)
         with pytest.raises(NonFiniteInput):
             reconstruct_from_diameter(side_cal, px, bad)
-        with pytest.raises(NonFiniteInput):
-            foot_pixel(side_cal, px, bad)
+        assert _foot(side_cal, px, bad)[1] == STATUS_NONFINITE_INPUT
 
     def test_batch_rows_carry_the_status(self, side_cal):
         px = project(side_cal, WorldPoint(0.5, 0.0, 1.0))
