@@ -271,9 +271,15 @@ class TestReadValidation:
                 "schema_version 1 files are no longer read; run `courtlift synth` again",
             ),
             ("[1]", "header must be a JSON object"),
+            ('{"folds": {"A": [0]}, "cameras": []}', "expected schema_version 2, got None"),
             ('{"schema_version": 2, "folds": {"A": [0]}}', "cameras must be a list, got None"),
             ('{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0}]}', "camera 0: expected"),
             ('{"schema_version": 2, "folds": {}, "cameras": [7]}', "camera 0: expected"),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": '
+                f'[{{"arena": 0, "cal": {CAL_JSON}, "name": "court"}}]}}',
+                "camera 0: expected an object with keys arena and cal",
+            ),
             (
                 '{"schema_version": 2, "folds": {}, "cameras": '
                 f'[{{"arena": 0, "cal": {CAL_JSON}}}, {{"arena": 0, "cal": {CAL_JSON}}}]}}',
@@ -319,6 +325,18 @@ class TestReadValidation:
         first, second, other = read_dataset(io.StringIO(text)).samples
         assert second.cal is first.cal
         assert other.cal is not first.cal
+
+    def test_cameras_listed_out_of_record_order_keep_their_arenas(self):
+        far = replace(_dummy_cal(), fx=1200.0, fy=1200.0)
+        samples = [_sample(0), replace(_sample(1, arena_id=1), cal=far)]
+        header, *records = self._text(Dataset(samples=samples, folds={"A": {0, 1}}))
+        obj = json.loads(header)
+        obj["cameras"].reverse()
+        assert [c["arena"] for c in obj["cameras"]] == [1, 0]
+        text = "\n".join([json.dumps(obj), *records]) + "\n"
+        near_rec, far_rec = read_dataset(io.StringIO(text)).samples
+        assert (near_rec.arena_id, near_rec.cal.fx) == (0, 1000.0)
+        assert (far_rec.arena_id, far_rec.cal.fx) == (1, 1200.0)
 
 
 class TestDatasetInvariants:
