@@ -225,10 +225,10 @@ class TestIntersectRayPlane:
 
     def test_plane_coordinate_exact_on_x_and_y(self):
         direction = [0.3, 1.0, -0.1]
-        px, _ = _intersect((0, -20, 3), direction, 0, 1.234)
-        py, _ = _intersect((0, -20, 3), direction, 1, -3.5)
-        assert px.x == 1.234
-        assert py.y == -3.5
+        px, sx = _intersect((0, -20, 3), direction, 0, 1.234)
+        py, sy = _intersect((0, -20, 3), direction, 1, -3.5)
+        assert (px.x, sx) == (1.234, _k.STATUS_OK)
+        assert (py.y, sy) == (-3.5, _k.STATUS_OK)
 
 
 class TestCameraCenter:
