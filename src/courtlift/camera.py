@@ -236,23 +236,37 @@ def calibration_to_json_dict(cal: CameraCalibration) -> dict:
     }
 
 
+def _json_number(name: str, value) -> float:
+    """A calibration field's JSON number; TypeError for anything else,
+    including the strings and booleans float() would convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(name: str, value) -> np.ndarray:
+    """A calibration field's nested list of JSON numbers, as float64."""
+    values = np.array(value, dtype=object)
+    return np.array([_json_number(name, x) for x in values.flat]).reshape(values.shape)
+
+
 def calibration_from_json_dict(obj: dict) -> CameraCalibration:
     dist = obj["dist"]
     return CameraCalibration(
-        fx=float(obj["fx"]),
-        fy=float(obj["fy"]),
-        cx=float(obj["cx"]),
-        cy=float(obj["cy"]),
-        skew=float(obj["skew"]),
-        rotation=np.array(obj["R"], dtype=np.float64).reshape(3, 3),
-        translation=np.array(obj["t"], dtype=np.float64),
-        k1=float(dist["k1"]),
-        k2=float(dist["k2"]),
-        k3=float(dist["k3"]),
-        p1=float(dist["p1"]),
-        p2=float(dist["p2"]),
-        image_width=float(obj["width"]),
-        image_height=float(obj["height"]),
+        fx=_json_number("fx", obj["fx"]),
+        fy=_json_number("fy", obj["fy"]),
+        cx=_json_number("cx", obj["cx"]),
+        cy=_json_number("cy", obj["cy"]),
+        skew=_json_number("skew", obj["skew"]),
+        rotation=_json_numbers("R", obj["R"]).reshape(3, 3),
+        translation=_json_numbers("t", obj["t"]),
+        k1=_json_number("k1", dist["k1"]),
+        k2=_json_number("k2", dist["k2"]),
+        k3=_json_number("k3", dist["k3"]),
+        p1=_json_number("p1", dist["p1"]),
+        p2=_json_number("p2", dist["p2"]),
+        image_width=_json_number("width", obj["width"]),
+        image_height=_json_number("height", obj["height"]),
     )
 
 

@@ -5,15 +5,20 @@ Every consumer of randomness derives an independent stream keyed by
 reproducible bit-for-bit across platforms and independent of evaluation
 order or thread count.
 
-``stream`` builds the generator of one stream. ``Cursor`` moves one
-reused bit generator between the streams of a (seed, purpose): Philox is
-counter-based, so a stream's state is fully defined by its key, its
-counter and the position in the current block, and setting them gives
-the same values as a fresh generator without building one per index.
-A position is a count of 64-bit words drawn; a double takes one word,
-so a caller that knows how many doubles it drew knows where a stream
-stands. ``draws`` takes one draw from the start of each of many streams
-through one bit generator, setting only the key between them.
+Philox4x64-10 is a keyed bijection on a counter (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): word w of a
+stream is one lane of one counter block's output, so ``words`` computes
+any run of words of many streams at once, in numpy arithmetic, equal to
+what numpy's ``Philox`` gives each stream. ``doubles`` maps words to
+floats in [0, 1) as numpy's ``Generator.random`` does, and
+``a + (b - a) * d`` of such a double ``d`` is ``Generator.uniform(a, b)``
+bit for bit. Synth draws its cameras and balls this way.
+
+``stream`` builds numpy's generator of one stream, and ``draws`` takes
+one draw from the start of each of many streams through one bit
+generator, setting only the key between them; the predictors and
+``rebalance`` use these for numpy's normal, Student-t and permutation
+draws.
 """
 
 from __future__ import annotations
@@ -40,10 +45,9 @@ def _check_uint64(name: str, value: int) -> None:
 _BLOCK_WORDS = 4
 
 
-def _key_counter(seed: int, index: int, purpose: int, blocks: int) -> tuple[tuple, tuple]:
-    """The Philox key and counter of stream (seed, index, purpose) once
-    ``blocks`` counter steps have been drawn; 0 is where the stream starts."""
-    return (seed, index), (blocks, 0, 0, purpose)
+def _key_counter(seed: int, index: int, purpose: int) -> tuple[tuple, tuple]:
+    """The Philox key and starting counter of stream (seed, index, purpose)."""
+    return (seed, index), (0, 0, 0, purpose)
 
 
 def _spent_state(inner: dict) -> dict:
@@ -67,7 +71,7 @@ def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
     """
     _check_uint64("seed", seed)
     _check_uint64("index", index)
-    key, counter = _key_counter(seed, index, purpose, 0)
+    key, counter = _key_counter(seed, index, purpose)
     return np.random.Generator(
         np.random.Philox(
             key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
@@ -75,34 +79,68 @@ def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
     )
 
 
-class Cursor:
-    """One Philox bit generator that stands anywhere in the streams of (seed, purpose).
+_ROUNDS = 10
+# Philox4x64-10's round multipliers and key increments (Random123), then
+# the masks and shifts of the arithmetic. Each is a numpy uint64: on
+# numpy 1.x a uint64 combined with a Python int promotes to float64.
+_M0 = np.uint64(0xD2E7470EE14C6C93)
+_M1 = np.uint64(0xCA5A826395121157)
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_11 = np.uint64(11)
 
-    ``seek(index, words)`` puts the generator where ``stream(seed, index,
-    purpose)`` stands after ``words`` 64-bit words have been drawn from
-    it, so many streams can take turns on one generator and each resumes
-    exactly where it stopped. A double takes one word, so the caller
-    counts the words from its draws. Indices are not range-checked here.
+
+def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _32
+    x_lo, x_hi = x & _LOW32, x >> _32
+    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    carry = ((lo_lo >> _32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> _32
+    return m_hi * x_hi + (lo_hi >> _32) + (hi_lo >> _32) + carry
+
+
+def words(seed: int, ids, purpose: int, start: int, count: int) -> np.ndarray:
+    """Words ``start`` to ``start + count - 1`` of the streams of ``ids``.
+
+    Column j of the ``(count, len(ids))`` uint64 result equals
+    ``stream(seed, ids[j], purpose).bit_generator.random_raw(start +
+    count)[start:]``. numpy's Philox steps its counter before each block,
+    so word w comes from counter ``(w // 4 + 1, 0, 0, purpose)``, lane
+    ``w % 4``. The seed and every id are range-checked before any
+    arithmetic.
     """
+    _check_uint64("seed", seed)
+    ids = ids if isinstance(ids, np.ndarray) else np.array(list(ids), dtype=object)
+    if ids.size:
+        _check_uint64("index", int(ids.min()))
+        _check_uint64("index", int(ids.max()))
+    key0 = np.array([seed], dtype=np.uint64)  # an array: numpy warns when scalars wrap
+    key1 = ids.astype(np.uint64)
+    first, last = start // _BLOCK_WORDS, (start + count - 1) // _BLOCK_WORDS
+    blocks = last + 1 - first
+    c0 = np.arange(first + 1, last + 2, dtype=np.uint64)[:, None]
+    c1 = c2 = np.zeros((1, 1), dtype=np.uint64)
+    c3 = np.full((1, 1), purpose, dtype=np.uint64)
+    for r in range(_ROUNDS):
+        if r:
+            key0 = key0 + _W0
+            key1 = key1 + _W1
+        c0, c1, c2, c3 = (
+            _mulhi(_M1, c2) ^ c1 ^ key0,
+            _M1 * c2,
+            _mulhi(_M0, c0) ^ c3 ^ key1,
+            _M0 * c0,
+        )
+    lanes = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1)
+    skip = start - first * _BLOCK_WORDS
+    return lanes.reshape(blocks * _BLOCK_WORDS, len(key1))[skip : skip + count]
 
-    def __init__(self, seed: int, purpose: int):
-        _check_uint64("seed", seed)
-        self._seed = seed
-        self._purpose = purpose
-        self._bitgen = np.random.Philox(key=0)
-        self._generator = np.random.Generator(self._bitgen)
-        self._inner: dict = {}
-        self._state = _spent_state(self._inner)
 
-    def seek(self, index: int, words: int) -> np.random.Generator:
-        """The generator, ``words`` 64-bit words into stream ``index``."""
-        blocks, spare = divmod(words, _BLOCK_WORDS)
-        inner = self._inner
-        inner["key"], inner["counter"] = _key_counter(self._seed, index, self._purpose, blocks)
-        self._bitgen.state = self._state
-        if spare:
-            self._bitgen.random_raw(spare)
-        return self._generator
+def doubles(w: np.ndarray) -> np.ndarray:
+    """Words as doubles in [0, 1), as numpy's ``Generator.random`` maps them."""
+    return (w >> _11) * 2.0**-53
 
 
 def draws(
@@ -124,7 +162,7 @@ def draws(
     if ids:
         _check_uint64("index", min(ids))
         _check_uint64("index", max(ids))
-    key, counter = _key_counter(seed, 0, purpose, 0)
+    key, counter = _key_counter(seed, 0, purpose)
     inner = {"key": key, "counter": counter}
     state = _spent_state(inner)
     bitgen = np.random.Philox(key=0)

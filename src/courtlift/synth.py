@@ -10,6 +10,14 @@ Every generated sample carries the full forward-oracle annotation set
 (raw pixel, foot pixel, pixel height, true image diameter) and is
 guaranteed to be reconstructable, so downstream round-trip and noise
 studies never hit degenerate geometry.
+
+Randomness comes from per-index Philox streams, computed as arrays by
+``rng.words``. Arena a's camera reads the doubles of stream (seed, a,
+PURPOSE_CAMERA) in order. Every ball placement attempt takes a fixed
+number of words (``_BALL_WORDS``), so attempt k of sample i starts k
+times that many words into stream (seed, i, PURPOSE_BALL), and each
+placement round draws all its candidates at once, with no per-sample
+loop. The values are those of numpy's ``Generator`` on each stream.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from . import _kernels as _k
 from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
-from .rng import PURPOSE_BALL, PURPOSE_CAMERA, Cursor, stream
+from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
 BALLISTIC_P_ABOVE_3M = 102.0 / 233.0
@@ -43,6 +51,11 @@ _MAX_PLACEMENT_RETRIES = 100
 # synth's peak RSS rose by 2 MiB on some seeds; at 2048 it stays at what
 # 500-row blocks gave.
 _PLACEMENT_BLOCK = 2048
+
+# Arenas whose camera doubles are drawn in one call. Every arena takes
+# the whole retry budget of doubles, so the block bounds the draw's
+# temporaries when there are many arenas: about 0.5 MiB at 16 arenas.
+_CAMERA_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -276,30 +289,51 @@ def _in_bounds(u, v, spec: ArenaSpec):
     )
 
 
-def sample_camera(rng: np.random.Generator, arena: ArenaSpec) -> CameraCalibration:
-    """Draw a valid arena camera; rejects draws that cannot see court center."""
+def _uniform(lo, hi, u):
+    """Generator.uniform(lo, hi) of the doubles u, bit for bit."""
+    return lo + (hi - lo) * u
+
+
+# Doubles one sample_camera attempt reads: distance, azimuth, height and
+# the look-at point, then, past the look-at distance check, the focal
+# length, the principal point offsets, k1 and k2. An attempt rejected by
+# that check reads only the first 6.
+_CAMERA_WORDS = 11
+
+
+def sample_camera(u: np.ndarray, arena: ArenaSpec) -> CameraCalibration:
+    """Draw a valid arena camera from the doubles `u`, read in order;
+    rejects draws that cannot see court center.
+
+    `u` must hold enough doubles for every attempt,
+    _MAX_PLACEMENT_RETRIES * _CAMERA_WORDS of them.
+    """
+    budget = _MAX_PLACEMENT_RETRIES * _CAMERA_WORDS
+    if len(u) < budget:
+        raise ValueError(f"sample_camera needs {budget} doubles, got {len(u)}")
+    draw = iter(u.tolist()).__next__
     for _ in range(_MAX_PLACEMENT_RETRIES):
-        distance = rng.uniform(*arena.camera_distance_range)
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        height = rng.uniform(*arena.camera_height_range)
+        distance = _uniform(*arena.camera_distance_range, draw())
+        azimuth = _uniform(0.0, 2.0 * math.pi, draw())
+        height = _uniform(*arena.camera_height_range, draw())
         center = (distance * math.cos(azimuth), distance * math.sin(azimuth), height)
         look_at = (
-            rng.uniform(-arena.court_half_length, arena.court_half_length),
-            rng.uniform(-arena.court_half_width, arena.court_half_width),
-            rng.uniform(1.0, 2.0),
+            _uniform(-arena.court_half_length, arena.court_half_length, draw()),
+            _uniform(-arena.court_half_width, arena.court_half_width, draw()),
+            _uniform(1.0, 2.0, draw()),
         )
         if math.hypot(center[0] - look_at[0], center[1] - look_at[1]) < 3.0:
             continue
         cal = make_camera(
             center,
             look_at,
-            focal=rng.uniform(*arena.focal_range),
+            focal=_uniform(*arena.focal_range, draw()),
             image_width=arena.image_width,
             image_height=arena.image_height,
-            cx=arena.image_width * (0.5 + rng.uniform(-0.02, 0.02)),
-            cy=arena.image_height * (0.5 + rng.uniform(-0.02, 0.02)),
-            k1=rng.uniform(*arena.k1_range),
-            k2=rng.uniform(*arena.k2_range),
+            cx=arena.image_width * (0.5 + _uniform(-0.02, 0.02, draw())),
+            cy=arena.image_height * (0.5 + _uniform(-0.02, 0.02, draw())),
+            k1=_uniform(*arena.k1_range, draw()),
+            k2=_uniform(*arena.k2_range, draw()),
         )
         if validate(cal):
             continue
@@ -312,31 +346,35 @@ def sample_camera(rng: np.random.Generator, arena: ArenaSpec) -> CameraCalibrati
     raise FrameCoverageFailure("no valid camera after retry budget")
 
 
-def sample_height(rng: np.random.Generator, dist: HeightDistSpec) -> float:
-    """Draw one ball height (m) from the configured law."""
+def sample_height(u: np.ndarray, dist: HeightDistSpec) -> np.ndarray:
+    """Ball heights (m) from the configured law, one per column of the
+    doubles `u`: the uniform law reads row 0; the mixture reads its
+    above-3 m coin from row 0 and the height's draw from row 1."""
     if dist.kind == "uniform":
-        return float(rng.uniform(0.0, dist.max_height))
-    if rng.random() < dist.p_above_3m:
-        return float(rng.uniform(3.0, dist.max_height))
-    # Inverse-CDF draw from an exponential truncated to [0, 3).
+        return _uniform(0.0, dist.max_height, u[0])
+    z = _uniform(3.0, dist.max_height, u[1])
+    low = ~(u[0] < dist.p_above_3m)
+    # Inverse-CDF draw from an exponential truncated to [0, 3), with
+    # math.log1p per element: np.log1p is an ULP off on some inputs.
     mass = -math.expm1(-3.0 / LOW_HEIGHT_MEAN_M)
-    return -LOW_HEIGHT_MEAN_M * math.log1p(-rng.random() * mass)
+    z[low] = [-LOW_HEIGHT_MEAN_M * math.log1p(x) for x in (-u[1][low] * mass).tolist()]
+    return z
 
 
-# 64-bit words one sample_ball call draws, by height-law kind: x, y and
+# 64-bit words one placement attempt draws, by height-law kind: x, y and
 # a uniform height, or x, y, the above-3 m coin and the height's draw.
 _BALL_WORDS = {"uniform": 3, "deepsport_like": 4, "ballistic_like": 4}
 
 
-def sample_ball(
-    rng: np.random.Generator, arena: ArenaSpec, dist: HeightDistSpec
-) -> WorldPoint:
-    """Ball position: (x, y) uniform over the court, z from the height law."""
-    return WorldPoint(
-        float(rng.uniform(-arena.court_half_length, arena.court_half_length)),
-        float(rng.uniform(-arena.court_half_width, arena.court_half_width)),
-        sample_height(rng, dist),
-    )
+def sample_ball(u: np.ndarray, arena: ArenaSpec, dist: HeightDistSpec) -> np.ndarray:
+    """Ball positions, (n, 3), from a (_BALL_WORDS[dist.kind], n) block of
+    doubles: (x, y) uniform over the court from rows 0 and 1, z from the
+    height law on the rest."""
+    xyz = np.empty((u.shape[1], 3))
+    xyz[:, 0] = _uniform(-arena.court_half_length, arena.court_half_length, u[0])
+    xyz[:, 1] = _uniform(-arena.court_half_width, arena.court_half_width, u[1])
+    xyz[:, 2] = sample_height(u[2:], dist)
+    return xyz
 
 
 def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
@@ -390,23 +428,22 @@ def generate_dataset(
         raise ValueError(f"n_arenas must be >= 1, got {n_arenas}")
     arena = arena or ArenaSpec()
     dist = dist or HeightDistSpec()
-    cameras = [
-        sample_camera(stream(seed, i, PURPOSE_CAMERA), arena) for i in range(n_arenas)
-    ]
+    cameras = []
+    budget = _MAX_PLACEMENT_RETRIES * _CAMERA_WORDS
+    for first in range(0, n_arenas, _CAMERA_BLOCK):
+        arena_ids = np.arange(first, min(first + _CAMERA_BLOCK, n_arenas))
+        u = doubles(words(seed, arena_ids, PURPOSE_CAMERA, 0, budget))
+        cameras += [sample_camera(column, arena) for column in u.T]
     packed = pack_calibrations(cameras)
-    cursor = Cursor(seed, PURPOSE_BALL)
     ids = np.arange(n, dtype=np.int64)
     columns = (np.empty((n, 3)), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n))
-    # Round k draws attempt k of every sample not yet placed. Each attempt
-    # draws _BALL_WORDS words, so attempt k starts k times that many words
-    # into the sample's stream.
+    # Round k draws attempt k of every sample not yet placed.
     todo = ids
     for attempt in range(_MAX_PLACEMENT_RETRIES):
-        words = attempt * _BALL_WORDS[dist.kind]
         missed = []
         for start in range(0, len(todo), _PLACEMENT_BLOCK):
             chunk = todo[start : start + _PLACEMENT_BLOCK]
-            missed.append(_place(cursor, chunk, words, columns, packed, arena, dist))
+            missed.append(_place(seed, chunk, attempt, columns, packed, arena, dist))
         todo = np.concatenate(missed)
         if not len(todo):
             arena_ids = ids % n_arenas
@@ -416,13 +453,16 @@ def generate_dataset(
     )
 
 
-def _place(cursor: Cursor, ids, words, columns, packed, arena, dist) -> np.ndarray:
-    """Draw and annotate one ball per sample id in `ids`, from `words`
-    words into stream (seed, id, PURPOSE_BALL). Usable ones are written
-    to their rows of `columns` (ball_3d, ball_px, foot_px, h_true,
-    d_true); the ids of the others come back."""
-    balls = [sample_ball(cursor.seek(i, words), arena, dist) for i in ids.tolist()]
-    xyz = np.array([[b.x, b.y, b.z] for b in balls])
+def _place(seed, ids, attempt, columns, packed, arena, dist) -> np.ndarray:
+    """Draw and annotate attempt `attempt` of the ball of each sample id
+    in `ids`. Every attempt takes _BALL_WORDS words of stream (seed, id,
+    PURPOSE_BALL), so this one starts `attempt` times that many words in.
+    Usable balls are written to their rows of `columns` (ball_3d,
+    ball_px, foot_px, h_true, d_true); the ids of the others come back."""
+    n_words = _BALL_WORDS[dist.kind]
+    xyz = sample_ball(
+        doubles(words(seed, ids, PURPOSE_BALL, attempt * n_words, n_words)), arena, dist
+    )
     usable, u, v, fu, fv, h, diameter = _annotate(
         calibration_columns(packed, ids % len(packed)), *xyz.T, arena
     )

@@ -63,8 +63,14 @@ def kernel_row(kernel, cal: CameraCalibration, *values):
     return [out[0].item() for out in kernel(column(cal), *one_row(*values))]
 
 
+def camera_from_stream(seed: int, index: int, arena: ArenaSpec):
+    """sample_camera on the doubles of numpy's own stream (seed, index,
+    PURPOSE_CAMERA), so it also checks the words synth draws them from."""
+    return sample_camera(stream(seed, index, PURPOSE_CAMERA).random(1100), arena)
+
+
 def random_cameras(n: int, seed: int = 0, arena: ArenaSpec = ZERO_DIST_ARENA):
-    return [sample_camera(stream(seed, i, PURPOSE_CAMERA), arena) for i in range(n)]
+    return [camera_from_stream(seed, i, arena) for i in range(n)]
 
 
 @pytest.fixture(scope="session")

@@ -146,12 +146,8 @@ def test_criterion_5_baseline_inferiority(band_set):
 
 def test_criterion_6_height_distribution_anchors():
     rng = stream(42, 0, 0)
-    deep = np.array(
-        [sample_height(rng, HeightDistSpec(kind="deepsport_like")) for _ in range(100_000)]
-    )
-    ballistic = np.array(
-        [sample_height(rng, HeightDistSpec(kind="ballistic_like")) for _ in range(100_000)]
-    )
+    deep = sample_height(rng.random((100_000, 2)).T, HeightDistSpec(kind="deepsport_like"))
+    ballistic = sample_height(rng.random((100_000, 2)).T, HeightDistSpec(kind="ballistic_like"))
     deep_frac = float(np.mean(deep >= 3.0))
     ball_frac = float(np.mean(ballistic >= 3.0))
     samples = generate_dataset(seed=205, n=600, n_arenas=4)

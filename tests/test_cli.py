@@ -316,6 +316,7 @@ class TestReconstruct:
             ("{not json", "Expecting property name"),
             ("[1, 2]", "unreadable: TypeError"),
             ('{"fx": 1}', "unreadable: KeyError('dist')"),
+            ({"fx": "2000.0"}, "unreadable: TypeError(\"fx must be a number, got '2000.0'\")"),
         ],
     )
     def test_invalid_calibration_exits_1_with_typed_error(
@@ -410,6 +411,32 @@ def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
     before, after = result.stdout.splitlines()[-1].split()
     if before == "True":
         pytest.skip("numpy.ma is loaded with numpy itself (numpy < 2)")
+    assert after == "False"
+
+
+def test_synth_does_not_import_numpy_random(tmp_path):
+    # synth computes its Philox words in numpy arithmetic; importing
+    # numpy.random costs 10-14 ms. numpy 1.x imports it with numpy itself.
+    out = str(tmp_path / "d.jsonl")
+    argv = ["synth", "--n", "50", "--arenas", "3", "--seed", "1", "--out", out]
+    code = (
+        "import sys\n"
+        "from courtlift.cli import main\n"
+        "before = 'numpy.random' in sys.modules\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(courtlift.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    before, after = result.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("numpy.random is loaded with numpy itself (numpy < 2)")
     assert after == "False"
 
 

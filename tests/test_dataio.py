@@ -37,7 +37,7 @@ def _dummy_cal() -> CameraCalibration:
         cx=960.0,
         cy=540.0,
         rotation=np.eye(3),
-        translation=np.zeros(3),
+        translation=np.array([0.0, 0.0, -5.0]),  # centre 5 m above the ground
         image_width=1920.0,
         image_height=1080.0,
     )
@@ -294,6 +294,26 @@ class TestReadValidation:
             (
                 '{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": {"fx": 1}}]}',
                 "camera 0: arena 0 calibration is unreadable",
+            ),
+            # float() and numpy convert numeric strings and booleans; a
+            # header, like a record, must hold numbers.
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": '
+                + CAL_JSON.replace('"fx": 1000.0', '"fx": "1000.0"')
+                + "}]}",
+                "camera 0: arena 0 calibration is unreadable: TypeError.*fx must be a number, got '1000.0'",
+            ),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": '
+                + CAL_JSON.replace('"R": [1.0', '"R": ["1.0"')
+                + "}]}",
+                "camera 0: arena 0 calibration is unreadable: TypeError.*R must be a number, got '1.0'",
+            ),
+            (
+                '{"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": '
+                + CAL_JSON.replace('"k3": 0.0', '"k3": false')
+                + "}]}",
+                "camera 0: arena 0 calibration is unreadable: TypeError.*k3 must be a number, got False",
             ),
             (
                 '{"schema_version": 2, "folds": {}, "cameras": '

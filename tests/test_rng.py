@@ -1,16 +1,19 @@
-"""rng.Cursor and rng.draws: one reused Philox bit generator, the values
-of a fresh rng.stream per index, bit for bit."""
+"""rng.words and rng.draws give the values of a fresh rng.stream per
+index, bit for bit: words computes Philox blocks in numpy arithmetic,
+draws reuses one bit generator."""
 
 import numpy as np
 import pytest
 
 from courtlift.rng import (
     PURPOSE_BALL,
+    PURPOSE_CAMERA,
     PURPOSE_DIAMETER_NOISE,
     PURPOSE_HEIGHT_NOISE,
-    Cursor,
+    doubles,
     draws,
     stream,
+    words,
 )
 
 UINT64_MAX = 2**64 - 1
@@ -83,30 +86,63 @@ def test_back_to_back_calls_with_different_purposes_are_independent():
     assert not np.any(height == diameter)
 
 
-@pytest.mark.parametrize("words", range(10))
-def test_seek_stands_where_a_stream_stands_after_that_many_words(words):
-    cursor = Cursor(3, PURPOSE_BALL)
-    cursor.seek(8, 13)  # leave another stream's block behind
-    gen = cursor.seek(5, words)
-    fresh = stream(3, 5, PURPOSE_BALL)
-    fresh.bit_generator.random_raw(words)
-    assert gen.bit_generator.random_raw(9).tolist() == fresh.bit_generator.random_raw(9).tolist()
+def _raw(seed, index, purpose, start, count):
+    """Words start to start + count - 1 of a fresh stream."""
+    return stream(seed, index, purpose).bit_generator.random_raw(start + count)[start:]
 
 
-def test_streams_resume_where_they_stopped_when_interleaved():
-    # Three streams take turns on one cursor, drawing 3 doubles a turn,
-    # so every resume after the first starts inside a Philox block.
-    cursor = Cursor(11, PURPOSE_BALL)
-    fresh = {i: stream(11, i, PURPOSE_BALL) for i in (0, 7, UINT64_MAX)}
-    words = dict.fromkeys(fresh, 0)
-    for _ in range(4):
-        for i, gen in fresh.items():
-            got = cursor.seek(i, words[i]).random(3)
-            words[i] += 3
-            np.testing.assert_array_equal(got, gen.random(3))
-    assert set(words.values()) == {12}
+@pytest.mark.parametrize("start", [0, 3, 5])
+@pytest.mark.parametrize("seed", [0, 2**63, UINT64_MAX])
+def test_words_equal_random_raw(seed, start):
+    # 9 words from start 3 or 5 span three Philox blocks and start and
+    # end inside one.
+    indices = [0, 2**63, UINT64_MAX, 7]
+    got = words(seed, indices, PURPOSE_BALL, start, 9)
+    assert got.dtype == np.uint64 and got.shape == (9, len(indices))
+    for j, index in enumerate(indices):
+        assert got[:, j].tolist() == _raw(seed, index, PURPOSE_BALL, start, 9).tolist()
 
 
-def test_cursor_checks_its_seed():
-    with pytest.raises(ValueError, match="seed must fit in uint64, got -1"):
-        Cursor(-1, PURPOSE_BALL)
+@pytest.mark.parametrize("start", range(10))
+def test_words_from_any_start_of_an_index_array(start):
+    indices = np.array([5, 0, 8, 5], dtype=np.int64)
+    got = words(3, indices, PURPOSE_BALL, start, 3)
+    for j, index in enumerate(indices.tolist()):
+        assert got[:, j].tolist() == _raw(3, index, PURPOSE_BALL, start, 3).tolist()
+
+
+def test_consecutive_runs_continue_the_stream():
+    # Placement attempts of 3 words each: every run after the first
+    # starts inside a Philox block, where the previous one stopped.
+    indices = [0, 7, UINT64_MAX]
+    runs = np.concatenate([words(11, indices, PURPOSE_BALL, 3 * k, 3) for k in range(4)])
+    for j, index in enumerate(indices):
+        assert runs[:, j].tolist() == _raw(11, index, PURPOSE_BALL, 0, 12).tolist()
+
+
+def test_doubles_and_uniforms_are_those_of_a_generator():
+    u = doubles(words(2, [4, 1], PURPOSE_CAMERA, 0, 50))
+    for j, index in enumerate([4, 1]):
+        np.testing.assert_array_equal(u[:25, j], stream(2, index, PURPOSE_CAMERA).random(25))
+        gen = stream(2, index, PURPOSE_CAMERA)
+        np.testing.assert_array_equal(-0.02 + (0.02 - -0.02) * u[:, j], gen.uniform(-0.02, 0.02, 50))
+
+
+@pytest.mark.parametrize("indices", [[], np.empty(0, dtype=np.int64)])
+def test_no_indices_give_no_columns(indices):
+    got = words(5, indices, PURPOSE_BALL, 3, 6)
+    assert got.dtype == np.uint64 and got.shape == (6, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, indices, match",
+    [
+        (-1, [0, 1], "seed must fit in uint64, got -1"),
+        (1, [0, -1, 2], "index must fit in uint64, got -1"),
+        (1, np.array([0, -1, 2]), "index must fit in uint64, got -1"),
+        (1, [0, 2**64, 2], "index must fit in uint64, got 18446744073709551616"),
+    ],
+)
+def test_words_range_check_seed_and_indices(seed, indices, match):
+    with pytest.raises(ValueError, match=match):
+        words(seed, indices, PURPOSE_BALL, 0, 4)

@@ -25,7 +25,7 @@ from courtlift.errors import DepthNonPositive, FrameCoverageFailure
 from courtlift.rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
 from courtlift.synth import DIST_KINDS, generate_dataset, sample_camera, sample_height
 
-from conftest import ZERO_DIST_ARENA
+from conftest import ZERO_DIST_ARENA, camera_from_stream
 
 
 class TestSampleCamera:
@@ -37,7 +37,7 @@ class TestSampleCamera:
             k1_range=(0.0, 0.0),
             k2_range=(0.0, 0.0),
         )
-        cal = sample_camera(stream(4, 0, PURPOSE_CAMERA), arena)
+        cal = camera_from_stream(4, 0, arena)
         assert cal.fx == 2000.0 and cal.fy == 2000.0
         center = -cal.rotation.T @ cal.translation
         assert center[2] == pytest.approx(5.0)
@@ -46,7 +46,7 @@ class TestSampleCamera:
     def test_draws_are_valid_and_see_court_center(self):
         arena = ArenaSpec()
         for i in range(1000):
-            cal = sample_camera(stream(9, i, PURPOSE_CAMERA), arena)
+            cal = camera_from_stream(9, i, arena)
             assert validate(cal) == []
             px = project(cal, WorldPoint(0, 0, 0))
             assert 0.0 <= px.x <= arena.image_width - 1
@@ -54,40 +54,43 @@ class TestSampleCamera:
 
     def test_same_stream_reproduces_camera(self):
         arena = ArenaSpec()
-        a = sample_camera(stream(3, 1, PURPOSE_CAMERA), arena)
-        b = sample_camera(stream(3, 1, PURPOSE_CAMERA), arena)
+        a = camera_from_stream(3, 1, arena)
+        b = camera_from_stream(3, 1, arena)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         assert a.fx == b.fx and a.cx == b.cx and a.k1 == b.k1
+
+    def test_fewer_doubles_than_the_retry_budget_raise(self):
+        with pytest.raises(ValueError, match="sample_camera needs 1100 doubles, got 1099"):
+            sample_camera(np.full(1099, 0.5), ArenaSpec())
 
 
 class TestHeightLaw:
     def test_zero_tail_probability_keeps_all_below_3(self):
         dist = HeightDistSpec(kind="deepsport_like", p_above_3m=0.0)
         rng = stream(1, 0, PURPOSE_CAMERA)
-        draws = [sample_height(rng, dist) for _ in range(2000)]
+        draws = sample_height(rng.random((2000, 2)).T, dist)
         assert all(0.0 <= z < 3.0 for z in draws)
 
     def test_tail_fraction_tracks_kind(self):
         rng = stream(2, 0, PURPOSE_CAMERA)
-        deep = [sample_height(rng, HeightDistSpec(kind="deepsport_like")) for _ in range(30000)]
+        deep = sample_height(rng.random((30000, 2)).T, HeightDistSpec(kind="deepsport_like"))
         frac = np.mean(np.asarray(deep) >= 3.0)
         assert frac == pytest.approx(60.0 / 801.0, abs=0.015)
 
     def test_uniform_kind_spans_range(self):
         dist = HeightDistSpec(kind="uniform", max_height=5.0)
         rng = stream(3, 0, PURPOSE_CAMERA)
-        draws = np.array([sample_height(rng, dist) for _ in range(5000)])
+        draws = sample_height(rng.random((5000, 1)).T, dist)
         assert draws.min() >= 0.0 and draws.max() <= 5.0
         assert np.mean(draws) == pytest.approx(2.5, abs=0.1)
 
     def test_ball_position_within_court(self):
         arena = ArenaSpec()
         rng = stream(4, 0, PURPOSE_CAMERA)
-        for _ in range(500):
-            b = sample_ball(rng, arena, HeightDistSpec())
-            assert abs(b.x) <= arena.court_half_length
-            assert abs(b.y) <= arena.court_half_width
-            assert b.z >= 0.0
+        for x, y, z in sample_ball(rng.random((500, 4)).T, arena, HeightDistSpec()):
+            assert abs(x) <= arena.court_half_length
+            assert abs(y) <= arena.court_half_width
+            assert z >= 0.0
 
     def test_invalid_specs_raise(self):
         with pytest.raises(ValueError):
@@ -168,7 +171,8 @@ def _reference_sample(seed, i, cameras, dist):
     rng = stream(seed, i, PURPOSE_BALL)
     cal = cameras[i % len(cameras)]
     for attempt in range(1, 101):
-        ball = sample_ball(rng, RETRY_ARENA, dist)
+        u = rng.random((synth._BALL_WORDS[dist.kind], 1))
+        ball = WorldPoint(*sample_ball(u, RETRY_ARENA, dist)[0].tolist())
         usable, u, v, fu, fv, h, diameter = synth._annotate(
             column(cal), *one_row(ball.x, ball.y, ball.z), RETRY_ARENA
         )
@@ -190,7 +194,8 @@ def _reference_sample(seed, i, cameras, dist):
 class TestStreamContract:
     """Sample i's attempts read stream (seed, i, PURPOSE_BALL) in order:
     the first from its start, each retry from where the last one stopped,
-    whatever the placement block size."""
+    and arena a's camera reads stream (seed, a, PURPOSE_CAMERA), whatever
+    the placement and camera block sizes."""
 
     @pytest.mark.parametrize("kind", DIST_KINDS)
     def test_block_size_and_per_sample_reference_agree(self, kind, monkeypatch):
@@ -199,11 +204,12 @@ class TestStreamContract:
         runs = []
         for block in (1, 7, n):
             monkeypatch.setattr(synth, "_PLACEMENT_BLOCK", block)
+            monkeypatch.setattr(synth, "_CAMERA_BLOCK", block)
             samples = generate_dataset(seed, n, arena=RETRY_ARENA, dist=dist, n_arenas=n_arenas)
             runs.append([_fields(s) for s in samples])
         assert runs[0] == runs[1] == runs[2]
         cameras = [
-            sample_camera(stream(seed, a, PURPOSE_CAMERA), RETRY_ARENA) for a in range(n_arenas)
+            camera_from_stream(seed, a, RETRY_ARENA) for a in range(n_arenas)
         ]
         reference = [_reference_sample(seed, i, cameras, dist) for i in range(n)]
         assert runs[0] == [_fields(sample) for sample, _ in reference]
