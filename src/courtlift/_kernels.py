@@ -44,7 +44,7 @@ STATUS_NO_CONVERGENCE = 2
 STATUS_RAY_PARALLEL = 3
 STATUS_BEHIND_CAMERA = 4
 STATUS_DEGENERATE_VERTICAL = 5
-STATUS_GROUND_FAILED = 6
+STATUS_GROUND_FAILED = 6  # unused: foot_pixel reports a foot ray off the ground as 3 or 4
 STATUS_BOTH_PLANES_DEGENERATE = 7
 STATUS_NONPOSITIVE_DIAMETER = 8
 STATUS_NONFINITE_INPUT = 9
@@ -59,14 +59,9 @@ UNDISTORT_MAX_ITER = 50
 UNDISTORT_STOP_TOL = 1e-13
 UNDISTORT_FAIL_TOL = 1e-8
 
-# Local vertical probe height (m) and degeneracy threshold (px).
-VERTICAL_PROBE_M = 0.1
+# Degenerate local vertical: one metre of world vertical at the ground
+# point images shorter than this many pixels.
 VERTICAL_MIN_PX = 1e-6
-
-# Foot-pixel fixed point; exact pinhole verticals converge on the first
-# refinement, so these bounds only matter for pathological inputs.
-FOOT_STEP_TOL_PX = 0.01
-FOOT_MAX_ITERS = 5
 
 
 def _quiet(kernel):
@@ -263,63 +258,46 @@ def intersect_axis_plane(origin, direction, axis: int, value):
 def vertical_direction(cal, u, v):
     """Unit image directions of decreasing world Z at undistorted pixels.
 
-    Evaluated at the ground point hit by each pixel's ray, by projecting a
-    0.1 m vertical probe; both probe images lie on the image of that world
-    vertical, so the direction is exact for a pinhole camera.
-    Returns (vx, vy, angle, status) with angle = atan2(vx, vy).
+    Every world vertical's image passes through the vertical vanishing
+    point c = K R[:, 2] (homogeneous). Below the ground point that pixel
+    b's ray hits, at camera depth z, one metre of vertical images as
+    (b c_w - c_xy) / z px, so the direction is exact for a pinhole camera.
+    Returns (vx, vy, angle, gx, gy, status) with angle = atan2(vx, vy) and
+    (gx, gy) the ground point.
     """
     status = _finite(u, v)
     center = camera_center(cal)
     gx, gy, _, st = intersect_axis_plane(center, ray_direction(cal, u, v), 2, 0.0)
     status = _then(status, st)
-    u0, v0, st0 = project_point_nodist(cal, gx, gy, 0.0)
-    u1, v1, st1 = project_point_nodist(cal, gx, gy, VERTICAL_PROBE_M)
-    behind = (st0 != STATUS_OK) | (st1 != STATUS_OK)
-    status = _then(status, _flag(behind, STATUS_DEPTH_NONPOSITIVE))
-    ex = u0 - u1
-    ey = v0 - v1
+    depth = _camera_coords(cal, gx, gy, 0.0)[2]
+    status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
+    r02 = cal[CAL_R + 2]
+    r12 = cal[CAL_R + 5]
+    r22 = cal[CAL_R + 8]
+    ex = u * r22 - (cal[CAL_FX] * r02 + cal[CAL_SKEW] * r12 + cal[CAL_CX] * r22)
+    ey = v * r22 - (cal[CAL_FY] * r12 + cal[CAL_CY] * r22)
     norm = np.sqrt(ex * ex + ey * ey)
-    status = _then(status, _flag(norm < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
+    status = _then(status, _flag(norm / depth < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
     vx = ex / norm
     vy = ey / norm
-    return vx, vy, np.arctan2(vx, vy), status
+    return vx, vy, np.arctan2(vx, vy), gx, gy, status
 
 
 @_quiet
 def foot_pixel(cal, u, v, h):
     """Foot pixels = ball pixels displaced h px along the local vertical.
 
-    Fixed-point refinement: the vertical is re-evaluated at the ground
-    point of the ray through the current foot iterate. A row stops after
-    a step below FOOT_STEP_TOL_PX, after FOOT_MAX_ITERS steps, or on a
-    failed vertical; each step computes only the rows still iterating.
-    Returns (fu, fv, vx, vy, angle, status).
+    Ball, foot and the vertical vanishing point are collinear, so the
+    vertical at the ball pixel points at the foot. The vertical at the
+    foot then gives each row's angle, ground point and final status.
+    Returns (fu, fv, gx, gy, angle, status).
     """
-    vx, vy, angle, status = vertical_direction(cal, u, v)
+    vx, vy, _, _, _, status = vertical_direction(cal, u, v)
     status = _then(_finite(h), status)
     fu = u + h * vx
     fv = v + h * vy
-    rows = np.flatnonzero(status == STATUS_OK)
-    for _ in range(FOOT_MAX_ITERS):
-        if rows.size == 0:
-            break
-        u_r = u[rows]
-        v_r = v[rows]
-        h_r = h[rows]
-        fu_r = fu[rows]
-        fv_r = fv[rows]
-        vx2, vy2, angle2, st = vertical_direction(cal[:, rows], fu_r, fv_r)
-        nu = u_r + h_r * vx2
-        nv = v_r + h_r * vy2
-        step = np.hypot(nu - fu_r, nv - fv_r)
-        fu[rows] = nu
-        fv[rows] = nv
-        vx[rows] = vx2
-        vy[rows] = vy2
-        angle[rows] = angle2
-        status[rows] = st
-        rows = rows[(st == STATUS_OK) & ~(step < FOOT_STEP_TOL_PX)]
-    return fu, fv, vx, vy, angle, status
+    _, _, angle, gx, gy, st = vertical_direction(cal, fu, fv)
+    return fu, fv, gx, gy, angle, _then(status, st)
 
 
 @_quiet
@@ -331,15 +309,12 @@ def lift_height(cal, u, v, h, status):
     Returns (bx, by, bz, gx, gy, fu, fv, angle, plane_gap, status).
     """
     status = _then(_finite(h), status)
-    fu, fv, _, _, angle, st = foot_pixel(cal, u, v, h)
+    fu, fv, gx, gy, angle, st = foot_pixel(cal, u, v, h)
     status = _then(status, st)
-
-    center = camera_center(cal)
-    gx, gy, _, st = intersect_axis_plane(center, ray_direction(cal, fu, fv), 2, 0.0)
-    status = _then(status, _flag(st != STATUS_OK, STATUS_GROUND_FAILED))
 
     # Vertical-plane intersections; a plane is skipped when the ray is
     # (near-)parallel to it or meets it behind the camera.
+    center = camera_center(cal)
     ray = ray_direction(cal, u, v)
     xx, xy, xz, st = intersect_axis_plane(center, ray, 0, gx)
     x_ok = st == STATUS_OK
@@ -383,7 +358,7 @@ def reconstruct_diameter(cal, u, v, status, diameter_px, ball_diameter_m):
     bz = oz + s * dz
     fu, fv, st = project_point_nodist(cal, bx, by, 0.0)
     on_image = st == STATUS_OK
-    _, _, angle, st = vertical_direction(cal, fu, fv)
+    _, _, angle, _, _, st = vertical_direction(cal, fu, fv)
     fu = np.where(on_image, fu, np.nan)
     fv = np.where(on_image, fv, np.nan)
     angle = np.where(on_image & (st == STATUS_OK), angle, np.nan)

@@ -21,6 +21,7 @@ iteration (max 50 iterations, failure above 1e-8 in normalized units).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -186,6 +187,18 @@ def scale_calibration(cal: CameraCalibration, s: float) -> CameraCalibration:
     )
 
 
+def _caller_outside_package() -> int:
+    """The warnings stacklevel, for the function calling this one, that
+    names the first frame outside courtlift: the user's line, whether it
+    called validate, load_calibration or read_dataset."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 def validate(cal: CameraCalibration) -> list[str]:
     """Check calibration invariants; returns the names of violated ones.
 
@@ -215,7 +228,7 @@ def validate(cal: CameraCalibration) -> list[str]:
         if z <= 0.0:
             warnings.warn(
                 f"camera center z = {z:.3f} m is not above the ground plane",
-                stacklevel=2,
+                stacklevel=_caller_outside_package(),
             )
     return violations
 

@@ -7,10 +7,10 @@ the ground plane to get the ground projection, then intersect the ball
 ray with the two vertical planes through that projection and average.
 
 In an undistorted pinhole image every world-vertical line passes through
-the vanishing point of the world Z axis, so the local vertical evaluated
-at the pixel's own ground point is exact and the foot fixed point
-converges immediately for exact inputs; the iteration only matters for
-pathological predictions.
+the vanishing point of the world Z axis, c = K R[:, 2]. Ball and foot lie
+on the image of one world vertical, so the foot is the ball pixel moved h
+px along the line through it and c, in closed form; the vertical at the
+foot then gives the reported angle and the row's final status.
 
 Batch reconstruction runs in two steps. ``ball_rays`` does the part no
 prediction changes: it gathers each row's camera and undistorts the raw
@@ -156,7 +156,7 @@ def crop_transform(
     arr = column(cal)
     uu, vv, status = _k.undistort_pixel(arr, *one_row(ball_px_raw.x, ball_px_raw.y))
     raise_for_status(status[0], "undistortion failed for crop anchor")
-    vx, vy, _, status = _k.vertical_direction(arr, uu, vv)
+    vx, vy, _, _, _, status = _k.vertical_direction(arr, uu, vv)
     raise_for_status(status[0], "vertical direction undefined at crop anchor")
     uu, vv, vx, vy = (float(a[0]) for a in (uu, vv, vx, vy))
     # Rotation sending the unit vertical (vx, vy) to (0, 1).

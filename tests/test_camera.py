@@ -7,6 +7,8 @@ and t = (0, 0, sqrt(409)), so the court origin sits on the optical axis
 and must land exactly on the principal point.
 """
 
+import io
+import json
 import math
 import warnings
 
@@ -20,12 +22,13 @@ from courtlift import (
     calibration_from_json_dict,
     calibration_to_json_dict,
     project,
+    read_dataset,
     scale_calibration,
     validate,
 )
 from courtlift import _kernels as _k
 from courtlift import errors
-from courtlift.camera import STATUS_NAMES, one_row, raise_for_status
+from courtlift.camera import STATUS_NAMES, load_calibration, one_row, raise_for_status
 from courtlift.errors import DepthNonPositive, NonPositiveScale
 
 from conftest import kernel_row, random_cameras
@@ -319,6 +322,20 @@ class TestValidate:
         low = replace(cam_a, translation=-cam_a.rotation @ np.array([0.0, -20.0, -1.0]))
         with pytest.warns(UserWarning, match="ground plane"):
             assert validate(low) == []
+
+    def test_low_camera_warning_names_the_calling_line(self, cam_a):
+        # However deep inside courtlift the check runs, the warning names
+        # the first caller outside the package: here, this file.
+        from dataclasses import replace
+
+        low = replace(cam_a, translation=-cam_a.rotation @ np.array([0.0, -20.0, -1.0]))
+        cal = calibration_to_json_dict(low)
+        header = {"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": cal}]}
+        with pytest.warns(UserWarning, match="ground plane") as record:
+            validate(low)
+            load_calibration("calibration", cal)
+            read_dataset(io.StringIO(json.dumps(header)))
+        assert [w.filename for w in record] == [__file__] * 3
 
 
 class TestRoundTripToRay:

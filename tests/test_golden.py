@@ -1,16 +1,19 @@
 """Golden gate for the batch reconstruction kernels.
 
 tests/data/golden_kernels.npz holds inputs and outputs captured with
-tests/data/capture_golden.py before the kernels were rewritten as array
-operations: 2000 samples over 12 default (distorted) arenas, the height
-path at offsets 0, 10, 40, -400 and 3000 px, the diameter path with
-heavy-tailed diameters, including non-positive ones, and the height path
-on random pixels in and far outside the frame. The 2000 rows' rays are
-built once and every offset and the diameters are reconstructed from
-them, as `evaluate --repeats` and `sweep` do. Status codes must
-match on every row and the geometry of OK rows must be bit-identical,
-except the vertical angle: np.arctan2 and math.atan2 can differ in the
-last bit, so it gets 1e-12 rad.
+tests/data/capture_golden.py: 2000 samples over 12 default (distorted)
+arenas, the height path at offsets 0, 10, 40, -400 and 3000 px, the
+diameter path with heavy-tailed diameters, including non-positive ones,
+and the height path on random pixels in and far outside the frame. The
+2000 rows' rays are built once and every offset and the diameters are
+reconstructed from them, as `evaluate --repeats` and `sweep` do. Status
+codes must match on every row and the geometry of OK rows must be
+bit-identical, except the vertical angle: numpy may run np.arctan2 on
+CPU-specific SIMD code, whose last bit can differ from the capture
+host's, so it gets 1e-12 rad.
+
+The same inputs also check the foot pixel against the equation it
+solves, f = b + h e(f), with e(f) the unit vertical at the foot.
 """
 
 from pathlib import Path
@@ -18,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from courtlift import _kernels as _k
 from courtlift.reconstruct import (
     ball_rays,
     reconstruct_from_diameter_batch,
@@ -81,3 +85,29 @@ def test_diameter_path_matches_golden(golden, rays):
     assert (batch.status != 0).any()
     _check(batch, g, "d", [("ball_3d", "ball"), ("ground_projection", "ground"), ("foot_px", "foot")])
     assert (batch.plane_gap[batch.ok] == 0.0).all()
+
+
+def _assert_foot_solves_its_equation(rays, heights):
+    """On OK rows the vertical at the foot is parallel to foot - ball, and
+    the foot lies h px along it."""
+    batch = reconstruct_from_height_batch(rays, heights)
+    ok = batch.ok
+    fu, fv = batch.foot_px[ok].T
+    vx, vy, _, _, _, status = _k.vertical_direction(rays.cal[:, ok], fu, fv)
+    assert (status == _k.STATUS_OK).all()
+    du = fu - rays.u[ok]
+    dv = fv - rays.v[ok]
+    assert np.abs(du * vy - dv * vx).max() <= 1e-10
+    assert np.abs(du * vx + dv * vy - heights[ok]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("offset", range(5))
+def test_foot_is_the_fixed_point(golden, rays, offset):
+    n = len(rays)
+    _assert_foot_solves_its_equation(rays, golden["heights"][offset * n : (offset + 1) * n])
+
+
+def test_wild_foot_is_the_fixed_point(golden):
+    g = golden
+    wild = ball_rays(g["cals"], g["w_cal_index"], g["w_px"])
+    _assert_foot_solves_its_equation(wild, g["w_heights"])
