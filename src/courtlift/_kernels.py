@@ -44,7 +44,6 @@ STATUS_NO_CONVERGENCE = 2
 STATUS_RAY_PARALLEL = 3
 STATUS_BEHIND_CAMERA = 4
 STATUS_DEGENERATE_VERTICAL = 5
-STATUS_GROUND_FAILED = 6  # unused: foot_pixel reports a foot ray off the ground as 3 or 4
 STATUS_BOTH_PLANES_DEGENERATE = 7
 STATUS_NONPOSITIVE_DIAMETER = 8
 STATUS_NONFINITE_INPUT = 9
@@ -235,23 +234,21 @@ def ray_direction(cal, u, v):
 
 
 @_quiet
-def intersect_axis_plane(origin, direction, axis: int, value):
-    """Intersect rays with the planes {axis coordinate == value}.
+def intersect_ground(origin, direction):
+    """Intersect rays with the ground plane Z = 0.
 
-    ``origin`` and ``direction`` are (x, y, z) triples of arrays. The
-    returned points carry exactly ``value`` along the plane axis.
-    Returns (px, py, pz, status).
+    ``origin`` and ``direction`` are (x, y, z) triples of arrays.
+    Returns (gx, gy, status).
     """
-    comp = direction[axis]
-    s = (value - origin[axis]) / comp
-    point = [o + s * d for o, d in zip(origin, direction)]
-    point[axis] = np.broadcast_to(value, s.shape)
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    s = -oz / dz
     status = np.where(
-        np.abs(comp) < EPS_AXIS,
+        np.abs(dz) < EPS_AXIS,
         STATUS_RAY_PARALLEL,
         _flag(s < 0.0, STATUS_BEHIND_CAMERA),
     )
-    return point[0], point[1], point[2], status
+    return ox + s * dx, oy + s * dy, status
 
 
 @_quiet
@@ -267,7 +264,7 @@ def vertical_direction(cal, u, v):
     """
     status = _finite(u, v)
     center = camera_center(cal)
-    gx, gy, _, st = intersect_axis_plane(center, ray_direction(cal, u, v), 2, 0.0)
+    gx, gy, st = intersect_ground(center, ray_direction(cal, u, v))
     status = _then(status, st)
     depth = _camera_coords(cal, gx, gy, 0.0)[2]
     status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
@@ -306,27 +303,20 @@ def lift_height(cal, u, v, h, status):
 
     ``status`` is each pixel's status so far (undistort_pixel's). A
     non-finite h comes before it, and it before any later failure.
-    Returns (bx, by, bz, gx, gy, fu, fv, angle, plane_gap, status).
+    The ball is (gx, gy, bz): ball, foot and the vertical vanishing point
+    are collinear, so the ball ray meets the world vertical through the
+    ground point, at the ray parameter s that matches its horizontal
+    position. Returns (bz, gx, gy, fu, fv, angle, status).
     """
     status = _then(_finite(h), status)
     fu, fv, gx, gy, angle, st = foot_pixel(cal, u, v, h)
     status = _then(status, st)
-
-    # Vertical-plane intersections; a plane is skipped when the ray is
-    # (near-)parallel to it or meets it behind the camera.
-    center = camera_center(cal)
-    ray = ray_direction(cal, u, v)
-    xx, xy, xz, st = intersect_axis_plane(center, ray, 0, gx)
-    x_ok = st == STATUS_OK
-    yx, yy, yz, st = intersect_axis_plane(center, ray, 1, gy)
-    y_ok = st == STATUS_OK
-    both = x_ok & y_ok
-    bx = np.where(both, 0.5 * (xx + yx), np.where(x_ok, xx, yx))
-    by = np.where(both, 0.5 * (xy + yy), np.where(x_ok, xy, yy))
-    bz = np.where(both, 0.5 * (xz + yz), np.where(x_ok, xz, yz))
-    gap = np.where(both, np.sqrt((xx - yx) ** 2 + (xy - yy) ** 2 + (xz - yz) ** 2), 0.0)
-    status = _then(status, _flag(~(x_ok | y_ok), STATUS_BOTH_PLANES_DEGENERATE))
-    return bx, by, bz, gx, gy, fu, fv, angle, gap, status
+    ox, oy, oz = camera_center(cal)
+    dx, dy, dz = ray_direction(cal, u, v)
+    s = ((gx - ox) * dx + (gy - oy) * dy) / (dx * dx + dy * dy)
+    in_front = (s > 0.0) & (s < np.inf)
+    status = _then(status, _flag(~in_front, STATUS_BOTH_PLANES_DEGENERATE))
+    return oz + s * dz, gx, gy, fu, fv, angle, status
 
 
 @_quiet

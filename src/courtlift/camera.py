@@ -32,7 +32,6 @@ from .errors import (
     BothPlanesDegenerate,
     DegenerateVertical,
     DepthNonPositive,
-    GroundIntersectionFailed,
     IntersectionBehindCamera,
     NoConvergence,
     NonFiniteInput,
@@ -47,7 +46,6 @@ _STATUS_EXCEPTIONS = {
     _k.STATUS_RAY_PARALLEL: RayParallelToPlane,
     _k.STATUS_BEHIND_CAMERA: IntersectionBehindCamera,
     _k.STATUS_DEGENERATE_VERTICAL: DegenerateVertical,
-    _k.STATUS_GROUND_FAILED: GroundIntersectionFailed,
     _k.STATUS_BOTH_PLANES_DEGENERATE: BothPlanesDegenerate,
     _k.STATUS_NONPOSITIVE_DIAMETER: NonPositiveDiameter,
     _k.STATUS_NONFINITE_INPUT: NonFiniteInput,

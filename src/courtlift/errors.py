@@ -38,12 +38,8 @@ class DegenerateVertical(GeometryError):
     """World vertical projects to (nearly) a point at this pixel."""
 
 
-class GroundIntersectionFailed(GeometryError):
-    """Foot-pixel ray misses the ground plane in front of the camera."""
-
-
 class BothPlanesDegenerate(GeometryError):
-    """Neither vertical reprojection plane yields a usable intersection."""
+    """The ball ray meets the ground point's vertical behind the camera or never."""
 
 
 class NonPositiveDiameter(GeometryError):

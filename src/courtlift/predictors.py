@@ -48,12 +48,12 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.nu > 1.0:
-            raise ValueError(f"nu must be > 1, got {self.nu}")
-        if self.target_mae is not None and not self.target_mae > 0.0:
-            raise ValueError(f"target_mae must be > 0, got {self.target_mae}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 1.0 < self.nu < math.inf:
+            raise ValueError(f"nu must be finite and > 1, got {self.nu}")
+        if self.target_mae is not None and not 0.0 < self.target_mae < math.inf:
+            raise ValueError(f"target_mae must be finite and > 0, got {self.target_mae}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -3,14 +3,17 @@
 Pipeline for one ball (all heavy lifting happens in undistorted image
 space): undistort the raw ball pixel, walk the predicted pixel height
 along the local image vertical to the foot pixel, drop the foot ray onto
-the ground plane to get the ground projection, then intersect the ball
-ray with the two vertical planes through that projection and average.
+the ground plane to get the ground projection, then take the point of the
+ball ray on the world vertical through that projection.
 
 In an undistorted pinhole image every world-vertical line passes through
 the vanishing point of the world Z axis, c = K R[:, 2]. Ball and foot lie
 on the image of one world vertical, so the foot is the ball pixel moved h
 px along the line through it and c, in closed form; the vertical at the
-foot then gives the reported angle and the row's final status.
+foot then gives the reported angle and the row's final status. For the
+same reason the ball ray meets the world vertical through the ground
+projection exactly, so the ball has the projection's x and y and its
+height comes from one ray parameter.
 
 Batch reconstruction runs in two steps. ``ball_rays`` does the part no
 prediction changes: it gathers each row's camera and undistorts the raw
@@ -50,19 +53,16 @@ BALL_DIAMETER_M = 0.24
 class Reconstruction:
     """Result of lifting one ball pixel to world coordinates.
 
-    ``ground_projection`` always has z = 0 exactly. ``plane_gap`` is the
-    distance between the two vertical-plane intersections before
-    averaging (0 when only one plane was usable). ``foot_pixel`` is in
-    undistorted image coordinates. For the diameter baseline the foot
-    pixel and vertical angle are diagnostics and may be None when the
-    local geometry does not define them.
+    ``ground_projection`` is the ball's x and y with z = 0 exactly.
+    ``foot_pixel`` is in undistorted image coordinates. For the diameter
+    baseline the foot pixel and vertical angle are diagnostics and may be
+    None when the local geometry does not define them.
     """
 
     ball_3d: WorldPoint
     ground_projection: WorldPoint
     foot_pixel: ImagePoint | None
     vertical_angle: float | None
-    plane_gap: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,7 +76,6 @@ class Reconstruction:
             if self.foot_pixel is None
             else [self.foot_pixel.x, self.foot_pixel.y],
             "vertical_angle": self.vertical_angle,
-            "plane_gap": self.plane_gap,
         }
 
 
@@ -172,16 +171,16 @@ class HeightBatch:
     """Array-of-structs result of a batch reconstruction.
 
     Rows with ``status != 0`` carry NaN geometry; ``camera.STATUS_NAMES``
-    maps codes to error names. For the diameter baseline ``plane_gap`` is 0,
-    and ``foot_px`` and ``vertical_angle`` are NaN on rows where the local
-    geometry does not define them.
+    maps codes to error names. The first two columns of ``ball_3d`` equal
+    ``ground_projection``. For the diameter baseline ``foot_px`` and
+    ``vertical_angle`` are NaN on rows where the local geometry does not
+    define them.
     """
 
     ball_3d: np.ndarray  # (n, 3)
     ground_projection: np.ndarray  # (n, 2), z is 0 by construction
     foot_px: np.ndarray  # (n, 2)
     vertical_angle: np.ndarray  # (n,)
-    plane_gap: np.ndarray  # (n,)
     status: np.ndarray  # (n,) int64
 
     @property
@@ -197,7 +196,6 @@ class HeightBatch:
             ground_projection=WorldPoint(*(float(c) for c in self.ground_projection[i]), 0.0),
             foot_pixel=None if np.isnan(foot).any() else ImagePoint(float(foot[0]), float(foot[1])),
             vertical_angle=None if np.isnan(angle) else angle,
-            plane_gap=float(self.plane_gap[i]),
         )
 
 
@@ -268,12 +266,12 @@ def _per_ray(rays: BallRays, values) -> np.ndarray:
     return values
 
 
-def _batch(ball, ground, foot, angle, gap, status) -> HeightBatch:
+def _batch(ball, ground, foot, angle, status) -> HeightBatch:
     failed = status != _k.STATUS_OK
     ball, ground, foot = np.column_stack(ball), np.column_stack(ground), np.column_stack(foot)
-    for out in (ball, ground, foot, angle, gap):
+    for out in (ball, ground, foot, angle):
         out[failed] = np.nan
-    return HeightBatch(ball, ground, foot, angle, gap, status)
+    return HeightBatch(ball, ground, foot, angle, status)
 
 
 def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> HeightBatch:
@@ -282,10 +280,8 @@ def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> Height
     as nonzero statuses rather than exceptions.
     """
     h = _per_ray(rays, heights)
-    bx, by, bz, gx, gy, fu, fv, angle, gap, status = _k.lift_height(
-        rays.cal, rays.u, rays.v, h, rays.status
-    )
-    return _batch((bx, by, bz), (gx, gy), (fu, fv), angle, gap, status)
+    bz, gx, gy, fu, fv, angle, status = _k.lift_height(rays.cal, rays.u, rays.v, h, rays.status)
+    return _batch((gx, gy, bz), (gx, gy), (fu, fv), angle, status)
 
 
 def reconstruct_from_diameter_batch(
@@ -302,7 +298,7 @@ def reconstruct_from_diameter_batch(
     bx, by, bz, fu, fv, angle, status = _k.reconstruct_diameter(
         rays.cal, rays.u, rays.v, rays.status, d, float(ball_diameter_m)
     )
-    return _batch((bx, by, bz), (bx, by), (fu, fv), angle, np.zeros(len(d)), status)
+    return _batch((bx, by, bz), (bx, by), (fu, fv), angle, status)
 
 
 def diameter_px_of(

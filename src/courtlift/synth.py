@@ -74,6 +74,11 @@ class ArenaSpec:
     ball_diameter_m: float = BALL_DIAMETER_M
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.court_half_length <= 0 or self.court_half_width <= 0:
             raise ValueError("court dimensions must be positive")
         if self.image_width <= 0 or self.image_height <= 0:
@@ -135,8 +140,8 @@ class HeightDistSpec:
             object.__setattr__(self, "p_above_3m", defaults[self.kind])
         if self.p_above_3m is not None and not (0.0 <= self.p_above_3m <= 1.0):
             raise ValueError(f"p_above_3m must be in [0, 1], got {self.p_above_3m}")
-        if not self.max_height > 3.0:
-            raise ValueError(f"max_height must exceed 3 m, got {self.max_height}")
+        if not 3.0 < self.max_height < math.inf:
+            raise ValueError(f"max_height must be finite and exceed 3 m, got {self.max_height}")
 
 
 @dataclass(frozen=True)

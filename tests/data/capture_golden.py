@@ -85,7 +85,6 @@ def main(path: str) -> None:
         h_ground=hb.ground_projection,
         h_foot=hb.foot_px,
         h_angle=hb.vertical_angle,
-        h_gap=hb.plane_gap,
         d_status=db.status,
         d_ball=db.ball_3d,
         d_ground=db.ground_projection,
@@ -99,7 +98,6 @@ def main(path: str) -> None:
         w_ground=wb.ground_projection,
         w_foot=wb.foot_px,
         w_angle=wb.vertical_angle,
-        w_gap=wb.plane_gap,
     )
 
 

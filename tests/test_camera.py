@@ -197,41 +197,33 @@ class TestBackProject:
                     assert math.hypot(q.x - p.x, q.y - p.y) < 1e-9
 
 
-def _intersect(origin, direction, axis: int, value: float):
-    """One ray, with its direction made unit length, against a plane."""
+def _intersect(origin, direction):
+    """One ray, with its direction made unit length, against the ground."""
     d = np.asarray(direction, dtype=np.float64)
     unit = one_row(*(d / np.linalg.norm(d)))
-    *point, status = _k.intersect_axis_plane(one_row(*origin), unit, axis, value)
-    return WorldPoint(*(float(c[0]) for c in point)), int(status[0])
+    gx, gy, status = _k.intersect_ground(one_row(*origin), unit)
+    return WorldPoint(float(gx[0]), float(gy[0]), 0.0), int(status[0])
 
 
 class TestIntersectRayPlane:
     def test_straight_down(self):
-        p, status = _intersect((0, 0, 10), [0.0, 0.0, -1.0], 2, 0.0)
+        p, status = _intersect((0, 0, 10), [0.0, 0.0, -1.0])
         assert (p.x, p.y, p.z, status) == (0.0, 0.0, 0.0, _k.STATUS_OK)
 
     def test_parallel_is_flagged(self):
-        _, status = _intersect((0, 0, 10), [1.0, 0.0, 0.0], 2, 0.0)
+        _, status = _intersect((0, 0, 10), [1.0, 0.0, 0.0])
         assert status == _k.STATUS_RAY_PARALLEL
 
     def test_behind_is_flagged(self):
-        _, status = _intersect((0, 0, 10), [0.0, 0.0, -1.0], 2, 20.0)
+        _, status = _intersect((0, 0, 10), [0.0, 0.0, 1.0])
         assert status == _k.STATUS_BEHIND_CAMERA
 
     def test_constructed_direction_hits_target(self):
         origin = WorldPoint(0, -20, 3)
         target = np.array([2.0, 1.0, 0.0])
-        p, status = _intersect(origin.as_array(), target - origin.as_array(), 2, 0.0)
+        p, status = _intersect(origin.as_array(), target - origin.as_array())
         assert status == _k.STATUS_OK
         np.testing.assert_allclose([p.x, p.y, p.z], target, atol=1e-12)
-        assert p.z == 0.0  # plane coordinate is exact
-
-    def test_plane_coordinate_exact_on_x_and_y(self):
-        direction = [0.3, 1.0, -0.1]
-        px, sx = _intersect((0, -20, 3), direction, 0, 1.234)
-        py, sy = _intersect((0, -20, 3), direction, 1, -3.5)
-        assert (px.x, sx) == (1.234, _k.STATUS_OK)
-        assert (py.y, sy) == (-3.5, _k.STATUS_OK)
 
 
 class TestCameraCenter:

@@ -88,6 +88,9 @@ class TestSynth:
             ({"focal_rnage": [100, 200]}, "unknown arena spec keys ['focal_rnage']"),
             ({"focal_range": [100]}, "arena spec focal_range"),
             ([1, 2], "arena spec must be a JSON object"),
+            ({"court_half_length": float("nan")}, "court_half_length must be finite"),
+            ({"focal_range": [1500, float("inf")]}, "focal_range must be finite"),
+            ({"ball_diameter_m": float("inf")}, "ball_diameter_m must be finite"),
         ],
     )
     def test_bad_arena_json_is_usage_error(self, tmp_path, capsys, spec, message):
@@ -108,11 +111,16 @@ class TestSynth:
         "synth --n 5 --out {out} --seed 18446744073709551616",
         "synth --n 5 --out {out} --p-above-3m 2",
         "synth --n 5 --out {out} --max-height 2",
+        "synth --n 5 --out {out} --max-height inf",
         "evaluate --dataset {dataset} --out {out} --seed -1",
         "evaluate --dataset {dataset} --out {out} --seed 18446744073709551615 --repeats 2",
         "evaluate --dataset {dataset} --out {out} --nu 0.5",
         "evaluate --dataset {dataset} --out {out} --sigma -1",
         "evaluate --dataset {dataset} --out {out} --target-mae 0",
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae 34 --nu inf",
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma nan",
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma inf",
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae inf",
         "synth --n 10 --arenas 3 --n-folds 0 --out {out}",
     ],
 )

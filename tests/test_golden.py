@@ -7,7 +7,8 @@ diameter path with heavy-tailed diameters, including non-positive ones,
 and the height path on random pixels in and far outside the frame. The
 2000 rows' rays are built once and every offset and the diameters are
 reconstructed from them, as `evaluate --repeats` and `sweep` do. Status
-codes must match on every row and the geometry of OK rows must be
+codes must match on every row, the ball's x and y on OK rows must equal
+the ground projection, and the geometry of OK rows must be
 bit-identical, except the vertical angle: numpy may run np.arctan2 on
 CPU-specific SIMD code, whose last bit can differ from the capture
 host's, so it gets 1e-12 rad.
@@ -46,6 +47,7 @@ def _check(batch, g, prefix, exact, rows=slice(None)):
     """Compare a batch with the golden rows ``rows`` of ``prefix``."""
     np.testing.assert_array_equal(batch.status, g[f"{prefix}_status"][rows])
     ok = batch.ok
+    np.testing.assert_array_equal(batch.ball_3d[ok, :2], batch.ground_projection[ok])
     for name, key in exact:
         np.testing.assert_array_equal(getattr(batch, name)[ok], g[f"{prefix}_{key}"][rows][ok])
     np.testing.assert_allclose(
@@ -57,7 +59,6 @@ HEIGHT_EXACT = [
     ("ball_3d", "ball"),
     ("ground_projection", "ground"),
     ("foot_px", "foot"),
-    ("plane_gap", "gap"),
 ]
 
 
@@ -84,7 +85,6 @@ def test_diameter_path_matches_golden(golden, rays):
     batch = reconstruct_from_diameter_batch(rays, g["diameters"])
     assert (batch.status != 0).any()
     _check(batch, g, "d", [("ball_3d", "ball"), ("ground_projection", "ground"), ("foot_px", "foot")])
-    assert (batch.plane_gap[batch.ok] == 0.0).all()
 
 
 def _assert_foot_solves_its_equation(rays, heights):

@@ -40,6 +40,14 @@ class TestSpecValidation:
             PredictorSpec(kind="heavy_tailed", nu=1.0)
         with pytest.raises(ValueError):
             PredictorSpec(kind="gaussian", target_mae=0.0)
+        for field, value in [
+            ("sigma", math.nan),
+            ("sigma", math.inf),
+            ("nu", math.inf),
+            ("target_mae", math.inf),
+        ]:
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                PredictorSpec(kind="heavy_tailed", **{field: value})
 
     def test_mean_abs_t_limits(self):
         # nu = 3 has the closed form 2*sqrt(3)/pi; large nu approaches the

@@ -87,7 +87,7 @@ def _assert_row_matches(batch, i, call):
     np.testing.assert_array_equal(batch.foot_px[i], foot)
     angle = np.nan if rec.vertical_angle is None else rec.vertical_angle
     np.testing.assert_array_equal(batch.vertical_angle[i], angle)
-    assert batch.plane_gap[i] == rec.plane_gap
+    np.testing.assert_array_equal(batch.ball_3d[i, :2], batch.ground_projection[i])
 
 
 @PROPERTY
@@ -137,8 +137,9 @@ def test_ok_rows_are_finite(seed, arena, offset, factor):
     d_batch = _diameter_batch(samples, np.array([s.diameter_px_true for s in samples]) * factor)
     for batch in (h_batch, d_batch):
         ok = batch.ok
-        for values in (batch.ball_3d, batch.ground_projection, batch.plane_gap):
+        for values in (batch.ball_3d, batch.ground_projection):
             assert np.isfinite(values[ok]).all()
+        np.testing.assert_array_equal(batch.ball_3d[ok, :2], batch.ground_projection[ok])
     ok = h_batch.ok
     assert np.isfinite(h_batch.foot_px[ok]).all() and np.isfinite(h_batch.vertical_angle[ok]).all()
     nonfinite = ~np.isfinite(np.array(offset))

@@ -23,6 +23,7 @@ from courtlift import (
     ball_rays,
     crop_transform,
     diameter_px_of,
+    make_camera,
     project,
     reconstruct_from_diameter,
     reconstruct_from_height,
@@ -31,6 +32,7 @@ from courtlift import (
 )
 from courtlift import _kernels as _k
 from courtlift.errors import (
+    BothPlanesDegenerate,
     DepthNonPositive,
     IntersectionBehindCamera,
     NonFiniteInput,
@@ -130,7 +132,7 @@ class TestReconstructFromHeight:
             rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
             err = np.linalg.norm(rec.ball_3d.as_array() - s.ball_3d.as_array())
             assert err < 1e-6
-            assert rec.plane_gap < 1e-6
+            assert (rec.ball_3d.x, rec.ball_3d.y) == (rec.ground_projection.x, rec.ground_projection.y)
             assert rec.ground_projection.z == 0.0
 
     def test_master_round_trip_with_distortion(self, distorted_samples):
@@ -148,9 +150,9 @@ class TestReconstructFromHeight:
             rec.ground_projection.as_array(), g.as_array(), atol=1e-9
         )
 
-    def test_degenerate_x_plane_falls_back_to_y(self, side_cal):
+    def test_ball_ray_without_x_component(self, side_cal):
         # Ball in the camera's own Y-Z plane: the ball-ray x component is
-        # exactly 0, so only the Y plane is usable; recovery stays exact.
+        # exactly 0, and recovery stays exact.
         # (Kept below camera height so the pixel ray still meets the ground.)
         ball = WorldPoint(0.0, 0.0, 1.0)
         px = project(side_cal, ball)
@@ -158,7 +160,7 @@ class TestReconstructFromHeight:
         h = true_pixel_height(side_cal, ball)
         rec = reconstruct_from_height(side_cal, px, h)
         np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-6)
-        assert rec.plane_gap == 0.0
+        assert rec.ball_3d.x == rec.ground_projection.x == 0.0
 
     def test_negative_height_is_propagated(self, side_cal):
         # Foot above the ball in the image: ground lands farther away and
@@ -177,6 +179,21 @@ class TestReconstructFromHeight:
         px = project(side_cal, ball)
         with pytest.raises(IntersectionBehindCamera):
             reconstruct_from_height(side_cal, px, -500.0)
+
+    def test_foot_past_the_vanishing_point_fails_cleanly(self):
+        # A steep camera whose vertical vanishing point (1000, 1300) is in
+        # frame. The true height round-trips; a 1500 px height walks the
+        # foot past that point, to a ground point whose vertical the ball
+        # ray meets only behind the camera.
+        cal = make_camera((0.0, -3.0, 10.0), (0.0, 0.0, 0.0), 1000.0, 2000.0, 2000.0)
+        ball = WorldPoint(0.0, 0.5, 1.0)
+        px = project(cal, ball)
+        h = true_pixel_height(cal, ball)
+        assert h == pytest.approx(34.35, abs=0.01)
+        rec = reconstruct_from_height(cal, px, h)
+        np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-9)
+        with pytest.raises(BothPlanesDegenerate):
+            reconstruct_from_height(cal, px, 1500.0)
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
         s = clean_samples[0]
@@ -208,7 +225,6 @@ class TestReconstructFromDiameter:
         )
         np.testing.assert_allclose(rec.ball_3d.as_array(), [0, 0, 5], atol=1e-12)
         np.testing.assert_allclose(rec.ground_projection.as_array(), [0, 0, 0], atol=1e-12)
-        assert rec.plane_gap == 0.0
 
     def test_exact_diameter_recovers_ball(self, clean_samples):
         for s in clean_samples[:300]:
@@ -300,7 +316,7 @@ class TestBatchPaths:
                 batch.ground_projection[i],
                 [rec.ground_projection.x, rec.ground_projection.y],
             )
-            assert batch.plane_gap[i] == rec.plane_gap
+        np.testing.assert_array_equal(batch.ball_3d[:, :2], batch.ground_projection)
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
         subset = distorted_samples[:50]

@@ -63,6 +63,22 @@ class TestSampleCamera:
         with pytest.raises(ValueError, match="sample_camera needs 1100 doubles, got 1099"):
             sample_camera(np.full(1099, 0.5), ArenaSpec())
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("court_half_length", math.nan),
+            ("court_half_width", math.inf),
+            ("camera_height_range", (3.0, math.inf)),
+            ("focal_range", (math.nan, 3000.0)),
+            ("k1_range", (-math.inf, 0.0)),
+            ("image_width", math.inf),
+            ("ball_diameter_m", math.inf),
+        ],
+    )
+    def test_non_finite_arena_spec_raises(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ArenaSpec(**{name: value})
+
 
 class TestHeightLaw:
     def test_zero_tail_probability_keeps_all_below_3(self):
@@ -99,6 +115,8 @@ class TestHeightLaw:
             HeightDistSpec(p_above_3m=1.5)
         with pytest.raises(ValueError):
             HeightDistSpec(max_height=2.0)
+        with pytest.raises(ValueError, match="max_height"):
+            HeightDistSpec(max_height=math.inf)
 
 
 class TestGenerateDataset:
