@@ -29,7 +29,7 @@ from .metrics import (
     evaluate_arrays,
     height_histogram,
 )
-from .predictors import PredictorSpec, predict_diameters, predict_heights
+from .predictors import NOISE_STREAM, PredictorSpec, predict_diameters, predict_heights
 from .reconstruct import (
     BALL_DIAMETER_M,
     ball_rays,
@@ -238,6 +238,7 @@ def cmd_evaluate(args, parser) -> int:
             "fold": args.fold,
             "method": args.method,
             "predictor": spec.to_json_dict(),
+            "noise_stream": NOISE_STREAM,
             "repeats": args.repeats,
         },
         "aggregate": agg.to_json_dict(),

@@ -36,7 +36,7 @@ from .errors import (
     SchemaVersionMismatch,
     UnknownFold,
 )
-from .rng import PURPOSE_REBALANCE, stream
+from .rng import PURPOSE_REBALANCE, _mulhi, words
 from .synth import BallSample, Samples
 
 SCHEMA_VERSION = 2
@@ -394,6 +394,20 @@ def rebalance(
     if need == 0:
         return samples
     minority = below if need > 0 else above
-    rng = stream(seed, 0, PURPOSE_REBALANCE)
-    picks = rng.integers(0, len(minority), size=abs(need))
-    return samples + [minority[int(j)] for j in picks]
+    return samples + [minority[j] for j in _picks(seed, len(minority), abs(need))]
+
+
+def _picks(seed: int, n: int, count: int) -> list[int]:
+    """``count`` integers in [0, n) from stream (seed, 0, PURPOSE_REBALANCE)
+    by Lemire's method (ACM TOMACS 29(1), 2019): word w gives the high
+    word of w * n, unless the low word is below (2**64 - n) % n, where w
+    is skipped so that every value is equally likely."""
+    m = np.uint64(n)
+    skip_below = np.uint64((2**64 - n) % n)
+    picks: list[int] = []
+    start = 0
+    while len(picks) < count:
+        w = words(seed, [0], PURPOSE_REBALANCE, start, count)[:, 0]
+        picks += _mulhi(m, w[w * m >= skip_below]).tolist()
+        start += count
+    return picks[:count]

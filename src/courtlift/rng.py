@@ -12,18 +12,15 @@ any run of words of many streams at once, in numpy arithmetic, equal to
 what numpy's ``Philox`` gives each stream. ``doubles`` maps words to
 floats in [0, 1) as numpy's ``Generator.random`` does, and
 ``a + (b - a) * d`` of such a double ``d`` is ``Generator.uniform(a, b)``
-bit for bit. Synth draws its cameras and balls this way.
+bit for bit. Synth draws its cameras and balls this way, the predictors
+turn words into gaussian and Student-t noise, and ``rebalance`` turns
+them into bounded integers; none of them imports ``numpy.random``.
 
-``stream`` builds numpy's generator of one stream, and ``draws`` takes
-one draw from the start of each of many streams through one bit
-generator, setting only the key between them; the predictors and
-``rebalance`` use these for numpy's normal, Student-t and permutation
-draws.
+``stream`` builds numpy's generator of one stream. No pipeline path
+calls it; it is the reference that ``words`` is checked against.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,25 +42,6 @@ def _check_uint64(name: str, value: int) -> None:
 _BLOCK_WORDS = 4
 
 
-def _key_counter(seed: int, index: int, purpose: int) -> tuple[tuple, tuple]:
-    """The Philox key and starting counter of stream (seed, index, purpose)."""
-    return (seed, index), (0, 0, 0, purpose)
-
-
-def _spent_state(inner: dict) -> dict:
-    """A Philox state dict around ``inner``, which holds the key and the
-    counter. buffer_pos 4 marks the buffer spent, as in a fresh generator,
-    so no word of the previous stream's block leaks into the next draw."""
-    return {
-        "bit_generator": "Philox",
-        "state": inner,
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": _BLOCK_WORDS,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
     """Independent Philox stream for (seed, index, purpose).
 
@@ -71,10 +49,10 @@ def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
     """
     _check_uint64("seed", seed)
     _check_uint64("index", index)
-    key, counter = _key_counter(seed, index, purpose)
     return np.random.Generator(
         np.random.Philox(
-            key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
+            key=np.array((seed, index), dtype=np.uint64),
+            counter=np.array((0, 0, 0, purpose), dtype=np.uint64),
         )
     )
 
@@ -142,34 +120,3 @@ def doubles(w: np.ndarray) -> np.ndarray:
     """Words as doubles in [0, 1), as numpy's ``Generator.random`` maps them."""
     return (w >> _11) * 2.0**-53
 
-
-def draws(
-    seed: int,
-    indices: Iterable[int],
-    purpose: int,
-    draw: Callable[[np.random.Generator], float],
-) -> np.ndarray:
-    """``draw(stream(seed, i, purpose))`` for each index ``i``, as float64.
-
-    One reused bit generator is put at the start of stream ``i`` before
-    each draw, so the values are identical. Every stream starts at
-    counter block 0 of ``purpose``, so from one index to the next only
-    the key changes. The seed and every index are range-checked before
-    the first draw.
-    """
-    _check_uint64("seed", seed)
-    ids = list(indices)
-    if ids:
-        _check_uint64("index", min(ids))
-        _check_uint64("index", max(ids))
-    key, counter = _key_counter(seed, 0, purpose)
-    inner = {"key": key, "counter": counter}
-    state = _spent_state(inner)
-    bitgen = np.random.Philox(key=0)
-    generator = np.random.Generator(bitgen)
-    out = np.empty(len(ids), dtype=np.float64)
-    for j, index in enumerate(ids):
-        inner["key"] = (seed, index)  # the key _key_counter gives stream index
-        bitgen.state = state
-        out[j] = draw(generator)
-    return out

@@ -193,6 +193,7 @@ class TestEvaluate:
         payload = json.loads((tmp_path / "diam.json").read_text())
         assert payload["aggregate"]["mean"]["mae_px"] is None
         assert payload["aggregate"]["mean"]["mape_m"] > 0
+        assert payload["config"]["noise_stream"] == 2
 
     def test_fold_restriction_shrinks_sample_count(self, dataset_file, tmp_path):
         out_all = tmp_path / "all"
@@ -394,6 +395,29 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
 
+def _loaded_before_and_after(module, commands):
+    """Whether ``module`` is in sys.modules of a fresh interpreter after
+    importing courtlift.cli, and after running each argv of ``commands``
+    through cli.main there."""
+    code = (
+        "import sys\n"
+        "from courtlift.cli import main\n"
+        f"before = {module!r} in sys.modules\n"
+        f"assert all(main(argv) == 0 for argv in {commands!r})\n"
+        f"print(before, {module!r} in sys.modules)\n"
+    )
+    src = str(Path(courtlift.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    before, after = result.stdout.splitlines()[-1].split()
+    return before == "True", after == "True"
+
+
 def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
     # The first np.median call in a process imports numpy.ma, about 15 ms.
     # numpy 1.x imports numpy.ma with numpy itself; there is nothing to save.
@@ -401,25 +425,10 @@ def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
         ["evaluate", "--dataset", str(dataset_file), "--out", str(tmp_path / "e")],
         ["sweep", "--dataset", str(dataset_file), "--grid", "0,10", "--out", str(tmp_path / "s")],
     ]
-    code = (
-        "import sys\n"
-        "from courtlift.cli import main\n"
-        "before = 'numpy.ma' in sys.modules\n"
-        f"assert all(main(argv) == 0 for argv in {commands!r})\n"
-        "print(before, 'numpy.ma' in sys.modules)\n"
-    )
-    src = str(Path(courtlift.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    before, after = result.stdout.splitlines()[-1].split()
-    if before == "True":
+    before, after = _loaded_before_and_after("numpy.ma", commands)
+    if before:
         pytest.skip("numpy.ma is loaded with numpy itself (numpy < 2)")
-    assert after == "False"
+    assert not after
 
 
 def test_synth_does_not_import_numpy_random(tmp_path):
@@ -427,25 +436,29 @@ def test_synth_does_not_import_numpy_random(tmp_path):
     # numpy.random costs 10-14 ms. numpy 1.x imports it with numpy itself.
     out = str(tmp_path / "d.jsonl")
     argv = ["synth", "--n", "50", "--arenas", "3", "--seed", "1", "--out", out]
-    code = (
-        "import sys\n"
-        "from courtlift.cli import main\n"
-        "before = 'numpy.random' in sys.modules\n"
-        f"assert main({argv!r}) == 0\n"
-        "print(before, 'numpy.random' in sys.modules)\n"
-    )
-    src = str(Path(courtlift.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    before, after = result.stdout.splitlines()[-1].split()
-    if before == "True":
+    before, after = _loaded_before_and_after("numpy.random", [argv])
+    if before:
         pytest.skip("numpy.random is loaded with numpy itself (numpy < 2)")
-    assert after == "False"
+    assert not after
+
+
+def test_evaluate_does_not_import_numpy_random(dataset_file, tmp_path):
+    # The predictors turn rng.words into noise with their own transforms,
+    # so neither noise law loads numpy.random.
+    commands = [
+        [
+            "evaluate", "--dataset", str(dataset_file), "--predictor", "gaussian",
+            "--target-mae", "34", "--repeats", "2", "--out", str(tmp_path / "h"),
+        ],
+        [
+            "evaluate", "--dataset", str(dataset_file), "--method", "diameter",
+            "--predictor", "heavy_tailed", "--target-mae", "0.1", "--out", str(tmp_path / "d"),
+        ],
+    ]
+    before, after = _loaded_before_and_after("numpy.random", commands)
+    if before:
+        pytest.skip("numpy.random is loaded with numpy itself (numpy < 2)")
+    assert not after
 
 
 def test_readme_cli_examples_parse():

@@ -20,7 +20,7 @@ from courtlift import (
     split,
     write_dataset,
 )
-from courtlift.dataio import dataset_to_string
+from courtlift.dataio import _picks, dataset_to_string
 from courtlift.errors import (
     FoldViolation,
     MalformedRecord,
@@ -28,6 +28,7 @@ from courtlift.errors import (
     SchemaVersionMismatch,
     UnknownFold,
 )
+from courtlift.rng import PURPOSE_REBALANCE, stream
 from courtlift.synth import BallSample
 
 def _dummy_cal() -> CameraCalibration:
@@ -428,3 +429,16 @@ class TestRebalance:
     def test_one_sided_raises(self):
         with pytest.raises(OneSidedDataset):
             rebalance([_sample(0, z=0.5), _sample(1, z=1.0)], 2.0, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 3, 741, 2**63 + 1])
+    def test_picks_are_lemire_bounded_integers(self, n):
+        # Scalar Lemire over numpy's own Philox words: the high word of
+        # w * n, skipping w where the low word is below (2**64 - n) % n.
+        # At n = 2**63 + 1 about half the words are skipped.
+        raw = stream(4, 0, PURPOSE_REBALANCE).bit_generator
+        expected = []
+        while len(expected) < 60:
+            product = int(raw.random_raw()) * n
+            if product % 2**64 >= (2**64 - n) % n:
+                expected.append(product >> 64)
+        assert _picks(4, n, 60) == expected
