@@ -12,6 +12,11 @@ STATUS_OK.
 World frame: right-handed, Z up, ground plane Z = 0.
 Image frame: origin top-left, x right, y down, pixel centers at integers.
 Extrinsics: x_cam = R @ X_world + t.
+
+Undistortion inverts Brown-Conrady on the lens model's invertible domain
+only: a solution where the model folds (det J <= 0), or, on a radial-only
+lens, one past the first monotone branch of r -> r radial(r^2), gives
+status STATUS_NO_CONVERGENCE.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ CAL_LEN = 24
 # Status codes.
 STATUS_OK = 0
 STATUS_DEPTH_NONPOSITIVE = 1
-STATUS_NO_CONVERGENCE = 2
+STATUS_NO_CONVERGENCE = 2  # outside the lens model's invertible domain
 STATUS_RAY_PARALLEL = 3
 STATUS_BEHIND_CAMERA = 4
 STATUS_DEGENERATE_VERTICAL = 5
@@ -52,9 +57,10 @@ STATUS_NONFINITE_INPUT = 9
 EPS_DEPTH = 1e-9
 EPS_AXIS = 1e-9
 
-# Undistortion fixed point: stop early once the residual is at float noise,
-# declare failure above 1e-8 normalized units.
-UNDISTORT_MAX_ITER = 50
+# Undistortion by Newton's method: a row stops once its residual is at
+# float noise (in-frame pixels take 3 or 4 steps), and fails if it is
+# still above 1e-8 normalized units after the last step.
+UNDISTORT_MAX_ITER = 20
 UNDISTORT_STOP_TOL = 1e-13
 UNDISTORT_FAIL_TOL = 1e-8
 
@@ -107,46 +113,64 @@ def distort_norm(cal, x, y):
 
 @_quiet
 def undistort_norm(cal, xd, yd):
-    """Invert distort_norm by fixed-point iteration on normalized coords.
+    """Invert distort_norm by Newton's method on normalized coordinates.
 
-    A row stops once its residual is at float noise, its radial factor
-    collapses or after UNDISTORT_MAX_ITER steps, and fails when the
-    residual it stopped at is above UNDISTORT_FAIL_TOL. Each step
-    computes only the rows still iterating. Returns (x, y, status).
+    Each row starts from one fixed-point step, xd / radial(xd), and
+    steps with the analytic Jacobian J of the Brown-Conrady model until
+    its residual is at most UNDISTORT_STOP_TOL. All rows step together,
+    a converged row stays where it stopped, and the loop ends once every
+    row has converged or after UNDISTORT_MAX_ITER steps, so each row's
+    result is its own. A row is outside the model's invertible domain
+    (STATUS_NO_CONVERGENCE) when its residual is above
+    UNDISTORT_FAIL_TOL, when det J <= 0 at the solution, or, on a
+    radial-only lens, when the solution lies on or past the first
+    positive root s* of the slope 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of
+    r -> r radial(r^2), with s = r^2: a solution past the fold is not the
+    pixel's first-branch preimage. Returns (x, y, status).
     """
-    x = np.empty_like(xd)
-    y = np.empty_like(yd)
-    status = np.empty(xd.shape, dtype=np.int64)
-    rows = np.arange(xd.shape[0])
     k1, k2, k3, p1, p2 = (cal[c] for c in (CAL_K1, CAL_K2, CAL_K3, CAL_P1, CAL_P2))
-    xi, yi = xd, yd
+    r2 = xd * xd + yd * yd
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    x, y = xd / radial, yd / radial
     for it in range(UNDISTORT_MAX_ITER + 1):
-        r2 = xi * xi + yi * yi
+        r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        tx = 2.0 * p1 * xi * yi + p2 * (r2 + 2.0 * xi * xi)
-        ty = p1 * (r2 + 2.0 * yi * yi) + 2.0 * p2 * xi * yi
-        ex = np.abs(xi * radial + tx - xd)
-        ey = np.abs(yi * radial + ty - yd)
-        stop = (ex <= UNDISTORT_STOP_TOL) & (ey <= UNDISTORT_STOP_TOL)
-        stop |= radial <= 1e-9
-        if it == UNDISTORT_MAX_ITER:
-            stop[:] = True
-        if stop.any():
-            done = rows[stop]
-            x[done] = xi[stop]
-            y[done] = yi[stop]
-            ok = (ex[stop] <= UNDISTORT_FAIL_TOL) & (ey[stop] <= UNDISTORT_FAIL_TOL)
-            status[done] = _flag(~ok, STATUS_NO_CONVERGENCE)
-            keep = ~stop
-            rows = rows[keep]
-            if rows.size == 0:
-                break
-            xi, yi, xd, yd, tx, ty, radial, k1, k2, k3, p1, p2 = (
-                a[keep] for a in (xi, yi, xd, yd, tx, ty, radial, k1, k2, k3, p1, p2)
-            )
-        xi = (xd - tx) / radial
-        yi = (yd - ty) / radial
-    return x, y, status
+        slope = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))  # d radial / d r, over r
+        ex = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x) - xd
+        ey = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y - yd
+        jxx = radial + x * x * slope + 2.0 * p1 * y + 6.0 * p2 * x
+        jyy = radial + y * y * slope + 6.0 * p1 * y + 2.0 * p2 * x
+        jxy = x * y * slope + 2.0 * (p1 * x + p2 * y)
+        det = jxx * jyy - jxy * jxy
+        error = np.maximum(np.abs(ex), np.abs(ey))
+        # NaN compares false: a non-finite row never holds the others up.
+        active = error > UNDISTORT_STOP_TOL
+        if it == UNDISTORT_MAX_ITER or not active.any():
+            break
+        x = np.where(active, x - (jyy * ex - jxy * ey) / det, x)
+        y = np.where(active, y - (jxx * ey - jxy * ex) / det, y)
+    inside = (error <= UNDISTORT_FAIL_TOL) & (det > 0.0)
+    radial_only = (p1 == 0.0) & (p2 == 0.0)
+    inside &= ~radial_only | _first_branch(k1, k2, k3, r2)
+    return x, y, _flag(~inside, STATUS_NO_CONVERGENCE)
+
+
+def _first_branch(k1, k2, k3, r2):
+    """Whether the slope D(s) = 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of a
+    radial lens stays positive on [0, r2], i.e. r2 lies before its first
+    positive root. D(0) = 1, so its minimum on the interval is at r2 or at
+    a root of D'(s) = 3 k1 + 10 k2 s + 21 k3 s^2 clipped into it."""
+    a, b, c = 21.0 * k3, 10.0 * k2, 3.0 * k1
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+
+    def slope(s):
+        return 1.0 + s * (c + s * (5.0 * k2 + s * 7.0 * k3))
+
+    # No real root gives NaN and a missing one +-inf; neither can fail.
+    positive = slope(r2) > 0.0
+    for s in (q / a, c / q):
+        positive &= ~(slope(np.clip(s, 0.0, r2)) <= 0.0)
+    return positive
 
 
 def _camera_coords(cal, wx, wy, wz):

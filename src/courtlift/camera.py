@@ -14,8 +14,10 @@ pixel centers at integer coordinates.
 
 Distortion follows the Brown-Conrady model (radial k1, k2, k3 and
 tangential p1, p2) applied to normalized camera coordinates; all
-coefficients default to zero. Undistortion inverts the model by fixed-point
-iteration (max 50 iterations, failure above 1e-8 in normalized units).
+coefficients default to zero. Undistortion inverts the model by Newton's
+method on its invertible domain, the region around the principal point
+where the map is one-to-one; a pixel without a preimage there fails with
+NoConvergence.
 """
 
 from __future__ import annotations

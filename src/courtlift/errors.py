@@ -19,7 +19,8 @@ class DepthNonPositive(GeometryError):
 
 
 class NoConvergence(GeometryError):
-    """Iterative undistortion did not reach the required residual."""
+    """The pixel lies outside the lens model's invertible domain: no
+    preimage was found on the distortion's first monotone branch."""
 
 
 class RayParallelToPlane(GeometryError):

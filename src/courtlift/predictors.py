@@ -139,7 +139,10 @@ def _noise(spec: PredictorSpec, ids: np.ndarray, purpose: int) -> np.ndarray:
 
 def _arrays(sample_ids, truth) -> tuple[np.ndarray, np.ndarray]:
     """Sample ids and true values as flat arrays, one value per id."""
-    ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+    try:
+        ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ValueError("sample ids must lie in [0, 2**63)") from None
     truth = np.asarray(truth, dtype=np.float64).reshape(-1)
     if len(ids) != len(truth):
         raise ValueError(f"{len(ids)} sample ids for {len(truth)} true values")

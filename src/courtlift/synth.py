@@ -399,15 +399,20 @@ def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     gu, gv, _ = _k.project_point_nodist(cal, bx, by, 0.0)
     h = np.hypot(un - gu, vn - gv)
     diameter, _ = _k.ball_diameter_px(cal, bx, by, bz, arena.ball_diameter_m)
-    # Well-posedness: undistorting the annotation must recover the
-    # distortion-free pixel. Strong coefficients fold the Brown-Conrady
-    # polynomial at large field radii, where the pixel has multiple
-    # preimages and no camera-model inverse exists.
-    uu, vv, status = _k.undistort_pixel(cal, u, v)
-    status = _k.lift_height(cal, uu, vv, h, status)[-1]
     usable = (ball_status == _k.STATUS_OK) & (foot_status == _k.STATUS_OK)
-    usable &= (status == _k.STATUS_OK) & _in_bounds(u, v, arena)
-    usable &= ~(np.hypot(uu - un, vv - vn) > 1e-6)
+    usable &= _in_bounds(u, v, arena)
+    # Well-posedness, on the visible rows only: undistorting the
+    # annotation must recover the distortion-free pixel, and the lift must
+    # succeed. Strong coefficients fold the Brown-Conrady polynomial at
+    # large field radii, where the pixel has no preimage on the lens's
+    # first branch. Every kernel computes each row on its own, so leaving
+    # out the rows already unusable changes no result, and off-frame rows
+    # would set the number of undistortion steps.
+    rows = np.flatnonzero(usable)
+    cal = cal[:, rows]
+    uu, vv, status = _k.undistort_pixel(cal, u[rows], v[rows])
+    status = _k.lift_height(cal, uu, vv, h[rows], status)[-1]
+    usable[rows] = (status == _k.STATUS_OK) & ~(np.hypot(uu - un[rows], vv - vn[rows]) > 1e-6)
     return usable, u, v, fu, fv, h, diameter
 
 

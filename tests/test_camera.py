@@ -129,7 +129,9 @@ class TestUndistortPoint:
             assert math.hypot(rec.x - q.x, rec.y - q.y) < 1e-6
 
     def test_inverse_property_over_coefficient_ranges(self, identity_cal):
-        # distort(normalize(undistort(p))) == normalize(p) within 1e-8.
+        # distort(normalize(undistort(p))) == normalize(p) at float noise:
+        # the solve stops at residuals <= 1e-13 and the pixel conversions
+        # round on top of that.
         # fx = fy = 2000 keeps the corner radius (~0.55 normalized) inside
         # the invertible range of the strongest coefficient combination
         # (k1 = -0.3 with k2 = -0.15 folds at radius ~0.84).
@@ -150,7 +152,49 @@ class TestUndistortPoint:
             assert status == _k.STATUS_OK
             n_q = np.array([(q.x - cal.cx) / cal.fx, (q.y - cal.cy) / cal.fy])
             n_p = np.array([(p.x - cal.cx) / cal.fx, (p.y - cal.cy) / cal.fy])
-            np.testing.assert_allclose(_distort(cal, n_q), n_p, atol=1e-8)
+            np.testing.assert_allclose(_distort(cal, n_q), n_p, rtol=0, atol=2e-13)
+
+    def test_preimage_near_the_fold_is_found(self, identity_cal):
+        # k1 = -0.134 folds r (1 + k1 r^2) at r^2 = 1 / (3 |k1|), where the
+        # distorted radius peaks at ~1.0515. The corner pixel (1900, 1000)
+        # lies at distorted radius ~1.0465, so it has a preimage on the
+        # first branch, which a fixed-point iteration approaches too slowly
+        # to reach within 50 steps.
+        cal = _with_distortion(identity_cal, k1=-0.134)
+        p = ImagePoint(1900.0, 1000.0)
+        q, status = _undistort(cal, p)
+        assert status == _k.STATUS_OK
+        n_q = np.array([(q.x - cal.cx) / cal.fx, (q.y - cal.cy) / cal.fy])
+        assert n_q @ n_q < 1.0 / (3.0 * 0.134)
+        back = _project_with_distortion_of(cal, q)
+        np.testing.assert_allclose([back.x, back.y], [p.x, p.y], rtol=0, atol=1e-9)
+
+    def test_preimage_only_past_the_fold_is_outside_the_domain(self, identity_cal):
+        # k1 = -0.12, k2 = 0.006: the slope 1 - 0.36 s + 0.03 s^2 of the
+        # radial map is negative for s = r^2 in (4.37, 7.63), so the
+        # distorted radius peaks at ~1.234 on the first branch and rises
+        # again past s = 7.63. Radius 3.2 distorts to ~1.281, beyond the
+        # peak: its pixel's only preimage lies past the fold.
+        cal = _with_distortion(identity_cal, k1=-0.12, k2=0.006)
+        q = ImagePoint(cal.cx + cal.fx * 3.2, cal.cy)
+        p = _project_with_distortion_of(cal, q)
+        assert _undistort(cal, p)[1] == _k.STATUS_NO_CONVERGENCE
+
+    def test_preimage_where_the_lens_folds_is_outside_the_domain(self, identity_cal):
+        # With tangential terms only det J tells the branches apart. This
+        # pixel, normalized (1.0, 0.9), has a preimage q far out on the
+        # opposite side, where radial(r^2) < 0 and det J < 0: there the
+        # lens folds, and q is no inverse of it.
+        cal = _with_distortion(identity_cal, k1=-0.6, k2=0.02, p1=-0.003, p2=-0.004)
+        q = np.array([-3.932568488558745, -3.4807006680837924])
+        np.testing.assert_allclose(_distort(cal, q), [1.0, 0.9], rtol=0, atol=1e-12)
+        step = 1e-6
+        jacobian = np.column_stack(
+            [(_distort(cal, q + d) - _distort(cal, q - d)) / (2 * step) for d in np.eye(2) * step]
+        )
+        assert np.linalg.det(jacobian) < 0
+        p = ImagePoint(cal.cx + cal.fx * 1.0, cal.cy + cal.fy * 0.9)
+        assert _undistort(cal, p)[1] == _k.STATUS_NO_CONVERGENCE
 
     def test_no_convergence_outside_model_range(self, identity_cal):
         # k1 = -0.5 folds the radial polynomial at |n| ~ 0.82; a distorted

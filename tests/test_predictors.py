@@ -248,6 +248,11 @@ class TestNoiseStream2:
             got = _unit_noise(kind, [], 5)
             assert got.dtype == np.float64 and got.shape == (0,)
 
+    def test_id_of_2_to_the_63_raises(self):
+        for kind in ("oracle", "gaussian", "heavy_tailed"):
+            with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
+                _unit_noise(kind, [0, 2**63], 5)
+
     def test_negative_id_raises(self):
         for kind in ("gaussian", "heavy_tailed"):
             with pytest.raises(ValueError, match="index must fit in uint64, got -1"):

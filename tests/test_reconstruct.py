@@ -139,7 +139,7 @@ class TestReconstructFromHeight:
         for s in distorted_samples:
             rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
             err = np.linalg.norm(rec.ball_3d.as_array() - s.ball_3d.as_array())
-            assert err < 1e-4
+            assert err < 1e-9
 
     def test_zero_height_on_ground_point(self, cam_a):
         g = WorldPoint(2.5, -1.5, 0.0)
