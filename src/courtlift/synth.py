@@ -406,12 +406,12 @@ def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     # succeed. Strong coefficients fold the Brown-Conrady polynomial at
     # large field radii, where the pixel has no preimage on the lens's
     # first branch. Every kernel computes each row on its own, so leaving
-    # out the rows already unusable changes no result, and off-frame rows
-    # would set the number of undistortion steps.
+    # out the rows already unusable changes no result; kept in, an
+    # off-frame row would set the number of Newton steps for all.
     rows = np.flatnonzero(usable)
-    cal = cal[:, rows]
-    uu, vv, status = _k.undistort_pixel(cal, u[rows], v[rows])
-    status = _k.lift_height(cal, uu, vv, h[rows], status)[-1]
+    visible = cal[:, rows]
+    uu, vv, status = _k.undistort_pixel(visible, u[rows], v[rows])
+    status = _k.lift_height(visible, uu, vv, h[rows], status)[-1]
     usable[rows] = (status == _k.STATUS_OK) & ~(np.hypot(uu - un[rows], vv - vn[rows]) > 1e-6)
     return usable, u, v, fu, fv, h, diameter
 

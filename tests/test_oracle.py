@@ -45,7 +45,7 @@ OFFSETS_PX = (0.0, 10.0, 40.0, -400.0, 3000.0)
 # At -400 px the foot of many rows lies just below the horizon, where the
 # ground point's depth is large and a pixel's rounding error moves it by
 # metres per pixel; the float64 kernel then differs from the long-double
-# oracle by up to 2.9e-8 m on the golden rows.
+# oracle by up to about 3e-8 m on the golden rows.
 NEAR_HORIZON_TOL_M = 1e-7
 TOL_M = 1e-12
 
