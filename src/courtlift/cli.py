@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -211,6 +212,8 @@ def cmd_evaluate(args, parser) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     _check_seeds(parser, args.seed, args.repeats)
+    if not 0.0 < args.ball_diameter < math.inf:
+        parser.error(f"--ball-diameter must be finite and > 0 m, got {args.ball_diameter}")
     try:
         spec = PredictorSpec(
             kind=args.predictor,

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._record import ValueRecord
 from .camera import calibration_to_json_dict, load_calibration
 from .errors import (
     FoldViolation,
@@ -52,8 +53,8 @@ _RECORD_LINE = "[%d, %d, %r, %r, %r, %r, %r, %r, %r, %r, %r]\n"
 # The Python types json decodes a number to; a boolean's is bool, not int.
 _NUMBER_TYPES = {int, float}
 
-@dataclass(frozen=True)
-class Dataset:
+@dataclass(init=False, repr=False, eq=False)
+class Dataset(ValueRecord):
     """Samples plus a partition of arena ids into named folds.
 
     ``samples`` may be given as `BallSample` rows; it is stored as a
@@ -62,10 +63,10 @@ class Dataset:
     samples: Samples
     folds: dict[str, frozenset[int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", Samples.from_rows(self.samples))
-        object.__setattr__(
-            self, "folds", {name: frozenset(ids) for name, ids in self.folds.items()}
+    def __init__(self, samples: Samples, folds: dict[str, frozenset[int]]):
+        self.__dict__.update(
+            samples=Samples.from_rows(samples),
+            folds={name: frozenset(ids) for name, ids in folds.items()},
         )
         self._check_invariants()
 

@@ -13,13 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ._record import ValueRecord
 from .errors import BadBins, EmptyInput, LengthMismatch
 
 METRIC_NAMES = ("mae_px", "mape_m", "mdnape_m", "ma3de_m", "mdna3de_m")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+@dataclass(init=False, repr=False, eq=False)
+class EvalReport(ValueRecord):
     """Metrics over one evaluation run.
 
     ``mae_px`` is None when no height predictions exist (the diameter
@@ -32,6 +33,24 @@ class EvalReport:
     ma3de_m: float
     mdna3de_m: float
     n_samples: int
+
+    def __init__(
+        self,
+        mae_px: float | None,
+        mape_m: float,
+        mdnape_m: float,
+        ma3de_m: float,
+        mdna3de_m: float,
+        n_samples: int,
+    ):
+        self.__dict__.update(
+            mae_px=mae_px,
+            mape_m=mape_m,
+            mdnape_m=mdnape_m,
+            ma3de_m=ma3de_m,
+            mdna3de_m=mdna3de_m,
+            n_samples=n_samples,
+        )
 
     def metric(self, name: str) -> float | None:
         return self.to_json_dict()[name]
@@ -47,13 +66,16 @@ class EvalReport:
         }
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+@dataclass(init=False, repr=False, eq=False)
+class AggregateReport(ValueRecord):
     """Per-metric mean and std over k repeated evaluations."""
 
     k: int
     mean: dict[str, float | None]
     std: dict[str, float | None]
+
+    def __init__(self, k: int, mean: dict[str, float | None], std: dict[str, float | None]):
+        self.__dict__.update(k=k, mean=mean, std=std)
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "mean": dict(self.mean), "std": dict(self.std)}

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import ValueRecord
 from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, doubles, words
 
 KINDS = ("oracle", "gaussian", "heavy_tailed")
@@ -45,8 +46,8 @@ KINDS = ("oracle", "gaussian", "heavy_tailed")
 NOISE_STREAM = 2
 
 
-@dataclass(frozen=True)
-class PredictorSpec:
+@dataclass(init=False, repr=False, eq=False)
+class PredictorSpec(ValueRecord):
     """Configuration of a synthetic predictor.
 
     ``sigma`` is the raw noise scale (px for heights, relative for
@@ -60,7 +61,15 @@ class PredictorSpec:
     target_mae: float | None = None
     seed: int = 0
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,
+        sigma: float = 0.0,
+        nu: float = 3.0,
+        target_mae: float | None = None,
+        seed: int = 0,
+    ):
+        self.__dict__.update(kind=kind, sigma=sigma, nu=nu, target_mae=target_mae, seed=seed)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.sigma < math.inf:
@@ -139,10 +148,14 @@ def _noise(spec: PredictorSpec, ids: np.ndarray, purpose: int) -> np.ndarray:
 
 def _arrays(sample_ids, truth) -> tuple[np.ndarray, np.ndarray]:
     """Sample ids and true values as flat arrays, one value per id."""
+    unsigned = isinstance(sample_ids, (np.ndarray, np.generic)) and sample_ids.dtype.kind == "u"
     try:
         ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
     except OverflowError:
-        raise ValueError("sample ids must lie in [0, 2**63)") from None
+        ids = None
+    # A cast from an unsigned array wraps ids of 2**63 or more to negatives.
+    if ids is None or (unsigned and (ids < 0).any()):
+        raise ValueError("sample ids must lie in [0, 2**63)")
     truth = np.asarray(truth, dtype=np.float64).reshape(-1)
     if len(ids) != len(truth):
         raise ValueError(f"{len(ids)} sample ids for {len(truth)} true values")

@@ -30,12 +30,14 @@ wrapper: ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels as _k
+from ._record import Record, ValueRecord
 from .camera import (
     CameraCalibration,
     ImagePoint,
@@ -49,8 +51,8 @@ from .errors import NonPositiveDiameter
 BALL_DIAMETER_M = 0.24
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+@dataclass(init=False, repr=False, eq=False)
+class Reconstruction(ValueRecord):
     """Result of lifting one ball pixel to world coordinates.
 
     ``ground_projection`` is the ball's x and y with z = 0 exactly.
@@ -63,6 +65,20 @@ class Reconstruction:
     ground_projection: WorldPoint
     foot_pixel: ImagePoint | None
     vertical_angle: float | None
+
+    def __init__(
+        self,
+        ball_3d: WorldPoint,
+        ground_projection: WorldPoint,
+        foot_pixel: ImagePoint | None,
+        vertical_angle: float | None,
+    ):
+        self.__dict__.update(
+            ball_3d=ball_3d,
+            ground_projection=ground_projection,
+            foot_pixel=foot_pixel,
+            vertical_angle=vertical_angle,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,12 +138,15 @@ def reconstruct_from_diameter(
     return batch.row(0)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineTransform:
+@dataclass(init=False, repr=False, eq=False)
+class AffineTransform(Record):
     """2D affine map q -> matrix @ q + offset over image coordinates."""
 
     matrix: np.ndarray
     offset: np.ndarray
+
+    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
+        self.__dict__.update(matrix=matrix, offset=offset)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -166,8 +185,8 @@ def crop_transform(
     return AffineTransform(matrix=matrix, offset=offset)
 
 
-@dataclass(frozen=True, eq=False)
-class HeightBatch:
+@dataclass(init=False, repr=False, eq=False)
+class HeightBatch(Record):
     """Array-of-structs result of a batch reconstruction.
 
     Rows with ``status != 0`` carry NaN geometry; ``camera.STATUS_NAMES``
@@ -182,6 +201,22 @@ class HeightBatch:
     foot_px: np.ndarray  # (n, 2)
     vertical_angle: np.ndarray  # (n,)
     status: np.ndarray  # (n,) int64
+
+    def __init__(
+        self,
+        ball_3d: np.ndarray,
+        ground_projection: np.ndarray,
+        foot_px: np.ndarray,
+        vertical_angle: np.ndarray,
+        status: np.ndarray,
+    ):
+        self.__dict__.update(
+            ball_3d=ball_3d,
+            ground_projection=ground_projection,
+            foot_px=foot_px,
+            vertical_angle=vertical_angle,
+            status=status,
+        )
 
     @property
     def ok(self) -> np.ndarray:
@@ -217,8 +252,8 @@ def calibration_columns(
     return packed.T.take(idx, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class BallRays:
+@dataclass(init=False, repr=False, eq=False)
+class BallRays(Record):
     """The part of a batch reconstruction that no prediction changes.
 
     ``cal`` is the (24, n) kernel layout of each row's camera, ``u`` and
@@ -233,6 +268,9 @@ class BallRays:
     u: np.ndarray
     v: np.ndarray
     status: np.ndarray
+
+    def __init__(self, cal: np.ndarray, u: np.ndarray, v: np.ndarray, status: np.ndarray):
+        self.__dict__.update(cal=cal, u=u, v=v, status=status)
 
     def __len__(self) -> int:
         return self.status.shape[0]
@@ -292,8 +330,8 @@ def reconstruct_from_diameter_batch(
     """reconstruct_from_diameter over the n rows of ``rays``, as
     whole-array operations; ``diameters_px[i]`` is row i's image diameter.
     """
-    if not (ball_diameter_m > 0.0):
-        raise NonPositiveDiameter(f"ball diameter must be > 0 m, got {ball_diameter_m}")
+    if not 0.0 < ball_diameter_m < math.inf:
+        raise NonPositiveDiameter(f"ball diameter must be finite and > 0 m, got {ball_diameter_m}")
     d = _per_ray(rays, diameters_px)
     bx, by, bz, fu, fv, angle, status = _k.reconstruct_diameter(
         rays.cal, rays.u, rays.v, rays.status, d, float(ball_diameter_m)

@@ -121,6 +121,10 @@ class TestSynth:
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma nan",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma inf",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae inf",
+        "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter 0",
+        "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter -1",
+        "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter nan",
+        "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter inf",
         "synth --n 10 --arenas 3 --n-folds 0 --out {out}",
     ],
 )

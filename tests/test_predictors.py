@@ -253,6 +253,26 @@ class TestNoiseStream2:
             with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
                 _unit_noise(kind, [0, 2**63], 5)
 
+    @pytest.mark.parametrize("sample_id", [2**63, 2**64 - 1])
+    @pytest.mark.parametrize("predict", [predict_heights, predict_diameters])
+    def test_unsigned_ids_of_2_to_the_63_or_more_raise(self, predict, sample_id):
+        # A uint64 array would wrap such ids to negatives in an int64 cast.
+        ids = np.array([0, sample_id], dtype=np.uint64)
+        for kind in ("oracle", "gaussian", "heavy_tailed"):
+            spec = PredictorSpec(kind=kind, sigma=0.1)
+            with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
+                predict(spec, ids, [10.0, 20.0])
+            with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
+                predict(spec, ids[1], [10.0])
+
+    def test_unsigned_ids_below_2_to_the_63_are_the_signed_ids(self):
+        ids = np.array([0, 2**63 - 1, 5], dtype=np.uint64)
+        spec = PredictorSpec(kind="heavy_tailed", sigma=2.0, seed=4)
+        np.testing.assert_array_equal(
+            predict_heights(spec, ids, [1.0, 2.0, 3.0]),
+            predict_heights(spec, ids.astype(np.int64), [1.0, 2.0, 3.0]),
+        )
+
     def test_negative_id_raises(self):
         for kind in ("gaussian", "heavy_tailed"):
             with pytest.raises(ValueError, match="index must fit in uint64, got -1"):

@@ -240,6 +240,11 @@ class TestReconstructFromDiameter:
         with pytest.raises(NonPositiveDiameter):
             reconstruct_from_diameter(identity_cal, ImagePoint(960, 540), -3.0)
 
+    @pytest.mark.parametrize("ball_diameter_m", [0.0, -0.24, math.nan, math.inf])
+    def test_ball_diameter_must_be_finite_and_positive(self, identity_cal, ball_diameter_m):
+        with pytest.raises(NonPositiveDiameter, match="must be finite and > 0 m"):
+            reconstruct_from_diameter(identity_cal, ImagePoint(960, 540), 30.0, ball_diameter_m)
+
     def test_depth_doubling_halves_diameter(self, side_cal):
         d1 = diameter_px_of(side_cal, WorldPoint(0.0, 0.0, 1.5))  # depth 20
         d2 = diameter_px_of(side_cal, WorldPoint(0.0, 20.0, 1.5))  # depth 40

@@ -1,0 +1,368 @@
+"""The record contract of courtlift's 15 frozen dataclass types.
+
+Each record keeps what callers rely on: frozen fields, ``fields()`` order,
+``replace()`` with validation, positional and keyword construction with
+the same signature, value or identity equality, and the dataclass repr.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import math
+import pkgutil
+from dataclasses import FrozenInstanceError, fields, replace
+
+import numpy as np
+import pytest
+
+import courtlift
+from courtlift import (
+    AffineTransform,
+    AggregateReport,
+    ArenaSpec,
+    BallRays,
+    BallSample,
+    CameraCalibration,
+    Dataset,
+    EvalReport,
+    HeightBatch,
+    HeightDistSpec,
+    ImagePoint,
+    PredictorSpec,
+    Reconstruction,
+    Samples,
+    WorldPoint,
+    assign_folds,
+    generate_dataset,
+    make_camera,
+)
+from courtlift.errors import FoldViolation
+
+CAL = make_camera((0.0, -20.0, 3.0), (0.0, 0.0, 0.0), 2000.0, 4500.0, 1500.0, k1=-0.1)
+SAMPLES = generate_dataset(seed=3, n=12, n_arenas=2)
+FOLDS = assign_folds(SAMPLES.arena.tolist(), 2)
+ROW = SAMPLES[0]
+
+
+def _cal_kwargs():
+    return {
+        "fx": 2000.0, "fy": 2100.0, "cx": 2250.0, "cy": 750.0,
+        "rotation": np.eye(3), "translation": np.array([0.0, 1.0, 20.0]),
+        "image_width": 4500.0, "image_height": 1500.0,
+        "skew": 0.5, "k1": -0.1, "k2": 0.01, "k3": 0.0, "p1": 0.001, "p2": -0.002,
+    }
+
+
+# Each record type: its field names in order, the parameters of its
+# constructor as (name, default or EMPTY), and keyword arguments of an
+# example in parameter order. Examples built twice share every object
+# that compares by identity, so value records built twice are equal.
+EMPTY = inspect.Parameter.empty
+RECORDS = {
+    ImagePoint: (
+        ("x", "y"),
+        [("x", EMPTY), ("y", EMPTY)],
+        lambda: {"x": 1.5, "y": -2.0},
+    ),
+    WorldPoint: (
+        ("x", "y", "z"),
+        [("x", EMPTY), ("y", EMPTY), ("z", EMPTY)],
+        lambda: {"x": 1.0, "y": 2.0, "z": 3.0},
+    ),
+    CameraCalibration: (
+        ("fx", "fy", "cx", "cy", "rotation", "translation", "image_width", "image_height",
+         "skew", "k1", "k2", "k3", "p1", "p2", "_packed"),
+        [("fx", EMPTY), ("fy", EMPTY), ("cx", EMPTY), ("cy", EMPTY), ("rotation", EMPTY),
+         ("translation", EMPTY), ("image_width", EMPTY), ("image_height", EMPTY),
+         ("skew", 0.0), ("k1", 0.0), ("k2", 0.0), ("k3", 0.0), ("p1", 0.0), ("p2", 0.0)],
+        _cal_kwargs,
+    ),
+    Dataset: (
+        ("samples", "folds"),
+        [("samples", EMPTY), ("folds", EMPTY)],
+        lambda: {"samples": SAMPLES, "folds": FOLDS},
+    ),
+    EvalReport: (
+        ("mae_px", "mape_m", "mdnape_m", "ma3de_m", "mdna3de_m", "n_samples"),
+        [("mae_px", EMPTY), ("mape_m", EMPTY), ("mdnape_m", EMPTY), ("ma3de_m", EMPTY),
+         ("mdna3de_m", EMPTY), ("n_samples", EMPTY)],
+        lambda: {"mae_px": 3.0, "mape_m": 0.1, "mdnape_m": 0.05, "ma3de_m": 0.2,
+                 "mdna3de_m": 0.15, "n_samples": 40},
+    ),
+    AggregateReport: (
+        ("k", "mean", "std"),
+        [("k", EMPTY), ("mean", EMPTY), ("std", EMPTY)],
+        lambda: {"k": 2, "mean": {"mae_px": 3.0}, "std": {"mae_px": 0.5}},
+    ),
+    PredictorSpec: (
+        ("kind", "sigma", "nu", "target_mae", "seed"),
+        [("kind", EMPTY), ("sigma", 0.0), ("nu", 3.0), ("target_mae", None), ("seed", 0)],
+        lambda: {"kind": "heavy_tailed", "sigma": 1.5, "nu": 4.0, "target_mae": 34.0, "seed": 7},
+    ),
+    Reconstruction: (
+        ("ball_3d", "ground_projection", "foot_pixel", "vertical_angle"),
+        [("ball_3d", EMPTY), ("ground_projection", EMPTY), ("foot_pixel", EMPTY),
+         ("vertical_angle", EMPTY)],
+        lambda: {"ball_3d": WorldPoint(1.0, 2.0, 3.0),
+                 "ground_projection": WorldPoint(1.0, 2.0, 0.0),
+                 "foot_pixel": ImagePoint(10.0, 20.0), "vertical_angle": 0.25},
+    ),
+    AffineTransform: (
+        ("matrix", "offset"),
+        [("matrix", EMPTY), ("offset", EMPTY)],
+        lambda: {"matrix": np.eye(2), "offset": np.array([1.0, 2.0])},
+    ),
+    HeightBatch: (
+        ("ball_3d", "ground_projection", "foot_px", "vertical_angle", "status"),
+        [("ball_3d", EMPTY), ("ground_projection", EMPTY), ("foot_px", EMPTY),
+         ("vertical_angle", EMPTY), ("status", EMPTY)],
+        lambda: {"ball_3d": np.ones((1, 3)), "ground_projection": np.ones((1, 2)),
+                 "foot_px": np.ones((1, 2)), "vertical_angle": np.zeros(1),
+                 "status": np.zeros(1, dtype=np.int64)},
+    ),
+    BallRays: (
+        ("cal", "u", "v", "status"),
+        [("cal", EMPTY), ("u", EMPTY), ("v", EMPTY), ("status", EMPTY)],
+        lambda: {"cal": CAL.as_array()[:, None], "u": np.ones(1), "v": np.ones(1),
+                 "status": np.zeros(1, dtype=np.int64)},
+    ),
+    ArenaSpec: (
+        ("court_half_length", "court_half_width", "camera_height_range", "camera_distance_range",
+         "focal_range", "image_width", "image_height", "k1_range", "k2_range", "ball_diameter_m"),
+        [("court_half_length", 14.0), ("court_half_width", 7.5),
+         ("camera_height_range", (3.0, 8.0)), ("camera_distance_range", (15.0, 30.0)),
+         ("focal_range", (1500.0, 3000.0)), ("image_width", 4500.0), ("image_height", 1500.0),
+         ("k1_range", (-0.15, 0.0)), ("k2_range", (0.0, 0.03)), ("ball_diameter_m", 0.24)],
+        lambda: {"court_half_length": 10.0, "court_half_width": 5.0,
+                 "camera_height_range": (2.0, 4.0), "camera_distance_range": (12.0, 20.0),
+                 "focal_range": (1000.0, 2000.0), "image_width": 1920.0, "image_height": 1080.0,
+                 "k1_range": (-0.1, 0.0), "k2_range": (0.0, 0.01), "ball_diameter_m": 0.22},
+    ),
+    HeightDistSpec: (
+        ("kind", "p_above_3m", "max_height"),
+        [("kind", "deepsport_like"), ("p_above_3m", None), ("max_height", 6.0)],
+        lambda: {"kind": "ballistic_like", "p_above_3m": 0.25, "max_height": 7.0},
+    ),
+    BallSample: (
+        ("sample_id", "arena_id", "cal", "ball_3d", "ball_px", "foot_px", "h_true",
+         "diameter_px_true"),
+        [("sample_id", EMPTY), ("arena_id", EMPTY), ("cal", EMPTY), ("ball_3d", EMPTY),
+         ("ball_px", EMPTY), ("foot_px", EMPTY), ("h_true", EMPTY), ("diameter_px_true", EMPTY)],
+        lambda: {name: getattr(ROW, name) for name in (
+            "sample_id", "arena_id", "cal", "ball_3d", "ball_px", "foot_px", "h_true",
+            "diameter_px_true")},
+    ),
+    Samples: (
+        ("ids", "arena", "cals", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"),
+        [("ids", EMPTY), ("arena", EMPTY), ("cals", EMPTY), ("cal_index", EMPTY),
+         ("ball_3d", EMPTY), ("ball_px", EMPTY), ("foot_px", EMPTY), ("h_true", EMPTY),
+         ("d_true", EMPTY)],
+        lambda: {name: getattr(SAMPLES, name) for name in (
+            "ids", "arena", "cals", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true",
+            "d_true")},
+    ),
+}
+IDENTITY = {CameraCalibration, AffineTransform, HeightBatch, BallRays, Samples}
+# A field change per record that its validation rejects, and the error.
+INVALID = {
+    CameraCalibration: ({"rotation": np.eye(2)}, ValueError),
+    Dataset: ({"folds": {"A": {0}}}, FoldViolation),
+    PredictorSpec: ({"sigma": -1.0}, ValueError),
+    ArenaSpec: ({"court_half_length": -1.0}, ValueError),
+    HeightDistSpec: ({"max_height": math.inf}, ValueError),
+}
+
+# A field change per value record that makes it unequal to the example.
+DIFFERENT = {
+    ImagePoint: {"x": 0.0},
+    WorldPoint: {"z": 0.0},
+    Dataset: {"samples": SAMPLES[:4]},
+    EvalReport: {"n_samples": 41},
+    AggregateReport: {"std": {}},
+    PredictorSpec: {"seed": 8},
+    Reconstruction: {"foot_pixel": None},
+    ArenaSpec: {"ball_diameter_m": 0.24},
+    HeightDistSpec: {"p_above_3m": 0.5},
+    BallSample: {"sample_id": 999},
+}
+
+by_name = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+
+
+def example(cls):
+    return cls(**RECORDS[cls][2]())
+
+
+def same_fields(a, b) -> bool:
+    """Field by field equality, arrays by value."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif not (x is y or x == y):
+            return False
+    return True
+
+
+def test_the_table_covers_every_record_type():
+    assert len(RECORDS) == 15
+    assert {cls.__name__ for cls in RECORDS} <= set(courtlift.__all__)
+    assert all(dataclasses.is_dataclass(cls) for cls in RECORDS)
+
+
+@by_name
+def test_fields_are_frozen(cls):
+    record = example(cls)
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, f.name)
+    with pytest.raises(FrozenInstanceError):
+        record.not_a_field = 1
+
+
+@by_name
+def test_field_names_and_order(cls):
+    assert tuple(f.name for f in fields(cls)) == RECORDS[cls][0]
+
+
+@by_name
+def test_signature_names_and_defaults(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in params] == RECORDS[cls][1]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+
+
+@by_name
+def test_field_defaults_match_the_signature(cls):
+    declared = {f.name: f.default for f in fields(cls) if f.init}
+    expected = {name: (dataclasses.MISSING if d is EMPTY else d) for name, d in RECORDS[cls][1]}
+    assert declared == expected
+
+
+@by_name
+def test_positional_and_keyword_construction_agree(cls):
+    kwargs = RECORDS[cls][2]()
+    by_keyword, by_position = cls(**kwargs), cls(*kwargs.values())
+    assert same_fields(by_keyword, by_position)
+    for name, value in kwargs.items():
+        if not isinstance(value, np.ndarray):
+            assert getattr(by_keyword, name) == value
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), None)
+
+
+@by_name
+def test_replace_round_trips(cls):
+    record = example(cls)
+    copy = replace(record)
+    assert copy is not record and type(copy) is cls
+    assert same_fields(copy, record)
+    if cls not in IDENTITY:
+        assert copy == record
+
+
+@pytest.mark.parametrize("cls", list(INVALID), ids=lambda cls: cls.__name__)
+def test_replace_runs_the_validation(cls):
+    changes, error = INVALID[cls]
+    with pytest.raises(error):
+        replace(example(cls), **changes)
+
+
+def test_replace_recomputes_derived_fields():
+    cal = replace(example(CameraCalibration), fx=1234.0, k1=0.0)
+    assert cal.as_array()[0] == 1234.0 and not cal.as_array().flags.writeable
+    built = CameraCalibration(**{**_cal_kwargs(), "fx": 1234.0, "k1": 0.0})
+    np.testing.assert_array_equal(cal.as_array(), built.as_array())
+    with pytest.raises(ValueError, match="_packed"):
+        replace(cal, _packed=None)
+    dist = HeightDistSpec(kind="uniform")
+    assert dist.p_above_3m is None
+    assert replace(dist, kind="ballistic_like").p_above_3m == 102.0 / 233.0
+    ds = Dataset(list(SAMPLES), {name: set(ids) for name, ids in FOLDS.items()})
+    assert isinstance(ds.samples, Samples)
+    assert all(isinstance(ids, frozenset) for ids in ds.folds.values())
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in RECORDS if c not in IDENTITY], ids=lambda c: c.__name__
+)
+def test_value_records_compare_by_value(cls):
+    a, b = example(cls), example(cls)
+    assert a is not b and a == b and not a != b
+    try:
+        hash(a)
+    except TypeError:
+        # A dict field makes the record unhashable, as a dataclass would.
+        assert any(isinstance(getattr(a, f.name), dict) for f in fields(a))
+        assert cls.__hash__ is not None
+    else:
+        assert hash(a) == hash(b)
+    other = replace(a, **DIFFERENT[cls])
+    assert a != other and not a == other
+    assert a != RECORDS[cls][2]()
+    assert a.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(IDENTITY, key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_array_holders_compare_by_identity(cls):
+    a, b = example(cls), example(cls)
+    assert a == a and hash(a) == hash(a)
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
+@by_name
+def test_repr_is_the_dataclass_form(cls):
+    record = example(cls)
+    shown = [name for name in RECORDS[cls][0] if name != "_packed"]
+    body = ", ".join(f"{name}={getattr(record, name)!r}" for name in shown)
+    assert repr(record) == f"{cls.__name__}({body})"
+
+
+def test_repr_literals():
+    assert repr(ImagePoint(1.5, -2.0)) == "ImagePoint(x=1.5, y=-2.0)"
+    assert repr(PredictorSpec("gaussian", seed=3)) == (
+        "PredictorSpec(kind='gaussian', sigma=0.0, nu=3.0, target_mae=None, seed=3)"
+    )
+    assert "_packed" not in repr(CAL)
+
+
+def test_dataclass_helpers_keep_working():
+    spec = PredictorSpec("gaussian", sigma=2.0)
+    assert dataclasses.asdict(spec) == {
+        "kind": "gaussian", "sigma": 2.0, "nu": 3.0, "target_mae": None, "seed": 0,
+    }
+    assert dataclasses.astuple(WorldPoint(1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0)
+    assert dataclasses.is_dataclass(spec) and not dataclasses.is_dataclass(1.0)
+
+
+def _courtlift_classes():
+    import courtlift.cli  # noqa: F401  (the command line imports every module)
+
+    for info in pkgutil.iter_modules(courtlift.__path__, "courtlift."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_no_class_holds_exec_generated_code():
+    # dataclasses builds its generated methods by exec of source text, so
+    # their code objects name "<string>" as their file; courtlift's records
+    # declare theirs, because generating them costs every command's import
+    # about 1 ms per class.
+    classes = set(_courtlift_classes())
+    assert set(RECORDS) <= classes
+    generated = []
+    for cls in classes:
+        for name, value in vars(cls).items():
+            for candidate in (value, getattr(value, "fget", None)):
+                code = getattr(getattr(candidate, "__func__", candidate), "__code__", None)
+                if code is not None and code.co_filename == "<string>":
+                    generated.append(f"{cls.__qualname__}.{name}")
+    assert generated == []
