@@ -14,9 +14,9 @@ Image frame: origin top-left, x right, y down, pixel centers at integers.
 Extrinsics: x_cam = R @ X_world + t.
 
 Undistortion inverts Brown-Conrady on the lens model's invertible domain
-only: a solution where the model folds (det J <= 0), or, on a radial-only
-lens, one past the first monotone branch of r -> r radial(r^2), gives
-status STATUS_NO_CONVERGENCE.
+only: a solution where the model folds (det J <= 0), or one past the
+first monotone branch of the radial map r -> r radial(r^2), gives status
+STATUS_NO_CONVERGENCE, with or without tangential terms.
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def undistort_norm(cal, xd, yd):
     row has converged or after UNDISTORT_MAX_ITER steps, so each row's
     result is its own. A row is outside the model's invertible domain
     (STATUS_NO_CONVERGENCE) when its residual is above
-    UNDISTORT_FAIL_TOL, when det J <= 0 at the solution, or, on a
-    radial-only lens, when the solution lies on or past the first
-    positive root s* of the slope 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of
-    r -> r radial(r^2), with s = r^2: a solution past the fold is not the
-    pixel's first-branch preimage. Returns (x, y, status).
+    UNDISTORT_FAIL_TOL, when det J <= 0 at the solution, or when the
+    solution lies on or past the first positive root s* of the slope
+    1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of r -> r radial(r^2), with s = r^2:
+    a solution past the fold is not the pixel's first-branch preimage,
+    even where tangential terms keep det J > 0 there.
+    Returns (x, y, status).
     """
     k1, k2, k3, p1, p2 = (cal[c] for c in (CAL_K1, CAL_K2, CAL_K3, CAL_P1, CAL_P2))
     r2 = xd * xd + yd * yd
@@ -150,14 +151,13 @@ def undistort_norm(cal, xd, yd):
         x = np.where(active, x - (jyy * ex - jxy * ey) / det, x)
         y = np.where(active, y - (jxx * ey - jxy * ex) / det, y)
     inside = (error <= UNDISTORT_FAIL_TOL) & (det > 0.0)
-    radial_only = (p1 == 0.0) & (p2 == 0.0)
-    inside &= ~radial_only | _first_branch(k1, k2, k3, r2)
+    inside &= _first_branch(k1, k2, k3, r2)
     return x, y, _flag(~inside, STATUS_NO_CONVERGENCE)
 
 
 def _first_branch(k1, k2, k3, r2):
-    """Whether the slope D(s) = 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of a
-    radial lens stays positive on [0, r2], i.e. r2 lies before its first
+    """Whether the slope D(s) = 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of the
+    radial map stays positive on [0, r2], i.e. r2 lies before its first
     positive root. D(0) = 1, so its minimum on the interval is at r2 or at
     a root of D'(s) = 3 k1 + 10 k2 s + 21 k3 s^2 clipped into it."""
     a, b, c = 21.0 * k3, 10.0 * k2, 3.0 * k1

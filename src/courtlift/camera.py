@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
 from . import _kernels as _k
-from ._record import Record, ValueRecord
+from ._record import Record, ValueRecord, record
 from .errors import (
     BothPlanesDegenerate,
     DegenerateVertical,
@@ -80,18 +80,15 @@ def one_row(*values: float) -> list[np.ndarray]:
     return [np.array([v], dtype=np.float64) for v in values]
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class ImagePoint(ValueRecord):
     """Pixel position, origin top-left, y down. May lie outside the frame."""
 
     x: float
     y: float
 
-    def __init__(self, x: float, y: float):
-        self.__dict__.update(x=x, y=y)
 
-
-@dataclass(init=False, repr=False, eq=False)
+@record
 class WorldPoint(ValueRecord):
     """Point in the court frame, meters; the ground plane is z = 0."""
 
@@ -99,14 +96,11 @@ class WorldPoint(ValueRecord):
     y: float
     z: float
 
-    def __init__(self, x: float, y: float, z: float):
-        self.__dict__.update(x=x, y=y, z=z)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class CameraCalibration(Record):
     """Pinhole intrinsics + extrinsics + Brown-Conrady distortion.
 
@@ -131,60 +125,28 @@ class CameraCalibration(Record):
     p2: float = 0.0
     _packed: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        fx: float,
-        fy: float,
-        cx: float,
-        cy: float,
-        rotation: np.ndarray,
-        translation: np.ndarray,
-        image_width: float,
-        image_height: float,
-        skew: float = 0.0,
-        k1: float = 0.0,
-        k2: float = 0.0,
-        k3: float = 0.0,
-        p1: float = 0.0,
-        p2: float = 0.0,
-    ):
-        rot = np.asarray(rotation, dtype=np.float64).reshape(3, 3).copy()
-        trans = np.asarray(translation, dtype=np.float64).reshape(3).copy()
+    def __post_init__(self):
+        rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3).copy()
+        trans = np.asarray(self.translation, dtype=np.float64).reshape(3).copy()
         rot.flags.writeable = False
         trans.flags.writeable = False
         packed = np.empty(_k.CAL_LEN, dtype=np.float64)
-        packed[_k.CAL_FX] = fx
-        packed[_k.CAL_FY] = fy
-        packed[_k.CAL_CX] = cx
-        packed[_k.CAL_CY] = cy
-        packed[_k.CAL_SKEW] = skew
+        packed[_k.CAL_FX] = self.fx
+        packed[_k.CAL_FY] = self.fy
+        packed[_k.CAL_CX] = self.cx
+        packed[_k.CAL_CY] = self.cy
+        packed[_k.CAL_SKEW] = self.skew
         packed[_k.CAL_R : _k.CAL_R + 9] = rot.ravel()
         packed[_k.CAL_T : _k.CAL_T + 3] = trans
-        packed[_k.CAL_K1] = k1
-        packed[_k.CAL_K2] = k2
-        packed[_k.CAL_K3] = k3
-        packed[_k.CAL_P1] = p1
-        packed[_k.CAL_P2] = p2
-        packed[_k.CAL_W] = image_width
-        packed[_k.CAL_H] = image_height
+        packed[_k.CAL_K1] = self.k1
+        packed[_k.CAL_K2] = self.k2
+        packed[_k.CAL_K3] = self.k3
+        packed[_k.CAL_P1] = self.p1
+        packed[_k.CAL_P2] = self.p2
+        packed[_k.CAL_W] = self.image_width
+        packed[_k.CAL_H] = self.image_height
         packed.flags.writeable = False
-        self.__dict__.update(
-            fx=fx,
-            fy=fy,
-            cx=cx,
-            cy=cy,
-            rotation=rot,
-            translation=trans,
-            image_width=image_width,
-            image_height=image_height,
-            skew=skew,
-            k1=k1,
-            k2=k2,
-            k3=k3,
-            p1=p1,
-            p2=p2,
-            _packed=packed,
-        )
+        self.__dict__.update(rotation=rot, translation=trans, _packed=packed)
 
     def as_array(self) -> np.ndarray:
         """Packed float64 vector consumed by the numeric kernels."""

@@ -276,6 +276,8 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"--grid must be a comma-separated number list, got {args.grid!r}")
     if not grid:
         parser.error("--grid must contain at least one noise level")
+    if not all(map(math.isfinite, grid)):
+        parser.error(f"--grid levels must be finite, got {args.grid!r}")
     reports, failed = run_sweep(_load_samples(args), grid)
     rows = [
         {

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._record import ValueRecord
+from ._record import ValueRecord, record
 from .camera import calibration_to_json_dict, load_calibration
 from .errors import (
     FoldViolation,
@@ -38,7 +38,7 @@ from .errors import (
     UnknownFold,
 )
 from .rng import PURPOSE_REBALANCE, _mulhi, words
-from .synth import BallSample, Samples
+from .synth import Samples
 
 SCHEMA_VERSION = 2
 
@@ -53,7 +53,7 @@ _RECORD_LINE = "[%d, %d, %r, %r, %r, %r, %r, %r, %r, %r, %r]\n"
 # The Python types json decodes a number to; a boolean's is bool, not int.
 _NUMBER_TYPES = {int, float}
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class Dataset(ValueRecord):
     """Samples plus a partition of arena ids into named folds.
 
@@ -63,14 +63,11 @@ class Dataset(ValueRecord):
     samples: Samples
     folds: dict[str, frozenset[int]]
 
-    def __init__(self, samples: Samples, folds: dict[str, frozenset[int]]):
+    def __post_init__(self):
         self.__dict__.update(
-            samples=Samples.from_rows(samples),
-            folds={name: frozenset(ids) for name, ids in folds.items()},
+            samples=Samples.from_rows(self.samples),
+            folds={name: frozenset(ids) for name, ids in self.folds.items()},
         )
-        self._check_invariants()
-
-    def _check_invariants(self) -> None:
         seen_arenas: dict[int, str] = {}
         for name, ids in self.folds.items():
             for arena in ids:
@@ -374,28 +371,33 @@ def split(ds: Dataset, test_fold: str) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def rebalance(
-    samples: Sequence[BallSample] | Samples, threshold_m: float, seed: int
-) -> list[BallSample]:
+def rebalance(samples: Samples, threshold_m: float, seed: int) -> Samples:
     """Equalize counts above/below a height threshold by oversampling.
 
     The minority side is duplicated (sampling with replacement, seeded)
     until both sides match; all original samples are retained in order,
-    duplicates are appended. "Above" means ball z >= threshold.
-    Idempotent on balanced input and deterministic under a fixed seed.
+    duplicates are appended with fresh ids ``ids.max() + 1, ...``, so
+    the result can be written, folded and given its own noise. "Above"
+    means ball z >= threshold. Idempotent on balanced input and
+    deterministic under a fixed seed.
     """
-    samples = list(samples)
-    above = [s for s in samples if s.ball_3d.z >= threshold_m]
-    below = [s for s in samples if s.ball_3d.z < threshold_m]
-    if not above or not below:
+    z = samples.ball_3d[:, 2]
+    above, below = np.flatnonzero(z >= threshold_m), np.flatnonzero(z < threshold_m)
+    if not len(above) or not len(below):
         raise OneSidedDataset(
             f"{len(above)} samples above and {len(below)} below {threshold_m} m"
         )
     need = len(above) - len(below)
     if need == 0:
         return samples
-    minority = below if need > 0 else above
-    return samples + [minority[j] for j in _picks(seed, len(minority), abs(need))]
+    minority, count = (below, need) if need > 0 else (above, -need)
+    first = int(samples.ids.max()) + 1
+    if first + count > 2**63:
+        raise ValueError(f"{count} new ids from {first} would pass 2**63 - 1")
+    rows = minority[_picks(seed, len(minority), count)]
+    table = samples[np.concatenate([np.arange(len(samples)), rows])]
+    fresh = np.arange(first, first + count, dtype=np.int64)
+    return replace(table, ids=np.concatenate([samples.ids, fresh]))
 
 
 def _picks(seed: int, n: int, count: int) -> list[int]:

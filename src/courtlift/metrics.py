@@ -8,18 +8,17 @@ mean and sample standard deviation (k - 1 denominator, 0 for k = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._record import ValueRecord
+from ._record import ValueRecord, record
 from .errors import BadBins, EmptyInput, LengthMismatch
 
 METRIC_NAMES = ("mae_px", "mape_m", "mdnape_m", "ma3de_m", "mdna3de_m")
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class EvalReport(ValueRecord):
     """Metrics over one evaluation run.
 
@@ -33,24 +32,6 @@ class EvalReport(ValueRecord):
     ma3de_m: float
     mdna3de_m: float
     n_samples: int
-
-    def __init__(
-        self,
-        mae_px: float | None,
-        mape_m: float,
-        mdnape_m: float,
-        ma3de_m: float,
-        mdna3de_m: float,
-        n_samples: int,
-    ):
-        self.__dict__.update(
-            mae_px=mae_px,
-            mape_m=mape_m,
-            mdnape_m=mdnape_m,
-            ma3de_m=ma3de_m,
-            mdna3de_m=mdna3de_m,
-            n_samples=n_samples,
-        )
 
     def metric(self, name: str) -> float | None:
         return self.to_json_dict()[name]
@@ -66,16 +47,13 @@ class EvalReport(ValueRecord):
         }
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class AggregateReport(ValueRecord):
     """Per-metric mean and std over k repeated evaluations."""
 
     k: int
     mean: dict[str, float | None]
     std: dict[str, float | None]
-
-    def __init__(self, k: int, mean: dict[str, float | None], std: dict[str, float | None]):
-        self.__dict__.update(k=k, mean=mean, std=std)
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "mean": dict(self.mean), "std": dict(self.std)}

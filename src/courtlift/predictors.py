@@ -32,11 +32,10 @@ errors scale with apparent size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._record import ValueRecord
+from ._record import ValueRecord, record
 from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, doubles, words
 
 KINDS = ("oracle", "gaussian", "heavy_tailed")
@@ -46,7 +45,7 @@ KINDS = ("oracle", "gaussian", "heavy_tailed")
 NOISE_STREAM = 2
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class PredictorSpec(ValueRecord):
     """Configuration of a synthetic predictor.
 
@@ -61,15 +60,7 @@ class PredictorSpec(ValueRecord):
     target_mae: float | None = None
     seed: int = 0
 
-    def __init__(
-        self,
-        kind: str,
-        sigma: float = 0.0,
-        nu: float = 3.0,
-        target_mae: float | None = None,
-        seed: int = 0,
-    ):
-        self.__dict__.update(kind=kind, sigma=sigma, nu=nu, target_mae=target_mae, seed=seed)
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.sigma < math.inf:

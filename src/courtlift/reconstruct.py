@@ -31,13 +31,12 @@ wrapper: ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels as _k
-from ._record import Record, ValueRecord
+from ._record import Record, ValueRecord, record
 from .camera import (
     CameraCalibration,
     ImagePoint,
@@ -51,7 +50,7 @@ from .errors import NonPositiveDiameter
 BALL_DIAMETER_M = 0.24
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class Reconstruction(ValueRecord):
     """Result of lifting one ball pixel to world coordinates.
 
@@ -65,20 +64,6 @@ class Reconstruction(ValueRecord):
     ground_projection: WorldPoint
     foot_pixel: ImagePoint | None
     vertical_angle: float | None
-
-    def __init__(
-        self,
-        ball_3d: WorldPoint,
-        ground_projection: WorldPoint,
-        foot_pixel: ImagePoint | None,
-        vertical_angle: float | None,
-    ):
-        self.__dict__.update(
-            ball_3d=ball_3d,
-            ground_projection=ground_projection,
-            foot_pixel=foot_pixel,
-            vertical_angle=vertical_angle,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,15 +123,12 @@ def reconstruct_from_diameter(
     return batch.row(0)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class AffineTransform(Record):
     """2D affine map q -> matrix @ q + offset over image coordinates."""
 
     matrix: np.ndarray
     offset: np.ndarray
-
-    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
-        self.__dict__.update(matrix=matrix, offset=offset)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -185,7 +167,7 @@ def crop_transform(
     return AffineTransform(matrix=matrix, offset=offset)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class HeightBatch(Record):
     """Array-of-structs result of a batch reconstruction.
 
@@ -201,22 +183,6 @@ class HeightBatch(Record):
     foot_px: np.ndarray  # (n, 2)
     vertical_angle: np.ndarray  # (n,)
     status: np.ndarray  # (n,) int64
-
-    def __init__(
-        self,
-        ball_3d: np.ndarray,
-        ground_projection: np.ndarray,
-        foot_px: np.ndarray,
-        vertical_angle: np.ndarray,
-        status: np.ndarray,
-    ):
-        self.__dict__.update(
-            ball_3d=ball_3d,
-            ground_projection=ground_projection,
-            foot_px=foot_px,
-            vertical_angle=vertical_angle,
-            status=status,
-        )
 
     @property
     def ok(self) -> np.ndarray:
@@ -252,7 +218,7 @@ def calibration_columns(
     return packed.T.take(idx, axis=1)
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class BallRays(Record):
     """The part of a batch reconstruction that no prediction changes.
 
@@ -268,9 +234,6 @@ class BallRays(Record):
     u: np.ndarray
     v: np.ndarray
     status: np.ndarray
-
-    def __init__(self, cal: np.ndarray, u: np.ndarray, v: np.ndarray, status: np.ndarray):
-        self.__dict__.update(cal=cal, u=u, v=v, status=status)
 
     def __len__(self) -> int:
         return self.status.shape[0]

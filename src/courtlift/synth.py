@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import _kernels as _k
-from ._record import Record, ValueRecord
+from ._record import Record, ValueRecord, record
 from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
@@ -59,7 +59,7 @@ _PLACEMENT_BLOCK = 2048
 _CAMERA_BLOCK = 16
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class ArenaSpec(ValueRecord):
     """Ranges describing a plausible arena capture setup."""
 
@@ -74,31 +74,7 @@ class ArenaSpec(ValueRecord):
     k2_range: tuple[float, float] = (0.0, 0.03)
     ball_diameter_m: float = BALL_DIAMETER_M
 
-    def __init__(
-        self,
-        court_half_length: float = 14.0,
-        court_half_width: float = 7.5,
-        camera_height_range: tuple[float, float] = (3.0, 8.0),
-        camera_distance_range: tuple[float, float] = (15.0, 30.0),
-        focal_range: tuple[float, float] = (1500.0, 3000.0),
-        image_width: float = 4500.0,
-        image_height: float = 1500.0,
-        k1_range: tuple[float, float] = (-0.15, 0.0),
-        k2_range: tuple[float, float] = (0.0, 0.03),
-        ball_diameter_m: float = BALL_DIAMETER_M,
-    ):
-        self.__dict__.update(
-            court_half_length=court_half_length,
-            court_half_width=court_half_width,
-            camera_height_range=camera_height_range,
-            camera_distance_range=camera_distance_range,
-            focal_range=focal_range,
-            image_width=image_width,
-            image_height=image_height,
-            k1_range=k1_range,
-            k2_range=k2_range,
-            ball_diameter_m=ball_diameter_m,
-        )
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
@@ -145,7 +121,7 @@ class ArenaSpec(ValueRecord):
 DIST_KINDS = ("deepsport_like", "ballistic_like", "uniform")
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class HeightDistSpec(ValueRecord):
     """Ball-height law; p_above_3m defaults by kind when omitted."""
 
@@ -153,29 +129,23 @@ class HeightDistSpec(ValueRecord):
     p_above_3m: float | None = None
     max_height: float = 6.0
 
-    def __init__(
-        self,
-        kind: str = "deepsport_like",
-        p_above_3m: float | None = None,
-        max_height: float = 6.0,
-    ):
-        if kind not in DIST_KINDS:
-            raise ValueError(f"kind must be one of {DIST_KINDS}, got {kind!r}")
-        if p_above_3m is None:
+    def __post_init__(self):
+        if self.kind not in DIST_KINDS:
+            raise ValueError(f"kind must be one of {DIST_KINDS}, got {self.kind!r}")
+        if self.p_above_3m is None:
             defaults = {
                 "deepsport_like": DEEPSPORT_P_ABOVE_3M,
                 "ballistic_like": BALLISTIC_P_ABOVE_3M,
                 "uniform": None,
             }
-            p_above_3m = defaults[kind]
-        self.__dict__.update(kind=kind, p_above_3m=p_above_3m, max_height=max_height)
+            self.__dict__["p_above_3m"] = defaults[self.kind]
         if self.p_above_3m is not None and not (0.0 <= self.p_above_3m <= 1.0):
             raise ValueError(f"p_above_3m must be in [0, 1], got {self.p_above_3m}")
         if not 3.0 < self.max_height < math.inf:
             raise ValueError(f"max_height must be finite and exceed 3 m, got {self.max_height}")
 
 
-@dataclass(init=False, repr=False, eq=False)
+@record
 class BallSample(ValueRecord):
     """One fully annotated synthetic ball instance.
 
@@ -193,30 +163,8 @@ class BallSample(ValueRecord):
     h_true: float
     diameter_px_true: float
 
-    def __init__(
-        self,
-        sample_id: int,
-        arena_id: int,
-        cal: CameraCalibration,
-        ball_3d: WorldPoint,
-        ball_px: ImagePoint,
-        foot_px: ImagePoint,
-        h_true: float,
-        diameter_px_true: float,
-    ):
-        self.__dict__.update(
-            sample_id=sample_id,
-            arena_id=arena_id,
-            cal=cal,
-            ball_3d=ball_3d,
-            ball_px=ball_px,
-            foot_px=foot_px,
-            h_true=h_true,
-            diameter_px_true=diameter_px_true,
-        )
 
-
-@dataclass(init=False, repr=False, eq=False)
+@record
 class Samples(Record):
     """Annotated samples as columns: row i of every array is sample i.
 
@@ -235,30 +183,6 @@ class Samples(Record):
     foot_px: np.ndarray  # (n, 2) raw pixels
     h_true: np.ndarray  # (n,) undistorted pixel height
     d_true: np.ndarray  # (n,) true image diameter, pixels
-
-    def __init__(
-        self,
-        ids: np.ndarray,
-        arena: np.ndarray,
-        cals: tuple[CameraCalibration, ...],
-        cal_index: np.ndarray,
-        ball_3d: np.ndarray,
-        ball_px: np.ndarray,
-        foot_px: np.ndarray,
-        h_true: np.ndarray,
-        d_true: np.ndarray,
-    ):
-        self.__dict__.update(
-            ids=ids,
-            arena=arena,
-            cals=cals,
-            cal_index=cal_index,
-            ball_3d=ball_3d,
-            ball_px=ball_px,
-            foot_px=foot_px,
-            h_true=h_true,
-            d_true=d_true,
-        )
 
     @staticmethod
     def from_rows(rows: Iterable[BallSample] | Samples) -> Samples:

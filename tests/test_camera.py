@@ -181,10 +181,10 @@ class TestUndistortPoint:
         assert _undistort(cal, p)[1] == _k.STATUS_NO_CONVERGENCE
 
     def test_preimage_where_the_lens_folds_is_outside_the_domain(self, identity_cal):
-        # With tangential terms only det J tells the branches apart. This
-        # pixel, normalized (1.0, 0.9), has a preimage q far out on the
-        # opposite side, where radial(r^2) < 0 and det J < 0: there the
-        # lens folds, and q is no inverse of it.
+        # With tangential terms a far preimage need not fold. This pixel,
+        # normalized (1.0, 0.9), has a preimage q far out on the opposite
+        # side, where radial(r^2) < 0 and det J < 0: there the lens folds,
+        # and q is no inverse of it.
         cal = _with_distortion(identity_cal, k1=-0.6, k2=0.02, p1=-0.003, p2=-0.004)
         q = np.array([-3.932568488558745, -3.4807006680837924])
         np.testing.assert_allclose(_distort(cal, q), [1.0, 0.9], rtol=0, atol=1e-12)
@@ -195,6 +195,13 @@ class TestUndistortPoint:
         assert np.linalg.det(jacobian) < 0
         p = ImagePoint(cal.cx + cal.fx * 1.0, cal.cy + cal.fy * 0.9)
         assert _undistort(cal, p)[1] == _k.STATUS_NO_CONVERGENCE
+        # The normalized pixel (5.7, 4.275), the image of (-4, -3), has a
+        # preimage near r^2 = 30.6 where det J > 0, but the radial map's
+        # first branch ends below r^2 = 1 (its distorted radius peaks near
+        # 0.50), so only the first-branch test rejects it.
+        np.testing.assert_allclose(_distort(cal, [-4.0, -3.0]), [5.7, 4.275], rtol=0, atol=1e-12)
+        far = ImagePoint(cal.cx + cal.fx * 5.7, cal.cy + cal.fy * 4.275)
+        assert _undistort(cal, far)[1] == _k.STATUS_NO_CONVERGENCE
 
     def test_no_convergence_outside_model_range(self, identity_cal):
         # k1 = -0.5 folds the radial polynomial at |n| ~ 0.82; a distorted

@@ -125,6 +125,9 @@ class TestSynth:
         "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter -1",
         "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter nan",
         "evaluate --dataset {dataset} --out {out} --method diameter --ball-diameter inf",
+        "sweep --dataset {dataset} --grid 0,nan --out {out}",
+        "sweep --dataset {dataset} --grid 0,inf --out {out}",
+        "sweep --dataset {dataset} --grid 0,1e400 --out {out}",
         "synth --n 10 --arenas 3 --n-folds 0 --out {out}",
     ],
 )

@@ -12,9 +12,11 @@ from courtlift import (
     calibration_to_json_dict,
     Dataset,
     ImagePoint,
+    PredictorSpec,
     WorldPoint,
     assign_folds,
     generate_dataset,
+    predict_heights,
     read_dataset,
     rebalance,
     split,
@@ -29,7 +31,7 @@ from courtlift.errors import (
     UnknownFold,
 )
 from courtlift.rng import PURPOSE_REBALANCE, stream
-from courtlift.synth import BallSample
+from courtlift.synth import BallSample, Samples
 
 def _dummy_cal() -> CameraCalibration:
     return CameraCalibration(
@@ -398,37 +400,73 @@ class TestSplit:
 
 class TestRebalance:
     def test_balanced_input_is_unchanged_and_stable(self):
-        samples = [_sample(0, z=0.5), _sample(1, z=3.0), _sample(2, z=1.0), _sample(3, z=2.5)]
+        samples = Samples.from_rows([_sample(i, z=z) for i, z in enumerate((0.5, 3.0, 1.0, 2.5))])
         out = rebalance(samples, 2.0, seed=1)
-        assert out == samples
+        assert out is samples
 
     def test_oversamples_minority_to_equal_counts(self):
-        samples = [_sample(i, z=0.5) for i in range(741)] + [
+        rows = [_sample(i, z=0.5) for i in range(741)] + [
             _sample(741 + i, z=3.5) for i in range(60)
         ]
+        samples = Samples.from_rows(rows)
         out = rebalance(samples, 2.0, seed=3)
-        above = sum(1 for s in out if s.ball_3d.z >= 2.0)
-        below = sum(1 for s in out if s.ball_3d.z < 2.0)
+        above = int(np.count_nonzero(out.ball_3d[:, 2] >= 2.0))
+        below = int(np.count_nonzero(out.ball_3d[:, 2] < 2.0))
         assert above == below == 741
-        assert out[: len(samples)] == samples  # originals retained in order
+        assert list(out[: len(samples)]) == list(samples)  # originals retained in order
+
+    def test_duplicates_take_fresh_ids_above_the_largest(self):
+        samples = Samples.from_rows([_sample(i, z=0.5) for i in range(5)] + [_sample(40, z=3.5)])
+        out = rebalance(samples, 2.0, seed=3)
+        np.testing.assert_array_equal(out.ids, [0, 1, 2, 3, 4, 40, 41, 42, 43, 44])
+        duplicate = out[6:]
+        for name in ("arena", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"):
+            np.testing.assert_array_equal(getattr(duplicate, name), getattr(samples, name)[[5] * 4])
+
+    def test_ids_that_would_overflow_raise(self):
+        rows = [_sample(i, z=0.5) for i in range(3)] + [_sample(2**63 - 2, z=3.5)]
+        samples = Samples.from_rows(rows)
+        assert rebalance(samples[1:], 2.0, seed=0).ids[-1] == 2**63 - 1
+        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+            rebalance(samples, 2.0, seed=0)
+
+    def test_result_folds_and_round_trips(self):
+        samples = rebalance(generate_dataset(seed=16, n=60, n_arenas=3), 2.0, seed=5)
+        assert len(samples) > 60
+        ds = Dataset(samples=samples, folds=assign_folds(range(3), 3))
+        rec = read_dataset(io.StringIO(dataset_to_string(ds)))
+        for name in ("ids", "arena", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"):
+            np.testing.assert_array_equal(getattr(rec.samples, name), getattr(samples, name))
+        train, test = split(ds, "A")
+        assert len(train.samples) + len(test.samples) == len(samples)
+
+    def test_duplicates_draw_their_own_noise(self):
+        samples = generate_dataset(seed=17, n=80, n_arenas=2)
+        out = rebalance(samples, 2.0, seed=2)
+        spec = PredictorSpec("gaussian", sigma=5.0)
+        noise = predict_heights(spec, out.ids, out.h_true) - out.h_true
+        original = {tuple(b): i for i, b in enumerate(samples.ball_3d.tolist())}
+        copied = [original[tuple(b)] for b in out.ball_3d[len(samples) :].tolist()]
+        assert copied
+        assert np.all(noise[len(samples) :] != noise[copied])
 
     def test_threshold_is_inclusive_above(self):
         # A ball at exactly 2 m counts as "above".
-        samples = [_sample(0, z=2.0), _sample(1, z=1.0)]
+        samples = Samples.from_rows([_sample(0, z=2.0), _sample(1, z=1.0)])
         out = rebalance(samples, 2.0, seed=0)
         assert len(out) == 2
 
     def test_deterministic_and_idempotent(self):
-        samples = [_sample(i, z=0.5 if i % 5 else 4.0) for i in range(50)]
+        samples = Samples.from_rows([_sample(i, z=0.5 if i % 5 else 4.0) for i in range(50)])
         once = rebalance(samples, 2.0, seed=9)
         again = rebalance(samples, 2.0, seed=9)
-        assert [s.sample_id for s in once] == [s.sample_id for s in again]
+        assert list(once) == list(again)
         rebalanced_twice = rebalance(once, 2.0, seed=9)
-        assert [s.sample_id for s in rebalanced_twice] == [s.sample_id for s in once]
+        assert list(rebalanced_twice) == list(once)
 
     def test_one_sided_raises(self):
         with pytest.raises(OneSidedDataset):
-            rebalance([_sample(0, z=0.5), _sample(1, z=1.0)], 2.0, seed=0)
+            rebalance(Samples.from_rows([_sample(0, z=0.5), _sample(1, z=1.0)]), 2.0, seed=0)
 
     @pytest.mark.parametrize("n", [1, 3, 741, 2**63 + 1])
     def test_picks_are_lemire_bounded_integers(self, n):

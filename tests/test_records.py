@@ -10,6 +10,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import pydoc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -236,6 +237,12 @@ def test_signature_names_and_defaults(cls):
 
 
 @by_name
+def test_help_shows_the_signature(cls):
+    text = pydoc.render_doc(cls, renderer=pydoc.plaintext)
+    assert f"{cls.__name__}{inspect.signature(cls)}" in text
+
+
+@by_name
 def test_field_defaults_match_the_signature(cls):
     declared = {f.name: f.default for f in fields(cls) if f.init}
     expected = {name: (dataclasses.MISSING if d is EMPTY else d) for name, d in RECORDS[cls][1]}
@@ -252,6 +259,15 @@ def test_positional_and_keyword_construction_agree(cls):
             assert getattr(by_keyword, name) == value
     with pytest.raises(TypeError):
         cls(*kwargs.values(), None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(**kwargs, not_a_field=None)
+    first = next(iter(kwargs))
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(kwargs[first], **kwargs)
+    required = [name for name, default in RECORDS[cls][1] if default is EMPTY]
+    if required:
+        with pytest.raises(TypeError, match=f"missing 1 required .*'{required[-1]}'"):
+            cls(**{name: v for name, v in kwargs.items() if name != required[-1]})
 
 
 @by_name
