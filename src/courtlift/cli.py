@@ -8,6 +8,12 @@ Every command is deterministic given its flags and seed: reports carry no
 timestamps or scheduling information, and randomness comes from
 per-sample streams. Exit codes: 0 success, 1 runtime or geometry
 failure, 2 usage error.
+
+`entrypoint`, which the `courtlift` script and `python -m courtlift.cli`
+run, freezes the heap the imports built (`gc.freeze`) before `main`, so
+the collector neither rescans it during the command nor tears it down
+at exit. `main` leaves the collector alone: tests and library callers
+keep a normal one.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -382,6 +389,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    gc.freeze()
     sys.exit(main())
 
 

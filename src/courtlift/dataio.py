@@ -19,7 +19,6 @@ Python's round-trip-exact repr, so read(write(ds)) is bit-exact.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import replace
 from itertools import chain
@@ -351,12 +350,6 @@ def read_dataset(source) -> Dataset:
     folds = _folds_from_header(header.get("folds", {}))
     cals = _cameras_from_header(header.get("cameras"))
     return Dataset(samples=_samples(_records(lines), cals), folds=folds)
-
-
-def dataset_to_string(ds: Dataset) -> str:
-    buf = io.StringIO()
-    write_dataset(ds, buf)
-    return buf.getvalue()
 
 
 def split(ds: Dataset, test_fold: str) -> tuple[Dataset, Dataset]:

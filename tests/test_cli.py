@@ -1,6 +1,7 @@
 """CLI tests: subcommand contracts, exit codes, file determinism."""
 
 import csv
+import gc
 import json
 import os
 import shlex
@@ -14,6 +15,8 @@ import pytest
 import courtlift
 from courtlift import calibration_to_json_dict, make_camera, project, read_dataset, WorldPoint
 from courtlift.cli import _write_json, build_parser, main
+
+SRC = str(Path(courtlift.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -413,13 +416,12 @@ def _loaded_before_and_after(module, commands):
         f"assert all(main(argv) == 0 for argv in {commands!r})\n"
         f"print(before, {module!r} in sys.modules)\n"
     )
-    src = str(Path(courtlift.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     before, after = result.stdout.splitlines()[-1].split()
     return before == "True", after == "True"
@@ -491,3 +493,67 @@ def test_readme_library_examples_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+# ---------------------------------------------------------------------------
+# The entry point: the `courtlift` script and `python -m courtlift.cli` run
+# cli.entrypoint, which freezes the import-time heap before calling main.
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("synth --n 0 --out x.jsonl", 2),
+        ("evaluate --dataset nope.jsonl --out out", 1),
+    ],
+)
+def test_entrypoint_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
+    # `python -m courtlift.cli` exits with main's code and prints what
+    # main prints in-process.
+    monkeypatch.chdir(tmp_path)
+    result = subprocess.run(
+        [sys.executable, "-m", "courtlift.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    try:
+        in_process = main(argv.split())
+    except SystemExit as exc:
+        in_process = exc.code
+    assert result.returncode == in_process == code
+    assert (result.stdout, result.stderr) == capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    before = gc.get_freeze_count(), gc.isenabled()
+    argv = ["synth", "--n", "20", "--arenas", "2", "--out", str(tmp_path / "d.jsonl")]
+    assert main(argv) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_only_the_entrypoint_freezes_the_heap(tmp_path):
+    # Importing the package has no collector side effect; entrypoint
+    # freezes what the imports built and leaves the collector enabled.
+    code = (
+        "import gc, sys\n"
+        "import courtlift, courtlift.cli\n"
+        "print(gc.get_freeze_count(), gc.isenabled())\n"
+        "sys.argv = ['courtlift', 'synth', '--n', '20', '--arenas', '2', '--out', 'd.jsonl']\n"
+        "try:\n"
+        "    courtlift.cli.entrypoint()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    lines = result.stdout.splitlines()
+    assert lines[0] == "0 True"
+    assert lines[-1] == "0 True True"

@@ -8,13 +8,19 @@ over offsets 0, 10, 40, -400 and 3000 px, where the -400 px level sends
 rows down the failure path; and two more `synth` runs at n = 1200 over
 12 arenas with `--dist uniform` and `--dist ballistic_like`, which span
 more than one 500-row placement block. Rerunning the recorded commands
-must give the same dataset bytes (by sha256) and byte-identical reports.
+must give the same dataset bytes (by sha256) and byte-identical reports,
+both in-process through `courtlift.cli.main` and through the entry point
+the `courtlift` script runs.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import courtlift
 from courtlift.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
@@ -25,9 +31,38 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     commands = json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"]
     for entry in commands:
         assert main(entry["argv"]) == 0, entry["argv"]
-        for name, expected in entry["outputs"].items():
-            data = (tmp_path / name).read_bytes()
-            if "sha256" in expected:
-                assert hashlib.sha256(data).hexdigest() == expected["sha256"], name
-            else:
-                assert data.decode("utf-8") == expected["text"], name
+        _assert_outputs_match(tmp_path, entry)
+
+
+def test_entrypoint_replays_the_golden_pipeline(tmp_path, capsys, monkeypatch):
+    # `python -m courtlift.cli` runs cli.entrypoint, which freezes the
+    # import-time heap before calling main. synth, evaluate on both
+    # methods and sweep, the first four commands, must still write the
+    # golden bytes and print what main prints in-process.
+    src = str(Path(courtlift.__file__).resolve().parents[1])
+    commands = json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"][:4]
+    script_dir, main_dir = tmp_path / "script", tmp_path / "main"
+    script_dir.mkdir()
+    main_dir.mkdir()
+    monkeypatch.chdir(main_dir)
+    for entry in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "courtlift.cli", *entry["argv"]],
+            cwd=script_dir,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert main(entry["argv"]) == 0
+        assert (result.stdout, result.stderr) == capsys.readouterr(), entry["argv"]
+        _assert_outputs_match(script_dir, entry)
+
+
+def _assert_outputs_match(directory, entry):
+    for name, expected in entry["outputs"].items():
+        data = (directory / name).read_bytes()
+        if "sha256" in expected:
+            assert hashlib.sha256(data).hexdigest() == expected["sha256"], name
+        else:
+            assert data.decode("utf-8") == expected["text"], name

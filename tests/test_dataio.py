@@ -22,7 +22,7 @@ from courtlift import (
     split,
     write_dataset,
 )
-from courtlift.dataio import _picks, dataset_to_string
+from courtlift.dataio import _picks
 from courtlift.errors import (
     FoldViolation,
     MalformedRecord,
@@ -44,6 +44,12 @@ def _dummy_cal() -> CameraCalibration:
         image_width=1920.0,
         image_height=1080.0,
     )
+
+
+def dataset_to_string(ds: Dataset) -> str:
+    buf = io.StringIO()
+    write_dataset(ds, buf)
+    return buf.getvalue()
 
 
 def _sample(sample_id: int, arena_id: int = 0, z: float = 1.0) -> BallSample:
