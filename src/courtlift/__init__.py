@@ -10,7 +10,6 @@ from .camera import (
     CameraCalibration,
     ImagePoint,
     WorldPoint,
-    calibration_from_json_dict,
     calibration_to_json_dict,
     project,
     scale_calibration,
@@ -31,19 +30,14 @@ from .predictors import (
     predict_heights,
 )
 from .reconstruct import (
-    AffineTransform,
     BALL_DIAMETER_M,
     BallRays,
     HeightBatch,
     Reconstruction,
     ball_rays,
-    crop_transform,
-    diameter_px_of,
-    reconstruct_from_diameter,
     reconstruct_from_diameter_batch,
     reconstruct_from_height,
     reconstruct_from_height_batch,
-    true_pixel_height,
 )
 from .synth import (
     ArenaSpec,
@@ -60,7 +54,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineTransform",
     "AggregateReport",
     "ArenaSpec",
     "BALL_DIAMETER_M",
@@ -80,10 +73,7 @@ __all__ = [
     "aggregate_repeats",
     "assign_folds",
     "ball_rays",
-    "calibration_from_json_dict",
     "calibration_to_json_dict",
-    "crop_transform",
-    "diameter_px_of",
     "errors",
     "evaluate_arrays",
     "generate_dataset",
@@ -94,7 +84,6 @@ __all__ = [
     "project",
     "read_dataset",
     "rebalance",
-    "reconstruct_from_diameter",
     "reconstruct_from_diameter_batch",
     "reconstruct_from_height",
     "reconstruct_from_height_batch",
@@ -102,7 +91,6 @@ __all__ = [
     "sample_camera",
     "scale_calibration",
     "split",
-    "true_pixel_height",
     "validate",
     "write_dataset",
 ]

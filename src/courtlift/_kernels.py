@@ -49,7 +49,7 @@ STATUS_NO_CONVERGENCE = 2  # outside the lens model's invertible domain
 STATUS_RAY_PARALLEL = 3
 STATUS_BEHIND_CAMERA = 4
 STATUS_DEGENERATE_VERTICAL = 5
-STATUS_BOTH_PLANES_DEGENERATE = 7
+STATUS_VERTICAL_BEHIND_CAMERA = 7
 STATUS_NONPOSITIVE_DIAMETER = 8
 STATUS_NONFINITE_INPUT = 9
 
@@ -339,7 +339,7 @@ def lift_height(cal, u, v, h, status):
     dx, dy, dz = ray_direction(cal, u, v)
     s = ((gx - ox) * dx + (gy - oy) * dy) / (dx * dx + dy * dy)
     in_front = (s > 0.0) & (s < np.inf)
-    status = _then(status, _flag(~in_front, STATUS_BOTH_PLANES_DEGENERATE))
+    status = _then(status, _flag(~in_front, STATUS_VERTICAL_BEHIND_CAMERA))
     return oz + s * dz, gx, gy, fu, fv, angle, status
 
 
@@ -377,11 +377,3 @@ def reconstruct_diameter(cal, u, v, status, diameter_px, ball_diameter_m):
     fv = np.where(on_image, fv, np.nan)
     angle = np.where(on_image & (st == STATUS_OK), angle, np.nan)
     return bx, by, bz, fu, fv, angle, status
-
-
-@_quiet
-def true_pixel_height(cal, wx, wy, wz):
-    """Undistorted-image Euclidean distances ball -> ground projection."""
-    u0, v0, status = project_point_nodist(cal, wx, wy, wz)
-    u1, v1, st = project_point_nodist(cal, wx, wy, 0.0)
-    return np.hypot(u0 - u1, v0 - v1), _then(status, st)

@@ -32,7 +32,6 @@ import numpy as np
 from . import _kernels as _k
 from ._record import Record, ValueRecord, record
 from .errors import (
-    BothPlanesDegenerate,
     DegenerateVertical,
     DepthNonPositive,
     IntersectionBehindCamera,
@@ -41,6 +40,7 @@ from .errors import (
     NonPositiveDiameter,
     NonPositiveScale,
     RayParallelToPlane,
+    VerticalBehindCamera,
 )
 
 _STATUS_EXCEPTIONS = {
@@ -49,7 +49,7 @@ _STATUS_EXCEPTIONS = {
     _k.STATUS_RAY_PARALLEL: RayParallelToPlane,
     _k.STATUS_BEHIND_CAMERA: IntersectionBehindCamera,
     _k.STATUS_DEGENERATE_VERTICAL: DegenerateVertical,
-    _k.STATUS_BOTH_PLANES_DEGENERATE: BothPlanesDegenerate,
+    _k.STATUS_VERTICAL_BEHIND_CAMERA: VerticalBehindCamera,
     _k.STATUS_NONPOSITIVE_DIAMETER: NonPositiveDiameter,
     _k.STATUS_NONFINITE_INPUT: NonFiniteInput,
 }
@@ -151,9 +151,6 @@ class CameraCalibration(Record):
     def as_array(self) -> np.ndarray:
         """Packed float64 vector consumed by the numeric kernels."""
         return self._packed
-
-    def without_distortion(self) -> "CameraCalibration":
-        return replace(self, k1=0.0, k2=0.0, k3=0.0, p1=0.0, p2=0.0)
 
 
 def project(cal: CameraCalibration, p: WorldPoint) -> ImagePoint:

@@ -24,11 +24,12 @@ class NoConvergence(GeometryError):
 
 
 class RayParallelToPlane(GeometryError):
-    """Ray direction has no component along the plane axis."""
+    """Ray is (nearly) parallel to the ground plane: its direction has no
+    vertical component."""
 
 
 class IntersectionBehindCamera(GeometryError):
-    """Ray/plane intersection lies at negative ray parameter."""
+    """Ray meets the ground plane behind the camera (negative ray parameter)."""
 
 
 class NonPositiveScale(GeometryError):
@@ -39,7 +40,7 @@ class DegenerateVertical(GeometryError):
     """World vertical projects to (nearly) a point at this pixel."""
 
 
-class BothPlanesDegenerate(GeometryError):
+class VerticalBehindCamera(GeometryError):
     """The ball ray meets the ground point's vertical behind the camera or never."""
 
 

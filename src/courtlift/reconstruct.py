@@ -1,4 +1,4 @@
-"""Height-to-3D reconstruction, its forward oracle, and the diameter baseline.
+"""Height-to-3D reconstruction and the diameter baseline.
 
 Pipeline for one ball (all heavy lifting happens in undistorted image
 space): undistort the raw ball pixel, walk the predicted pixel height
@@ -23,9 +23,11 @@ from those rays, so scoring many predictions of the same balls (the
 repeats of ``evaluate``, the levels of ``sweep``) undistorts each pixel
 once.
 
-The one-ball functions run the same kernels on length-one rows and raise
-a failed row's typed error. The local vertical and the foot pixel have no
-wrapper: ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
+``reconstruct_from_height``, the one-ball form the ``reconstruct`` command
+calls, runs the height lift on length-one rows and raises a failed row's
+typed error. The pixel height and image diameter of a known ball are the
+``Samples`` columns ``h_true`` and ``d_true``; the local vertical and the
+foot pixel are ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._record import Record, ValueRecord, record
-from .camera import (
-    CameraCalibration,
-    ImagePoint,
-    WorldPoint,
-    column,
-    one_row,
-    raise_for_status,
-)
+from .camera import CameraCalibration, ImagePoint, WorldPoint, raise_for_status
 from .errors import NonPositiveDiameter
 
 BALL_DIAMETER_M = 0.24
@@ -52,18 +47,17 @@ BALL_DIAMETER_M = 0.24
 
 @record
 class Reconstruction(ValueRecord):
-    """Result of lifting one ball pixel to world coordinates.
+    """One ball lifted from its pixel and predicted height to the court.
 
     ``ground_projection`` is the ball's x and y with z = 0 exactly.
-    ``foot_pixel`` is in undistorted image coordinates. For the diameter
-    baseline the foot pixel and vertical angle are diagnostics and may be
-    None when the local geometry does not define them.
+    ``foot_pixel`` is in undistorted image coordinates and
+    ``vertical_angle`` is the local vertical's angle there, in radians.
     """
 
     ball_3d: WorldPoint
     ground_projection: WorldPoint
-    foot_pixel: ImagePoint | None
-    vertical_angle: float | None
+    foot_pixel: ImagePoint
+    vertical_angle: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,23 +67,9 @@ class Reconstruction(ValueRecord):
                 self.ground_projection.y,
                 self.ground_projection.z,
             ],
-            "foot_pixel": None
-            if self.foot_pixel is None
-            else [self.foot_pixel.x, self.foot_pixel.y],
+            "foot_pixel": [self.foot_pixel.x, self.foot_pixel.y],
             "vertical_angle": self.vertical_angle,
         }
-
-
-def true_pixel_height(cal: CameraCalibration, ball_3d: WorldPoint) -> float:
-    """Annotation-style pixel height of a 3D ball.
-
-    Euclidean distance, in undistorted image space, between the ball and
-    its vertical projection on the ground. This is the supervision target
-    a height predictor learns and what the oracle predictor returns.
-    """
-    h, status = _k.true_pixel_height(column(cal), *one_row(ball_3d.x, ball_3d.y, ball_3d.z))
-    raise_for_status(status[0], "ball or its ground projection is behind the camera")
-    return float(h[0])
 
 
 def reconstruct_from_height(
@@ -102,69 +82,13 @@ def reconstruct_from_height(
     rays = ball_rays([cal], [0], [[ball_px_raw.x, ball_px_raw.y]])
     batch = reconstruct_from_height_batch(rays, [h])
     raise_for_status(batch.status[0], "height reconstruction failed")
-    return batch.row(0)
-
-
-def reconstruct_from_diameter(
-    cal: CameraCalibration,
-    ball_px_raw: ImagePoint,
-    diameter_px: float,
-    ball_diameter_m: float = BALL_DIAMETER_M,
-) -> Reconstruction:
-    """Diameter baseline: depth from apparent size, point on the pixel ray.
-
-    Depth along the optical axis is mean(fx, fy) * ball_diameter_m /
-    diameter_px by similar triangles; the ball is placed on the
-    back-projected ray at that camera-frame depth.
-    """
-    rays = ball_rays([cal], [0], [[ball_px_raw.x, ball_px_raw.y]])
-    batch = reconstruct_from_diameter_batch(rays, [diameter_px], ball_diameter_m)
-    raise_for_status(batch.status[0], "diameter reconstruction failed")
-    return batch.row(0)
-
-
-@record
-class AffineTransform(Record):
-    """2D affine map q -> matrix @ q + offset over image coordinates."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.matrix.T + self.offset
-
-
-def crop_transform(
-    cal: CameraCalibration,
-    ball_px_raw: ImagePoint,
-    crop_size: float,
-    scale: float = 1.0,
-) -> AffineTransform:
-    """Affine map from (undistorted) image coordinates to crop coordinates.
-
-    Composition of: translation bringing the ball to the crop center,
-    rotation aligning the local world vertical with crop +y, and uniform
-    scaling. The (undistorted) ball pixel maps exactly to
-    (crop_size / 2, crop_size / 2). The raw pixel is undistorted
-    internally; with zero distortion the two coincide.
-    """
-    if not (crop_size > 0.0):
-        raise ValueError(f"crop_size must be > 0, got {crop_size}")
-    if not (scale > 0.0):
-        raise ValueError(f"scale must be > 0, got {scale}")
-    arr = column(cal)
-    uu, vv, status = _k.undistort_pixel(arr, *one_row(ball_px_raw.x, ball_px_raw.y))
-    raise_for_status(status[0], "undistortion failed for crop anchor")
-    vx, vy, _, _, _, status = _k.vertical_direction(arr, uu, vv)
-    raise_for_status(status[0], "vertical direction undefined at crop anchor")
-    uu, vv, vx, vy = (float(a[0]) for a in (uu, vv, vx, vy))
-    # Rotation sending the unit vertical (vx, vy) to (0, 1).
-    rot = np.array([[vy, -vx], [vx, vy]], dtype=np.float64)
-    matrix = scale * rot
-    center = np.array([0.5 * crop_size, 0.5 * crop_size], dtype=np.float64)
-    offset = center - matrix @ np.array([uu, vv], dtype=np.float64)
-    return AffineTransform(matrix=matrix, offset=offset)
+    (x, y, z), (fu, fv) = batch.ball_3d[0].tolist(), batch.foot_px[0].tolist()
+    return Reconstruction(
+        ball_3d=WorldPoint(x, y, z),
+        ground_projection=WorldPoint(x, y, 0.0),
+        foot_pixel=ImagePoint(fu, fv),
+        vertical_angle=batch.vertical_angle[0].item(),
+    )
 
 
 @record
@@ -187,17 +111,6 @@ class HeightBatch(Record):
     @property
     def ok(self) -> np.ndarray:
         return self.status == _k.STATUS_OK
-
-    def row(self, i: int) -> Reconstruction:
-        """Row i as a Reconstruction; NaN foot pixel or angle become None."""
-        foot = self.foot_px[i]
-        angle = float(self.vertical_angle[i])
-        return Reconstruction(
-            ball_3d=WorldPoint(*(float(c) for c in self.ball_3d[i])),
-            ground_projection=WorldPoint(*(float(c) for c in self.ground_projection[i]), 0.0),
-            foot_pixel=None if np.isnan(foot).any() else ImagePoint(float(foot[0]), float(foot[1])),
-            vertical_angle=None if np.isnan(angle) else angle,
-        )
 
 
 def pack_calibrations(cals: Sequence[CameraCalibration]) -> np.ndarray:
@@ -290,8 +203,13 @@ def reconstruct_from_diameter_batch(
     diameters_px: np.ndarray,
     ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> HeightBatch:
-    """reconstruct_from_diameter over the n rows of ``rays``, as
-    whole-array operations; ``diameters_px[i]`` is row i's image diameter.
+    """Diameter baseline over the n rows of ``rays``: depth from apparent
+    size, point on the pixel ray.
+
+    Row i's depth along the optical axis is mean(fx, fy) * ball_diameter_m
+    / diameters_px[i] by similar triangles, and the ball is placed on the
+    back-projected ray at that camera-frame depth. Failures surface as
+    nonzero statuses rather than exceptions.
     """
     if not 0.0 < ball_diameter_m < math.inf:
         raise NonPositiveDiameter(f"ball diameter must be finite and > 0 m, got {ball_diameter_m}")
@@ -300,14 +218,3 @@ def reconstruct_from_diameter_batch(
         rays.cal, rays.u, rays.v, rays.status, d, float(ball_diameter_m)
     )
     return _batch((bx, by, bz), (bx, by), (fu, fv), angle, status)
-
-
-def diameter_px_of(
-    cal: CameraCalibration, ball_3d: WorldPoint, ball_diameter_m: float = BALL_DIAMETER_M
-) -> float:
-    """Exact image-space diameter of a ball at its camera-frame depth."""
-    d, status = _k.ball_diameter_px(
-        column(cal), *one_row(ball_3d.x, ball_3d.y, ball_3d.z), ball_diameter_m
-    )
-    raise_for_status(status[0], "ball is behind the camera")
-    return float(d[0])

@@ -63,6 +63,20 @@ def kernel_row(kernel, cal: CameraCalibration, *values):
     return [out[0].item() for out in kernel(column(cal), *one_row(*values))]
 
 
+def first_branch_peak(k1: float, k2: float, k3: float) -> float:
+    """Largest distorted normalized radius on the first monotone branch of
+    the radial lens map r -> r (1 + k1 r^2 + k2 r^4 + k3 r^6): its value
+    at the first positive root s = r^2 of the slope 1 + 3 k1 s + 5 k2 s^2
+    + 7 k3 s^3, or inf when the slope has none. An oracle for the
+    undistortion's domain, computed with np.roots, not kernel code."""
+    roots = np.roots([7.0 * k3, 5.0 * k2, 3.0 * k1, 1.0])
+    positive = [r.real for r in roots if r.imag == 0.0 and r.real > 0.0]
+    if not positive:
+        return np.inf
+    s = min(positive)
+    return float(np.sqrt(s) * (1.0 + s * (k1 + s * (k2 + s * k3))))
+
+
 def camera_from_stream(seed: int, index: int, arena: ArenaSpec):
     """sample_camera on the doubles of numpy's own stream (seed, index,
     PURPOSE_CAMERA), so it also checks the words synth draws them from."""

@@ -15,16 +15,14 @@ undistortion failure and other failure paths.
 
 The file stores the inputs next to the outputs, so the test replays the
 same numbers even when the synthetic generator changes. The script uses
-only the batch API (``ball_rays`` and the two batch reconstructions),
-plus scalar reconstruct_from_diameter for the diameter path's foot pixel
-and vertical angle (NaN where it gives None).
+only the batch API: ``ball_rays`` and the two batch reconstructions.
 """
 
 import sys
 
 import numpy as np
 
-from courtlift import generate_dataset, reconstruct_from_diameter
+from courtlift import generate_dataset
 from courtlift.reconstruct import (
     ball_rays,
     pack_calibrations,
@@ -57,15 +55,6 @@ def main(path: str) -> None:
     diameters = d_true * (1.0 + rel)
     diameters[::97] = 0.0
     db = reconstruct_from_diameter_batch(ball_rays(packed, idx, px), diameters)
-    d_foot = np.full((N, 2), np.nan)
-    d_angle = np.full(N, np.nan)
-    for i in np.flatnonzero(db.status == 0):
-        s = samples[i]
-        rec = reconstruct_from_diameter(s.cal, s.ball_px, float(diameters[i]))
-        if rec.foot_pixel is not None:
-            d_foot[i] = [rec.foot_pixel.x, rec.foot_pixel.y]
-        if rec.vertical_angle is not None:
-            d_angle[i] = rec.vertical_angle
 
     rng = np.random.default_rng(SEED)
     w_idx = rng.integers(0, ARENAS, WILD)
@@ -88,8 +77,8 @@ def main(path: str) -> None:
         d_status=db.status,
         d_ball=db.ball_3d,
         d_ground=db.ground_projection,
-        d_foot=d_foot,
-        d_angle=d_angle,
+        d_foot=db.foot_px,
+        d_angle=db.vertical_angle,
         w_cal_index=w_idx,
         w_px=w_px,
         w_heights=w_heights,

@@ -19,7 +19,6 @@ from courtlift import (
     CameraCalibration,
     ImagePoint,
     WorldPoint,
-    calibration_from_json_dict,
     calibration_to_json_dict,
     project,
     read_dataset,
@@ -28,10 +27,16 @@ from courtlift import (
 )
 from courtlift import _kernels as _k
 from courtlift import errors
-from courtlift.camera import STATUS_NAMES, load_calibration, one_row, raise_for_status
+from courtlift.camera import (
+    STATUS_NAMES,
+    calibration_from_json_dict,
+    load_calibration,
+    one_row,
+    raise_for_status,
+)
 from courtlift.errors import DepthNonPositive, NonPositiveScale
 
-from conftest import kernel_row, random_cameras
+from conftest import first_branch_peak, kernel_row, random_cameras
 
 
 def _with_distortion(cal: CameraCalibration, **coeffs) -> CameraCalibration:
@@ -203,6 +208,29 @@ class TestUndistortPoint:
         far = ImagePoint(cal.cx + cal.fx * 5.7, cal.cy + cal.fy * 4.275)
         assert _undistort(cal, far)[1] == _k.STATUS_NO_CONVERGENCE
 
+    def test_radial_lenses_synth_never_draws(self, identity_cal):
+        # Radial-only lenses with k3 != 0 and k1 down to -0.6, on pixels
+        # spread over twice the frame. An OK row is a first-branch
+        # preimage: its distorted radius is below the branch's peak, and
+        # distorting it gives back the pixel within UNDISTORT_FAIL_TOL.
+        n, c = 2000, identity_cal
+        rng = np.random.default_rng(2026)
+        k1, k2, k3 = rng.uniform(-0.6, 0.3, n), rng.uniform(-0.2, 0.2, n), rng.uniform(-0.1, 0.1, n)
+        assert (k3 != 0.0).all()
+        cal = np.repeat(c.as_array()[:, None], n, axis=1)
+        cal[_k.CAL_K1], cal[_k.CAL_K2], cal[_k.CAL_K3] = k1, k2, k3
+        u = rng.uniform(-0.5, 1.5, n) * c.image_width
+        v = rng.uniform(-0.5, 1.5, n) * c.image_height
+        uu, vv, status = _k.undistort_pixel(cal, u, v)
+        ok = status == _k.STATUS_OK
+        assert 0.3 < ok.mean() < 0.9  # both outcomes are well represented
+        xn, yn = (u - c.cx) / c.fx, (v - c.cy) / c.fy
+        peaks = np.array([first_branch_peak(*k) for k in zip(k1, k2, k3)])
+        assert (np.hypot(xn, yn)[ok] < peaks[ok]).all()
+        xd, yd = _k.distort_norm(cal, (uu - c.cx) / c.fx, (vv - c.cy) / c.fy)
+        residual = np.maximum(np.abs(xd - xn), np.abs(yd - yn))
+        assert residual[ok].max() <= _k.UNDISTORT_FAIL_TOL
+
     def test_no_convergence_outside_model_range(self, identity_cal):
         # k1 = -0.5 folds the radial polynomial at |n| ~ 0.82; a distorted
         # radius beyond the fold maximum (~0.544) has no preimage.
@@ -233,18 +261,20 @@ class TestBackProject:
         np.testing.assert_allclose(direction, expected, atol=1e-12)
 
     def test_project_round_trip_along_ray(self):
+        # Zero-distortion cameras: project's pixels are the undistorted
+        # pixels ray_direction takes.
         cams = random_cameras(50, seed=21)
         rng = np.random.default_rng(3)
         for cal in cams:
-            nodist = cal.without_distortion()
-            origin = np.array(kernel_row(_k.camera_center, nodist))
+            assert not cal.as_array()[_k.CAL_K1 : _k.CAL_P2 + 1].any()
+            origin = np.array(kernel_row(_k.camera_center, cal))
             for _ in range(20):
                 p = ImagePoint(
                     rng.uniform(0, cal.image_width), rng.uniform(0, cal.image_height)
                 )
-                direction = np.array(kernel_row(_k.ray_direction, nodist, p.x, p.y))
+                direction = np.array(kernel_row(_k.ray_direction, cal, p.x, p.y))
                 for s in (1.0, 5.0, 50.0):
-                    q = project(nodist, WorldPoint(*(origin + s * direction)))
+                    q = project(cal, WorldPoint(*(origin + s * direction)))
                     assert math.hypot(q.x - p.x, q.y - p.y) < 1e-9
 
 
@@ -413,6 +443,22 @@ class TestCalibrationJson:
         np.testing.assert_array_equal(rec.rotation, cal.rotation)
         np.testing.assert_array_equal(rec.translation, cal.translation)
         assert rec.image_width == cal.image_width
+
+
+def test_status_codes_keep_their_numbers():
+    # Codes are stored in golden files and reported by number; a rename
+    # keeps the number.
+    assert STATUS_NAMES == {
+        0: "OK",
+        1: "DepthNonPositive",
+        2: "NoConvergence",
+        3: "RayParallelToPlane",
+        4: "IntersectionBehindCamera",
+        5: "DegenerateVertical",
+        7: "VerticalBehindCamera",
+        8: "NonPositiveDiameter",
+        9: "NonFiniteInput",
+    }
 
 
 def test_every_kernel_status_names_its_error_class():

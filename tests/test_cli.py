@@ -295,6 +295,35 @@ class TestEvaluate:
 
 
 class TestReconstruct:
+    def test_readme_example_prints_pinned_json(self, tmp_path, capsys):
+        # The README's `courtlift reconstruct` example, output pinned to the
+        # last digit: every float is printed by repr, so any numeric change
+        # to the height lift or the undistortion shows here.
+        cal = make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500)
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(calibration_to_json_dict(cal)))
+        argv = ["reconstruct", "--cal", str(path), "--x", "1712.4", "--y", "903.1"]
+        assert main([*argv, "--height", "86.5"]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "ball_3d": [\n'
+            "    -3.959284673353995,\n"
+            "    -6.215712045589253,\n"
+            "    0.6875253913796673\n"
+            "  ],\n"
+            '  "foot_pixel": [\n'
+            "    1719.5151210402482,\n"
+            "    989.3068735808382\n"
+            "  ],\n"
+            '  "ground_projection": [\n'
+            "    -3.959284673353995,\n"
+            "    -6.215712045589253,\n"
+            "    0.0\n"
+            "  ],\n"
+            '  "vertical_angle": 0.08234877526037443\n'
+            "}\n"
+        )
+
     def test_ground_pixel_has_zero_height_solution(self, side_cal_file, capsys):
         path, cal = side_cal_file
         ground = WorldPoint(1.0, 2.0, 0.0)
@@ -325,6 +354,18 @@ class TestReconstruct:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and "RayParallelToPlane" in err
+
+    def test_foot_past_the_vanishing_point_names_the_error(self, tmp_path, capsys):
+        # The steep camera of test_reconstruct's vanishing-point test: a
+        # 1500 px height walks the foot past the vertical vanishing point.
+        cal = make_camera((0.0, -3.0, 10.0), (0.0, 0.0, 0.0), 1000.0, 2000.0, 2000.0)
+        px = project(cal, WorldPoint(0.0, 0.5, 1.0))
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(calibration_to_json_dict(cal)))
+        argv = ["reconstruct", "--cal", str(path), "--x", str(px.x), "--y", str(px.y)]
+        assert main([*argv, "--height", "1500"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: VerticalBehindCamera")
 
     @pytest.mark.parametrize(
         "edit, violation",

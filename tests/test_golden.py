@@ -14,7 +14,9 @@ CPU-specific SIMD code, whose last bit can differ from the capture
 host's, so it gets 1e-12 rad.
 
 The same inputs also check the foot pixel against the equation it
-solves, f = b + h e(f), with e(f) the unit vertical at the foot.
+solves, f = b + h e(f), with e(f) the unit vertical at the foot, and
+the undistortion's domain against a root-finding oracle on the wild
+pixels.
 """
 
 from pathlib import Path
@@ -28,6 +30,8 @@ from courtlift.reconstruct import (
     reconstruct_from_diameter_batch,
     reconstruct_from_height_batch,
 )
+
+from conftest import first_branch_peak
 
 GOLDEN = Path(__file__).parent / "data" / "golden_kernels.npz"
 
@@ -111,3 +115,22 @@ def test_wild_foot_is_the_fixed_point(golden):
     g = golden
     wild = ball_rays(g["cals"], g["w_cal_index"], g["w_px"])
     _assert_foot_solves_its_equation(wild, g["w_heights"])
+
+
+def test_wild_undistortion_domain_matches_the_root_oracle(golden):
+    # Every golden camera is radial-only, so a pixel is inside the lens
+    # model's invertible domain exactly when its distorted normalized
+    # radius is below the first monotone branch's peak.
+    g = golden
+    cals = g["cals"]
+    assert not cals[:, [_k.CAL_P1, _k.CAL_P2, _k.CAL_SKEW]].any()
+    k1, k2, k3 = cals[:, _k.CAL_K1], cals[:, _k.CAL_K2], cals[:, _k.CAL_K3]
+    peaks = np.array([first_branch_peak(*k) for k in zip(k1, k2, k3)])
+    cam = cals[g["w_cal_index"]]
+    u, v = g["w_px"].T
+    xn = (u - cam[:, _k.CAL_CX]) / cam[:, _k.CAL_FX]
+    yn = (v - cam[:, _k.CAL_CY]) / cam[:, _k.CAL_FY]
+    inside = np.hypot(xn, yn) < peaks[g["w_cal_index"]]
+    status = _k.undistort_pixel(cam.T, u, v)[2]
+    np.testing.assert_array_equal(np.bincount(status), [873, 0, 127])
+    np.testing.assert_array_equal(status == _k.STATUS_OK, inside)

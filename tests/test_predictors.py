@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from courtlift import WorldPoint, diameter_px_of
+from courtlift import _kernels as _k
 from courtlift.predictors import (
     PredictorSpec,
     mean_abs_student_t,
@@ -21,6 +21,8 @@ from courtlift.predictors import (
     predict_heights,
 )
 from courtlift.rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, stream
+
+from conftest import kernel_row
 
 UINT64_MAX = 2**64 - 1
 
@@ -105,8 +107,9 @@ class TestPredictDiameter:
     def test_oracle_similar_triangles(self, identity_cal):
         # f_mean * D / depth = 1000 * 0.24 / 5 = 48 px; doubling the depth
         # halves it.
-        near = diameter_px_of(identity_cal, WorldPoint(0.0, 0.0, 5.0), 0.24)
-        far = diameter_px_of(identity_cal, WorldPoint(0.0, 0.0, 10.0), 0.24)
+        near, status = kernel_row(_k.ball_diameter_px, identity_cal, 0.0, 0.0, 5.0, 0.24)
+        assert status == _k.STATUS_OK
+        far = kernel_row(_k.ball_diameter_px, identity_cal, 0.0, 0.0, 10.0, 0.24)[0]
         assert near == pytest.approx(48.0)
         assert far == pytest.approx(24.0)
 

@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from courtlift import (
-    generate_dataset,
-    reconstruct_from_diameter,
-    reconstruct_from_height,
-    scale_calibration,
-)
+from courtlift import generate_dataset, reconstruct_from_height, scale_calibration
 from courtlift._kernels import STATUS_NONFINITE_INPUT
 from courtlift.camera import STATUS_NAMES
 from courtlift import errors
@@ -71,22 +66,28 @@ def _diameter_batch(samples, diameters):
     return reconstruct_from_diameter_batch(rays, diameters)
 
 
-def _assert_row_matches(batch, i, call):
-    """Row i of a batch equals, bit for bit, the n=1 wrapper result, or the
-    wrapper raises the error the row's status names."""
+def _assert_diameter_row_matches_one_ray(batch, i, s, d):
+    """Row i of a diameter batch equals, bit for bit, the diameter baseline
+    on a length-one BallRays of sample s alone."""
+    one = reconstruct_from_diameter_batch(ball_rays([s.cal], [0], [[s.ball_px.x, s.ball_px.y]]), [d])
+    for name in ("ball_3d", "ground_projection", "foot_px", "vertical_angle", "status"):
+        np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name)[0])
+
+
+def _assert_row_matches_one_ball(batch, i, s, h):
+    """Row i of a height batch equals, bit for bit, reconstruct_from_height,
+    or reconstruct_from_height raises the error the row's status names."""
     if not batch.ok[i]:
         with pytest.raises(getattr(errors, STATUS_NAMES[int(batch.status[i])])):
-            call()
+            reconstruct_from_height(s.cal, s.ball_px, h)
         return
-    rec = call()
+    rec = reconstruct_from_height(s.cal, s.ball_px, h)
     np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
     np.testing.assert_array_equal(
         batch.ground_projection[i], rec.ground_projection.as_array()[:2]
     )
-    foot = [np.nan, np.nan] if rec.foot_pixel is None else [rec.foot_pixel.x, rec.foot_pixel.y]
-    np.testing.assert_array_equal(batch.foot_px[i], foot)
-    angle = np.nan if rec.vertical_angle is None else rec.vertical_angle
-    np.testing.assert_array_equal(batch.vertical_angle[i], angle)
+    np.testing.assert_array_equal(batch.foot_px[i], [rec.foot_pixel.x, rec.foot_pixel.y])
+    np.testing.assert_array_equal(batch.vertical_angle[i], rec.vertical_angle)
     np.testing.assert_array_equal(batch.ball_3d[i, :2], batch.ground_projection[i])
 
 
@@ -109,10 +110,8 @@ def test_batch_rows_equal_single_calls(seed, arena, offset, factor):
     h_batch = _height_batch(samples, heights)
     d_batch = _diameter_batch(samples, diameters)
     for i, s in enumerate(samples):
-        _assert_row_matches(h_batch, i, lambda: reconstruct_from_height(s.cal, s.ball_px, heights[i]))
-        _assert_row_matches(
-            d_batch, i, lambda: reconstruct_from_diameter(s.cal, s.ball_px, diameters[i])
-        )
+        _assert_row_matches_one_ball(h_batch, i, s, heights[i])
+        _assert_diameter_row_matches_one_ray(d_batch, i, s, diameters[i])
 
 
 @PROPERTY

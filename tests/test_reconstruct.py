@@ -1,5 +1,5 @@
 """Reconstruction tests: verticals, foot pixels, the master round trip,
-the diameter baseline, and crop transforms.
+the forward oracle, and the diameter baseline.
 
 The side-on fixture makes many expectations exact: with a horizontal
 optical axis along +Y and up +Z, world verticals map to image columns,
@@ -17,28 +17,26 @@ import numpy as np
 import pytest
 
 from courtlift import (
+    ArenaSpec,
     CameraCalibration,
     ImagePoint,
     WorldPoint,
     ball_rays,
-    crop_transform,
-    diameter_px_of,
     make_camera,
     project,
-    reconstruct_from_diameter,
     reconstruct_from_height,
     reconstruct_from_height_batch,
-    true_pixel_height,
+    synth,
 )
 from courtlift import _kernels as _k
+from courtlift.camera import column, one_row
 from courtlift.errors import (
-    BothPlanesDegenerate,
-    DepthNonPositive,
     IntersectionBehindCamera,
     NonFiniteInput,
     NonPositiveDiameter,
+    VerticalBehindCamera,
 )
-from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_OK
+from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_NONPOSITIVE_DIAMETER, STATUS_OK
 from courtlift.reconstruct import pack_calibrations, reconstruct_from_diameter_batch
 
 from conftest import kernel_row
@@ -69,6 +67,21 @@ def _foot(cal: CameraCalibration, px: ImagePoint, h: float):
     """Foot pixel and status of a ball pixel lifted by h px."""
     fu, fv, _, _, _, status = kernel_row(_k.foot_pixel, cal, px.x, px.y, h)
     return ImagePoint(fu, fv), status
+
+
+def _oracle(cal: CameraCalibration, ball: WorldPoint):
+    """synth's forward oracle for one ball, the source of the Samples
+    columns h_true and d_true: (usable, pixel height, image diameter)."""
+    arena = ArenaSpec(image_width=cal.image_width, image_height=cal.image_height)
+    usable, _, _, _, _, h, d = synth._annotate(column(cal), *one_row(ball.x, ball.y, ball.z), arena)
+    return bool(usable[0]), h[0].item(), d[0].item()
+
+
+def _diameter_row(cal: CameraCalibration, px: ImagePoint, d: float, *ball_diameter_m):
+    """The diameter baseline on one ray: (ball_3d, ground projection, status)."""
+    rays = ball_rays([cal], [0], [[px.x, px.y]])
+    batch = reconstruct_from_diameter_batch(rays, [d], *ball_diameter_m)
+    return batch.ball_3d[0], batch.ground_projection[0], batch.status[0]
 
 
 class TestVerticalDirection:
@@ -119,11 +132,10 @@ class TestFootPixel:
         for s in clean_samples:
             f, status = _foot(s.cal, s.ball_px, s.h_true)
             assert status == STATUS_OK
-            expected = project(
-                s.cal.without_distortion(),
-                WorldPoint(s.ball_3d.x, s.ball_3d.y, 0.0),
-            )
-            assert math.hypot(f.x - expected.x, f.y - expected.y) < 1e-9
+            x, y, _ = s.ball_3d.as_array()
+            gu, gv, status = kernel_row(_k.project_point_nodist, s.cal, x, y, 0.0)
+            assert status == STATUS_OK
+            assert math.hypot(f.x - gu, f.y - gv) < 1e-9
 
 
 class TestReconstructFromHeight:
@@ -157,8 +169,7 @@ class TestReconstructFromHeight:
         ball = WorldPoint(0.0, 0.0, 1.0)
         px = project(side_cal, ball)
         assert px.x == side_cal.cx
-        h = true_pixel_height(side_cal, ball)
-        rec = reconstruct_from_height(side_cal, px, h)
+        rec = reconstruct_from_height(side_cal, px, _oracle(side_cal, ball)[1])
         np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-6)
         assert rec.ball_3d.x == rec.ground_projection.x == 0.0
 
@@ -188,11 +199,11 @@ class TestReconstructFromHeight:
         cal = make_camera((0.0, -3.0, 10.0), (0.0, 0.0, 0.0), 1000.0, 2000.0, 2000.0)
         ball = WorldPoint(0.0, 0.5, 1.0)
         px = project(cal, ball)
-        h = true_pixel_height(cal, ball)
+        h = _oracle(cal, ball)[1]
         assert h == pytest.approx(34.35, abs=0.01)
         rec = reconstruct_from_height(cal, px, h)
         np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-9)
-        with pytest.raises(BothPlanesDegenerate):
+        with pytest.raises(VerticalBehindCamera):
             reconstruct_from_height(cal, px, 1500.0)
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
@@ -202,107 +213,78 @@ class TestReconstructFromHeight:
         assert status == STATUS_OK
         assert rec.vertical_angle == pytest.approx(angle, abs=1e-9)
 
+    def test_result_holds_finite_python_floats(self, clean_samples):
+        # An OK row always has a foot pixel and a vertical angle.
+        s = clean_samples[0]
+        rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
+        points = (rec.ball_3d, rec.ground_projection, rec.foot_pixel)
+        values = [*(x for p in points for x in dataclasses.astuple(p)), rec.vertical_angle]
+        assert all(type(x) is float and math.isfinite(x) for x in values)
 
-class TestTruePixelHeight:
+
+class TestForwardOracle:
     def test_ground_ball_has_zero_height(self, cam_a):
-        assert true_pixel_height(cam_a, WorldPoint(3.0, 1.0, 0.0)) == 0.0
+        assert _oracle(cam_a, WorldPoint(3.0, 1.0, 0.0))[1] == 0.0
 
-    def test_side_on_hand_value(self, side_cal):
-        assert true_pixel_height(side_cal, WorldPoint(0.0, 0.0, 1.0)) == pytest.approx(
-            100.0, abs=1e-9
-        )
+    def test_side_on_hand_values(self, side_cal):
+        # Depth 20 m: h = 100 px (module docstring) and the 0.24 m ball
+        # images 2000 * 0.24 / 20 = 24 px wide; doubling the depth halves
+        # the diameter.
+        usable, h, d = _oracle(side_cal, WorldPoint(0.0, 0.0, 1.0))
+        assert usable
+        assert h == pytest.approx(100.0, abs=1e-9)
+        assert d == pytest.approx(24.0, rel=1e-12)
+        far = _oracle(side_cal, WorldPoint(0.0, 20.0, 1.5))[2]
+        assert d == pytest.approx(2.0 * far, rel=1e-12)
 
-    def test_behind_camera_raises(self, side_cal):
-        with pytest.raises(DepthNonPositive):
-            true_pixel_height(side_cal, WorldPoint(0.0, -30.0, 1.0))
+    def test_ball_behind_camera_is_unusable(self, side_cal):
+        assert not _oracle(side_cal, WorldPoint(0.0, -30.0, 1.0))[0]
 
 
 class TestReconstructFromDiameter:
     def test_on_axis_similar_triangles(self, identity_cal):
         # depth = f_mean * D / d = 1000 * 0.24 / 48 = 5 m on the axis.
-        rec = reconstruct_from_diameter(
-            identity_cal, ImagePoint(960.0, 540.0), 48.0, 0.24
-        )
-        np.testing.assert_allclose(rec.ball_3d.as_array(), [0, 0, 5], atol=1e-12)
-        np.testing.assert_allclose(rec.ground_projection.as_array(), [0, 0, 0], atol=1e-12)
+        ball, ground, status = _diameter_row(identity_cal, ImagePoint(960.0, 540.0), 48.0, 0.24)
+        assert status == STATUS_OK
+        np.testing.assert_allclose(ball, [0, 0, 5], atol=1e-12)
+        np.testing.assert_allclose(ground, [0, 0], atol=1e-12)
 
-    def test_exact_diameter_recovers_ball(self, clean_samples):
-        for s in clean_samples[:300]:
-            rec = reconstruct_from_diameter(
-                s.cal, s.ball_px, s.diameter_px_true, 0.24
-            )
-            err = np.linalg.norm(rec.ball_3d.as_array() - s.ball_3d.as_array())
-            assert err < 1e-6
+    @pytest.mark.parametrize(
+        "samples, tolerance_m", [("clean_samples", 1e-6), ("distorted_samples", 1e-9)]
+    )
+    def test_exact_diameter_recovers_ball(self, request, samples, tolerance_m):
+        s = request.getfixturevalue(samples)
+        batch = reconstruct_from_diameter_batch(ball_rays(s.cals, s.cal_index, s.ball_px), s.d_true)
+        assert batch.ok.all()
+        assert np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1).max() < tolerance_m
 
-    def test_non_positive_diameter_raises(self, identity_cal):
-        with pytest.raises(NonPositiveDiameter):
-            reconstruct_from_diameter(identity_cal, ImagePoint(960, 540), 0.0)
-        with pytest.raises(NonPositiveDiameter):
-            reconstruct_from_diameter(identity_cal, ImagePoint(960, 540), -3.0)
+    @pytest.mark.parametrize("diameter", [0.0, -3.0])
+    def test_non_positive_diameter_fails_the_row(self, identity_cal, diameter):
+        ball, _, status = _diameter_row(identity_cal, ImagePoint(960, 540), diameter)
+        assert status == STATUS_NONPOSITIVE_DIAMETER
+        assert np.isnan(ball).all()
 
     @pytest.mark.parametrize("ball_diameter_m", [0.0, -0.24, math.nan, math.inf])
     def test_ball_diameter_must_be_finite_and_positive(self, identity_cal, ball_diameter_m):
         with pytest.raises(NonPositiveDiameter, match="must be finite and > 0 m"):
-            reconstruct_from_diameter(identity_cal, ImagePoint(960, 540), 30.0, ball_diameter_m)
+            _diameter_row(identity_cal, ImagePoint(960, 540), 30.0, ball_diameter_m)
 
-    def test_depth_doubling_halves_diameter(self, side_cal):
-        d1 = diameter_px_of(side_cal, WorldPoint(0.0, 0.0, 1.5))  # depth 20
-        d2 = diameter_px_of(side_cal, WorldPoint(0.0, 20.0, 1.5))  # depth 40
-        assert d1 == pytest.approx(2.0 * d2, rel=1e-12)
-
-    def test_error_grows_linearly_with_distance(self, side_cal):
-        # Fixed 5% diameter error: 3D error = depth * eps / (1 + eps),
-        # exactly linear in camera distance.
-        eps = 0.05
-        depths = np.arange(5.0, 41.0, 2.5)
-        errors = []
-        for depth in depths:
-            ball = WorldPoint(0.0, depth - 20.0, 1.5)
-            d_true = diameter_px_of(side_cal, ball)
-            rec = reconstruct_from_diameter(
-                side_cal, project(side_cal, ball), d_true * (1 + eps)
-            )
-            errors.append(np.linalg.norm(rec.ball_3d.as_array() - ball.as_array()))
-        slope, intercept = np.polyfit(depths, errors, 1)
-        fitted = slope * depths + intercept
-        ss_res = np.sum((errors - fitted) ** 2)
-        ss_tot = np.sum((errors - np.mean(errors)) ** 2)
-        assert 1.0 - ss_res / ss_tot > 0.99
-        assert slope > 0
-
-
-class TestCropTransform:
-    def test_side_on_is_pure_translation(self, side_cal):
-        px = ImagePoint(1500.0, 950.0)
-        t = crop_transform(side_cal, px, crop_size=256.0, scale=1.0)
-        np.testing.assert_allclose(t.matrix, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(t.apply([px.x, px.y]), [128.0, 128.0], atol=1e-9)
-
-    def test_rectified_frame_property(self, distorted_samples):
-        # In crop coordinates the foot sits exactly scale*h below the ball.
-        for s in distorted_samples[:200]:
-            scale = 0.5
-            t = crop_transform(s.cal, s.ball_px, crop_size=512.0, scale=scale)
-            ball_u = project(
-                s.cal.without_distortion(), s.ball_3d
-            )
-            foot_u = project(
-                s.cal.without_distortion(),
-                WorldPoint(s.ball_3d.x, s.ball_3d.y, 0.0),
-            )
-            delta = t.apply([foot_u.x, foot_u.y]) - t.apply([ball_u.x, ball_u.y])
-            np.testing.assert_allclose(delta, [0.0, scale * s.h_true], atol=0.1)
-
-    def test_half_scale_halves_distances(self, cam_a):
-        px = ImagePoint(2000.0, 900.0)
-        t = crop_transform(cam_a, px, crop_size=128.0, scale=0.5)
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 2000, size=(20, 2))
-        mapped = t.apply(pts)
-        for i in range(0, 18, 2):
-            orig = np.linalg.norm(pts[i] - pts[i + 1])
-            new = np.linalg.norm(mapped[i] - mapped[i + 1])
-            assert new == pytest.approx(0.5 * orig, rel=1e-12)
+    @pytest.mark.parametrize("eps", [-0.2, -0.05, 0.01, 0.1, 0.5])
+    def test_relative_diameter_error_law_is_exact(self, distorted_samples, eps):
+        # Scaling the true diameter by 1 + eps scales the depth by
+        # 1 / (1 + eps), so the ball slides along its ray, away from the
+        # camera centre C, by |ball - C| * |eps| / (1 + eps): the 3D error
+        # grows linearly with distance. Measured within 1.7e-12 m on these
+        # rows; the tolerance leaves room for the undistortion's residual.
+        tolerance_m = 1e-9
+        s = distorted_samples
+        rays = ball_rays(s.cals, s.cal_index, s.ball_px)
+        batch = reconstruct_from_diameter_batch(rays, s.d_true * (1.0 + eps))
+        assert batch.ok.all()
+        centre = np.column_stack(_k.camera_center(rays.cal))
+        expected = np.linalg.norm(s.ball_3d - centre, axis=1) * abs(eps) / (1.0 + eps)
+        error = np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1)
+        np.testing.assert_allclose(error, expected, rtol=0, atol=tolerance_m)
 
 
 class TestBatchPaths:
@@ -348,8 +330,7 @@ class TestNonFiniteInput:
             reconstruct_from_height(side_cal, px, bad)
         with pytest.raises(NonFiniteInput):
             reconstruct_from_height(side_cal, ImagePoint(px.x, bad), 50.0)
-        with pytest.raises(NonFiniteInput):
-            reconstruct_from_diameter(side_cal, px, bad)
+        assert _diameter_row(side_cal, px, bad)[2] == STATUS_NONFINITE_INPUT
         assert _foot(side_cal, px, bad)[1] == STATUS_NONFINITE_INPUT
 
     def test_batch_rows_carry_the_status(self, side_cal):

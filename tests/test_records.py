@@ -1,4 +1,4 @@
-"""The record contract of courtlift's 15 frozen dataclass types.
+"""The record contract of courtlift's 14 frozen dataclass types.
 
 Each record keeps what callers rely on: frozen fields, ``fields()`` order,
 ``replace()`` with validation, positional and keyword construction with
@@ -19,7 +19,6 @@ import pytest
 
 import courtlift
 from courtlift import (
-    AffineTransform,
     AggregateReport,
     ArenaSpec,
     BallRays,
@@ -109,11 +108,6 @@ RECORDS = {
                  "ground_projection": WorldPoint(1.0, 2.0, 0.0),
                  "foot_pixel": ImagePoint(10.0, 20.0), "vertical_angle": 0.25},
     ),
-    AffineTransform: (
-        ("matrix", "offset"),
-        [("matrix", EMPTY), ("offset", EMPTY)],
-        lambda: {"matrix": np.eye(2), "offset": np.array([1.0, 2.0])},
-    ),
     HeightBatch: (
         ("ball_3d", "ground_projection", "foot_px", "vertical_angle", "status"),
         [("ball_3d", EMPTY), ("ground_projection", EMPTY), ("foot_px", EMPTY),
@@ -164,7 +158,7 @@ RECORDS = {
             "d_true")},
     ),
 }
-IDENTITY = {CameraCalibration, AffineTransform, HeightBatch, BallRays, Samples}
+IDENTITY = {CameraCalibration, HeightBatch, BallRays, Samples}
 # A field change per record that its validation rejects, and the error.
 INVALID = {
     CameraCalibration: ({"rotation": np.eye(2)}, ValueError),
@@ -182,7 +176,7 @@ DIFFERENT = {
     EvalReport: {"n_samples": 41},
     AggregateReport: {"std": {}},
     PredictorSpec: {"seed": 8},
-    Reconstruction: {"foot_pixel": None},
+    Reconstruction: {"foot_pixel": ImagePoint(0.0, 0.0)},
     ArenaSpec: {"ball_diameter_m": 0.24},
     HeightDistSpec: {"p_above_3m": 0.5},
     BallSample: {"sample_id": 999},
@@ -208,9 +202,25 @@ def same_fields(a, b) -> bool:
 
 
 def test_the_table_covers_every_record_type():
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
     assert {cls.__name__ for cls in RECORDS} <= set(courtlift.__all__)
     assert all(dataclasses.is_dataclass(cls) for cls in RECORDS)
+
+
+def test_public_api_names():
+    assert courtlift.__all__ == [
+        "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "BallSample",
+        "CameraCalibration", "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec",
+        "ImagePoint", "METRIC_NAMES", "PredictorSpec", "Reconstruction", "Samples",
+        "WorldPoint", "aggregate_repeats", "assign_folds", "ball_rays",
+        "calibration_to_json_dict", "errors", "evaluate_arrays", "generate_dataset",
+        "height_histogram", "make_camera", "predict_diameters", "predict_heights", "project",
+        "read_dataset", "rebalance", "reconstruct_from_diameter_batch",
+        "reconstruct_from_height", "reconstruct_from_height_batch", "sample_ball",
+        "sample_camera", "scale_calibration", "split", "validate", "write_dataset",
+    ]
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 39
+    assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 
 @by_name
