@@ -347,12 +347,12 @@ def lift_height(cal, u, v, h, status):
 def reconstruct_diameter(cal, u, v, status, diameter_px, ball_diameter_m):
     """Diameter-baseline reconstruction from UNDISTORTED ball pixels.
 
+    Each ball is the point of its pixel's ray at the camera-frame depth
+    mean(fx, fy) * ball_diameter_m / diameter_px, by similar triangles.
     ``status`` is each pixel's status so far (undistort_pixel's). A
     non-finite pixel or diameter comes first, then a non-positive
     diameter, then the pixel's undistortion failure.
-    Returns (bx, by, bz, fu, fv, angle, status). The foot pixel (fu, fv)
-    is the undistorted image of the ground point below the ball and angle
-    the vertical direction there; both are NaN where undefined.
+    Returns (bx, by, bz, status).
     """
     nonfinite = (status == STATUS_NONFINITE_INPUT) | ~np.isfinite(diameter_px)
     first = _flag(nonfinite, STATUS_NONFINITE_INPUT)
@@ -367,13 +367,4 @@ def reconstruct_diameter(cal, u, v, status, diameter_px, ball_diameter_m):
     s = depth / rz
     # A diameter too small for a finite depth is as unusable as zero.
     status = _then(status, _flag(~np.isfinite(s), STATUS_NONPOSITIVE_DIAMETER))
-    bx = ox + s * dx
-    by = oy + s * dy
-    bz = oz + s * dz
-    fu, fv, st = project_point_nodist(cal, bx, by, 0.0)
-    on_image = st == STATUS_OK
-    _, _, angle, _, _, st = vertical_direction(cal, fu, fv)
-    fu = np.where(on_image, fu, np.nan)
-    fv = np.where(on_image, fv, np.nan)
-    angle = np.where(on_image & (st == STATUS_OK), angle, np.nan)
-    return bx, by, bz, fu, fv, angle, status
+    return ox + s * dx, oy + s * dy, oz + s * dz, status

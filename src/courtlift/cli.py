@@ -88,7 +88,7 @@ def _evaluate(arrays, method, preds, ball_diameter_m, what):
     n_failed = int((~ok).sum())
     if n_failed and n_failed == len(ok):
         raise EmptyInput(f"{what}: all {n_failed} samples failed to reconstruct")
-    report = evaluate_arrays(truth[ok], *heights, batch.ball_3d[ok], batch.ground_projection[ok])
+    report = evaluate_arrays(truth[ok], *heights, batch.ball_3d[ok])
     return report, n_failed
 
 
@@ -187,6 +187,8 @@ def cmd_synth(args, parser) -> int:
     if args.n_folds < 1:
         parser.error("--n-folds must be >= 1")
     _check_seeds(parser, args.seed, 1)
+    if args.dist == "uniform" and args.p_above_3m is not None:
+        parser.error("--p-above-3m does not apply to --dist uniform")
     dist_kwargs = {}
     if args.p_above_3m is not None:
         dist_kwargs["p_above_3m"] = args.p_above_3m

@@ -87,10 +87,6 @@ class Dataset(ValueRecord):
             index = int(np.argmax(unfolded))
             raise FoldViolation(f"sample {ids[index]}: arena {arena[index]} is in no fold")
 
-    @property
-    def arena_ids(self) -> set[int]:
-        return set(self.samples.arena.tolist())
-
 
 def _rows_in(arena: np.ndarray, arenas) -> np.ndarray:
     """Mask of the rows whose arena is in ``arenas``, a set of ints."""

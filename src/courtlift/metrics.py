@@ -78,25 +78,21 @@ def evaluate_arrays(
     h_true: np.ndarray | None,
     h_pred: np.ndarray | None,
     ball_xyz: np.ndarray,
-    ground_xy: np.ndarray,
 ) -> EvalReport:
     """Metrics from plain arrays.
 
     truth_xyz: (n, 3) ground-truth ball positions; ball_xyz: (n, 3)
-    reconstructed positions; ground_xy: (n, 2) predicted floor
+    reconstructed positions, whose x and y are the predicted floor
     projections. h_true/h_pred may be None together (no height metric).
     """
     truth = np.asarray(truth_xyz, dtype=np.float64)
     ball = np.asarray(ball_xyz, dtype=np.float64)
-    ground = np.asarray(ground_xy, dtype=np.float64)
     n = truth.shape[0]
     if n == 0:
         raise EmptyInput("evaluate needs at least one sample")
-    if ball.shape[0] != n or ground.shape[0] != n:
-        raise LengthMismatch(
-            f"got {n} samples, {ball.shape[0]} reconstructions, {ground.shape[0]} projections"
-        )
-    proj_err = np.hypot(ground[:, 0] - truth[:, 0], ground[:, 1] - truth[:, 1])
+    if ball.shape[0] != n:
+        raise LengthMismatch(f"got {n} samples and {ball.shape[0]} reconstructions")
+    proj_err = np.hypot(ball[:, 0] - truth[:, 0], ball[:, 1] - truth[:, 1])
     err3d = np.linalg.norm(ball - truth, axis=1)
     mae: float | None = None
     if h_pred is not None:

@@ -3,8 +3,8 @@
 Pipeline for one ball (all heavy lifting happens in undistorted image
 space): undistort the raw ball pixel, walk the predicted pixel height
 along the local image vertical to the foot pixel, drop the foot ray onto
-the ground plane to get the ground projection, then take the point of the
-ball ray on the world vertical through that projection.
+the ground plane, then take the point of the ball ray on the world
+vertical through that ground point.
 
 In an undistorted pinhole image every world-vertical line passes through
 the vanishing point of the world Z axis, c = K R[:, 2]. Ball and foot lie
@@ -12,8 +12,8 @@ on the image of one world vertical, so the foot is the ball pixel moved h
 px along the line through it and c, in closed form; the vertical at the
 foot then gives the reported angle and the row's final status. For the
 same reason the ball ray meets the world vertical through the ground
-projection exactly, so the ball has the projection's x and y and its
-height comes from one ray parameter.
+point exactly, so the ball's x and y are the ground point's (its floor
+projection) and its height comes from one ray parameter.
 
 Batch reconstruction runs in two steps. ``ball_rays`` does the part no
 prediction changes: it gathers each row's camera and undistorts the raw
@@ -21,11 +21,11 @@ ball pixel. ``reconstruct_from_height_batch`` and
 ``reconstruct_from_diameter_batch`` then lift one set of predictions
 from those rays, so scoring many predictions of the same balls (the
 repeats of ``evaluate``, the levels of ``sweep``) undistorts each pixel
-once.
+once. Both return a ``HeightBatch``: each row's ball and status.
 
 ``reconstruct_from_height``, the one-ball form the ``reconstruct`` command
-calls, runs the height lift on length-one rows and raises a failed row's
-typed error. The pixel height and image diameter of a known ball are the
+calls, also reports the foot pixel and vertical angle and raises a failed
+row's typed error. A known ball's pixel height and image diameter are the
 ``Samples`` columns ``h_true`` and ``d_true``; the local vertical and the
 foot pixel are ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
 """
@@ -49,24 +49,21 @@ BALL_DIAMETER_M = 0.24
 class Reconstruction(ValueRecord):
     """One ball lifted from its pixel and predicted height to the court.
 
-    ``ground_projection`` is the ball's x and y with z = 0 exactly.
-    ``foot_pixel`` is in undistorted image coordinates and
-    ``vertical_angle`` is the local vertical's angle there, in radians.
+    ``to_json_dict`` writes the floor projection, (x, y, 0) of ``ball_3d``,
+    as ``ground_projection``. ``foot_pixel`` is in undistorted image
+    coordinates and ``vertical_angle`` is the local vertical's angle
+    there, in radians.
     """
 
     ball_3d: WorldPoint
-    ground_projection: WorldPoint
     foot_pixel: ImagePoint
     vertical_angle: float
 
     def to_json_dict(self) -> dict:
+        x, y, z = self.ball_3d.x, self.ball_3d.y, self.ball_3d.z
         return {
-            "ball_3d": [self.ball_3d.x, self.ball_3d.y, self.ball_3d.z],
-            "ground_projection": [
-                self.ground_projection.x,
-                self.ground_projection.y,
-                self.ground_projection.z,
-            ],
+            "ball_3d": [x, y, z],
+            "ground_projection": [x, y, 0.0],
             "foot_pixel": [self.foot_pixel.x, self.foot_pixel.y],
             "vertical_angle": self.vertical_angle,
         }
@@ -80,33 +77,27 @@ def reconstruct_from_height(
     Negative heights are legal predictor outputs and propagate through.
     """
     rays = ball_rays([cal], [0], [[ball_px_raw.x, ball_px_raw.y]])
-    batch = reconstruct_from_height_batch(rays, [h])
-    raise_for_status(batch.status[0], "height reconstruction failed")
-    (x, y, z), (fu, fv) = batch.ball_3d[0].tolist(), batch.foot_px[0].tolist()
+    bz, gx, gy, fu, fv, angle, status = _k.lift_height(
+        rays.cal, rays.u, rays.v, _per_ray(rays, [h]), rays.status
+    )
+    raise_for_status(status[0], "height reconstruction failed")
     return Reconstruction(
-        ball_3d=WorldPoint(x, y, z),
-        ground_projection=WorldPoint(x, y, 0.0),
-        foot_pixel=ImagePoint(fu, fv),
-        vertical_angle=batch.vertical_angle[0].item(),
+        ball_3d=WorldPoint(gx.item(), gy.item(), bz.item()),
+        foot_pixel=ImagePoint(fu.item(), fv.item()),
+        vertical_angle=angle.item(),
     )
 
 
 @record
 class HeightBatch(Record):
-    """Array-of-structs result of a batch reconstruction.
-
-    Rows with ``status != 0`` carry NaN geometry; ``camera.STATUS_NAMES``
-    maps codes to error names. The first two columns of ``ball_3d`` equal
-    ``ground_projection``. For the diameter baseline ``foot_px`` and
-    ``vertical_angle`` are NaN on rows where the local geometry does not
-    define them.
+    """Struct of arrays, the result of either batch reconstruction:
+    ``ball_3d`` (n, 3), whose first two columns are each ball's floor
+    projection, and ``status`` (n,) int64, which ``camera.STATUS_NAMES``
+    maps to error names. A row with ``status != 0`` has a NaN ball.
     """
 
-    ball_3d: np.ndarray  # (n, 3)
-    ground_projection: np.ndarray  # (n, 2), z is 0 by construction
-    foot_px: np.ndarray  # (n, 2)
-    vertical_angle: np.ndarray  # (n,)
-    status: np.ndarray  # (n,) int64
+    ball_3d: np.ndarray
+    status: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
@@ -180,12 +171,10 @@ def _per_ray(rays: BallRays, values) -> np.ndarray:
     return values
 
 
-def _batch(ball, ground, foot, angle, status) -> HeightBatch:
-    failed = status != _k.STATUS_OK
-    ball, ground, foot = np.column_stack(ball), np.column_stack(ground), np.column_stack(foot)
-    for out in (ball, ground, foot, angle):
-        out[failed] = np.nan
-    return HeightBatch(ball, ground, foot, angle, status)
+def _batch(ball, status) -> HeightBatch:
+    ball = np.column_stack(ball)
+    ball[status != _k.STATUS_OK] = np.nan
+    return HeightBatch(ball, status)
 
 
 def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> HeightBatch:
@@ -194,8 +183,8 @@ def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> Height
     as nonzero statuses rather than exceptions.
     """
     h = _per_ray(rays, heights)
-    bz, gx, gy, fu, fv, angle, status = _k.lift_height(rays.cal, rays.u, rays.v, h, rays.status)
-    return _batch((gx, gy, bz), (gx, gy), (fu, fv), angle, status)
+    bz, gx, gy, _, _, _, status = _k.lift_height(rays.cal, rays.u, rays.v, h, rays.status)
+    return _batch((gx, gy, bz), status)
 
 
 def reconstruct_from_diameter_batch(
@@ -214,7 +203,7 @@ def reconstruct_from_diameter_batch(
     if not 0.0 < ball_diameter_m < math.inf:
         raise NonPositiveDiameter(f"ball diameter must be finite and > 0 m, got {ball_diameter_m}")
     d = _per_ray(rays, diameters_px)
-    bx, by, bz, fu, fv, angle, status = _k.reconstruct_diameter(
+    bx, by, bz, status = _k.reconstruct_diameter(
         rays.cal, rays.u, rays.v, rays.status, d, float(ball_diameter_m)
     )
-    return _batch((bx, by, bz), (bx, by), (fu, fv), angle, status)
+    return _batch((bx, by, bz), status)

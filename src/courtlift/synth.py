@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._record import Record, ValueRecord, record
-from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
+from .camera import CameraCalibration, ImagePoint, WorldPoint, _json_number, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
@@ -96,9 +96,9 @@ class ArenaSpec(ValueRecord):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ArenaSpec":
-        """The spec with the fields `obj` names overridden: a number, or a
-        [min, max] pair for a range. ValueError on an unknown key or a
-        value of the wrong shape."""
+        """The spec with the fields `obj` names overridden: a JSON number,
+        or a [min, max] pair of them for a range. ValueError on an unknown
+        key, a wrong shape, a string or boolean, or an int past float range."""
         if not isinstance(obj, dict):
             raise ValueError(f"arena spec must be a JSON object, got {obj!r}")
         defaults = {f.name: f.default for f in fields(ArenaSpec)}
@@ -110,10 +110,10 @@ class ArenaSpec(ValueRecord):
             try:
                 if isinstance(defaults[name], tuple):
                     lo, hi = value
-                    kwargs[name] = (float(lo), float(hi))
+                    kwargs[name] = (_json_number(name, lo), _json_number(name, hi))
                 else:
-                    kwargs[name] = float(value)
-            except (TypeError, ValueError) as exc:
+                    kwargs[name] = _json_number(name, value)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"arena spec {name}: {exc}") from exc
         return ArenaSpec(**kwargs)
 

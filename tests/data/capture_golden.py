@@ -14,14 +14,18 @@ three times the frame with heights in [-1000, 3000) px, which reach the
 undistortion failure and other failure paths.
 
 The file stores the inputs next to the outputs, so the test replays the
-same numbers even when the synthetic generator changes. The script uses
-only the batch API: ``ball_rays`` and the two batch reconstructions.
+same numbers even when the synthetic generator changes. Each group
+stores its statuses and balls from the batch API (``ball_rays`` and the
+two batch reconstructions); the height groups also store each row's
+foot pixel and vertical angle from ``_kernels.lift_height`` on the same
+rays. Failed rows hold NaN.
 """
 
 import sys
 
 import numpy as np
 
+from courtlift import _kernels as _k
 from courtlift import generate_dataset
 from courtlift.reconstruct import (
     ball_rays,
@@ -37,6 +41,16 @@ OFFSETS_PX = (0.0, 10.0, 40.0, -400.0, 3000.0)
 WILD = 1000
 
 
+def foot_and_angle(rays, heights):
+    """Each row's foot pixel (n, 2) and vertical angle (n,), NaN where the
+    height lift fails."""
+    _, _, _, fu, fv, angle, status = _k.lift_height(rays.cal, rays.u, rays.v, heights, rays.status)
+    failed = status != _k.STATUS_OK
+    foot = np.column_stack([fu, fv])
+    foot[failed] = np.nan
+    return foot, np.where(failed, np.nan, angle)
+
+
 def main(path: str) -> None:
     samples = generate_dataset(seed=SEED, n=N, n_arenas=ARENAS)
     cals = [samples[a].cal for a in range(ARENAS)]
@@ -50,6 +64,7 @@ def main(path: str) -> None:
     heights = np.concatenate([h_true + off for off in OFFSETS_PX])
     h_rays = ball_rays(packed, np.tile(idx, k), np.tile(px, (k, 1)))
     hb = reconstruct_from_height_batch(h_rays, heights)
+    h_foot, h_angle = foot_and_angle(h_rays, heights)
 
     rel = 0.3 * np.random.default_rng(SEED).standard_t(2.0, size=N)
     diameters = d_true * (1.0 + rel)
@@ -60,7 +75,9 @@ def main(path: str) -> None:
     w_idx = rng.integers(0, ARENAS, WILD)
     w_px = np.column_stack([rng.uniform(-4500, 9000, WILD), rng.uniform(-1500, 3000, WILD)])
     w_heights = rng.uniform(-1000, 3000, WILD)
-    wb = reconstruct_from_height_batch(ball_rays(packed, w_idx, w_px), w_heights)
+    w_rays = ball_rays(packed, w_idx, w_px)
+    wb = reconstruct_from_height_batch(w_rays, w_heights)
+    w_foot, w_angle = foot_and_angle(w_rays, w_heights)
 
     np.savez_compressed(
         path,
@@ -71,22 +88,17 @@ def main(path: str) -> None:
         diameters=diameters,
         h_status=hb.status,
         h_ball=hb.ball_3d,
-        h_ground=hb.ground_projection,
-        h_foot=hb.foot_px,
-        h_angle=hb.vertical_angle,
+        h_foot=h_foot,
+        h_angle=h_angle,
         d_status=db.status,
         d_ball=db.ball_3d,
-        d_ground=db.ground_projection,
-        d_foot=db.foot_px,
-        d_angle=db.vertical_angle,
         w_cal_index=w_idx,
         w_px=w_px,
         w_heights=w_heights,
         w_status=wb.status,
         w_ball=wb.ball_3d,
-        w_ground=wb.ground_projection,
-        w_foot=wb.foot_px,
-        w_angle=wb.vertical_angle,
+        w_foot=w_foot,
+        w_angle=w_angle,
     )
 
 

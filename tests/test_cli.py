@@ -94,6 +94,10 @@ class TestSynth:
             ({"court_half_length": float("nan")}, "court_half_length must be finite"),
             ({"focal_range": [1500, float("inf")]}, "focal_range must be finite"),
             ({"ball_diameter_m": float("inf")}, "ball_diameter_m must be finite"),
+            ({"focal_range": "12"}, "focal_range must be a number, got '1'"),
+            ({"ball_diameter_m": True}, "ball_diameter_m must be a number, got True"),
+            ({"image_width": "4500"}, "image_width must be a number, got '4500'"),
+            ({"image_width": 10**400}, "arena spec image_width: int too large"),
         ],
     )
     def test_bad_arena_json_is_usage_error(self, tmp_path, capsys, spec, message):
@@ -113,6 +117,7 @@ class TestSynth:
         "synth --n 5 --out {out} --seed -1",
         "synth --n 5 --out {out} --seed 18446744073709551616",
         "synth --n 5 --out {out} --p-above-3m 2",
+        "synth --n 5 --out {out} --dist uniform --p-above-3m 0.5",
         "synth --n 5 --out {out} --max-height 2",
         "synth --n 5 --out {out} --max-height inf",
         "evaluate --dataset {dataset} --out {out} --seed -1",

@@ -394,9 +394,10 @@ class TestSplit:
         ds = Dataset(samples=samples, folds=assign_folds(range(15), 5))
         for fold in ds.folds:
             train, test = split(ds, fold)
-            assert train.arena_ids.isdisjoint(test.arena_ids)
+            test_arenas = set(test.samples.arena.tolist())
+            assert set(train.samples.arena.tolist()).isdisjoint(test_arenas)
             assert len(train.samples) + len(test.samples) == 150
-            assert test.arena_ids <= ds.folds[fold]
+            assert test_arenas <= ds.folds[fold]
 
     def test_unknown_fold(self):
         ds = Dataset(samples=[_sample(0)], folds={"A": {0}})

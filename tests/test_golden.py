@@ -7,11 +7,11 @@ diameter path with heavy-tailed diameters, including non-positive ones,
 and the height path on random pixels in and far outside the frame. The
 2000 rows' rays are built once and every offset and the diameters are
 reconstructed from them, as `evaluate --repeats` and `sweep` do. Status
-codes must match on every row, the ball's x and y on OK rows must equal
-the ground projection, and the geometry of OK rows must be
-bit-identical, except the vertical angle: numpy may run np.arctan2 on
-CPU-specific SIMD code, whose last bit can differ from the capture
-host's, so it gets 1e-12 rad.
+codes must match on every row and the balls of OK rows must be
+bit-identical. On the height path, `_kernels.lift_height` on the same
+rays must give the stored foot pixels bit for bit and the stored
+vertical angles to 1e-12 rad: numpy may run np.arctan2 on CPU-specific
+SIMD code, whose last bit can differ from the capture host's.
 
 The same inputs also check the foot pixel against the equation it
 solves, f = b + h e(f), with e(f) the unit vertical at the foot, and
@@ -47,23 +47,26 @@ def rays(golden):
     return ball_rays(golden["cals"], golden["cal_index"], golden["px"])
 
 
-def _check(batch, g, prefix, exact, rows=slice(None)):
-    """Compare a batch with the golden rows ``rows`` of ``prefix``."""
+def _lift(rays, heights):
+    """``_k.lift_height`` on ``rays``: (bz, gx, gy, fu, fv, angle, status)."""
+    return _k.lift_height(rays.cal, rays.u, rays.v, heights, rays.status)
+
+
+def _check(batch, g, prefix, rows=slice(None)):
+    """Compare a batch's statuses and balls with the golden rows ``rows``
+    of ``prefix``."""
     np.testing.assert_array_equal(batch.status, g[f"{prefix}_status"][rows])
     ok = batch.ok
-    np.testing.assert_array_equal(batch.ball_3d[ok, :2], batch.ground_projection[ok])
-    for name, key in exact:
-        np.testing.assert_array_equal(getattr(batch, name)[ok], g[f"{prefix}_{key}"][rows][ok])
-    np.testing.assert_allclose(
-        batch.vertical_angle[ok], g[f"{prefix}_angle"][rows][ok], rtol=0, atol=1e-12
-    )
+    np.testing.assert_array_equal(batch.ball_3d[ok], g[f"{prefix}_ball"][rows][ok])
 
 
-HEIGHT_EXACT = [
-    ("ball_3d", "ball"),
-    ("ground_projection", "ground"),
-    ("foot_px", "foot"),
-]
+def _check_foot_and_angle(rays, heights, g, prefix, rows=slice(None)):
+    """Compare the height lift's foot pixels and vertical angles with the
+    golden rows ``rows`` of ``prefix``."""
+    _, _, _, fu, fv, angle, _ = _lift(rays, heights)
+    ok = g[f"{prefix}_status"][rows] == _k.STATUS_OK
+    np.testing.assert_array_equal(np.column_stack([fu, fv])[ok], g[f"{prefix}_foot"][rows][ok])
+    np.testing.assert_allclose(angle[ok], g[f"{prefix}_angle"][rows][ok], rtol=0, atol=1e-12)
 
 
 def test_height_path_matches_golden(golden, rays):
@@ -72,8 +75,9 @@ def test_height_path_matches_golden(golden, rays):
     assert len(g["heights"]) == 5 * n  # offsets 0, 10, 40, -400, 3000 px
     for start in range(0, 5 * n, n):
         rows = slice(start, start + n)
-        batch = reconstruct_from_height_batch(rays, g["heights"][rows])
-        _check(batch, g, "h", HEIGHT_EXACT, rows)
+        heights = g["heights"][rows]
+        _check(reconstruct_from_height_batch(rays, heights), g, "h", rows)
+        _check_foot_and_angle(rays, heights, g, "h", rows)
 
 
 def test_wild_pixels_match_golden(golden):
@@ -81,22 +85,23 @@ def test_wild_pixels_match_golden(golden):
     wild = ball_rays(g["cals"], g["w_cal_index"], g["w_px"])
     batch = reconstruct_from_height_batch(wild, g["w_heights"])
     assert (batch.status == 2).any()  # undistortion failures are covered
-    _check(batch, g, "w", HEIGHT_EXACT)
+    _check(batch, g, "w")
+    _check_foot_and_angle(wild, g["w_heights"], g, "w")
 
 
 def test_diameter_path_matches_golden(golden, rays):
     g = golden
     batch = reconstruct_from_diameter_batch(rays, g["diameters"])
     assert (batch.status != 0).any()
-    _check(batch, g, "d", [("ball_3d", "ball"), ("ground_projection", "ground"), ("foot_px", "foot")])
+    _check(batch, g, "d")
 
 
 def _assert_foot_solves_its_equation(rays, heights):
     """On OK rows the vertical at the foot is parallel to foot - ball, and
     the foot lies h px along it."""
-    batch = reconstruct_from_height_batch(rays, heights)
-    ok = batch.ok
-    fu, fv = batch.foot_px[ok].T
+    _, _, _, fu, fv, _, status = _lift(rays, heights)
+    ok = status == _k.STATUS_OK
+    fu, fv = fu[ok], fv[ok]
     vx, vy, _, _, _, status = _k.vertical_direction(rays.cal[:, ok], fu, fv)
     assert (status == _k.STATUS_OK).all()
     du = fu - rays.u[ok]

@@ -30,18 +30,18 @@ def _report(**metric_values) -> EvalReport:
 
 
 def _arrays_from_proj_errors(errors):
-    """Truth at the origin; projections displaced by the given distances."""
+    """Truth at the origin; balls on the floor, displaced along x by the
+    given distances."""
     n = len(errors)
     truth = np.zeros((n, 3))
-    ground = np.column_stack([np.asarray(errors, float), np.zeros(n)])
-    ball = np.column_stack([ground, np.zeros(n)])
-    return truth, ball, ground
+    ball = np.column_stack([np.asarray(errors, float), np.zeros((n, 2))])
+    return truth, ball
 
 
 class TestEvaluate:
     def test_outlier_example(self):
-        truth, ball, ground = _arrays_from_proj_errors([1.0, 1.0, 1.0, 10.0])
-        report = evaluate_arrays(truth, None, None, ball, ground)
+        truth, ball = _arrays_from_proj_errors([1.0, 1.0, 1.0, 10.0])
+        report = evaluate_arrays(truth, None, None, ball)
         assert report.mape_m == pytest.approx(3.25)
         assert report.mdnape_m == pytest.approx(1.0)
         assert report.ma3de_m == pytest.approx(3.25)
@@ -51,44 +51,47 @@ class TestEvaluate:
     def test_two_sample_hand_values(self):
         truth = [[1.0, 2.0, 0.5], [-1.0, 0.0, 2.0]]
         ball = [[1.5, 2.0, 0.5], [-1.0, 1.0, 2.0]]
-        ground = [[1.5, 2.0], [-1.0, 1.0]]
-        report = evaluate_arrays(truth, [10.0, 20.0], [12.0, 17.0], ball, ground)
+        report = evaluate_arrays(truth, [10.0, 20.0], [12.0, 17.0], ball)
         assert report.mae_px == pytest.approx(2.5)  # (|2| + |-3|) / 2
         assert report.mape_m == pytest.approx((0.5 + 1.0) / 2)
         assert report.ma3de_m == pytest.approx((0.5 + 1.0) / 2)
 
+    def test_floor_error_is_the_balls_x_and_y(self):
+        report = evaluate_arrays([[0.0, 0.0, 1.0]], None, None, [[3.0, 4.0, 13.0]])
+        assert (report.mape_m, report.ma3de_m) == (5.0, 13.0)
+
     def test_even_median_is_midpoint(self):
-        truth, ball, ground = _arrays_from_proj_errors([1.0, 2.0, 3.0, 4.0])
-        report = evaluate_arrays(truth, None, None, ball, ground)
+        truth, ball = _arrays_from_proj_errors([1.0, 2.0, 3.0, 4.0])
+        report = evaluate_arrays(truth, None, None, ball)
         assert report.mdnape_m == pytest.approx(2.5)
 
     def test_permutation_invariance(self):
         errors = [0.3, 1.2, 0.7, 5.0, 2.2]
-        truth, ball, ground = _arrays_from_proj_errors(errors)
-        r1 = evaluate_arrays(truth, None, None, ball, ground)
+        truth, ball = _arrays_from_proj_errors(errors)
+        r1 = evaluate_arrays(truth, None, None, ball)
         perm = np.array([3, 0, 4, 1, 2])
-        r2 = evaluate_arrays(truth[perm], None, None, ball[perm], ground[perm])
+        r2 = evaluate_arrays(truth[perm], None, None, ball[perm])
         for name in METRIC_NAMES[1:]:
             assert r1.metric(name) == pytest.approx(r2.metric(name))
 
     def test_scale_consistency(self):
         errors = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        truth, ball, ground = _arrays_from_proj_errors(errors)
-        t2, b2, g2 = _arrays_from_proj_errors(2.0 * errors)
+        truth, ball = _arrays_from_proj_errors(errors)
+        t2, b2 = _arrays_from_proj_errors(2.0 * errors)
         h_true = np.zeros(5)
-        r1 = evaluate_arrays(truth, h_true, errors, ball, ground)
-        r2 = evaluate_arrays(t2, h_true, 2.0 * errors, b2, g2)
+        r1 = evaluate_arrays(truth, h_true, errors, ball)
+        r2 = evaluate_arrays(t2, h_true, 2.0 * errors, b2)
         for name in METRIC_NAMES:
             assert r2.metric(name) == pytest.approx(2.0 * r1.metric(name))
 
     def test_median_robust_mean_not(self):
         errors = np.linspace(1.0, 11.0, 11)
-        truth, ball, ground = _arrays_from_proj_errors(errors)
-        base = evaluate_arrays(truth, None, None, ball, ground)
+        truth, ball = _arrays_from_proj_errors(errors)
+        base = evaluate_arrays(truth, None, None, ball)
         bumped = errors.copy()
         bumped[-1] *= 10.0  # one outlier, 11 -> 110
-        t2, b2, g2 = _arrays_from_proj_errors(bumped)
-        after = evaluate_arrays(t2, None, None, b2, g2)
+        t2, b2 = _arrays_from_proj_errors(bumped)
+        after = evaluate_arrays(t2, None, None, b2)
         # MAPE moves by exactly 9 * err / n.
         assert after.mape_m - base.mape_m == pytest.approx(9.0 * 11.0 / 11.0)
         # MdnAPE moves by at most the largest gap between adjacent order stats.
@@ -103,11 +106,11 @@ class TestEvaluate:
         assert math.isnan(_median(x)) and math.isnan(np.median(x))
 
     def test_length_mismatch_and_empty(self):
-        truth, ball, ground = _arrays_from_proj_errors([1.0, 2.0])
+        truth, ball = _arrays_from_proj_errors([1.0, 2.0])
         with pytest.raises(LengthMismatch):
-            evaluate_arrays(truth, None, None, ball[:1], ground)
+            evaluate_arrays(truth, None, None, ball[:1])
         with pytest.raises(EmptyInput):
-            evaluate_arrays(np.zeros((0, 3)), None, None, np.zeros((0, 3)), np.zeros((0, 2)))
+            evaluate_arrays(np.zeros((0, 3)), None, None, np.zeros((0, 3)))
 
 
 class TestAggregateRepeats:

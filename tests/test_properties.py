@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from courtlift import generate_dataset, reconstruct_from_height, scale_calibration
+from courtlift import _kernels as _k
 from courtlift._kernels import STATUS_NONFINITE_INPUT
 from courtlift.camera import STATUS_NAMES
 from courtlift import errors
@@ -55,40 +56,48 @@ def _pixels(samples):
     return np.array([[s.ball_px.x, s.ball_px.y] for s in samples])
 
 
+def _rays(samples):
+    return ball_rays([s.cal for s in samples], np.arange(N), _pixels(samples))
+
+
 def _height_batch(samples, heights):
-    cals = [s.cal for s in samples]
-    return reconstruct_from_height_batch(ball_rays(cals, np.arange(N), _pixels(samples)), heights)
+    return reconstruct_from_height_batch(_rays(samples), heights)
+
+
+def _height_lift(samples, heights):
+    """The height batch and, from _k.lift_height on the same rays, each
+    row's foot pixel (fu, fv) and vertical angle."""
+    rays = _rays(samples)
+    _, _, _, fu, fv, angle, _ = _k.lift_height(rays.cal, rays.u, rays.v, heights, rays.status)
+    return reconstruct_from_height_batch(rays, heights), (fu, fv, angle)
 
 
 def _diameter_batch(samples, diameters):
-    cals = [s.cal for s in samples]
-    rays = ball_rays(cals, np.arange(N), _pixels(samples))
-    return reconstruct_from_diameter_batch(rays, diameters)
+    return reconstruct_from_diameter_batch(_rays(samples), diameters)
 
 
 def _assert_diameter_row_matches_one_ray(batch, i, s, d):
     """Row i of a diameter batch equals, bit for bit, the diameter baseline
     on a length-one BallRays of sample s alone."""
     one = reconstruct_from_diameter_batch(ball_rays([s.cal], [0], [[s.ball_px.x, s.ball_px.y]]), [d])
-    for name in ("ball_3d", "ground_projection", "foot_px", "vertical_angle", "status"):
+    for name in ("ball_3d", "status"):
         np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name)[0])
 
 
-def _assert_row_matches_one_ball(batch, i, s, h):
-    """Row i of a height batch equals, bit for bit, reconstruct_from_height,
-    or reconstruct_from_height raises the error the row's status names."""
+def _assert_row_matches_one_ball(batch, foot_angle, i, s, h):
+    """Row i of a height batch, with its foot pixel and angle from
+    ``foot_angle`` (see _height_lift), equals, bit for bit,
+    reconstruct_from_height, or reconstruct_from_height raises the error
+    the row's status names."""
     if not batch.ok[i]:
         with pytest.raises(getattr(errors, STATUS_NAMES[int(batch.status[i])])):
             reconstruct_from_height(s.cal, s.ball_px, h)
         return
     rec = reconstruct_from_height(s.cal, s.ball_px, h)
+    fu, fv, angle = foot_angle
     np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
-    np.testing.assert_array_equal(
-        batch.ground_projection[i], rec.ground_projection.as_array()[:2]
-    )
-    np.testing.assert_array_equal(batch.foot_px[i], [rec.foot_pixel.x, rec.foot_pixel.y])
-    np.testing.assert_array_equal(batch.vertical_angle[i], rec.vertical_angle)
-    np.testing.assert_array_equal(batch.ball_3d[i, :2], batch.ground_projection[i])
+    np.testing.assert_array_equal([fu[i], fv[i]], [rec.foot_pixel.x, rec.foot_pixel.y])
+    np.testing.assert_array_equal(angle[i], rec.vertical_angle)
 
 
 @PROPERTY
@@ -107,10 +116,10 @@ def test_batch_rows_equal_single_calls(seed, arena, offset, factor):
     samples = _samples(seed, arena)
     heights = np.array([s.h_true for s in samples]) + offset
     diameters = np.array([s.diameter_px_true for s in samples]) * factor
-    h_batch = _height_batch(samples, heights)
+    h_batch, foot_angle = _height_lift(samples, heights)
     d_batch = _diameter_batch(samples, diameters)
     for i, s in enumerate(samples):
-        _assert_row_matches_one_ball(h_batch, i, s, heights[i])
+        _assert_row_matches_one_ball(h_batch, foot_angle, i, s, heights[i])
         _assert_diameter_row_matches_one_ray(d_batch, i, s, diameters[i])
 
 
@@ -125,22 +134,22 @@ def test_power_of_two_scale_invariance_is_bit_exact(seed, arena, ratio):
     scaled = reconstruct_from_height_batch(rays, heights * ratio)
     assert base.ok.all() and scaled.ok.all()
     np.testing.assert_array_equal(scaled.ball_3d, base.ball_3d)
-    np.testing.assert_array_equal(scaled.ground_projection, base.ground_projection)
 
 
 @PROPERTY
 @given(seed=seeds, arena=arenas, offset=offsets, factor=factors)
 def test_ok_rows_are_finite(seed, arena, offset, factor):
     samples = _samples(seed, arena)
-    h_batch = _height_batch(samples, np.array([s.h_true for s in samples]) + offset)
+    h_batch, (fu, fv, angle) = _height_lift(
+        samples, np.array([s.h_true for s in samples]) + offset
+    )
     d_batch = _diameter_batch(samples, np.array([s.diameter_px_true for s in samples]) * factor)
     for batch in (h_batch, d_batch):
         ok = batch.ok
-        for values in (batch.ball_3d, batch.ground_projection):
-            assert np.isfinite(values[ok]).all()
-        np.testing.assert_array_equal(batch.ball_3d[ok, :2], batch.ground_projection[ok])
+        assert np.isfinite(batch.ball_3d[ok]).all()
+        assert np.isnan(batch.ball_3d[~ok]).all()
     ok = h_batch.ok
-    assert np.isfinite(h_batch.foot_px[ok]).all() and np.isfinite(h_batch.vertical_angle[ok]).all()
+    assert all(np.isfinite(values[ok]).all() for values in (fu, fv, angle))
     nonfinite = ~np.isfinite(np.array(offset))
     assert (h_batch.status[nonfinite] == STATUS_NONFINITE_INPUT).all()
 

@@ -78,10 +78,10 @@ def _oracle(cal: CameraCalibration, ball: WorldPoint):
 
 
 def _diameter_row(cal: CameraCalibration, px: ImagePoint, d: float, *ball_diameter_m):
-    """The diameter baseline on one ray: (ball_3d, ground projection, status)."""
+    """The diameter baseline on one ray: (ball_3d, status)."""
     rays = ball_rays([cal], [0], [[px.x, px.y]])
     batch = reconstruct_from_diameter_batch(rays, [d], *ball_diameter_m)
-    return batch.ball_3d[0], batch.ground_projection[0], batch.status[0]
+    return batch.ball_3d[0], batch.status[0]
 
 
 class TestVerticalDirection:
@@ -144,8 +144,6 @@ class TestReconstructFromHeight:
             rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
             err = np.linalg.norm(rec.ball_3d.as_array() - s.ball_3d.as_array())
             assert err < 1e-6
-            assert (rec.ball_3d.x, rec.ball_3d.y) == (rec.ground_projection.x, rec.ground_projection.y)
-            assert rec.ground_projection.z == 0.0
 
     def test_master_round_trip_with_distortion(self, distorted_samples):
         for s in distorted_samples:
@@ -158,9 +156,6 @@ class TestReconstructFromHeight:
         px = project(cam_a, g)
         rec = reconstruct_from_height(cam_a, px, 0.0)
         np.testing.assert_allclose(rec.ball_3d.as_array(), g.as_array(), atol=1e-9)
-        np.testing.assert_allclose(
-            rec.ground_projection.as_array(), g.as_array(), atol=1e-9
-        )
 
     def test_ball_ray_without_x_component(self, side_cal):
         # Ball in the camera's own Y-Z plane: the ball-ray x component is
@@ -171,7 +166,7 @@ class TestReconstructFromHeight:
         assert px.x == side_cal.cx
         rec = reconstruct_from_height(side_cal, px, _oracle(side_cal, ball)[1])
         np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-6)
-        assert rec.ball_3d.x == rec.ground_projection.x == 0.0
+        assert rec.ball_3d.x == 0.0
 
     def test_negative_height_is_propagated(self, side_cal):
         # Foot above the ball in the image: ground lands farther away and
@@ -217,7 +212,7 @@ class TestReconstructFromHeight:
         # An OK row always has a foot pixel and a vertical angle.
         s = clean_samples[0]
         rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
-        points = (rec.ball_3d, rec.ground_projection, rec.foot_pixel)
+        points = (rec.ball_3d, rec.foot_pixel)
         values = [*(x for p in points for x in dataclasses.astuple(p)), rec.vertical_angle]
         assert all(type(x) is float and math.isfinite(x) for x in values)
 
@@ -244,10 +239,9 @@ class TestForwardOracle:
 class TestReconstructFromDiameter:
     def test_on_axis_similar_triangles(self, identity_cal):
         # depth = f_mean * D / d = 1000 * 0.24 / 48 = 5 m on the axis.
-        ball, ground, status = _diameter_row(identity_cal, ImagePoint(960.0, 540.0), 48.0, 0.24)
+        ball, status = _diameter_row(identity_cal, ImagePoint(960.0, 540.0), 48.0, 0.24)
         assert status == STATUS_OK
         np.testing.assert_allclose(ball, [0, 0, 5], atol=1e-12)
-        np.testing.assert_allclose(ground, [0, 0], atol=1e-12)
 
     @pytest.mark.parametrize(
         "samples, tolerance_m", [("clean_samples", 1e-6), ("distorted_samples", 1e-9)]
@@ -260,7 +254,7 @@ class TestReconstructFromDiameter:
 
     @pytest.mark.parametrize("diameter", [0.0, -3.0])
     def test_non_positive_diameter_fails_the_row(self, identity_cal, diameter):
-        ball, _, status = _diameter_row(identity_cal, ImagePoint(960, 540), diameter)
+        ball, status = _diameter_row(identity_cal, ImagePoint(960, 540), diameter)
         assert status == STATUS_NONPOSITIVE_DIAMETER
         assert np.isnan(ball).all()
 
@@ -299,11 +293,6 @@ class TestBatchPaths:
         for i, s in enumerate(subset):
             rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
             np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
-            np.testing.assert_array_equal(
-                batch.ground_projection[i],
-                [rec.ground_projection.x, rec.ground_projection.y],
-            )
-        np.testing.assert_array_equal(batch.ball_3d[:, :2], batch.ground_projection)
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
         subset = distorted_samples[:50]
@@ -330,7 +319,7 @@ class TestNonFiniteInput:
             reconstruct_from_height(side_cal, px, bad)
         with pytest.raises(NonFiniteInput):
             reconstruct_from_height(side_cal, ImagePoint(px.x, bad), 50.0)
-        assert _diameter_row(side_cal, px, bad)[2] == STATUS_NONFINITE_INPUT
+        assert _diameter_row(side_cal, px, bad)[1] == STATUS_NONFINITE_INPUT
         assert _foot(side_cal, px, bad)[1] == STATUS_NONFINITE_INPUT
 
     def test_batch_rows_carry_the_status(self, side_cal):

@@ -101,20 +101,15 @@ RECORDS = {
         lambda: {"kind": "heavy_tailed", "sigma": 1.5, "nu": 4.0, "target_mae": 34.0, "seed": 7},
     ),
     Reconstruction: (
-        ("ball_3d", "ground_projection", "foot_pixel", "vertical_angle"),
-        [("ball_3d", EMPTY), ("ground_projection", EMPTY), ("foot_pixel", EMPTY),
-         ("vertical_angle", EMPTY)],
+        ("ball_3d", "foot_pixel", "vertical_angle"),
+        [("ball_3d", EMPTY), ("foot_pixel", EMPTY), ("vertical_angle", EMPTY)],
         lambda: {"ball_3d": WorldPoint(1.0, 2.0, 3.0),
-                 "ground_projection": WorldPoint(1.0, 2.0, 0.0),
                  "foot_pixel": ImagePoint(10.0, 20.0), "vertical_angle": 0.25},
     ),
     HeightBatch: (
-        ("ball_3d", "ground_projection", "foot_px", "vertical_angle", "status"),
-        [("ball_3d", EMPTY), ("ground_projection", EMPTY), ("foot_px", EMPTY),
-         ("vertical_angle", EMPTY), ("status", EMPTY)],
-        lambda: {"ball_3d": np.ones((1, 3)), "ground_projection": np.ones((1, 2)),
-                 "foot_px": np.ones((1, 2)), "vertical_angle": np.zeros(1),
-                 "status": np.zeros(1, dtype=np.int64)},
+        ("ball_3d", "status"),
+        [("ball_3d", EMPTY), ("status", EMPTY)],
+        lambda: {"ball_3d": np.ones((1, 3)), "status": np.zeros(1, dtype=np.int64)},
     ),
     BallRays: (
         ("cal", "u", "v", "status"),
