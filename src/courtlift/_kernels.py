@@ -275,65 +275,61 @@ def intersect_ground(origin, direction):
     return ox + s * dx, oy + s * dy, status
 
 
-@_quiet
-def vertical_direction(cal, u, v):
-    """Unit image directions of decreasing world Z at undistorted pixels.
+def _toward_nadir(cal, u, v):
+    """Unit image directions of decreasing world Z at undistorted pixels
+    b, and the lengths of b c_w - c_xy, which they scale.
 
     Every world vertical's image passes through the vertical vanishing
-    point c = K R[:, 2] (homogeneous). Below the ground point that pixel
-    b's ray hits, at camera depth z, one metre of vertical images as
-    (b c_w - c_xy) / z px, so the direction is exact for a pinhole camera.
-    Returns (vx, vy, angle, gx, gy, status) with angle = atan2(vx, vy) and
-    (gx, gy) the ground point.
+    point c = K R[:, 2] (homogeneous). Below a point seen at b, at camera
+    depth z > 0, one metre of vertical images as (b c_w - c_xy) / z px,
+    so the direction is exact for a pinhole camera; it is 0 only at c.
     """
-    status = _finite(u, v)
-    center = camera_center(cal)
-    gx, gy, st = intersect_ground(center, ray_direction(cal, u, v))
-    status = _then(status, st)
-    depth = _camera_coords(cal, gx, gy, 0.0)[2]
-    status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
     r02 = cal[CAL_R + 2]
     r12 = cal[CAL_R + 5]
     r22 = cal[CAL_R + 8]
     ex = u * r22 - (cal[CAL_FX] * r02 + cal[CAL_SKEW] * r12 + cal[CAL_CX] * r22)
     ey = v * r22 - (cal[CAL_FY] * r12 + cal[CAL_CY] * r22)
     norm = np.sqrt(ex * ex + ey * ey)
-    status = _then(status, _flag(norm / depth < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
-    vx = ex / norm
-    vy = ey / norm
-    return vx, vy, np.arctan2(vx, vy), gx, gy, status
+    return ex / norm, ey / norm, norm
 
 
 @_quiet
-def foot_pixel(cal, u, v, h):
-    """Foot pixels = ball pixels displaced h px along the local vertical.
-
-    Ball, foot and the vertical vanishing point are collinear, so the
-    vertical at the ball pixel points at the foot. The vertical at the
-    foot then gives each row's angle, ground point and final status.
-    Returns (fu, fv, gx, gy, angle, status).
+def vertical_direction(cal, u, v):
+    """The local vertical at undistorted pixels of ground points: each
+    ray must meet the ground in front of the camera, where one metre of
+    vertical images at least VERTICAL_MIN_PX long. Returns (vx, vy,
+    angle, gx, gy, status): ``_toward_nadir``'s direction, angle =
+    atan2(vx, vy) and the ground point (gx, gy).
     """
-    vx, vy, _, _, _, status = vertical_direction(cal, u, v)
-    status = _then(_finite(h), status)
-    fu = u + h * vx
-    fv = v + h * vy
-    _, _, angle, gx, gy, st = vertical_direction(cal, fu, fv)
-    return fu, fv, gx, gy, angle, _then(status, st)
+    status = _finite(u, v)
+    gx, gy, st = intersect_ground(camera_center(cal), ray_direction(cal, u, v))
+    status = _then(status, st)
+    depth = _camera_coords(cal, gx, gy, 0.0)[2]
+    status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
+    vx, vy, norm = _toward_nadir(cal, u, v)
+    status = _then(status, _flag(norm / depth < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
+    return vx, vy, np.arctan2(vx, vy), gx, gy, status
 
 
 @_quiet
 def lift_height(cal, u, v, h, status):
     """Height-based reconstruction from UNDISTORTED ball pixels.
 
+    Ball, foot and the vertical vanishing point are collinear, so the
+    foot is the ball pixel moved h px along ``_toward_nadir``; the ball
+    pixel may lie above the horizon. Only the foot must be a ground point
+    (``vertical_direction``, which gives the angle). The ball is (gx, gy,
+    bz): its ray meets the world vertical through the ground point at the
+    ray parameter s that matches its horizontal position.
     ``status`` is each pixel's status so far (undistort_pixel's). A
     non-finite h comes before it, and it before any later failure.
-    The ball is (gx, gy, bz): ball, foot and the vertical vanishing point
-    are collinear, so the ball ray meets the world vertical through the
-    ground point, at the ray parameter s that matches its horizontal
-    position. Returns (bz, gx, gy, fu, fv, angle, status).
+    Returns (bz, gx, gy, fu, fv, angle, status).
     """
     status = _then(_finite(h), status)
-    fu, fv, gx, gy, angle, st = foot_pixel(cal, u, v, h)
+    vx, vy, norm = _toward_nadir(cal, u, v)
+    status = _then(status, _flag(norm == 0.0, STATUS_DEGENERATE_VERTICAL))
+    fu, fv = u + h * vx, v + h * vy
+    _, _, angle, gx, gy, st = vertical_direction(cal, fu, fv)
     status = _then(status, st)
     ox, oy, oz = camera_center(cal)
     dx, dy, dz = ray_direction(cal, u, v)

@@ -187,8 +187,6 @@ def cmd_synth(args, parser) -> int:
     if args.n_folds < 1:
         parser.error("--n-folds must be >= 1")
     _check_seeds(parser, args.seed, 1)
-    if args.dist == "uniform" and args.p_above_3m is not None:
-        parser.error("--p-above-3m does not apply to --dist uniform")
     dist_kwargs = {}
     if args.p_above_3m is not None:
         dist_kwargs["p_above_3m"] = args.p_above_3m

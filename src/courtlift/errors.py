@@ -24,12 +24,13 @@ class NoConvergence(GeometryError):
 
 
 class RayParallelToPlane(GeometryError):
-    """Ray is (nearly) parallel to the ground plane: its direction has no
-    vertical component."""
+    """The foot's ray is (nearly) parallel to the ground plane: its
+    direction has no vertical component."""
 
 
 class IntersectionBehindCamera(GeometryError):
-    """Ray meets the ground plane behind the camera (negative ray parameter)."""
+    """The foot's ray meets the ground plane behind the camera: the foot
+    lies above the horizon."""
 
 
 class NonPositiveScale(GeometryError):
@@ -37,7 +38,8 @@ class NonPositiveScale(GeometryError):
 
 
 class DegenerateVertical(GeometryError):
-    """World vertical projects to (nearly) a point at this pixel."""
+    """World vertical projects to (nearly) a point at the foot, or the
+    ball pixel is the vertical vanishing point itself."""
 
 
 class VerticalBehindCamera(GeometryError):

@@ -4,7 +4,8 @@ Pipeline for one ball (all heavy lifting happens in undistorted image
 space): undistort the raw ball pixel, walk the predicted pixel height
 along the local image vertical to the foot pixel, drop the foot ray onto
 the ground plane, then take the point of the ball ray on the world
-vertical through that ground point.
+vertical through that ground point. Only the foot's ray must meet the
+floor, so a ball above its camera lifts like any other.
 
 In an undistorted pinhole image every world-vertical line passes through
 the vanishing point of the world Z axis, c = K R[:, 2]. Ball and foot lie
@@ -26,8 +27,8 @@ once. Both return a ``HeightBatch``: each row's ball and status.
 ``reconstruct_from_height``, the one-ball form the ``reconstruct`` command
 calls, also reports the foot pixel and vertical angle and raises a failed
 row's typed error. A known ball's pixel height and image diameter are the
-``Samples`` columns ``h_true`` and ``d_true``; the local vertical and the
-foot pixel are ``_kernels.vertical_direction`` and ``_kernels.foot_pixel``.
+``Samples`` columns ``h_true`` and ``d_true``; the lift itself is
+``_kernels.lift_height``.
 """
 
 from __future__ import annotations

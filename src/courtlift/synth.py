@@ -132,6 +132,8 @@ class HeightDistSpec(ValueRecord):
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
             raise ValueError(f"kind must be one of {DIST_KINDS}, got {self.kind!r}")
+        if self.kind == "uniform" and self.p_above_3m is not None:
+            raise ValueError("p_above_3m does not apply to kind 'uniform'")
         if self.p_above_3m is None:
             defaults = {
                 "deepsport_like": DEEPSPORT_P_ABOVE_3M,

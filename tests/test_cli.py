@@ -351,14 +351,18 @@ class TestReconstruct:
         np.testing.assert_allclose(out["ball_3d"], [1.0, 2.0, 0.0], atol=1e-9)
         assert out["ground_projection"][2] == 0.0
 
-    def test_horizon_pixel_exits_nonzero_with_named_error(self, side_cal_file, capsys):
+    def test_horizon_pixel_lifts_but_foot_above_it_exits_nonzero(self, side_cal_file, capsys):
+        # A ball pixel on the horizon row is a ball at camera height: 10 px
+        # below it the foot ray meets the floor 2000 * 1.5 / 10 = 300 m
+        # ahead. A foot 10 px above the horizon meets it behind the camera.
         path, cal = side_cal_file
-        rc = main(
-            ["reconstruct", "--cal", str(path), "--x", "2250", "--y", str(cal.cy), "--height", "10"]
-        )
-        assert rc == 1
+        argv = ["reconstruct", "--cal", str(path), "--x", "2250", "--y", str(cal.cy)]
+        assert main([*argv, "--height", "10"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ball_3d"] == [0.0, 280.0, 1.5]
+        assert main([*argv, "--height", "-10"]) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "RayParallelToPlane" in err
+        assert err.startswith("error: IntersectionBehindCamera")
 
     def test_foot_past_the_vanishing_point_names_the_error(self, tmp_path, capsys):
         # The steep camera of test_reconstruct's vanishing-point test: a

@@ -85,6 +85,10 @@ def test_wild_pixels_match_golden(golden):
     wild = ball_rays(g["cals"], g["w_cal_index"], g["w_px"])
     batch = reconstruct_from_height_batch(wild, g["w_heights"])
     assert (batch.status == 2).any()  # undistortion failures are covered
+    # A ball above its camera images above the horizon, where its own
+    # ray never meets the floor; only the foot's must.
+    above = batch.ball_3d[batch.ok, 2] > _k.camera_center(wild.cal[:, batch.ok])[2]
+    assert above.sum() >= 150
     _check(batch, g, "w")
     _check_foot_and_angle(wild, g["w_heights"], g, "w")
 

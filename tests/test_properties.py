@@ -2,16 +2,26 @@
 
 Each example draws a seed; generate_dataset then draws the cameras (with
 sample_camera) and exactly annotated balls from it, on the zero-distortion
-and on the strong-distortion arena. Examples are derandomized so every
-run checks the same inputs.
+and on the strong-distortion arena. One more property places cameras and
+balls directly, so no reconstructability filter picks the balls it lifts.
+Examples are derandomized so every run checks the same inputs.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from courtlift import generate_dataset, reconstruct_from_height, scale_calibration
+from courtlift import (
+    WorldPoint,
+    generate_dataset,
+    make_camera,
+    project,
+    reconstruct_from_height,
+    scale_calibration,
+)
 from courtlift import _kernels as _k
 from courtlift._kernels import STATUS_NONFINITE_INPUT
 from courtlift.camera import STATUS_NAMES
@@ -107,6 +117,37 @@ def test_exact_inputs_round_trip(seed, arena):
     batch = _height_batch(samples, [s.h_true for s in samples])
     assert batch.ok.all()
     truth = np.array([s.ball_3d.as_array() for s in samples])
+    assert np.linalg.norm(batch.ball_3d - truth, axis=1).max() < 1e-6
+
+
+# A camera 22-30 m from the court centre at 1.5-8 m, looking at the
+# centre spot, has every ball over the court up to twice its own height
+# in front of it.
+@PROPERTY
+@given(
+    distance=st.floats(22.0, 30.0),
+    azimuth=st.floats(0.0, 2.0 * math.pi),
+    camera_z=st.floats(1.5, 8.0),
+    focal=st.floats(1000.0, 3000.0),
+    balls=st.lists(
+        st.tuples(st.floats(-14.0, 14.0), st.floats(-7.5, 7.5), st.floats(0.0, 1.0)),
+        min_size=N,
+        max_size=N,
+    ),
+)
+def test_placed_balls_round_trip_above_and_below_the_camera(
+    distance, azimuth, camera_z, focal, balls
+):
+    center = (distance * math.cos(azimuth), distance * math.sin(azimuth), camera_z)
+    cal = make_camera(center, (0.0, 0.0, 0.0), focal, 4500.0, 1500.0)
+    # Even rows at or below the camera centre, odd rows at or above it.
+    truth = np.array([(x, y, camera_z * (t + i % 2)) for i, (x, y, t) in enumerate(balls)])
+    px = [project(cal, WorldPoint(x, y, z)) for x, y, z in truth]
+    feet = [project(cal, WorldPoint(x, y, 0.0)) for x, y, _ in truth]
+    heights = [math.hypot(b.x - f.x, b.y - f.y) for b, f in zip(px, feet)]
+    rays = ball_rays([cal], np.zeros(N, dtype=np.int64), [[p.x, p.y] for p in px])
+    batch = reconstruct_from_height_batch(rays, heights)
+    assert batch.ok.all()
     assert np.linalg.norm(batch.ball_3d - truth, axis=1).max() < 1e-6
 
 

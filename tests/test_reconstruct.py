@@ -31,6 +31,7 @@ from courtlift import (
 from courtlift import _kernels as _k
 from courtlift.camera import column, one_row
 from courtlift.errors import (
+    DegenerateVertical,
     IntersectionBehindCamera,
     NonFiniteInput,
     NonPositiveDiameter,
@@ -64,8 +65,8 @@ def _vertical(cal: CameraCalibration, x: float, y: float):
 
 
 def _foot(cal: CameraCalibration, px: ImagePoint, h: float):
-    """Foot pixel and status of a ball pixel lifted by h px."""
-    fu, fv, _, _, _, status = kernel_row(_k.foot_pixel, cal, px.x, px.y, h)
+    """Foot pixel and lift status of a ball pixel lifted by h px."""
+    _, _, _, fu, fv, _, status = kernel_row(_k.lift_height, cal, px.x, px.y, h, STATUS_OK)
     return ImagePoint(fu, fv), status
 
 
@@ -94,6 +95,9 @@ class TestVerticalDirection:
     def test_overhead_nadir_is_degenerate(self):
         cal = _overhead_cal()
         assert _vertical(cal, cal.cx, cal.cy)[2] == _k.STATUS_DEGENERATE_VERTICAL
+        # A ball pixel at the vanishing point has no direction to walk.
+        with pytest.raises(DegenerateVertical):
+            reconstruct_from_height(cal, ImagePoint(cal.cx, cal.cy), 10.0)
 
     def test_fan_pattern_across_panorama(self, cam_a):
         # Verticals lean toward the nadir vanishing point below the image:
@@ -127,7 +131,7 @@ class TestFootPixel:
         np.testing.assert_allclose([f.x, f.y], [2000.0, 1000.0], atol=1e-9)
 
     def test_forward_oracle_consistency(self, clean_samples):
-        # foot_pixel at the true height must land on the projected ground
+        # The foot at the true height must land on the projected ground
         # point; the closed form is exact up to float noise.
         for s in clean_samples:
             f, status = _foot(s.cal, s.ball_px, s.h_true)
@@ -200,6 +204,19 @@ class TestReconstructFromHeight:
         np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-9)
         with pytest.raises(VerticalBehindCamera):
             reconstruct_from_height(cal, px, 1500.0)
+
+    @pytest.mark.parametrize("z", [3.1, 5.0])
+    def test_ball_above_the_camera_round_trips(self, z):
+        # The ball pixel lies above the horizon and its ray never meets
+        # the floor; only the foot's ray must.
+        cal = make_camera((0.0, -20.0, 3.0), (0.0, 0.0, 1.5), 2000.0, 4500.0, 1500.0)
+        ball = WorldPoint(0.5, -5.0, z)
+        px = project(cal, ball)
+        h = _oracle(cal, ball)[1]
+        rec = reconstruct_from_height(cal, px, h)
+        np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), rtol=0, atol=1e-9)
+        batch = reconstruct_from_height_batch(ball_rays([cal], [0], [[px.x, px.y]]), [h])
+        np.testing.assert_array_equal(batch.ball_3d[0], rec.ball_3d.as_array())
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
         s = clean_samples[0]

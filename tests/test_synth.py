@@ -19,6 +19,7 @@ from courtlift import (
     validate,
     write_dataset,
 )
+from courtlift import _kernels as _k
 from courtlift import synth
 from courtlift.camera import column, one_row
 from courtlift.errors import DepthNonPositive, FrameCoverageFailure
@@ -117,6 +118,9 @@ class TestHeightLaw:
             HeightDistSpec(max_height=2.0)
         with pytest.raises(ValueError, match="max_height"):
             HeightDistSpec(max_height=math.inf)
+        # The uniform law has no above-3 m share to set.
+        with pytest.raises(ValueError, match="p_above_3m does not apply"):
+            HeightDistSpec(kind="uniform", p_above_3m=0.5)
 
 
 class TestGenerateDataset:
@@ -145,6 +149,16 @@ class TestGenerateDataset:
         write_dataset(Dataset(samples=a, folds=folds), buf_a)
         write_dataset(Dataset(samples=b, folds=folds), buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
+
+    def test_low_cameras_keep_balls_above_them(self):
+        # Cameras at 3-3.5 m see many ballistic balls above them, and all
+        # of those are reconstructable: none may be redrawn as unusable.
+        arena = ArenaSpec(camera_height_range=(3.0, 3.5))
+        dist = HeightDistSpec(kind="ballistic_like")
+        samples = generate_dataset(seed=3, n=300, arena=arena, dist=dist, n_arenas=6)
+        cals = np.array([cal.as_array() for cal in samples.cals]).T
+        camera_z = _k.camera_center(cals)[2][samples.cal_index]
+        assert (samples.ball_3d[:, 2] > camera_z).sum() > 50
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
