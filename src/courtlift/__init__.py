@@ -41,7 +41,6 @@ from .reconstruct import (
 )
 from .synth import (
     ArenaSpec,
-    BallSample,
     HeightDistSpec,
     Samples,
     generate_dataset,
@@ -58,7 +57,6 @@ __all__ = [
     "ArenaSpec",
     "BALL_DIAMETER_M",
     "BallRays",
-    "BallSample",
     "CameraCalibration",
     "Dataset",
     "EvalReport",

@@ -68,7 +68,7 @@ def _sample_arrays(samples: Samples):
     """The samples' ball rays, built once per command for every set of
     predictions, and the truth columns the metrics take."""
     s = samples
-    return ball_rays(s.cals, s.cal_index, s.ball_px), s.ball_3d, s.h_true
+    return ball_rays(s.cameras.values(), s.cal_index, s.ball_px), s.ball_3d, s.h_true
 
 
 def _evaluate(arrays, method, preds, ball_diameter_m, what):

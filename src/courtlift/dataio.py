@@ -4,8 +4,9 @@ File format (schema version 2): a header line
 
     {"cameras": [{"arena": a, "cal": {...}}, ...], "folds": {...}, "schema_version": 2}
 
-that carries each arena's calibration once, followed by one JSON array
-of 11 numbers per sample:
+that carries the calibration of each arena with records once, as the
+`Samples` table does, followed by one JSON array of 11 numbers per
+sample:
 
     [id, arena, bx, by, bz, u, v, foot_u, foot_v, h_true, diam_px]
 
@@ -54,19 +55,19 @@ _NUMBER_TYPES = {int, float}
 
 @record
 class Dataset(ValueRecord):
-    """Samples plus a partition of arena ids into named folds.
+    """A `Samples` table plus a partition of arena ids into named folds.
 
-    ``samples`` may be given as `BallSample` rows; it is stored as a
-    `Samples` table."""
+    The table already holds one camera per arena; a dataset adds that
+    sample ids are unique and every sample's arena is in exactly one fold.
+    """
 
     samples: Samples
     folds: dict[str, frozenset[int]]
 
     def __post_init__(self):
-        self.__dict__.update(
-            samples=Samples.from_rows(self.samples),
-            folds={name: frozenset(ids) for name, ids in self.folds.items()},
-        )
+        if not isinstance(self.samples, Samples):
+            raise TypeError(f"samples must be a Samples table, got {type(self.samples).__name__}")
+        self.__dict__["folds"] = {name: frozenset(ids) for name, ids in self.folds.items()}
         seen_arenas: dict[int, str] = {}
         for name, ids in self.folds.items():
             for arena in ids:
@@ -117,36 +118,26 @@ def _fold_name(i: int) -> str:
 
 
 def _cameras(samples: Samples) -> list[dict]:
-    """One header camera entry per arena, in the order of each arena's
-    first record. A calibration that is not finite, or an arena whose
-    records carry calibrations that differ, raises MalformedRecord with
-    the index of the first record concerned."""
-    first: dict[tuple[int, int], int] = {}  # (arena, cal_index) -> first record
-    for index, pair in enumerate(zip(samples.arena.tolist(), samples.cal_index.tolist())):
-        first.setdefault(pair, index)
-    texts: dict[int, str] = {}  # cal_index -> JSON text
-    arena_cal: dict[int, int] = {}  # arena -> cal_index of its first record
-    for (arena, j), index in first.items():
-        if j not in texts:
-            cal = calibration_to_json_dict(samples.cals[j])
-            try:
-                texts[j] = json.dumps(cal, sort_keys=True, allow_nan=False)
-            except ValueError as exc:
-                raise MalformedRecord(index, "calibration is not finite") from exc
-        if texts[arena_cal.setdefault(arena, j)] != texts[j]:
-            message = f"arena {arena} calibration differs from its first record's"
-            raise MalformedRecord(index, message)
-    cals = samples.cals
-    return [{"arena": a, "cal": calibration_to_json_dict(cals[j])} for a, j in arena_cal.items()]
+    """One header camera entry per arena that has records, in the order
+    of each arena's first record. A calibration that is not finite raises
+    MalformedRecord with the index of its arena's first record."""
+    arena = samples.arena.tolist()
+    entries = []
+    for a in dict.fromkeys(arena):
+        cal = samples.cameras[a]
+        if not np.isfinite(cal.as_array()).all():
+            raise MalformedRecord(arena.index(a), "calibration is not finite")
+        entries.append({"arena": a, "cal": calibration_to_json_dict(cal)})
+    return entries
 
 
 def write_dataset(ds: Dataset, sink) -> None:
     """Write a dataset as JSON Lines to a path or text file object.
 
-    Every number is checked finite, and every arena's records checked to
-    carry one calibration, before anything is written, and for a path
-    before the file is opened; a failure raises MalformedRecord with the
-    sample's index.
+    Every number is checked finite, and every id checked to lie in
+    [0, 2**63), before anything is written, and for a path before the
+    file is opened; a failure raises MalformedRecord with the sample's
+    index.
     """
     s = ds.samples
     header = {
@@ -158,10 +149,11 @@ def write_dataset(ds: Dataset, sink) -> None:
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise MalformedRecord(int(np.argmin(finite)), "a value is not a finite number")
-    lines = (
-        _RECORD_LINE % row
-        for row in zip(s.ids.tolist(), s.arena.tolist(), *values.T.tolist())
-    )
+    ids = s.ids.tolist()
+    if ids and not 0 <= min(ids) <= max(ids) < 2**63:
+        index = next(i for i, v in enumerate(ids) if not 0 <= v < 2**63)
+        raise MalformedRecord(index, f"id {ids[index]} is outside [0, 2**63)")
+    lines = (_RECORD_LINE % row for row in zip(ids, s.arena.tolist(), *values.T.tolist()))
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as f:
             _write_lines(f, header, lines)
@@ -296,17 +288,14 @@ def _samples(records: list[list], cals: dict) -> Samples:
     if negative.any():
         index = int(np.argmax(negative))
         raise MalformedRecord(index, f"id {ids[index]} is outside [0, 2**63)")
-    position = {a: j for j, a in enumerate(cals)}
-    cal_index = np.array([position.get(a, -1) for a in arena.tolist()], dtype=np.int64)
-    unknown = cal_index < 0
+    unknown = ~_rows_in(arena, cals)
     if unknown.any():
         index = int(np.argmax(unknown))
         raise MalformedRecord(index, f"arena {arena[index]} has no camera in the header")
     return Samples(
         ids=np.ascontiguousarray(ids),
         arena=np.ascontiguousarray(arena),
-        cals=tuple(cals.values()),
-        cal_index=cal_index,
+        cameras=cals,
         ball_3d=np.ascontiguousarray(values[:, 2:5]),
         ball_px=np.ascontiguousarray(values[:, 5:7]),
         foot_px=np.ascontiguousarray(values[:, 7:9]),

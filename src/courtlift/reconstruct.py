@@ -34,7 +34,7 @@ row's typed error. A known ball's pixel height and image diameter are the
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -105,17 +105,17 @@ class HeightBatch(Record):
         return self.status == _k.STATUS_OK
 
 
-def pack_calibrations(cals: Sequence[CameraCalibration]) -> np.ndarray:
+def pack_calibrations(cals: Iterable[CameraCalibration]) -> np.ndarray:
     """Stack calibrations into the (m, 24) array the batch functions accept."""
     return np.array([cal.as_array() for cal in cals]).reshape(-1, _k.CAL_LEN)
 
 
 def calibration_columns(
-    cals: Sequence[CameraCalibration] | np.ndarray, cal_index
+    cals: Iterable[CameraCalibration] | np.ndarray, cal_index
 ) -> np.ndarray:
     """Kernel layout (24, n) whose column i is the camera cal_index[i] selects.
 
-    ``cals`` is a calibration sequence or a pack_calibrations array.
+    ``cals`` holds calibrations in order, or is a pack_calibrations array.
     """
     packed = cals if isinstance(cals, np.ndarray) else pack_calibrations(cals)
     idx = np.asarray(cal_index, dtype=np.int64).reshape(-1)
@@ -145,12 +145,14 @@ class BallRays(Record):
 
 
 def ball_rays(
-    cals: Sequence[CameraCalibration] | np.ndarray, cal_index, ball_px_raw
+    cals: Iterable[CameraCalibration] | np.ndarray, cal_index, ball_px_raw
 ) -> BallRays:
     """Undistort n raw (distorted) ball pixels through their cameras.
 
-    ``cals`` is a calibration sequence (or pre-packed (m, 24) array) and
-    ``cal_index[i]`` selects the camera of sample i.
+    ``cals`` holds calibrations in order (or is a pre-packed (m, 24)
+    array) and ``cal_index[i]`` selects the camera of sample i: for a
+    `Samples` table, ``samples.cameras.values()`` and
+    ``samples.cal_index``.
     """
     px = np.asarray(ball_px_raw, dtype=np.float64)
     if px.ndim != 2 or px.shape[1] != 2:

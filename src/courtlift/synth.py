@@ -23,8 +23,8 @@ loop. The values are those of numpy's ``Generator`` on each stream.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from dataclasses import fields, replace
+from collections.abc import Iterator
+from dataclasses import field, fields, replace
 
 import numpy as np
 
@@ -37,6 +37,10 @@ from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
 BALLISTIC_P_ABOVE_3M = 102.0 / 233.0
+_DEFAULT_P_ABOVE_3M = {
+    "deepsport_like": DEEPSPORT_P_ABOVE_3M,
+    "ballistic_like": BALLISTIC_P_ABOVE_3M,
+}
 
 # Exponential scale (m) of the below-3 m height component.
 LOW_HEIGHT_MEAN_M = 1.2
@@ -123,7 +127,9 @@ DIST_KINDS = ("deepsport_like", "ballistic_like", "uniform")
 
 @record
 class HeightDistSpec(ValueRecord):
-    """Ball-height law; p_above_3m defaults by kind when omitted."""
+    """Ball-height law. A mixture kind left with ``p_above_3m=None``
+    takes its kind's probability of a ball above 3 m when heights are
+    drawn, so ``replace`` with another kind takes that kind's."""
 
     kind: str = "deepsport_like"
     p_above_3m: float | None = None
@@ -134,13 +140,6 @@ class HeightDistSpec(ValueRecord):
             raise ValueError(f"kind must be one of {DIST_KINDS}, got {self.kind!r}")
         if self.kind == "uniform" and self.p_above_3m is not None:
             raise ValueError("p_above_3m does not apply to kind 'uniform'")
-        if self.p_above_3m is None:
-            defaults = {
-                "deepsport_like": DEEPSPORT_P_ABOVE_3M,
-                "ballistic_like": BALLISTIC_P_ABOVE_3M,
-                "uniform": None,
-            }
-            self.__dict__["p_above_3m"] = defaults[self.kind]
         if self.p_above_3m is not None and not (0.0 <= self.p_above_3m <= 1.0):
             raise ValueError(f"p_above_3m must be in [0, 1], got {self.p_above_3m}")
         if not 3.0 < self.max_height < math.inf:
@@ -153,7 +152,8 @@ class BallSample(ValueRecord):
 
     ball_px and foot_px are in raw (distorted) image coordinates, matching
     annotations made on original frames; h_true is the undistorted-space
-    pixel height (the predictor supervision target).
+    pixel height (the predictor supervision target). Iterating a
+    `Samples` table gives these rows; nothing takes them as input.
     """
 
     sample_id: int
@@ -170,69 +170,59 @@ class BallSample(ValueRecord):
 class Samples(Record):
     """Annotated samples as columns: row i of every array is sample i.
 
-    ``cals`` holds each distinct calibration once and ``cal_index[i]`` is
-    the position of row i's. ``len()``, iteration and an integer index
-    give `BallSample` rows; a slice, boolean mask or index array gives
-    the table of those rows.
+    ``cameras`` maps each arena id to its one calibration, so a row's
+    camera is always ``cameras[arena[i]]``: a row whose arena has no
+    camera raises ValueError. ``cal_index[i]``, derived from them, is the
+    position of row i's camera in ``cameras``, the index ``ball_rays``
+    takes. A slice, boolean mask or index array gives the table of those
+    rows, with the same cameras.
     """
 
     ids: np.ndarray  # (n,) int64
     arena: np.ndarray  # (n,) int64
-    cals: tuple[CameraCalibration, ...]
-    cal_index: np.ndarray  # (n,) int64 into cals
+    cameras: dict[int, CameraCalibration]
     ball_3d: np.ndarray  # (n, 3) world metres
     ball_px: np.ndarray  # (n, 2) raw pixels
     foot_px: np.ndarray  # (n, 2) raw pixels
     h_true: np.ndarray  # (n,) undistorted pixel height
     d_true: np.ndarray  # (n,) true image diameter, pixels
+    cal_index: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) int64
 
-    @staticmethod
-    def from_rows(rows: Iterable[BallSample] | Samples) -> Samples:
-        """The table of `BallSample` rows; a table is returned as it is.
-        Rows share a ``cals`` entry when they share a calibration object."""
-        if isinstance(rows, Samples):
-            return rows
-        rows = list(rows)
-        cals = {id(s.cal): s.cal for s in rows}
-        position = {key: j for j, key in enumerate(cals)}
-
-        def column(values, width=None):
-            array = np.array(list(values), dtype=np.float64)
-            return array if width is None else array.reshape(-1, width)
-
-        return Samples(
-            ids=np.array([s.sample_id for s in rows], dtype=np.int64),
-            arena=np.array([s.arena_id for s in rows], dtype=np.int64),
-            cals=tuple(cals.values()),
-            cal_index=np.array([position[id(s.cal)] for s in rows], dtype=np.int64),
-            ball_3d=column(((s.ball_3d.x, s.ball_3d.y, s.ball_3d.z) for s in rows), 3),
-            ball_px=column(((s.ball_px.x, s.ball_px.y) for s in rows), 2),
-            foot_px=column(((s.foot_px.x, s.foot_px.y) for s in rows), 2),
-            h_true=column(s.h_true for s in rows),
-            d_true=column(s.diameter_px_true for s in rows),
-        )
+    def __post_init__(self):
+        cameras = dict(self.cameras)
+        position = {a: j for j, a in enumerate(cameras)}
+        cal_index = np.array([position.get(a, -1) for a in self.arena.tolist()], dtype=np.int64)
+        unknown = cal_index < 0
+        if unknown.any():
+            raise ValueError(f"arena {self.arena[np.argmax(unknown)]} has no camera")
+        self.__dict__.update(cameras=cameras, cal_index=cal_index)
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    # Nothing in courtlift takes rows. Iteration stays only because
+    # perfbench/run.py's check_synth reads ids and arenas from a
+    # dataset's rows; it goes, with BallSample, once that check reads
+    # the columns.
     def __iter__(self) -> Iterator[BallSample]:
-        cals = [self.cals[j] for j in self.cal_index.tolist()]
-        for i, a, cal, b, p, f, h, d in zip(
+        cameras = self.cameras
+        for i, a, b, p, f, h, d in zip(
             self.ids.tolist(),
             self.arena.tolist(),
-            cals,
             self.ball_3d.tolist(),
             self.ball_px.tolist(),
             self.foot_px.tolist(),
             self.h_true.tolist(),
             self.d_true.tolist(),
         ):
+            cal = cameras[a]
             yield BallSample(i, a, cal, WorldPoint(*b), ImagePoint(*p), ImagePoint(*f), h, d)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return next(iter(self[[key]]))
-        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cals"}
+            raise TypeError("index a Samples table with a slice, mask or index array")
+        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        del columns["cameras"]
         return replace(self, **{name: column[key] for name, column in columns.items()})
 
 
@@ -360,8 +350,9 @@ def sample_height(u: np.ndarray, dist: HeightDistSpec) -> np.ndarray:
     above-3 m coin from row 0 and the height's draw from row 1."""
     if dist.kind == "uniform":
         return _uniform(0.0, dist.max_height, u[0])
+    p_above = _DEFAULT_P_ABOVE_3M[dist.kind] if dist.p_above_3m is None else dist.p_above_3m
     z = _uniform(3.0, dist.max_height, u[1])
-    low = ~(u[0] < dist.p_above_3m)
+    low = ~(u[0] < p_above)
     # Inverse-CDF draw from an exponential truncated to [0, 3), with
     # math.log1p per element: np.log1p is an ULP off on some inputs.
     mass = -math.expm1(-3.0 / LOW_HEIGHT_MEAN_M)
@@ -459,8 +450,7 @@ def generate_dataset(
             missed.append(_place(seed, chunk, attempt, columns, packed, arena, dist))
         todo = np.concatenate(missed)
         if not len(todo):
-            arena_ids = ids % n_arenas
-            return Samples(ids, arena_ids, tuple(cameras), arena_ids, *columns)
+            return Samples(ids, ids % n_arenas, dict(enumerate(cameras)), *columns)
     raise FrameCoverageFailure(
         f"sample {todo[0]}: no visible ball after {_MAX_PLACEMENT_RETRIES} retries"
     )

@@ -53,12 +53,8 @@ def foot_and_angle(rays, heights):
 
 def main(path: str) -> None:
     samples = generate_dataset(seed=SEED, n=N, n_arenas=ARENAS)
-    cals = [samples[a].cal for a in range(ARENAS)]
-    packed = pack_calibrations(cals)
-    idx = np.array([s.arena_id for s in samples], dtype=np.int64)
-    px = np.array([[s.ball_px.x, s.ball_px.y] for s in samples])
-    h_true = np.array([s.h_true for s in samples])
-    d_true = np.array([s.diameter_px_true for s in samples])
+    packed = pack_calibrations(samples.cameras.values())
+    idx, px, h_true, d_true = samples.arena, samples.ball_px, samples.h_true, samples.d_true
 
     k = len(OFFSETS_PX)
     heights = np.concatenate([h_true + off for off in OFFSETS_PX])

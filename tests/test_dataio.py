@@ -11,9 +11,7 @@ from courtlift import (
     CameraCalibration,
     calibration_to_json_dict,
     Dataset,
-    ImagePoint,
     PredictorSpec,
-    WorldPoint,
     assign_folds,
     generate_dataset,
     predict_heights,
@@ -30,8 +28,9 @@ from courtlift.errors import (
     SchemaVersionMismatch,
     UnknownFold,
 )
+from courtlift.reconstruct import ball_rays
 from courtlift.rng import PURPOSE_REBALANCE, stream
-from courtlift.synth import BallSample, Samples
+from courtlift.synth import Samples
 
 def _dummy_cal() -> CameraCalibration:
     return CameraCalibration(
@@ -52,22 +51,45 @@ def dataset_to_string(ds: Dataset) -> str:
     return buf.getvalue()
 
 
-def _sample(sample_id: int, arena_id: int = 0, z: float = 1.0) -> BallSample:
-    return BallSample(
-        sample_id=sample_id,
-        arena_id=arena_id,
-        cal=_dummy_cal(),
-        ball_3d=WorldPoint(0.1 * sample_id, -0.2, z),
-        ball_px=ImagePoint(100.0 + sample_id, 200.0),
-        foot_px=ImagePoint(100.0 + sample_id, 260.0),
-        h_true=60.0,
-        diameter_px_true=48.0,
+CAL = _dummy_cal()
+
+
+def _table(records: list[list], cameras: dict) -> Samples:
+    """The table of version 2 records,
+    [id, arena, bx, by, bz, u, v, foot_u, foot_v, h_true, diam_px]."""
+    values = np.array(records, dtype=np.float64).reshape(-1, 11)
+    ids, arena = np.array([r[:2] for r in records], dtype=np.int64).reshape(-1, 2).T
+    return Samples(
+        ids, arena, cameras, values[:, 2:5], values[:, 5:7], values[:, 7:9], values[:, 9],
+        values[:, 10],
     )
+
+
+def _samples(ids, arena=0, z=1.0, cameras=None) -> Samples:
+    """Samples with the given ids: sample i's ball at (0.1 i, -0.2, z),
+    its pixel at (100 + i, 200) and its foot at (100 + i, 260). ``arena``
+    and ``z`` are one value for all or one per sample; every arena's
+    camera is CAL unless ``cameras`` is given."""
+    ids = list(ids)
+    arena = np.broadcast_to(arena, len(ids)).tolist()
+    z = np.broadcast_to(z, len(ids)).tolist()
+    records = [
+        [i, a, 0.1 * i, -0.2, h, 100.0 + i, 200.0, 100.0 + i, 260.0, 60.0, 48.0]
+        for i, a, h in zip(ids, arena, z)
+    ]
+    return _table(records, dict.fromkeys(arena, CAL) if cameras is None else cameras)
+
+
+def _set(samples: Samples, name: str, value, row: int = 2) -> Samples:
+    """The table with column ``name`` of row ``row`` set to ``value``."""
+    column = getattr(samples, name).copy()
+    column[row] = value
+    return replace(samples, **{name: column})
 
 
 class TestRoundTrip:
     def test_empty_dataset(self):
-        ds = Dataset(samples=[], folds={})
+        ds = Dataset(samples=_samples([]), folds={})
         text = dataset_to_string(ds)
         rec = read_dataset(io.StringIO(text))
         assert len(rec.samples) == 0 and rec.folds == {}
@@ -94,15 +116,6 @@ class TestRoundTrip:
         assert len(rec.samples) == 20
         assert rec.folds == {"A": frozenset({0}), "B": frozenset({1})}
 
-def _record(s: BallSample) -> list:
-    return [
-        s.sample_id,
-        s.arena_id,
-        *map(float, (s.ball_3d.x, s.ball_3d.y, s.ball_3d.z, s.ball_px.x, s.ball_px.y)),
-        *map(float, (s.foot_px.x, s.foot_px.y, s.h_true, s.diameter_px_true)),
-    ]
-
-
 EDGE_FLOATS = (-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, -1.7976931348623157e308, 123456.789)
 
 
@@ -111,43 +124,28 @@ class TestWrite:
         shared = _dummy_cal()  # arenas 0 and 1 share this object
         equal = _dummy_cal()  # arena 2: a distinct object with equal values
         other = replace(_dummy_cal(), fx=1234.5, k1=-0.0, p2=1e-05, cx=5e-324)
-        cals = [shared, shared, equal, other]
-        samples = []
+        cameras = {0: shared, 1: shared, 2: equal, 3: other}
+        records = []
         for i in range(len(EDGE_FLOATS)):
             x = EDGE_FLOATS[i:] + EDGE_FLOATS[:i]
-            samples.append(
-                BallSample(
-                    sample_id=i,
-                    arena_id=i % 4,
-                    cal=cals[i % 4],
-                    ball_3d=WorldPoint(x[0], x[1], x[2]),
-                    ball_px=ImagePoint(x[3], x[4]),
-                    foot_px=ImagePoint(x[5], x[6]),
-                    h_true=x[0],
-                    diameter_px_true=x[1],
-                )
-            )
+            records.append([i, i % 4, *x, x[0], x[1]])
         # Numbers that are not exact floats: ints and numpy floats.
-        samples.append(
-            replace(samples[0], sample_id=7, h_true=60, ball_px=ImagePoint(np.float64(0.1), 2))
-        )
-        samples.append(replace(samples[1], sample_id=8, diameter_px_true=np.float64(1e16)))
-        # A record of arena 2 with a distinct calibration object of equal value.
-        samples.append(replace(samples[2], sample_id=9, cal=_dummy_cal()))
-        ds = Dataset(samples=samples, folds={"A": {0, 1}, "B": {2, 3}})
+        records.append([7, 0, *records[0][2:5], np.float64(0.1), 2, *records[0][7:9], 60, 1e-05])
+        records.append([8, 1, *records[1][2:10], np.float64(1e16)])
+        ds = Dataset(samples=_table(records, cameras), folds={"A": {0, 1}, "B": {2, 3}})
         header, *lines = dataset_to_string(ds).split("\n")
         assert lines.pop() == ""
-        cameras = [{"arena": a, "cal": calibration_to_json_dict(cals[a])} for a in range(4)]
+        entries = [{"arena": a, "cal": calibration_to_json_dict(cameras[a])} for a in range(4)]
         assert header == json.dumps(
-            {"cameras": cameras, "folds": {"A": [0, 1], "B": [2, 3]}, "schema_version": 2},
+            {"cameras": entries, "folds": {"A": [0, 1], "B": [2, 3]}, "schema_version": 2},
             sort_keys=True,
         )
-        assert len(lines) == len(samples)
-        for line, s in zip(lines, samples):
-            assert line == json.dumps(_record(s))
+        assert len(lines) == len(records)
+        for line, record in zip(lines, records):
+            assert line == json.dumps([*record[:2], *map(float, record[2:])])
 
     def test_nan_is_rejected_before_the_file_is_opened(self, tmp_path):
-        samples = [_sample(0), replace(_sample(1), h_true=float("nan")), _sample(2)]
+        samples = _set(_samples([0, 1, 2]), "h_true", np.nan, row=1)
         ds = Dataset(samples=samples, folds={"A": {0}})
         path = tmp_path / "ds.jsonl"
         with pytest.raises(MalformedRecord, match="record 1: .*not a finite number"):
@@ -157,21 +155,40 @@ class TestWrite:
     @pytest.mark.parametrize(
         "broken",
         [
-            {"ball_3d": WorldPoint(0.0, float("inf"), 1.0)},
-            {"foot_px": ImagePoint(float("-inf"), 1.0)},
-            {"diameter_px_true": float("nan")},
-            {"cal": replace(_dummy_cal(), k2=float("nan"))},
-            # Finite, but not the calibration of the arena's first record.
-            {"cal": replace(_dummy_cal(), fx=1001.0)},
+            lambda s: _set(s, "ball_3d", [0.0, np.inf, 1.0]),
+            lambda s: _set(s, "foot_px", [-np.inf, 1.0]),
+            lambda s: _set(s, "d_true", np.nan),
+            # Record 2 is the first of arena 1.
+            lambda s: replace(s, cameras={0: CAL, 1: replace(CAL, k2=np.nan)}),
         ],
+        ids=["ball_3d", "foot_px", "d_true", "camera"],
     )
     def test_non_finite_number_is_rejected_before_any_line(self, broken):
-        samples = [_sample(0), _sample(1), replace(_sample(2), **broken)]
-        ds = Dataset(samples=samples, folds={"A": {0}})
+        samples = broken(_samples([0, 1, 2], arena=[0, 0, 1]))
+        ds = Dataset(samples=samples, folds={"A": {0, 1}})
         sink = io.StringIO()
         with pytest.raises(MalformedRecord, match="record 2: "):
             write_dataset(ds, sink)
         assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (np.array([0, -1, 2]), "record 1: id -1 is outside"),
+            (np.array([0, 1, 2**63], dtype=np.uint64), "record 2: id 9223372036854775808 is"),
+        ],
+        ids=["negative", "past_int64"],
+    )
+    def test_id_outside_int64_range_is_rejected_before_the_file_is_opened(
+        self, tmp_path, ids, message
+    ):
+        # read_dataset refuses such an id, so writing it would give a
+        # file that cannot be read back.
+        ds = Dataset(samples=replace(_samples([0, 1, 2]), ids=ids), folds={"A": {0}})
+        path = tmp_path / "ds.jsonl"
+        with pytest.raises(MalformedRecord, match=message):
+            write_dataset(ds, path)
+        assert not path.exists()
 
 
 # Positions of the record fields in a version 2 record.
@@ -186,7 +203,7 @@ class TestReadValidation:
         return dataset_to_string(ds).splitlines()
 
     def _two_records(self) -> tuple[str, list[list]]:
-        header, *records = self._text(Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}}))
+        header, *records = self._text(Dataset(samples=_samples([0, 1]), folds={"A": {0}}))
         return header, [json.loads(r) for r in records]
 
     def test_wrong_schema_version(self):
@@ -200,7 +217,7 @@ class TestReadValidation:
 
     @pytest.mark.parametrize("record", ["{not json}", "[1, 0" + ", 1.0" * 9 + "] 5"])
     def test_invalid_record_json(self, record):
-        ds = Dataset(samples=[], folds={"A": {0}})
+        ds = Dataset(samples=_samples([]), folds={"A": {0}})
         text = dataset_to_string(ds) + record + "\n"
         with pytest.raises(MalformedRecord, match="record 0: invalid JSON"):
             read_dataset(io.StringIO(text))
@@ -253,7 +270,7 @@ class TestReadValidation:
             read_dataset(io.StringIO("\n".join(lines) + "\n"))
 
     def test_blank_lines_are_skipped(self):
-        text = dataset_to_string(Dataset(samples=[_sample(0), _sample(1)], folds={"A": {0}}))
+        text = dataset_to_string(Dataset(samples=_samples([0, 1]), folds={"A": {0}}))
         header, first, second = text.splitlines()
         spaced = "\n".join(["", header, "  ", first, "", "\t", second, ""]) + "\n"
         assert dataset_to_string(read_dataset(io.StringIO(spaced))) == text
@@ -349,45 +366,78 @@ class TestReadValidation:
             read_dataset(io.StringIO("\n".join(lines) + "\n"))
 
     def test_records_of_one_arena_share_one_calibration(self):
-        samples, folds = [_sample(0), _sample(1), _sample(2, arena_id=1)], {"A": {0, 1}}
-        text = dataset_to_string(Dataset(samples=samples, folds=folds))
-        first, second, other = read_dataset(io.StringIO(text)).samples
-        assert second.cal is first.cal
-        assert other.cal is not first.cal
+        samples = _samples([0, 1, 2], arena=[0, 0, 1])
+        text = dataset_to_string(Dataset(samples=samples, folds={"A": {0, 1}}))
+        rec = read_dataset(io.StringIO(text)).samples
+        assert list(rec.cameras) == [0, 1] and rec.cal_index.tolist() == [0, 0, 1]
+        assert rec.cameras[1] is not rec.cameras[0]
 
     def test_cameras_listed_out_of_record_order_keep_their_arenas(self):
         far = replace(_dummy_cal(), fx=1200.0, fy=1200.0)
-        samples = [_sample(0), replace(_sample(1, arena_id=1), cal=far)]
+        samples = _samples([0, 1], arena=[0, 1], cameras={0: CAL, 1: far})
         header, *records = self._text(Dataset(samples=samples, folds={"A": {0, 1}}))
         obj = json.loads(header)
         obj["cameras"].reverse()
         assert [c["arena"] for c in obj["cameras"]] == [1, 0]
         text = "\n".join([json.dumps(obj), *records]) + "\n"
-        near_rec, far_rec = read_dataset(io.StringIO(text)).samples
-        assert (near_rec.arena_id, near_rec.cal.fx) == (0, 1000.0)
-        assert (far_rec.arena_id, far_rec.cal.fx) == (1, 1200.0)
+        rec = read_dataset(io.StringIO(text)).samples
+        assert rec.arena.tolist() == [0, 1] and rec.cal_index.tolist() == [1, 0]
+        assert [rec.cameras[a].fx for a in (0, 1)] == [1000.0, 1200.0]
 
 
 class TestDatasetInvariants:
     def test_arena_in_two_folds(self):
         with pytest.raises(FoldViolation):
-            Dataset(samples=[_sample(0)], folds={"A": {0}, "B": {0}})
+            Dataset(samples=_samples([0]), folds={"A": {0}, "B": {0}})
 
     def test_sample_arena_not_in_any_fold(self):
         with pytest.raises(FoldViolation):
-            Dataset(samples=[_sample(0, arena_id=7)], folds={"A": {0}})
+            Dataset(samples=_samples([0], arena=7), folds={"A": {0}})
 
     def test_duplicate_sample_ids(self):
         with pytest.raises(MalformedRecord):
-            Dataset(samples=[_sample(3), _sample(3)], folds={"A": {0}})
+            Dataset(samples=_samples([3, 3]), folds={"A": {0}})
+
+
+class TestOneCameraPerArena:
+    """A row's camera is its arena's by construction: a table with a row
+    whose arena has no camera cannot be built, and every table made from
+    another keeps each row's camera."""
+
+    def test_row_whose_arena_has_no_camera_raises(self):
+        with pytest.raises(ValueError, match="arena 7 has no camera"):
+            _samples([0, 1, 2], arena=[0, 7, 0], cameras={0: CAL})
+        samples = generate_dataset(seed=18, n=8, n_arenas=4)
+        cameras = dict(samples.cameras)
+        del cameras[3]
+        with pytest.raises(ValueError, match="arena 3 has no camera"):
+            replace(samples, cameras=cameras)
+
+    def test_split_rebalance_and_round_trip_keep_each_rows_camera(self):
+        samples = generate_dataset(seed=18, n=120, n_arenas=5)
+        truth = {a: cal.as_array() for a, cal in samples.cameras.items()}
+        # Reversed, the records list the arenas' cameras in another order.
+        balanced = rebalance(samples, 2.0, seed=4)[::-1]
+        assert len(balanced) > len(samples)
+        ds = Dataset(samples=balanced, folds=assign_folds(range(5), 3))
+        rec = read_dataset(io.StringIO(dataset_to_string(ds)))
+        assert list(rec.samples.cameras) != list(samples.cameras)
+        tables = [balanced, rec.samples]
+        for fold in ds.folds:
+            tables += [part.samples for d in (ds, rec) for part in split(d, fold)]
+        for table in tables:
+            rays = ball_rays(table.cameras.values(), table.cal_index, table.ball_px)
+            expected = np.array([truth[a] for a in table.arena.tolist()]).reshape(-1, 24).T
+            np.testing.assert_array_equal(rays.cal, expected)
+            assert all(row.cal is table.cameras[row.arena_id] for row in table)
 
 
 class TestSplit:
     def test_single_fold_gives_empty_train(self):
-        ds = Dataset(samples=[_sample(i) for i in range(4)], folds={"A": {0}})
+        ds = Dataset(samples=_samples(range(4)), folds={"A": {0}})
         train, test = split(ds, "A")
         assert len(train.samples) == 0
-        assert [s.sample_id for s in test.samples] == [0, 1, 2, 3]
+        assert test.samples.ids.tolist() == [0, 1, 2, 3]
 
     def test_fifteen_arena_split_is_disjoint(self):
         samples = generate_dataset(seed=15, n=150, n_arenas=15)
@@ -400,22 +450,19 @@ class TestSplit:
             assert test_arenas <= ds.folds[fold]
 
     def test_unknown_fold(self):
-        ds = Dataset(samples=[_sample(0)], folds={"A": {0}})
+        ds = Dataset(samples=_samples([0]), folds={"A": {0}})
         with pytest.raises(UnknownFold):
             split(ds, "Z")
 
 
 class TestRebalance:
     def test_balanced_input_is_unchanged_and_stable(self):
-        samples = Samples.from_rows([_sample(i, z=z) for i, z in enumerate((0.5, 3.0, 1.0, 2.5))])
+        samples = _samples(range(4), z=[0.5, 3.0, 1.0, 2.5])
         out = rebalance(samples, 2.0, seed=1)
         assert out is samples
 
     def test_oversamples_minority_to_equal_counts(self):
-        rows = [_sample(i, z=0.5) for i in range(741)] + [
-            _sample(741 + i, z=3.5) for i in range(60)
-        ]
-        samples = Samples.from_rows(rows)
+        samples = _samples(range(801), z=[0.5] * 741 + [3.5] * 60)
         out = rebalance(samples, 2.0, seed=3)
         above = int(np.count_nonzero(out.ball_3d[:, 2] >= 2.0))
         below = int(np.count_nonzero(out.ball_3d[:, 2] < 2.0))
@@ -423,7 +470,7 @@ class TestRebalance:
         assert list(out[: len(samples)]) == list(samples)  # originals retained in order
 
     def test_duplicates_take_fresh_ids_above_the_largest(self):
-        samples = Samples.from_rows([_sample(i, z=0.5) for i in range(5)] + [_sample(40, z=3.5)])
+        samples = _samples([0, 1, 2, 3, 4, 40], z=[0.5] * 5 + [3.5])
         out = rebalance(samples, 2.0, seed=3)
         np.testing.assert_array_equal(out.ids, [0, 1, 2, 3, 4, 40, 41, 42, 43, 44])
         duplicate = out[6:]
@@ -431,8 +478,7 @@ class TestRebalance:
             np.testing.assert_array_equal(getattr(duplicate, name), getattr(samples, name)[[5] * 4])
 
     def test_ids_that_would_overflow_raise(self):
-        rows = [_sample(i, z=0.5) for i in range(3)] + [_sample(2**63 - 2, z=3.5)]
-        samples = Samples.from_rows(rows)
+        samples = _samples([0, 1, 2, 2**63 - 2], z=[0.5] * 3 + [3.5])
         assert rebalance(samples[1:], 2.0, seed=0).ids[-1] == 2**63 - 1
         with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
             rebalance(samples, 2.0, seed=0)
@@ -459,12 +505,12 @@ class TestRebalance:
 
     def test_threshold_is_inclusive_above(self):
         # A ball at exactly 2 m counts as "above".
-        samples = Samples.from_rows([_sample(0, z=2.0), _sample(1, z=1.0)])
+        samples = _samples([0, 1], z=[2.0, 1.0])
         out = rebalance(samples, 2.0, seed=0)
         assert len(out) == 2
 
     def test_deterministic_and_idempotent(self):
-        samples = Samples.from_rows([_sample(i, z=0.5 if i % 5 else 4.0) for i in range(50)])
+        samples = _samples(range(50), z=[0.5 if i % 5 else 4.0 for i in range(50)])
         once = rebalance(samples, 2.0, seed=9)
         again = rebalance(samples, 2.0, seed=9)
         assert list(once) == list(again)
@@ -473,7 +519,7 @@ class TestRebalance:
 
     def test_one_sided_raises(self):
         with pytest.raises(OneSidedDataset):
-            rebalance(Samples.from_rows([_sample(0, z=0.5), _sample(1, z=1.0)]), 2.0, seed=0)
+            rebalance(_samples([0, 1], z=[0.5, 1.0]), 2.0, seed=0)
 
     @pytest.mark.parametrize("n", [1, 3, 741, 2**63 + 1])
     def test_picks_are_lemire_bounded_integers(self, n):

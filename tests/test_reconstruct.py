@@ -219,7 +219,7 @@ class TestReconstructFromHeight:
         np.testing.assert_array_equal(batch.ball_3d[0], rec.ball_3d.as_array())
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
-        s = clean_samples[0]
+        s = next(iter(clean_samples))
         rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
         _, angle, status = _vertical(s.cal, rec.foot_pixel.x, rec.foot_pixel.y)
         assert status == STATUS_OK
@@ -227,7 +227,7 @@ class TestReconstructFromHeight:
 
     def test_result_holds_finite_python_floats(self, clean_samples):
         # An OK row always has a foot pixel and a vertical angle.
-        s = clean_samples[0]
+        s = next(iter(clean_samples))
         rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
         points = (rec.ball_3d, rec.foot_pixel)
         values = [*(x for p in points for x in dataclasses.astuple(p)), rec.vertical_angle]
@@ -265,7 +265,8 @@ class TestReconstructFromDiameter:
     )
     def test_exact_diameter_recovers_ball(self, request, samples, tolerance_m):
         s = request.getfixturevalue(samples)
-        batch = reconstruct_from_diameter_batch(ball_rays(s.cals, s.cal_index, s.ball_px), s.d_true)
+        rays = ball_rays(s.cameras.values(), s.cal_index, s.ball_px)
+        batch = reconstruct_from_diameter_batch(rays, s.d_true)
         assert batch.ok.all()
         assert np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1).max() < tolerance_m
 
@@ -289,7 +290,7 @@ class TestReconstructFromDiameter:
         # rows; the tolerance leaves room for the undistortion's residual.
         tolerance_m = 1e-9
         s = distorted_samples
-        rays = ball_rays(s.cals, s.cal_index, s.ball_px)
+        rays = ball_rays(s.cameras.values(), s.cal_index, s.ball_px)
         batch = reconstruct_from_diameter_batch(rays, s.d_true * (1.0 + eps))
         assert batch.ok.all()
         centre = np.column_stack(_k.camera_center(rays.cal))
@@ -313,7 +314,7 @@ class TestBatchPaths:
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
         subset = distorted_samples[:50]
-        rays = ball_rays(subset.cals, subset.cal_index, subset.ball_px)
+        rays = ball_rays(subset.cameras.values(), subset.cal_index, subset.ball_px)
         before = [a.copy() for a in (rays.cal, rays.u, rays.v, rays.status)]
         first = reconstruct_from_height_batch(rays, subset.h_true)
         reconstruct_from_diameter_batch(rays, subset.d_true)

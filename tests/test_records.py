@@ -22,7 +22,6 @@ from courtlift import (
     AggregateReport,
     ArenaSpec,
     BallRays,
-    BallSample,
     CameraCalibration,
     Dataset,
     EvalReport,
@@ -38,11 +37,12 @@ from courtlift import (
     make_camera,
 )
 from courtlift.errors import FoldViolation
+from courtlift.synth import BallSample
 
 CAL = make_camera((0.0, -20.0, 3.0), (0.0, 0.0, 0.0), 2000.0, 4500.0, 1500.0, k1=-0.1)
 SAMPLES = generate_dataset(seed=3, n=12, n_arenas=2)
 FOLDS = assign_folds(SAMPLES.arena.tolist(), 2)
-ROW = SAMPLES[0]
+ROW = next(iter(SAMPLES))
 
 
 def _cal_kwargs():
@@ -144,19 +144,21 @@ RECORDS = {
             "diameter_px_true")},
     ),
     Samples: (
-        ("ids", "arena", "cals", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"),
-        [("ids", EMPTY), ("arena", EMPTY), ("cals", EMPTY), ("cal_index", EMPTY),
-         ("ball_3d", EMPTY), ("ball_px", EMPTY), ("foot_px", EMPTY), ("h_true", EMPTY),
-         ("d_true", EMPTY)],
+        ("ids", "arena", "cameras", "ball_3d", "ball_px", "foot_px", "h_true", "d_true",
+         "cal_index"),
+        [("ids", EMPTY), ("arena", EMPTY), ("cameras", EMPTY), ("ball_3d", EMPTY),
+         ("ball_px", EMPTY), ("foot_px", EMPTY), ("h_true", EMPTY), ("d_true", EMPTY)],
         lambda: {name: getattr(SAMPLES, name) for name in (
-            "ids", "arena", "cals", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true",
-            "d_true")},
+            "ids", "arena", "cameras", "ball_3d", "ball_px", "foot_px", "h_true", "d_true")},
     ),
 }
 IDENTITY = {CameraCalibration, HeightBatch, BallRays, Samples}
+# Fields derived in __post_init__: left out of the signature and the repr.
+DERIVED = {"_packed", "cal_index"}
 # A field change per record that its validation rejects, and the error.
 INVALID = {
     CameraCalibration: ({"rotation": np.eye(2)}, ValueError),
+    Samples: ({"cameras": {0: CAL}}, ValueError),
     Dataset: ({"folds": {"A": {0}}}, FoldViolation),
     PredictorSpec: ({"sigma": -1.0}, ValueError),
     ArenaSpec: ({"court_half_length": -1.0}, ValueError),
@@ -198,23 +200,24 @@ def same_fields(a, b) -> bool:
 
 def test_the_table_covers_every_record_type():
     assert len(RECORDS) == 14
-    assert {cls.__name__ for cls in RECORDS} <= set(courtlift.__all__)
+    # BallSample, the rows a Samples table iterates, is not an input.
+    assert {cls.__name__ for cls in RECORDS} - set(courtlift.__all__) == {"BallSample"}
     assert all(dataclasses.is_dataclass(cls) for cls in RECORDS)
 
 
 def test_public_api_names():
     assert courtlift.__all__ == [
-        "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "BallSample",
-        "CameraCalibration", "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec",
-        "ImagePoint", "METRIC_NAMES", "PredictorSpec", "Reconstruction", "Samples",
-        "WorldPoint", "aggregate_repeats", "assign_folds", "ball_rays",
+        "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "CameraCalibration",
+        "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec", "ImagePoint",
+        "METRIC_NAMES", "PredictorSpec", "Reconstruction", "Samples", "WorldPoint",
+        "aggregate_repeats", "assign_folds", "ball_rays",
         "calibration_to_json_dict", "errors", "evaluate_arrays", "generate_dataset",
         "height_histogram", "make_camera", "predict_diameters", "predict_heights", "project",
         "read_dataset", "rebalance", "reconstruct_from_diameter_batch",
         "reconstruct_from_height", "reconstruct_from_height_batch", "sample_ball",
         "sample_camera", "scale_calibration", "split", "validate", "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 39
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 38
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 
@@ -303,12 +306,20 @@ def test_replace_recomputes_derived_fields():
     error = TypeError if sys.version_info >= (3, 13) else ValueError
     with pytest.raises(error, match="_packed"):
         replace(cal, _packed=None)
+    # A kind's default p_above_3m is resolved where heights are drawn,
+    # so replace() can change the kind either way.
     dist = HeightDistSpec(kind="uniform")
     assert dist.p_above_3m is None
-    assert replace(dist, kind="ballistic_like").p_above_3m == 102.0 / 233.0
-    ds = Dataset(list(SAMPLES), {name: set(ids) for name, ids in FOLDS.items()})
-    assert isinstance(ds.samples, Samples)
+    assert replace(dist, kind="ballistic_like").p_above_3m is None
+    assert replace(HeightDistSpec(kind="ballistic_like"), kind="uniform").kind == "uniform"
+    with pytest.raises(error, match="cal_index"):
+        replace(SAMPLES, cal_index=None)
+    moved = replace(SAMPLES, cameras={1: CAL, 0: CAL, 5: CAL})
+    assert moved.cal_index.tolist() == [1 if a == 0 else 0 for a in SAMPLES.arena.tolist()]
+    ds = Dataset(SAMPLES, {name: set(ids) for name, ids in FOLDS.items()})
     assert all(isinstance(ids, frozenset) for ids in ds.folds.values())
+    with pytest.raises(TypeError, match="samples must be a Samples table, got list"):
+        Dataset(list(SAMPLES), FOLDS)
 
 
 @pytest.mark.parametrize(
@@ -344,7 +355,7 @@ def test_array_holders_compare_by_identity(cls):
 @by_name
 def test_repr_is_the_dataclass_form(cls):
     record = example(cls)
-    shown = [name for name in RECORDS[cls][0] if name != "_packed"]
+    shown = [name for name in RECORDS[cls][0] if name not in DERIVED]
     body = ", ".join(f"{name}={getattr(record, name)!r}" for name in shown)
     assert repr(record) == f"{cls.__name__}({body})"
 

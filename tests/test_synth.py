@@ -156,7 +156,7 @@ class TestGenerateDataset:
         arena = ArenaSpec(camera_height_range=(3.0, 3.5))
         dist = HeightDistSpec(kind="ballistic_like")
         samples = generate_dataset(seed=3, n=300, arena=arena, dist=dist, n_arenas=6)
-        cals = np.array([cal.as_array() for cal in samples.cals]).T
+        cals = np.array([cal.as_array() for cal in samples.cameras.values()]).T
         camera_z = _k.camera_center(cals)[2][samples.cal_index]
         assert (samples.ball_3d[:, 2] > camera_z).sum() > 50
 
