@@ -15,7 +15,7 @@ from .camera import (
     scale_calibration,
     validate,
 )
-from .dataio import Dataset, assign_folds, read_dataset, rebalance, split, write_dataset
+from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
 from .metrics import (
     AggregateReport,
     EvalReport,
@@ -81,7 +81,6 @@ __all__ = [
     "predict_heights",
     "project",
     "read_dataset",
-    "rebalance",
     "reconstruct_from_diameter_batch",
     "reconstruct_from_height",
     "reconstruct_from_height_batch",

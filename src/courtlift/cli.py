@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .camera import ImagePoint, load_calibration
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
-from .errors import CourtliftError, EmptyInput, InvalidCalibration
+from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
 from .metrics import (
     EvalReport,
     METRIC_NAMES,
@@ -55,7 +55,10 @@ THREADS_HELP = "accepted and ignored; results never depend on it"
 
 def _write_json(path: str, obj) -> None:
     # Serialize first: a payload that cannot be written leaves no file.
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteReport(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 

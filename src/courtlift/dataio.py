@@ -1,4 +1,4 @@
-"""Dataset serialization (JSON Lines), arena-fold splitting, rebalancing.
+"""Dataset serialization (JSON Lines) and arena-fold splitting.
 
 File format (schema version 2): a header line
 
@@ -21,7 +21,6 @@ Python's round-trip-exact repr, so read(write(ds)) is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -33,11 +32,9 @@ from .camera import calibration_to_json_dict, load_calibration
 from .errors import (
     FoldViolation,
     MalformedRecord,
-    OneSidedDataset,
     SchemaVersionMismatch,
     UnknownFold,
 )
-from .rng import PURPOSE_REBALANCE, _mulhi, words
 from .synth import Samples
 
 SCHEMA_VERSION = 2
@@ -348,47 +345,3 @@ def split(ds: Dataset, test_fold: str) -> tuple[Dataset, Dataset]:
     test = Dataset(samples=ds.samples[in_test], folds={test_fold: test_arenas})
     return train, test
 
-
-def rebalance(samples: Samples, threshold_m: float, seed: int) -> Samples:
-    """Equalize counts above/below a height threshold by oversampling.
-
-    The minority side is duplicated (sampling with replacement, seeded)
-    until both sides match; all original samples are retained in order,
-    duplicates are appended with fresh ids ``ids.max() + 1, ...``, so
-    the result can be written, folded and given its own noise. "Above"
-    means ball z >= threshold. Idempotent on balanced input and
-    deterministic under a fixed seed.
-    """
-    z = samples.ball_3d[:, 2]
-    above, below = np.flatnonzero(z >= threshold_m), np.flatnonzero(z < threshold_m)
-    if not len(above) or not len(below):
-        raise OneSidedDataset(
-            f"{len(above)} samples above and {len(below)} below {threshold_m} m"
-        )
-    need = len(above) - len(below)
-    if need == 0:
-        return samples
-    minority, count = (below, need) if need > 0 else (above, -need)
-    first = int(samples.ids.max()) + 1
-    if first + count > 2**63:
-        raise ValueError(f"{count} new ids from {first} would pass 2**63 - 1")
-    rows = minority[_picks(seed, len(minority), count)]
-    table = samples[np.concatenate([np.arange(len(samples)), rows])]
-    fresh = np.arange(first, first + count, dtype=np.int64)
-    return replace(table, ids=np.concatenate([samples.ids, fresh]))
-
-
-def _picks(seed: int, n: int, count: int) -> list[int]:
-    """``count`` integers in [0, n) from stream (seed, 0, PURPOSE_REBALANCE)
-    by Lemire's method (ACM TOMACS 29(1), 2019): word w gives the high
-    word of w * n, unless the low word is below (2**64 - n) % n, where w
-    is skipped so that every value is equally likely."""
-    m = np.uint64(n)
-    skip_below = np.uint64((2**64 - n) % n)
-    picks: list[int] = []
-    start = 0
-    while len(picks) < count:
-        w = words(seed, [0], PURPOSE_REBALANCE, start, count)[:, 0]
-        picks += _mulhi(m, w[w * m >= skip_below]).tolist()
-        start += count
-    return picks[:count]

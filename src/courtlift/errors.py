@@ -90,8 +90,8 @@ class UnknownFold(CourtliftError):
     """Requested fold name does not exist in the dataset."""
 
 
-class OneSidedDataset(CourtliftError):
-    """Rebalancing needs samples on both sides of the threshold."""
+class NonFiniteReport(CourtliftError):
+    """A report holds NaN or infinity, which strict JSON cannot carry."""
 
 
 class FrameCoverageFailure(CourtliftError):

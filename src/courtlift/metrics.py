@@ -92,8 +92,10 @@ def evaluate_arrays(
         raise EmptyInput("evaluate needs at least one sample")
     if ball.shape[0] != n:
         raise LengthMismatch(f"got {n} samples and {ball.shape[0]} reconstructions")
-    proj_err = np.hypot(ball[:, 0] - truth[:, 0], ball[:, 1] - truth[:, 1])
-    err3d = np.linalg.norm(ball - truth, axis=1)
+    # An error too large for a double is inf, which the report refuses.
+    with np.errstate(over="ignore"):
+        proj_err = np.hypot(ball[:, 0] - truth[:, 0], ball[:, 1] - truth[:, 1])
+        err3d = np.linalg.norm(ball - truth, axis=1)
     mae: float | None = None
     if h_pred is not None:
         if h_true is None:
@@ -138,8 +140,10 @@ def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:
             std[name] = None
             continue
         arr = np.asarray(values, dtype=np.float64)
-        mean[name] = float(arr.mean())
-        std[name] = 0.0 if k == 1 else float(arr.std(ddof=1))
+        # An infinite metric gives an inf or NaN the report refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean[name] = float(arr.mean())
+            std[name] = 0.0 if k == 1 else float(arr.std(ddof=1))
     return AggregateReport(k=k, mean=mean, std=std)
 
 

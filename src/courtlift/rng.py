@@ -1,8 +1,8 @@
 """Deterministic random streams built on the Philox counter-based generator.
 
 Every consumer of randomness derives an independent stream keyed by
-(seed, index) with a purpose tag in the counter block, so results are
-reproducible bit-for-bit across platforms and independent of evaluation
+(seed, index) with a purpose tag in the counter block, so its words are
+the same on every platform and results are independent of evaluation
 order or thread count.
 
 Philox4x64-10 is a keyed bijection on a counter (Salmon et al.,
@@ -12,9 +12,9 @@ any run of words of many streams at once, in numpy arithmetic, equal to
 what numpy's ``Philox`` gives each stream. ``doubles`` maps words to
 floats in [0, 1) as numpy's ``Generator.random`` does, and
 ``a + (b - a) * d`` of such a double ``d`` is ``Generator.uniform(a, b)``
-bit for bit. Synth draws its cameras and balls this way, the predictors
-turn words into gaussian and Student-t noise, and ``rebalance`` turns
-them into bounded integers; none of them imports ``numpy.random``.
+bit for bit. Synth draws its cameras and balls this way, and the
+predictors turn words into gaussian and Student-t noise; neither imports
+``numpy.random``.
 
 ``stream`` builds numpy's generator of one stream. No pipeline path
 calls it; it is the reference that ``words`` is checked against.
@@ -28,7 +28,6 @@ PURPOSE_CAMERA = 1
 PURPOSE_BALL = 2
 PURPOSE_HEIGHT_NOISE = 3
 PURPOSE_DIAMETER_NOISE = 4
-PURPOSE_REBALANCE = 5
 
 _UINT64_MAX = 2**64 - 1
 

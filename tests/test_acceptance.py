@@ -11,8 +11,7 @@ Criteria, with their tolerances pinned here:
      [0.5, 2.5] m and median < mean.
   5. Diameter baseline (10% relative error) worse than the height method.
   6. Height-law anchors: above-3 m fraction 7.5% +/- 1% (deepsport-like)
-     and 43.8% +/- 1.5% (ballistic-like) over 100k draws; rebalance at
-     2 m equalizes counts.
+     and 43.8% +/- 1.5% (ballistic-like) over 100k draws.
   7. k = 8 repeats: std > 0 under noise, std = 0 under the oracle.
   8. Reports byte-identical across --threads values.
 """
@@ -27,7 +26,6 @@ from courtlift import (
     HeightDistSpec,
     ImagePoint,
     generate_dataset,
-    rebalance,
     reconstruct_from_height,
     scale_calibration,
 )
@@ -150,20 +148,11 @@ def test_criterion_6_height_distribution_anchors():
     ballistic = sample_height(rng.random((100_000, 2)).T, HeightDistSpec(kind="ballistic_like"))
     deep_frac = float(np.mean(deep >= 3.0))
     ball_frac = float(np.mean(ballistic >= 3.0))
-    samples = generate_dataset(seed=205, n=600, n_arenas=4)
-    balanced = rebalance(samples, 2.0, seed=7)
-    above = sum(1 for s in balanced if s.ball_3d.z >= 2.0)
-    below = len(balanced) - above
-    ok = (
-        abs(deep_frac - 0.075) <= 0.01
-        and abs(ball_frac - 0.438) <= 0.015
-        and above == below
-    )
+    ok = abs(deep_frac - 0.075) <= 0.01 and abs(ball_frac - 0.438) <= 0.015
     _criterion(
         6,
         f"above-3m fractions: deepsport {deep_frac:.4f} (target 0.075 +/- 0.01), "
-        f"ballistic {ball_frac:.4f} (target 0.438 +/- 0.015); "
-        f"rebalanced counts {above}/{below}",
+        f"ballistic {ball_frac:.4f} (target 0.438 +/- 0.015)",
         ok,
     )
 

@@ -15,6 +15,7 @@ import pytest
 import courtlift
 from courtlift import calibration_to_json_dict, make_camera, project, read_dataset, WorldPoint
 from courtlift.cli import _write_json, build_parser, main
+from courtlift.errors import NonFiniteReport
 
 SRC = str(Path(courtlift.__file__).resolve().parents[1])
 
@@ -405,9 +406,38 @@ class TestReconstruct:
 
 def test_reports_refuse_non_finite_numbers(tmp_path):
     path = tmp_path / "r.json"
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteReport, match="cannot write .*r.json: .*nan"):
         _write_json(str(path), {"mape_m": float("nan")})
     assert not path.exists()  # no partial report is left behind
+
+
+@pytest.mark.parametrize(
+    "position, value, argv",
+    [
+        (2, 1e160, ["evaluate", "--repeats", "2"]),
+        (2, 1e160, ["evaluate", "--repeats", "2", "--method", "diameter"]),
+        (2, 1e160, ["sweep", "--grid", "0,10"]),
+        (10, 1e-300, ["evaluate", "--repeats", "2", "--method", "diameter"]),
+    ],
+    ids=["bx-height", "bx-diameter", "bx-sweep", "diam_px-diameter"],
+)
+def test_overflowing_error_exits_1_with_typed_error(
+    dataset_file, tmp_path, capsys, position, value, argv
+):
+    # A finite true bx of 1e160, or an image diameter of 1e-300 (a depth
+    # near 1e300 m), gives a 3D error whose square passes the largest
+    # double: the metrics and their spread over repeats are inf or NaN.
+    header, *records = dataset_file.read_text().splitlines()
+    record = json.loads(records[3])
+    record[position] = value
+    records[3] = json.dumps(record)
+    probe = tmp_path / "probe.jsonl"
+    probe.write_text("\n".join([header, *records]) + "\n")
+    out = tmp_path / "report"
+    assert main([*argv, "--dataset", str(probe), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: NonFiniteReport: cannot write {out}.json: ")
+    assert list(tmp_path.iterdir()) == [probe]  # neither report file is written
 
 
 class TestSweep:

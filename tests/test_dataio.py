@@ -1,4 +1,4 @@
-"""Dataset I/O tests: bit-exact round trips, fold discipline, rebalancing."""
+"""Dataset I/O tests: bit-exact round trips, fold discipline, one camera per arena."""
 
 import io
 import json
@@ -11,25 +11,19 @@ from courtlift import (
     CameraCalibration,
     calibration_to_json_dict,
     Dataset,
-    PredictorSpec,
     assign_folds,
     generate_dataset,
-    predict_heights,
     read_dataset,
-    rebalance,
     split,
     write_dataset,
 )
-from courtlift.dataio import _picks
 from courtlift.errors import (
     FoldViolation,
     MalformedRecord,
-    OneSidedDataset,
     SchemaVersionMismatch,
     UnknownFold,
 )
 from courtlift.reconstruct import ball_rays
-from courtlift.rng import PURPOSE_REBALANCE, stream
 from courtlift.synth import Samples
 
 def _dummy_cal() -> CameraCalibration:
@@ -413,18 +407,26 @@ class TestOneCameraPerArena:
         with pytest.raises(ValueError, match="arena 3 has no camera"):
             replace(samples, cameras=cameras)
 
-    def test_split_rebalance_and_round_trip_keep_each_rows_camera(self):
+    def test_split_reorder_and_round_trip_keep_each_rows_camera(self):
         samples = generate_dataset(seed=18, n=120, n_arenas=5)
         truth = {a: cal.as_array() for a, cal in samples.cameras.items()}
-        # Reversed, the records list the arenas' cameras in another order.
-        balanced = rebalance(samples, 2.0, seed=4)[::-1]
-        assert len(balanced) > len(samples)
-        ds = Dataset(samples=balanced, folds=assign_folds(range(5), 3))
+        # Reversed, the records list the arenas' cameras in another order;
+        # repeated rows take fresh ids, non-contiguous and up to 2**63 - 1.
+        repeats = np.arange(0, 120, 7)
+        rows = np.concatenate([np.arange(120)[::-1], repeats])
+        fresh = 2**63 - 1 - np.arange(len(repeats))
+        reordered = replace(samples[rows], ids=np.concatenate([samples.ids[::-1], fresh]))
+        assert len(reordered) > len(samples)
+        ds = Dataset(samples=reordered, folds=assign_folds(range(5), 3))
         rec = read_dataset(io.StringIO(dataset_to_string(ds)))
         assert list(rec.samples.cameras) != list(samples.cameras)
-        tables = [balanced, rec.samples]
+        for name in ("ids", "arena", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"):
+            np.testing.assert_array_equal(getattr(rec.samples, name), getattr(reordered, name))
+        tables = [reordered, rec.samples]
         for fold in ds.folds:
-            tables += [part.samples for d in (ds, rec) for part in split(d, fold)]
+            parts = [part.samples for d in (ds, rec) for part in split(d, fold)]
+            assert len(parts[0]) + len(parts[1]) == len(reordered)
+            tables += parts
         for table in tables:
             rays = ball_rays(table.cameras.values(), table.cal_index, table.ball_px)
             expected = np.array([truth[a] for a in table.arena.tolist()]).reshape(-1, 24).T
@@ -454,82 +456,3 @@ class TestSplit:
         with pytest.raises(UnknownFold):
             split(ds, "Z")
 
-
-class TestRebalance:
-    def test_balanced_input_is_unchanged_and_stable(self):
-        samples = _samples(range(4), z=[0.5, 3.0, 1.0, 2.5])
-        out = rebalance(samples, 2.0, seed=1)
-        assert out is samples
-
-    def test_oversamples_minority_to_equal_counts(self):
-        samples = _samples(range(801), z=[0.5] * 741 + [3.5] * 60)
-        out = rebalance(samples, 2.0, seed=3)
-        above = int(np.count_nonzero(out.ball_3d[:, 2] >= 2.0))
-        below = int(np.count_nonzero(out.ball_3d[:, 2] < 2.0))
-        assert above == below == 741
-        assert list(out[: len(samples)]) == list(samples)  # originals retained in order
-
-    def test_duplicates_take_fresh_ids_above_the_largest(self):
-        samples = _samples([0, 1, 2, 3, 4, 40], z=[0.5] * 5 + [3.5])
-        out = rebalance(samples, 2.0, seed=3)
-        np.testing.assert_array_equal(out.ids, [0, 1, 2, 3, 4, 40, 41, 42, 43, 44])
-        duplicate = out[6:]
-        for name in ("arena", "cal_index", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"):
-            np.testing.assert_array_equal(getattr(duplicate, name), getattr(samples, name)[[5] * 4])
-
-    def test_ids_that_would_overflow_raise(self):
-        samples = _samples([0, 1, 2, 2**63 - 2], z=[0.5] * 3 + [3.5])
-        assert rebalance(samples[1:], 2.0, seed=0).ids[-1] == 2**63 - 1
-        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
-            rebalance(samples, 2.0, seed=0)
-
-    def test_result_folds_and_round_trips(self):
-        samples = rebalance(generate_dataset(seed=16, n=60, n_arenas=3), 2.0, seed=5)
-        assert len(samples) > 60
-        ds = Dataset(samples=samples, folds=assign_folds(range(3), 3))
-        rec = read_dataset(io.StringIO(dataset_to_string(ds)))
-        for name in ("ids", "arena", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"):
-            np.testing.assert_array_equal(getattr(rec.samples, name), getattr(samples, name))
-        train, test = split(ds, "A")
-        assert len(train.samples) + len(test.samples) == len(samples)
-
-    def test_duplicates_draw_their_own_noise(self):
-        samples = generate_dataset(seed=17, n=80, n_arenas=2)
-        out = rebalance(samples, 2.0, seed=2)
-        spec = PredictorSpec("gaussian", sigma=5.0)
-        noise = predict_heights(spec, out.ids, out.h_true) - out.h_true
-        original = {tuple(b): i for i, b in enumerate(samples.ball_3d.tolist())}
-        copied = [original[tuple(b)] for b in out.ball_3d[len(samples) :].tolist()]
-        assert copied
-        assert np.all(noise[len(samples) :] != noise[copied])
-
-    def test_threshold_is_inclusive_above(self):
-        # A ball at exactly 2 m counts as "above".
-        samples = _samples([0, 1], z=[2.0, 1.0])
-        out = rebalance(samples, 2.0, seed=0)
-        assert len(out) == 2
-
-    def test_deterministic_and_idempotent(self):
-        samples = _samples(range(50), z=[0.5 if i % 5 else 4.0 for i in range(50)])
-        once = rebalance(samples, 2.0, seed=9)
-        again = rebalance(samples, 2.0, seed=9)
-        assert list(once) == list(again)
-        rebalanced_twice = rebalance(once, 2.0, seed=9)
-        assert list(rebalanced_twice) == list(once)
-
-    def test_one_sided_raises(self):
-        with pytest.raises(OneSidedDataset):
-            rebalance(_samples([0, 1], z=[0.5, 1.0]), 2.0, seed=0)
-
-    @pytest.mark.parametrize("n", [1, 3, 741, 2**63 + 1])
-    def test_picks_are_lemire_bounded_integers(self, n):
-        # Scalar Lemire over numpy's own Philox words: the high word of
-        # w * n, skipping w where the low word is below (2**64 - n) % n.
-        # At n = 2**63 + 1 about half the words are skipped.
-        raw = stream(4, 0, PURPOSE_REBALANCE).bit_generator
-        expected = []
-        while len(expected) < 60:
-            product = int(raw.random_raw()) * n
-            if product % 2**64 >= (2**64 - n) % n:
-                expected.append(product >> 64)
-        assert _picks(4, n, 60) == expected

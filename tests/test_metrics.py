@@ -6,6 +6,7 @@ sample std sqrt(0.5) ~= 0.7071.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestEvaluate:
         x[n // 2] = np.nan
         assert math.isnan(_median(x)) and math.isnan(np.median(x))
 
+    def test_error_past_the_largest_double_is_inf_without_a_warning(self):
+        # 1e160 squared passes the largest double; the 3D error is inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_arrays([[0.0, 0.0, 1.0]], None, None, [[1e160, 0.0, 1.0]])
+        assert report.mape_m == report.mdnape_m == 1e160
+        assert report.ma3de_m == report.mdna3de_m == math.inf
+
     def test_length_mismatch_and_empty(self):
         truth, ball = _arrays_from_proj_errors([1.0, 2.0])
         with pytest.raises(LengthMismatch):
@@ -137,6 +146,14 @@ class TestAggregateRepeats:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             aggregate_repeats([])
+
+    def test_overflowing_metrics_give_inf_and_nan_without_a_warning(self):
+        reports = [_report(mape_m=1e308, ma3de_m=math.inf), _report(mape_m=1e308, ma3de_m=1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = aggregate_repeats(reports)
+        assert agg.mean["mape_m"] == agg.mean["ma3de_m"] == math.inf
+        assert math.isnan(agg.std["ma3de_m"])
 
 
 class TestHeightHistogram:

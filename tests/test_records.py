@@ -213,11 +213,11 @@ def test_public_api_names():
         "aggregate_repeats", "assign_folds", "ball_rays",
         "calibration_to_json_dict", "errors", "evaluate_arrays", "generate_dataset",
         "height_histogram", "make_camera", "predict_diameters", "predict_heights", "project",
-        "read_dataset", "rebalance", "reconstruct_from_diameter_batch",
+        "read_dataset", "reconstruct_from_diameter_batch",
         "reconstruct_from_height", "reconstruct_from_height_batch", "sample_ball",
         "sample_camera", "scale_calibration", "split", "validate", "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 38
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 37
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 

@@ -1,11 +1,21 @@
 """rng.words gives the words of a fresh rng.stream per index, bit for
 bit, from Philox blocks computed in numpy arithmetic; rng.doubles maps
-them as numpy's Generator.random does."""
+them as numpy's Generator.random does; rng._mulhi is the high word of
+a 128-bit product."""
 
 import numpy as np
 import pytest
 
-from courtlift.rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, stream, words
+from courtlift.rng import (
+    PURPOSE_BALL,
+    PURPOSE_CAMERA,
+    PURPOSE_DIAMETER_NOISE,
+    PURPOSE_HEIGHT_NOISE,
+    _mulhi,
+    doubles,
+    stream,
+    words,
+)
 
 UINT64_MAX = 2**64 - 1
 
@@ -33,6 +43,30 @@ def test_words_from_any_start_of_an_index_array(start):
     got = words(3, indices, PURPOSE_BALL, start, 3)
     for j, index in enumerate(indices.tolist()):
         assert got[:, j].tolist() == _raw(3, index, PURPOSE_BALL, start, 3).tolist()
+
+
+@pytest.mark.parametrize(
+    "purpose", [PURPOSE_CAMERA, PURPOSE_BALL, PURPOSE_HEIGHT_NOISE, PURPOSE_DIAMETER_NOISE]
+)
+def test_words_of_every_purpose_equal_random_raw(purpose):
+    # The purpose is the counter's last lane: each gives its own stream.
+    indices = [0, 9, UINT64_MAX]
+    got = words(6, indices, purpose, 2, 7)
+    for j, index in enumerate(indices):
+        assert got[:, j].tolist() == _raw(6, index, purpose, 2, 7).tolist()
+    others = {PURPOSE_CAMERA, PURPOSE_BALL, PURPOSE_HEIGHT_NOISE, PURPOSE_DIAMETER_NOISE} - {purpose}
+    for other in others:
+        assert not np.any(got == words(6, indices, other, 2, 7))
+
+
+@pytest.mark.parametrize("m", [1, 3, 741, 2**32, 2**63 + 1, UINT64_MAX])
+def test_mulhi_is_the_high_word_of_the_128_bit_product(m):
+    # Edge words whose 32-bit halves carry, then a run of Philox words.
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, UINT64_MAX - 1, UINT64_MAX]
+    x = np.concatenate([np.array(edges, dtype=np.uint64), _raw(8, 0, PURPOSE_BALL, 0, 64)])
+    got = _mulhi(np.uint64(m), x)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [(m * w) >> 64 for w in x.tolist()]
 
 
 def test_consecutive_runs_continue_the_stream():
