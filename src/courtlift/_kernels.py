@@ -3,15 +3,15 @@
 Every kernel works on whole arrays of rows. A calibration travels as a
 packed float64 array of shape (CAL_LEN, n), one column per row (offsets
 below); one camera for one row is ``CameraCalibration.as_array()[:, None]``.
-Kernels report failures through int64
-status codes per row instead of raising; the public wrappers translate
-codes into typed exceptions. A row's status is its first failure in
-pipeline order, and its other outputs are undefined unless the status is
-STATUS_OK.
+Kernels report failures through int64 status codes per row instead of
+raising; the public wrappers translate codes into typed exceptions. A
+row's status is its first failure in pipeline order, and its other
+outputs are undefined unless the status is STATUS_OK.
 
 World frame: right-handed, Z up, ground plane Z = 0.
 Image frame: origin top-left, x right, y down, pixel centers at integers.
-Extrinsics: x_cam = R @ X_world + t.
+Extrinsics: x_cam = R @ X_world + t. One kernel projects world points,
+``project_point``: distorted and distortion-free pixels and depths at once.
 
 Undistortion inverts Brown-Conrady on the lens model's invertible domain
 only: a solution where the model folds (det J <= 0), or one past the
@@ -192,28 +192,13 @@ def _to_norm(cal, u, v):
 
 @_quiet
 def project_point(cal, wx, wy, wz):
-    """World points -> distorted pixels. Returns (u, v, status)."""
+    """World points -> pixels. Returns (u, v, un, vn, depth, status): the
+    distorted pixel, the distortion-free pixel and the camera-frame depth."""
     xc, yc, zc = _camera_coords(cal, wx, wy, wz)
-    xd, yd = distort_norm(cal, xc / zc, yc / zc)
-    u, v = _to_pixel(cal, xd, yd)
-    return u, v, _flag(zc <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
-
-
-@_quiet
-def project_point_nodist(cal, wx, wy, wz):
-    """World points -> undistorted pixels (distortion ignored)."""
-    xc, yc, zc = _camera_coords(cal, wx, wy, wz)
-    u, v = _to_pixel(cal, xc / zc, yc / zc)
-    return u, v, _flag(zc <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
-
-
-@_quiet
-def ball_diameter_px(cal, wx, wy, wz, ball_diameter_m):
-    """Image diameters of balls centred at world points, from their
-    camera-frame depths by similar triangles. Returns (diameter, status)."""
-    depth = _camera_coords(cal, wx, wy, wz)[2]
-    diameter = 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / depth
-    return diameter, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
+    xn, yn = xc / zc, yc / zc
+    u, v = _to_pixel(cal, *distort_norm(cal, xn, yn))
+    un, vn = _to_pixel(cal, xn, yn)
+    return u, v, un, vn, zc, _flag(zc <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
 
 
 @_quiet

@@ -158,7 +158,7 @@ def project(cal: CameraCalibration, p: WorldPoint) -> ImagePoint:
 
     Raises DepthNonPositive when the camera-frame depth is <= 1e-9 m.
     """
-    u, v, status = _k.project_point(column(cal), *one_row(p.x, p.y, p.z))
+    u, v, _, _, _, status = _k.project_point(column(cal), *one_row(p.x, p.y, p.z))
     raise_for_status(status[0], "point is behind or on the camera plane")
     return ImagePoint(float(u[0]), float(v[0]))
 

@@ -53,12 +53,26 @@ DEFAULT_HIST_EDGES = (0.0, 1.0, 2.0, 3.0)
 THREADS_HELP = "accepted and ignored; results never depend on it"
 
 
+def _first_non_finite(obj, where: str = "") -> str | None:
+    """Path (``levels[0].ma3de_m``) of the first NaN or infinity in `obj`,
+    in the order a sorted-keys JSON dump lists it; None if it has none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else where
+    if isinstance(obj, dict):
+        items = ((f"{where}.{k}" if where else str(k), v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(v, w) for w, v in items)), None)
+
+
 def _write_json(path: str, obj) -> None:
     # Serialize first: a payload that cannot be written leaves no file.
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NonFiniteReport(f"cannot write {path}: {exc}") from exc
+        raise NonFiniteReport(f"cannot write {path}: {_first_non_finite(obj)}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 

@@ -51,7 +51,8 @@ class PredictorSpec(ValueRecord):
 
     ``sigma`` is the raw noise scale (px for heights, relative for
     diameters); when ``target_mae`` is set it overrides sigma and the
-    scale is solved so the noise MAE equals the target.
+    scale is solved so the noise MAE equals the target. The oracle adds
+    no noise, so it takes neither.
     """
 
     kind: str
@@ -69,6 +70,8 @@ class PredictorSpec(ValueRecord):
             raise ValueError(f"nu must be finite and > 1, got {self.nu}")
         if self.target_mae is not None and not 0.0 < self.target_mae < math.inf:
             raise ValueError(f"target_mae must be finite and > 0, got {self.target_mae}")
+        if self.kind == "oracle" and (self.sigma or self.target_mae is not None):
+            raise ValueError("the oracle adds no noise: it takes no sigma or target_mae")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -93,8 +96,6 @@ MEAN_ABS_NORMAL = math.sqrt(2.0 / math.pi)
 
 def noise_scale(spec: PredictorSpec) -> float:
     """Scale applied to the unit noise draw for this spec."""
-    if spec.kind == "oracle":
-        return 0.0
     if spec.target_mae is not None:
         unit_mae = MEAN_ABS_NORMAL if spec.kind == "gaussian" else mean_abs_student_t(spec.nu)
         return spec.target_mae / unit_mae

@@ -234,12 +234,8 @@ def make_camera(
     image_height: float,
     cx: float | None = None,
     cy: float | None = None,
-    skew: float = 0.0,
     k1: float = 0.0,
     k2: float = 0.0,
-    k3: float = 0.0,
-    p1: float = 0.0,
-    p2: float = 0.0,
 ) -> CameraCalibration:
     """Calibration for a camera at `center` looking at `look_at`, up = +Z.
 
@@ -271,12 +267,8 @@ def make_camera(
         translation=translation,
         image_width=float(image_width),
         image_height=float(image_height),
-        skew=skew,
         k1=k1,
         k2=k2,
-        k3=k3,
-        p1=p1,
-        p2=p2,
     )
 
 
@@ -376,8 +368,12 @@ def sample_ball(u: np.ndarray, arena: ArenaSpec, dist: HeightDistSpec) -> np.nda
     return xyz
 
 
+@_k._quiet
 def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
-    """Forward-oracle annotations of candidate balls, one per column of cal.
+    """Forward-oracle annotations of candidate balls, one per column of cal,
+    from one projection of each ball and one of its ground point: h is the
+    distance between their distortion-free pixels, and the diameter comes
+    from the ball's depth by similar triangles.
 
     Returns (usable, u, v, foot_u, foot_v, h, diameter). A placement is
     unusable when the ball or foot is behind the camera, the ball pixel
@@ -385,14 +381,10 @@ def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     height reconstruction is degenerate at exact inputs, so that every
     emitted sample survives the full round trip.
     """
-    u, v, ball_status = _k.project_point(cal, bx, by, bz)
-    fu, fv, foot_status = _k.project_point(cal, bx, by, 0.0)
-    # Undistorted images of the ball and its ground point; their depth
-    # checks are those of the distorted projections above.
-    un, vn, _ = _k.project_point_nodist(cal, bx, by, bz)
-    gu, gv, _ = _k.project_point_nodist(cal, bx, by, 0.0)
+    u, v, un, vn, depth, ball_status = _k.project_point(cal, bx, by, bz)
+    fu, fv, gu, gv, _, foot_status = _k.project_point(cal, bx, by, 0.0)
     h = np.hypot(un - gu, vn - gv)
-    diameter, _ = _k.ball_diameter_px(cal, bx, by, bz, arena.ball_diameter_m)
+    diameter = 0.5 * (cal[_k.CAL_FX] + cal[_k.CAL_FY]) * arena.ball_diameter_m / depth
     usable = (ball_status == _k.STATUS_OK) & (foot_status == _k.STATUS_OK)
     usable &= _in_bounds(u, v, arena)
     # Well-posedness, on the visible rows only: undistorting the

@@ -126,6 +126,8 @@ class TestSynth:
         "evaluate --dataset {dataset} --out {out} --nu 0.5",
         "evaluate --dataset {dataset} --out {out} --sigma -1",
         "evaluate --dataset {dataset} --out {out} --target-mae 0",
+        "evaluate --dataset {dataset} --out {out} --predictor oracle --target-mae 34",
+        "evaluate --dataset {dataset} --out {out} --method diameter --sigma 0.05",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae 34 --nu inf",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma nan",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma inf",
@@ -406,23 +408,31 @@ class TestReconstruct:
 
 def test_reports_refuse_non_finite_numbers(tmp_path):
     path = tmp_path / "r.json"
-    with pytest.raises(NonFiniteReport, match="cannot write .*r.json: .*nan"):
+    with pytest.raises(NonFiniteReport, match="cannot write .*r.json: mape_m: .*nan"):
         _write_json(str(path), {"mape_m": float("nan")})
+    # The path names the first entry in the file's (sorted-key) order.
+    inf = float("inf")
+    report = {"z": inf, "levels": [{"n": 3, "b": 1.0}, {"b": 2.0, "a": -inf}]}
+    with pytest.raises(NonFiniteReport, match=r"r.json: levels\[1\]\.a: .*-inf"):
+        _write_json(str(path), report)
     assert not path.exists()  # no partial report is left behind
 
 
+MEAN_MA3DE = "aggregate.mean.ma3de_m"
+
+
 @pytest.mark.parametrize(
-    "position, value, argv",
+    "position, value, argv, entry",
     [
-        (2, 1e160, ["evaluate", "--repeats", "2"]),
-        (2, 1e160, ["evaluate", "--repeats", "2", "--method", "diameter"]),
-        (2, 1e160, ["sweep", "--grid", "0,10"]),
-        (10, 1e-300, ["evaluate", "--repeats", "2", "--method", "diameter"]),
+        (2, 1e160, ["evaluate", "--repeats", "2"], MEAN_MA3DE),
+        (2, 1e160, ["evaluate", "--repeats", "2", "--method", "diameter"], MEAN_MA3DE),
+        (2, 1e160, ["sweep", "--grid", "0,10"], "levels[0].ma3de_m"),
+        (10, 1e-300, ["evaluate", "--repeats", "2", "--method", "diameter"], MEAN_MA3DE),
     ],
     ids=["bx-height", "bx-diameter", "bx-sweep", "diam_px-diameter"],
 )
 def test_overflowing_error_exits_1_with_typed_error(
-    dataset_file, tmp_path, capsys, position, value, argv
+    dataset_file, tmp_path, capsys, position, value, argv, entry
 ):
     # A finite true bx of 1e160, or an image diameter of 1e-300 (a depth
     # near 1e300 m), gives a 3D error whose square passes the largest
@@ -436,7 +446,7 @@ def test_overflowing_error_exits_1_with_typed_error(
     out = tmp_path / "report"
     assert main([*argv, "--dataset", str(probe), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: NonFiniteReport: cannot write {out}.json: ")
+    assert err.startswith(f"error: NonFiniteReport: cannot write {out}.json: {entry}: ")
     assert list(tmp_path.iterdir()) == [probe]  # neither report file is written
 
 

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from courtlift import _kernels as _k
+from courtlift import ArenaSpec, synth
+from courtlift.camera import column, one_row
 from courtlift.predictors import (
     PredictorSpec,
     mean_abs_student_t,
@@ -22,9 +23,12 @@ from courtlift.predictors import (
 )
 from courtlift.rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, stream
 
-from conftest import kernel_row
-
 UINT64_MAX = 2**64 - 1
+
+
+def _spec(kind, sigma, **kwargs):
+    """A predictor of `kind` with noise scale `sigma`; the oracle takes none."""
+    return PredictorSpec(kind=kind, sigma=0.0 if kind == "oracle" else sigma, **kwargs)
 
 
 def _fake_heights(n: int, h_true: float = 50.0):
@@ -53,6 +57,11 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 PredictorSpec(kind="heavy_tailed", **{field: value})
 
+    @pytest.mark.parametrize("noise", [{"sigma": 1.0}, {"target_mae": 34.0}])
+    def test_oracle_takes_no_noise(self, noise):
+        with pytest.raises(ValueError, match="the oracle adds no noise"):
+            PredictorSpec(kind="oracle", **noise)
+
     def test_mean_abs_t_limits(self):
         # nu = 3 has the closed form 2*sqrt(3)/pi; large nu approaches the
         # folded-normal constant sqrt(2/pi).
@@ -68,7 +77,7 @@ class TestPredictHeight:
 
     @pytest.mark.parametrize("kind", ["oracle", "gaussian", "heavy_tailed"])
     def test_one_true_height_per_id(self, kind):
-        spec = PredictorSpec(kind=kind, sigma=1.0)
+        spec = _spec(kind, 1.0)
         with pytest.raises(ValueError, match="1 sample ids for 4 true values"):
             predict_heights(spec, [7], np.full(4, 50.0))
 
@@ -107,9 +116,11 @@ class TestPredictDiameter:
     def test_oracle_similar_triangles(self, identity_cal):
         # f_mean * D / depth = 1000 * 0.24 / 5 = 48 px; doubling the depth
         # halves it.
-        near, status = kernel_row(_k.ball_diameter_px, identity_cal, 0.0, 0.0, 5.0, 0.24)
-        assert status == _k.STATUS_OK
-        far = kernel_row(_k.ball_diameter_px, identity_cal, 0.0, 0.0, 10.0, 0.24)[0]
+        arena = ArenaSpec(ball_diameter_m=0.24)
+        near, far = (
+            synth._annotate(column(identity_cal), *one_row(0.0, 0.0, z), arena)[-1][0]
+            for z in (5.0, 10.0)
+        )
         assert near == pytest.approx(48.0)
         assert far == pytest.approx(24.0)
 
@@ -120,7 +131,7 @@ class TestPredictDiameter:
 
     @pytest.mark.parametrize("kind", ["oracle", "gaussian", "heavy_tailed"])
     def test_one_true_diameter_per_id(self, kind):
-        spec = PredictorSpec(kind=kind, sigma=0.1)
+        spec = _spec(kind, 0.1)
         with pytest.raises(ValueError, match="3 sample ids for 1 true values"):
             predict_diameters(spec, [1, 2, 3], [40.0])
 
@@ -203,7 +214,7 @@ STUDENT_T_PINS = [  # nu = 3.5
 
 def _unit_noise(kind, ids, seed, nu=3.5):
     """Unit height noise: sigma 1 added to true heights of 0."""
-    spec = PredictorSpec(kind=kind, sigma=1.0, nu=nu, seed=seed)
+    spec = _spec(kind, 1.0, nu=nu, seed=seed)
     return predict_heights(spec, ids, np.zeros(len(ids)))
 
 
@@ -262,7 +273,7 @@ class TestNoiseStream2:
         # A uint64 array would wrap such ids to negatives in an int64 cast.
         ids = np.array([0, sample_id], dtype=np.uint64)
         for kind in ("oracle", "gaussian", "heavy_tailed"):
-            spec = PredictorSpec(kind=kind, sigma=0.1)
+            spec = _spec(kind, 0.1)
             with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
                 predict(spec, ids, [10.0, 20.0])
             with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):

@@ -137,7 +137,7 @@ class TestFootPixel:
             f, status = _foot(s.cal, s.ball_px, s.h_true)
             assert status == STATUS_OK
             x, y, _ = s.ball_3d.as_array()
-            gu, gv, status = kernel_row(_k.project_point_nodist, s.cal, x, y, 0.0)
+            _, _, gu, gv, _, status = kernel_row(_k.project_point, s.cal, x, y, 0.0)
             assert status == STATUS_OK
             assert math.hypot(f.x - gu, f.y - gv) < 1e-9
 

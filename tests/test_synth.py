@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,21 @@ def test_ball_whose_ground_point_is_behind_the_camera_is_unusable():
     assert synth._in_bounds(u[0], v[0], arena)
     lifted = reconstruct_from_height(cal, ImagePoint(u[0], v[0]), h[0]).ball_3d
     assert math.dist(lifted.as_array(), ball.as_array()) > 0.5
+    assert not usable[0]
+
+
+@pytest.mark.parametrize(
+    "ball", [(1.0, 0.0, 0.0), (1.0, 2.0, 0.0), (1.0, 1.0, -3.0)], ids=["nan", "inf", "behind"]
+)
+def test_candidate_on_or_behind_the_camera_plane_is_unusable_without_a_warning(
+    identity_cal, ball
+):
+    # The identity camera's plane is world z = 0, so these balls and their
+    # ground points have depth 0 or less: their normalized coordinates are
+    # NaN or infinite, and h of (1, 2, 0) would subtract inf from inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        usable = synth._annotate(column(identity_cal), *one_row(*ball), ArenaSpec())[0]
     assert not usable[0]
 
 
