@@ -183,7 +183,9 @@ def _add_predictor_args(sub) -> None:
         help="height/diameter predictor standing in for a trained model",
     )
     sub.add_argument("--sigma", type=float, default=0.0, help="raw noise scale")
-    sub.add_argument("--nu", type=float, default=3.0, help="Student-t degrees of freedom")
+    sub.add_argument(
+        "--nu", type=float, default=None, help="Student-t degrees of freedom (default 3)"
+    )
     sub.add_argument(
         "--target-mae", type=float, default=None, help="calibrate noise to this MAE"
     )
@@ -238,11 +240,13 @@ def cmd_evaluate(args, parser) -> int:
     _check_seeds(parser, args.seed, args.repeats)
     if not 0.0 < args.ball_diameter < math.inf:
         parser.error(f"--ball-diameter must be finite and > 0 m, got {args.ball_diameter}")
+    if args.nu is not None and args.predictor != "heavy_tailed":
+        parser.error(f"--nu applies only to --predictor heavy_tailed, not {args.predictor}")
     try:
         spec = PredictorSpec(
             kind=args.predictor,
             sigma=args.sigma,
-            nu=args.nu,
+            nu=PredictorSpec.nu if args.nu is None else args.nu,
             target_mae=args.target_mae,
             seed=args.seed,
         )
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--max-height", type=float, default=None)
     p_synth.add_argument("--n-folds", type=int, default=5, help="arena folds to assign")
     p_synth.add_argument("--arena-json", default=None, help="ArenaSpec overrides (JSON file)")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
 
     p_eval = sub.add_parser("evaluate", help="run predict/reconstruct/evaluate repeats")
     _add_input_args(p_eval)
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0, help="base predictor seed")
     p_eval.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
     p_eval.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
 
     p_rec = sub.add_parser("reconstruct", help="lift one pixel + height to 3D")
     p_rec.add_argument("--cal", required=True, help="calibration JSON file")
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument(
         "--height", "--h", dest="height", type=float, required=True, help="pixel height"
     )
-    p_rec.set_defaults(func=cmd_reconstruct)
+    p_rec.set_defaults(func=cmd_reconstruct, parser=p_rec)
 
     p_sweep = sub.add_parser(
         "sweep", help="MAPE/MA3DE vs height-error level (constant px offsets)"
@@ -391,15 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
     p_sweep.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # Each command's usage errors print its own subparser's usage.
+        return args.func(args, args.parser)
     except (CourtliftError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

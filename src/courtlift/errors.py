@@ -75,7 +75,8 @@ class SchemaVersionMismatch(CourtliftError):
 
 
 class MalformedRecord(CourtliftError):
-    """Dataset record failed to parse; carries the record index."""
+    """A dataset record is invalid, cut short or followed by extra bytes;
+    carries the record index."""
 
     def __init__(self, index: int, message: str):
         super().__init__(f"record {index}: {message}")

@@ -177,7 +177,7 @@ def test_criterion_7_repeat_aggregation(band_set):
 
 
 def test_criterion_8_thread_determinism(tmp_path):
-    ds_path = tmp_path / "ds.jsonl"
+    ds_path = tmp_path / "ds.dat"
     assert main(["synth", "--n", "400", "--arenas", "8", "--seed", "31", "--out", str(ds_path)]) == 0
     outputs = []
     for threads in ("1", "4"):

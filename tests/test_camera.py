@@ -403,11 +403,12 @@ class TestValidate:
 
         low = replace(cam_a, translation=-cam_a.rotation @ np.array([0.0, -20.0, -1.0]))
         cal = calibration_to_json_dict(low)
-        header = {"schema_version": 2, "folds": {}, "cameras": [{"arena": 0, "cal": cal}]}
+        header = {"schema_version": 3, "folds": {}, "cameras": [{"arena": 0, "cal": cal}]}
+        data = (json.dumps({**header, "n_samples": 0}) + "\n").encode()
         with pytest.warns(UserWarning, match="ground plane") as record:
             validate(low)
             load_calibration("calibration", cal)
-            read_dataset(io.StringIO(json.dumps(header)))
+            read_dataset(io.BytesIO(data))
         assert [w.filename for w in record] == [__file__] * 3
 
 

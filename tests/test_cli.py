@@ -15,6 +15,7 @@ import pytest
 import courtlift
 from courtlift import calibration_to_json_dict, make_camera, project, read_dataset, WorldPoint
 from courtlift.cli import _write_json, build_parser, main
+from courtlift.dataio import RECORD_DTYPE
 from courtlift.errors import NonFiniteReport
 
 SRC = str(Path(courtlift.__file__).resolve().parents[1])
@@ -22,7 +23,7 @@ SRC = str(Path(courtlift.__file__).resolve().parents[1])
 
 @pytest.fixture(scope="module")
 def dataset_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ds") / "synthetic.jsonl"
+    path = tmp_path_factory.mktemp("ds") / "synthetic.dat"
     rc = main(
         ["synth", "--n", "300", "--arenas", "6", "--seed", "21", "--out", str(path)]
     )
@@ -46,16 +47,16 @@ def side_cal_file(tmp_path_factory):
 
 class TestSynth:
     def test_writes_requested_record_count(self, dataset_file):
-        lines = dataset_file.read_text().splitlines()
-        assert len(lines) == 301  # header + samples
-        header = json.loads(lines[0])
-        assert header["schema_version"] == 2
+        line, body = dataset_file.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        assert header["schema_version"] == 3 and header["n_samples"] == 300
         assert [camera["arena"] for camera in header["cameras"]] == list(range(6))
-        assert all(len(json.loads(line)) == 11 for line in lines[1:])
+        assert len(body) == 300 * 88
+        assert sorted(np.frombuffer(body, RECORD_DTYPE)["ids"].tolist()) == list(range(300))
         assert sum(len(v) for v in header["folds"].values()) == 6
 
     def test_same_flags_give_identical_files(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a, b = tmp_path / "a.dat", tmp_path / "b.dat"
         for out in (a, b):
             assert (
                 main(["synth", "--n", "40", "--arenas", "3", "--seed", "8", "--out", str(out)])
@@ -65,11 +66,11 @@ class TestSynth:
 
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["synth", "--n", "0", "--out", str(tmp_path / "x.jsonl")])
+            main(["synth", "--n", "0", "--out", str(tmp_path / "x.dat")])
         assert exc.value.code == 2
 
     def test_height_law_flags_bound_every_height(self, tmp_path):
-        out = tmp_path / "high.jsonl"
+        out = tmp_path / "high.dat"
         argv = ["synth", "--n", "60", "--arenas", "3", "--seed", "2", "--out", str(out)]
         assert main([*argv, "--p-above-3m", "1", "--max-height", "4"]) == 0
         heights = [s.ball_3d.z for s in read_dataset(out).samples]
@@ -79,7 +80,7 @@ class TestSynth:
     def test_arena_json_overrides_reach_the_cameras(self, tmp_path):
         spec = tmp_path / "arena.json"
         spec.write_text(json.dumps({"image_width": 3000, "focal_range": [1800, 1800]}))
-        out = tmp_path / "arena.jsonl"
+        out = tmp_path / "arena.dat"
         argv = ["synth", "--n", "30", "--arenas", "3", "--seed", "5", "--out", str(out)]
         assert main([*argv, "--arena-json", str(spec)]) == 0
         cals = [s.cal for s in read_dataset(out).samples]
@@ -104,7 +105,7 @@ class TestSynth:
     def test_bad_arena_json_is_usage_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "arena.json"
         path.write_text(json.dumps(spec))
-        out = tmp_path / "x.jsonl"
+        out = tmp_path / "x.dat"
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--n", "5", "--arena-json", str(path), "--out", str(out)])
         assert exc.value.code == 2
@@ -123,12 +124,16 @@ class TestSynth:
         "synth --n 5 --out {out} --max-height inf",
         "evaluate --dataset {dataset} --out {out} --seed -1",
         "evaluate --dataset {dataset} --out {out} --seed 18446744073709551615 --repeats 2",
-        "evaluate --dataset {dataset} --out {out} --nu 0.5",
+        "evaluate --dataset {dataset} --out {out} --predictor heavy_tailed --sigma 5 --nu 0.5",
         "evaluate --dataset {dataset} --out {out} --sigma -1",
         "evaluate --dataset {dataset} --out {out} --target-mae 0",
         "evaluate --dataset {dataset} --out {out} --predictor oracle --target-mae 34",
         "evaluate --dataset {dataset} --out {out} --method diameter --sigma 0.05",
-        "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae 34 --nu inf",
+        # --nu, even the default 3, with a predictor that has no Student-t tail.
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma 5 --nu 1.5",
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae 34 --nu 3",
+        "evaluate --dataset {dataset} --out {out} --nu 3",
+        "evaluate --dataset {dataset} --out {out} --predictor heavy_tailed --sigma 5 --nu inf",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma nan",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma inf",
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --target-mae inf",
@@ -148,6 +153,46 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
         main(argv.format(dataset=dataset_file, out=out).split())
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "evaluate --dataset {dataset} --out {out} --predictor oracle --target-mae 34",
+            "the oracle adds no noise",
+        ),
+        (
+            "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma 5 --nu 1.5",
+            "--nu applies only to --predictor heavy_tailed, not gaussian",
+        ),
+        ("sweep --dataset {dataset} --grid , --out {out}", "--grid must contain at least one"),
+        ("synth --n 0 --out {out}", "--n must be >= 1"),
+    ],
+)
+def test_usage_error_prints_the_commands_own_usage(argv, message, dataset_file, tmp_path, capsys):
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(dataset=dataset_file, out=tmp_path / "out").split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: courtlift {command} [-h] ")
+    assert f"\ncourtlift {command}: error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "flags, nu",
+    [
+        ("--predictor heavy_tailed --sigma 5 --nu 1.5", 1.5),
+        ("--predictor heavy_tailed --sigma 5", 3.0),
+        ("--predictor oracle", 3.0),
+    ],
+)
+def test_report_records_the_nu_a_run_used(flags, nu, dataset_file, tmp_path):
+    out = tmp_path / "r"
+    argv = ["evaluate", "--dataset", str(dataset_file), "--out", str(out), *flags.split()]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["predictor"]["nu"] == nu
 
 
 @pytest.mark.parametrize(
@@ -233,11 +278,11 @@ class TestEvaluate:
         assert "UnknownFold" in capsys.readouterr().err
 
     def test_empty_fold_is_empty_input(self, dataset_file, tmp_path, capsys):
-        header, *lines = dataset_file.read_text().splitlines()
-        folds = json.loads(header)
-        folds["folds"]["Z"] = [99]
-        path = tmp_path / "empty_fold.jsonl"
-        path.write_text("\n".join([json.dumps(folds), *lines]) + "\n")
+        line, body = dataset_file.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["folds"]["Z"] = [99]
+        path = tmp_path / "empty_fold.dat"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         out = tmp_path / "x"
         rc = main(["evaluate", "--dataset", str(path), "--fold", "Z", "--out", str(out)])
         assert rc == 1
@@ -245,8 +290,9 @@ class TestEvaluate:
         assert not list(tmp_path.glob("x.*"))
 
     def test_header_only_dataset_is_empty_input(self, dataset_file, tmp_path, capsys):
-        path = tmp_path / "header_only.jsonl"
-        path.write_text(dataset_file.read_text().splitlines()[0] + "\n")
+        header = json.loads(dataset_file.read_bytes().split(b"\n", 1)[0])
+        path = tmp_path / "header_only.dat"
+        path.write_bytes(json.dumps({**header, "n_samples": 0}).encode() + b"\n")
         for command in (["evaluate"], ["sweep", "--grid", "0,10"]):
             rc = main([*command, "--dataset", str(path), "--out", str(tmp_path / "x")])
             assert rc == 1
@@ -429,7 +475,7 @@ MEAN_MA3DE = "aggregate.mean.ma3de_m"
         (2, 1e160, ["sweep", "--grid", "0,10"], "levels[0].ma3de_m"),
         (10, 1e-300, ["evaluate", "--repeats", "2", "--method", "diameter"], MEAN_MA3DE),
     ],
-    ids=["bx-height", "bx-diameter", "bx-sweep", "diam_px-diameter"],
+    ids=["bx-height", "bx-diameter", "bx-sweep", "d_true-diameter"],
 )
 def test_overflowing_error_exits_1_with_typed_error(
     dataset_file, tmp_path, capsys, position, value, argv, entry
@@ -437,12 +483,11 @@ def test_overflowing_error_exits_1_with_typed_error(
     # A finite true bx of 1e160, or an image diameter of 1e-300 (a depth
     # near 1e300 m), gives a 3D error whose square passes the largest
     # double: the metrics and their spread over repeats are inf or NaN.
-    header, *records = dataset_file.read_text().splitlines()
-    record = json.loads(records[3])
-    record[position] = value
-    records[3] = json.dumps(record)
-    probe = tmp_path / "probe.jsonl"
-    probe.write_text("\n".join([header, *records]) + "\n")
+    line, body = dataset_file.read_bytes().split(b"\n", 1)
+    table = np.frombuffer(body, RECORD_DTYPE).copy()
+    table.view("<f8").reshape(-1, 11)[3, position] = value  # the record's 8-byte words
+    probe = tmp_path / "probe.dat"
+    probe.write_bytes(line + b"\n" + table.tobytes())
     out = tmp_path / "report"
     assert main([*argv, "--dataset", str(probe), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -533,7 +578,7 @@ def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
 def test_synth_does_not_import_numpy_random(tmp_path):
     # synth computes its Philox words in numpy arithmetic; importing
     # numpy.random costs 10-14 ms. numpy 1.x imports it with numpy itself.
-    out = str(tmp_path / "d.jsonl")
+    out = str(tmp_path / "d.dat")
     argv = ["synth", "--n", "50", "--arenas", "3", "--seed", "1", "--out", out]
     before, after = _loaded_before_and_after("numpy.random", [argv])
     if before:
@@ -593,8 +638,8 @@ def test_readme_library_examples_run():
 @pytest.mark.parametrize(
     "argv, code",
     [
-        ("synth --n 0 --out x.jsonl", 2),
-        ("evaluate --dataset nope.jsonl --out out", 1),
+        ("synth --n 0 --out x.dat", 2),
+        ("evaluate --dataset nope.dat --out out", 1),
     ],
 )
 def test_entrypoint_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
@@ -618,7 +663,7 @@ def test_entrypoint_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
 
 def test_main_leaves_the_collector_alone(tmp_path):
     before = gc.get_freeze_count(), gc.isenabled()
-    argv = ["synth", "--n", "20", "--arenas", "2", "--out", str(tmp_path / "d.jsonl")]
+    argv = ["synth", "--n", "20", "--arenas", "2", "--out", str(tmp_path / "d.dat")]
     assert main(argv) == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
@@ -630,7 +675,7 @@ def test_only_the_entrypoint_freezes_the_heap(tmp_path):
         "import gc, sys\n"
         "import courtlift, courtlift.cli\n"
         "print(gc.get_freeze_count(), gc.isenabled())\n"
-        "sys.argv = ['courtlift', 'synth', '--n', '20', '--arenas', '2', '--out', 'd.jsonl']\n"
+        "sys.argv = ['courtlift', 'synth', '--n', '20', '--arenas', '2', '--out', 'd.dat']\n"
         "try:\n"
         "    courtlift.cli.entrypoint()\n"
         "except SystemExit as exc:\n"

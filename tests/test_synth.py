@@ -145,7 +145,7 @@ class TestGenerateDataset:
         assert len(one) == 1
         a = generate_dataset(seed=6, n=50, n_arenas=3)
         b = generate_dataset(seed=6, n=50, n_arenas=3)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
+        buf_a, buf_b = io.BytesIO(), io.BytesIO()
         folds = {"A": {0, 1, 2}}
         write_dataset(Dataset(samples=a, folds=folds), buf_a)
         write_dataset(Dataset(samples=b, folds=folds), buf_b)
