@@ -10,12 +10,12 @@ from .camera import (
     CameraCalibration,
     ImagePoint,
     WorldPoint,
-    calibration_to_json_dict,
     project,
     scale_calibration,
     validate,
 )
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
+from .dataio import calibration_to_json_dict
 from .metrics import (
     AggregateReport,
     EvalReport,

@@ -1,4 +1,4 @@
-"""Calibrated camera model: calibration, projection, validation, JSON form.
+"""Calibrated camera model: calibration, projection, validation.
 
 Coordinate conventions
 ----------------------
@@ -17,12 +17,12 @@ tangential p1, p2) applied to normalized camera coordinates; all
 coefficients default to zero. Undistortion inverts the model by Newton's
 method on its invertible domain, the region around the principal point
 where the map is one-to-one; a pixel without a preimage there fails with
-NoConvergence.
+NoConvergence. This module reads no JSON: a calibration's JSON form is
+`dataio`'s.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import warnings
 from dataclasses import field, replace
@@ -202,22 +202,18 @@ def validate(cal: CameraCalibration) -> list[str]:
     below the ground plane is physically suspect for arena cameras and
     emits a warning but is not reported as a violation.
     """
+    if not np.isfinite(cal.as_array()).all():
+        return ["NonFinite"]
     violations: list[str] = []
-    intrinsics = [cal.fx, cal.fy, cal.cx, cal.cy, cal.skew]
-    dist = [cal.k1, cal.k2, cal.k3, cal.p1, cal.p2]
-    if not all(
-        math.isfinite(x) for x in intrinsics + dist + [cal.image_width, cal.image_height]
-    ) or not (np.isfinite(cal.rotation).all() and np.isfinite(cal.translation).all()):
-        violations.append("NonFinite")
-        return violations
     if cal.fx <= 0.0 or cal.fy <= 0.0:
         violations.append("FocalNonPositive")
     if cal.image_width <= 0.0 or cal.image_height <= 0.0:
         violations.append("ImageSizeNonPositive")
-    rtr = cal.rotation.T @ cal.rotation
-    if np.abs(rtr - np.eye(3)).max() >= 1e-9:
+    # An entry past 2 fails orthonormality; tested first, R^T R cannot overflow.
+    rot = cal.rotation
+    if np.abs(rot).max() > 2.0 or np.abs(rot.T @ rot - np.eye(3)).max() >= 1e-9:
         violations.append("RotationNotOrthonormal")
-    elif abs(float(np.linalg.det(cal.rotation)) - 1.0) >= 1e-9:
+    elif abs(float(np.linalg.det(rot)) - 1.0) >= 1e-9:
         violations.append("RotationNotProper")
     if not violations:
         z = float(_k.camera_center(column(cal))[2][0])
@@ -227,69 +223,3 @@ def validate(cal: CameraCalibration) -> list[str]:
                 stacklevel=_caller_outside_package(),
             )
     return violations
-
-
-def calibration_to_json_dict(cal: CameraCalibration) -> dict:
-    """Calibration as the JSON object used by dataset files."""
-    return {
-        "fx": cal.fx,
-        "fy": cal.fy,
-        "cx": cal.cx,
-        "cy": cal.cy,
-        "skew": cal.skew,
-        "R": [float(x) for x in cal.rotation.ravel()],
-        "t": [float(x) for x in cal.translation],
-        "dist": {"k1": cal.k1, "k2": cal.k2, "k3": cal.k3, "p1": cal.p1, "p2": cal.p2},
-        "width": cal.image_width,
-        "height": cal.image_height,
-    }
-
-
-def _json_number(name: str, value) -> float:
-    """A calibration field's JSON number; TypeError for anything else,
-    including the strings and booleans float() would convert."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_numbers(name: str, value) -> np.ndarray:
-    """A calibration field's nested list of JSON numbers, as float64."""
-    values = np.array(value, dtype=object)
-    return np.array([_json_number(name, x) for x in values.flat]).reshape(values.shape)
-
-
-def calibration_from_json_dict(obj: dict) -> CameraCalibration:
-    dist = obj["dist"]
-    return CameraCalibration(
-        fx=_json_number("fx", obj["fx"]),
-        fy=_json_number("fy", obj["fy"]),
-        cx=_json_number("cx", obj["cx"]),
-        cy=_json_number("cy", obj["cy"]),
-        skew=_json_number("skew", obj["skew"]),
-        rotation=_json_numbers("R", obj["R"]).reshape(3, 3),
-        translation=_json_numbers("t", obj["t"]),
-        k1=_json_number("k1", dist["k1"]),
-        k2=_json_number("k2", dist["k2"]),
-        k3=_json_number("k3", dist["k3"]),
-        p1=_json_number("p1", dist["p1"]),
-        p2=_json_number("p2", dist["p2"]),
-        image_width=_json_number("width", obj["width"]),
-        image_height=_json_number("height", obj["height"]),
-    )
-
-
-def load_calibration(label: str, obj) -> CameraCalibration:
-    """The calibration a JSON value describes, checked with `validate`.
-
-    Raises ValueError, its message starting with ``label``, when the
-    value is unreadable as a calibration or fails a check.
-    """
-    try:
-        cal = calibration_from_json_dict(obj)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{label} is unreadable: {exc!r}") from exc
-    violations = validate(cal)
-    if violations:
-        raise ValueError(f"{label} is invalid: {', '.join(violations)}")
-    return cal

@@ -27,8 +27,9 @@ import math
 import sys
 from typing import Sequence
 
-from .camera import ImagePoint, load_calibration
+from .camera import ImagePoint
 from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
+from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
 from .metrics import (
     EvalReport,
@@ -212,10 +213,7 @@ def cmd_synth(args, parser) -> int:
     if args.max_height is not None:
         dist_kwargs["max_height"] = args.max_height
     try:
-        arena = ArenaSpec()
-        if args.arena_json:
-            with open(args.arena_json, "r", encoding="utf-8") as f:
-                arena = ArenaSpec.from_json_dict(json.load(f))
+        arena = load_arena_spec(read_json(args.arena_json)) if args.arena_json else ArenaSpec()
         dist = HeightDistSpec(kind=args.dist, **dist_kwargs)
     except ValueError as exc:
         parser.error(str(exc))
@@ -287,11 +285,10 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_reconstruct(args, parser) -> int:
-    with open(args.cal, "r", encoding="utf-8") as f:
-        try:
-            cal = load_calibration("calibration", json.load(f))
-        except ValueError as exc:  # json.JSONDecodeError included
-            raise InvalidCalibration(f"{args.cal}: {exc}") from exc
+    try:
+        cal = load_calibration("calibration", read_json(args.cal))
+    except ValueError as exc:  # a JSON syntax error or a NaN or Infinity token included
+        raise InvalidCalibration(f"{args.cal}: {exc}") from exc
     result = reconstruct_from_height(cal, ImagePoint(args.x, args.y), args.height)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0

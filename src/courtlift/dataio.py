@@ -1,4 +1,9 @@
-"""Dataset serialization and arena-fold splitting.
+"""Dataset serialization, arena-fold splitting and every JSON input.
+
+The dataset header, ``reconstruct --cal`` (`load_calibration`) and
+``synth --arena-json`` (`load_arena_spec`) share one JSON decoder, which
+refuses NaN and Infinity tokens; a number must be a JSON number, and an
+integer (arena id, n_samples, schema_version) an int or integral float.
 
 File format (schema version 3): one JSON header line
 
@@ -25,20 +30,21 @@ that wrote one writes the same samples.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ._record import ValueRecord, record
-from .camera import calibration_to_json_dict, load_calibration
+from .camera import CameraCalibration, validate
 from .errors import (
     FoldViolation,
     MalformedRecord,
     SchemaVersionMismatch,
     UnknownFold,
 )
-from .synth import Samples
+from .synth import ArenaSpec, Samples
 
 SCHEMA_VERSION = 3
 
@@ -103,11 +109,8 @@ class Dataset(ValueRecord):
 
 
 def _rows_in(arena: np.ndarray, arenas) -> np.ndarray:
-    """Mask of the rows whose arena is in ``arenas``, a set of ints."""
-    mask = np.zeros(len(arena), dtype=bool)
-    for a in set(arena.tolist()).intersection(arenas):
-        mask |= arena == a
-    return mask
+    """Mask of the rows whose arena is in ``arenas``; an int past int64 names none."""
+    return np.isin(arena, [a for a in arenas if -(2**63) <= a < 2**63])
 
 
 def assign_folds(arena_ids: Sequence[int], n_folds: int) -> dict[str, set[int]]:
@@ -128,6 +131,22 @@ def _fold_name(i: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Writing.
+
+
+def calibration_to_json_dict(cal: CameraCalibration) -> dict:
+    """Calibration as the JSON object used by dataset files."""
+    return {
+        "fx": cal.fx,
+        "fy": cal.fy,
+        "cx": cal.cx,
+        "cy": cal.cy,
+        "skew": cal.skew,
+        "R": [float(x) for x in cal.rotation.ravel()],
+        "t": [float(x) for x in cal.translation],
+        "dist": {"k1": cal.k1, "k2": cal.k2, "k3": cal.k3, "p1": cal.p1, "p2": cal.p2},
+        "width": cal.image_width,
+        "height": cal.image_height,
+    }
 
 
 def _cameras(samples: Samples) -> list[dict]:
@@ -185,15 +204,81 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-# The header's decoder rejects the NaN, Infinity and -Infinity tokens.
+# The one decoder of every JSON input; it refuses NaN and Infinity tokens.
+# A literal past float range, 1e999, still reads as inf: finite checks stay.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _integer(value, key: str) -> int:
-    # A boolean's type is bool, not int: JSON true is not an integer.
-    if not float(value).is_integer() or type(value) not in (int, float):
-        raise ValueError(f"{key} {value!r} is not an integer")
-    return int(value)
+def read_json(path) -> object:
+    """A UTF-8 JSON file's value; ValueError if not JSON or on a NaN or Infinity token."""
+    with open(path, "r", encoding="utf-8") as f:
+        return _DECODER.decode(f.read())
+
+
+def _json_number(name: str, value) -> float:
+    """A JSON number as a float; TypeError for a string, boolean or other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_array(name: str, value, n: int) -> list[float]:
+    """A JSON array of n numbers, as floats."""
+    if type(value) is not list or len(value) != n:
+        raise ValueError(f"{name} must be an array of {n} numbers, got {value!r}")
+    return [_json_number(name, x) for x in value]
+
+
+def _integer(value) -> int | None:
+    """An int, or an integral float (2.0 reads as 2), in float range; else None."""
+    try:
+        return int(value) if type(value) in (int, float) and float(value).is_integer() else None
+    except OverflowError:  # an int past float range
+        return None
+
+
+def load_calibration(label: str, obj) -> CameraCalibration:
+    """The calibration of a JSON object in `calibration_to_json_dict`'s
+    form, ``R`` flat or 3 rows of 3, checked with `validate`. ValueError,
+    its message starting with ``label``, when it is unreadable or invalid."""
+    try:
+        dist, rotation = obj["dist"], obj["R"]
+        if type(rotation) is list and len(rotation) == 3:
+            rotation = [x for row in rotation for x in _json_array("R", row, 3)]
+        cal = CameraCalibration(
+            **{key: _json_number(key, obj[key]) for key in ("fx", "fy", "cx", "cy", "skew")},
+            rotation=_json_array("R", rotation, 9),
+            translation=_json_array("t", obj["t"], 3),
+            **{key: _json_number(key, dist[key]) for key in ("k1", "k2", "k3", "p1", "p2")},
+            image_width=_json_number("width", obj["width"]),
+            image_height=_json_number("height", obj["height"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{label} is unreadable: {exc!r}") from exc
+    violations = validate(cal)
+    if violations:
+        raise ValueError(f"{label} is invalid: {', '.join(violations)}")
+    return cal
+
+
+def load_arena_spec(obj) -> ArenaSpec:
+    """The default `ArenaSpec` with the fields a JSON object names set to
+    a number, or a [min, max] array for a range; ValueError on an unknown
+    key, any other value, or a value `ArenaSpec` refuses."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"arena spec must be a JSON object, got {obj!r}")
+    defaults = {f.name: f.default for f in fields(ArenaSpec)}
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown arena spec keys {unknown}")
+    kwargs = {}
+    for name, value in obj.items():
+        try:
+            pair = isinstance(defaults[name], tuple)
+            kwargs[name] = tuple(_json_array(name, value, 2)) if pair else _json_number(name, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"arena spec {name}: {exc}") from exc
+    return ArenaSpec(**kwargs)
 
 
 def _folds_from_header(folds) -> dict[str, frozenset[int]]:
@@ -204,10 +289,11 @@ def _folds_from_header(folds) -> dict[str, frozenset[int]]:
     for name, ids in folds.items():
         if not isinstance(ids, list):
             raise SchemaVersionMismatch(f"fold {name!r}: arena ids must be a list, got {ids!r}")
-        try:
-            parsed[str(name)] = frozenset(_integer(a, "arena") for a in ids)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaVersionMismatch(f"fold {name!r}: {exc}") from exc
+        arenas = [_integer(a) for a in ids]
+        if None in arenas:
+            bad = ids[arenas.index(None)]
+            raise SchemaVersionMismatch(f"fold {name!r}: arena {bad!r} is not an integer")
+        parsed[str(name)] = frozenset(arenas)
     return parsed
 
 
@@ -220,11 +306,13 @@ def _cameras_from_header(cameras) -> dict:
         try:
             if not isinstance(entry, dict) or set(entry) != {"arena", "cal"}:
                 raise ValueError(f"expected an object with keys arena and cal, got {entry!r}")
-            arena = _integer(entry["arena"], "arena")
+            arena = _integer(entry["arena"])
+            if arena is None:
+                raise ValueError(f"arena {entry['arena']!r} is not an integer")
             if arena in cals:
                 raise ValueError(f"arena {arena} has a second camera")
             cals[arena] = load_calibration(f"arena {arena} calibration", entry["cal"])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise SchemaVersionMismatch(f"camera {k}: {exc}") from exc
     return cals
 
@@ -240,22 +328,16 @@ def _header(line: bytes) -> dict:
     if not isinstance(header, dict):
         raise SchemaVersionMismatch(f"header must be a JSON object, got {header!r}")
     version = header.get("schema_version")
-    if version in (1, 2):
+    if _integer(version) in (1, 2):
         raise SchemaVersionMismatch(
             f"schema_version {version} files are no longer read; run `courtlift synth` again "
             "with the flags that wrote this file for the same samples as a version 3 file"
         )
-    if version != SCHEMA_VERSION:
+    if _integer(version) != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"expected schema_version {SCHEMA_VERSION}, got {version!r}")
     if not line.endswith(b"\n"):
         raise SchemaVersionMismatch("the file ends inside its header line")
     return header
-
-
-def _n_samples(value) -> int:
-    if type(value) is not int or value < 0:
-        raise SchemaVersionMismatch(f"n_samples must be an integer >= 0, got {value!r}")
-    return value
 
 
 def _record_table(body: memoryview, n: int) -> np.ndarray:
@@ -312,7 +394,11 @@ def read_dataset(source) -> Dataset:
     header = _header(data[:end])
     folds = _folds_from_header(header.get("folds", {}))
     cals = _cameras_from_header(header.get("cameras"))
-    table = _record_table(memoryview(data)[end:], _n_samples(header.get("n_samples")))
+    count = header.get("n_samples")
+    n = _integer(count)
+    if n is None or n < 0:
+        raise SchemaVersionMismatch(f"n_samples must be an integer >= 0, got {count!r}")
+    table = _record_table(memoryview(data)[end:], n)
     return Dataset(samples=_samples(table, cals), folds=folds)
 
 

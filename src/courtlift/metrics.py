@@ -92,11 +92,6 @@ def evaluate_arrays(
         raise EmptyInput("evaluate needs at least one sample")
     if ball.shape[0] != n:
         raise LengthMismatch(f"got {n} samples and {ball.shape[0]} reconstructions")
-    # An error too large for a double is inf, which the report refuses.
-    with np.errstate(over="ignore"):
-        proj_err = np.hypot(ball[:, 0] - truth[:, 0], ball[:, 1] - truth[:, 1])
-        err3d = np.linalg.norm(ball - truth, axis=1)
-    mae: float | None = None
     if h_pred is not None:
         if h_true is None:
             raise LengthMismatch("h_pred given without h_true")
@@ -104,15 +99,19 @@ def evaluate_arrays(
         h_pred = np.asarray(h_pred, dtype=np.float64)
         if h_true.shape[0] != n or h_pred.shape[0] != n:
             raise LengthMismatch("height arrays must match the sample count")
-        mae = float(np.mean(np.abs(h_pred - h_true)))
-    return EvalReport(
-        mae_px=mae,
-        mape_m=float(np.mean(proj_err)),
-        mdnape_m=_median(proj_err),
-        ma3de_m=float(np.mean(err3d)),
-        mdna3de_m=_median(err3d),
-        n_samples=int(n),
-    )
+    # An error, or a sum of errors, past float range is inf: the report refuses it.
+    with np.errstate(over="ignore"):
+        mae = None if h_pred is None else float(np.mean(np.abs(h_pred - h_true)))
+        proj_err = np.hypot(ball[:, 0] - truth[:, 0], ball[:, 1] - truth[:, 1])
+        err3d = np.linalg.norm(ball - truth, axis=1)
+        return EvalReport(
+            mae_px=mae,
+            mape_m=float(np.mean(proj_err)),
+            mdnape_m=_median(proj_err),
+            ma3de_m=float(np.mean(err3d)),
+            mdna3de_m=_median(err3d),
+            n_samples=int(n),
+        )
 
 
 def _median(x: np.ndarray) -> float:

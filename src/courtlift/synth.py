@@ -18,6 +18,7 @@ number of words (``_BALL_WORDS``), so attempt k of sample i starts k
 times that many words into stream (seed, i, PURPOSE_BALL), and each
 placement round draws all its candidates at once, with no per-sample
 loop. The values are those of numpy's ``Generator`` on each stream.
+This module reads no JSON: `dataio.load_arena_spec` reads ``--arena-json``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._record import Record, ValueRecord, record
-from .camera import CameraCalibration, ImagePoint, WorldPoint, _json_number, project, validate
+from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
@@ -97,29 +98,6 @@ class ArenaSpec(ValueRecord):
         lo, hi = self.focal_range
         if lo <= 0:
             raise ValueError("focal lengths must be positive")
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "ArenaSpec":
-        """The spec with the fields `obj` names overridden: a JSON number,
-        or a [min, max] pair of them for a range. ValueError on an unknown
-        key, a wrong shape, a string or boolean, or an int past float range."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"arena spec must be a JSON object, got {obj!r}")
-        defaults = {f.name: f.default for f in fields(ArenaSpec)}
-        unknown = sorted(set(obj) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown arena spec keys {unknown}")
-        kwargs = {}
-        for name, value in obj.items():
-            try:
-                if isinstance(defaults[name], tuple):
-                    lo, hi = value
-                    kwargs[name] = (_json_number(name, lo), _json_number(name, hi))
-                else:
-                    kwargs[name] = _json_number(name, value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"arena spec {name}: {exc}") from exc
-        return ArenaSpec(**kwargs)
 
 
 DIST_KINDS = ("deepsport_like", "ballistic_like", "uniform")
@@ -190,11 +168,14 @@ class Samples(Record):
 
     def __post_init__(self):
         cameras = dict(self.cameras)
-        position = {a: j for j, a in enumerate(cameras)}
-        cal_index = np.array([position.get(a, -1) for a in self.arena.tolist()], dtype=np.int64)
-        unknown = cal_index < 0
+        # Binary search of the camera keys; a key past int64 names no row.
+        pairs = [(a, j) for j, a in enumerate(cameras) if -(2**63) <= a < 2**63]
+        keys, position = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        unknown = ~np.isin(self.arena, keys)
         if unknown.any():
             raise ValueError(f"arena {self.arena[np.argmax(unknown)]} has no camera")
+        order = np.argsort(keys)
+        cal_index = position[order][np.searchsorted(keys, self.arena, sorter=order)]
         self.__dict__.update(cameras=cameras, cal_index=cal_index)
 
     def __len__(self) -> int:
@@ -314,17 +295,22 @@ def sample_camera(u: np.ndarray, arena: ArenaSpec) -> CameraCalibration:
         )
         if math.hypot(center[0] - look_at[0], center[1] - look_at[1]) < 3.0:
             continue
-        cal = make_camera(
-            center,
-            look_at,
-            focal=_uniform(*arena.focal_range, draw()),
-            image_width=arena.image_width,
-            image_height=arena.image_height,
-            cx=arena.image_width * (0.5 + _uniform(-0.02, 0.02, draw())),
-            cy=arena.image_height * (0.5 + _uniform(-0.02, 0.02, draw())),
-            k1=_uniform(*arena.k1_range, draw()),
-            k2=_uniform(*arena.k2_range, draw()),
-        )
+        try:
+            # A pose make_camera refuses (straight down, or overflowing) is redrawn.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cal = make_camera(
+                    center,
+                    look_at,
+                    focal=_uniform(*arena.focal_range, draw()),
+                    image_width=arena.image_width,
+                    image_height=arena.image_height,
+                    cx=arena.image_width * (0.5 + _uniform(-0.02, 0.02, draw())),
+                    cy=arena.image_height * (0.5 + _uniform(-0.02, 0.02, draw())),
+                    k1=_uniform(*arena.k1_range, draw()),
+                    k2=_uniform(*arena.k2_range, draw()),
+                )
+        except ValueError:
+            continue
         if validate(cal):
             continue
         try:

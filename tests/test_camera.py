@@ -27,13 +27,8 @@ from courtlift import (
 )
 from courtlift import _kernels as _k
 from courtlift import errors
-from courtlift.camera import (
-    STATUS_NAMES,
-    calibration_from_json_dict,
-    load_calibration,
-    one_row,
-    raise_for_status,
-)
+from courtlift.camera import STATUS_NAMES, one_row, raise_for_status
+from courtlift.dataio import load_calibration
 from courtlift.errors import DepthNonPositive, NonPositiveScale
 
 from conftest import first_branch_peak, kernel_row, random_cameras
@@ -389,6 +384,22 @@ class TestValidate:
         bad = bad + 1e-6
         assert "RotationNotOrthonormal" in validate(replace(identity_cal, rotation=bad))
 
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            # R^T R would hold inf - inf.
+            [[1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]],
+        ],
+    )
+    def test_rotation_past_float_range_is_not_orthonormal(self, identity_cal, rotation):
+        from dataclasses import replace
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violations = validate(replace(identity_cal, rotation=np.array(rotation)))
+        assert violations == ["RotationNotOrthonormal"]
+
     def test_low_camera_warns(self, cam_a):
         from dataclasses import replace
 
@@ -439,7 +450,7 @@ class TestCalibrationJson:
         from dataclasses import replace
 
         cal = replace(cam_a, k1=-0.12, k2=0.03, p1=0.001, p2=-0.002, skew=0.5)
-        rec = calibration_from_json_dict(calibration_to_json_dict(cal))
+        rec = load_calibration("calibration", calibration_to_json_dict(cal))
         assert rec.fx == cal.fx and rec.skew == cal.skew and rec.k1 == cal.k1
         np.testing.assert_array_equal(rec.rotation, cal.rotation)
         np.testing.assert_array_equal(rec.translation, cal.translation)

@@ -93,18 +93,23 @@ class TestSynth:
             ({"focal_rnage": [100, 200]}, "unknown arena spec keys ['focal_rnage']"),
             ({"focal_range": [100]}, "arena spec focal_range"),
             ([1, 2], "arena spec must be a JSON object"),
-            ({"court_half_length": float("nan")}, "court_half_length must be finite"),
-            ({"focal_range": [1500, float("inf")]}, "focal_range must be finite"),
-            ({"ball_diameter_m": float("inf")}, "ball_diameter_m must be finite"),
-            ({"focal_range": "12"}, "focal_range must be a number, got '1'"),
+            # json.dumps writes NaN and Infinity tokens, which the decoder refuses.
+            ({"court_half_length": float("nan")}, "non-finite number NaN"),
+            ({"focal_range": [1500, float("inf")]}, "non-finite number Infinity"),
+            ({"ball_diameter_m": float("inf")}, "non-finite number Infinity"),
+            ({"focal_range": "12"}, "focal_range must be an array of 2 numbers, got '12'"),
             ({"ball_diameter_m": True}, "ball_diameter_m must be a number, got True"),
             ({"image_width": "4500"}, "image_width must be a number, got '4500'"),
             ({"image_width": 10**400}, "arena spec image_width: int too large"),
+            # A literal past float range reads as inf: ArenaSpec's finite check.
+            ('{"court_half_length": -1e999}', "court_half_length must be finite"),
+            ('{"focal_range": [1500, 1e999]}', "focal_range must be finite"),
+            ('{"ball_diameter_m": 1e999}', "ball_diameter_m must be finite"),
         ],
     )
     def test_bad_arena_json_is_usage_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "arena.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         out = tmp_path / "x.dat"
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--n", "5", "--arena-json", str(path), "--out", str(out)])
@@ -429,12 +434,16 @@ class TestReconstruct:
         "edit, violation",
         [
             ({"fx": -2000.0}, "FocalNonPositive"),
-            ({"cx": float("nan")}, "NonFinite"),
+            # json.dumps writes a NaN token, which the decoder refuses.
+            ({"cx": float("nan")}, "non-finite number NaN"),
             # A string is the whole file.
             ("{not json", "Expecting property name"),
             ("[1, 2]", "unreadable: TypeError"),
             ('{"fx": 1}', "unreadable: KeyError('dist')"),
             ({"fx": "2000.0"}, "unreadable: TypeError(\"fx must be a number, got '2000.0'\")"),
+            # A function edits the file's text: 1e999 reads as inf, which
+            # validate reports.
+            (lambda text: text.replace('"cx": 2250.0', '"cx": 1e999'), "is invalid: NonFinite"),
         ],
     )
     def test_invalid_calibration_exits_1_with_typed_error(
@@ -444,6 +453,10 @@ class TestReconstruct:
         bad = tmp_path / "bad.json"
         if isinstance(edit, str):
             bad.write_text(edit)
+        elif callable(edit):
+            text = path.read_text()
+            assert edit(text) != text
+            bad.write_text(edit(text))
         else:
             bad.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         rc = main(["reconstruct", "--cal", str(bad), "--x", "2250", "--y", "900", "--height", "10"])

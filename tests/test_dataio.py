@@ -342,7 +342,7 @@ class TestReadValidation:
         "header, match",
         [
             ('{"schema_version": 3, "folds": {"A": [1e999]}}', "fold 'A': arena inf"),
-            ('{"schema_version": 3, "folds": {"A": ["x"]}}', "fold 'A': could not convert"),
+            ('{"schema_version": 3, "folds": {"A": ["x"]}}', "fold 'A': arena 'x' is not an"),
             ('{"schema_version": 3, "folds": {"A": ["0"]}}', "fold 'A': arena '0' is not an"),
             ('{"schema_version": 3, "folds": {"A": [true]}}', "fold 'A': arena True is not an"),
             ('{"schema_version": 3, "folds": {"A": 3}}', "fold 'A': arena ids must be a list"),
@@ -354,6 +354,11 @@ class TestReadValidation:
             ("[1]", "header must be a JSON object"),
             ('{"folds": {"A": [0]}, "cameras": []}', "expected schema_version 3, got None"),
             ('{"schema_version": "3", "cameras": []}', "expected schema_version 3, got '3'"),
+            ('{"schema_version": true, "cameras": []}', "expected schema_version 3, got True"),
+            ('{"schema_version": 2.5, "cameras": []}', "expected schema_version 3, got 2.5"),
+            ('{"schema_version": 1.0}', "schema_version 1.0 files are no longer read"),
+            # 3.0 is version 3: the reader goes on to the missing n_samples.
+            ('{"schema_version": 3.0, "cameras": []}', "n_samples must be an integer >= 0, got None"),
             ("\xff", "unreadable header"),
             ('{"schema_version": 3, "folds": {"A": [0]}}', "cameras must be a list, got None"),
             ('{"schema_version": 3, "folds": {}, "cameras": [{"arena": 0}]}', "camera 0: expected"),
@@ -414,8 +419,12 @@ class TestReadValidation:
                 "n_samples must be an integer >= 0, got -1",
             ),
             (
-                '{"schema_version": 3, "cameras": [], "n_samples": 2.0}',
-                "n_samples must be an integer >= 0, got 2.0",
+                '{"schema_version": 3, "cameras": [], "n_samples": 2.5}',
+                "n_samples must be an integer >= 0, got 2.5",
+            ),
+            (
+                '{"schema_version": 3, "cameras": [], "n_samples": 1e999}',
+                "n_samples must be an integer >= 0, got inf",
             ),
             (
                 '{"schema_version": 3, "cameras": [], "n_samples": true}',
@@ -427,6 +436,15 @@ class TestReadValidation:
         data = header.encode("latin-1") + b"\n"
         with pytest.raises(SchemaVersionMismatch, match=match):
             read_dataset(io.BytesIO(data))
+
+    def test_integral_floats_read_as_integers(self):
+        # One integer rule for every integer field: 3.0 reads as 3.
+        header, table = self._three_records()
+        header.update(schema_version=3.0, n_samples=3.0, folds={"A": [0.0]})
+        header["cameras"][0]["arena"] = 0.0
+        rec = read_dataset(_file(header, table))
+        assert rec.folds == {"A": frozenset({0})} and list(rec.samples.cameras) == [0]
+        _assert_same_bits(rec.samples, _samples([0, 1, 2]))
 
     def test_arena_without_camera_is_malformed_with_index(self):
         header, table = self._three_records()
@@ -480,6 +498,20 @@ class TestOneCameraPerArena:
         del cameras[3]
         with pytest.raises(ValueError, match="arena 3 has no camera"):
             replace(samples, cameras=cameras)
+
+    def test_camera_keys_in_any_order(self):
+        # cal_index is each row's position in `cameras`, whatever the keys'
+        # order; a key past int64 names no row, and the first row in row
+        # order whose arena has no camera is named.
+        far = replace(CAL, fx=1200.0)
+        cameras = {5: far, 2**64: CAL, -3: CAL, 2: CAL}
+        samples = _samples(range(5), arena=[2, 5, -3, 5, 2], cameras=cameras)
+        assert samples.cal_index.tolist() == [3, 0, 2, 0, 3]
+        assert samples[1:3].cal_index.tolist() == [0, 2]
+        with pytest.raises(ValueError, match="arena 7 has no camera"):
+            _samples(range(4), arena=[5, 7, 3, 2], cameras=cameras)
+        ds = Dataset(samples=samples, folds={"A": {2, 2**64}, "B": {5, -3}})
+        assert split(ds, "A")[1].samples.arena.tolist() == [2, 2]
 
     def test_split_reorder_and_round_trip_keep_each_rows_camera(self):
         samples = generate_dataset(seed=18, n=120, n_arenas=5)

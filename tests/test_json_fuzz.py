@@ -1,0 +1,168 @@
+"""Seeded mutation fuzz of the three JSON inputs a command reads.
+
+The inputs are a small synth dataset's header, a ``reconstruct --cal``
+file and a ``synth --arena-json`` file. Each case replaces one number
+token of one input with a hostile token and runs ``cli.main`` in-process.
+Whatever the input, the command must exit 0, 1 or 2 without raising; an
+exit 1 prints ``error: <CourtliftError subclass>: ...``; and every report
+written is strict JSON. The cases come from a fixed seed, and their
+number keeps the run to a few seconds.
+"""
+
+import json
+import random
+import re
+
+import pytest
+
+from courtlift import calibration_to_json_dict, errors, make_camera, read_dataset
+from courtlift.cli import main
+
+SEED = 2029
+
+# Replacement tokens, as JSON text.
+TOKENS = (
+    "NaN", "Infinity", "-Infinity", "1e308", "-1e308", "1e160", "1e-300", "2e-320", "-1",
+    str(2**63), str(2**64), "1e999", '"1.0"', '"x"', "true", "false", "null", "[]", "{}",
+)
+
+# Random cases per input, on top of every token at n_samples and
+# schema_version.
+CASES = {"header": 360, "cal": 240, "arena": 120}
+
+COURTLIFT_ERRORS = {
+    cls.__name__
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.CourtliftError)
+}
+
+_MARK = "@@fuzz@@"
+
+
+def _number_paths(value, path=()):
+    """The path of every number in a decoded JSON value."""
+    if isinstance(value, bool):
+        return
+    if isinstance(value, (int, float)):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _number_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _number_paths(item, (*path, index))
+
+
+def _mutated(value, path, token: str) -> str:
+    """The JSON text of ``value`` with the number at ``path`` replaced by ``token``."""
+    value = json.loads(json.dumps(value))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _MARK
+    return json.dumps(value).replace(json.dumps(_MARK), token)
+
+
+def _cases(value, name: str, always=()):
+    """Every token at each path in ``always``, then CASES[name] random
+    (path, token) pairs, from the fixed seed."""
+    rng = random.Random(f"{SEED}-{name}")
+    paths = list(_number_paths(value))
+    fixed = [(path, token) for path in always for token in TOKENS]
+    return fixed + [(rng.choice(paths), rng.choice(TOKENS)) for _ in range(CASES[name])]
+
+
+def _strict(text: str):
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} in a report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _run(argv: list[str], case, capsys) -> tuple[int, str]:
+    """Run one command; check its exit code and error line. Returns the
+    exit code and stdout."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    except Exception as exc:
+        pytest.fail(f"{case}: {' '.join(argv[:1])} raised {type(exc).__name__}: {exc}")
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), case
+    if code == 1:
+        match = re.match(r"error: (\w+): ", captured.err)
+        assert match and match.group(1) in COURTLIFT_ERRORS, (case, captured.err)
+    return code, captured.out
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.dat"
+    argv = ["synth", "--n", "24", "--arenas", "2", "--n-folds", "2", "--seed", "3"]
+    assert main([*argv, "--out", str(path)]) == 0
+    header, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), body
+
+
+COMMANDS = (
+    ["evaluate"],
+    ["evaluate", "--method", "diameter", "--predictor", "gaussian", "--target-mae", "0.1"],
+    ["sweep", "--grid", "0,40"],
+)
+
+
+@pytest.mark.filterwarnings("ignore:camera center z")
+def test_mutated_dataset_header(dataset, tmp_path, capsys):
+    header, body = dataset
+    for k, (path, token) in enumerate(
+        _cases(header, "header", always=[("n_samples",), ("schema_version",)])
+    ):
+        case = ("header", path, token)
+        data = tmp_path / f"{k}.dat"
+        data.write_bytes(_mutated(header, path, token).encode() + b"\n" + body)
+        out = tmp_path / f"r{k}"
+        command = COMMANDS[k % len(COMMANDS)]
+        code, _ = _run([*command, "--dataset", str(data), "--out", str(out)], case, capsys)
+        if code == 0:
+            _strict(out.with_suffix(".json").read_text())
+
+
+@pytest.mark.filterwarnings("ignore:camera center z")
+def test_mutated_calibration_file(tmp_path, capsys):
+    cal = calibration_to_json_dict(make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500))
+    for k, (path, token) in enumerate(_cases(cal, "cal")):
+        case = ("cal", path, token)
+        cal_file = tmp_path / f"{k}.json"
+        cal_file.write_text(_mutated(cal, path, token))
+        argv = ["reconstruct", "--cal", str(cal_file), "--x", "1712.4", "--y", "903.1"]
+        code, out = _run([*argv, "--height", "86.5"], case, capsys)
+        if code == 0:
+            _strict(out)
+
+
+def test_mutated_arena_json(tmp_path, capsys):
+    spec = {
+        "court_half_length": 14.0,
+        "court_half_width": 7.5,
+        "camera_height_range": [3.0, 8.0],
+        "camera_distance_range": [15.0, 30.0],
+        "focal_range": [1500.0, 3000.0],
+        "image_width": 4500.0,
+        "image_height": 1500.0,
+        "k1_range": [-0.15, 0.0],
+        "k2_range": [0.0, 0.03],
+        "ball_diameter_m": 0.24,
+    }
+    for k, (path, token) in enumerate(_cases(spec, "arena")):
+        case = ("arena", path, token)
+        arena_file = tmp_path / f"{k}.json"
+        arena_file.write_text(_mutated(spec, path, token))
+        out = tmp_path / f"{k}.dat"
+        argv = ["synth", "--n", "6", "--arenas", "2", "--arena-json", str(arena_file)]
+        code, _ = _run([*argv, "--out", str(out)], case, capsys)
+        # A written dataset reads back; a refused spec writes none.
+        if code == 0:
+            read_dataset(out)
+        else:
+            assert not out.exists(), case

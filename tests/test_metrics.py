@@ -113,6 +113,12 @@ class TestEvaluate:
             report = evaluate_arrays([[0.0, 0.0, 1.0]], None, None, [[1e160, 0.0, 1.0]])
         assert report.mape_m == report.mdnape_m == 1e160
         assert report.ma3de_m == report.mdna3de_m == math.inf
+        # Finite errors whose sum passes the largest double: the means are inf.
+        truth, ball = [[0.0, 0.0, 1.0]] * 3, [[1e308, 0.0, 1.0]] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_arrays(truth, [0.0] * 3, [1e308] * 3, ball)
+        assert report.mae_px == report.mape_m == math.inf and report.mdnape_m == 1e308
 
     def test_length_mismatch_and_empty(self):
         truth, ball = _arrays_from_proj_errors([1.0, 2.0])

@@ -68,6 +68,20 @@ class TestSampleCamera:
     @pytest.mark.parametrize(
         "name, value",
         [
+            ("court_half_length", 1e160),  # the look-at distance overflows
+            ("camera_distance_range", (15.0, 1e308)),
+            ("camera_height_range", (3.0, 2.0**63)),  # looking straight down
+        ],
+    )
+    def test_pose_make_camera_refuses_is_redrawn(self, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameCoverageFailure, match="no valid camera"):
+                camera_from_stream(3, 0, ArenaSpec(**{name: value}))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
             ("court_half_length", math.nan),
             ("court_half_width", math.inf),
             ("camera_height_range", (3.0, math.inf)),
