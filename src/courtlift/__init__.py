@@ -14,8 +14,7 @@ from .camera import (
     scale_calibration,
     validate,
 )
-from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
-from .dataio import calibration_to_json_dict
+from .dataio import Dataset, assign_folds, calibration_to_json_dict, read_dataset, write_dataset
 from .metrics import (
     AggregateReport,
     EvalReport,
@@ -87,7 +86,6 @@ __all__ = [
     "sample_ball",
     "sample_camera",
     "scale_calibration",
-    "split",
     "validate",
     "write_dataset",
 ]

@@ -28,7 +28,7 @@ import sys
 from typing import Sequence
 
 from .camera import ImagePoint
-from .dataio import Dataset, assign_folds, read_dataset, split, write_dataset
+from .dataio import Dataset, assign_folds, read_dataset, write_dataset
 from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
 from .metrics import (
@@ -155,7 +155,7 @@ def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[EvalReport]
 def _load_samples(args) -> Samples:
     ds = read_dataset(args.dataset)
     fold = getattr(args, "fold", None)
-    samples = split(ds, fold)[1].samples if fold else ds.samples
+    samples = ds.fold(fold) if fold else ds.samples
     if not samples:
         where = f"fold {fold!r} of {args.dataset}" if fold else args.dataset
         raise EmptyInput(f"no samples in {where}")

@@ -1,4 +1,4 @@
-"""Dataset serialization, arena-fold splitting and every JSON input.
+"""Dataset serialization, arena folds and every JSON input.
 
 The dataset header, ``reconstruct --cal`` (`load_calibration`) and
 ``synth --arena-json`` (`load_arena_spec`) share one JSON decoder, which
@@ -107,6 +107,12 @@ class Dataset(ValueRecord):
             index = int(np.argmax(unfolded))
             raise FoldViolation(f"sample {ids[index]}: arena {arena[index]} is in no fold")
 
+    def fold(self, name: str) -> Samples:
+        """The rows of fold ``name``'s arenas; UnknownFold for an unknown name."""
+        if name not in self.folds:
+            raise UnknownFold(f"fold {name!r} not in {sorted(self.folds)}")
+        return self.samples[_rows_in(self.samples.arena, self.folds[name])]
+
 
 def _rows_in(arena: np.ndarray, arenas) -> np.ndarray:
     """Mask of the rows whose arena is in ``arenas``; an int past int64 names none."""
@@ -151,14 +157,15 @@ def calibration_to_json_dict(cal: CameraCalibration) -> dict:
 
 def _cameras(samples: Samples) -> list[dict]:
     """One header camera entry per arena that has records, in the order
-    of each arena's first record. A calibration that is not finite raises
-    MalformedRecord with the index of its arena's first record."""
+    of each arena's first record. A calibration that `validate` refuses
+    raises MalformedRecord naming its arena's first record and violations."""
     arena = samples.arena.tolist()
     entries = []
     for a in dict.fromkeys(arena):
         cal = samples.cameras[a]
-        if not np.isfinite(cal.as_array()).all():
-            raise MalformedRecord(arena.index(a), "calibration is not finite")
+        violations = ", ".join(validate(cal))
+        if violations:
+            raise MalformedRecord(arena.index(a), f"calibration is invalid: {violations}")
         entries.append({"arena": a, "cal": calibration_to_json_dict(cal)})
     return entries
 
@@ -166,10 +173,10 @@ def _cameras(samples: Samples) -> list[dict]:
 def write_dataset(ds: Dataset, sink) -> None:
     """Write a dataset as schema version 3 to a path or binary file object.
 
-    Every number is checked finite, and every id checked to lie in
-    [0, 2**63), before anything is written, and for a path before the
-    file is opened; a failure raises MalformedRecord with the sample's
-    index.
+    Every number is checked finite, every camera valid, and every id
+    checked to lie in [0, 2**63), before anything is written, and for a
+    path before the file is opened; a failure raises MalformedRecord with
+    the sample's index.
     """
     s = ds.samples
     header = {
@@ -209,10 +216,18 @@ def _reject_constant(token: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _decode(text: str) -> object:
+    """``text``'s JSON value; ValueError if not JSON, on NaN or Infinity, or on deep nesting."""
+    try:
+        return _DECODER.decode(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nests too deep") from exc
+
+
 def read_json(path) -> object:
-    """A UTF-8 JSON file's value; ValueError if not JSON or on a NaN or Infinity token."""
+    """A UTF-8 JSON file's value; ValueError as `_decode` raises it."""
     with open(path, "r", encoding="utf-8") as f:
-        return _DECODER.decode(f.read())
+        return _decode(f.read())
 
 
 def _json_number(name: str, value) -> float:
@@ -322,7 +337,7 @@ def _header(line: bytes) -> dict:
     if not line:
         raise SchemaVersionMismatch("empty dataset file")
     try:
-        header = _DECODER.decode(line.decode("utf-8"))
+        header = _decode(line.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError included
         raise SchemaVersionMismatch(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -356,8 +371,7 @@ def _record_table(body: memoryview, n: int) -> np.ndarray:
 
 def _samples(table: np.ndarray, cals: dict) -> Samples:
     """The table of version 3 records, checked column by column: every
-    float finite, ids in [0, 2**63), and every arena with a camera in
-    ``cals``."""
+    float finite and ids in [0, 2**63); `Samples` checks the arenas."""
     bad = ~np.isfinite(_float_words(table))
     if bad.any():
         index, position = np.argwhere(bad)[0].tolist()
@@ -369,10 +383,6 @@ def _samples(table: np.ndarray, cals: dict) -> Samples:
     if negative.any():
         index = int(np.argmax(negative))
         raise MalformedRecord(index, f"id {ids[index]} is outside [0, 2**63)")
-    unknown = ~_rows_in(arena, cals)
-    if unknown.any():
-        index = int(np.argmax(unknown))
-        raise MalformedRecord(index, f"arena {arena[index]} has no camera in the header")
     floats = {name: table[name].astype(np.float64) for name in RECORD_DTYPE.names[2:]}
     return Samples(ids=ids, arena=arena, cameras=cals, **floats)
 
@@ -400,16 +410,4 @@ def read_dataset(source) -> Dataset:
         raise SchemaVersionMismatch(f"n_samples must be an integer >= 0, got {count!r}")
     table = _record_table(memoryview(data)[end:], n)
     return Dataset(samples=_samples(table, cals), folds=folds)
-
-
-def split(ds: Dataset, test_fold: str) -> tuple[Dataset, Dataset]:
-    """Partition by arena membership of the named fold; arenas never leak."""
-    if test_fold not in ds.folds:
-        raise UnknownFold(f"fold {test_fold!r} not in {sorted(ds.folds)}")
-    test_arenas = ds.folds[test_fold]
-    in_test = _rows_in(ds.samples.arena, test_arenas)
-    train_folds = {name: ids for name, ids in ds.folds.items() if name != test_fold}
-    train = Dataset(samples=ds.samples[~in_test], folds=train_folds)
-    test = Dataset(samples=ds.samples[in_test], folds={test_fold: test_arenas})
-    return train, test
 

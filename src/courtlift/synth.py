@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels as _k
 from ._record import Record, ValueRecord, record
 from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
-from .errors import DepthNonPositive, FrameCoverageFailure
+from .errors import DepthNonPositive, FrameCoverageFailure, MalformedRecord
 from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
 
@@ -149,8 +149,8 @@ class Samples(Record):
     """Annotated samples as columns: row i of every array is sample i.
 
     ``cameras`` maps each arena id to its one calibration, so a row's
-    camera is always ``cameras[arena[i]]``: a row whose arena has no
-    camera raises ValueError. ``cal_index[i]``, derived from them, is the
+    camera is always ``cameras[arena[i]]``: the first row i whose arena
+    has no camera raises MalformedRecord(i). ``cal_index[i]`` is the
     position of row i's camera in ``cameras``, the index ``ball_rays``
     takes. A slice, boolean mask or index array gives the table of those
     rows, with the same cameras.
@@ -169,13 +169,16 @@ class Samples(Record):
     def __post_init__(self):
         cameras = dict(self.cameras)
         # Binary search of the camera keys; a key past int64 names no row.
+        # An arena past the last key has slot len(keys), read as the pad 0.
         pairs = [(a, j) for j, a in enumerate(cameras) if -(2**63) <= a < 2**63]
         keys, position = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        unknown = ~np.isin(self.arena, keys)
-        if unknown.any():
-            raise ValueError(f"arena {self.arena[np.argmax(unknown)]} has no camera")
         order = np.argsort(keys)
-        cal_index = position[order][np.searchsorted(keys, self.arena, sorter=order)]
+        slot = np.searchsorted(keys, self.arena, sorter=order)
+        unknown = (slot == len(keys)) | (np.append(keys[order], 0)[slot] != self.arena)
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise MalformedRecord(i, f"arena {self.arena[i]} has no camera")
+        cal_index = position[order][slot]
         self.__dict__.update(cameras=cameras, cal_index=cal_index)
 
     def __len__(self) -> int:

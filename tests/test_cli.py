@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 import courtlift
-from courtlift import calibration_to_json_dict, make_camera, project, read_dataset, WorldPoint
+from courtlift import (
+    Dataset,
+    WorldPoint,
+    calibration_to_json_dict,
+    make_camera,
+    project,
+    read_dataset,
+    write_dataset,
+)
 from courtlift.cli import _write_json, build_parser, main
 from courtlift.dataio import RECORD_DTYPE
 from courtlift.errors import NonFiniteReport
@@ -274,6 +282,30 @@ class TestEvaluate:
         n_all = json.loads((tmp_path / "all.json").read_text())["repeats"][0]["n_samples"]
         n_fold = json.loads((tmp_path / "fold.json").read_text())["repeats"][0]["n_samples"]
         assert 0 < n_fold < n_all
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--predictor", "gaussian", "--target-mae", "34"],
+            ["--method", "diameter", "--predictor", "heavy_tailed", "--target-mae", "0.1"],
+        ],
+        ids=["height", "diameter"],
+    )
+    def test_fold_selects_its_rows_and_nothing_else(self, dataset_file, tmp_path, flags):
+        # evaluate --fold A reports, outside its config, what evaluate
+        # reports on a dataset written with only fold A's rows.
+        ds = read_dataset(dataset_file)
+        only_a = tmp_path / "only_a.dat"
+        write_dataset(Dataset(samples=ds.fold("A"), folds={"A": ds.folds["A"]}), only_a)
+        assert 0 < len(ds.fold("A")) < len(ds.samples)
+        outs = tmp_path / "fold", tmp_path / "only"
+        for dataset, fold, out in zip((dataset_file, only_a), (["--fold", "A"], []), outs):
+            argv = ["evaluate", *flags, "--dataset", str(dataset), *fold, "--out", str(out)]
+            assert main(argv) == 0
+        fold_json, only_json = (json.loads(out.with_suffix(".json").read_text()) for out in outs)
+        assert fold_json.pop("config")["fold"] == "A" and only_json.pop("config")["fold"] is None
+        assert fold_json == only_json
+        assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
 
     def test_unknown_fold_is_runtime_error(self, dataset_file, tmp_path, capsys):
         rc = main(

@@ -6,10 +6,11 @@ arenas, `evaluate` on the height path (gaussian, MAE 34 px, 2 repeats)
 and the diameter path (heavy-tailed, relative MAE 0.10), and `sweep`
 over offsets 0, 10, 40, -400 and 3000 px, where the -400 px level sends
 rows down the failure path; and two more `synth` runs at n = 1200 over
-12 arenas with `--dist uniform` and `--dist ballistic_like`, which span
-more than one 500-row placement block and hold balls above their cameras
-(169 and 180 of 1200), which synth keeps because the height lift needs
-only the foot's ray to meet the floor. Rerunning the recorded commands
+12 arenas with `--dist uniform` and `--dist ballistic_like`, which hold
+balls above their cameras (169 and 180 of 1200), which synth keeps
+because the height lift needs only the foot's ray to meet the floor.
+They fit in one placement block; `test_synth.py::TestStreamContract`
+pins that synth's output does not depend on the block size. Rerunning the recorded commands
 must give the same dataset bytes (by sha256) and byte-identical reports,
 both in-process through `courtlift.cli.main` and through the entry point
 the `courtlift` script runs.

@@ -17,7 +17,6 @@ from courtlift import (
     assign_folds,
     generate_dataset,
     read_dataset,
-    split,
     write_dataset,
 )
 from courtlift.dataio import RECORD_DTYPE
@@ -97,6 +96,11 @@ def _set(samples: Samples, name: str, value, row: int = 2) -> Samples:
     column = getattr(samples, name).copy()
     column[row] = value
     return replace(samples, **{name: column})
+
+
+def _camera(samples: Samples, **changes) -> Samples:
+    """The table with arena 1's camera replaced by CAL with ``changes``."""
+    return replace(samples, cameras={0: CAL, 1: replace(CAL, **changes)})
 
 
 def _assert_same_bits(a: Samples, b: Samples) -> None:
@@ -200,21 +204,27 @@ class TestWrite:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "broken",
+        "broken, match",
         [
-            lambda s: _set(s, "ball_3d", [0.0, np.inf, 1.0]),
-            lambda s: _set(s, "foot_px", [-np.inf, 1.0]),
-            lambda s: _set(s, "d_true", np.nan),
-            # Record 2 is the first of arena 1.
-            lambda s: replace(s, cameras={0: CAL, 1: replace(CAL, k2=np.nan)}),
+            (lambda s: _set(s, "ball_3d", [0.0, np.inf, 1.0]), "a value is not a finite number"),
+            (lambda s: _set(s, "foot_px", [-np.inf, 1.0]), "a value is not a finite number"),
+            (lambda s: _set(s, "d_true", np.nan), "a value is not a finite number"),
+            # Record 2 is the first of arena 1. read_dataset refuses a
+            # camera that validate refuses, so the writer refuses it too.
+            (lambda s: _camera(s, k2=np.nan), "calibration is invalid: NonFinite"),
+            (lambda s: _camera(s, fx=-1.0), "calibration is invalid: FocalNonPositive"),
+            (
+                lambda s: _camera(s, rotation=np.diag([1.0, 1.0, 2.0])),
+                "calibration is invalid: RotationNotOrthonormal",
+            ),
         ],
-        ids=["ball_3d", "foot_px", "d_true", "camera"],
+        ids=["ball_3d", "foot_px", "d_true", "camera", "camera_fx", "camera_R"],
     )
-    def test_non_finite_number_is_rejected_before_any_byte(self, broken):
+    def test_non_finite_number_is_rejected_before_any_byte(self, broken, match):
         samples = broken(_samples([0, 1, 2], arena=[0, 0, 1]))
         ds = Dataset(samples=samples, folds={"A": {0, 1}})
         sink = io.BytesIO()
-        with pytest.raises(MalformedRecord, match="record 2: "):
+        with pytest.raises(MalformedRecord, match=f"record 2: {match}"):
             write_dataset(ds, sink)
         assert sink.getvalue() == b""
 
@@ -491,12 +501,16 @@ class TestOneCameraPerArena:
     another keeps each row's camera."""
 
     def test_row_whose_arena_has_no_camera_raises(self):
-        with pytest.raises(ValueError, match="arena 7 has no camera"):
+        with pytest.raises(MalformedRecord, match="record 1: arena 7 has no camera"):
             _samples([0, 1, 2], arena=[0, 7, 0], cameras={0: CAL})
+        with pytest.raises(MalformedRecord, match="record 0: arena 0 has no camera"):
+            _samples([0, 1], arena=[0, 0], cameras={})
+        assert len(_samples([], arena=[], cameras={})) == 0
         samples = generate_dataset(seed=18, n=8, n_arenas=4)
         cameras = dict(samples.cameras)
         del cameras[3]
-        with pytest.raises(ValueError, match="arena 3 has no camera"):
+        first = samples.arena.tolist().index(3)
+        with pytest.raises(MalformedRecord, match=f"record {first}: arena 3 has no camera"):
             replace(samples, cameras=cameras)
 
     def test_camera_keys_in_any_order(self):
@@ -508,12 +522,17 @@ class TestOneCameraPerArena:
         samples = _samples(range(5), arena=[2, 5, -3, 5, 2], cameras=cameras)
         assert samples.cal_index.tolist() == [3, 0, 2, 0, 3]
         assert samples[1:3].cal_index.tolist() == [0, 2]
-        with pytest.raises(ValueError, match="arena 7 has no camera"):
+        with pytest.raises(MalformedRecord, match="record 1: arena 7 has no camera"):
             _samples(range(4), arena=[5, 7, 3, 2], cameras=cameras)
+        # An arena past every key, and one below every key.
+        with pytest.raises(MalformedRecord, match="record 2: arena 6 has no camera"):
+            _samples(range(3), arena=[5, 2, 6], cameras=cameras)
+        with pytest.raises(MalformedRecord, match="record 0: arena -4 has no camera"):
+            _samples(range(2), arena=[-4, 2], cameras=cameras)
         ds = Dataset(samples=samples, folds={"A": {2, 2**64}, "B": {5, -3}})
-        assert split(ds, "A")[1].samples.arena.tolist() == [2, 2]
+        assert ds.fold("A").arena.tolist() == [2, 2]
 
-    def test_split_reorder_and_round_trip_keep_each_rows_camera(self):
+    def test_fold_reorder_and_round_trip_keep_each_rows_camera(self):
         samples = generate_dataset(seed=18, n=120, n_arenas=5)
         truth = {a: cal.as_array() for a, cal in samples.cameras.items()}
         # Reversed, the records list the arenas' cameras in another order;
@@ -529,9 +548,9 @@ class TestOneCameraPerArena:
         for name in ("ids", "arena", "ball_3d", "ball_px", "foot_px", "h_true", "d_true"):
             np.testing.assert_array_equal(getattr(rec.samples, name), getattr(reordered, name))
         tables = [reordered, rec.samples]
-        for fold in ds.folds:
-            parts = [part.samples for d in (ds, rec) for part in split(d, fold)]
-            assert len(parts[0]) + len(parts[1]) == len(reordered)
+        for d in (ds, rec):
+            parts = [d.fold(fold) for fold in d.folds]
+            assert sum(map(len, parts)) == len(reordered)
             tables += parts
         for table in tables:
             rays = ball_rays(table.cameras.values(), table.cal_index, table.ball_px)
@@ -540,25 +559,25 @@ class TestOneCameraPerArena:
             assert all(row.cal is table.cameras[row.arena_id] for row in table)
 
 
-class TestSplit:
-    def test_single_fold_gives_empty_train(self):
+class TestFold:
+    def test_single_fold_gives_every_row(self):
         ds = Dataset(samples=_samples(range(4)), folds={"A": {0}})
-        train, test = split(ds, "A")
-        assert len(train.samples) == 0
-        assert test.samples.ids.tolist() == [0, 1, 2, 3]
+        assert ds.fold("A").ids.tolist() == [0, 1, 2, 3]
 
-    def test_fifteen_arena_split_is_disjoint(self):
+    def test_fifteen_arena_folds_partition_the_rows(self):
         samples = generate_dataset(seed=15, n=150, n_arenas=15)
         ds = Dataset(samples=samples, folds=assign_folds(range(15), 5))
+        total = 0
         for fold in ds.folds:
-            train, test = split(ds, fold)
-            test_arenas = set(test.samples.arena.tolist())
-            assert set(train.samples.arena.tolist()).isdisjoint(test_arenas)
-            assert len(train.samples) + len(test.samples) == 150
-            assert test_arenas <= ds.folds[fold]
+            rows = ds.fold(fold)
+            assert set(rows.arena.tolist()) <= ds.folds[fold]
+            in_fold = np.isin(samples.arena, list(ds.folds[fold]))
+            np.testing.assert_array_equal(rows.ids, samples.ids[in_fold])
+            total += len(rows)
+        assert total == 150
 
     def test_unknown_fold(self):
         ds = Dataset(samples=_samples([0]), folds={"A": {0}})
-        with pytest.raises(UnknownFold):
-            split(ds, "Z")
+        with pytest.raises(UnknownFold, match="fold 'Z' not in \\['A'\\]"):
+            ds.fold("Z")
 

@@ -166,3 +166,37 @@ def test_mutated_arena_json(tmp_path, capsys):
             read_dataset(out)
         else:
             assert not out.exists(), case
+
+
+
+# A value nested past the decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, code, error",
+    [("header", 1, "SchemaVersionMismatch"), ("cal", 1, "InvalidCalibration"), ("arena", 2, None)],
+)
+def test_deep_nesting_fails_typed(dataset, tmp_path, capsys, name, code, error):
+    # The header's folds, or a whole --cal or --arena-json file, nests
+    # 100 000 arrays deep: the command refuses it like any other value
+    # it cannot read, and raises no RecursionError.
+    header, body = dataset
+    data = tmp_path / "deep.dat"
+    data.write_bytes(_mutated(header, ("folds",), DEEP).encode() + b"\n" + body)
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    argv = {
+        "header": ["evaluate", "--dataset", str(data), "--out", str(tmp_path / "r")],
+        "cal": ["reconstruct", "--cal", str(deep), "--x", "1", "--y", "1", "--height", "1"],
+        "arena": ["synth", "--n", "6", "--arena-json", str(deep), "--out", str(data)],
+    }[name]
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's usage errors
+        assert exc.code == code
+    err = capsys.readouterr().err
+    if error:
+        assert err.startswith(f"error: {error}: ") and "nests too deep" in err, err
+    else:
+        assert "nests too deep" in err, err

@@ -36,7 +36,7 @@ from courtlift import (
     generate_dataset,
     make_camera,
 )
-from courtlift.errors import FoldViolation
+from courtlift.errors import FoldViolation, MalformedRecord
 from courtlift.synth import BallSample
 
 CAL = make_camera((0.0, -20.0, 3.0), (0.0, 0.0, 0.0), 2000.0, 4500.0, 1500.0, k1=-0.1)
@@ -158,7 +158,7 @@ DERIVED = {"_packed", "cal_index"}
 # A field change per record that its validation rejects, and the error.
 INVALID = {
     CameraCalibration: ({"rotation": np.eye(2)}, ValueError),
-    Samples: ({"cameras": {0: CAL}}, ValueError),
+    Samples: ({"cameras": {0: CAL}}, MalformedRecord),
     Dataset: ({"folds": {"A": {0}}}, FoldViolation),
     PredictorSpec: ({"sigma": -1.0}, ValueError),
     ArenaSpec: ({"court_half_length": -1.0}, ValueError),
@@ -215,9 +215,9 @@ def test_public_api_names():
         "height_histogram", "make_camera", "predict_diameters", "predict_heights", "project",
         "read_dataset", "reconstruct_from_diameter_batch",
         "reconstruct_from_height", "reconstruct_from_height_batch", "sample_ball",
-        "sample_camera", "scale_calibration", "split", "validate", "write_dataset",
+        "sample_camera", "scale_calibration", "validate", "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 37
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 36
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 
