@@ -242,24 +242,6 @@ def ray_direction(cal, u, v):
     return dx / norm, dy / norm, dz / norm
 
 
-@_quiet
-def intersect_ground(origin, direction):
-    """Intersect rays with the ground plane Z = 0.
-
-    ``origin`` and ``direction`` are (x, y, z) triples of arrays.
-    Returns (gx, gy, status).
-    """
-    ox, oy, oz = origin
-    dx, dy, dz = direction
-    s = -oz / dz
-    status = np.where(
-        np.abs(dz) < EPS_AXIS,
-        STATUS_RAY_PARALLEL,
-        _flag(s < 0.0, STATUS_BEHIND_CAMERA),
-    )
-    return ox + s * dx, oy + s * dy, status
-
-
 def _toward_nadir(cal, u, v):
     """Unit image directions of decreasing world Z at undistorted pixels
     b, and the lengths of b c_w - c_xy, which they scale.
@@ -279,33 +261,19 @@ def _toward_nadir(cal, u, v):
 
 
 @_quiet
-def vertical_direction(cal, u, v):
-    """The local vertical at undistorted pixels of ground points: each
-    ray must meet the ground in front of the camera, where one metre of
-    vertical images at least VERTICAL_MIN_PX long. Returns (vx, vy,
-    angle, gx, gy, status): ``_toward_nadir``'s direction, angle =
-    atan2(vx, vy) and the ground point (gx, gy).
-    """
-    status = _finite(u, v)
-    gx, gy, st = intersect_ground(camera_center(cal), ray_direction(cal, u, v))
-    status = _then(status, st)
-    depth = _camera_coords(cal, gx, gy, 0.0)[2]
-    status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
-    vx, vy, norm = _toward_nadir(cal, u, v)
-    status = _then(status, _flag(norm / depth < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
-    return vx, vy, np.arctan2(vx, vy), gx, gy, status
-
-
-@_quiet
 def lift_height(cal, u, v, h, status):
     """Height-based reconstruction from UNDISTORTED ball pixels.
 
     Ball, foot and the vertical vanishing point are collinear, so the
     foot is the ball pixel moved h px along ``_toward_nadir``; the ball
-    pixel may lie above the horizon. Only the foot must be a ground point
-    (``vertical_direction``, which gives the angle). The ball is (gx, gy,
-    bz): its ray meets the world vertical through the ground point at the
-    ray parameter s that matches its horizontal position.
+    pixel may lie above the horizon. Only the foot must be a ground
+    point: its ray must meet the ground plane Z = 0, not run parallel to
+    it, in front of the camera at a point (gx, gy) of positive depth,
+    where one metre of vertical images at least VERTICAL_MIN_PX long.
+    The angle is atan2 of the foot's ``_toward_nadir`` direction. The
+    ball is (gx, gy, bz): its ray meets the world vertical through the
+    ground point at the ray parameter s that matches its horizontal
+    position.
     ``status`` is each pixel's status so far (undistort_pixel's). A
     non-finite h comes before it, and it before any later failure.
     Returns (bz, gx, gy, fu, fv, angle, status).
@@ -314,14 +282,22 @@ def lift_height(cal, u, v, h, status):
     vx, vy, norm = _toward_nadir(cal, u, v)
     status = _then(status, _flag(norm == 0.0, STATUS_DEGENERATE_VERTICAL))
     fu, fv = u + h * vx, v + h * vy
-    _, _, angle, gx, gy, st = vertical_direction(cal, fu, fv)
-    status = _then(status, st)
+    status = _then(status, _finite(fu, fv))
     ox, oy, oz = camera_center(cal)
+    rx, ry, rz = ray_direction(cal, fu, fv)
+    t = -oz / rz
+    behind = _flag(t < 0.0, STATUS_BEHIND_CAMERA)
+    status = _then(status, np.where(np.abs(rz) < EPS_AXIS, STATUS_RAY_PARALLEL, behind))
+    gx, gy = ox + t * rx, oy + t * ry
+    depth = _camera_coords(cal, gx, gy, 0.0)[2]
+    status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
+    nx, ny, norm = _toward_nadir(cal, fu, fv)
+    status = _then(status, _flag(norm / depth < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
     dx, dy, dz = ray_direction(cal, u, v)
     s = ((gx - ox) * dx + (gy - oy) * dy) / (dx * dx + dy * dy)
     in_front = (s > 0.0) & (s < np.inf)
     status = _then(status, _flag(~in_front, STATUS_VERTICAL_BEHIND_CAMERA))
-    return oz + s * dz, gx, gy, fu, fv, angle, status
+    return oz + s * dz, gx, gy, fu, fv, np.arctan2(nx, ny), status
 
 
 @_quiet

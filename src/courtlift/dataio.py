@@ -30,6 +30,7 @@ that wrote one writes the same samples.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
@@ -67,9 +68,13 @@ _WORDS = tuple(
 )
 
 
-def _float_words(table: np.ndarray) -> np.ndarray:
-    """The (n, 9) view of a record table's float words, ball_3d to d_true."""
-    return table.view("<f8").reshape(-1, len(_WORDS))[:, 2:]
+def _check_finite(table: np.ndarray) -> None:
+    """MalformedRecord naming the first record with a non-finite float
+    word, ball_3d to d_true, and that word's field."""
+    bad = ~np.isfinite(table.view("<f8").reshape(-1, len(_WORDS))[:, 2:])
+    if bad.any():
+        index, position = np.argwhere(bad)[0].tolist()
+        raise MalformedRecord(index, f"{_WORDS[position + 2]} is not a finite number")
 
 
 @record
@@ -188,9 +193,7 @@ def write_dataset(ds: Dataset, sink) -> None:
     table = np.empty(len(s), RECORD_DTYPE)
     for name in RECORD_DTYPE.names:
         table[name] = getattr(s, name)
-    finite = np.isfinite(_float_words(table)).all(axis=1)
-    if not finite.all():
-        raise MalformedRecord(int(np.argmin(finite)), "a value is not a finite number")
+    _check_finite(table)
     ids = s.ids.tolist()
     if ids and not 0 <= min(ids) <= max(ids) < 2**63:
         index = next(i for i, v in enumerate(ids) if not 0 <= v < 2**63)
@@ -207,21 +210,35 @@ def write_dataset(ds: Dataset, sink) -> None:
 # Reading.
 
 
+class _NonFinite(Exception):
+    """The decoder met a NaN, Infinity or -Infinity token."""
+
+
 def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token}")
+    raise _NonFinite(token)
 
 
 # The one decoder of every JSON input; it refuses NaN and Infinity tokens.
 # A literal past float range, 1e999, still reads as inf: finite checks stay.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
+# A JSON string, or a non-finite token outside one (group 1).
+_STRING_OR_NON_FINITE = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
 
 def _decode(text: str) -> object:
-    """``text``'s JSON value; ValueError if not JSON, on NaN or Infinity, or on deep nesting."""
+    """``text``'s JSON value; ValueError if not JSON, on NaN or Infinity, or on
+    deep nesting. A NaN or Infinity raises json.JSONDecodeError at its position."""
     try:
         return _DECODER.decode(text)
     except RecursionError as exc:
         raise ValueError("JSON nests too deep") from exc
+    except _NonFinite:
+        # Every byte before the refused token decoded: it is the first
+        # such token outside a string.
+        token = next(m for m in _STRING_OR_NON_FINITE.finditer(text) if m.group(1))
+        message = f"non-finite number {token.group(1)}"
+        raise json.JSONDecodeError(message, text, token.start(1)) from None
 
 
 def read_json(path) -> object:
@@ -372,10 +389,7 @@ def _record_table(body: memoryview, n: int) -> np.ndarray:
 def _samples(table: np.ndarray, cals: dict) -> Samples:
     """The table of version 3 records, checked column by column: every
     float finite and ids in [0, 2**63); `Samples` checks the arenas."""
-    bad = ~np.isfinite(_float_words(table))
-    if bad.any():
-        index, position = np.argwhere(bad)[0].tolist()
-        raise MalformedRecord(index, f"{_WORDS[position + 2]} is not a finite number")
+    _check_finite(table)
     ids = table["ids"].astype(np.int64)
     arena = table["arena"].astype(np.int64)
     # An id keys the predictors' per-sample streams and is packed as int64.

@@ -27,7 +27,7 @@ from courtlift import (
 )
 from courtlift import _kernels as _k
 from courtlift import errors
-from courtlift.camera import STATUS_NAMES, one_row, raise_for_status
+from courtlift.camera import STATUS_NAMES, column, one_row, raise_for_status
 from courtlift.dataio import load_calibration
 from courtlift.errors import DepthNonPositive, NonPositiveScale
 
@@ -273,33 +273,31 @@ class TestBackProject:
                     assert math.hypot(q.x - p.x, q.y - p.y) < 1e-9
 
 
-def _intersect(origin, direction):
-    """One ray, with its direction made unit length, against the ground."""
-    d = np.asarray(direction, dtype=np.float64)
-    unit = one_row(*(d / np.linalg.norm(d)))
-    gx, gy, status = _k.intersect_ground(one_row(*origin), unit)
-    return WorldPoint(float(gx[0]), float(gy[0]), 0.0), int(status[0])
+class TestGroundIntersection:
+    """The height lift at h = 0 drops a pixel's ray onto the floor: its
+    foot is the pixel, so (gx, gy) is the ground point and bz is 0."""
 
+    @staticmethod
+    def _assert_lands(cal, wx, wy):
+        cols = column(cal)
+        zeros = np.zeros_like(wx)
+        _, _, un, vn, _, status = _k.project_point(cols, wx, wy, zeros)
+        assert (status == _k.STATUS_OK).all()
+        bz, gx, gy, _, _, _, status = _k.lift_height(cols, un, vn, zeros, status)
+        assert (status == _k.STATUS_OK).all()
+        np.testing.assert_allclose(gx, wx, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gy, wy, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bz, 0.0, rtol=0, atol=1e-9)
 
-class TestIntersectRayPlane:
-    def test_straight_down(self):
-        p, status = _intersect((0, 0, 10), [0.0, 0.0, -1.0])
-        assert (p.x, p.y, p.z, status) == (0.0, 0.0, 0.0, _k.STATUS_OK)
+    def test_random_cameras(self):
+        rng = np.random.default_rng(5)
+        for cal in random_cameras(30, seed=22):
+            self._assert_lands(cal, rng.uniform(-14.0, 14.0, 40), rng.uniform(-7.5, 7.5, 40))
 
-    def test_parallel_is_flagged(self):
-        _, status = _intersect((0, 0, 10), [1.0, 0.0, 0.0])
-        assert status == _k.STATUS_RAY_PARALLEL
-
-    def test_behind_is_flagged(self):
-        _, status = _intersect((0, 0, 10), [0.0, 0.0, 1.0])
-        assert status == _k.STATUS_BEHIND_CAMERA
-
-    def test_constructed_direction_hits_target(self):
-        origin = WorldPoint(0, -20, 3)
-        target = np.array([2.0, 1.0, 0.0])
-        p, status = _intersect(origin.as_array(), target - origin.as_array())
-        assert status == _k.STATUS_OK
-        np.testing.assert_allclose([p.x, p.y, p.z], target, atol=1e-12)
+    def test_fixture_cameras(self, cam_a, side_cal):
+        wx, wy = np.meshgrid(np.linspace(-14.0, 14.0, 9), np.linspace(-7.5, 7.5, 7))
+        for cal in (cam_a, side_cal):
+            self._assert_lands(cal, wx.ravel(), wy.ravel())
 
 
 class TestCameraCenter:

@@ -206,9 +206,9 @@ class TestWrite:
     @pytest.mark.parametrize(
         "broken, match",
         [
-            (lambda s: _set(s, "ball_3d", [0.0, np.inf, 1.0]), "a value is not a finite number"),
-            (lambda s: _set(s, "foot_px", [-np.inf, 1.0]), "a value is not a finite number"),
-            (lambda s: _set(s, "d_true", np.nan), "a value is not a finite number"),
+            (lambda s: _set(s, "ball_3d", [0.0, np.inf, 1.0]), "ball_3d is not a finite number"),
+            (lambda s: _set(s, "foot_px", [-np.inf, 1.0]), "foot_px is not a finite number"),
+            (lambda s: _set(s, "d_true", np.nan), "d_true is not a finite number"),
             # Record 2 is the first of arena 1. read_dataset refuses a
             # camera that validate refuses, so the writer refuses it too.
             (lambda s: _camera(s, k2=np.nan), "calibration is invalid: NonFinite"),

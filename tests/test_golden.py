@@ -101,13 +101,14 @@ def test_diameter_path_matches_golden(golden, rays):
 
 
 def _assert_foot_solves_its_equation(rays, heights):
-    """On OK rows the vertical at the foot is parallel to foot - ball, and
-    the foot lies h px along it."""
+    """On OK rows the foot lifts at h = 0, the vertical at the foot is
+    parallel to foot - ball, and the foot lies h px along it."""
     _, _, _, fu, fv, _, status = _lift(rays, heights)
     ok = status == _k.STATUS_OK
-    fu, fv = fu[ok], fv[ok]
-    vx, vy, _, _, _, status = _k.vertical_direction(rays.cal[:, ok], fu, fv)
+    fu, fv, cal = fu[ok], fv[ok], rays.cal[:, ok]
+    status = _k.lift_height(cal, fu, fv, np.zeros_like(fu), np.zeros_like(status[ok]))[-1]
     assert (status == _k.STATUS_OK).all()
+    vx, vy, _ = _k._toward_nadir(cal, fu, fv)
     du = fu - rays.u[ok]
     dv = fv - rays.v[ok]
     assert np.abs(du * vy - dv * vx).max() <= 1e-10

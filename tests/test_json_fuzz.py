@@ -1,10 +1,13 @@
-"""Seeded mutation fuzz of the three JSON inputs a command reads.
+"""Seeded mutation fuzz of the inputs a command reads.
 
-The inputs are a small synth dataset's header, a ``reconstruct --cal``
-file and a ``synth --arena-json`` file. Each case replaces one number
-token of one input with a hostile token and runs ``cli.main`` in-process.
-Whatever the input, the command must exit 0, 1 or 2 without raising; an
-exit 1 prints ``error: <CourtliftError subclass>: ...``; and every report
+The inputs are a small synth dataset's header and its 88-byte records,
+a ``reconstruct --cal`` file and a ``synth --arena-json`` file. Each
+header, calibration or arena case replaces one number token of one input
+with a hostile token; each record case writes a hostile float word or
+id, an arena with no camera or one flipped bit into the records, or cuts
+or extends the body. Every case runs ``cli.main`` in-process. Whatever
+the input, the command must exit 0, 1 or 2 without raising; an exit 1
+prints ``error: <CourtliftError subclass>: ...``; and every report
 written is strict JSON. The cases come from a fixed seed, and their
 number keeps the run to a few seconds.
 """
@@ -12,6 +15,7 @@ number keeps the run to a few seconds.
 import json
 import random
 import re
+import struct
 
 import pytest
 
@@ -28,7 +32,18 @@ TOKENS = (
 
 # Random cases per input, on top of every token at n_samples and
 # schema_version.
-CASES = {"header": 360, "cal": 240, "arena": 120}
+CASES = {"header": 360, "cal": 240, "arena": 120, "records": 600}
+
+RECORD_SIZE = 88
+
+# Hostile float words; a NaN's sign and payload are drawn per case.
+FLOATS = (float("inf"), float("-inf"), 1e308, -1e308, 1e160, 1e-300, 2e-320)
+
+# Hostile ids, as int64: -1 and the bits of 2**63.
+IDS = (-1, -(2**63))
+
+# Arenas without a camera in a two-arena dataset.
+NO_CAMERA = (2, 7, -1, 2**62, 2**63 - 1, -(2**63))
 
 COURTLIFT_ERRORS = {
     cls.__name__
@@ -53,14 +68,14 @@ def _number_paths(value, path=()):
             yield from _number_paths(item, (*path, index))
 
 
-def _mutated(value, path, token: str) -> str:
+def _mutated(value, path, token: str, indent=None) -> str:
     """The JSON text of ``value`` with the number at ``path`` replaced by ``token``."""
     value = json.loads(json.dumps(value))
     parent = value
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = _MARK
-    return json.dumps(value).replace(json.dumps(_MARK), token)
+    return json.dumps(value, indent=indent).replace(json.dumps(_MARK), token)
 
 
 def _cases(value, name: str, always=()):
@@ -112,20 +127,71 @@ COMMANDS = (
 )
 
 
+def _run_dataset(k: int, data: bytes, case, tmp_path, capsys) -> None:
+    """Run the k-th command, cycling through COMMANDS, on a dataset file
+    of ``data``, as `_run` does; a report written is strict JSON."""
+    path = tmp_path / f"{k}.dat"
+    path.write_bytes(data)
+    out = tmp_path / f"r{k}"
+    command = COMMANDS[k % len(COMMANDS)]
+    code, _ = _run([*command, "--dataset", str(path), "--out", str(out)], case, capsys)
+    if code == 0:
+        _strict(out.with_suffix(".json").read_text())
+
+
 @pytest.mark.filterwarnings("ignore:camera center z")
 def test_mutated_dataset_header(dataset, tmp_path, capsys):
     header, body = dataset
     for k, (path, token) in enumerate(
         _cases(header, "header", always=[("n_samples",), ("schema_version",)])
     ):
-        case = ("header", path, token)
-        data = tmp_path / f"{k}.dat"
-        data.write_bytes(_mutated(header, path, token).encode() + b"\n" + body)
-        out = tmp_path / f"r{k}"
-        command = COMMANDS[k % len(COMMANDS)]
-        code, _ = _run([*command, "--dataset", str(data), "--out", str(out)], case, capsys)
-        if code == 0:
-            _strict(out.with_suffix(".json").read_text())
+        data = _mutated(header, path, token).encode() + b"\n" + body
+        _run_dataset(k, data, ("header", path, token), tmp_path, capsys)
+
+
+def _record_cases(body: bytes):
+    """CASES["records"] mutated record bodies, each with its case, from
+    the fixed seed."""
+    rng = random.Random(f"{SEED}-records")
+    n = len(body) // RECORD_SIZE
+    kinds = ("float", "nan", "id", "repeat", "arena", "bit", "cut", "extend")
+    for _ in range(CASES["records"]):
+        data = bytearray(body)
+        kind, row = rng.choice(kinds), rng.randrange(n)
+        at = row * RECORD_SIZE
+        if kind == "float":
+            detail = (rng.randrange(2, 11), rng.choice(FLOATS))
+            struct.pack_into("<d", data, at + 8 * detail[0], detail[1])
+        elif kind == "nan":
+            bits = rng.getrandbits(1) << 63 | 0x7FF << 52 | (rng.getrandbits(52) or 1)
+            detail = (rng.randrange(2, 11), hex(bits))
+            struct.pack_into("<Q", data, at + 8 * detail[0], bits)
+        elif kind == "id":
+            detail = rng.choice(IDS)
+            struct.pack_into("<q", data, at, detail)
+        elif kind == "repeat":
+            detail = rng.choice([k for k in range(n) if k != row])
+            data[at : at + 8] = body[detail * RECORD_SIZE : detail * RECORD_SIZE + 8]
+        elif kind == "arena":
+            detail = rng.choice(NO_CAMERA)
+            struct.pack_into("<q", data, at + 8, detail)
+        elif kind == "bit":
+            detail = rng.randrange(len(data) * 8)
+            data[detail // 8] ^= 1 << detail % 8
+        elif kind == "cut":
+            detail = rng.randint(1, RECORD_SIZE)
+            del data[len(data) - detail :]
+        else:
+            detail = rng.randint(1, RECORD_SIZE)
+            data += rng.randbytes(detail)
+        yield (kind, row, detail), bytes(data)
+
+
+def test_mutated_records(dataset, tmp_path, capsys):
+    header, body = dataset
+    prefix = json.dumps(header).encode() + b"\n"
+    for k, (case, records) in enumerate(_record_cases(body)):
+        _run_dataset(k, prefix + records, case, tmp_path, capsys)
 
 
 @pytest.mark.filterwarnings("ignore:camera center z")
@@ -200,3 +266,45 @@ def test_deep_nesting_fails_typed(dataset, tmp_path, capsys, name, code, error):
         assert err.startswith(f"error: {error}: ") and "nests too deep" in err, err
     else:
         assert "nests too deep" in err, err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "name, code, error",
+    [("header", 1, "SchemaVersionMismatch"), ("cal", 1, "InvalidCalibration"), ("arena", 2, None)],
+)
+def test_non_finite_token_error_names_its_position(
+    dataset, tmp_path, capsys, name, code, error, token
+):
+    # The header is one line; the --cal and --arena-json files are
+    # indented, so their token sits past line 1.
+    header, body = dataset
+    cal = calibration_to_json_dict(make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500))
+    spec = {"ball_diameter_m": 0.24, "focal_range": [1500.0, 3000.0]}
+    value, at, indent = {
+        "header": (header, ("cameras", 1, "cal", "R", 4), None),
+        "cal": (cal, ("dist", "k2"), 2),
+        "arena": (spec, ("focal_range", 1), 2),
+    }[name]
+    text = _mutated(value, at, token, indent)
+    pos = _mutated(value, at, "@", indent).index("@")
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    assert (line == 1) == (name == "header")
+    data = tmp_path / "in.dat"
+    data.write_bytes(text.encode() + b"\n" + body)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = {
+        "header": ["evaluate", "--dataset", str(data), "--out", str(tmp_path / "r")],
+        "cal": ["reconstruct", "--cal", str(path), "--x", "1", "--y", "1", "--height", "1"],
+        "arena": ["synth", "--n", "6", "--arena-json", str(path), "--out", str(data)],
+    }[name]
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's usage errors
+        assert exc.code == code
+    err = capsys.readouterr().err
+    message = f"non-finite number {token}: line {line} column {column} (char {pos})"
+    assert message in err, err
+    if error:
+        assert err.startswith(f"error: {error}: "), err

@@ -59,8 +59,11 @@ def _overhead_cal() -> CameraCalibration:
 
 
 def _vertical(cal: CameraCalibration, x: float, y: float):
-    """(vx, vy), angle and status of the local vertical at a pixel."""
-    vx, vy, angle, _, _, status = kernel_row(_k.vertical_direction, cal, x, y)
+    """(vx, vy), angle and status of the local vertical at a pixel: the
+    lift at h = 0, whose foot is the pixel itself."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the vanishing point
+        vx, vy, _ = kernel_row(_k._toward_nadir, cal, x, y)
+    _, _, _, _, _, angle, status = kernel_row(_k.lift_height, cal, x, y, 0.0, STATUS_OK)
     return (vx, vy), angle, status
 
 
