@@ -11,14 +11,18 @@ relative errors (Student-t, nu = 2, scale 0.3), which include
 non-positive diameters, and every 97th diameter set to exactly 0. A
 third, wild group runs the height path on 1000 random pixels spread over
 three times the frame with heights in [-1000, 3000) px, which reach the
-undistortion failure and other failure paths.
+undistortion failure and other failure paths. A fourth group undistorts
+2000 random pixels over 1.5 times the frame through the same cameras
+given k3, tangential (p1, p2) and skew terms, which no default arena
+draws.
 
 The file stores the inputs next to the outputs, so the test replays the
 same numbers even when the synthetic generator changes. Each group
 stores its statuses and balls from the batch API (``ball_rays`` and the
 two batch reconstructions); the height groups also store each row's
 foot pixel and vertical angle from ``_kernels.lift_height`` on the same
-rays. Failed rows hold NaN.
+rays. The lens group stores the undistorted pixels and statuses of
+``ball_rays``. Failed rows hold NaN.
 """
 
 import sys
@@ -39,6 +43,7 @@ N = 2000
 ARENAS = 12
 OFFSETS_PX = (0.0, 10.0, 40.0, -400.0, 3000.0)
 WILD = 1000
+LENS = 2000
 
 
 def foot_and_angle(rays, heights):
@@ -75,6 +80,19 @@ def main(path: str) -> None:
     wb = reconstruct_from_height_batch(w_rays, w_heights)
     w_foot, w_angle = foot_and_angle(w_rays, w_heights)
 
+    rng = np.random.default_rng(SEED)
+    t_cals = packed.copy()
+    t_cals[:, _k.CAL_K3] = rng.uniform(-0.02, 0.02, ARENAS)
+    t_cals[:, _k.CAL_P1] = rng.uniform(-2e-3, 2e-3, ARENAS)
+    t_cals[:, _k.CAL_P2] = rng.uniform(-2e-3, 2e-3, ARENAS)
+    t_cals[:, _k.CAL_SKEW] = rng.uniform(-2.0, 2.0, ARENAS)
+    t_idx = rng.integers(0, ARENAS, LENS)
+    t_px = np.column_stack(
+        [rng.uniform(-0.25 * 4500, 1.25 * 4500, LENS), rng.uniform(-0.25 * 1500, 1.25 * 1500, LENS)]
+    )
+    t_rays = ball_rays(t_cals, t_idx, t_px)
+    t_failed = t_rays.status != _k.STATUS_OK
+
     np.savez_compressed(
         path,
         cals=packed,
@@ -95,6 +113,12 @@ def main(path: str) -> None:
         w_ball=wb.ball_3d,
         w_foot=w_foot,
         w_angle=w_angle,
+        t_cals=t_cals,
+        t_cal_index=t_idx,
+        t_px=t_px,
+        t_u=np.where(t_failed, np.nan, t_rays.u),
+        t_v=np.where(t_failed, np.nan, t_rays.v),
+        t_status=t_rays.status,
     )
 
 

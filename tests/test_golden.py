@@ -4,10 +4,12 @@ tests/data/golden_kernels.npz holds inputs and outputs captured with
 tests/data/capture_golden.py: 2000 samples over 12 default (distorted)
 arenas, the height path at offsets 0, 10, 40, -400 and 3000 px, the
 diameter path with heavy-tailed diameters, including non-positive ones,
-and the height path on random pixels in and far outside the frame. The
-2000 rows' rays are built once and every offset and the diameters are
-reconstructed from them, as `evaluate --repeats` and `sweep` do. Status
-codes must match on every row and the balls of OK rows must be
+the height path on random pixels in and far outside the frame, and the
+undistortion of random pixels through the same cameras with k3,
+tangential and skew terms added. The 2000 rows' rays are built once and
+every offset and the diameters are reconstructed from them, as
+`evaluate --repeats` and `sweep` do. Status codes must match on every
+row, and the balls and undistorted pixels of OK rows must be
 bit-identical. On the height path, `_kernels.lift_height` on the same
 rays must give the stored foot pixels bit for bit and the stored
 vertical angles to 1e-12 rad: numpy may run np.arctan2 on CPU-specific
@@ -98,6 +100,18 @@ def test_diameter_path_matches_golden(golden, rays):
     batch = reconstruct_from_diameter_batch(rays, g["diameters"])
     assert (batch.status != 0).any()
     _check(batch, g, "d")
+
+
+def test_non_radial_undistortion_matches_golden(golden):
+    # The default arenas' lenses are radial-only; this group pins the
+    # k3, tangential and skew terms of the undistortion, both outcomes.
+    g = golden
+    lens = ball_rays(g["t_cals"], g["t_cal_index"], g["t_px"])
+    np.testing.assert_array_equal(lens.status, g["t_status"])
+    np.testing.assert_array_equal(np.bincount(lens.status), [1690, 0, 310])
+    ok = lens.status == _k.STATUS_OK
+    np.testing.assert_array_equal(lens.u[ok], g["t_u"][ok])
+    np.testing.assert_array_equal(lens.v[ok], g["t_v"][ok])
 
 
 def _assert_foot_solves_its_equation(rays, heights):
