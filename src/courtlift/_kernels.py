@@ -13,10 +13,13 @@ Image frame: origin top-left, x right, y down, pixel centers at integers.
 Extrinsics: x_cam = R @ X_world + t. One kernel projects world points,
 ``project_point``: distorted and distortion-free pixels and depths at once.
 
-Undistortion inverts Brown-Conrady on the lens model's invertible domain
-only: a solution where the model folds (det J <= 0), or one past the
-first monotone branch of the radial map r -> r radial(r^2), gives status
-STATUS_NO_CONVERGENCE, with or without tangential terms.
+``distort_norm`` states the Brown-Conrady lens model once: projection
+applies it, and ``undistort_pixel``, the one undistortion kernel, takes
+its Newton residuals from it. Undistortion inverts the model on its
+invertible domain only: a solution where the model folds (det J <= 0),
+or one past the first monotone branch of the radial map
+r -> r radial(r^2), gives status STATUS_NO_CONVERGENCE, with or without
+tangential terms.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ def _finite(*values) -> np.ndarray:
 
 
 def distort_norm(cal, x, y):
-    """Brown-Conrady distortion of normalized camera coordinates."""
+    """Brown-Conrady distortion of normalized camera coordinates: the one
+    statement of the lens model. Returns (xd, yd, r2, radial), the
+    distorted point, x^2 + y^2 and the radial factor."""
     k1 = cal[CAL_K1]
     k2 = cal[CAL_K2]
     k3 = cal[CAL_K3]
@@ -108,51 +113,7 @@ def distort_norm(cal, x, y):
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     xd = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
     yd = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-    return xd, yd
-
-
-@_quiet
-def undistort_norm(cal, xd, yd):
-    """Invert distort_norm by Newton's method on normalized coordinates.
-
-    Each row starts from one fixed-point step, xd / radial(xd), and
-    steps with the analytic Jacobian J of the Brown-Conrady model until
-    its residual is at most UNDISTORT_STOP_TOL. All rows step together,
-    a converged row stays where it stopped, and the loop ends once every
-    row has converged or after UNDISTORT_MAX_ITER steps, so each row's
-    result is its own. A row is outside the model's invertible domain
-    (STATUS_NO_CONVERGENCE) when its residual is above
-    UNDISTORT_FAIL_TOL, when det J <= 0 at the solution, or when the
-    solution lies on or past the first positive root s* of the slope
-    1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of r -> r radial(r^2), with s = r^2:
-    a solution past the fold is not the pixel's first-branch preimage,
-    even where tangential terms keep det J > 0 there.
-    Returns (x, y, status).
-    """
-    k1, k2, k3, p1, p2 = (cal[c] for c in (CAL_K1, CAL_K2, CAL_K3, CAL_P1, CAL_P2))
-    r2 = xd * xd + yd * yd
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    x, y = xd / radial, yd / radial
-    for it in range(UNDISTORT_MAX_ITER + 1):
-        r2 = x * x + y * y
-        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        slope = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))  # d radial / d r, over r
-        ex = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x) - xd
-        ey = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y - yd
-        jxx = radial + x * x * slope + 2.0 * p1 * y + 6.0 * p2 * x
-        jyy = radial + y * y * slope + 6.0 * p1 * y + 2.0 * p2 * x
-        jxy = x * y * slope + 2.0 * (p1 * x + p2 * y)
-        det = jxx * jyy - jxy * jxy
-        error = np.maximum(np.abs(ex), np.abs(ey))
-        # NaN compares false: a non-finite row never holds the others up.
-        active = error > UNDISTORT_STOP_TOL
-        if it == UNDISTORT_MAX_ITER or not active.any():
-            break
-        x = np.where(active, x - (jyy * ex - jxy * ey) / det, x)
-        y = np.where(active, y - (jxx * ey - jxy * ex) / det, y)
-    inside = (error <= UNDISTORT_FAIL_TOL) & (det > 0.0)
-    inside &= _first_branch(k1, k2, k3, r2)
-    return x, y, _flag(~inside, STATUS_NO_CONVERGENCE)
+    return xd, yd, r2, radial
 
 
 def _first_branch(k1, k2, k3, r2):
@@ -196,7 +157,7 @@ def project_point(cal, wx, wy, wz):
     distorted pixel, the distortion-free pixel and the camera-frame depth."""
     xc, yc, zc = _camera_coords(cal, wx, wy, wz)
     xn, yn = xc / zc, yc / zc
-    u, v = _to_pixel(cal, *distort_norm(cal, xn, yn))
+    u, v = _to_pixel(cal, *distort_norm(cal, xn, yn)[:2])
     un, vn = _to_pixel(cal, xn, yn)
     return u, v, un, vn, zc, _flag(zc <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE)
 
@@ -205,19 +166,47 @@ def project_point(cal, wx, wy, wz):
 def undistort_pixel(cal, u, v):
     """Distorted pixels -> undistorted pixels under the same intrinsics.
 
-    Rows of a camera without distortion pass through unchanged.
+    Inverts ``distort_norm`` by Newton's method on normalized
+    coordinates. Each row starts from one fixed-point step,
+    xd / radial(xd), and steps with the analytic Jacobian J of the
+    Brown-Conrady model until its residual is at most
+    UNDISTORT_STOP_TOL. All rows step together, a converged row stays
+    where it stopped, and the loop ends once every row has converged or
+    after UNDISTORT_MAX_ITER steps, so each row's result is its own. A
+    row is outside the model's invertible domain (STATUS_NO_CONVERGENCE)
+    when its residual is above UNDISTORT_FAIL_TOL, when det J <= 0 at the
+    solution, or when the solution lies on or past the first positive
+    root s* of the slope 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 of
+    r -> r radial(r^2), with s = r^2: a solution past the fold is not the
+    pixel's first-branch preimage, even where tangential terms keep
+    det J > 0 there. Rows of a camera without distortion pass through
+    unchanged; a non-finite pixel is STATUS_NONFINITE_INPUT either way.
+    Returns (u, v, status).
     """
-    xu, yu, status = undistort_norm(cal, *_to_norm(cal, u, v))
-    uu, vv = _to_pixel(cal, xu, yu)
-    plain = (
-        (cal[CAL_K1] == 0.0)
-        & (cal[CAL_K2] == 0.0)
-        & (cal[CAL_K3] == 0.0)
-        & (cal[CAL_P1] == 0.0)
-        & (cal[CAL_P2] == 0.0)
-    )
-    status = np.where(plain, STATUS_OK, status)
-    status = _then(_finite(u, v), status)
+    k1, k2, k3, p1, p2 = (cal[c] for c in (CAL_K1, CAL_K2, CAL_K3, CAL_P1, CAL_P2))
+    xd, yd = _to_norm(cal, u, v)
+    radial = distort_norm(cal, xd, yd)[3]
+    x, y = xd / radial, yd / radial
+    for it in range(UNDISTORT_MAX_ITER + 1):
+        xm, ym, r2, radial = distort_norm(cal, x, y)
+        ex, ey = xm - xd, ym - yd  # residual: the model at (x, y) minus the target
+        slope = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))  # d radial / d r, over r
+        jxx = radial + x * x * slope + 2.0 * p1 * y + 6.0 * p2 * x
+        jyy = radial + y * y * slope + 6.0 * p1 * y + 2.0 * p2 * x
+        jxy = x * y * slope + 2.0 * (p1 * x + p2 * y)
+        det = jxx * jyy - jxy * jxy
+        error = np.maximum(np.abs(ex), np.abs(ey))
+        # NaN compares false: a non-finite row never holds the others up.
+        active = error > UNDISTORT_STOP_TOL
+        if it == UNDISTORT_MAX_ITER or not active.any():
+            break
+        x = np.where(active, x - (jyy * ex - jxy * ey) / det, x)
+        y = np.where(active, y - (jxx * ey - jxy * ex) / det, y)
+    inside = (error <= UNDISTORT_FAIL_TOL) & (det > 0.0)
+    inside &= _first_branch(k1, k2, k3, r2)
+    plain = (k1 == 0.0) & (k2 == 0.0) & (k3 == 0.0) & (p1 == 0.0) & (p2 == 0.0)
+    status = _then(_finite(u, v), _flag(~(inside | plain), STATUS_NO_CONVERGENCE))
+    uu, vv = _to_pixel(cal, x, y)
     return np.where(plain, u, uu), np.where(plain, v, vv), status
 
 
