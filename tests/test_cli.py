@@ -23,7 +23,7 @@ from courtlift import (
     write_dataset,
 )
 from courtlift.cli import _write_json, build_parser, main
-from courtlift.dataio import RECORD_DTYPE
+from courtlift.dataio import RECORD_DTYPE, load_calibration
 from courtlift.errors import NonFiniteReport
 
 SRC = str(Path(courtlift.__file__).resolve().parents[1])
@@ -414,6 +414,25 @@ class TestReconstruct:
             '  "vertical_angle": 0.08234877526037443\n'
             "}\n"
         )
+
+    def test_lens_pixel_lifts_through_the_undistortion(self, tmp_path, capsys):
+        # The README camera with every lens term set, so the command runs
+        # the Newton undistortion: the ball it prints projects back onto
+        # the raw pixel, and a pixel past the lens model's domain exits 1.
+        d = calibration_to_json_dict(
+            make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500, k1=-0.1, k2=0.01)
+        )
+        d["dist"].update(k3=-0.005, p1=1e-3, p2=-5e-4)
+        d["skew"] = 0.5
+        path = tmp_path / "lens.json"
+        path.write_text(json.dumps(d))
+        argv = ["reconstruct", "--cal", str(path), "--y", "903.1", "--height", "86.5"]
+        assert main([*argv, "--x", "1712.4"]) == 0
+        ball = json.loads(capsys.readouterr().out)["ball_3d"]
+        px = project(load_calibration("lens", d), WorldPoint(*ball))
+        np.testing.assert_allclose([px.x, px.y], [1712.4, 903.1], rtol=0, atol=1e-6)
+        assert main([*argv, "--x", "90000"]) == 1
+        assert capsys.readouterr().err == "error: NoConvergence: height reconstruction failed\n"
 
     def test_ground_pixel_has_zero_height_solution(self, side_cal_file, capsys):
         path, cal = side_cal_file
