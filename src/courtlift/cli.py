@@ -266,13 +266,13 @@ def cmd_evaluate(args, parser) -> int:
             "dataset": args.dataset,
             "fold": args.fold,
             "method": args.method,
-            "predictor": spec.to_json_dict(),
+            "predictor": dataclasses.asdict(spec),
             "noise_stream": NOISE_STREAM,
             "repeats": args.repeats,
         },
-        "aggregate": agg.to_json_dict(),
+        "aggregate": dataclasses.asdict(agg),
         "repeats": [
-            {**r.to_json_dict(), "n_failed": nf} for r, nf in zip(reports, failed)
+            {**dataclasses.asdict(r), "n_failed": nf} for r, nf in zip(reports, failed)
         ],
     }
     lines = []

@@ -33,19 +33,6 @@ class EvalReport(ValueRecord):
     mdna3de_m: float
     n_samples: int
 
-    def metric(self, name: str) -> float | None:
-        return self.to_json_dict()[name]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mae_px": self.mae_px,
-            "mape_m": self.mape_m,
-            "mdnape_m": self.mdnape_m,
-            "ma3de_m": self.ma3de_m,
-            "mdna3de_m": self.mdna3de_m,
-            "n_samples": self.n_samples,
-        }
-
 
 @record
 class AggregateReport(ValueRecord):
@@ -54,9 +41,6 @@ class AggregateReport(ValueRecord):
     k: int
     mean: dict[str, float | None]
     std: dict[str, float | None]
-
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "mean": dict(self.mean), "std": dict(self.std)}
 
     def to_csv_rows(self) -> list[tuple[str, str, str]]:
         rows = []
@@ -133,7 +117,7 @@ def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:
     mean: dict[str, float | None] = {}
     std: dict[str, float | None] = {}
     for name in METRIC_NAMES:
-        values = [r.metric(name) for r in reports]
+        values = [getattr(r, name) for r in reports]
         if any(v is None for v in values):
             mean[name] = None
             std[name] = None

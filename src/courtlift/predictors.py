@@ -75,15 +75,6 @@ class PredictorSpec(ValueRecord):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "nu": self.nu,
-            "target_mae": self.target_mae,
-            "seed": self.seed,
-        }
-
 
 def mean_abs_student_t(nu: float) -> float:
     """E|T| for Student-t with nu degrees of freedom (nu > 1)."""

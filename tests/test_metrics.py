@@ -5,6 +5,7 @@ MdnAPE median{1,1,1,10} = 1.0; two repeats {1.0, 2.0} give mean 1.5 and
 sample std sqrt(0.5) ~= 0.7071.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -73,7 +74,7 @@ class TestEvaluate:
         perm = np.array([3, 0, 4, 1, 2])
         r2 = evaluate_arrays(truth[perm], None, None, ball[perm])
         for name in METRIC_NAMES[1:]:
-            assert r1.metric(name) == pytest.approx(r2.metric(name))
+            assert getattr(r1, name) == pytest.approx(getattr(r2, name))
 
     def test_scale_consistency(self):
         errors = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
@@ -83,7 +84,7 @@ class TestEvaluate:
         r1 = evaluate_arrays(truth, h_true, errors, ball)
         r2 = evaluate_arrays(t2, h_true, 2.0 * errors, b2)
         for name in METRIC_NAMES:
-            assert r2.metric(name) == pytest.approx(2.0 * r1.metric(name))
+            assert getattr(r2, name) == pytest.approx(2.0 * getattr(r1, name))
 
     def test_median_robust_mean_not(self):
         errors = np.linspace(1.0, 11.0, 11)
@@ -190,6 +191,6 @@ class TestSerialization:
 
     def test_json_dict_round_trips_none(self):
         report = _report(mae_px=None)
-        obj = report.to_json_dict()
+        obj = dataclasses.asdict(report)
         assert obj["mae_px"] is None
         assert obj["n_samples"] == 4

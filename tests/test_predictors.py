@@ -7,6 +7,7 @@ so a 5% relative gaussian diameter error gives relative MAE
 0.05 * sqrt(2/pi) ~= 0.0399.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestPredictDiameter:
 class TestSpecJson:
     def test_round_trip_with_null_target(self):
         spec = PredictorSpec(kind="gaussian", sigma=3.0)
-        obj = spec.to_json_dict()
+        obj = dataclasses.asdict(spec)
         assert obj["target_mae"] is None
 
 
