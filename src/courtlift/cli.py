@@ -217,6 +217,9 @@ def cmd_synth(args, parser) -> int:
         dist = HeightDistSpec(kind=args.dist, **dist_kwargs)
     except ValueError as exc:
         parser.error(str(exc))
+    # An arena with no sample would cost its camera draw for nothing.
+    if args.arenas > args.n:
+        parser.error(f"--arenas must be <= --n, got {args.arenas} for --n {args.n}")
     samples = generate_dataset(
         seed=args.seed, n=args.n, arena=arena, dist=dist, n_arenas=args.arenas
     )

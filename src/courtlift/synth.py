@@ -398,7 +398,8 @@ def generate_dataset(
     dist: HeightDistSpec | None = None,
     n_arenas: int = 1,
 ) -> Samples:
-    """Generate n annotated samples over n_arenas cameras (round-robin).
+    """Generate n annotated samples over n_arenas <= n cameras
+    (round-robin), so every camera holds a sample.
 
     Fully deterministic in `seed`: cameras and each sample draw from
     independent Philox streams keyed by their index, so output is
@@ -409,8 +410,8 @@ def generate_dataset(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n_arenas < 1:
-        raise ValueError(f"n_arenas must be >= 1, got {n_arenas}")
+    if not 1 <= n_arenas <= n:
+        raise ValueError(f"n_arenas must be in [1, n], got {n_arenas} for n = {n}")
     arena = arena or ArenaSpec()
     dist = dist or HeightDistSpec()
     cameras = []

@@ -158,6 +158,7 @@ class TestSynth:
         "sweep --dataset {dataset} --grid 0,inf --out {out}",
         "sweep --dataset {dataset} --grid 0,1e400 --out {out}",
         "synth --n 10 --arenas 3 --n-folds 0 --out {out}",
+        "synth --n 5 --arenas 20000 --out {out}",
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
@@ -181,6 +182,7 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
         ),
         ("sweep --dataset {dataset} --grid , --out {out}", "--grid must contain at least one"),
         ("synth --n 0 --out {out}", "--n must be >= 1"),
+        ("synth --n 5 --arenas 20000 --out {out}", "--arenas must be <= --n, got 20000 for --n 5"),
     ],
 )
 def test_usage_error_prints_the_commands_own_usage(argv, message, dataset_file, tmp_path, capsys):

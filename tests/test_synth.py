@@ -180,6 +180,9 @@ class TestGenerateDataset:
             generate_dataset(seed=0, n=0)
         with pytest.raises(ValueError):
             generate_dataset(seed=0, n=1, n_arenas=0)
+        # Arenas past the n-th would hold no sample.
+        with pytest.raises(ValueError, match=r"n_arenas must be in \[1, n\], got 7 for n = 3"):
+            generate_dataset(seed=1, n=3, n_arenas=7)
 
     def test_frame_coverage_failure_when_nothing_fits(self):
         # A 10 px image with a 3000 px focal cannot frame the court.
