@@ -202,8 +202,9 @@ def _check_seeds(parser, seed: int, count: int) -> None:
 def cmd_synth(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    if args.arenas < 1:
-        parser.error("--arenas must be >= 1")
+    # Every arena holds a sample: one without would cost its camera draw for nothing.
+    if not 1 <= args.arenas <= args.n:
+        parser.error(f"--arenas must be in [1, --n], got {args.arenas} for --n {args.n}")
     if args.n_folds < 1:
         parser.error("--n-folds must be >= 1")
     _check_seeds(parser, args.seed, 1)
@@ -217,9 +218,6 @@ def cmd_synth(args, parser) -> int:
         dist = HeightDistSpec(kind=args.dist, **dist_kwargs)
     except ValueError as exc:
         parser.error(str(exc))
-    # An arena with no sample would cost its camera draw for nothing.
-    if args.arenas > args.n:
-        parser.error(f"--arenas must be <= --n, got {args.arenas} for --n {args.n}")
     samples = generate_dataset(
         seed=args.seed, n=args.n, arena=arena, dist=dist, n_arenas=args.arenas
     )

@@ -120,7 +120,9 @@ class TestSynth:
         path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         out = tmp_path / "x.dat"
         with pytest.raises(SystemExit) as exc:
-            main(["synth", "--n", "5", "--arena-json", str(path), "--out", str(out)])
+            main(
+                ["synth", "--n", "5", "--arenas", "1", "--arena-json", str(path), "--out", str(out)]
+            )
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -129,12 +131,12 @@ class TestSynth:
 @pytest.mark.parametrize(
     "argv",
     [
-        "synth --n 5 --out {out} --seed -1",
-        "synth --n 5 --out {out} --seed 18446744073709551616",
-        "synth --n 5 --out {out} --p-above-3m 2",
-        "synth --n 5 --out {out} --dist uniform --p-above-3m 0.5",
-        "synth --n 5 --out {out} --max-height 2",
-        "synth --n 5 --out {out} --max-height inf",
+        "synth --n 5 --arenas 1 --out {out} --seed -1",
+        "synth --n 5 --arenas 1 --out {out} --seed 18446744073709551616",
+        "synth --n 5 --arenas 1 --out {out} --p-above-3m 2",
+        "synth --n 5 --arenas 1 --out {out} --dist uniform --p-above-3m 0.5",
+        "synth --n 5 --arenas 1 --out {out} --max-height 2",
+        "synth --n 5 --arenas 1 --out {out} --max-height inf",
         "evaluate --dataset {dataset} --out {out} --seed -1",
         "evaluate --dataset {dataset} --out {out} --seed 18446744073709551615 --repeats 2",
         "evaluate --dataset {dataset} --out {out} --predictor heavy_tailed --sigma 5 --nu 0.5",
@@ -182,7 +184,35 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
         ),
         ("sweep --dataset {dataset} --grid , --out {out}", "--grid must contain at least one"),
         ("synth --n 0 --out {out}", "--n must be >= 1"),
-        ("synth --n 5 --arenas 20000 --out {out}", "--arenas must be <= --n, got 20000 for --n 5"),
+        (
+            "synth --n 5 --arenas 20000 --out {out}",
+            "--arenas must be in [1, --n], got 20000 for --n 5",
+        ),
+        ("synth --n 5 --arenas 0 --out {out}", "--arenas must be in [1, --n], got 0 for --n 5"),
+        (
+            "synth --n 5 --arenas 1 --out {out} --seed -1",
+            "--seed must be in [0, 2**64 - 1], got -1",
+        ),
+        (
+            "synth --n 5 --arenas 1 --out {out} --seed 18446744073709551616",
+            "--seed must be in [0, 2**64 - 1], got 18446744073709551616",
+        ),
+        (
+            "synth --n 5 --arenas 1 --out {out} --p-above-3m 2",
+            "p_above_3m must be in [0, 1], got 2.0",
+        ),
+        (
+            "synth --n 5 --arenas 1 --out {out} --dist uniform --p-above-3m 0.5",
+            "p_above_3m does not apply to kind 'uniform'",
+        ),
+        (
+            "synth --n 5 --arenas 1 --out {out} --max-height 2",
+            "max_height must be finite and exceed 3 m, got 2.0",
+        ),
+        (
+            "synth --n 5 --arenas 1 --out {out} --max-height inf",
+            "max_height must be finite and exceed 3 m, got inf",
+        ),
     ],
 )
 def test_usage_error_prints_the_commands_own_usage(argv, message, dataset_file, tmp_path, capsys):
@@ -215,7 +245,7 @@ def test_report_records_the_nu_a_run_used(flags, nu, dataset_file, tmp_path):
     [
         "evaluate --dataset {missing} --out {out}",
         "sweep --dataset {missing} --grid 0 --out {out}",
-        "synth --n 5 --arena-json {missing} --out {out}",
+        "synth --n 5 --arenas 1 --arena-json {missing} --out {out}",
         "reconstruct --cal {missing} --x 1 --y 1 --height 1",
     ],
 )

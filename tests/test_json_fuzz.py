@@ -255,7 +255,9 @@ def test_deep_nesting_fails_typed(dataset, tmp_path, capsys, name, code, error):
     argv = {
         "header": ["evaluate", "--dataset", str(data), "--out", str(tmp_path / "r")],
         "cal": ["reconstruct", "--cal", str(deep), "--x", "1", "--y", "1", "--height", "1"],
-        "arena": ["synth", "--n", "6", "--arena-json", str(deep), "--out", str(data)],
+        "arena": [
+            "synth", "--n", "6", "--arenas", "2", "--arena-json", str(deep), "--out", str(data)
+        ],
     }[name]
     try:
         assert main(argv) == code
@@ -297,7 +299,9 @@ def test_non_finite_token_error_names_its_position(
     argv = {
         "header": ["evaluate", "--dataset", str(data), "--out", str(tmp_path / "r")],
         "cal": ["reconstruct", "--cal", str(path), "--x", "1", "--y", "1", "--height", "1"],
-        "arena": ["synth", "--n", "6", "--arena-json", str(path), "--out", str(data)],
+        "arena": [
+            "synth", "--n", "6", "--arenas", "2", "--arena-json", str(path), "--out", str(data)
+        ],
     }[name]
     try:
         assert main(argv) == code
