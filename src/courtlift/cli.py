@@ -208,14 +208,11 @@ def cmd_synth(args, parser) -> int:
     if args.n_folds < 1:
         parser.error("--n-folds must be >= 1")
     _check_seeds(parser, args.seed, 1)
-    dist_kwargs = {}
-    if args.p_above_3m is not None:
-        dist_kwargs["p_above_3m"] = args.p_above_3m
-    if args.max_height is not None:
-        dist_kwargs["max_height"] = args.max_height
     try:
         arena = load_arena_spec(read_json(args.arena_json)) if args.arena_json else ArenaSpec()
-        dist = HeightDistSpec(kind=args.dist, **dist_kwargs)
+        dist = HeightDistSpec(
+            kind=args.dist, p_above_3m=args.p_above_3m, max_height=args.max_height
+        )
     except ValueError as exc:
         parser.error(str(exc))
     samples = generate_dataset(
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ball height distribution",
     )
     p_synth.add_argument("--p-above-3m", type=float, default=None)
-    p_synth.add_argument("--max-height", type=float, default=None)
+    p_synth.add_argument("--max-height", type=float, default=HeightDistSpec.max_height)
     p_synth.add_argument("--n-folds", type=int, default=5, help="arena folds to assign")
     p_synth.add_argument("--arena-json", default=None, help="ArenaSpec overrides (JSON file)")
     p_synth.set_defaults(func=cmd_synth, parser=p_synth)

@@ -22,9 +22,11 @@ the sample id, its arena, the ball's world position (m), its raw pixel,
 its foot pixel, the undistorted pixel height and the true image
 diameter. The records are the raw bits of the table's columns, as in
 NumPy's ``.npy`` format, so read(write(ds)) is bit-exact and neither
-side formats or parses a float. Version 1 and 2 files, which held text
-records, are no longer read: `courtlift synth` run again with the flags
-that wrote one writes the same samples.
+side formats or parses a float. Each record's own rules are checked
+where a `Samples` table is built, so the writer checks only the header's
+cameras. Version 1 and 2 files, which held text records, are no longer
+read: `courtlift synth` run again with the flags that wrote one writes
+the same samples.
 """
 
 from __future__ import annotations
@@ -62,20 +64,6 @@ RECORD_DTYPE = np.dtype(
     ]
 )
 
-# The field each of a record's eleven 8-byte words holds.
-_WORDS = tuple(
-    name for name in RECORD_DTYPE.names for _ in range(RECORD_DTYPE[name].itemsize // 8)
-)
-
-
-def _check_finite(table: np.ndarray) -> None:
-    """MalformedRecord naming the first record with a non-finite float
-    word, ball_3d to d_true, and that word's field."""
-    bad = ~np.isfinite(table.view("<f8").reshape(-1, len(_WORDS))[:, 2:])
-    if bad.any():
-        index, position = np.argwhere(bad)[0].tolist()
-        raise MalformedRecord(index, f"{_WORDS[position + 2]} is not a finite number")
-
 
 @record
 class Dataset(ValueRecord):
@@ -106,22 +94,23 @@ class Dataset(ValueRecord):
         if len(repeats):
             index = int(repeats.min())
             raise MalformedRecord(index, f"duplicate sample id {ids[index]}")
-        arena = self.samples.arena
-        unfolded = ~_rows_in(arena, seen_arenas)
+        unfolded = ~_rows_in(self.samples, seen_arenas)
         if unfolded.any():
             index = int(np.argmax(unfolded))
-            raise FoldViolation(f"sample {ids[index]}: arena {arena[index]} is in no fold")
+            arena = self.samples.arena[index]
+            raise FoldViolation(f"sample {ids[index]}: arena {arena} is in no fold")
 
     def fold(self, name: str) -> Samples:
         """The rows of fold ``name``'s arenas; UnknownFold for an unknown name."""
         if name not in self.folds:
             raise UnknownFold(f"fold {name!r} not in {sorted(self.folds)}")
-        return self.samples[_rows_in(self.samples.arena, self.folds[name])]
+        return self.samples[_rows_in(self.samples, self.folds[name])]
 
 
-def _rows_in(arena: np.ndarray, arenas) -> np.ndarray:
-    """Mask of the rows whose arena is in ``arenas``; an int past int64 names none."""
-    return np.isin(arena, [a for a in arenas if -(2**63) <= a < 2**63])
+def _rows_in(samples: Samples, arenas) -> np.ndarray:
+    """Mask of the rows whose arena is in ``arenas``: one lookup per
+    camera, gathered through each row's camera index."""
+    return np.array([a in arenas for a in samples.cameras], dtype=bool)[samples.cal_index]
 
 
 def assign_folds(arena_ids: Sequence[int], n_folds: int) -> dict[str, set[int]]:
@@ -178,10 +167,9 @@ def _cameras(samples: Samples) -> list[dict]:
 def write_dataset(ds: Dataset, sink) -> None:
     """Write a dataset as schema version 3 to a path or binary file object.
 
-    Every number is checked finite, every camera valid, and every id
-    checked to lie in [0, 2**63), before anything is written, and for a
-    path before the file is opened; a failure raises MalformedRecord with
-    the sample's index.
+    Every camera is checked with `validate` before anything is written,
+    and for a path before the file is opened; an invalid one raises
+    MalformedRecord with the index of its arena's first record.
     """
     s = ds.samples
     header = {
@@ -193,11 +181,6 @@ def write_dataset(ds: Dataset, sink) -> None:
     table = np.empty(len(s), RECORD_DTYPE)
     for name in RECORD_DTYPE.names:
         table[name] = getattr(s, name)
-    _check_finite(table)
-    ids = s.ids.tolist()
-    if ids and not 0 <= min(ids) <= max(ids) < 2**63:
-        index = next(i for i, v in enumerate(ids) if not 0 <= v < 2**63)
-        raise MalformedRecord(index, f"id {ids[index]} is outside [0, 2**63)")
     data = (json.dumps(header, sort_keys=True) + "\n").encode() + table.tobytes()
     if isinstance(sink, (str, Path)):
         with open(sink, "wb") as f:
@@ -386,21 +369,6 @@ def _record_table(body: memoryview, n: int) -> np.ndarray:
     return np.frombuffer(body, RECORD_DTYPE)
 
 
-def _samples(table: np.ndarray, cals: dict) -> Samples:
-    """The table of version 3 records, checked column by column: every
-    float finite and ids in [0, 2**63); `Samples` checks the arenas."""
-    _check_finite(table)
-    ids = table["ids"].astype(np.int64)
-    arena = table["arena"].astype(np.int64)
-    # An id keys the predictors' per-sample streams and is packed as int64.
-    negative = ids < 0
-    if negative.any():
-        index = int(np.argmax(negative))
-        raise MalformedRecord(index, f"id {ids[index]} is outside [0, 2**63)")
-    floats = {name: table[name].astype(np.float64) for name in RECORD_DTYPE.names[2:]}
-    return Samples(ids=ids, arena=arena, cameras=cals, **floats)
-
-
 def read_dataset(source) -> Dataset:
     """Read a dataset from a path or binary file object, validating it.
 
@@ -423,5 +391,7 @@ def read_dataset(source) -> Dataset:
     if n is None or n < 0:
         raise SchemaVersionMismatch(f"n_samples must be an integer >= 0, got {count!r}")
     table = _record_table(memoryview(data)[end:], n)
-    return Dataset(samples=_samples(table, cals), folds=folds)
+    # Copies, so that each column is contiguous.
+    columns = {name: table[name].copy() for name in RECORD_DTYPE.names}
+    return Dataset(samples=Samples(cameras=cals, **columns), folds=folds)
 

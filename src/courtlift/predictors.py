@@ -50,9 +50,9 @@ class PredictorSpec(ValueRecord):
     """Configuration of a synthetic predictor.
 
     ``sigma`` is the raw noise scale (px for heights, relative for
-    diameters); when ``target_mae`` is set it overrides sigma and the
-    scale is solved so the noise MAE equals the target. The oracle adds
-    no noise, so it takes neither.
+    diameters). Setting ``target_mae`` instead solves the scale so the
+    noise MAE equals the target, so a spec with it takes no sigma. The
+    oracle adds no noise, so it takes neither.
     """
 
     kind: str
@@ -72,6 +72,8 @@ class PredictorSpec(ValueRecord):
             raise ValueError(f"target_mae must be finite and > 0, got {self.target_mae}")
         if self.kind == "oracle" and (self.sigma or self.target_mae is not None):
             raise ValueError("the oracle adds no noise: it takes no sigma or target_mae")
+        if self.target_mae is not None and self.sigma:
+            raise ValueError("target_mae sets the noise scale: it takes no sigma")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

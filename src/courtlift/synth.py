@@ -144,16 +144,24 @@ class BallSample(ValueRecord):
     diameter_px_true: float
 
 
+# The float columns of a `Samples` table, in record order.
+_FLOAT_COLUMNS = ("ball_3d", "ball_px", "foot_px", "h_true", "d_true")
+
+
 @record
 class Samples(Record):
     """Annotated samples as columns: row i of every array is sample i.
 
     ``cameras`` maps each arena id to its one calibration, so a row's
-    camera is always ``cameras[arena[i]]``: the first row i whose arena
-    has no camera raises MalformedRecord(i). ``cal_index[i]`` is the
+    camera is always ``cameras[arena[i]]``. ``cal_index[i]`` is the
     position of row i's camera in ``cameras``, the index ``ball_rays``
     takes. A slice, boolean mask or index array gives the table of those
     rows, with the same cameras.
+
+    Each row's own rules are checked in this order, the first row i
+    that breaks one raising MalformedRecord(i): every float is finite
+    (naming row i's first non-finite field), every id lies in [0, 2**63)
+    (ids are stored as int64) and every arena has a camera.
     """
 
     ids: np.ndarray  # (n,) int64
@@ -167,6 +175,23 @@ class Samples(Record):
     cal_index: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) int64
 
     def __post_init__(self):
+        # (first faulty row, field) per column; min names a row's first field.
+        faults = []
+        for name in _FLOAT_COLUMNS:
+            finite = np.isfinite(getattr(self, name))
+            if not finite.all():
+                rows = finite.reshape(len(finite), -1).all(axis=1)
+                faults.append((int(np.argmin(rows)), name))
+        if faults:
+            i, name = min(faults, key=lambda fault: fault[0])
+            raise MalformedRecord(i, f"{name} is not a finite number")
+        # An id keys a sample's predictor streams and is packed as int64;
+        # the cast wraps a uint64 id of 2**63 or more to a negative one.
+        ids = self.ids.astype(np.int64, copy=False)
+        negative = ids < 0
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise MalformedRecord(i, f"id {self.ids[i]} is outside [0, 2**63)")
         cameras = dict(self.cameras)
         # Binary search of the camera keys; a key past int64 names no row.
         # An arena past the last key has slot len(keys), read as the pad 0.
@@ -179,7 +204,7 @@ class Samples(Record):
             i = int(np.argmax(unknown))
             raise MalformedRecord(i, f"arena {self.arena[i]} has no camera")
         cal_index = position[order][slot]
-        self.__dict__.update(cameras=cameras, cal_index=cal_index)
+        self.__dict__.update(ids=ids, cameras=cameras, cal_index=cal_index)
 
     def __len__(self) -> int:
         return len(self.ids)

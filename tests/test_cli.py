@@ -143,6 +143,8 @@ class TestSynth:
         "evaluate --dataset {dataset} --out {out} --sigma -1",
         "evaluate --dataset {dataset} --out {out} --target-mae 0",
         "evaluate --dataset {dataset} --out {out} --predictor oracle --target-mae 34",
+        # --target-mae solves the scale, so a --sigma would go unused.
+        "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma 500 --target-mae 34",
         "evaluate --dataset {dataset} --out {out} --method diameter --sigma 0.05",
         # --nu, even the default 3, with a predictor that has no Student-t tail.
         "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma 5 --nu 1.5",
@@ -177,6 +179,10 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
         (
             "evaluate --dataset {dataset} --out {out} --predictor oracle --target-mae 34",
             "the oracle adds no noise",
+        ),
+        (
+            "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma 5 --target-mae 34",
+            "target_mae sets the noise scale: it takes no sigma",
         ),
         (
             "evaluate --dataset {dataset} --out {out} --predictor gaussian --sigma 5 --nu 1.5",

@@ -195,20 +195,9 @@ class TestWrite:
             packed = struct.pack("<2q9d", *record[:2], *map(float, record[2:]))
             assert body[88 * k : 88 * (k + 1)] == packed
 
-    def test_nan_is_rejected_before_the_file_is_opened(self, tmp_path):
-        samples = _set(_samples([0, 1, 2]), "h_true", np.nan, row=1)
-        ds = Dataset(samples=samples, folds={"A": {0}})
-        path = tmp_path / "ds.dat"
-        with pytest.raises(MalformedRecord, match="record 1: .*not a finite number"):
-            write_dataset(ds, path)
-        assert not path.exists()
-
     @pytest.mark.parametrize(
         "broken, match",
         [
-            (lambda s: _set(s, "ball_3d", [0.0, np.inf, 1.0]), "ball_3d is not a finite number"),
-            (lambda s: _set(s, "foot_px", [-np.inf, 1.0]), "foot_px is not a finite number"),
-            (lambda s: _set(s, "d_true", np.nan), "d_true is not a finite number"),
             # Record 2 is the first of arena 1. read_dataset refuses a
             # camera that validate refuses, so the writer refuses it too.
             (lambda s: _camera(s, k2=np.nan), "calibration is invalid: NonFinite"),
@@ -218,7 +207,7 @@ class TestWrite:
                 "calibration is invalid: RotationNotOrthonormal",
             ),
         ],
-        ids=["ball_3d", "foot_px", "d_true", "camera", "camera_fx", "camera_R"],
+        ids=["camera", "camera_fx", "camera_R"],
     )
     def test_non_finite_number_is_rejected_before_any_byte(self, broken, match):
         samples = broken(_samples([0, 1, 2], arena=[0, 0, 1]))
@@ -227,25 +216,6 @@ class TestWrite:
         with pytest.raises(MalformedRecord, match=f"record 2: {match}"):
             write_dataset(ds, sink)
         assert sink.getvalue() == b""
-
-    @pytest.mark.parametrize(
-        "ids, message",
-        [
-            (np.array([0, -1, 2]), "record 1: id -1 is outside"),
-            (np.array([0, 1, 2**63], dtype=np.uint64), "record 2: id 9223372036854775808 is"),
-        ],
-        ids=["negative", "past_int64"],
-    )
-    def test_id_outside_int64_range_is_rejected_before_the_file_is_opened(
-        self, tmp_path, ids, message
-    ):
-        # read_dataset refuses such an id, so writing it would give a
-        # file that cannot be read back.
-        ds = Dataset(samples=replace(_samples([0, 1, 2]), ids=ids), folds={"A": {0}})
-        path = tmp_path / "ds.dat"
-        with pytest.raises(MalformedRecord, match=message):
-            write_dataset(ds, path)
-        assert not path.exists()
 
 
 CAL_JSON = json.dumps(calibration_to_json_dict(_dummy_cal()))
@@ -495,6 +465,66 @@ class TestDatasetInvariants:
             Dataset(samples=_samples([3, 3]), folds={"A": {0}})
 
 
+class TestRowRules:
+    """A table holding a row that read_dataset would refuse cannot be
+    built, so no such row reaches the writer. Each rule names its first
+    faulty row with the message the reader gives."""
+
+    @pytest.mark.parametrize(
+        "name, row, value",
+        [
+            ("h_true", 1, np.nan),
+            ("ball_3d", 2, [0.0, np.inf, 1.0]),
+            ("foot_px", 2, [-np.inf, 1.0]),
+            ("d_true", 2, np.nan),
+        ],
+        ids=["h_true", "ball_3d", "foot_px", "d_true"],
+    )
+    def test_non_finite_number_is_rejected_when_the_table_is_built(self, name, row, value):
+        with pytest.raises(MalformedRecord, match=f"record {row}: {name} is not a finite number"):
+            _set(_samples([0, 1, 2], arena=[0, 0, 1]), name, value, row=row)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (np.array([0, -1, 2]), "record 1: id -1 is outside"),
+            (np.array([0, 1, 2**63], dtype=np.uint64), "record 2: id 9223372036854775808 is"),
+        ],
+        ids=["negative", "past_int64"],
+    )
+    def test_id_outside_int64_range_is_rejected_when_the_table_is_built(self, ids, message):
+        with pytest.raises(MalformedRecord, match=message):
+            replace(_samples([0, 1, 2]), ids=ids)
+
+    def test_uint64_ids_are_stored_as_int64(self):
+        # 2**63 - 1, the largest id, is kept; 2**63 is refused (past_int64).
+        samples = replace(_samples([0, 1]), ids=np.array([0, 2**63 - 1], dtype=np.uint64))
+        assert samples.ids.dtype == np.int64 and samples.ids.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "ids, faults, message",
+        [
+            # A row with a NaN and a bad id names the NaN.
+            ([0, -1, 2, 3], {"d_true": (1, np.nan)}, "record 1: d_true is not"),
+            # An earlier row's fault wins over a later row's in an earlier column.
+            ([0, 1, 2, 3], {"ball_3d": (2, np.inf), "d_true": (1, np.nan)}, "record 1: d_true"),
+            ([0, -1, -2, 3], {}, "record 1: id -1 is outside"),
+            # Within a row, the first faulty field is named.
+            ([0, 1, 2, 3], {"ball_3d": (1, np.nan), "d_true": (1, np.nan)}, "record 1: ball_3d"),
+            # Every row is checked for finite floats before any id.
+            ([-1, 1, 2, 3], {"h_true": (2, np.inf)}, "record 2: h_true is not"),
+        ],
+        ids=["nan_before_id", "earlier_row", "earlier_id", "first_field", "floats_then_ids"],
+    )
+    def test_the_first_fault_is_named(self, ids, faults, message):
+        samples = _samples([0, 1, 2, 3], arena=[0, 0, 1, 1])
+        columns = {name: getattr(samples, name).copy() for name in faults}
+        for name, (row, value) in faults.items():
+            columns[name][row] = value
+        with pytest.raises(MalformedRecord, match=message):
+            replace(samples, ids=np.array(ids), **columns)
+
+
 class TestOneCameraPerArena:
     """A row's camera is its arena's by construction: a table with a row
     whose arena has no camera cannot be built, and every table made from
@@ -559,6 +589,11 @@ class TestOneCameraPerArena:
             assert all(row.cal is table.cameras[row.arena_id] for row in table)
 
 
+# Arenas a row may have, and camera keys and fold members past int64.
+ROW_ARENAS = [-(2**63), -3, 0, 5, 2**63 - 1]
+PAST_INT64 = [-(2**63) - 1, 2**63, 2**64]
+
+
 class TestFold:
     def test_single_fold_gives_every_row(self):
         ds = Dataset(samples=_samples(range(4)), folds={"A": {0}})
@@ -575,6 +610,34 @@ class TestFold:
             np.testing.assert_array_equal(rows.ids, samples.ids[in_fold])
             total += len(rows)
         assert total == 150
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        arenas=st.lists(st.sampled_from(ROW_ARENAS), min_size=1, max_size=8),
+        keys=st.permutations(ROW_ARENAS + PAST_INT64),
+        fold_of=st.lists(st.sampled_from("ABC-"), min_size=8, max_size=8),
+    )
+    def test_fold_rows_are_isin_on_the_arena_column(self, arenas, keys, fold_of):
+        # Camera keys and fold maps hold ints past int64 too, which name no
+        # row; "-" leaves a key in no fold.
+        samples = _samples(range(len(arenas)), arena=arenas, cameras=dict.fromkeys(keys, CAL))
+        folds = {}
+        for key, name in zip(ROW_ARENAS + PAST_INT64, fold_of):
+            if name != "-":
+                folds.setdefault(name, set()).add(key)
+
+        def isin(members):
+            return np.isin(samples.arena, [a for a in members if -(2**63) <= a < 2**63])
+
+        unfolded = ~isin(set().union(*folds.values()))
+        if unfolded.any():
+            i = int(np.argmax(unfolded))
+            with pytest.raises(FoldViolation, match=f"sample {i}: arena {arenas[i]} is in no fold"):
+                Dataset(samples=samples, folds=folds)
+            return
+        ds = Dataset(samples=samples, folds=folds)
+        for name, members in folds.items():
+            np.testing.assert_array_equal(ds.fold(name).ids, samples.ids[isin(members)])
 
     def test_unknown_fold(self):
         ds = Dataset(samples=_samples([0]), folds={"A": {0}})

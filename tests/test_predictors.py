@@ -63,6 +63,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="the oracle adds no noise"):
             PredictorSpec(kind="oracle", **noise)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "heavy_tailed"])
+    def test_target_mae_takes_no_sigma(self, kind):
+        # The scale is solved from the target, so a sigma would go unused.
+        with pytest.raises(ValueError, match="target_mae sets the noise scale: it takes no sigma"):
+            PredictorSpec(kind=kind, sigma=500.0, target_mae=34.0)
+        assert PredictorSpec(kind=kind, sigma=0.0, target_mae=34.0).target_mae == 34.0
+
     def test_mean_abs_t_limits(self):
         # nu = 3 has the closed form 2*sqrt(3)/pi; large nu approaches the
         # folded-normal constant sqrt(2/pi).

@@ -98,7 +98,7 @@ RECORDS = {
     PredictorSpec: (
         ("kind", "sigma", "nu", "target_mae", "seed"),
         [("kind", EMPTY), ("sigma", 0.0), ("nu", 3.0), ("target_mae", None), ("seed", 0)],
-        lambda: {"kind": "heavy_tailed", "sigma": 1.5, "nu": 4.0, "target_mae": 34.0, "seed": 7},
+        lambda: {"kind": "heavy_tailed", "sigma": 0.0, "nu": 4.0, "target_mae": 34.0, "seed": 7},
     ),
     Reconstruction: (
         ("ball_3d", "foot_pixel", "vertical_angle"),
