@@ -12,6 +12,9 @@ World frame: right-handed, Z up, ground plane Z = 0.
 Image frame: origin top-left, x right, y down, pixel centers at integers.
 Extrinsics: x_cam = R @ X_world + t. One kernel projects world points,
 ``project_point``: distorted and distortion-free pixels and depths at once.
+The two lifts take a ``reconstruct.BallRays``: each row's camera,
+undistorted ball pixel and status, with the ``ray_terms`` that no
+prediction changes, computed once when it is built.
 
 ``distort_norm`` states the Brown-Conrady lens model once: projection
 applies it, and ``undistort_pixel``, the one undistortion kernel, takes
@@ -250,8 +253,24 @@ def _toward_nadir(cal, u, v):
 
 
 @_quiet
-def lift_height(cal, u, v, h, status):
-    """Height-based reconstruction from UNDISTORTED ball pixels.
+def ray_terms(cal, u, v, status):
+    """The terms of the lifts from UNDISTORTED ball pixels that no
+    prediction changes: the camera centre (ox, oy, oz), the unit ball ray
+    (dx, dy, dz) and dx^2 + dy^2, the pixel's ``_toward_nadir`` direction
+    (vx, vy), and the height lift's status so far: ``status``
+    (undistort_pixel's), then STATUS_DEGENERATE_VERTICAL where the pixel
+    is the vertical vanishing point.
+    """
+    vx, vy, norm = _toward_nadir(cal, u, v)
+    dx, dy, dz = ray_direction(cal, u, v)
+    status = _then(status, _flag(norm == 0.0, STATUS_DEGENERATE_VERTICAL))
+    return (*camera_center(cal), dx, dy, dz, dx * dx + dy * dy, vx, vy, status)
+
+
+@_quiet
+def lift_height(rays, h):
+    """Height-based reconstruction from UNDISTORTED ball pixels: ``rays``
+    is a ``reconstruct.BallRays``, whose ``terms`` are ``ray_terms``.
 
     Ball, foot and the vertical vanishing point are collinear, so the
     foot is the ball pixel moved h px along ``_toward_nadir``; the ball
@@ -263,16 +282,15 @@ def lift_height(cal, u, v, h, status):
     ball is (gx, gy, bz): its ray meets the world vertical through the
     ground point at the ray parameter s that matches its horizontal
     position.
-    ``status`` is each pixel's status so far (undistort_pixel's). A
-    non-finite h comes before it, and it before any later failure.
+    A non-finite h comes before the pixel's status, and it before any
+    later failure.
     Returns (bz, gx, gy, fu, fv, angle, status).
     """
+    cal = rays.cal
+    ox, oy, oz, dx, dy, dz, dxy2, vx, vy, status = rays.terms
     status = _then(_finite(h), status)
-    vx, vy, norm = _toward_nadir(cal, u, v)
-    status = _then(status, _flag(norm == 0.0, STATUS_DEGENERATE_VERTICAL))
-    fu, fv = u + h * vx, v + h * vy
+    fu, fv = rays.u + h * vx, rays.v + h * vy
     status = _then(status, _finite(fu, fv))
-    ox, oy, oz = camera_center(cal)
     rx, ry, rz = ray_direction(cal, fu, fv)
     t = -oz / rz
     behind = _flag(t < 0.0, STATUS_BEHIND_CAMERA)
@@ -282,31 +300,31 @@ def lift_height(cal, u, v, h, status):
     status = _then(status, _flag(depth <= EPS_DEPTH, STATUS_DEPTH_NONPOSITIVE))
     nx, ny, norm = _toward_nadir(cal, fu, fv)
     status = _then(status, _flag(norm / depth < VERTICAL_MIN_PX, STATUS_DEGENERATE_VERTICAL))
-    dx, dy, dz = ray_direction(cal, u, v)
-    s = ((gx - ox) * dx + (gy - oy) * dy) / (dx * dx + dy * dy)
+    s = ((gx - ox) * dx + (gy - oy) * dy) / dxy2
     in_front = (s > 0.0) & (s < np.inf)
     status = _then(status, _flag(~in_front, STATUS_VERTICAL_BEHIND_CAMERA))
     return oz + s * dz, gx, gy, fu, fv, np.arctan2(nx, ny), status
 
 
 @_quiet
-def reconstruct_diameter(cal, u, v, status, diameter_px, ball_diameter_m):
-    """Diameter-baseline reconstruction from UNDISTORTED ball pixels.
+def reconstruct_diameter(rays, diameter_px, ball_diameter_m):
+    """Diameter-baseline reconstruction from UNDISTORTED ball pixels:
+    ``rays`` is a ``reconstruct.BallRays``, whose ``terms`` are
+    ``ray_terms``.
 
     Each ball is the point of its pixel's ray at the camera-frame depth
     mean(fx, fy) * ball_diameter_m / diameter_px, by similar triangles.
-    ``status`` is each pixel's status so far (undistort_pixel's). A
-    non-finite pixel or diameter comes first, then a non-positive
-    diameter, then the pixel's undistortion failure.
+    A non-finite pixel or diameter comes first, then a non-positive
+    diameter, then the pixel's undistortion failure (``rays.status``).
     Returns (bx, by, bz, status).
     """
+    cal, status = rays.cal, rays.status
+    ox, oy, oz, dx, dy, dz = rays.terms[:6]
     nonfinite = (status == STATUS_NONFINITE_INPUT) | ~np.isfinite(diameter_px)
     first = _flag(nonfinite, STATUS_NONFINITE_INPUT)
     first = _then(first, _flag(diameter_px <= 0.0, STATUS_NONPOSITIVE_DIAMETER))
     status = _then(first, status)
     depth = 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / diameter_px
-    ox, oy, oz = camera_center(cal)
-    dx, dy, dz = ray_direction(cal, u, v)
     # Camera-frame depth grows at rate (R d)_z per unit ray parameter.
     rz = cal[CAL_R + 6] * dx + cal[CAL_R + 7] * dy + cal[CAL_R + 8] * dz
     status = _then(status, _flag(rz <= 1e-12, STATUS_DEPTH_NONPOSITIVE))

@@ -98,16 +98,17 @@ def _evaluate(arrays, method, preds, ball_diameter_m, what):
     rays, truth, h_true = arrays
     if method == "height":
         batch = reconstruct_from_height_batch(rays, preds)
-        heights = (h_true[batch.ok], preds[batch.ok])
+        columns = [truth, h_true, preds, batch.ball_3d]
     else:
         batch = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
-        heights = (None, None)
+        columns = [truth, None, None, batch.ball_3d]
     ok = batch.ok
     n_failed = int((~ok).sum())
     if n_failed and n_failed == len(ok):
         raise EmptyInput(f"{what}: all {n_failed} samples failed to reconstruct")
-    report = evaluate_arrays(truth[ok], *heights, batch.ball_3d[ok])
-    return report, n_failed
+    if n_failed:  # a boolean index copies the rows: only when some failed
+        columns = [None if c is None else c[ok] for c in columns]
+    return evaluate_arrays(*columns), n_failed
 
 
 def run_evaluation(
@@ -223,6 +224,8 @@ def cmd_synth(args, parser) -> int:
     write_dataset(ds, args.out)
     counts = height_histogram(samples.ball_3d[:, 2], DEFAULT_HIST_EDGES)
     print(f"wrote {len(samples)} samples / {args.arenas} arenas to {args.out}")
+    if len(folds) < args.n_folds:
+        print(f"wrote {len(folds)} folds, not {args.n_folds}: a fold needs an arena of its own")
     edges = list(DEFAULT_HIST_EDGES)
     labels = [f"[{edges[i]:g},{edges[i + 1]:g})" for i in range(len(edges) - 1)]
     labels.append(f"[{edges[-1]:g},inf)")

@@ -86,8 +86,10 @@ def evaluate_arrays(
     # An error, or a sum of errors, past float range is inf: the report refuses it.
     with np.errstate(over="ignore"):
         mae = None if h_pred is None else float(np.mean(np.abs(h_pred - h_true)))
-        proj_err = np.hypot(ball[:, 0] - truth[:, 0], ball[:, 1] - truth[:, 1])
-        err3d = np.linalg.norm(ball - truth, axis=1)
+        dx, dy, dz = (ball - truth).T
+        proj_err = np.hypot(dx, dy)
+        # The sum np.linalg.norm(axis=1) takes, in its order, without its overhead.
+        err3d = np.sqrt((dx * dx + dy * dy) + dz * dz)
         return EvalReport(
             mae_px=mae,
             mape_m=float(np.mean(proj_err)),

@@ -10,7 +10,7 @@ for Student-t with nu > 1.
 
 Draws come from per-sample Philox streams keyed by (seed, sample_id), so
 the prediction for a sample never depends on evaluation order, subset
-choice, or thread count. Noise stream 2 (``NOISE_STREAM``) turns the
+choice, or thread count. Noise stream 3 (``NOISE_STREAM``) turns the
 streams' 64-bit words (``rng.words``) into unit noise with courtlift's
 own transforms, as array code over all samples at once:
 
@@ -21,12 +21,15 @@ own transforms, as array code over all samples at once:
   0 < W = U^2 + V^2 <= 1; then T = U sqrt(nu (W^(-2/nu) - 1) / W). The
   attempts run in rounds over the samples still pending.
 
-Logs, cosines and expm1 are taken per element through ``math`` (libm),
-because numpy's SIMD versions give other roundings than libm for some
-inputs on some CPUs; numpy's ``sqrt`` is correctly rounded. So the
-values depend neither on the CPU nor on numpy's own distribution code. Height noise is additive
-in pixels; diameter noise is multiplicative (relative), since diameter
-errors scale with apparent size.
+Logs, cos(2 pi d) and expm1 are courtlift's own array kernels
+(``_libm``: fdlibm's polynomials on basic arithmetic), because numpy's
+SIMD versions round some inputs differently on some CPUs and ``math``
+runs element by element through the host's libm; numpy's ``sqrt`` is
+correctly rounded. So the values depend neither on the CPU nor on
+numpy's own distribution code. (Synth still calls ``math`` per element
+for its camera poses and low heights.) Height noise is additive in pixels;
+diameter noise is multiplicative (relative), since diameter errors
+scale with apparent size.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import math
 
 import numpy as np
 
+from ._libm import cos_2pi, expm1, log
 from ._record import ValueRecord, record
 from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, doubles, words
 
@@ -42,7 +46,7 @@ KINDS = ("oracle", "gaussian", "heavy_tailed")
 
 # The version of the transforms from stream words to unit noise; reports
 # name it, and it changes whenever a seed's noise values change.
-NOISE_STREAM = 2
+NOISE_STREAM = 3
 
 
 @record
@@ -95,15 +99,9 @@ def noise_scale(spec: PredictorSpec) -> float:
     return spec.sigma
 
 
-def _each(f, x: np.ndarray) -> np.ndarray:
-    """``f`` (a ``math`` function) applied to each element of ``x``."""
-    return np.fromiter(map(f, x.tolist()), np.float64, len(x))
-
-
 def _gaussian(w: np.ndarray) -> np.ndarray:
     """Box-Muller on a (2, n) block of words: one normal per column."""
-    radius = np.sqrt(-2.0 * _each(math.log, 1.0 - doubles(w[0])))
-    return radius * _each(math.cos, 2.0 * math.pi * doubles(w[1]))
+    return np.sqrt(-2.0 * log(1.0 - doubles(w[0]))) * cos_2pi(doubles(w[1]))
 
 
 def _student_t(seed: int, ids: np.ndarray, purpose: int, nu: float) -> np.ndarray:
@@ -117,7 +115,7 @@ def _student_t(seed: int, ids: np.ndarray, purpose: int, nu: float) -> np.ndarra
         w = u * u + v * v
         ok = (0.0 < w) & (w <= 1.0)
         u, w = u[ok], w[ok]
-        power = _each(math.expm1, -2.0 / nu * _each(math.log, w))
+        power = expm1(-2.0 / nu * log(w))
         out[pending[ok]] = u * np.sqrt(nu * power / w)
         pending = pending[~ok]
         attempt += 1

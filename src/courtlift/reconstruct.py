@@ -17,11 +17,12 @@ point exactly, so the ball's x and y are the ground point's (its floor
 projection) and its height comes from one ray parameter.
 
 Batch reconstruction runs in two steps. ``ball_rays`` does the part no
-prediction changes: it gathers each row's camera and undistorts the raw
-ball pixel. ``reconstruct_from_height_batch`` and
+prediction changes: it gathers each row's camera, undistorts the raw
+ball pixel, and computes the camera centre, the ball's ray and the local
+vertical at its pixel. ``reconstruct_from_height_batch`` and
 ``reconstruct_from_diameter_batch`` then lift one set of predictions
 from those rays, so scoring many predictions of the same balls (the
-repeats of ``evaluate``, the levels of ``sweep``) undistorts each pixel
+repeats of ``evaluate``, the levels of ``sweep``) computes each of these
 once. Both return a ``HeightBatch``: each row's ball and status.
 
 ``reconstruct_from_height``, the one-ball form the ``reconstruct`` command
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from dataclasses import field
 
 import numpy as np
 
@@ -78,9 +80,7 @@ def reconstruct_from_height(
     Negative heights are legal predictor outputs and propagate through.
     """
     rays = ball_rays([cal], [0], [[ball_px_raw.x, ball_px_raw.y]])
-    bz, gx, gy, fu, fv, angle, status = _k.lift_height(
-        rays.cal, rays.u, rays.v, _per_ray(rays, [h]), rays.status
-    )
+    bz, gx, gy, fu, fv, angle, status = _k.lift_height(rays, _per_ray(rays, [h]))
     raise_for_status(status[0], "height reconstruction failed")
     return Reconstruction(
         ball_3d=WorldPoint(gx.item(), gy.item(), bz.item()),
@@ -130,7 +130,9 @@ class BallRays(Record):
     ``cal`` is the (24, n) kernel layout of each row's camera, ``u`` and
     ``v`` the undistorted ball pixels (which, with the camera, give the
     ball's ray) and ``status`` each row's status so far: non-finite pixel
-    or failed undistortion. Build it once with ``ball_rays`` and pass it
+    or failed undistortion. ``terms``, derived from them, are
+    ``_kernels.ray_terms``: what both lifts would otherwise recompute for
+    each set of predictions. Build it once with ``ball_rays`` and pass it
     to ``reconstruct_from_height_batch`` or
     ``reconstruct_from_diameter_batch`` for each set of predictions.
     """
@@ -139,6 +141,13 @@ class BallRays(Record):
     u: np.ndarray
     v: np.ndarray
     status: np.ndarray
+    terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = _k.ray_terms(self.cal, self.u, self.v, self.status)
+        for array in terms:
+            array.flags.writeable = False
+        self.__dict__["terms"] = terms
 
     def __len__(self) -> int:
         return self.status.shape[0]
@@ -186,7 +195,7 @@ def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> Height
     as nonzero statuses rather than exceptions.
     """
     h = _per_ray(rays, heights)
-    bz, gx, gy, _, _, _, status = _k.lift_height(rays.cal, rays.u, rays.v, h, rays.status)
+    bz, gx, gy, _, _, _, status = _k.lift_height(rays, h)
     return _batch((gx, gy, bz), status)
 
 
@@ -206,7 +215,5 @@ def reconstruct_from_diameter_batch(
     if not 0.0 < ball_diameter_m < math.inf:
         raise NonPositiveDiameter(f"ball diameter must be finite and > 0 m, got {ball_diameter_m}")
     d = _per_ray(rays, diameters_px)
-    bx, by, bz, status = _k.reconstruct_diameter(
-        rays.cal, rays.u, rays.v, rays.status, d, float(ball_diameter_m)
-    )
+    bx, by, bz, status = _k.reconstruct_diameter(rays, d, float(ball_diameter_m))
     return _batch((bx, by, bz), status)

@@ -70,12 +70,13 @@ _11 = np.uint64(11)
 
 
 def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the 128-bit product m * x, from 32-bit halves."""
+    """The high 64 bits of the 128-bit product m * x, from 32-bit halves.
+    Neither partial sum can wrap: each is below (2**32 - 1)**2 + 2**32."""
     m_lo, m_hi = m & _LOW32, m >> _32
     x_lo, x_hi = x & _LOW32, x >> _32
-    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    carry = ((lo_lo >> _32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> _32
-    return m_hi * x_hi + (lo_hi >> _32) + (hi_lo >> _32) + carry
+    mid = m_lo * x_hi + ((m_lo * x_lo) >> _32)
+    mid2 = m_hi * x_lo + (mid & _LOW32)
+    return m_hi * x_hi + (mid >> _32) + (mid2 >> _32)
 
 
 def words(seed: int, ids, purpose: int, start: int, count: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from . import _kernels as _k
 from ._record import Record, ValueRecord, record
 from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
 from .errors import DepthNonPositive, FrameCoverageFailure, MalformedRecord
-from .reconstruct import BALL_DIAMETER_M, calibration_columns, pack_calibrations
+from .reconstruct import BALL_DIAMETER_M, BallRays, calibration_columns, pack_calibrations
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
@@ -411,7 +411,7 @@ def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     rows = np.flatnonzero(usable)
     visible = cal[:, rows]
     uu, vv, status = _k.undistort_pixel(visible, u[rows], v[rows])
-    status = _k.lift_height(visible, uu, vv, h[rows], status)[-1]
+    status = _k.lift_height(BallRays(visible, uu, vv, status), h[rows])[-1]
     usable[rows] = (status == _k.STATUS_OK) & ~(np.hypot(uu - un[rows], vv - vn[rows]) > 1e-6)
     return usable, u, v, fu, fv, h, diameter
 

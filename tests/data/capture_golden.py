@@ -49,7 +49,7 @@ LENS = 2000
 def foot_and_angle(rays, heights):
     """Each row's foot pixel (n, 2) and vertical angle (n,), NaN where the
     height lift fails."""
-    _, _, _, fu, fv, angle, status = _k.lift_height(rays.cal, rays.u, rays.v, heights, rays.status)
+    _, _, _, fu, fv, angle, status = _k.lift_height(rays, heights)
     failed = status != _k.STATUS_OK
     foot = np.column_stack([fu, fv])
     foot[failed] = np.nan

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from courtlift import (
+    BallRays,
     CameraCalibration,
     ImagePoint,
     WorldPoint,
@@ -283,7 +284,7 @@ class TestGroundIntersection:
         zeros = np.zeros_like(wx)
         _, _, un, vn, _, status = _k.project_point(cols, wx, wy, zeros)
         assert (status == _k.STATUS_OK).all()
-        bz, gx, gy, _, _, _, status = _k.lift_height(cols, un, vn, zeros, status)
+        bz, gx, gy, _, _, _, status = _k.lift_height(BallRays(cols, un, vn, status), zeros)
         assert (status == _k.STATUS_OK).all()
         np.testing.assert_allclose(gx, wx, rtol=0, atol=1e-9)
         np.testing.assert_allclose(gy, wy, rtol=0, atol=1e-9)

@@ -72,6 +72,17 @@ class TestSynth:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n_folds, note", [(7, True), (3, False), (2, False)])
+    def test_fewer_folds_than_asked_are_reported(self, n_folds, note, tmp_path, capsys):
+        out = tmp_path / "f.dat"
+        argv = ["synth", "--n", "20", "--arenas", "3", "--n-folds", str(n_folds)]
+        assert main([*argv, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        written = sorted(read_dataset(out).folds)
+        assert written == ["A", "B", "C"][: min(n_folds, 3)]
+        assert ("wrote 3 folds, not 7: a fold needs an arena of its own" in lines) == note
+        assert len(lines) == 2 + note
+
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--n", "0", "--out", str(tmp_path / "x.dat")])
@@ -307,7 +318,7 @@ class TestEvaluate:
         payload = json.loads((tmp_path / "diam.json").read_text())
         assert payload["aggregate"]["mean"]["mae_px"] is None
         assert payload["aggregate"]["mean"]["mape_m"] > 0
-        assert payload["config"]["noise_stream"] == 2
+        assert payload["config"]["noise_stream"] == 3
 
     def test_fold_restriction_shrinks_sample_count(self, dataset_file, tmp_path):
         out_all = tmp_path / "all"
@@ -794,3 +805,58 @@ def test_only_the_entrypoint_freezes_the_heap(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0] == "0 True"
     assert lines[-1] == "0 True True"
+
+
+def test_outputs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES=X86_V4 sends numpy's math loops down
+    # other SIMD code, which rounds np.log differently on some inputs.
+    # The noise kernels use basic arithmetic only, so synth, both noisy
+    # evaluations and the unit noise of 200 000 ids must come out the
+    # same either way. The reports alone would miss a rare last-bit change.
+    off = {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    probe = (
+        "import hashlib, numpy as np\n"
+        "x = (np.arange(1, 200_001) * 0.6180339887498949) % 1.0 + 1e-9\n"
+        "print(hashlib.sha256(np.log(x).tobytes()).hexdigest())\n"
+    )
+    noise = (
+        "import hashlib, numpy as np\n"
+        "from courtlift.predictors import PredictorSpec, predict_diameters, predict_heights\n"
+        "ids = np.arange(200_000)\n"
+        "for kind in ('gaussian', 'heavy_tailed'):\n"
+        "    spec = PredictorSpec(kind=kind, sigma=1.0, seed=3)\n"
+        "    for predict in (predict_heights, predict_diameters):\n"
+        "        z = predict(spec, ids, np.ones(len(ids)))\n"
+        "        print(kind, hashlib.sha256(z.tobytes()).hexdigest())\n"
+    )
+
+    def run(argv, cwd, env):
+        return subprocess.run(
+            [sys.executable, *argv], cwd=cwd, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC, **env},
+        )
+
+    digests = [run(["-c", probe], tmp_path, env) for env in ({}, off)]
+    if digests[1].returncode:
+        pytest.skip(f"numpy does not start with X86_V4 disabled: {digests[1].stderr[-200:]}")
+    if digests[0].stdout == digests[1].stdout:
+        pytest.skip("disabling X86_V4 does not change np.log's output on this host")
+    commands = [
+        "synth --n 400 --arenas 4 --seed 5 --out d.dat",
+        "evaluate --dataset d.dat --predictor gaussian --target-mae 34 --repeats 2 --out g",
+        "evaluate --dataset d.dat --method diameter --predictor heavy_tailed"
+        " --target-mae 0.10 --out t",
+    ]
+    written = []
+    for name, env in (("default", {}), ("x86_v4_off", off)):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        for argv in commands:
+            result = run(["-m", "courtlift.cli", *argv.split()], run_dir, env)
+            assert result.returncode == 0, (argv, result.stderr)
+        result = run(["-c", noise], run_dir, env)
+        assert result.returncode == 0, result.stderr
+        (run_dir / "noise.txt").write_text(result.stdout)
+        written.append({path.name: path.read_bytes() for path in run_dir.iterdir()})
+    assert sorted(written[0]) == ["d.dat", "g.csv", "g.json", "noise.txt", "t.csv", "t.json"]
+    assert written[0] == written[1]

@@ -28,6 +28,7 @@ import pytest
 
 from courtlift import _kernels as _k
 from courtlift.reconstruct import (
+    BallRays,
     ball_rays,
     reconstruct_from_diameter_batch,
     reconstruct_from_height_batch,
@@ -51,7 +52,7 @@ def rays(golden):
 
 def _lift(rays, heights):
     """``_k.lift_height`` on ``rays``: (bz, gx, gy, fu, fv, angle, status)."""
-    return _k.lift_height(rays.cal, rays.u, rays.v, heights, rays.status)
+    return _k.lift_height(rays, heights)
 
 
 def _check(batch, g, prefix, rows=slice(None)):
@@ -120,7 +121,8 @@ def _assert_foot_solves_its_equation(rays, heights):
     _, _, _, fu, fv, _, status = _lift(rays, heights)
     ok = status == _k.STATUS_OK
     fu, fv, cal = fu[ok], fv[ok], rays.cal[:, ok]
-    status = _k.lift_height(cal, fu, fv, np.zeros_like(fu), np.zeros_like(status[ok]))[-1]
+    feet = BallRays(cal, fu, fv, np.zeros_like(status[ok]))
+    status = _k.lift_height(feet, np.zeros_like(fu))[-1]
     assert (status == _k.STATUS_OK).all()
     vx, vy, _ = _k._toward_nadir(cal, fu, fv)
     du = fu - rays.u[ok]

@@ -8,6 +8,7 @@ sample std sqrt(0.5) ~= 0.7071.
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ class TestEvaluate:
     def test_floor_error_is_the_balls_x_and_y(self):
         report = evaluate_arrays([[0.0, 0.0, 1.0]], None, None, [[3.0, 4.0, 13.0]])
         assert (report.mape_m, report.ma3de_m) == (5.0, 13.0)
+
+    def test_3d_error_is_the_row_norm_on_the_golden_rows(self):
+        # The golden height balls scored against the golden diameter balls
+        # of the same pixels: the 3D error is np.linalg.norm's, bit for bit.
+        g = np.load(Path(__file__).parent / "data" / "golden_kernels.npz")
+        rows = len(g["d_ball"])
+        ok = (g["h_status"][:rows] == 0) & (g["d_status"] == 0)
+        ball, truth = g["h_ball"][:rows][ok], g["d_ball"][ok]
+        err3d = np.linalg.norm(ball - truth, axis=1)
+        report = evaluate_arrays(truth, None, None, ball)
+        assert report.ma3de_m == float(np.mean(err3d))
+        assert report.mdna3de_m == float(np.median(err3d))
 
     def test_even_median_is_midpoint(self):
         truth, ball = _arrays_from_proj_errors([1.0, 2.0, 3.0, 4.0])

@@ -78,7 +78,7 @@ def _height_lift(samples, heights):
     """The height batch and, from _k.lift_height on the same rays, each
     row's foot pixel (fu, fv) and vertical angle."""
     rays = _rays(samples)
-    _, _, _, fu, fv, angle, _ = _k.lift_height(rays.cal, rays.u, rays.v, heights, rays.status)
+    _, _, _, fu, fv, angle, _ = _k.lift_height(rays, heights)
     return reconstruct_from_height_batch(rays, heights), (fu, fv, angle)
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from courtlift import (
     ArenaSpec,
+    BallRays,
     CameraCalibration,
     ImagePoint,
     WorldPoint,
@@ -58,18 +59,24 @@ def _overhead_cal() -> CameraCalibration:
     )
 
 
+def _lift_row(cal: CameraCalibration, x: float, y: float, h: float):
+    """``_k.lift_height`` of one undistorted pixel lifted by h px, as Python scalars."""
+    rays = BallRays(column(cal), *one_row(x, y), np.zeros(1, dtype=np.int64))
+    return [out[0].item() for out in _k.lift_height(rays, *one_row(h))]
+
+
 def _vertical(cal: CameraCalibration, x: float, y: float):
     """(vx, vy), angle and status of the local vertical at a pixel: the
     lift at h = 0, whose foot is the pixel itself."""
     with np.errstate(invalid="ignore"):  # 0 / 0 at the vanishing point
         vx, vy, _ = kernel_row(_k._toward_nadir, cal, x, y)
-    _, _, _, _, _, angle, status = kernel_row(_k.lift_height, cal, x, y, 0.0, STATUS_OK)
+    _, _, _, _, _, angle, status = _lift_row(cal, x, y, 0.0)
     return (vx, vy), angle, status
 
 
 def _foot(cal: CameraCalibration, px: ImagePoint, h: float):
     """Foot pixel and lift status of a ball pixel lifted by h px."""
-    _, _, _, fu, fv, _, status = kernel_row(_k.lift_height, cal, px.x, px.y, h, STATUS_OK)
+    _, _, _, fu, fv, _, status = _lift_row(cal, px.x, px.y, h)
     return ImagePoint(fu, fv), status
 
 

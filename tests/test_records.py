@@ -112,7 +112,7 @@ RECORDS = {
         lambda: {"ball_3d": np.ones((1, 3)), "status": np.zeros(1, dtype=np.int64)},
     ),
     BallRays: (
-        ("cal", "u", "v", "status"),
+        ("cal", "u", "v", "status", "terms"),
         [("cal", EMPTY), ("u", EMPTY), ("v", EMPTY), ("status", EMPTY)],
         lambda: {"cal": CAL.as_array()[:, None], "u": np.ones(1), "v": np.ones(1),
                  "status": np.zeros(1, dtype=np.int64)},
@@ -154,7 +154,7 @@ RECORDS = {
 }
 IDENTITY = {CameraCalibration, HeightBatch, BallRays, Samples}
 # Fields derived in __post_init__: left out of the signature and the repr.
-DERIVED = {"_packed", "cal_index"}
+DERIVED = {"_packed", "cal_index", "terms"}
 # A field change per record that its validation rejects, and the error.
 INVALID = {
     CameraCalibration: ({"rotation": np.eye(2)}, ValueError),
@@ -314,6 +314,8 @@ def test_replace_recomputes_derived_fields():
     assert replace(HeightDistSpec(kind="ballistic_like"), kind="uniform").kind == "uniform"
     with pytest.raises(error, match="cal_index"):
         replace(SAMPLES, cal_index=None)
+    with pytest.raises(error, match="terms"):
+        replace(example(BallRays), terms=None)
     moved = replace(SAMPLES, cameras={1: CAL, 0: CAL, 5: CAL})
     assert moved.cal_index.tolist() == [1 if a == 0 else 0 for a in SAMPLES.arena.tolist()]
     ds = Dataset(SAMPLES, {name: set(ids) for name, ids in FOLDS.items()})
