@@ -4,88 +4,63 @@ Given a calibrated camera, a ball pixel, and a predicted pixel height of
 the ball above its ground projection, reconstruct the ball's 3D world
 coordinates; generate synthetic arenas with exact annotations, model
 predictor noise, and score everything with the standard metric suite.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import courtlift`` imports none of courtlift's modules, and a command
+imports only the modules it runs.
 """
 
-from .camera import (
-    CameraCalibration,
-    ImagePoint,
-    WorldPoint,
-    project,
-    scale_calibration,
-    validate,
-)
-from .dataio import Dataset, assign_folds, calibration_to_json_dict, read_dataset, write_dataset
-from .metrics import (
-    AggregateReport,
-    EvalReport,
-    METRIC_NAMES,
-    aggregate_repeats,
-    evaluate_arrays,
-    height_histogram,
-)
-from .predictors import (
-    PredictorSpec,
-    predict_diameters,
-    predict_heights,
-)
-from .reconstruct import (
-    BALL_DIAMETER_M,
-    BallRays,
-    HeightBatch,
-    Reconstruction,
-    ball_rays,
-    reconstruct_from_diameter_batch,
-    reconstruct_from_height,
-    reconstruct_from_height_batch,
-)
-from .synth import (
-    ArenaSpec,
-    HeightDistSpec,
-    Samples,
-    generate_dataset,
-    make_camera,
-    sample_ball,
-    sample_camera,
-)
-from . import errors
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateReport",
-    "ArenaSpec",
-    "BALL_DIAMETER_M",
-    "BallRays",
-    "CameraCalibration",
-    "Dataset",
-    "EvalReport",
-    "HeightBatch",
-    "HeightDistSpec",
-    "ImagePoint",
-    "METRIC_NAMES",
-    "PredictorSpec",
-    "Reconstruction",
-    "Samples",
-    "WorldPoint",
-    "aggregate_repeats",
-    "assign_folds",
-    "ball_rays",
-    "calibration_to_json_dict",
-    "errors",
-    "evaluate_arrays",
-    "generate_dataset",
-    "height_histogram",
-    "make_camera",
-    "predict_diameters",
-    "predict_heights",
-    "project",
-    "read_dataset",
-    "reconstruct_from_diameter_batch",
-    "reconstruct_from_height",
-    "reconstruct_from_height_batch",
-    "sample_ball",
-    "sample_camera",
-    "scale_calibration",
-    "validate",
-    "write_dataset",
-]
+# Each public name, and the module that defines it.
+_HOMES = {
+    "AggregateReport": "metrics",
+    "ArenaSpec": "synth",
+    "BALL_DIAMETER_M": "reconstruct",
+    "BallRays": "reconstruct",
+    "CameraCalibration": "camera",
+    "Dataset": "dataio",
+    "EvalReport": "metrics",
+    "HeightBatch": "reconstruct",
+    "HeightDistSpec": "synth",
+    "ImagePoint": "camera",
+    "METRIC_NAMES": "metrics",
+    "PredictorSpec": "predictors",
+    "Reconstruction": "reconstruct",
+    "Samples": "dataio",
+    "WorldPoint": "camera",
+    "aggregate_repeats": "metrics",
+    "assign_folds": "dataio",
+    "ball_rays": "reconstruct",
+    "errors": "errors",
+    "evaluate_arrays": "metrics",
+    "generate_dataset": "synth",
+    "height_histogram": "metrics",
+    "predict_diameters": "predictors",
+    "predict_heights": "predictors",
+    "project": "camera",
+    "read_dataset": "dataio",
+    "reconstruct_from_diameter_batch": "reconstruct",
+    "reconstruct_from_height": "reconstruct",
+    "reconstruct_from_height_batch": "reconstruct",
+    "validate": "camera",
+    "write_dataset": "dataio",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

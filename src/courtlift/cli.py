@@ -9,6 +9,11 @@ timestamps or scheduling information, and randomness comes from
 per-sample streams. Exit codes: 0 success, 1 runtime or geometry
 failure, 2 usage error.
 
+A command imports only the modules it runs, and builds only its own
+subparser's arguments: `synth` imports the sampler (`synth`, `rng`),
+`evaluate` the predictors (`predictors`, `rng`, `_libm`), and `sweep`
+and `reconstruct` neither.
+
 `entrypoint`, which the `courtlift` script and `python -m courtlift.cli`
 run, freezes the heap the imports built (`gc.freeze`) before `main`, so
 the collector neither rescans it during the command nor tears it down
@@ -25,10 +30,10 @@ import gc
 import json
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .camera import ImagePoint
-from .dataio import Dataset, assign_folds, read_dataset, write_dataset
+from .dataio import Dataset, Samples, assign_folds, read_dataset, write_dataset
 from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
 from .metrics import (
@@ -38,7 +43,6 @@ from .metrics import (
     evaluate_arrays,
     height_histogram,
 )
-from .predictors import NOISE_STREAM, PredictorSpec, predict_diameters, predict_heights
 from .reconstruct import (
     BALL_DIAMETER_M,
     ball_rays,
@@ -46,7 +50,9 @@ from .reconstruct import (
     reconstruct_from_height,
     reconstruct_from_height_batch,
 )
-from .synth import ArenaSpec, HeightDistSpec, Samples, generate_dataset
+
+if TYPE_CHECKING:
+    from .predictors import PredictorSpec
 
 DEFAULT_HIST_EDGES = (0.0, 1.0, 2.0, 3.0)
 
@@ -76,6 +82,35 @@ def _write_json(path: str, obj) -> None:
         raise NonFiniteReport(f"cannot write {path}: {_first_non_finite(obj)}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
+
+
+# ---------------------------------------------------------------------------
+# The layers that live in modules only one command imports. They stay
+# names of this module, called through its globals, so that a tracer
+# (perfbench/trace_cli.py) can find and rebind them before `main` runs.
+# The command imports the module before its first call, so no call here
+# compiles one.
+
+
+def generate_dataset(*args, **kwargs):
+    """`synth.generate_dataset`."""
+    from .synth import generate_dataset
+
+    return generate_dataset(*args, **kwargs)
+
+
+def predict_heights(*args, **kwargs):
+    """`predictors.predict_heights`."""
+    from .predictors import predict_heights
+
+    return predict_heights(*args, **kwargs)
+
+
+def predict_diameters(*args, **kwargs):
+    """`predictors.predict_diameters`."""
+    from .predictors import predict_diameters
+
+    return predict_diameters(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +236,8 @@ def _check_seeds(parser, seed: int, count: int) -> None:
 
 
 def cmd_synth(args, parser) -> int:
+    from .synth import ArenaSpec, HeightDistSpec
+
     if args.n < 1:
         parser.error("--n must be >= 1")
     # Every arena holds a sample: one without would cost its camera draw for nothing.
@@ -234,6 +271,8 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
+    from .predictors import NOISE_STREAM, PredictorSpec
+
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     _check_seeds(parser, args.seed, args.repeats)
@@ -333,72 +372,94 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="courtlift",
-        description="Monocular 3D ball localization: synthetic datasets, "
-        "reconstruction, and evaluation reports.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_synth_args(sub) -> None:
+    from .synth import HeightDistSpec
 
-    p_synth = sub.add_parser("synth", help="generate an annotated synthetic dataset")
-    p_synth.add_argument("--n", type=int, required=True, help="number of samples")
-    p_synth.add_argument("--arenas", type=int, default=10, help="number of cameras")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", required=True, help="output dataset file")
-    p_synth.add_argument(
+    sub.add_argument("--n", type=int, required=True, help="number of samples")
+    sub.add_argument("--arenas", type=int, default=10, help="number of cameras")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", required=True, help="output dataset file")
+    sub.add_argument(
         "--dist",
         choices=["deepsport_like", "ballistic_like", "uniform"],
         default="deepsport_like",
         help="ball height distribution",
     )
-    p_synth.add_argument("--p-above-3m", type=float, default=None)
-    p_synth.add_argument("--max-height", type=float, default=HeightDistSpec.max_height)
-    p_synth.add_argument("--n-folds", type=int, default=5, help="arena folds to assign")
-    p_synth.add_argument("--arena-json", default=None, help="ArenaSpec overrides (JSON file)")
-    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
+    sub.add_argument("--p-above-3m", type=float, default=None)
+    sub.add_argument("--max-height", type=float, default=HeightDistSpec.max_height)
+    sub.add_argument("--n-folds", type=int, default=5, help="arena folds to assign")
+    sub.add_argument("--arena-json", default=None, help="ArenaSpec overrides (JSON file)")
 
-    p_eval = sub.add_parser("evaluate", help="run predict/reconstruct/evaluate repeats")
-    _add_input_args(p_eval)
-    p_eval.add_argument("--fold", default=None, help="restrict to this test fold")
-    _add_predictor_args(p_eval)
-    p_eval.add_argument("--method", choices=["height", "diameter"], default="height")
-    p_eval.add_argument(
+
+def _add_evaluate_args(sub) -> None:
+    _add_input_args(sub)
+    sub.add_argument("--fold", default=None, help="restrict to this test fold")
+    _add_predictor_args(sub)
+    sub.add_argument("--method", choices=["height", "diameter"], default="height")
+    sub.add_argument(
         "--ball-diameter",
         type=float,
         default=BALL_DIAMETER_M,
         help="ball size (m) the diameter reconstruction assumes",
     )
-    p_eval.add_argument("--repeats", type=int, default=1, help="seeded repetitions")
-    p_eval.add_argument("--seed", type=int, default=0, help="base predictor seed")
-    p_eval.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
-    p_eval.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
-    p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
+    sub.add_argument("--repeats", type=int, default=1, help="seeded repetitions")
+    sub.add_argument("--seed", type=int, default=0, help="base predictor seed")
+    sub.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
+    sub.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
 
-    p_rec = sub.add_parser("reconstruct", help="lift one pixel + height to 3D")
-    p_rec.add_argument("--cal", required=True, help="calibration JSON file")
-    p_rec.add_argument("--x", type=float, required=True, help="ball pixel x (raw image)")
-    p_rec.add_argument("--y", type=float, required=True, help="ball pixel y (raw image)")
-    p_rec.add_argument(
+
+def _add_reconstruct_args(sub) -> None:
+    sub.add_argument("--cal", required=True, help="calibration JSON file")
+    sub.add_argument("--x", type=float, required=True, help="ball pixel x (raw image)")
+    sub.add_argument("--y", type=float, required=True, help="ball pixel y (raw image)")
+    sub.add_argument(
         "--height", "--h", dest="height", type=float, required=True, help="pixel height"
     )
-    p_rec.set_defaults(func=cmd_reconstruct, parser=p_rec)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="MAPE/MA3DE vs height-error level (constant px offsets)"
-    )
-    _add_input_args(p_sweep)
-    p_sweep.add_argument(
+
+def _add_sweep_args(sub) -> None:
+    _add_input_args(sub)
+    sub.add_argument(
         "--grid", required=True, help="comma-separated height offsets in px, e.g. 0,5,10"
     )
-    p_sweep.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
-    p_sweep.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
-    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
+    sub.add_argument("--out", required=True, help="report path prefix (.json/.csv)")
+    sub.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
+
+
+# Each subcommand: its help line, the function adding its arguments, and its runner.
+_COMMANDS = {
+    "synth": ("generate an annotated synthetic dataset", _add_synth_args, cmd_synth),
+    "evaluate": ("run predict/reconstruct/evaluate repeats", _add_evaluate_args, cmd_evaluate),
+    "reconstruct": ("lift one pixel + height to 3D", _add_reconstruct_args, cmd_reconstruct),
+    "sweep": (
+        "MAPE/MA3DE vs height-error level (constant px offsets)",
+        _add_sweep_args,
+        cmd_sweep,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Only `command`'s subparser gets its
+    arguments, or every one when `command` names none (for ``--help``), so
+    a run builds the arguments of the one command it parses."""
+    parser = argparse.ArgumentParser(
+        prog="courtlift",
+        description="Monocular 3D ball localization: synthetic datasets, "
+        "reconstruction, and evaluation reports.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, func) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_line)
+        if command == name or command not in _COMMANDS:
+            add_args(sub)
+        sub.set_defaults(func=func, parser=sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # Each command's usage errors print its own subparser's usage.
         return args.func(args, args.parser)

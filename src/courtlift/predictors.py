@@ -149,21 +149,29 @@ def predict_heights(spec: PredictorSpec, sample_ids, h_true) -> np.ndarray:
     """Predicted pixel heights (px; may be negative), additive noise.
 
     ``sample_ids`` keys each sample's noise stream; ``h_true`` holds the
-    true pixel heights, one per id, else ValueError.
+    true pixel heights, one per id, else ValueError. A row whose noise
+    passes the float range comes back as an infinity, which the lift
+    refuses as NonFiniteInput.
     """
     ids, h_true = _arrays(sample_ids, h_true)
     if spec.kind == "oracle":
         return h_true.copy()
-    return h_true + noise_scale(spec) * _noise(spec, ids, PURPOSE_HEIGHT_NOISE)
+    noise = _noise(spec, ids, PURPOSE_HEIGHT_NOISE)
+    with np.errstate(over="ignore"):
+        return h_true + noise_scale(spec) * noise
 
 
 def predict_diameters(spec: PredictorSpec, sample_ids, d_true) -> np.ndarray:
     """Predicted image diameters (px) with relative (multiplicative) noise.
 
     ``sample_ids`` keys each sample's noise stream; ``d_true`` holds the
-    true image diameters, one per id, else ValueError.
+    true image diameters, one per id, else ValueError. A row whose noise
+    passes the float range comes back as an infinity, as in
+    `predict_heights`.
     """
     ids, d_true = _arrays(sample_ids, d_true)
     if spec.kind == "oracle":
         return d_true.copy()
-    return d_true * (1.0 + noise_scale(spec) * _noise(spec, ids, PURPOSE_DIAMETER_NOISE))
+    noise = _noise(spec, ids, PURPOSE_DIAMETER_NOISE)
+    with np.errstate(over="ignore"):
+        return d_true * (1.0 + noise_scale(spec) * noise)

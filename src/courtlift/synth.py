@@ -19,20 +19,22 @@ times that many words into stream (seed, i, PURPOSE_BALL), and each
 placement round draws all its candidates at once, with no per-sample
 loop. The values are those of numpy's ``Generator`` on each stream.
 This module reads no JSON: `dataio.load_arena_spec` reads ``--arena-json``.
+The `Samples` table it fills is `dataio`'s, which reads and writes it;
+only the ``synth`` command imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import field, fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import _kernels as _k
-from ._record import Record, ValueRecord, record
-from .camera import CameraCalibration, ImagePoint, WorldPoint, project, validate
-from .errors import DepthNonPositive, FrameCoverageFailure, MalformedRecord
+from ._record import ValueRecord, record
+from .camera import CameraCalibration, WorldPoint, project, validate
+from .dataio import Samples
+from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, BallRays, calibration_columns, pack_calibrations
 from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
 
@@ -122,117 +124,6 @@ class HeightDistSpec(ValueRecord):
             raise ValueError(f"p_above_3m must be in [0, 1], got {self.p_above_3m}")
         if not 3.0 < self.max_height < math.inf:
             raise ValueError(f"max_height must be finite and exceed 3 m, got {self.max_height}")
-
-
-@record
-class BallSample(ValueRecord):
-    """One fully annotated synthetic ball instance.
-
-    ball_px and foot_px are in raw (distorted) image coordinates, matching
-    annotations made on original frames; h_true is the undistorted-space
-    pixel height (the predictor supervision target). Iterating a
-    `Samples` table gives these rows; nothing takes them as input.
-    """
-
-    sample_id: int
-    arena_id: int
-    cal: CameraCalibration
-    ball_3d: WorldPoint
-    ball_px: ImagePoint
-    foot_px: ImagePoint
-    h_true: float
-    diameter_px_true: float
-
-
-# The float columns of a `Samples` table, in record order.
-_FLOAT_COLUMNS = ("ball_3d", "ball_px", "foot_px", "h_true", "d_true")
-
-
-@record
-class Samples(Record):
-    """Annotated samples as columns: row i of every array is sample i.
-
-    ``cameras`` maps each arena id to its one calibration, so a row's
-    camera is always ``cameras[arena[i]]``. ``cal_index[i]`` is the
-    position of row i's camera in ``cameras``, the index ``ball_rays``
-    takes. A slice, boolean mask or index array gives the table of those
-    rows, with the same cameras.
-
-    Each row's own rules are checked in this order, the first row i
-    that breaks one raising MalformedRecord(i): every float is finite
-    (naming row i's first non-finite field), every id lies in [0, 2**63)
-    (ids are stored as int64) and every arena has a camera.
-    """
-
-    ids: np.ndarray  # (n,) int64
-    arena: np.ndarray  # (n,) int64
-    cameras: dict[int, CameraCalibration]
-    ball_3d: np.ndarray  # (n, 3) world metres
-    ball_px: np.ndarray  # (n, 2) raw pixels
-    foot_px: np.ndarray  # (n, 2) raw pixels
-    h_true: np.ndarray  # (n,) undistorted pixel height
-    d_true: np.ndarray  # (n,) true image diameter, pixels
-    cal_index: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) int64
-
-    def __post_init__(self):
-        # (first faulty row, field) per column; min names a row's first field.
-        faults = []
-        for name in _FLOAT_COLUMNS:
-            finite = np.isfinite(getattr(self, name))
-            if not finite.all():
-                rows = finite.reshape(len(finite), -1).all(axis=1)
-                faults.append((int(np.argmin(rows)), name))
-        if faults:
-            i, name = min(faults, key=lambda fault: fault[0])
-            raise MalformedRecord(i, f"{name} is not a finite number")
-        # An id keys a sample's predictor streams and is packed as int64;
-        # the cast wraps a uint64 id of 2**63 or more to a negative one.
-        ids = self.ids.astype(np.int64, copy=False)
-        negative = ids < 0
-        if negative.any():
-            i = int(np.argmax(negative))
-            raise MalformedRecord(i, f"id {self.ids[i]} is outside [0, 2**63)")
-        cameras = dict(self.cameras)
-        # Binary search of the camera keys; a key past int64 names no row.
-        # An arena past the last key has slot len(keys), read as the pad 0.
-        pairs = [(a, j) for j, a in enumerate(cameras) if -(2**63) <= a < 2**63]
-        keys, position = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        order = np.argsort(keys)
-        slot = np.searchsorted(keys, self.arena, sorter=order)
-        unknown = (slot == len(keys)) | (np.append(keys[order], 0)[slot] != self.arena)
-        if unknown.any():
-            i = int(np.argmax(unknown))
-            raise MalformedRecord(i, f"arena {self.arena[i]} has no camera")
-        cal_index = position[order][slot]
-        self.__dict__.update(ids=ids, cameras=cameras, cal_index=cal_index)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    # Nothing in courtlift takes rows. Iteration stays only because
-    # perfbench/run.py's check_synth reads ids and arenas from a
-    # dataset's rows; it goes, with BallSample, once that check reads
-    # the columns.
-    def __iter__(self) -> Iterator[BallSample]:
-        cameras = self.cameras
-        for i, a, b, p, f, h, d in zip(
-            self.ids.tolist(),
-            self.arena.tolist(),
-            self.ball_3d.tolist(),
-            self.ball_px.tolist(),
-            self.foot_px.tolist(),
-            self.h_true.tolist(),
-            self.d_true.tolist(),
-        ):
-            cal = cameras[a]
-            yield BallSample(i, a, cal, WorldPoint(*b), ImagePoint(*p), ImagePoint(*f), h, d)
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            raise TypeError("index a Samples table with a slice, mask or index array")
-        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        del columns["cameras"]
-        return replace(self, **{name: column[key] for name, column in columns.items()})
 
 
 def make_camera(

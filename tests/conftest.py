@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from courtlift import ArenaSpec, CameraCalibration, generate_dataset, make_camera
+from courtlift import ArenaSpec, CameraCalibration, generate_dataset
 from courtlift.camera import column, one_row
 from courtlift.rng import PURPOSE_CAMERA, stream
-from courtlift.synth import sample_camera
+from courtlift.synth import make_camera, sample_camera
 
 
 @pytest.fixture

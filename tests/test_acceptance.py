@@ -27,8 +27,8 @@ from courtlift import (
     ImagePoint,
     generate_dataset,
     reconstruct_from_height,
-    scale_calibration,
 )
+from courtlift.camera import scale_calibration
 from courtlift.cli import main, run_evaluation, run_sweep
 from courtlift.metrics import METRIC_NAMES, aggregate_repeats
 from courtlift.predictors import PredictorSpec

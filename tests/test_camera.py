@@ -20,16 +20,14 @@ from courtlift import (
     CameraCalibration,
     ImagePoint,
     WorldPoint,
-    calibration_to_json_dict,
     project,
     read_dataset,
-    scale_calibration,
     validate,
 )
 from courtlift import _kernels as _k
 from courtlift import errors
-from courtlift.camera import STATUS_NAMES, column, one_row, raise_for_status
-from courtlift.dataio import load_calibration
+from courtlift.camera import STATUS_NAMES, column, one_row, raise_for_status, scale_calibration
+from courtlift.dataio import calibration_to_json_dict, load_calibration
 from courtlift.errors import DepthNonPositive, NonPositiveScale
 
 from conftest import first_branch_peak, kernel_row, random_cameras

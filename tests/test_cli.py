@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +17,14 @@ import courtlift
 from courtlift import (
     Dataset,
     WorldPoint,
-    calibration_to_json_dict,
-    make_camera,
     project,
     read_dataset,
     write_dataset,
 )
 from courtlift.cli import _write_json, build_parser, main
-from courtlift.dataio import RECORD_DTYPE, load_calibration
+from courtlift.dataio import RECORD_DTYPE, calibration_to_json_dict, load_calibration
 from courtlift.errors import NonFiniteReport
+from courtlift.synth import make_camera
 
 SRC = str(Path(courtlift.__file__).resolve().parents[1])
 
@@ -608,6 +608,32 @@ def test_overflowing_error_exits_1_with_typed_error(
     assert list(tmp_path.iterdir()) == [probe]  # neither report file is written
 
 
+@pytest.mark.parametrize("noise", [["--target-mae", "1e308"], ["--sigma", "1e308"]])
+@pytest.mark.parametrize("method", ["height", "diameter"])
+def test_noise_past_the_float_range_fails_rows_typed(
+    dataset_file, tmp_path, capsys, method, noise
+):
+    # Noise scaled near the largest double overflows on some rows, with no
+    # RuntimeWarning: those predictions are infinite, and the lift fails
+    # them as NonFiniteInput. No height row survives such noise; a few
+    # diameter rows do, and their report is written.
+    out = tmp_path / "report"
+    argv = ["evaluate", "--dataset", str(dataset_file), "--method", method]
+    argv += ["--predictor", "gaussian", *noise, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    err = capsys.readouterr().err
+    if method == "height":
+        assert code == 1
+        assert err == "error: EmptyInput: repeat 0: all 300 samples failed to reconstruct\n"
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert code == 0 and err == ""
+        n_failed = json.loads(out.with_suffix(".json").read_text())["repeats"][0]["n_failed"]
+        assert 0 < n_failed < 300
+
+
 class TestSweep:
     def test_monotone_grid(self, dataset_file, tmp_path):
         out = tmp_path / "sweep"
@@ -653,16 +679,17 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
 
-def _loaded_before_and_after(module, commands):
-    """Whether ``module`` is in sys.modules of a fresh interpreter after
+def _loaded_before_and_after(modules, commands):
+    """Which of ``modules`` are in sys.modules of a fresh interpreter after
     importing courtlift.cli, and after running each argv of ``commands``
-    through cli.main there."""
+    through cli.main there, as two sets."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from courtlift.cli import main\n"
-        f"before = {module!r} in sys.modules\n"
+        f"loaded = lambda: [m for m in {list(modules)!r} if m in sys.modules]\n"
+        "before = loaded()\n"
         f"assert all(main(argv) == 0 for argv in {commands!r})\n"
-        f"print(before, {module!r} in sys.modules)\n"
+        "print(json.dumps([before, loaded()]))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -671,8 +698,49 @@ def _loaded_before_and_after(module, commands):
         check=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    before, after = result.stdout.splitlines()[-1].split()
-    return before == "True", after == "True"
+    before, after = json.loads(result.stdout.splitlines()[-1])
+    return set(before), set(after)
+
+
+# The modules that only some commands run: the sampler, and the predictors
+# with the Philox streams and elementary functions they draw noise from.
+ONE_COMMAND_MODULES = (
+    "courtlift.synth", "courtlift.predictors", "courtlift._libm", "courtlift.rng"
+)
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("sweep", set()),
+        ("reconstruct", set()),
+        ("evaluate", {"courtlift.predictors", "courtlift._libm", "courtlift.rng"}),
+        ("synth", {"courtlift.synth", "courtlift.rng"}),
+    ],
+)
+def test_a_command_imports_only_the_modules_it_runs(
+    command, loaded, dataset_file, side_cal_file, tmp_path
+):
+    # Run without bytecode, a command compiles every module it imports.
+    # pytest's own process has imported them all, so each run is a fresh one.
+    data, out = str(dataset_file), str(tmp_path / "out")
+    commands = {
+        "sweep": [["sweep", "--dataset", data, "--grid", "0,10", "--out", out]],
+        "reconstruct": [
+            ["reconstruct", "--cal", str(side_cal_file[0]), "--x", "2250", "--y", "750"]
+            + ["--height", "10"]
+        ],
+        "evaluate": [
+            ["evaluate", "--dataset", data, "--predictor", "gaussian", "--target-mae", "34"]
+            + ["--out", out],
+            ["evaluate", "--dataset", data, "--method", "diameter", "--predictor"]
+            + ["heavy_tailed", "--target-mae", "0.1", "--out", out],
+        ],
+        "synth": [["synth", "--n", "50", "--arenas", "3", "--seed", "1", "--out", out]],
+    }[command]
+    before, after = _loaded_before_and_after(ONE_COMMAND_MODULES, commands)
+    assert before == set()
+    assert after == loaded
 
 
 def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
@@ -682,7 +750,7 @@ def test_evaluate_and_sweep_do_not_import_numpy_ma(dataset_file, tmp_path):
         ["evaluate", "--dataset", str(dataset_file), "--out", str(tmp_path / "e")],
         ["sweep", "--dataset", str(dataset_file), "--grid", "0,10", "--out", str(tmp_path / "s")],
     ]
-    before, after = _loaded_before_and_after("numpy.ma", commands)
+    before, after = _loaded_before_and_after(("numpy.ma",), commands)
     if before:
         pytest.skip("numpy.ma is loaded with numpy itself (numpy < 2)")
     assert not after
@@ -693,7 +761,7 @@ def test_synth_does_not_import_numpy_random(tmp_path):
     # numpy.random costs 10-14 ms. numpy 1.x imports it with numpy itself.
     out = str(tmp_path / "d.dat")
     argv = ["synth", "--n", "50", "--arenas", "3", "--seed", "1", "--out", out]
-    before, after = _loaded_before_and_after("numpy.random", [argv])
+    before, after = _loaded_before_and_after(("numpy.random",), [argv])
     if before:
         pytest.skip("numpy.random is loaded with numpy itself (numpy < 2)")
     assert not after
@@ -712,7 +780,7 @@ def test_evaluate_does_not_import_numpy_random(dataset_file, tmp_path):
             "--predictor", "heavy_tailed", "--target-mae", "0.1", "--out", str(tmp_path / "d"),
         ],
     ]
-    before, after = _loaded_before_and_after("numpy.random", commands)
+    before, after = _loaded_before_and_after(("numpy.random",), commands)
     if before:
         pytest.skip("numpy.random is loaded with numpy itself (numpy < 2)")
     assert not after

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from courtlift import (
     CameraCalibration,
-    calibration_to_json_dict,
     Dataset,
     assign_folds,
     generate_dataset,
     read_dataset,
     write_dataset,
 )
-from courtlift.dataio import RECORD_DTYPE
+from courtlift.dataio import RECORD_DTYPE, Samples, calibration_to_json_dict
 from courtlift.errors import (
     FoldViolation,
     MalformedRecord,
@@ -27,7 +26,6 @@ from courtlift.errors import (
     UnknownFold,
 )
 from courtlift.reconstruct import ball_rays
-from courtlift.synth import Samples
 
 COLUMNS = ("ids", "arena", "ball_3d", "ball_px", "foot_px", "h_true", "d_true")
 

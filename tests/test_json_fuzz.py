@@ -19,8 +19,10 @@ import struct
 
 import pytest
 
-from courtlift import calibration_to_json_dict, errors, make_camera, read_dataset
+from courtlift import errors, read_dataset
 from courtlift.cli import main
+from courtlift.dataio import calibration_to_json_dict
+from courtlift.synth import make_camera
 
 SEED = 2029
 

@@ -17,20 +17,19 @@ from hypothesis import strategies as st
 from courtlift import (
     WorldPoint,
     generate_dataset,
-    make_camera,
     project,
     reconstruct_from_height,
-    scale_calibration,
 )
 from courtlift import _kernels as _k
 from courtlift._kernels import STATUS_NONFINITE_INPUT
-from courtlift.camera import STATUS_NAMES
+from courtlift.camera import STATUS_NAMES, scale_calibration
 from courtlift import errors
 from courtlift.reconstruct import (
     ball_rays,
     reconstruct_from_diameter_batch,
     reconstruct_from_height_batch,
 )
+from courtlift.synth import make_camera
 
 from conftest import STRONG_DIST_ARENA, ZERO_DIST_ARENA
 

@@ -23,7 +23,6 @@ from courtlift import (
     ImagePoint,
     WorldPoint,
     ball_rays,
-    make_camera,
     project,
     reconstruct_from_height,
     reconstruct_from_height_batch,
@@ -40,6 +39,7 @@ from courtlift.errors import (
 )
 from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_NONPOSITIVE_DIAMETER, STATUS_OK
 from courtlift.reconstruct import pack_calibrations, reconstruct_from_diameter_batch
+from courtlift.synth import make_camera
 
 from conftest import kernel_row
 

@@ -34,10 +34,10 @@ from courtlift import (
     WorldPoint,
     assign_folds,
     generate_dataset,
-    make_camera,
 )
 from courtlift.errors import FoldViolation, MalformedRecord
-from courtlift.synth import BallSample
+from courtlift.dataio import BallSample
+from courtlift.synth import make_camera
 
 CAL = make_camera((0.0, -20.0, 3.0), (0.0, 0.0, 0.0), 2000.0, 4500.0, 1500.0, k1=-0.1)
 SAMPLES = generate_dataset(seed=3, n=12, n_arenas=2)
@@ -210,15 +210,44 @@ def test_public_api_names():
         "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "CameraCalibration",
         "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec", "ImagePoint",
         "METRIC_NAMES", "PredictorSpec", "Reconstruction", "Samples", "WorldPoint",
-        "aggregate_repeats", "assign_folds", "ball_rays",
-        "calibration_to_json_dict", "errors", "evaluate_arrays", "generate_dataset",
-        "height_histogram", "make_camera", "predict_diameters", "predict_heights", "project",
-        "read_dataset", "reconstruct_from_diameter_batch",
-        "reconstruct_from_height", "reconstruct_from_height_batch", "sample_ball",
-        "sample_camera", "scale_calibration", "validate", "write_dataset",
+        "aggregate_repeats", "assign_folds", "ball_rays", "errors", "evaluate_arrays",
+        "generate_dataset", "height_histogram", "predict_diameters", "predict_heights",
+        "project", "read_dataset", "reconstruct_from_diameter_batch",
+        "reconstruct_from_height", "reconstruct_from_height_batch", "validate",
+        "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 36
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 31
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
+
+
+# The package imports a public name's module when the name is first
+# looked up (PEP 562), so `import courtlift` compiles no module.
+
+
+@pytest.mark.parametrize("name", courtlift.__all__)
+def test_a_public_name_is_its_home_modules_object(name):
+    module = courtlift._HOMES[name]
+    home = importlib.import_module(f"courtlift.{module}")
+    value = home if name == module else getattr(home, name)
+    assert courtlift.__getattr__(name) is value
+    assert getattr(courtlift, name) is value
+    # The table names the module that defines the name, not one that imports it.
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from courtlift import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == courtlift.__all__
+    assert set(courtlift.__all__) <= set(dir(courtlift))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    # perfbench's environment probe reads getattr(courtlift, "NUMBA_ENABLED", None).
+    with pytest.raises(AttributeError, match="module 'courtlift' has no attribute 'NUMBA_ENABLED'"):
+        courtlift.NUMBA_ENABLED
+    assert getattr(courtlift, "NUMBA_ENABLED", None) is None
+    assert not hasattr(courtlift, "make_camera")
 
 
 @by_name

@@ -13,19 +13,24 @@ from courtlift import (
     HeightDistSpec,
     ImagePoint,
     WorldPoint,
-    make_camera,
     project,
     reconstruct_from_height,
-    sample_ball,
     validate,
     write_dataset,
 )
 from courtlift import _kernels as _k
-from courtlift import synth
+from courtlift import dataio, synth
 from courtlift.camera import column, one_row
 from courtlift.errors import DepthNonPositive, FrameCoverageFailure
 from courtlift.rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
-from courtlift.synth import DIST_KINDS, generate_dataset, sample_camera, sample_height
+from courtlift.synth import (
+    DIST_KINDS,
+    generate_dataset,
+    make_camera,
+    sample_ball,
+    sample_camera,
+    sample_height,
+)
 
 from conftest import ZERO_DIST_ARENA, camera_from_stream
 
@@ -227,13 +232,13 @@ def _reference_sample(seed, i, cameras, dist):
             column(cal), *one_row(ball.x, ball.y, ball.z), RETRY_ARENA
         )
         if usable[0]:
-            sample = synth.BallSample(
+            sample = dataio.BallSample(
                 sample_id=i,
                 arena_id=i % len(cameras),
                 cal=cal,
                 ball_3d=ball,
-                ball_px=synth.ImagePoint(float(u[0]), float(v[0])),
-                foot_px=synth.ImagePoint(float(fu[0]), float(fv[0])),
+                ball_px=ImagePoint(float(u[0]), float(v[0])),
+                foot_px=ImagePoint(float(fu[0]), float(fv[0])),
                 h_true=float(h[0]),
                 diameter_px_true=float(diameter[0]),
             )
