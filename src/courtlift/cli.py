@@ -18,7 +18,8 @@ and `reconstruct` neither.
 run, freezes the heap the imports built (`gc.freeze`) before `main`, so
 the collector neither rescans it during the command nor tears it down
 at exit. `main` leaves the collector alone: tests and library callers
-keep a normal one.
+keep a normal one. When the reader closes stdout before the command has
+printed, `entrypoint` ends with status 1 and prints nothing.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .camera import ImagePoint
-from .dataio import Dataset, Samples, assign_folds, read_dataset, write_dataset
+from .dataio import RECORD_DTYPE, Dataset, Samples, assign_folds, read_dataset, write_dataset
 from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
 from .metrics import (
@@ -240,6 +242,10 @@ def cmd_synth(args, parser) -> int:
 
     if args.n < 1:
         parser.error("--n must be >= 1")
+    # No record table of more rows fits in memory that numpy can address.
+    most = sys.maxsize // RECORD_DTYPE.itemsize
+    if args.n > most:
+        parser.error(f"--n must be <= {most}, got {args.n}")
     # Every arena holds a sample: one without would cost its camera draw for nothing.
     if not 1 <= args.arenas <= args.n:
         parser.error(f"--arenas must be in [1, --n], got {args.arenas} for --n {args.n}")
@@ -463,14 +469,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # Each command's usage errors print its own subparser's usage.
         return args.func(args, args.parser)
-    except (CourtliftError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        raise  # the reader left: `entrypoint` ends quietly
+    except (CourtliftError, OSError, MemoryError) as exc:
+        # numpy's failed allocation is its private subclass of MemoryError.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint() -> None:
     gc.freeze()
-    sys.exit(main())
+    try:
+        try:
+            status = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point its descriptor at devnull so that
+        # the interpreter's last flush cannot fail again (the note on
+        # SIGPIPE in Python's `signal` docs), and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

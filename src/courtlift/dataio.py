@@ -38,15 +38,15 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator
 from dataclasses import field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from ._record import Record, ValueRecord, record
-from .camera import CameraCalibration, ImagePoint, WorldPoint, validate
+from .camera import CameraCalibration, validate
 from .errors import (
     FoldViolation,
     MalformedRecord,
@@ -70,26 +70,6 @@ RECORD_DTYPE = np.dtype(
 )
 
 
-@record
-class BallSample(ValueRecord):
-    """One fully annotated synthetic ball instance.
-
-    ball_px and foot_px are in raw (distorted) image coordinates, matching
-    annotations made on original frames; h_true is the undistorted-space
-    pixel height (the predictor supervision target). Iterating a
-    `Samples` table gives these rows; nothing takes them as input.
-    """
-
-    sample_id: int
-    arena_id: int
-    cal: CameraCalibration
-    ball_3d: WorldPoint
-    ball_px: ImagePoint
-    foot_px: ImagePoint
-    h_true: float
-    diameter_px_true: float
-
-
 # The float columns of a `Samples` table: every record field after the ids.
 _FLOAT_COLUMNS = RECORD_DTYPE.names[2:]
 
@@ -97,6 +77,11 @@ _FLOAT_COLUMNS = RECORD_DTYPE.names[2:]
 @record
 class Samples(Record):
     """Annotated samples as columns: row i of every array is sample i.
+    A table is read by its columns; courtlift has no row type.
+
+    ``ball_px`` and ``foot_px`` are raw (distorted) pixels, as annotations
+    made on original frames are; ``h_true`` is the undistorted pixel
+    height, the predictors' target.
 
     ``cameras`` maps each arena id to its one calibration, so a row's
     camera is always ``cameras[arena[i]]``. ``cal_index[i]`` is the
@@ -155,23 +140,12 @@ class Samples(Record):
     def __len__(self) -> int:
         return len(self.ids)
 
-    # Nothing in courtlift takes rows. Iteration stays only because
-    # perfbench/run.py's check_synth reads ids and arenas from a
-    # dataset's rows; it goes, with BallSample, once that check reads
-    # the columns.
-    def __iter__(self) -> Iterator[BallSample]:
-        cameras = self.cameras
-        for i, a, b, p, f, h, d in zip(
-            self.ids.tolist(),
-            self.arena.tolist(),
-            self.ball_3d.tolist(),
-            self.ball_px.tolist(),
-            self.foot_px.tolist(),
-            self.h_true.tolist(),
-            self.d_true.tolist(),
-        ):
-            cal = cameras[a]
-            yield BallSample(i, a, cal, WorldPoint(*b), ImagePoint(*p), ImagePoint(*f), h, d)
+    # Only perfbench/run.py's check_synth iterates a table, for each
+    # row's ids; this goes once that check reads the columns (ROADMAP
+    # item 1).
+    def __iter__(self):
+        for i, a in zip(self.ids.tolist(), self.arena.tolist()):
+            yield SimpleNamespace(sample_id=i, arena_id=a)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):

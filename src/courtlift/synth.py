@@ -330,6 +330,9 @@ def generate_dataset(
         raise ValueError(f"n_arenas must be in [1, n], got {n_arenas} for n = {n}")
     arena = arena or ArenaSpec()
     dist = dist or HeightDistSpec()
+    # Columns first: a table too large to hold fails before any draw.
+    ids = np.arange(n, dtype=np.int64)
+    columns = (np.empty((n, 3)), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n))
     cameras = []
     budget = _MAX_PLACEMENT_RETRIES * _CAMERA_WORDS
     for first in range(0, n_arenas, _CAMERA_BLOCK):
@@ -337,8 +340,6 @@ def generate_dataset(
         u = doubles(words(seed, arena_ids, PURPOSE_CAMERA, 0, budget))
         cameras += [sample_camera(column, arena) for column in u.T]
     packed = pack_calibrations(cameras)
-    ids = np.arange(n, dtype=np.int64)
-    columns = (np.empty((n, 3)), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n))
     # Round k draws attempt k of every sample not yet placed.
     todo = ids
     for attempt in range(_MAX_PLACEMENT_RETRIES):

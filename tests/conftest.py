@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from courtlift import ArenaSpec, CameraCalibration, generate_dataset
+from courtlift import ArenaSpec, CameraCalibration, ImagePoint, generate_dataset
 from courtlift.camera import column, one_row
 from courtlift.rng import PURPOSE_CAMERA, stream
 from courtlift.synth import make_camera, sample_camera
@@ -81,6 +81,15 @@ def camera_from_stream(seed: int, index: int, arena: ArenaSpec):
     """sample_camera on the doubles of numpy's own stream (seed, index,
     PURPOSE_CAMERA), so it also checks the words synth draws them from."""
     return sample_camera(stream(seed, index, PURPOSE_CAMERA).random(1100), arena)
+
+
+def sample_rows(samples):
+    """Each row of a `Samples` table as the one-ball functions take and
+    give it: its camera, ball pixel, true pixel height and ball (an array)."""
+    s = samples
+    columns = (s.arena.tolist(), s.ball_px.tolist(), s.h_true.tolist(), s.ball_3d)
+    for a, (x, y), h, ball in zip(*columns):
+        yield s.cameras[a], ImagePoint(x, y), h, ball
 
 
 def random_cameras(n: int, seed: int = 0, arena: ArenaSpec = ZERO_DIST_ARENA):

@@ -35,7 +35,7 @@ from courtlift.predictors import PredictorSpec
 from courtlift.rng import stream
 from courtlift.synth import sample_height
 
-from conftest import STRONG_DIST_ARENA, ZERO_DIST_ARENA
+from conftest import STRONG_DIST_ARENA, ZERO_DIST_ARENA, sample_rows
 
 ORACLE = PredictorSpec(kind="oracle")
 GAUSS_34 = PredictorSpec(kind="gaussian", target_mae=34.0, seed=1)
@@ -89,12 +89,12 @@ def test_criterion_1_master_round_trip(big_clean_set):
 
 def test_criterion_2_scale_invariance(big_clean_set):
     worst = 0.0
-    for s in big_clean_set[:1000]:
-        base = reconstruct_from_height(s.cal, s.ball_px, s.h_true).ball_3d.as_array()
+    for cal, px, h, _ in sample_rows(big_clean_set[:1000]):
+        base = reconstruct_from_height(cal, px, h).ball_3d.as_array()
         for ratio in (1.0, 0.5, 0.25, 0.125):
-            scaled_cal = scale_calibration(s.cal, ratio)
-            scaled_px = ImagePoint(s.ball_px.x * ratio, s.ball_px.y * ratio)
-            rec = reconstruct_from_height(scaled_cal, scaled_px, s.h_true * ratio)
+            scaled_cal = scale_calibration(cal, ratio)
+            scaled_px = ImagePoint(px.x * ratio, px.y * ratio)
+            rec = reconstruct_from_height(scaled_cal, scaled_px, h * ratio)
             worst = max(worst, float(np.linalg.norm(rec.ball_3d.as_array() - base)))
     ok = worst < 1e-9
     _criterion(2, f"scale invariance: worst deviation {worst:.2e} m over 1000 samples", ok)

@@ -27,6 +27,8 @@ from courtlift.errors import NonFiniteReport
 from courtlift.synth import make_camera
 
 SRC = str(Path(courtlift.__file__).resolve().parents[1])
+# The most records a table can hold: more would pass sys.maxsize bytes.
+MOST_SAMPLES = sys.maxsize // RECORD_DTYPE.itemsize
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,7 @@ class TestSynth:
         out = tmp_path / "high.dat"
         argv = ["synth", "--n", "60", "--arenas", "3", "--seed", "2", "--out", str(out)]
         assert main([*argv, "--p-above-3m", "1", "--max-height", "4"]) == 0
-        heights = [s.ball_3d.z for s in read_dataset(out).samples]
+        heights = read_dataset(out).samples.ball_3d[:, 2].tolist()
         assert len(heights) == 60
         assert all(3.0 <= z <= 4.0 for z in heights)
 
@@ -102,7 +104,8 @@ class TestSynth:
         out = tmp_path / "arena.dat"
         argv = ["synth", "--n", "30", "--arenas", "3", "--seed", "5", "--out", str(out)]
         assert main([*argv, "--arena-json", str(spec)]) == 0
-        cals = [s.cal for s in read_dataset(out).samples]
+        samples = read_dataset(out).samples
+        cals = [samples.cameras[a] for a in samples.arena.tolist()]
         assert {c.image_width for c in cals} == {3000.0}
         assert {(c.fx, c.fy) for c in cals} == {(1800.0, 1800.0)}
 
@@ -174,6 +177,7 @@ class TestSynth:
         "sweep --dataset {dataset} --grid 0,1e400 --out {out}",
         "synth --n 10 --arenas 3 --n-folds 0 --out {out}",
         "synth --n 5 --arenas 20000 --out {out}",
+        f"synth --n {MOST_SAMPLES + 1} --arenas 1 --out {{out}}",
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
@@ -201,6 +205,10 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
         ),
         ("sweep --dataset {dataset} --grid , --out {out}", "--grid must contain at least one"),
         ("synth --n 0 --out {out}", "--n must be >= 1"),
+        (
+            f"synth --n {MOST_SAMPLES + 1} --out {{out}}",
+            f"--n must be <= {MOST_SAMPLES}, got {MOST_SAMPLES + 1}",
+        ),
         (
             "synth --n 5 --arenas 20000 --out {out}",
             "--arenas must be in [1, --n], got 20000 for --n 5",
@@ -839,6 +847,61 @@ def test_entrypoint_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
         in_process = exc.code
     assert result.returncode == in_process == code
     assert (result.stdout, result.stderr) == capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _entrypoint(argv, cwd, stdout=subprocess.PIPE, **env):
+    """`python -m courtlift.cli argv` with float warnings as errors, its
+    environment's PYTHONUNBUFFERED replaced by ``env``'s."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    flags = ["-X", "dev", "-W", "error::RuntimeWarning"]
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "courtlift.cli", *argv],
+        cwd=cwd,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**base, "PYTHONPATH": SRC, **env},
+        timeout=30,
+    )
+
+
+@pytest.mark.parametrize("env", [{"PYTHONUNBUFFERED": "1"}, {}], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["reconstruct", "synth"])
+def test_a_reader_that_closes_stdout_ends_the_command_quietly(command, env, tmp_path):
+    # Unbuffered, the command's own print meets the closed pipe inside
+    # main; buffered, the entrypoint's flush does. Either way nothing is
+    # printed, the status is 1 and synth's dataset is whole.
+    cal = make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500)
+    (tmp_path / "cal.json").write_text(json.dumps(calibration_to_json_dict(cal)))
+    argv = {
+        "reconstruct": "reconstruct --cal cal.json --x 1712.4 --y 903.1 --height 86.5",
+        "synth": "synth --n 50 --arenas 2 --seed 3 --out d.dat",
+    }[command]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _entrypoint(argv.split(), tmp_path, stdout=write, **env)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
+    if command == "synth":
+        assert read_dataset(tmp_path / "d.dat").samples.ids.tolist() == list(range(50))
+
+
+@pytest.mark.parametrize(
+    "n, arenas", [(10**15, 1), (10**15, 10**15), (MOST_SAMPLES, 1)], ids=["n", "n-arenas", "most"]
+)
+def test_synth_n_too_large_to_hold_fails_at_once_typed(n, arenas, tmp_path):
+    # 10**15 sample ids take 7.1 PiB, past a 64-bit process's address
+    # space, so the allocation fails without reserving a page. The table
+    # is allocated before any camera is drawn: with 10**15 arenas the
+    # draws alone would run for days.
+    result = _entrypoint(
+        ["synth", "--n", str(n), "--arenas", str(arenas), "--out", "d.dat"], tmp_path
+    )
+    assert result.returncode == 1
+    assert result.stderr.decode().startswith("error: MemoryError: Unable to allocate ")
+    assert result.stdout == b""
     assert list(tmp_path.iterdir()) == []
 
 

@@ -584,7 +584,9 @@ class TestOneCameraPerArena:
             rays = ball_rays(table.cameras.values(), table.cal_index, table.ball_px)
             expected = np.array([truth[a] for a in table.arena.tolist()]).reshape(-1, 24).T
             np.testing.assert_array_equal(rays.cal, expected)
-            assert all(row.cal is table.cameras[row.arena_id] for row in table)
+            cameras = list(table.cameras.values())
+            rows = zip(table.cal_index.tolist(), table.arena.tolist())
+            assert all(cameras[j] is table.cameras[a] for j, a in rows)
 
 
 # Arenas a row may have, and camera keys and fold members past int64.

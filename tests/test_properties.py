@@ -31,7 +31,7 @@ from courtlift.reconstruct import (
 )
 from courtlift.synth import make_camera
 
-from conftest import STRONG_DIST_ARENA, ZERO_DIST_ARENA
+from conftest import STRONG_DIST_ARENA, ZERO_DIST_ARENA, sample_rows
 
 N = 12
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -61,12 +61,8 @@ def _samples(seed, arena):
     return generate_dataset(seed=seed, n=N, arena=arena, n_arenas=3)
 
 
-def _pixels(samples):
-    return np.array([[s.ball_px.x, s.ball_px.y] for s in samples])
-
-
 def _rays(samples):
-    return ball_rays([s.cal for s in samples], np.arange(N), _pixels(samples))
+    return ball_rays(samples.cameras.values(), samples.cal_index, samples.ball_px)
 
 
 def _height_batch(samples, heights):
@@ -85,24 +81,24 @@ def _diameter_batch(samples, diameters):
     return reconstruct_from_diameter_batch(_rays(samples), diameters)
 
 
-def _assert_diameter_row_matches_one_ray(batch, i, s, d):
+def _assert_diameter_row_matches_one_ray(batch, i, cal, px, d):
     """Row i of a diameter batch equals, bit for bit, the diameter baseline
-    on a length-one BallRays of sample s alone."""
-    one = reconstruct_from_diameter_batch(ball_rays([s.cal], [0], [[s.ball_px.x, s.ball_px.y]]), [d])
+    on a length-one BallRays of its camera and pixel alone."""
+    one = reconstruct_from_diameter_batch(ball_rays([cal], [0], [[px.x, px.y]]), [d])
     for name in ("ball_3d", "status"):
         np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name)[0])
 
 
-def _assert_row_matches_one_ball(batch, foot_angle, i, s, h):
+def _assert_row_matches_one_ball(batch, foot_angle, i, cal, px, h):
     """Row i of a height batch, with its foot pixel and angle from
     ``foot_angle`` (see _height_lift), equals, bit for bit,
     reconstruct_from_height, or reconstruct_from_height raises the error
     the row's status names."""
     if not batch.ok[i]:
         with pytest.raises(getattr(errors, STATUS_NAMES[int(batch.status[i])])):
-            reconstruct_from_height(s.cal, s.ball_px, h)
+            reconstruct_from_height(cal, px, h)
         return
-    rec = reconstruct_from_height(s.cal, s.ball_px, h)
+    rec = reconstruct_from_height(cal, px, h)
     fu, fv, angle = foot_angle
     np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
     np.testing.assert_array_equal([fu[i], fv[i]], [rec.foot_pixel.x, rec.foot_pixel.y])
@@ -113,10 +109,9 @@ def _assert_row_matches_one_ball(batch, foot_angle, i, s, h):
 @given(seed=seeds, arena=arenas)
 def test_exact_inputs_round_trip(seed, arena):
     samples = _samples(seed, arena)
-    batch = _height_batch(samples, [s.h_true for s in samples])
+    batch = _height_batch(samples, samples.h_true)
     assert batch.ok.all()
-    truth = np.array([s.ball_3d.as_array() for s in samples])
-    assert np.linalg.norm(batch.ball_3d - truth, axis=1).max() < 1e-6
+    assert np.linalg.norm(batch.ball_3d - samples.ball_3d, axis=1).max() < 1e-6
 
 
 # A camera 22-30 m from the court centre at 1.5-8 m, looking at the
@@ -154,23 +149,23 @@ def test_placed_balls_round_trip_above_and_below_the_camera(
 @given(seed=seeds, arena=arenas, offset=offsets, factor=factors)
 def test_batch_rows_equal_single_calls(seed, arena, offset, factor):
     samples = _samples(seed, arena)
-    heights = np.array([s.h_true for s in samples]) + offset
-    diameters = np.array([s.diameter_px_true for s in samples]) * factor
+    heights = samples.h_true + offset
+    diameters = samples.d_true * factor
     h_batch, foot_angle = _height_lift(samples, heights)
     d_batch = _diameter_batch(samples, diameters)
-    for i, s in enumerate(samples):
-        _assert_row_matches_one_ball(h_batch, foot_angle, i, s, heights[i])
-        _assert_diameter_row_matches_one_ray(d_batch, i, s, diameters[i])
+    for i, (cal, px, _, _) in enumerate(sample_rows(samples)):
+        _assert_row_matches_one_ball(h_batch, foot_angle, i, cal, px, heights[i])
+        _assert_diameter_row_matches_one_ray(d_batch, i, cal, px, diameters[i])
 
 
 @PROPERTY
 @given(seed=seeds, arena=arenas, ratio=st.sampled_from([2.0, 0.5, 0.25, 0.125]))
 def test_power_of_two_scale_invariance_is_bit_exact(seed, arena, ratio):
     samples = _samples(seed, arena)
-    heights = np.array([s.h_true for s in samples])
+    heights = samples.h_true
     base = _height_batch(samples, heights)
-    scaled_cals = [scale_calibration(s.cal, ratio) for s in samples]
-    rays = ball_rays(scaled_cals, np.arange(N), _pixels(samples) * ratio)
+    scaled_cals = [scale_calibration(cal, ratio) for cal in samples.cameras.values()]
+    rays = ball_rays(scaled_cals, samples.cal_index, samples.ball_px * ratio)
     scaled = reconstruct_from_height_batch(rays, heights * ratio)
     assert base.ok.all() and scaled.ok.all()
     np.testing.assert_array_equal(scaled.ball_3d, base.ball_3d)
@@ -180,10 +175,8 @@ def test_power_of_two_scale_invariance_is_bit_exact(seed, arena, ratio):
 @given(seed=seeds, arena=arenas, offset=offsets, factor=factors)
 def test_ok_rows_are_finite(seed, arena, offset, factor):
     samples = _samples(seed, arena)
-    h_batch, (fu, fv, angle) = _height_lift(
-        samples, np.array([s.h_true for s in samples]) + offset
-    )
-    d_batch = _diameter_batch(samples, np.array([s.diameter_px_true for s in samples]) * factor)
+    h_batch, (fu, fv, angle) = _height_lift(samples, samples.h_true + offset)
+    d_batch = _diameter_batch(samples, samples.d_true * factor)
     for batch in (h_batch, d_batch):
         ok = batch.ok
         assert np.isfinite(batch.ball_3d[ok]).all()

@@ -38,10 +38,14 @@ from courtlift.errors import (
     VerticalBehindCamera,
 )
 from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_NONPOSITIVE_DIAMETER, STATUS_OK
-from courtlift.reconstruct import pack_calibrations, reconstruct_from_diameter_batch
+from courtlift.reconstruct import (
+    BALL_DIAMETER_M,
+    pack_calibrations,
+    reconstruct_from_diameter_batch,
+)
 from courtlift.synth import make_camera
 
-from conftest import kernel_row
+from conftest import kernel_row, sample_rows
 
 
 def _overhead_cal() -> CameraCalibration:
@@ -143,26 +147,25 @@ class TestFootPixel:
     def test_forward_oracle_consistency(self, clean_samples):
         # The foot at the true height must land on the projected ground
         # point; the closed form is exact up to float noise.
-        for s in clean_samples:
-            f, status = _foot(s.cal, s.ball_px, s.h_true)
+        for cal, px, h, (x, y, _) in sample_rows(clean_samples):
+            f, status = _foot(cal, px, h)
             assert status == STATUS_OK
-            x, y, _ = s.ball_3d.as_array()
-            _, _, gu, gv, _, status = kernel_row(_k.project_point, s.cal, x, y, 0.0)
+            _, _, gu, gv, _, status = kernel_row(_k.project_point, cal, x, y, 0.0)
             assert status == STATUS_OK
             assert math.hypot(f.x - gu, f.y - gv) < 1e-9
 
 
 class TestReconstructFromHeight:
     def test_master_round_trip_zero_distortion(self, clean_samples):
-        for s in clean_samples:
-            rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
-            err = np.linalg.norm(rec.ball_3d.as_array() - s.ball_3d.as_array())
+        for cal, px, h, ball in sample_rows(clean_samples):
+            rec = reconstruct_from_height(cal, px, h)
+            err = np.linalg.norm(rec.ball_3d.as_array() - ball)
             assert err < 1e-6
 
     def test_master_round_trip_with_distortion(self, distorted_samples):
-        for s in distorted_samples:
-            rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
-            err = np.linalg.norm(rec.ball_3d.as_array() - s.ball_3d.as_array())
+        for cal, px, h, ball in sample_rows(distorted_samples):
+            rec = reconstruct_from_height(cal, px, h)
+            err = np.linalg.norm(rec.ball_3d.as_array() - ball)
             assert err < 1e-9
 
     def test_zero_height_on_ground_point(self, cam_a):
@@ -229,16 +232,16 @@ class TestReconstructFromHeight:
         np.testing.assert_array_equal(batch.ball_3d[0], rec.ball_3d.as_array())
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
-        s = next(iter(clean_samples))
-        rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
-        _, angle, status = _vertical(s.cal, rec.foot_pixel.x, rec.foot_pixel.y)
+        cal, px, h, _ = next(sample_rows(clean_samples))
+        rec = reconstruct_from_height(cal, px, h)
+        _, angle, status = _vertical(cal, rec.foot_pixel.x, rec.foot_pixel.y)
         assert status == STATUS_OK
         assert rec.vertical_angle == pytest.approx(angle, abs=1e-9)
 
     def test_result_holds_finite_python_floats(self, clean_samples):
         # An OK row always has a foot pixel and a vertical angle.
-        s = next(iter(clean_samples))
-        rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
+        cal, px, h, _ = next(sample_rows(clean_samples))
+        rec = reconstruct_from_height(cal, px, h)
         points = (rec.ball_3d, rec.foot_pixel)
         values = [*(x for p in points for x in dataclasses.astuple(p)), rec.vertical_angle]
         assert all(type(x) is float and math.isfinite(x) for x in values)
@@ -312,14 +315,12 @@ class TestReconstructFromDiameter:
 class TestBatchPaths:
     def test_batch_matches_scalar(self, distorted_samples):
         subset = distorted_samples[:200]
-        cals = pack_calibrations([s.cal for s in subset])
+        cals = pack_calibrations([subset.cameras[a] for a in subset.arena.tolist()])
         idx = np.arange(len(subset), dtype=np.int64)
-        px = np.array([[s.ball_px.x, s.ball_px.y] for s in subset])
-        h = np.array([s.h_true for s in subset])
-        batch = reconstruct_from_height_batch(ball_rays(cals, idx, px), h)
+        batch = reconstruct_from_height_batch(ball_rays(cals, idx, subset.ball_px), subset.h_true)
         assert batch.ok.all()
-        for i, s in enumerate(subset):
-            rec = reconstruct_from_height(s.cal, s.ball_px, s.h_true)
+        for i, (cal, px, h, _) in enumerate(sample_rows(subset)):
+            rec = reconstruct_from_height(cal, px, h)
             np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
@@ -337,6 +338,40 @@ class TestBatchPaths:
         for batch in (reconstruct_from_height_batch, reconstruct_from_diameter_batch):
             with pytest.raises(ValueError, match="one prediction per ball ray"):
                 batch(rays, subset.h_true[:-1])
+
+
+class TestWorldScale:
+    """A calibrated lift is fixed only up to a similarity (H&Z 10.2), so
+    measuring the world in other units scales every ball by the same
+    factor: a camera's translation scales, its rotation and intrinsics do
+    not, and the diameter method's ball size scales too."""
+
+    SAMPLES = synth.generate_dataset(seed=1, n=5000, n_arenas=12)
+
+    def _lifts(self, scale, diameters):
+        s = self.SAMPLES
+        cameras = [
+            dataclasses.replace(cal, translation=cal.translation * scale)
+            for cal in s.cameras.values()
+        ]
+        rays = ball_rays(cameras, s.cal_index, s.ball_px)
+        offsets = (0.0, 10.0, 40.0, -400.0, 3000.0)
+        heights = [reconstruct_from_height_batch(rays, s.h_true + offset) for offset in offsets]
+        ball_m = BALL_DIAMETER_M * scale
+        return [*heights, reconstruct_from_diameter_batch(rays, diameters, ball_m)]
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 8.0, 2.0**-10])
+    def test_power_of_two_world_scale_scales_each_ball_bit_for_bit(self, scale):
+        # Offsets of -400 px fail 944 height rows; every 97th diameter is
+        # zero and the next one negative. Those rows must fail alike.
+        diameters = self.SAMPLES.d_true.copy()
+        diameters[::97] = 0.0
+        diameters[1::97] *= -1.0
+        base = self._lifts(1.0, diameters)
+        assert [int((~batch.ok).sum()) for batch in base] == [0, 0, 0, 944, 0, 104]
+        for before, after in zip(base, self._lifts(scale, diameters)):
+            np.testing.assert_array_equal(after.status, before.status)
+            assert after.ball_3d.tobytes() == (before.ball_3d * scale).tobytes()
 
 
 class TestNonFiniteInput:

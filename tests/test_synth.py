@@ -19,7 +19,7 @@ from courtlift import (
     write_dataset,
 )
 from courtlift import _kernels as _k
-from courtlift import dataio, synth
+from courtlift import synth
 from courtlift.camera import column, one_row
 from courtlift.errors import DepthNonPositive, FrameCoverageFailure
 from courtlift.rng import PURPOSE_BALL, PURPOSE_CAMERA, stream
@@ -32,7 +32,7 @@ from courtlift.synth import (
     sample_height,
 )
 
-from conftest import ZERO_DIST_ARENA, camera_from_stream
+from conftest import ZERO_DIST_ARENA, camera_from_stream, sample_rows
 
 
 class TestSampleCamera:
@@ -146,18 +146,19 @@ class TestHeightLaw:
 class TestGenerateDataset:
     def test_sample_invariants(self, clean_samples):
         arena = ZERO_DIST_ARENA
-        for s in clean_samples:
-            px = project(s.cal, s.ball_3d)
-            assert math.hypot(px.x - s.ball_px.x, px.y - s.ball_px.y) < 1e-9
-            assert s.ball_3d.z >= 0.0
-            assert 0.0 <= s.ball_px.x <= arena.image_width - 1
-            assert 0.0 <= s.ball_px.y <= arena.image_height - 1
-            assert s.h_true >= 0.0 and s.diameter_px_true > 0.0
+        for cal, ball_px, h, ball in sample_rows(clean_samples):
+            px = project(cal, WorldPoint(*ball))
+            assert math.hypot(px.x - ball_px.x, px.y - ball_px.y) < 1e-9
+            assert ball[2] >= 0.0
+            assert 0.0 <= ball_px.x <= arena.image_width - 1
+            assert 0.0 <= ball_px.y <= arena.image_height - 1
+            assert h >= 0.0
+        assert (clean_samples.d_true > 0.0).all()
 
     def test_round_robin_arena_assignment(self, clean_samples):
-        for i, s in enumerate(clean_samples):
-            assert s.sample_id == i
-            assert s.arena_id == i % 8
+        n = len(clean_samples)
+        assert clean_samples.ids.tolist() == list(range(n))
+        assert clean_samples.arena.tolist() == [i % 8 for i in range(n)]
 
     def test_single_sample_and_determinism(self):
         one = generate_dataset(seed=5, n=1, n_arenas=1)
@@ -206,41 +207,44 @@ class TestGenerateDataset:
 RETRY_ARENA = ArenaSpec(image_width=1500.0, image_height=700.0)
 
 
-def _fields(s):
-    """A sample's values; calibrations compare by their packed numbers."""
-    return (
-        s.sample_id,
-        s.arena_id,
-        s.cal.as_array().tolist(),
-        s.ball_3d,
-        s.ball_px,
-        s.foot_px,
-        s.h_true,
-        s.diameter_px_true,
+def _fields(samples):
+    """Each row's values; calibrations compare by their packed numbers."""
+    s = samples
+    return list(
+        zip(
+            s.ids.tolist(),
+            s.arena.tolist(),
+            (s.cameras[a].as_array().tolist() for a in s.arena.tolist()),
+            s.ball_3d.tolist(),
+            s.ball_px.tolist(),
+            s.foot_px.tolist(),
+            s.h_true.tolist(),
+            s.d_true.tolist(),
+        )
     )
 
 
 def _reference_sample(seed, i, cameras, dist):
-    """Sample i from a fresh stream of its own, one row at a time, and
-    the number of attempts it took."""
+    """Sample i's row values (as `_fields` lists them) from a fresh stream
+    of its own, one row at a time, and the number of attempts it took."""
     rng = stream(seed, i, PURPOSE_BALL)
     cal = cameras[i % len(cameras)]
     for attempt in range(1, 101):
         u = rng.random((synth._BALL_WORDS[dist.kind], 1))
-        ball = WorldPoint(*sample_ball(u, RETRY_ARENA, dist)[0].tolist())
+        ball = sample_ball(u, RETRY_ARENA, dist)[0].tolist()
         usable, u, v, fu, fv, h, diameter = synth._annotate(
-            column(cal), *one_row(ball.x, ball.y, ball.z), RETRY_ARENA
+            column(cal), *one_row(*ball), RETRY_ARENA
         )
         if usable[0]:
-            sample = dataio.BallSample(
-                sample_id=i,
-                arena_id=i % len(cameras),
-                cal=cal,
-                ball_3d=ball,
-                ball_px=ImagePoint(float(u[0]), float(v[0])),
-                foot_px=ImagePoint(float(fu[0]), float(fv[0])),
-                h_true=float(h[0]),
-                diameter_px_true=float(diameter[0]),
+            sample = (
+                i,
+                i % len(cameras),
+                cal.as_array().tolist(),
+                ball,
+                [float(u[0]), float(v[0])],
+                [float(fu[0]), float(fv[0])],
+                float(h[0]),
+                float(diameter[0]),
             )
             return sample, attempt
     raise AssertionError(f"sample {i} found no usable ball")
@@ -261,13 +265,13 @@ class TestStreamContract:
             monkeypatch.setattr(synth, "_PLACEMENT_BLOCK", block)
             monkeypatch.setattr(synth, "_CAMERA_BLOCK", block)
             samples = generate_dataset(seed, n, arena=RETRY_ARENA, dist=dist, n_arenas=n_arenas)
-            runs.append([_fields(s) for s in samples])
+            runs.append(_fields(samples))
         assert runs[0] == runs[1] == runs[2]
         cameras = [
             camera_from_stream(seed, a, RETRY_ARENA) for a in range(n_arenas)
         ]
         reference = [_reference_sample(seed, i, cameras, dist) for i in range(n)]
-        assert runs[0] == [_fields(sample) for sample, _ in reference]
+        assert runs[0] == [sample for sample, _ in reference]
         attempts = [a for _, a in reference]
         assert max(attempts) >= 3, attempts  # retries, and retries of retries, were taken
 
