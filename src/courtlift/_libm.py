@@ -1,13 +1,13 @@
 """Elementary functions on float64 arrays, with the same bits on every host.
 
-numpy's ``log``, ``expm1`` and ``cos`` may run CPU-specific SIMD code
-whose last bit differs from host to host, and ``math`` goes through the
-host's libm one element at a time. These functions use only ``np.frexp``,
-``np.ldexp``, ``np.rint``, ``np.floor`` and basic arithmetic, which
-IEEE 754 rounds correctly everywhere. Their range reductions and
-polynomials are Sun's fdlibm (``e_log.c``, ``s_expm1.c``, ``k_cos.c``,
-``k_sin.c``), and each stays within 1 ulp of the exact value on the
-domain the predictors use.
+numpy's ``log``, ``expm1``, ``cos`` and ``sin`` may run CPU-specific
+SIMD code whose last bit differs from host to host, and ``math`` goes
+through the host's libm one element at a time. These functions use only
+``np.frexp``, ``np.ldexp``, ``np.rint``, ``np.floor`` and basic
+arithmetic, which IEEE 754 rounds correctly everywhere. Their range
+reductions and polynomials are Sun's fdlibm (``e_log.c``, ``s_expm1.c``,
+``k_cos.c``, ``k_sin.c``), and each stays within 1 ulp of the exact
+value on the domain the predictors use.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ def _k_sin(x, y):
     return x - ((z * (0.5 * y - v * r) - y) - v * _S[0])
 
 
-def cos_2pi(d: np.ndarray) -> np.ndarray:
-    """cos(2 pi d) for finite d, without rounding 2 pi d first.
+def cos_sin_2pi(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 pi d) and sin(2 pi d) for finite d, without rounding 2 pi d
+    first, from one range reduction.
 
     d = q / 4 + r exactly, with q = rint(4 d) quarter turns and
     |r| <= 1/8. The angle 2 pi r goes to the kernels as a double-double
     x + y: Dekker's exact product of r by the head of 2 pi, plus r times
-    its tail. The quarter turns then pick cos or sin and the sign.
+    its tail. The quarter turns then pick each value's kernel and sign.
     """
     q = np.rint(4.0 * d)
     r = d - 0.25 * q
@@ -124,5 +125,8 @@ def cos_2pi(d: np.ndarray) -> np.ndarray:
     head = x + tail
     tail -= head - x
     quarter = q.astype(np.int64) & 3
-    value = np.where(quarter & 1, _k_sin(head, tail), _k_cos(head, tail))
-    return np.where((quarter + 1) & 2, -value, value)
+    odd = quarter & 1
+    k_sin, k_cos = _k_sin(head, tail), _k_cos(head, tail)
+    cos = np.where(odd, k_sin, k_cos)
+    sin = np.where(odd, k_cos, k_sin)
+    return np.where((quarter + 1) & 2, -cos, cos), np.where(quarter & 2, -sin, sin)

@@ -155,24 +155,21 @@ def run_evaluation(
     repeats: int = 1,
     ball_diameter_m: float = BALL_DIAMETER_M,
 ) -> tuple[list[EvalReport], list[int]]:
-    """k seeded repeats of predict -> reconstruct -> evaluate; repeat r
-    uses predictor seed spec.seed + r. Both predictors perturb the
-    samples' true pixel heights or image diameters."""
+    """k repeats of predict -> reconstruct -> evaluate, 8 predicted at a time;
+    repeat r perturbs the truth by noise r of each sample's stream (spec.seed, id)."""
     if method not in ("height", "diameter"):
         raise ValueError(f"unknown method {method!r}")
     arrays = _sample_arrays(samples)
-    reports: list[EvalReport] = []
-    failed: list[int] = []
-    for r in range(repeats):
-        spec_r = dataclasses.replace(spec, seed=spec.seed + r)
-        if method == "height":
-            preds = predict_heights(spec_r, samples.ids, samples.h_true)
-        else:
-            preds = predict_diameters(spec_r, samples.ids, samples.d_true)
-        report, n_failed = _evaluate(arrays, method, preds, ball_diameter_m, f"repeat {r}")
-        reports.append(report)
-        failed.append(n_failed)
-    return reports, failed
+    predict = predict_heights if method == "height" else predict_diameters
+    truth = samples.h_true if method == "height" else samples.d_true
+    results = []
+    for start in range(0, repeats, 8):
+        runs = range(start, min(start + 8, repeats))
+        results += [
+            _evaluate(arrays, method, preds, ball_diameter_m, f"repeat {r}")
+            for r, preds in zip(runs, predict(spec, samples.ids, truth, runs))
+        ]
+    return [report for report, _ in results], [n_failed for _, n_failed in results]
 
 
 def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[EvalReport], list[int]]:
@@ -230,13 +227,6 @@ def _add_predictor_args(sub) -> None:
     )
 
 
-def _check_seeds(parser, seed: int, count: int) -> None:
-    """Usage error unless seeds seed .. seed + count - 1 all fit in uint64,
-    as the key of a Philox stream must."""
-    if not 0 <= seed <= 2**64 - count:
-        parser.error(f"--seed must be in [0, 2**64 - {count}], got {seed}")
-
-
 def cmd_synth(args, parser) -> int:
     from .synth import ArenaSpec, HeightDistSpec
 
@@ -251,7 +241,8 @@ def cmd_synth(args, parser) -> int:
         parser.error(f"--arenas must be in [1, --n], got {args.arenas} for --n {args.n}")
     if args.n_folds < 1:
         parser.error("--n-folds must be >= 1")
-    _check_seeds(parser, args.seed, 1)
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2**64 - 1], got {args.seed}")
     try:
         arena = load_arena_spec(read_json(args.arena_json)) if args.arena_json else ArenaSpec()
         dist = HeightDistSpec(
@@ -281,7 +272,8 @@ def cmd_evaluate(args, parser) -> int:
 
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    _check_seeds(parser, args.seed, args.repeats)
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2**64 - 1], got {args.seed}")
     if not 0.0 < args.ball_diameter < math.inf:
         parser.error(f"--ball-diameter must be finite and > 0 m, got {args.ball_diameter}")
     if args.nu is not None and args.predictor != "heavy_tailed":
@@ -445,11 +437,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops OSError here: a closed stdout's must reach `entrypoint`.
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand. Only `command`'s subparser gets its
     arguments, or every one when `command` names none (for ``--help``), so
     a run builds the arguments of the one command it parses."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="courtlift",
         description="Monocular 3D ball localization: synthetic datasets, "
         "reconstruction, and evaluation reports.",

@@ -10,18 +10,27 @@ for Student-t with nu > 1.
 
 Draws come from per-sample Philox streams keyed by (seed, sample_id), so
 the prediction for a sample never depends on evaluation order, subset
-choice, or thread count. Noise stream 3 (``NOISE_STREAM``) turns the
-streams' 64-bit words (``rng.words``) into unit noise with courtlift's
-own transforms, as array code over all samples at once:
+choice, or thread count. Every repeat of a sample reads that one key: a
+run of repeats is one call, and seeds s and s + 1 share no repeat.
+Noise stream 4 (``NOISE_STREAM``) turns the streams' 64-bit words
+(``rng.words``) into unit noise with courtlift's own transforms, as
+array code over all samples and repeats at once:
 
-- gaussian: Box-Muller on words 0 and 1, z = sqrt(-2 ln u1) cos(2 pi u2)
-  with u1 = 1 - d0 in (0, 1] and u2 = d1, where d is ``rng.doubles``;
-- Student-t: Bailey's polar method (Math. Comp. 62, 1994). Attempt k
-  takes words 2k and 2k + 1 as U, V = 2d - 1 and is accepted where
+- gaussian: repeat r is normal r of the stream. Box-Muller pair p takes
+  words 2p and 2p + 1, with u1 = 1 - d0 in (0, 1] and u2 = d1, where d
+  is ``rng.doubles``, and gives sqrt(-2 ln u1) cos(2 pi u2) to repeat 2p
+  and sqrt(-2 ln u1) sin(2 pi u2) to repeat 2p + 1, so one Philox block
+  serves four repeats;
+- Student-t: Bailey's polar method (Math. Comp. 62, 1994) on counter
+  lane r for repeat r (``rng.words``' ``lane``). Attempt k takes words
+  2k and 2k + 1 as U, V = 2d - 1 and is accepted where
   0 < W = U^2 + V^2 <= 1; then T = U sqrt(nu (W^(-2/nu) - 1) / W). The
-  attempts run in rounds over the samples still pending.
+  attempts run in rounds over the draws still pending, two attempts (one
+  Philox block) a round.
 
-Logs, cos(2 pi d) and expm1 are courtlift's own array kernels
+Repeat 0's unit noise is stream 3's, bit for bit, for both laws.
+
+Logs, cos(2 pi d), sin(2 pi d) and expm1 are courtlift's own array kernels
 (``_libm``: fdlibm's polynomials on basic arithmetic), because numpy's
 SIMD versions round some inputs differently on some CPUs and ``math``
 runs element by element through the host's libm; numpy's ``sqrt`` is
@@ -38,7 +47,7 @@ import math
 
 import numpy as np
 
-from ._libm import cos_2pi, expm1, log
+from ._libm import cos_sin_2pi, expm1, log
 from ._record import ValueRecord, record
 from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, doubles, words
 
@@ -46,7 +55,7 @@ KINDS = ("oracle", "gaussian", "heavy_tailed")
 
 # The version of the transforms from stream words to unit noise; reports
 # name it, and it changes whenever a seed's noise values change.
-NOISE_STREAM = 3
+NOISE_STREAM = 4
 
 
 @record
@@ -82,13 +91,23 @@ class PredictorSpec(ValueRecord):
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+MEAN_ABS_NORMAL = math.sqrt(2.0 / math.pi)
+
+
 def mean_abs_student_t(nu: float) -> float:
-    """E|T| for Student-t with nu degrees of freedom (nu > 1)."""
+    """E|T| for Student-t with nu degrees of freedom (nu > 1).
+
+    Above nu = 1000 the ratio Gamma((nu + 1) / 2) / Gamma(nu / 2) comes
+    from its asymptotic series, so E|T| = sqrt(2 / pi) nu / (nu - 1)
+    exp(-1 / (4 nu) + 1 / (24 nu^3)) to within an ulp or two: the
+    difference of two lgamma values loses every digit by nu = 1e16, and
+    lgamma overflows from about 5e305.
+    """
+    if nu > 1000.0:
+        series = -0.25 / nu * (1.0 - 1.0 / (6.0 * nu * nu))
+        return MEAN_ABS_NORMAL * nu / (nu - 1.0) * math.exp(series)
     log_ratio = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
     return 2.0 * math.sqrt(nu) * math.exp(log_ratio) / (math.sqrt(math.pi) * (nu - 1.0))
-
-
-MEAN_ABS_NORMAL = math.sqrt(2.0 / math.pi)
 
 
 def noise_scale(spec: PredictorSpec) -> float:
@@ -99,34 +118,48 @@ def noise_scale(spec: PredictorSpec) -> float:
     return spec.sigma
 
 
-def _gaussian(w: np.ndarray) -> np.ndarray:
-    """Box-Muller on a (2, n) block of words: one normal per column."""
-    return np.sqrt(-2.0 * log(1.0 - doubles(w[0]))) * cos_2pi(doubles(w[1]))
+def _gaussian(seed: int, ids: np.ndarray, purpose: int, repeats: range) -> np.ndarray:
+    """Box-Muller normals ``repeats`` of every id's stream, (m, n). Pair p
+    takes words 2p and 2p + 1 and gives normals 2p (cos) and 2p + 1 (sin)."""
+    first = repeats.start // 2
+    pairs = (repeats.stop + 1) // 2 - first
+    w = words(seed, ids, purpose, 2 * first, 2 * pairs)
+    radius = np.sqrt(-2.0 * log(1.0 - doubles(w[0::2])))
+    cos, sin = cos_sin_2pi(doubles(w[1::2]))
+    z = np.stack([radius * cos, radius * sin], axis=1).reshape(2 * pairs, len(ids))
+    skip = repeats.start - 2 * first
+    return z[skip : skip + len(repeats)]
 
 
-def _student_t(seed: int, ids: np.ndarray, purpose: int, nu: float) -> np.ndarray:
-    """Bailey's polar Student-t, one per id. Round k makes attempt k of
-    every id not yet accepted, from words 2k and 2k + 1 of its stream."""
-    out = np.empty(len(ids))
-    pending = np.arange(len(ids))
-    attempt = 0
+def _student_t(seed: int, ids: np.ndarray, purpose: int, nu: float, repeats: range) -> np.ndarray:
+    """Bailey's polar Student-t of every id and repeat, (m, n); repeat r
+    reads counter lane r. Round b makes attempts 2b and 2b + 1, from
+    words 4b to 4b + 3, of every draw not yet accepted, and keeps the
+    first of them accepted."""
+    n = len(ids)
+    keys = np.tile(ids, len(repeats))
+    lanes = np.repeat(np.arange(repeats.start, repeats.stop), n)
+    u, w = np.empty(len(keys)), np.empty(len(keys))
+    pending = np.arange(len(keys))
+    block = 0
     while len(pending):
-        u, v = 2.0 * doubles(words(seed, ids[pending], purpose, 2 * attempt, 2)) - 1.0
-        w = u * u + v * v
-        ok = (0.0 < w) & (w <= 1.0)
-        u, w = u[ok], w[ok]
-        power = expm1(-2.0 / nu * log(w))
-        out[pending[ok]] = u * np.sqrt(nu * power / w)
-        pending = pending[~ok]
-        attempt += 1
-    return out
+        block_words = words(seed, keys[pending], purpose, 4 * block, 4, lanes[pending])
+        uv = 2.0 * doubles(block_words) - 1.0
+        ww = uv[0::2] * uv[0::2] + uv[1::2] * uv[1::2]
+        ok = (0.0 < ww) & (ww <= 1.0)
+        u[pending] = np.where(ok[0], uv[0], uv[2])
+        w[pending] = np.where(ok[0], ww[0], ww[1])
+        pending = pending[~(ok[0] | ok[1])]
+        block += 1
+    power = expm1(-2.0 / nu * log(w))
+    return (u * np.sqrt(nu * power / w)).reshape(len(repeats), n)
 
 
-def _noise(spec: PredictorSpec, ids: np.ndarray, purpose: int) -> np.ndarray:
-    """Unit noise draws, one from each sample's own stream."""
+def _noise(spec: PredictorSpec, ids: np.ndarray, purpose: int, repeats: range) -> np.ndarray:
+    """Unit noise draws ``repeats`` of each sample's own stream, (m, n)."""
     if spec.kind == "gaussian":
-        return _gaussian(words(spec.seed, ids, purpose, 0, 2))
-    return _student_t(spec.seed, ids, purpose, spec.nu)
+        return _gaussian(spec.seed, ids, purpose, repeats)
+    return _student_t(spec.seed, ids, purpose, spec.nu, repeats)
 
 
 def _arrays(sample_ids, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -145,33 +178,43 @@ def _arrays(sample_ids, truth) -> tuple[np.ndarray, np.ndarray]:
     return ids, truth
 
 
-def predict_heights(spec: PredictorSpec, sample_ids, h_true) -> np.ndarray:
+def _predict(spec, sample_ids, truth, purpose, repeats, perturb) -> np.ndarray:
+    """`perturb` of the true values and the scaled noise ``repeats`` of
+    each id's stream: (m, n), or repeat 0's (n,) when ``repeats`` is None."""
+    ids, truth = _arrays(sample_ids, truth)
+    runs = range(1) if repeats is None else repeats
+    if not (isinstance(runs, range) and runs.step == 1 and 0 <= runs.start <= runs.stop):
+        raise ValueError(f"repeats must be a range of step 1 from 0 up, got {repeats!r}")
+    if spec.kind == "oracle":
+        preds = np.tile(truth, (len(runs), 1))
+    else:
+        noise = _noise(spec, ids, purpose, runs)
+        with np.errstate(over="ignore"):
+            preds = perturb(truth, noise_scale(spec) * noise)
+    return preds[0] if repeats is None else preds
+
+
+def predict_heights(spec: PredictorSpec, sample_ids, h_true, repeats=None) -> np.ndarray:
     """Predicted pixel heights (px; may be negative), additive noise.
 
     ``sample_ids`` keys each sample's noise stream; ``h_true`` holds the
-    true pixel heights, one per id, else ValueError. A row whose noise
+    true pixel heights, one per id, else ValueError. The result is
+    repeat 0, one height per id; with ``repeats``, a range of repeat
+    numbers of step 1, it is one row per repeat. A row whose noise
     passes the float range comes back as an infinity, which the lift
     refuses as NonFiniteInput.
     """
-    ids, h_true = _arrays(sample_ids, h_true)
-    if spec.kind == "oracle":
-        return h_true.copy()
-    noise = _noise(spec, ids, PURPOSE_HEIGHT_NOISE)
-    with np.errstate(over="ignore"):
-        return h_true + noise_scale(spec) * noise
+    return _predict(spec, sample_ids, h_true, PURPOSE_HEIGHT_NOISE, repeats, np.add)
 
 
-def predict_diameters(spec: PredictorSpec, sample_ids, d_true) -> np.ndarray:
+def predict_diameters(spec: PredictorSpec, sample_ids, d_true, repeats=None) -> np.ndarray:
     """Predicted image diameters (px) with relative (multiplicative) noise.
 
     ``sample_ids`` keys each sample's noise stream; ``d_true`` holds the
-    true image diameters, one per id, else ValueError. A row whose noise
-    passes the float range comes back as an infinity, as in
+    true image diameters, one per id, else ValueError. ``repeats`` and
+    a row whose noise passes the float range behave as in
     `predict_heights`.
     """
-    ids, d_true = _arrays(sample_ids, d_true)
-    if spec.kind == "oracle":
-        return d_true.copy()
-    noise = _noise(spec, ids, PURPOSE_DIAMETER_NOISE)
-    with np.errstate(over="ignore"):
-        return d_true * (1.0 + noise_scale(spec) * noise)
+    return _predict(
+        spec, sample_ids, d_true, PURPOSE_DIAMETER_NOISE, repeats, lambda d, e: d * (1.0 + e)
+    )

@@ -7,14 +7,17 @@ order or thread count.
 
 Philox4x64-10 is a keyed bijection on a counter (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): word w of a
-stream is one lane of one counter block's output, so ``words`` computes
-any run of words of many streams at once, in numpy arithmetic, equal to
-what numpy's ``Philox`` gives each stream. ``doubles`` maps words to
-floats in [0, 1) as numpy's ``Generator.random`` does, and
-``a + (b - a) * d`` of such a double ``d`` is ``Generator.uniform(a, b)``
-bit for bit. Synth draws its cameras and balls this way, and the
-predictors turn words into gaussian and Student-t noise; neither imports
-``numpy.random``.
+stream is one of the four words of one counter block's output, so
+``words`` computes any run of words of many streams at once, in numpy
+arithmetic, equal to what numpy's ``Philox`` gives each stream. A
+stream steps only the counter's first word, so a nonzero second word,
+a counter lane, starts another stream under the same key (the
+predictors' Student-t repeat r reads lane r). ``doubles``
+maps words to floats in [0, 1) as numpy's ``Generator.random`` does,
+and ``a + (b - a) * d`` of such a double ``d`` is
+``Generator.uniform(a, b)`` bit for bit. Synth draws its cameras and
+balls this way, and the predictors turn words into gaussian and
+Student-t noise; neither imports ``numpy.random``.
 
 ``stream`` builds numpy's generator of one stream. No pipeline path
 calls it; it is the reference that ``words`` is checked against.
@@ -79,27 +82,37 @@ def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
     return m_hi * x_hi + (mid >> _32) + (mid2 >> _32)
 
 
-def words(seed: int, ids, purpose: int, start: int, count: int) -> np.ndarray:
+def _uint64(name: str, values) -> np.ndarray:
+    """``values`` (an array, or an int or sequence of ints) as uint64,
+    range-checked first."""
+    values = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if values.size:
+        _check_uint64(name, int(values.min()))
+        _check_uint64(name, int(values.max()))
+    return values.astype(np.uint64)
+
+
+def words(seed: int, ids, purpose: int, start: int, count: int, lane=0) -> np.ndarray:
     """Words ``start`` to ``start + count - 1`` of the streams of ``ids``.
 
     Column j of the ``(count, len(ids))`` uint64 result equals
     ``stream(seed, ids[j], purpose).bit_generator.random_raw(start +
     count)[start:]``. numpy's Philox steps its counter before each block,
-    so word w comes from counter ``(w // 4 + 1, 0, 0, purpose)``, lane
-    ``w % 4``. The seed and every id are range-checked before any
+    so word w is word ``w % 4`` of the block of counter ``(w // 4 + 1,
+    0, 0, purpose)``. ``lane``, one int or one per id, is the counter's
+    second word in place of 0: the words of numpy's ``Philox(key=(seed,
+    id), counter=(0, lane, 0, purpose))``, a stream of its own. The
+    seed, every id and every lane are range-checked before any
     arithmetic.
     """
     _check_uint64("seed", seed)
-    ids = ids if isinstance(ids, np.ndarray) else np.array(list(ids), dtype=object)
-    if ids.size:
-        _check_uint64("index", int(ids.min()))
-        _check_uint64("index", int(ids.max()))
     key0 = np.array([seed], dtype=np.uint64)  # an array: numpy warns when scalars wrap
-    key1 = ids.astype(np.uint64)
+    key1 = _uint64("index", ids if isinstance(ids, np.ndarray) else list(ids))
+    c1 = _uint64("lane", lane).reshape(1, -1)
     first, last = start // _BLOCK_WORDS, (start + count - 1) // _BLOCK_WORDS
     blocks = last + 1 - first
     c0 = np.arange(first + 1, last + 2, dtype=np.uint64)[:, None]
-    c1 = c2 = np.zeros((1, 1), dtype=np.uint64)
+    c2 = np.zeros((1, 1), dtype=np.uint64)
     c3 = np.full((1, 1), purpose, dtype=np.uint64)
     for r in range(_ROUNDS):
         if r:
@@ -111,9 +124,9 @@ def words(seed: int, ids, purpose: int, start: int, count: int) -> np.ndarray:
             _mulhi(_M0, c0) ^ c3 ^ key1,
             _M0 * c0,
         )
-    lanes = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1)
+    out = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1)
     skip = start - first * _BLOCK_WORDS
-    return lanes.reshape(blocks * _BLOCK_WORDS, len(key1))[skip : skip + count]
+    return out.reshape(blocks * _BLOCK_WORDS, len(key1))[skip : skip + count]
 
 
 def doubles(w: np.ndarray) -> np.ndarray:

@@ -21,9 +21,11 @@ from courtlift import (
     read_dataset,
     write_dataset,
 )
+from courtlift import cli
 from courtlift.cli import _write_json, build_parser, main
 from courtlift.dataio import RECORD_DTYPE, calibration_to_json_dict, load_calibration
 from courtlift.errors import NonFiniteReport
+from courtlift.predictors import PredictorSpec
 from courtlift.synth import make_camera
 
 SRC = str(Path(courtlift.__file__).resolve().parents[1])
@@ -152,7 +154,6 @@ class TestSynth:
         "synth --n 5 --arenas 1 --out {out} --max-height 2",
         "synth --n 5 --arenas 1 --out {out} --max-height inf",
         "evaluate --dataset {dataset} --out {out} --seed -1",
-        "evaluate --dataset {dataset} --out {out} --seed 18446744073709551615 --repeats 2",
         "evaluate --dataset {dataset} --out {out} --predictor heavy_tailed --sigma 5 --nu 0.5",
         "evaluate --dataset {dataset} --out {out} --sigma -1",
         "evaluate --dataset {dataset} --out {out} --target-mae 0",
@@ -326,7 +327,7 @@ class TestEvaluate:
         payload = json.loads((tmp_path / "diam.json").read_text())
         assert payload["aggregate"]["mean"]["mae_px"] is None
         assert payload["aggregate"]["mean"]["mape_m"] > 0
-        assert payload["config"]["noise_stream"] == 3
+        assert payload["config"]["noise_stream"] == 4
 
     def test_fold_restriction_shrinks_sample_count(self, dataset_file, tmp_path):
         out_all = tmp_path / "all"
@@ -440,6 +441,33 @@ class TestEvaluate:
             assert rc == 0
             outs.append((out.with_suffix(".json").read_bytes(), out.with_suffix(".csv").read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "method, kind, sigma", [("height", "gaussian", 30.0), ("diameter", "heavy_tailed", 0.1)]
+    )
+    def test_repeats_are_predicted_at_most_8_at_a_time(
+        self, method, kind, sigma, dataset_file, monkeypatch
+    ):
+        # A run holds predictions for 8 repeats at most, whatever
+        # --repeats is, and each repeat's report is that of its noise alone.
+        samples = read_dataset(dataset_file).samples
+        spec = PredictorSpec(kind=kind, sigma=sigma, seed=2)
+        name = f"predict_{method}s"
+        predict, truth = getattr(cli, name), getattr(samples, method[0] + "_true")
+        asked = []
+
+        def recording(spec, ids, truth, repeats):
+            asked.append(repeats)
+            return predict(spec, ids, truth, repeats)
+
+        monkeypatch.setattr(cli, name, recording)
+        reports, failed = cli.run_evaluation(samples, spec, method=method, repeats=20)
+        assert asked == [range(0, 8), range(8, 16), range(16, 20)]
+        arrays = cli._sample_arrays(samples)
+        for r in range(20):
+            preds = predict(spec, samples.ids, truth, range(r, r + 1))[0]
+            expected = cli._evaluate(arrays, method, preds, cli.BALL_DIAMETER_M, "")
+            assert (reports[r], failed[r]) == expected
 
 
 class TestReconstruct:
@@ -866,16 +894,19 @@ def _entrypoint(argv, cwd, stdout=subprocess.PIPE, **env):
 
 
 @pytest.mark.parametrize("env", [{"PYTHONUNBUFFERED": "1"}, {}], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("command", ["reconstruct", "synth"])
+@pytest.mark.parametrize("command", ["reconstruct", "synth", "help", "evaluate-help"])
 def test_a_reader_that_closes_stdout_ends_the_command_quietly(command, env, tmp_path):
-    # Unbuffered, the command's own print meets the closed pipe inside
-    # main; buffered, the entrypoint's flush does. Either way nothing is
-    # printed, the status is 1 and synth's dataset is whole.
+    # Unbuffered, the command's own print (or argparse's help) meets the
+    # closed pipe inside main; buffered, the entrypoint's flush does.
+    # Either way nothing is printed, the status is 1 and synth's dataset
+    # is whole.
     cal = make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500)
     (tmp_path / "cal.json").write_text(json.dumps(calibration_to_json_dict(cal)))
     argv = {
         "reconstruct": "reconstruct --cal cal.json --x 1712.4 --y 903.1 --height 86.5",
         "synth": "synth --n 50 --arenas 2 --seed 3 --out d.dat",
+        "help": "--help",
+        "evaluate-help": "evaluate --help",
     }[command]
     read, write = os.pipe()
     os.close(read)
@@ -942,7 +973,8 @@ def test_outputs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
     # NPY_DISABLE_CPU_FEATURES=X86_V4 sends numpy's math loops down
     # other SIMD code, which rounds np.log differently on some inputs.
     # The noise kernels use basic arithmetic only, so synth, both noisy
-    # evaluations and the unit noise of 200 000 ids must come out the
+    # evaluations and the unit noise of 200 000 ids, repeats 0 and 1 (a
+    # Box-Muller sine and a second counter lane), must come out the
     # same either way. The reports alone would miss a rare last-bit change.
     off = {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}
     probe = (
@@ -957,7 +989,7 @@ def test_outputs_do_not_depend_on_numpys_simd_dispatch(tmp_path):
         "for kind in ('gaussian', 'heavy_tailed'):\n"
         "    spec = PredictorSpec(kind=kind, sigma=1.0, seed=3)\n"
         "    for predict in (predict_heights, predict_diameters):\n"
-        "        z = predict(spec, ids, np.ones(len(ids)))\n"
+        "        z = predict(spec, ids, np.ones(len(ids)), range(2))\n"
         "        print(kind, hashlib.sha256(z.tobytes()).hexdigest())\n"
     )
 

@@ -4,9 +4,10 @@
 libm) within 1 ulp, over the domains the predictors use: ``log`` on
 (0, 1] down to 2**-104 (Box-Muller's 1 - d and Bailey's W = U^2 + V^2,
 with U and V multiples of 2**-52), ``expm1`` on [0, 150] (-2 / nu ln W
-for nu > 1). ``cos_2pi`` is checked against a long-double cos of the
-same exactly reduced angle, which, unlike ``math.cos(2 * math.pi * d)``,
-is not thrown off by a rounded argument near the zeros of cos.
+for nu > 1). ``cos_sin_2pi`` is checked against a long-double cos and
+sin of the same exactly reduced angle, which, unlike
+``math.cos(2 * math.pi * d)``, are not thrown off by a rounded argument
+near their zeros.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from courtlift._libm import _TWO_PI, _TWO_PI_LO, cos_2pi, expm1, log
+from courtlift._libm import _TWO_PI, _TWO_PI_LO, cos_sin_2pi, expm1, log
 
 N = 1_000_000
 
@@ -65,17 +66,27 @@ def test_expm1_is_within_one_ulp_of_math_expm1():
     np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
     reason="np.longdouble is no wider than float64 here: no reference",
 )
-def test_cos_2pi_is_within_one_ulp_of_a_long_double_reference():
+def test_cos_sin_2pi_is_within_one_ulp_of_a_long_double_reference():
     quarter_turns = np.arange(8) / 8.0
-    d = np.concatenate([np.random.default_rng(2026).random(N), quarter_turns])
+    # Box-Muller's d and the smallest angles, where sin is tiny but
+    # must keep its relative accuracy.
+    tiny = np.ldexp(1.0, -np.arange(1, 60))
+    d = np.concatenate([np.random.default_rng(2026).random(N), tiny, 0.5 - tiny, quarter_turns])
     q = np.rint(4.0 * d)
     theta = (np.longdouble(_TWO_PI) + np.longdouble(_TWO_PI_LO)) * (d - 0.25 * q)
-    odd = (q.astype(np.int64) & 1) == 1
-    want = np.where(odd, np.sin(theta), np.cos(theta))
-    want = np.where((q.astype(np.int64) + 1) & 2, -want, want)
-    ulp = np.spacing(np.abs(want.astype(np.float64))).astype(np.longdouble)
-    got = cos_2pi(d)
-    assert (np.abs(got.astype(np.longdouble) - want) / ulp).max() <= 1.0
+    quarter = q.astype(np.int64) & 3
+    odd = (quarter & 1) == 1
+    cos, sin = np.cos(theta), np.sin(theta)
+    want_cos = np.where(odd, sin, cos)
+    want_cos = np.where((quarter + 1) & 2, -want_cos, want_cos)
+    want_sin = np.where(odd, cos, sin)
+    want_sin = np.where(quarter & 2, -want_sin, want_sin)
+    got_cos, got_sin = cos_sin_2pi(d)
+    for got, want in ((got_cos, want_cos), (got_sin, want_sin)):
+        ulp = np.spacing(np.abs(want.astype(np.float64))).astype(np.longdouble)
+        assert (np.abs(got.astype(np.longdouble) - want) / ulp).max() <= 1.0
     # A quarter turn is exact; odd eighths are cos(pi / 4) up to sign.
-    assert got[-8::2].tolist() == [1.0, 0.0, -1.0, 0.0]
-    assert np.abs(got[-7::2]).tolist() == [math.sqrt(0.5)] * 4
+    assert got_cos[-8::2].tolist() == [1.0, 0.0, -1.0, 0.0]
+    assert got_sin[-8::2].tolist() == [0.0, 1.0, 0.0, -1.0]
+    assert np.abs(got_cos[-7::2]).tolist() == [math.sqrt(0.5)] * 4
+    assert np.abs(got_sin[-7::2]).tolist() == [math.sqrt(0.5)] * 4

@@ -1,7 +1,8 @@
 """rng.words gives the words of a fresh rng.stream per index, bit for
-bit, from Philox blocks computed in numpy arithmetic; rng.doubles maps
-them as numpy's Generator.random does; rng._mulhi is the high word of
-a 128-bit product."""
+bit, from Philox blocks computed in numpy arithmetic, and those of
+numpy's Philox at any counter lane; rng.doubles maps them as numpy's
+Generator.random does; rng._mulhi is the high word of a 128-bit
+product."""
 
 import numpy as np
 import pytest
@@ -59,6 +60,36 @@ def test_words_of_every_purpose_equal_random_raw(purpose):
         assert not np.any(got == words(6, indices, other, 2, 7))
 
 
+def _lane_raw(seed, index, purpose, lane, count):
+    """The first count words of numpy's Philox at counter lane `lane`."""
+    counter = np.array((0, lane, 0, purpose), dtype=np.uint64)
+    bitgen = np.random.Philox(key=np.array((seed, index), dtype=np.uint64), counter=counter)
+    return bitgen.random_raw(count)
+
+
+@pytest.mark.parametrize("lane", [1, 2, 7, 2**63, UINT64_MAX])
+def test_words_of_a_counter_lane_equal_numpys_philox(lane):
+    # The lane is the counter's second word: numpy's Philox steps the
+    # first, so each lane is a stream of its own, and lane 0 is `stream`.
+    indices = [0, 9, UINT64_MAX]
+    got = words(4, indices, PURPOSE_DIAMETER_NOISE, 3, 9, lane)
+    for j, index in enumerate(indices):
+        want = _lane_raw(4, index, PURPOSE_DIAMETER_NOISE, lane, 12)[3:]
+        assert got[:, j].tolist() == want.tolist()
+        assert not np.any(got[:, j] == _raw(4, index, PURPOSE_DIAMETER_NOISE, 3, 9))
+    assert words(4, indices, PURPOSE_DIAMETER_NOISE, 3, 9, 0).tolist() == words(
+        4, indices, PURPOSE_DIAMETER_NOISE, 3, 9
+    ).tolist()
+
+
+def test_one_lane_per_index():
+    indices = np.array([5, 5, 0, 8])
+    lanes = np.array([0, 3, 3, 1])
+    got = words(2, indices, PURPOSE_HEIGHT_NOISE, 0, 6, lanes)
+    for j, (index, lane) in enumerate(zip(indices.tolist(), lanes.tolist())):
+        assert got[:, j].tolist() == _lane_raw(2, index, PURPOSE_HEIGHT_NOISE, lane, 6).tolist()
+
+
 @pytest.mark.parametrize("m", [1, 3, 741, 2**32, 2**63 + 1, UINT64_MAX])
 def test_mulhi_is_the_high_word_of_the_128_bit_product(m):
     # Edge words whose 32-bit halves carry, then a run of Philox words.
@@ -104,3 +135,9 @@ def test_no_indices_give_no_columns(indices):
 def test_words_range_check_seed_and_indices(seed, indices, match):
     with pytest.raises(ValueError, match=match):
         words(seed, indices, PURPOSE_BALL, 0, 4)
+
+
+@pytest.mark.parametrize("lane", [-1, 2**64, np.array([0, -1])])
+def test_words_range_check_lanes(lane):
+    with pytest.raises(ValueError, match="lane must fit in uint64, got"):
+        words(1, [0, 1], PURPOSE_BALL, 0, 4, lane)
