@@ -25,12 +25,10 @@ _HOMES = {
     "EvalReport": "metrics",
     "HeightBatch": "reconstruct",
     "HeightDistSpec": "synth",
-    "ImagePoint": "camera",
     "METRIC_NAMES": "metrics",
     "PredictorSpec": "predictors",
     "Reconstruction": "reconstruct",
     "Samples": "dataio",
-    "WorldPoint": "camera",
     "aggregate_repeats": "metrics",
     "assign_folds": "dataio",
     "ball_rays": "reconstruct",

@@ -306,6 +306,14 @@ def lift_height(rays, h):
     return oz + s * dz, gx, gy, fu, fv, np.arctan2(nx, ny), status
 
 
+def similar_triangles(cal, ball_diameter_m, x):
+    """The diameter model, stated once: a ball ball_diameter_m wide at
+    camera-frame depth x images mean(fx, fy) * ball_diameter_m / x px wide,
+    and one x px wide lies at that depth. synth's ``d_true`` is the model
+    at the true depth; ``reconstruct_diameter`` inverts it."""
+    return 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / x
+
+
 @_quiet
 def reconstruct_diameter(rays, diameter_px, ball_diameter_m):
     """Diameter-baseline reconstruction from UNDISTORTED ball pixels:
@@ -313,7 +321,7 @@ def reconstruct_diameter(rays, diameter_px, ball_diameter_m):
     ``ray_terms``.
 
     Each ball is the point of its pixel's ray at the camera-frame depth
-    mean(fx, fy) * ball_diameter_m / diameter_px, by similar triangles.
+    ``similar_triangles`` gives for its diameter.
     A non-finite pixel or diameter comes first, then a non-positive
     diameter, then the pixel's undistortion failure (``rays.status``).
     Returns (bx, by, bz, status).
@@ -324,7 +332,7 @@ def reconstruct_diameter(rays, diameter_px, ball_diameter_m):
     first = _flag(nonfinite, STATUS_NONFINITE_INPUT)
     first = _then(first, _flag(diameter_px <= 0.0, STATUS_NONPOSITIVE_DIAMETER))
     status = _then(first, status)
-    depth = 0.5 * (cal[CAL_FX] + cal[CAL_FY]) * ball_diameter_m / diameter_px
+    depth = similar_triangles(cal, ball_diameter_m, diameter_px)
     # Camera-frame depth grows at rate (R d)_z per unit ray parameter.
     rz = cal[CAL_R + 6] * dx + cal[CAL_R + 7] * dy + cal[CAL_R + 8] * dz
     status = _then(status, _flag(rz <= 1e-12, STATUS_DEPTH_NONPOSITIVE))

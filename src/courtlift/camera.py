@@ -30,7 +30,7 @@ from dataclasses import field, replace
 import numpy as np
 
 from . import _kernels as _k
-from ._record import Record, ValueRecord, record
+from ._record import Record, record
 from .errors import (
     DegenerateVertical,
     DepthNonPositive,
@@ -78,26 +78,6 @@ def column(cal: CameraCalibration) -> np.ndarray:
 def one_row(*values: float) -> list[np.ndarray]:
     """Each scalar as a length-1 float64 array, for a one-row kernel call."""
     return [np.array([v], dtype=np.float64) for v in values]
-
-
-@record
-class ImagePoint(ValueRecord):
-    """Pixel position, origin top-left, y down. May lie outside the frame."""
-
-    x: float
-    y: float
-
-
-@record
-class WorldPoint(ValueRecord):
-    """Point in the court frame, meters; the ground plane is z = 0."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
 @record
@@ -153,14 +133,16 @@ class CameraCalibration(Record):
         return self._packed
 
 
-def project(cal: CameraCalibration, p: WorldPoint) -> ImagePoint:
-    """Project a world point in front of the camera to (distorted) pixels.
+def project(cal: CameraCalibration, point) -> tuple[float, float]:
+    """Project a world point (x, y, z) in front of the camera to its
+    (distorted) pixel (u, v).
 
     Raises DepthNonPositive when the camera-frame depth is <= 1e-9 m.
     """
-    u, v, _, _, _, status = _k.project_point(column(cal), *one_row(p.x, p.y, p.z))
+    x, y, z = point
+    u, v, _, _, _, status = _k.project_point(column(cal), *one_row(x, y, z))
     raise_for_status(status[0], "point is behind or on the camera plane")
-    return ImagePoint(float(u[0]), float(v[0]))
+    return u.item(), v.item()
 
 
 def scale_calibration(cal: CameraCalibration, s: float) -> CameraCalibration:
@@ -210,10 +192,14 @@ def validate(cal: CameraCalibration) -> list[str]:
     if cal.image_width <= 0.0 or cal.image_height <= 0.0:
         violations.append("ImageSizeNonPositive")
     # An entry past 2 fails orthonormality; tested first, R^T R cannot overflow.
+    # R^T R and det(R) = R[0] . (R[1] x R[2]) are summed in a fixed order, not by
+    # BLAS, whose last bits vary by CPU kernel: a verdict is the same on every host.
     rot = cal.rotation
-    if np.abs(rot).max() > 2.0 or np.abs(rot.T @ rot - np.eye(3)).max() >= 1e-9:
+    if np.abs(rot).max() > 2.0 or (
+        np.abs((rot[:, :, None] * rot[:, None, :]).sum(axis=0) - np.eye(3)).max() >= 1e-9
+    ):
         violations.append("RotationNotOrthonormal")
-    elif abs(float(np.linalg.det(rot)) - 1.0) >= 1e-9:
+    elif abs(float((rot[0] * np.cross(rot[1], rot[2])).sum()) - 1.0) >= 1e-9:
         violations.append("RotationNotProper")
     if not violations:
         z = float(_k.camera_center(column(cal))[2][0])

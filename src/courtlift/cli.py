@@ -34,7 +34,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .camera import ImagePoint
 from .dataio import RECORD_DTYPE, Dataset, Samples, assign_folds, read_dataset, write_dataset
 from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
@@ -327,7 +326,7 @@ def cmd_reconstruct(args, parser) -> int:
         cal = load_calibration("calibration", read_json(args.cal))
     except ValueError as exc:  # a JSON syntax error or a NaN or Infinity token included
         raise InvalidCalibration(f"{args.cal}: {exc}") from exc
-    result = reconstruct_from_height(cal, ImagePoint(args.x, args.y), args.height)
+    result = reconstruct_from_height(cal, (args.x, args.y), args.height)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0
 

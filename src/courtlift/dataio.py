@@ -81,7 +81,9 @@ class Samples(Record):
 
     ``ball_px`` and ``foot_px`` are raw (distorted) pixels, as annotations
     made on original frames are; ``h_true`` is the undistorted pixel
-    height, the predictors' target.
+    height, the predictors' target. ``d_true`` is mean(fx, fy) * D /
+    camera depth, for the arena's ball diameter D: the model the diameter
+    baseline inverts (``_kernels.similar_triangles``).
 
     ``cameras`` maps each arena id to its one calibration, so a row's
     camera is always ``cameras[arena[i]]``. ``cal_index[i]`` is the

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._record import ValueRecord, record
-from .camera import CameraCalibration, WorldPoint, project, validate
+from .camera import CameraCalibration, project, validate
 from .dataio import Samples
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, BallRays, calibration_columns, pack_calibrations
@@ -233,10 +233,10 @@ def sample_camera(u: np.ndarray, arena: ArenaSpec) -> CameraCalibration:
         if validate(cal):
             continue
         try:
-            center_px = project(cal, WorldPoint(0.0, 0.0, 0.0))
+            center_px = project(cal, (0.0, 0.0, 0.0))
         except DepthNonPositive:
             continue
-        if _in_bounds(center_px.x, center_px.y, arena):
+        if _in_bounds(*center_px, arena):
             return cal
     raise FrameCoverageFailure("no valid camera after retry budget")
 
@@ -277,8 +277,8 @@ def sample_ball(u: np.ndarray, arena: ArenaSpec, dist: HeightDistSpec) -> np.nda
 def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     """Forward-oracle annotations of candidate balls, one per column of cal,
     from one projection of each ball and one of its ground point: h is the
-    distance between their distortion-free pixels, and the diameter comes
-    from the ball's depth by similar triangles.
+    distance between their distortion-free pixels, and the diameter is
+    ``_kernels.similar_triangles`` at the ball's depth.
 
     Returns (usable, u, v, foot_u, foot_v, h, diameter). A placement is
     unusable when the ball or foot is behind the camera, the ball pixel
@@ -289,7 +289,7 @@ def _annotate(cal: np.ndarray, bx, by, bz, arena: ArenaSpec):
     u, v, un, vn, depth, ball_status = _k.project_point(cal, bx, by, bz)
     fu, fv, gu, gv, _, foot_status = _k.project_point(cal, bx, by, 0.0)
     h = np.hypot(un - gu, vn - gv)
-    diameter = 0.5 * (cal[_k.CAL_FX] + cal[_k.CAL_FY]) * arena.ball_diameter_m / depth
+    diameter = _k.similar_triangles(cal, arena.ball_diameter_m, depth)
     usable = (ball_status == _k.STATUS_OK) & (foot_status == _k.STATUS_OK)
     usable &= _in_bounds(u, v, arena)
     # Well-posedness, on the visible rows only: undistorting the

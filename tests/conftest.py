@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from courtlift import ArenaSpec, CameraCalibration, ImagePoint, generate_dataset
+from courtlift import ArenaSpec, CameraCalibration, generate_dataset
 from courtlift.camera import column, one_row
 from courtlift.rng import PURPOSE_CAMERA, stream
 from courtlift.synth import make_camera, sample_camera
@@ -85,11 +85,12 @@ def camera_from_stream(seed: int, index: int, arena: ArenaSpec):
 
 def sample_rows(samples):
     """Each row of a `Samples` table as the one-ball functions take and
-    give it: its camera, ball pixel, true pixel height and ball (an array)."""
+    give it: its camera, ball pixel (a tuple), true pixel height and ball
+    (an array)."""
     s = samples
     columns = (s.arena.tolist(), s.ball_px.tolist(), s.h_true.tolist(), s.ball_3d)
     for a, (x, y), h, ball in zip(*columns):
-        yield s.cameras[a], ImagePoint(x, y), h, ball
+        yield s.cameras[a], (x, y), h, ball
 
 
 def random_cameras(n: int, seed: int = 0, arena: ArenaSpec = ZERO_DIST_ARENA):

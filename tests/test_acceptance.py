@@ -24,7 +24,6 @@ import pytest
 
 from courtlift import (
     HeightDistSpec,
-    ImagePoint,
     generate_dataset,
     reconstruct_from_height,
 )
@@ -90,12 +89,12 @@ def test_criterion_1_master_round_trip(big_clean_set):
 def test_criterion_2_scale_invariance(big_clean_set):
     worst = 0.0
     for cal, px, h, _ in sample_rows(big_clean_set[:1000]):
-        base = reconstruct_from_height(cal, px, h).ball_3d.as_array()
+        base = np.asarray(reconstruct_from_height(cal, px, h).ball_3d)
         for ratio in (1.0, 0.5, 0.25, 0.125):
             scaled_cal = scale_calibration(cal, ratio)
-            scaled_px = ImagePoint(px.x * ratio, px.y * ratio)
+            scaled_px = (px[0] * ratio, px[1] * ratio)
             rec = reconstruct_from_height(scaled_cal, scaled_px, h * ratio)
-            worst = max(worst, float(np.linalg.norm(rec.ball_3d.as_array() - base)))
+            worst = max(worst, float(np.linalg.norm(np.asarray(rec.ball_3d) - base)))
     ok = worst < 1e-9
     _criterion(2, f"scale invariance: worst deviation {worst:.2e} m over 1000 samples", ok)
 

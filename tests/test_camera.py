@@ -10,16 +10,19 @@ and must land exactly on the principal point.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import courtlift
 from courtlift import (
     BallRays,
     CameraCalibration,
-    ImagePoint,
-    WorldPoint,
     project,
     read_dataset,
     validate,
@@ -32,6 +35,8 @@ from courtlift.errors import DepthNonPositive, NonPositiveScale
 
 from conftest import first_branch_peak, kernel_row, random_cameras
 
+SRC = str(Path(courtlift.__file__).resolve().parents[1])
+
 
 def _with_distortion(cal: CameraCalibration, **coeffs) -> CameraCalibration:
     from dataclasses import replace
@@ -41,40 +46,45 @@ def _with_distortion(cal: CameraCalibration, **coeffs) -> CameraCalibration:
 
 class TestProject:
     def test_optical_axis_maps_to_principal_point(self, identity_cal):
-        p = project(identity_cal, WorldPoint(0, 0, 5))
-        assert (p.x, p.y) == (960.0, 540.0)
+        p = project(identity_cal, (0, 0, 5))
+        assert (p[0], p[1]) == (960.0, 540.0)
 
     def test_unit_offset(self, identity_cal):
         # x_img = fx * (1/5) + cx = 1000/5 + 960 = 1160
-        p = project(identity_cal, WorldPoint(1, 0, 5))
-        assert (p.x, p.y) == (1160.0, 540.0)
+        p = project(identity_cal, (1, 0, 5))
+        assert (p[0], p[1]) == (1160.0, 540.0)
 
     def test_cam_a_court_origin(self, cam_a):
         # Hand linear algebra: R @ (0,0,0) + t = (0, 0, sqrt(409)), depth
         # sqrt(409) > 0, normalized (0, 0) -> principal point (2250, 750).
-        p = project(cam_a, WorldPoint(0, 0, 0))
-        np.testing.assert_allclose([p.x, p.y], [2250.0, 750.0], atol=1e-9)
+        p = project(cam_a, (0, 0, 0))
+        np.testing.assert_allclose(p, [2250.0, 750.0], atol=1e-9)
 
     def test_point_behind_camera_raises(self, identity_cal):
         with pytest.raises(DepthNonPositive):
-            project(identity_cal, WorldPoint(0, 0, -1))
+            project(identity_cal, (0, 0, -1))
         with pytest.raises(DepthNonPositive):
-            project(identity_cal, WorldPoint(0, 0, 0))
+            project(identity_cal, (0, 0, 0))
+
+    @pytest.mark.parametrize("point", [(0.0, 5.0), (0.0, 0.0, 5.0, 1.0)])
+    def test_point_of_the_wrong_length_is_a_value_error(self, identity_cal, point):
+        with pytest.raises(ValueError, match="unpack"):
+            project(identity_cal, point)
 
     def test_skew_term(self, identity_cal):
         cal = _with_distortion(identity_cal, skew=25.0)
         # normalized (0.2, 0.1): u = 1000*0.2 + 25*0.1 + 960 = 1162.5
-        p = project(cal, WorldPoint(1.0, 0.5, 5.0))
-        np.testing.assert_allclose([p.x, p.y], [1162.5, 640.0], rtol=1e-12)
+        p = project(cal, (1.0, 0.5, 5.0))
+        np.testing.assert_allclose(p, [1162.5, 640.0], rtol=1e-12)
 
 
 def _distort(cal: CameraCalibration, n) -> np.ndarray:
     return np.array(kernel_row(_k.distort_norm, cal, *n)[:2])
 
 
-def _undistort(cal: CameraCalibration, p: ImagePoint) -> tuple[ImagePoint, int]:
-    u, v, status = kernel_row(_k.undistort_pixel, cal, p.x, p.y)
-    return ImagePoint(u, v), status
+def _undistort(cal: CameraCalibration, p) -> tuple[tuple[float, float], int]:
+    u, v, status = kernel_row(_k.undistort_pixel, cal, *p)
+    return (u, v), status
 
 
 class TestDistort:
@@ -105,27 +115,27 @@ class TestDistort:
 
 class TestUndistortPoint:
     def test_identity_with_zero_distortion(self, identity_cal):
-        q, status = _undistort(identity_cal, ImagePoint(123.4, 567.8))
-        assert (q.x, q.y, status) == (123.4, 567.8, _k.STATUS_OK)
+        q, status = _undistort(identity_cal, (123.4, 567.8))
+        assert (q[0], q[1], status) == (123.4, 567.8, _k.STATUS_OK)
 
     def test_round_trip_mild(self, identity_cal):
         cal = _with_distortion(identity_cal, k1=-0.1)
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            q = ImagePoint(rng.uniform(0, 1920), rng.uniform(0, 1080))
+            q = (rng.uniform(0, 1920), rng.uniform(0, 1080))
             distorted = _project_with_distortion_of(cal, q)
             rec, status = _undistort(cal, distorted)
             assert status == _k.STATUS_OK
-            assert math.hypot(rec.x - q.x, rec.y - q.y) < 1e-6
+            assert math.hypot(rec[0] - q[0], rec[1] - q[1]) < 1e-6
 
     def test_round_trip_strong_wide_angle(self, identity_cal):
         cal = _with_distortion(identity_cal, k1=-0.28, k2=0.12)
         rng = np.random.default_rng(7)
         for _ in range(500):
-            q = ImagePoint(rng.uniform(0, 1920), rng.uniform(0, 1080))
+            q = (rng.uniform(0, 1920), rng.uniform(0, 1080))
             rec, status = _undistort(cal, _project_with_distortion_of(cal, q))
             assert status == _k.STATUS_OK
-            assert math.hypot(rec.x - q.x, rec.y - q.y) < 1e-6
+            assert math.hypot(rec[0] - q[0], rec[1] - q[1]) < 1e-6
 
     def test_inverse_property_over_coefficient_ranges(self, identity_cal):
         # distort(normalize(undistort(p))) == normalize(p) at float noise:
@@ -146,11 +156,11 @@ class TestUndistortPoint:
                 p1=rng.uniform(-0.01, 0.01),
                 p2=rng.uniform(-0.01, 0.01),
             )
-            p = ImagePoint(rng.uniform(0, 1920), rng.uniform(0, 1080))
+            p = (rng.uniform(0, 1920), rng.uniform(0, 1080))
             q, status = _undistort(cal, p)
             assert status == _k.STATUS_OK
-            n_q = np.array([(q.x - cal.cx) / cal.fx, (q.y - cal.cy) / cal.fy])
-            n_p = np.array([(p.x - cal.cx) / cal.fx, (p.y - cal.cy) / cal.fy])
+            n_q = np.array([(q[0] - cal.cx) / cal.fx, (q[1] - cal.cy) / cal.fy])
+            n_p = np.array([(p[0] - cal.cx) / cal.fx, (p[1] - cal.cy) / cal.fy])
             np.testing.assert_allclose(_distort(cal, n_q), n_p, rtol=0, atol=2e-13)
 
     def test_preimage_near_the_fold_is_found(self, identity_cal):
@@ -160,13 +170,13 @@ class TestUndistortPoint:
         # first branch, which a fixed-point iteration approaches too slowly
         # to reach within 50 steps.
         cal = _with_distortion(identity_cal, k1=-0.134)
-        p = ImagePoint(1900.0, 1000.0)
+        p = (1900.0, 1000.0)
         q, status = _undistort(cal, p)
         assert status == _k.STATUS_OK
-        n_q = np.array([(q.x - cal.cx) / cal.fx, (q.y - cal.cy) / cal.fy])
+        n_q = np.array([(q[0] - cal.cx) / cal.fx, (q[1] - cal.cy) / cal.fy])
         assert n_q @ n_q < 1.0 / (3.0 * 0.134)
         back = _project_with_distortion_of(cal, q)
-        np.testing.assert_allclose([back.x, back.y], [p.x, p.y], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(back, p, rtol=0, atol=1e-9)
 
     def test_preimage_only_past_the_fold_is_outside_the_domain(self, identity_cal):
         # k1 = -0.12, k2 = 0.006: the slope 1 - 0.36 s + 0.03 s^2 of the
@@ -175,7 +185,7 @@ class TestUndistortPoint:
         # again past s = 7.63. Radius 3.2 distorts to ~1.281, beyond the
         # peak: its pixel's only preimage lies past the fold.
         cal = _with_distortion(identity_cal, k1=-0.12, k2=0.006)
-        q = ImagePoint(cal.cx + cal.fx * 3.2, cal.cy)
+        q = (cal.cx + cal.fx * 3.2, cal.cy)
         p = _project_with_distortion_of(cal, q)
         assert _undistort(cal, p)[1] == _k.STATUS_NO_CONVERGENCE
 
@@ -192,14 +202,14 @@ class TestUndistortPoint:
             [(_distort(cal, q + d) - _distort(cal, q - d)) / (2 * step) for d in np.eye(2) * step]
         )
         assert np.linalg.det(jacobian) < 0
-        p = ImagePoint(cal.cx + cal.fx * 1.0, cal.cy + cal.fy * 0.9)
+        p = (cal.cx + cal.fx * 1.0, cal.cy + cal.fy * 0.9)
         assert _undistort(cal, p)[1] == _k.STATUS_NO_CONVERGENCE
         # The normalized pixel (5.7, 4.275), the image of (-4, -3), has a
         # preimage near r^2 = 30.6 where det J > 0, but the radial map's
         # first branch ends below r^2 = 1 (its distorted radius peaks near
         # 0.50), so only the first-branch test rejects it.
         np.testing.assert_allclose(_distort(cal, [-4.0, -3.0]), [5.7, 4.275], rtol=0, atol=1e-12)
-        far = ImagePoint(cal.cx + cal.fx * 5.7, cal.cy + cal.fy * 4.275)
+        far = (cal.cx + cal.fx * 5.7, cal.cy + cal.fy * 4.275)
         assert _undistort(cal, far)[1] == _k.STATUS_NO_CONVERGENCE
 
     def test_radial_lenses_synth_never_draws(self, identity_cal):
@@ -229,16 +239,16 @@ class TestUndistortPoint:
         # k1 = -0.5 folds the radial polynomial at |n| ~ 0.82; a distorted
         # radius beyond the fold maximum (~0.544) has no preimage.
         cal = _with_distortion(identity_cal, k1=-0.5)
-        target = ImagePoint(cal.cx + cal.fx * 0.9, cal.cy)
+        target = (cal.cx + cal.fx * 0.9, cal.cy)
         assert _undistort(cal, target)[1] == _k.STATUS_NO_CONVERGENCE
 
 
-def _project_with_distortion_of(cal: CameraCalibration, q: ImagePoint) -> ImagePoint:
+def _project_with_distortion_of(cal: CameraCalibration, q) -> tuple[float, float]:
     """Distorted pixel whose undistorted position is q (forward model)."""
-    ny = (q.y - cal.cy) / cal.fy
-    nx = (q.x - cal.cx - cal.skew * ny) / cal.fx
+    ny = (q[1] - cal.cy) / cal.fy
+    nx = (q[0] - cal.cx - cal.skew * ny) / cal.fx
     d = _distort(cal, [nx, ny])
-    return ImagePoint(cal.fx * d[0] + cal.skew * d[1] + cal.cx, cal.fy * d[1] + cal.cy)
+    return cal.fx * d[0] + cal.skew * d[1] + cal.cx, cal.fy * d[1] + cal.cy
 
 
 class TestBackProject:
@@ -263,13 +273,11 @@ class TestBackProject:
             assert not cal.as_array()[_k.CAL_K1 : _k.CAL_P2 + 1].any()
             origin = np.array(kernel_row(_k.camera_center, cal))
             for _ in range(20):
-                p = ImagePoint(
-                    rng.uniform(0, cal.image_width), rng.uniform(0, cal.image_height)
-                )
-                direction = np.array(kernel_row(_k.ray_direction, cal, p.x, p.y))
+                p = (rng.uniform(0, cal.image_width), rng.uniform(0, cal.image_height))
+                direction = np.array(kernel_row(_k.ray_direction, cal, *p))
                 for s in (1.0, 5.0, 50.0):
-                    q = project(cal, WorldPoint(*(origin + s * direction)))
-                    assert math.hypot(q.x - p.x, q.y - p.y) < 1e-9
+                    q = project(cal, origin + s * direction)
+                    assert math.hypot(q[0] - p[0], q[1] - p[1]) < 1e-9
 
 
 class TestGroundIntersection:
@@ -314,13 +322,13 @@ class TestCameraCenter:
 
     def test_center_to_point_segment_projects_to_same_pixel(self, cam_a):
         # Collinearity: points on the segment center -> p image to p's pixel.
-        p = WorldPoint(3.0, 2.0, 1.0)
+        p = np.array([3.0, 2.0, 1.0])
         target = project(cam_a, p)
         c = np.array(kernel_row(_k.camera_center, cam_a))
         for alpha in (0.25, 0.5, 0.9):
-            mid = c + alpha * (p.as_array() - c)
-            q = project(cam_a, WorldPoint(*mid))
-            assert math.hypot(q.x - target.x, q.y - target.y) < 1e-8
+            mid = c + alpha * (p - c)
+            q = project(cam_a, mid)
+            assert math.hypot(q[0] - target[0], q[1] - target[1]) < 1e-8
 
 
 class TestScaleCalibration:
@@ -331,22 +339,20 @@ class TestScaleCalibration:
         np.testing.assert_array_equal(scaled.rotation, cam_a.rotation)
 
     def test_half_scale_projects_half_principal_point(self, identity_cal):
-        p = project(scale_calibration(identity_cal, 0.5), WorldPoint(0, 0, 5))
-        assert (p.x, p.y) == (480.0, 270.0)
+        p = project(scale_calibration(identity_cal, 0.5), (0, 0, 5))
+        assert (p[0], p[1]) == (480.0, 270.0)
 
     def test_projection_scales_linearly(self):
         rng = np.random.default_rng(17)
         cams = random_cameras(25, seed=33)
         for cal in cams:
             for _ in range(40):
-                p = WorldPoint(
-                    rng.uniform(-12, 12), rng.uniform(-7, 7), rng.uniform(0, 5)
-                )
+                p = (rng.uniform(-12, 12), rng.uniform(-7, 7), rng.uniform(0, 5))
                 base = project(cal, p)
                 for s in (0.5, 0.25, 0.125):
                     scaled = project(scale_calibration(cal, s), p)
                     np.testing.assert_allclose(
-                        [scaled.x, scaled.y], [s * base.x, s * base.y], rtol=1e-9
+                        [scaled[0], scaled[1]], [s * base[0], s * base[1]], rtol=1e-9
                     )
 
     def test_non_positive_scale_raises(self, identity_cal):
@@ -354,6 +360,60 @@ class TestScaleCalibration:
             scale_calibration(identity_cal, 0.0)
         with pytest.raises(NonPositiveScale):
             scale_calibration(identity_cal, -2.0)
+
+
+def _linked_to_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _threshold_cal(rotation) -> CameraCalibration:
+    # Its centre, -20 R[2], is above the floor for R[2][2] < 0.
+    return CameraCalibration(
+        2000.0, 2000.0, 2250.0, 750.0, rotation, [0.0, 0.0, 20.0], 4500.0, 1500.0
+    )
+
+
+# Reads rotations as JSON on stdin and writes validate's verdicts on them.
+_VALIDATE_EACH = """
+import json, sys
+from courtlift import CameraCalibration, validate
+cals = (
+    CameraCalibration(2000.0, 2000.0, 2250.0, 750.0, r, [0.0, 0.0, 20.0], 4500.0, 1500.0)
+    for r in json.load(sys.stdin)
+)
+json.dump([validate(cal) for cal in cals], sys.stdout)
+"""
+
+
+def _straddling_rotations() -> list:
+    """Rotations Q + t E at 17 steps of 2**-53 in t around the t where
+    validate's verdict flips, found by bisection, for 16 rotations Q and
+    two directions each:
+    E = Q scales Q, so det(R) passes 1 + 1e-9 while R^T R is still within
+    1e-9 of I; E = Q S with S symmetric and traceless shears it, so R^T R
+    leaves 1e-9 of I first. Built elementwise, as JSON lists, which
+    hold every bit."""
+    rng = np.random.default_rng(12)
+    rotations = []
+    for _ in range(16):
+        a, b = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(1.7, 2.5)
+        ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+        q = np.array([[ca, -sa, 0.0], [cb * sa, cb * ca, -sb], [sb * sa, sb * ca, cb]])
+        m = rng.uniform(-1.0, 1.0, (3, 3))
+        sym = m + m.T - (2.0 * np.trace(m) / 3.0) * np.eye(3)
+        shear = (q[:, :, None] * sym[None, :, :]).sum(axis=1)
+        directions = ((q, "RotationNotProper", 4.5e-10), (shear, "RotationNotOrthonormal", 1e-8))
+        for e, name, hi in directions:
+            lo = 0.0
+            while hi - lo > 1e-18:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if name in validate(_threshold_cal(q + mid * e)) else (mid, hi)
+            rotations += [(q + (hi + k * 2.0**-53) * e).tolist() for k in range(-8, 9)]
+    return rotations
 
 
 class TestValidate:
@@ -419,6 +479,32 @@ class TestValidate:
             read_dataset(io.BytesIO(data))
         assert [w.filename for w in record] == [__file__] * 3
 
+    @pytest.mark.skipif(
+        not _linked_to_openblas(),
+        reason="numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE picks no kernel",
+    )
+    def test_verdicts_at_the_thresholds_do_not_depend_on_the_blas_kernel(self):
+        # The same rotations, a few ulps either side of each 1e-9
+        # threshold, validated under the default kernel and under
+        # Prescott, the oldest x86-64 one (no FMA), get the same verdicts.
+        rotations = json.dumps(_straddling_rotations())
+        verdicts = []
+        for coretype in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            result = subprocess.run(
+                [sys.executable, "-c", _VALIDATE_EACH],
+                input=rotations,
+                capture_output=True,
+                text=True,
+                env={**env, "PYTHONPATH": SRC, **coretype},
+                check=True,
+            )
+            verdicts.append(json.loads(result.stdout))
+        assert verdicts[0] == verdicts[1]
+        assert {tuple(v) for v in verdicts[0]} == {
+            (), ("RotationNotOrthonormal",), ("RotationNotProper",)
+        }
+
 
 class TestRoundTripToRay:
     def test_pixel_ray_passes_near_source_point(self):
@@ -428,15 +514,15 @@ class TestRoundTripToRay:
         checked = 0
         while checked < 1000:
             cal = cams[checked % len(cams)]
-            p = WorldPoint(rng.uniform(-12, 12), rng.uniform(-7, 7), rng.uniform(0, 5))
+            p = np.array([rng.uniform(-12, 12), rng.uniform(-7, 7), rng.uniform(0, 5)])
             try:
                 px = project(cal, p)
             except DepthNonPositive:
                 continue
-            u, v, status = kernel_row(_k.undistort_pixel, cal, px.x, px.y)
+            u, v, status = kernel_row(_k.undistort_pixel, cal, *px)
             assert status == _k.STATUS_OK
             direction = np.array(kernel_row(_k.ray_direction, cal, u, v))
-            rel = p.as_array() - np.array(kernel_row(_k.camera_center, cal))
+            rel = p - np.array(kernel_row(_k.camera_center, cal))
             closest = np.linalg.norm(rel - (rel @ direction) * direction)
             assert closest < 1e-6
             checked += 1

@@ -16,7 +16,6 @@ import pytest
 import courtlift
 from courtlift import (
     Dataset,
-    WorldPoint,
     project,
     read_dataset,
     write_dataset,
@@ -514,24 +513,23 @@ class TestReconstruct:
         argv = ["reconstruct", "--cal", str(path), "--y", "903.1", "--height", "86.5"]
         assert main([*argv, "--x", "1712.4"]) == 0
         ball = json.loads(capsys.readouterr().out)["ball_3d"]
-        px = project(load_calibration("lens", d), WorldPoint(*ball))
-        np.testing.assert_allclose([px.x, px.y], [1712.4, 903.1], rtol=0, atol=1e-6)
+        px = project(load_calibration("lens", d), ball)
+        np.testing.assert_allclose(px, [1712.4, 903.1], rtol=0, atol=1e-6)
         assert main([*argv, "--x", "90000"]) == 1
         assert capsys.readouterr().err == "error: NoConvergence: height reconstruction failed\n"
 
     def test_ground_pixel_has_zero_height_solution(self, side_cal_file, capsys):
         path, cal = side_cal_file
-        ground = WorldPoint(1.0, 2.0, 0.0)
-        px = project(cal, ground)
+        px = project(cal, (1.0, 2.0, 0.0))
         rc = main(
             [
                 "reconstruct",
                 "--cal",
                 str(path),
                 "--x",
-                str(px.x),
+                str(px[0]),
                 "--y",
-                str(px.y),
+                str(px[1]),
                 "--height",
                 "0",
             ]
@@ -558,10 +556,10 @@ class TestReconstruct:
         # The steep camera of test_reconstruct's vanishing-point test: a
         # 1500 px height walks the foot past the vertical vanishing point.
         cal = make_camera((0.0, -3.0, 10.0), (0.0, 0.0, 0.0), 1000.0, 2000.0, 2000.0)
-        px = project(cal, WorldPoint(0.0, 0.5, 1.0))
+        px = project(cal, (0.0, 0.5, 1.0))
         path = tmp_path / "steep.json"
         path.write_text(json.dumps(calibration_to_json_dict(cal)))
-        argv = ["reconstruct", "--cal", str(path), "--x", str(px.x), "--y", str(px.y)]
+        argv = ["reconstruct", "--cal", str(path), "--x", str(px[0]), "--y", str(px[1])]
         assert main([*argv, "--height", "1500"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: VerticalBehindCamera")

@@ -1,11 +1,17 @@
-"""Seeded fuzz of the numeric flags of ``synth``, ``evaluate`` and ``sweep``.
+"""Seeded fuzz of the numeric flags of ``synth``, ``evaluate``, ``sweep``
+and ``reconstruct``.
 
 Each case draws a value for every numeric flag of one command, from
 extremes, NaN and infinities, negatives and 2**64 +- 1, and runs
 ``cli.main`` in-process on a small dataset with RuntimeWarning as an
 error. Whatever the flags, the command must exit 0, 1 or 2 without
 raising; a nonzero exit prints an ``error:`` line; a usage error (exit
-2) writes no file; and every report written is strict JSON.
+2) writes no file; and every report written is strict JSON. A
+``reconstruct`` that exits 0 prints strict JSON with finite numbers
+whose ground projection is the ball's x and y on the floor; one that
+fails prints nothing on stdout. Its ``--cal`` is a plain calibration, a
+distorting one (k3, p1, p2 and skew), or, in one case in five, a file
+the reader refuses.
 
 ``--n`` and ``--repeats`` are drawn small, or from values that a check
 refuses before any allocation: a huge ``--repeats`` is a long run, not
@@ -22,7 +28,8 @@ import warnings
 import pytest
 
 from courtlift.cli import main
-from courtlift.dataio import RECORD_DTYPE
+from courtlift.dataio import RECORD_DTYPE, calibration_to_json_dict
+from courtlift.synth import make_camera
 
 SEED = 2031
 
@@ -93,13 +100,55 @@ def _sweep(rng, dataset):
     return ["sweep", f"--dataset={dataset}", f"--grid={','.join(levels)}", "--out=s", *threads]
 
 
-COMMANDS = {"synth": (_synth, 70), "evaluate": (_evaluate, 80), "sweep": (_sweep, 50)}
+def _reconstruct(rng, dataset):
+    cal = rng.choice(BAD_CALIBRATIONS if rng.random() < HOSTILE else CALIBRATIONS)
+    pools = {
+        "--x": (("1712.4", "2250", "0", "4499", "-300", "9000"), FLOATS),
+        "--y": (("903.1", "750", "1400", "1499", "-50"), FLOATS),
+        "--height": (("0", "10", "86.5", "-10", "400", "3000"), FLOATS),
+    }
+    return ["reconstruct", f"--cal={dataset.with_name(cal)}", *_flags(rng, pools)]
+
+
+# Each command's draw, its number of cases and the exit codes it must reach.
+COMMANDS = {
+    "synth": (_synth, 70, {0, 2}),
+    "evaluate": (_evaluate, 80, {0, 2}),
+    "sweep": (_sweep, 50, {0, 2}),
+    "reconstruct": (_reconstruct, 50, {0, 1}),
+}
+CALIBRATIONS = ("plain.json", "lens.json")
+BAD_CALIBRATIONS = ("nan.json", "deep.json", "no_r.json", "list.json")
+
+
+def _calibration_files() -> dict:
+    """The text of each calibration file ``reconstruct`` draws: the
+    README camera, with and without every lens term, and four files the
+    reader refuses: a NaN token, nesting past the recursion limit, no
+    ``R``, and JSON that is not an object."""
+    plain = calibration_to_json_dict(make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500))
+    lens = calibration_to_json_dict(
+        make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500, k1=-0.1, k2=0.01)
+    )
+    lens["dist"].update(k3=-0.005, p1=1e-3, p2=-5e-4)
+    lens["skew"] = 0.5
+    return {
+        "plain.json": json.dumps(plain),
+        "lens.json": json.dumps(lens),
+        "nan.json": json.dumps({**plain, "cx": math.nan}),
+        "deep.json": "[" * 100_000 + "]" * 100_000,
+        "no_r.json": json.dumps({k: v for k, v in plain.items() if k != "R"}),
+        "list.json": json.dumps([plain]),
+    }
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
+    """The dataset the commands read, with the calibration files next to it."""
     path = tmp_path_factory.mktemp("flag_fuzz") / "d.dat"
     assert main(["synth", "--n", "30", "--arenas", "3", "--seed", "5", "--out", str(path)]) == 0
+    for name, text in _calibration_files().items():
+        path.with_name(name).write_text(text, encoding="utf-8")
     return path
 
 
@@ -117,10 +166,12 @@ def _run(argv, directory, capsys, monkeypatch):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2), (argv, code, err)
     if code:
         assert "error: " in err, (argv, code, err)
+    if argv[0] == "reconstruct":
+        _check_printed_ball(argv, code, out)
     written = sorted(path.name for path in directory.iterdir())
     if code == 2:
         assert written == [], (argv, written)
@@ -129,15 +180,25 @@ def _run(argv, directory, capsys, monkeypatch):
     return code
 
 
+def _check_printed_ball(argv, code, out):
+    if code:
+        assert out == "", (argv, code, out)
+        return
+    result = json.loads(out, parse_constant=_refuse)
+    values = [x for v in result.values() for x in (v if isinstance(v, list) else [v])]
+    assert all(math.isfinite(x) for x in values), (argv, result)
+    assert result["ground_projection"] == [*result["ball_3d"][:2], 0.0], (argv, result)
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_flag_values_end_typed(command, dataset, tmp_path, capsys, monkeypatch):
-    draw, count = COMMANDS[command]
+    draw, count, reached = COMMANDS[command]
     rng = random.Random(f"{SEED}-{command}")
     codes = [
         _run(draw(rng, dataset), tmp_path / str(k), capsys, monkeypatch) for k in range(count)
     ]
-    # The draws reach the work itself, not only the usage checks.
-    assert 0 in codes and 2 in codes
+    # The draws reach the work itself, not only the checks that refuse it.
+    assert reached <= set(codes), sorted(set(codes))
 
 
 def test_the_largest_seed_takes_any_repeats(dataset, tmp_path, capsys, monkeypatch):

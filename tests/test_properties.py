@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from courtlift import (
-    WorldPoint,
     generate_dataset,
     project,
     reconstruct_from_height,
@@ -84,7 +83,7 @@ def _diameter_batch(samples, diameters):
 def _assert_diameter_row_matches_one_ray(batch, i, cal, px, d):
     """Row i of a diameter batch equals, bit for bit, the diameter baseline
     on a length-one BallRays of its camera and pixel alone."""
-    one = reconstruct_from_diameter_batch(ball_rays([cal], [0], [[px.x, px.y]]), [d])
+    one = reconstruct_from_diameter_batch(ball_rays([cal], [0], [px]), [d])
     for name in ("ball_3d", "status"):
         np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name)[0])
 
@@ -100,8 +99,8 @@ def _assert_row_matches_one_ball(batch, foot_angle, i, cal, px, h):
         return
     rec = reconstruct_from_height(cal, px, h)
     fu, fv, angle = foot_angle
-    np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
-    np.testing.assert_array_equal([fu[i], fv[i]], [rec.foot_pixel.x, rec.foot_pixel.y])
+    np.testing.assert_array_equal(batch.ball_3d[i], np.asarray(rec.ball_3d))
+    np.testing.assert_array_equal([fu[i], fv[i]], np.asarray(rec.foot_pixel))
     np.testing.assert_array_equal(angle[i], rec.vertical_angle)
 
 
@@ -136,10 +135,10 @@ def test_placed_balls_round_trip_above_and_below_the_camera(
     cal = make_camera(center, (0.0, 0.0, 0.0), focal, 4500.0, 1500.0)
     # Even rows at or below the camera centre, odd rows at or above it.
     truth = np.array([(x, y, camera_z * (t + i % 2)) for i, (x, y, t) in enumerate(balls)])
-    px = [project(cal, WorldPoint(x, y, z)) for x, y, z in truth]
-    feet = [project(cal, WorldPoint(x, y, 0.0)) for x, y, _ in truth]
-    heights = [math.hypot(b.x - f.x, b.y - f.y) for b, f in zip(px, feet)]
-    rays = ball_rays([cal], np.zeros(N, dtype=np.int64), [[p.x, p.y] for p in px])
+    px = [project(cal, ball) for ball in truth]
+    feet = [project(cal, (x, y, 0.0)) for x, y, _ in truth]
+    heights = [math.hypot(b[0] - f[0], b[1] - f[1]) for b, f in zip(px, feet)]
+    rays = ball_rays([cal], np.zeros(N, dtype=np.int64), px)
     batch = reconstruct_from_height_batch(rays, heights)
     assert batch.ok.all()
     assert np.linalg.norm(batch.ball_3d - truth, axis=1).max() < 1e-6

@@ -20,8 +20,6 @@ from courtlift import (
     ArenaSpec,
     BallRays,
     CameraCalibration,
-    ImagePoint,
-    WorldPoint,
     ball_rays,
     project,
     reconstruct_from_height,
@@ -78,23 +76,23 @@ def _vertical(cal: CameraCalibration, x: float, y: float):
     return (vx, vy), angle, status
 
 
-def _foot(cal: CameraCalibration, px: ImagePoint, h: float):
+def _foot(cal: CameraCalibration, px, h: float):
     """Foot pixel and lift status of a ball pixel lifted by h px."""
-    _, _, _, fu, fv, _, status = _lift_row(cal, px.x, px.y, h)
-    return ImagePoint(fu, fv), status
+    _, _, _, fu, fv, _, status = _lift_row(cal, *px, h)
+    return (fu, fv), status
 
 
-def _oracle(cal: CameraCalibration, ball: WorldPoint):
+def _oracle(cal: CameraCalibration, ball):
     """synth's forward oracle for one ball, the source of the Samples
     columns h_true and d_true: (usable, pixel height, image diameter)."""
     arena = ArenaSpec(image_width=cal.image_width, image_height=cal.image_height)
-    usable, _, _, _, _, h, d = synth._annotate(column(cal), *one_row(ball.x, ball.y, ball.z), arena)
+    usable, _, _, _, _, h, d = synth._annotate(column(cal), *one_row(*ball), arena)
     return bool(usable[0]), h[0].item(), d[0].item()
 
 
-def _diameter_row(cal: CameraCalibration, px: ImagePoint, d: float, *ball_diameter_m):
+def _diameter_row(cal: CameraCalibration, px, d: float, *ball_diameter_m):
     """The diameter baseline on one ray: (ball_3d, status)."""
-    rays = ball_rays([cal], [0], [[px.x, px.y]])
+    rays = ball_rays([cal], [0], [px])
     batch = reconstruct_from_diameter_batch(rays, [d], *ball_diameter_m)
     return batch.ball_3d[0], batch.status[0]
 
@@ -111,7 +109,7 @@ class TestVerticalDirection:
         assert _vertical(cal, cal.cx, cal.cy)[2] == _k.STATUS_DEGENERATE_VERTICAL
         # A ball pixel at the vanishing point has no direction to walk.
         with pytest.raises(DegenerateVertical):
-            reconstruct_from_height(cal, ImagePoint(cal.cx, cal.cy), 10.0)
+            reconstruct_from_height(cal, (cal.cx, cal.cy), 10.0)
 
     def test_fan_pattern_across_panorama(self, cam_a):
         # Verticals lean toward the nadir vanishing point below the image:
@@ -133,16 +131,16 @@ class TestVerticalDirection:
 
 class TestFootPixel:
     def test_zero_height_is_identity(self, side_cal):
-        px = ImagePoint(1800.0, 1000.0)
+        px = (1800.0, 1000.0)
         f, status = _foot(side_cal, px, 0.0)
         assert status == STATUS_OK
-        np.testing.assert_allclose([f.x, f.y], [px.x, px.y], atol=1e-9)
+        np.testing.assert_allclose(f, px, atol=1e-9)
 
     def test_side_on_offset_is_exact(self, side_cal):
-        px = ImagePoint(2000.0, 900.0)
+        px = (2000.0, 900.0)
         f, status = _foot(side_cal, px, 100.0)
         assert status == STATUS_OK
-        np.testing.assert_allclose([f.x, f.y], [2000.0, 1000.0], atol=1e-9)
+        np.testing.assert_allclose(f, [2000.0, 1000.0], atol=1e-9)
 
     def test_forward_oracle_consistency(self, clean_samples):
         # The foot at the true height must land on the projected ground
@@ -152,53 +150,53 @@ class TestFootPixel:
             assert status == STATUS_OK
             _, _, gu, gv, _, status = kernel_row(_k.project_point, cal, x, y, 0.0)
             assert status == STATUS_OK
-            assert math.hypot(f.x - gu, f.y - gv) < 1e-9
+            assert math.hypot(f[0] - gu, f[1] - gv) < 1e-9
 
 
 class TestReconstructFromHeight:
     def test_master_round_trip_zero_distortion(self, clean_samples):
         for cal, px, h, ball in sample_rows(clean_samples):
             rec = reconstruct_from_height(cal, px, h)
-            err = np.linalg.norm(rec.ball_3d.as_array() - ball)
+            err = np.linalg.norm(np.asarray(rec.ball_3d) - ball)
             assert err < 1e-6
 
     def test_master_round_trip_with_distortion(self, distorted_samples):
         for cal, px, h, ball in sample_rows(distorted_samples):
             rec = reconstruct_from_height(cal, px, h)
-            err = np.linalg.norm(rec.ball_3d.as_array() - ball)
+            err = np.linalg.norm(np.asarray(rec.ball_3d) - ball)
             assert err < 1e-9
 
     def test_zero_height_on_ground_point(self, cam_a):
-        g = WorldPoint(2.5, -1.5, 0.0)
+        g = (2.5, -1.5, 0.0)
         px = project(cam_a, g)
         rec = reconstruct_from_height(cam_a, px, 0.0)
-        np.testing.assert_allclose(rec.ball_3d.as_array(), g.as_array(), atol=1e-9)
+        np.testing.assert_allclose(np.asarray(rec.ball_3d), g, atol=1e-9)
 
     def test_ball_ray_without_x_component(self, side_cal):
         # Ball in the camera's own Y-Z plane: the ball-ray x component is
         # exactly 0, and recovery stays exact.
         # (Kept below camera height so the pixel ray still meets the ground.)
-        ball = WorldPoint(0.0, 0.0, 1.0)
+        ball = (0.0, 0.0, 1.0)
         px = project(side_cal, ball)
-        assert px.x == side_cal.cx
+        assert px[0] == side_cal.cx
         rec = reconstruct_from_height(side_cal, px, _oracle(side_cal, ball)[1])
-        np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-6)
-        assert rec.ball_3d.x == 0.0
+        np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, atol=1e-6)
+        assert rec.ball_3d[0] == 0.0
 
     def test_negative_height_is_propagated(self, side_cal):
         # Foot above the ball in the image: ground lands farther away and
         # the reconstructed ball is lower than the truth (may go negative).
-        ball = WorldPoint(0.5, 0.0, 1.0)
+        ball = (0.5, 0.0, 1.0)
         px = project(side_cal, ball)
         rec = reconstruct_from_height(side_cal, px, -30.0)
-        assert math.isfinite(rec.ball_3d.z)
-        assert rec.ball_3d.z < 1.0
+        assert math.isfinite(rec.ball_3d[2])
+        assert rec.ball_3d[2] < 1.0
 
     def test_extreme_negative_height_fails_cleanly(self, side_cal):
         # A -500 px prediction pushes the foot past the horizon, so the
         # foot ray meets the ground behind the camera: a typed failure,
         # never a garbage value.
-        ball = WorldPoint(0.5, 0.0, 1.0)
+        ball = (0.5, 0.0, 1.0)
         px = project(side_cal, ball)
         with pytest.raises(IntersectionBehindCamera):
             reconstruct_from_height(side_cal, px, -500.0)
@@ -209,12 +207,12 @@ class TestReconstructFromHeight:
         # foot past that point, to a ground point whose vertical the ball
         # ray meets only behind the camera.
         cal = make_camera((0.0, -3.0, 10.0), (0.0, 0.0, 0.0), 1000.0, 2000.0, 2000.0)
-        ball = WorldPoint(0.0, 0.5, 1.0)
+        ball = (0.0, 0.5, 1.0)
         px = project(cal, ball)
         h = _oracle(cal, ball)[1]
         assert h == pytest.approx(34.35, abs=0.01)
         rec = reconstruct_from_height(cal, px, h)
-        np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), atol=1e-9)
+        np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, atol=1e-9)
         with pytest.raises(VerticalBehindCamera):
             reconstruct_from_height(cal, px, 1500.0)
 
@@ -223,18 +221,18 @@ class TestReconstructFromHeight:
         # The ball pixel lies above the horizon and its ray never meets
         # the floor; only the foot's ray must.
         cal = make_camera((0.0, -20.0, 3.0), (0.0, 0.0, 1.5), 2000.0, 4500.0, 1500.0)
-        ball = WorldPoint(0.5, -5.0, z)
+        ball = (0.5, -5.0, z)
         px = project(cal, ball)
         h = _oracle(cal, ball)[1]
         rec = reconstruct_from_height(cal, px, h)
-        np.testing.assert_allclose(rec.ball_3d.as_array(), ball.as_array(), rtol=0, atol=1e-9)
-        batch = reconstruct_from_height_batch(ball_rays([cal], [0], [[px.x, px.y]]), [h])
-        np.testing.assert_array_equal(batch.ball_3d[0], rec.ball_3d.as_array())
+        np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, rtol=0, atol=1e-9)
+        batch = reconstruct_from_height_batch(ball_rays([cal], [0], [px]), [h])
+        np.testing.assert_array_equal(batch.ball_3d[0], np.asarray(rec.ball_3d))
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
         cal, px, h, _ = next(sample_rows(clean_samples))
         rec = reconstruct_from_height(cal, px, h)
-        _, angle, status = _vertical(cal, rec.foot_pixel.x, rec.foot_pixel.y)
+        _, angle, status = _vertical(cal, *rec.foot_pixel)
         assert status == STATUS_OK
         assert rec.vertical_angle == pytest.approx(angle, abs=1e-9)
 
@@ -242,34 +240,33 @@ class TestReconstructFromHeight:
         # An OK row always has a foot pixel and a vertical angle.
         cal, px, h, _ = next(sample_rows(clean_samples))
         rec = reconstruct_from_height(cal, px, h)
-        points = (rec.ball_3d, rec.foot_pixel)
-        values = [*(x for p in points for x in dataclasses.astuple(p)), rec.vertical_angle]
+        values = [*rec.ball_3d, *rec.foot_pixel, rec.vertical_angle]
         assert all(type(x) is float and math.isfinite(x) for x in values)
 
 
 class TestForwardOracle:
     def test_ground_ball_has_zero_height(self, cam_a):
-        assert _oracle(cam_a, WorldPoint(3.0, 1.0, 0.0))[1] == 0.0
+        assert _oracle(cam_a, (3.0, 1.0, 0.0))[1] == 0.0
 
     def test_side_on_hand_values(self, side_cal):
         # Depth 20 m: h = 100 px (module docstring) and the 0.24 m ball
         # images 2000 * 0.24 / 20 = 24 px wide; doubling the depth halves
         # the diameter.
-        usable, h, d = _oracle(side_cal, WorldPoint(0.0, 0.0, 1.0))
+        usable, h, d = _oracle(side_cal, (0.0, 0.0, 1.0))
         assert usable
         assert h == pytest.approx(100.0, abs=1e-9)
         assert d == pytest.approx(24.0, rel=1e-12)
-        far = _oracle(side_cal, WorldPoint(0.0, 20.0, 1.5))[2]
+        far = _oracle(side_cal, (0.0, 20.0, 1.5))[2]
         assert d == pytest.approx(2.0 * far, rel=1e-12)
 
     def test_ball_behind_camera_is_unusable(self, side_cal):
-        assert not _oracle(side_cal, WorldPoint(0.0, -30.0, 1.0))[0]
+        assert not _oracle(side_cal, (0.0, -30.0, 1.0))[0]
 
 
 class TestReconstructFromDiameter:
     def test_on_axis_similar_triangles(self, identity_cal):
         # depth = f_mean * D / d = 1000 * 0.24 / 48 = 5 m on the axis.
-        ball, status = _diameter_row(identity_cal, ImagePoint(960.0, 540.0), 48.0, 0.24)
+        ball, status = _diameter_row(identity_cal, (960.0, 540.0), 48.0, 0.24)
         assert status == STATUS_OK
         np.testing.assert_allclose(ball, [0, 0, 5], atol=1e-12)
 
@@ -285,14 +282,14 @@ class TestReconstructFromDiameter:
 
     @pytest.mark.parametrize("diameter", [0.0, -3.0])
     def test_non_positive_diameter_fails_the_row(self, identity_cal, diameter):
-        ball, status = _diameter_row(identity_cal, ImagePoint(960, 540), diameter)
+        ball, status = _diameter_row(identity_cal, (960, 540), diameter)
         assert status == STATUS_NONPOSITIVE_DIAMETER
         assert np.isnan(ball).all()
 
     @pytest.mark.parametrize("ball_diameter_m", [0.0, -0.24, math.nan, math.inf])
     def test_ball_diameter_must_be_finite_and_positive(self, identity_cal, ball_diameter_m):
         with pytest.raises(NonPositiveDiameter, match="must be finite and > 0 m"):
-            _diameter_row(identity_cal, ImagePoint(960, 540), 30.0, ball_diameter_m)
+            _diameter_row(identity_cal, (960, 540), 30.0, ball_diameter_m)
 
     @pytest.mark.parametrize("eps", [-0.2, -0.05, 0.01, 0.1, 0.5])
     def test_relative_diameter_error_law_is_exact(self, distorted_samples, eps):
@@ -321,7 +318,7 @@ class TestBatchPaths:
         assert batch.ok.all()
         for i, (cal, px, h, _) in enumerate(sample_rows(subset)):
             rec = reconstruct_from_height(cal, px, h)
-            np.testing.assert_array_equal(batch.ball_3d[i], rec.ball_3d.as_array())
+            np.testing.assert_array_equal(batch.ball_3d[i], np.asarray(rec.ball_3d))
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
         subset = distorted_samples[:50]
@@ -340,54 +337,106 @@ class TestBatchPaths:
                 batch(rays, subset.h_true[:-1])
 
 
+# The rows of the symmetry tests: every 97th diameter is zero and the
+# next one negative, and offsets of -400 px fail 944 height rows.
+SEED_1 = synth.generate_dataset(seed=1, n=5000, n_arenas=12)
+OFFSETS_PX = (0.0, 10.0, 40.0, -400.0, 3000.0)
+DIAMETERS = SEED_1.d_true.copy()
+DIAMETERS[::97] = 0.0
+DIAMETERS[1::97] *= -1.0
+
+
+def _symmetry_lifts(cameras, ball_diameter_m=BALL_DIAMETER_M):
+    """The height lift of SEED_1 at each of OFFSETS_PX, then the diameter
+    lift of DIAMETERS, all through ``cameras``."""
+    s = SEED_1
+    rays = ball_rays(cameras, s.cal_index, s.ball_px)
+    heights = [reconstruct_from_height_batch(rays, s.h_true + offset) for offset in OFFSETS_PX]
+    return [*heights, reconstruct_from_diameter_batch(rays, DIAMETERS, ball_diameter_m)]
+
+
 class TestWorldScale:
     """A calibrated lift is fixed only up to a similarity (H&Z 10.2), so
     measuring the world in other units scales every ball by the same
     factor: a camera's translation scales, its rotation and intrinsics do
     not, and the diameter method's ball size scales too."""
 
-    SAMPLES = synth.generate_dataset(seed=1, n=5000, n_arenas=12)
-
-    def _lifts(self, scale, diameters):
-        s = self.SAMPLES
-        cameras = [
-            dataclasses.replace(cal, translation=cal.translation * scale)
-            for cal in s.cameras.values()
-        ]
-        rays = ball_rays(cameras, s.cal_index, s.ball_px)
-        offsets = (0.0, 10.0, 40.0, -400.0, 3000.0)
-        heights = [reconstruct_from_height_batch(rays, s.h_true + offset) for offset in offsets]
-        ball_m = BALL_DIAMETER_M * scale
-        return [*heights, reconstruct_from_diameter_batch(rays, diameters, ball_m)]
-
     @pytest.mark.parametrize("scale", [2.0, 0.5, 8.0, 2.0**-10])
     def test_power_of_two_world_scale_scales_each_ball_bit_for_bit(self, scale):
-        # Offsets of -400 px fail 944 height rows; every 97th diameter is
-        # zero and the next one negative. Those rows must fail alike.
-        diameters = self.SAMPLES.d_true.copy()
-        diameters[::97] = 0.0
-        diameters[1::97] *= -1.0
-        base = self._lifts(1.0, diameters)
+        # The failed rows must fail alike.
+        base = _symmetry_lifts(SEED_1.cameras.values())
         assert [int((~batch.ok).sum()) for batch in base] == [0, 0, 0, 944, 0, 104]
-        for before, after in zip(base, self._lifts(scale, diameters)):
+        cameras = [
+            dataclasses.replace(cal, translation=cal.translation * scale)
+            for cal in SEED_1.cameras.values()
+        ]
+        for before, after in zip(base, _symmetry_lifts(cameras, BALL_DIAMETER_M * scale)):
             np.testing.assert_array_equal(after.status, before.status)
             assert after.ball_3d.tobytes() == (before.ball_3d * scale).tobytes()
+
+
+class TestGroundPlaneMotion:
+    """Both lifts commute with every motion that keeps the ground plane:
+    a rotation Q about Z, then a shift T = (tx, ty, 0). Moving each camera
+    (R, t) to (R Q^T, t - R Q^T T) leaves every pixel where it was and
+    moves every ball to Q ball + T, with the same status."""
+
+    @pytest.mark.parametrize(
+        "angle, shift",
+        [(0.0, (100.0, 37.0)), (0.7, (0.0, 0.0)), (math.pi, (-12.5, 3.25)), (-2.0, (100.0, 37.0))],
+    )
+    def test_each_ball_moves_with_the_floor(self, angle, shift):
+        c, s = math.cos(angle), math.sin(angle)
+        q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        t = np.array([*shift, 0.0])
+        cameras = []
+        for cal in SEED_1.cameras.values():
+            rotation = cal.rotation @ q.T
+            translation = cal.translation - rotation @ t
+            cameras.append(dataclasses.replace(cal, rotation=rotation, translation=translation))
+        base = _symmetry_lifts(SEED_1.cameras.values())
+        for before, after in zip(base, _symmetry_lifts(cameras)):
+            np.testing.assert_array_equal(after.status, before.status)
+            # 1e-10 m, plus a few ulps of the position: at -400 px one row
+            # lands 1.3e6 m away, where one ulp is 2.3e-10 m.
+            moved = before.ball_3d @ q.T + t
+            np.testing.assert_allclose(after.ball_3d, moved, rtol=1e-15, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 5000), (17, 2000)])
+def test_exact_inputs_round_trip_to_a_nanometre(seed, n):
+    # The seed-1 rows and those of tests/data/capture_golden.py, through
+    # 12 distorting arenas, at their true heights and diameters.
+    s = SEED_1 if seed == 1 else synth.generate_dataset(seed=seed, n=n, n_arenas=12)
+    rays = ball_rays(s.cameras.values(), s.cal_index, s.ball_px)
+    for batch in (
+        reconstruct_from_height_batch(rays, s.h_true),
+        reconstruct_from_diameter_batch(rays, s.d_true),
+    ):
+        assert batch.ok.all()
+        assert np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1).max() < 1e-9
+
+
+@pytest.mark.parametrize("px", [(1800.0,), (1800.0, 1000.0, 1.0)])
+def test_pixel_of_the_wrong_length_is_a_value_error(side_cal, px):
+    with pytest.raises(ValueError, match=r"ball pixels must have shape \(n, 2\)"):
+        reconstruct_from_height(side_cal, px, 50.0)
 
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_scalar_calls_raise(self, side_cal, bad):
-        px = project(side_cal, WorldPoint(0.5, 0.0, 1.0))
+        px = project(side_cal, (0.5, 0.0, 1.0))
         with pytest.raises(NonFiniteInput):
             reconstruct_from_height(side_cal, px, bad)
         with pytest.raises(NonFiniteInput):
-            reconstruct_from_height(side_cal, ImagePoint(px.x, bad), 50.0)
+            reconstruct_from_height(side_cal, (px[0], bad), 50.0)
         assert _diameter_row(side_cal, px, bad)[1] == STATUS_NONFINITE_INPUT
         assert _foot(side_cal, px, bad)[1] == STATUS_NONFINITE_INPUT
 
     def test_batch_rows_carry_the_status(self, side_cal):
-        px = project(side_cal, WorldPoint(0.5, 0.0, 1.0))
-        pixels = [[px.x, px.y], [px.x, px.y], [float("nan"), px.y]]
+        px = project(side_cal, (0.5, 0.0, 1.0))
+        pixels = [px, px, [float("nan"), px[1]]]
         values = [50.0, float("inf"), 50.0]
         rays = ball_rays([side_cal], [0, 0, 0], pixels)
         for batch in (

@@ -1,4 +1,4 @@
-"""The record contract of courtlift's 13 frozen dataclass types.
+"""The record contract of courtlift's 11 frozen dataclass types.
 
 Each record keeps what callers rely on: frozen fields, ``fields()`` order,
 ``replace()`` with validation, positional and keyword construction with
@@ -27,11 +27,9 @@ from courtlift import (
     EvalReport,
     HeightBatch,
     HeightDistSpec,
-    ImagePoint,
     PredictorSpec,
     Reconstruction,
     Samples,
-    WorldPoint,
     assign_folds,
     generate_dataset,
 )
@@ -58,16 +56,6 @@ def _cal_kwargs():
 # that compares by identity, so value records built twice are equal.
 EMPTY = inspect.Parameter.empty
 RECORDS = {
-    ImagePoint: (
-        ("x", "y"),
-        [("x", EMPTY), ("y", EMPTY)],
-        lambda: {"x": 1.5, "y": -2.0},
-    ),
-    WorldPoint: (
-        ("x", "y", "z"),
-        [("x", EMPTY), ("y", EMPTY), ("z", EMPTY)],
-        lambda: {"x": 1.0, "y": 2.0, "z": 3.0},
-    ),
     CameraCalibration: (
         ("fx", "fy", "cx", "cy", "rotation", "translation", "image_width", "image_height",
          "skew", "k1", "k2", "k3", "p1", "p2", "_packed"),
@@ -101,8 +89,7 @@ RECORDS = {
     Reconstruction: (
         ("ball_3d", "foot_pixel", "vertical_angle"),
         [("ball_3d", EMPTY), ("foot_pixel", EMPTY), ("vertical_angle", EMPTY)],
-        lambda: {"ball_3d": WorldPoint(1.0, 2.0, 3.0),
-                 "foot_pixel": ImagePoint(10.0, 20.0), "vertical_angle": 0.25},
+        lambda: {"ball_3d": (1.0, 2.0, 3.0), "foot_pixel": (10.0, 20.0), "vertical_angle": 0.25},
     ),
     HeightBatch: (
         ("ball_3d", "status"),
@@ -156,13 +143,11 @@ INVALID = {
 
 # A field change per value record that makes it unequal to the example.
 DIFFERENT = {
-    ImagePoint: {"x": 0.0},
-    WorldPoint: {"z": 0.0},
     Dataset: {"samples": SAMPLES[:4]},
     EvalReport: {"n_samples": 41},
     AggregateReport: {"std": {}},
     PredictorSpec: {"seed": 8},
-    Reconstruction: {"foot_pixel": ImagePoint(0.0, 0.0)},
+    Reconstruction: {"foot_pixel": (0.0, 0.0)},
     ArenaSpec: {"ball_diameter_m": 0.24},
     HeightDistSpec: {"p_above_3m": 0.5},
 }
@@ -187,7 +172,7 @@ def same_fields(a, b) -> bool:
 
 
 def test_the_table_covers_every_record_type():
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 11
     assert {cls.__name__ for cls in RECORDS} <= set(courtlift.__all__)
     assert all(dataclasses.is_dataclass(cls) for cls in RECORDS)
 
@@ -195,15 +180,14 @@ def test_the_table_covers_every_record_type():
 def test_public_api_names():
     assert courtlift.__all__ == [
         "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "CameraCalibration",
-        "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec", "ImagePoint",
-        "METRIC_NAMES", "PredictorSpec", "Reconstruction", "Samples", "WorldPoint",
-        "aggregate_repeats", "assign_folds", "ball_rays", "errors", "evaluate_arrays",
-        "generate_dataset", "height_histogram", "predict_diameters", "predict_heights",
-        "project", "read_dataset", "reconstruct_from_diameter_batch",
-        "reconstruct_from_height", "reconstruct_from_height_batch", "validate",
-        "write_dataset",
+        "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec", "METRIC_NAMES",
+        "PredictorSpec", "Reconstruction", "Samples", "aggregate_repeats", "assign_folds",
+        "ball_rays", "errors", "evaluate_arrays", "generate_dataset", "height_histogram",
+        "predict_diameters", "predict_heights", "project", "read_dataset",
+        "reconstruct_from_diameter_batch", "reconstruct_from_height",
+        "reconstruct_from_height_batch", "validate", "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 31
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 29
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 
@@ -391,7 +375,9 @@ def test_repr_is_the_dataclass_form(cls):
 
 
 def test_repr_literals():
-    assert repr(ImagePoint(1.5, -2.0)) == "ImagePoint(x=1.5, y=-2.0)"
+    assert repr(Reconstruction((1.5, -2.0, 0.0), (3.0, 4.0), 0.25)) == (
+        "Reconstruction(ball_3d=(1.5, -2.0, 0.0), foot_pixel=(3.0, 4.0), vertical_angle=0.25)"
+    )
     assert repr(PredictorSpec("gaussian", seed=3)) == (
         "PredictorSpec(kind='gaussian', sigma=0.0, nu=3.0, target_mae=None, seed=3)"
     )
@@ -403,7 +389,7 @@ def test_dataclass_helpers_keep_working():
     assert dataclasses.asdict(spec) == {
         "kind": "gaussian", "sigma": 2.0, "nu": 3.0, "target_mae": None, "seed": 0,
     }
-    assert dataclasses.astuple(WorldPoint(1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0)
+    assert dataclasses.astuple(HeightDistSpec("ballistic_like", 0.25, 7.0)) == ("ballistic_like", 0.25, 7.0)
     assert dataclasses.is_dataclass(spec) and not dataclasses.is_dataclass(1.0)
 
 

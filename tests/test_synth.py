@@ -11,8 +11,6 @@ from courtlift import (
     ArenaSpec,
     Dataset,
     HeightDistSpec,
-    ImagePoint,
-    WorldPoint,
     project,
     reconstruct_from_height,
     validate,
@@ -55,9 +53,9 @@ class TestSampleCamera:
         for i in range(1000):
             cal = camera_from_stream(9, i, arena)
             assert validate(cal) == []
-            px = project(cal, WorldPoint(0, 0, 0))
-            assert 0.0 <= px.x <= arena.image_width - 1
-            assert 0.0 <= px.y <= arena.image_height - 1
+            px = project(cal, (0, 0, 0))
+            assert 0.0 <= px[0] <= arena.image_width - 1
+            assert 0.0 <= px[1] <= arena.image_height - 1
 
     def test_same_stream_reproduces_camera(self):
         arena = ArenaSpec()
@@ -147,11 +145,11 @@ class TestGenerateDataset:
     def test_sample_invariants(self, clean_samples):
         arena = ZERO_DIST_ARENA
         for cal, ball_px, h, ball in sample_rows(clean_samples):
-            px = project(cal, WorldPoint(*ball))
-            assert math.hypot(px.x - ball_px.x, px.y - ball_px.y) < 1e-9
+            px = project(cal, ball)
+            assert math.hypot(px[0] - ball_px[0], px[1] - ball_px[1]) < 1e-9
             assert ball[2] >= 0.0
-            assert 0.0 <= ball_px.x <= arena.image_width - 1
-            assert 0.0 <= ball_px.y <= arena.image_height - 1
+            assert 0.0 <= ball_px[0] <= arena.image_width - 1
+            assert 0.0 <= ball_px[1] <= arena.image_height - 1
             assert h >= 0.0
         assert (clean_samples.d_true > 0.0).all()
 
@@ -283,13 +281,13 @@ def test_ball_whose_ground_point_is_behind_the_camera_is_unusable():
     # point, so only the ground point's depth check rejects the placement.
     arena = ArenaSpec(image_width=4000.0, image_height=4000.0)
     cal = make_camera((0.0, 0.0, 5.0), (0.0, 10.0, 15.0), 500.0, 4000.0, 4000.0)
-    ball = WorldPoint(0.0, 4.5, 3.0)
+    ball = (0.0, 4.5, 3.0)
     with pytest.raises(DepthNonPositive):
-        project(cal, WorldPoint(ball.x, ball.y, 0.0))
-    usable, u, v, _, _, h, _ = synth._annotate(column(cal), *one_row(ball.x, ball.y, ball.z), arena)
+        project(cal, (*ball[:2], 0.0))
+    usable, u, v, _, _, h, _ = synth._annotate(column(cal), *one_row(*ball), arena)
     assert synth._in_bounds(u[0], v[0], arena)
-    lifted = reconstruct_from_height(cal, ImagePoint(u[0], v[0]), h[0]).ball_3d
-    assert math.dist(lifted.as_array(), ball.as_array()) > 0.5
+    lifted = reconstruct_from_height(cal, (u[0], v[0]), h[0]).ball_3d
+    assert math.dist(lifted, ball) > 0.5
     assert not usable[0]
 
 
