@@ -66,6 +66,25 @@ class TestProject:
         with pytest.raises(DepthNonPositive):
             project(identity_cal, (0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            tuple,
+            list,
+            np.array,
+            lambda p: np.array([[9.0, 9.0, 9.0], p])[1],
+            lambda p: tuple(map(np.float64, p)),
+            iter,
+        ],
+        ids=["tuple", "list", "array", "array-row", "numpy-scalars", "iterator"],
+    )
+    def test_any_3_sequence_projects_to_the_same_pair_of_floats(self, cam_a, make):
+        point = (1.5, -2.0, 0.7)
+        p = project(cam_a, make(point))
+        assert type(p) is tuple and len(p) == 2
+        assert all(type(c) is float for c in p)
+        assert p == project(cam_a, point)
+
     @pytest.mark.parametrize("point", [(0.0, 5.0), (0.0, 0.0, 5.0, 1.0)])
     def test_point_of_the_wrong_length_is_a_value_error(self, identity_cal, point):
         with pytest.raises(ValueError, match="unpack"):

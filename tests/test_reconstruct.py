@@ -243,6 +243,36 @@ class TestReconstructFromHeight:
         values = [*rec.ball_3d, *rec.foot_pixel, rec.vertical_angle]
         assert all(type(x) is float and math.isfinite(x) for x in values)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            tuple,
+            list,
+            np.array,
+            lambda p: np.array([[9.0, 9.0], p])[1],
+            lambda p: tuple(map(np.float64, p)),
+        ],
+        ids=["tuple", "list", "array", "array-row", "numpy-scalars"],
+    )
+    def test_any_pixel_pair_gives_the_same_tuples_of_floats(self, clean_samples, make):
+        cal, px, h, _ = next(sample_rows(clean_samples))
+        rec = reconstruct_from_height(cal, make(px), h)
+        assert rec == reconstruct_from_height(cal, px, h)
+        assert type(rec.ball_3d) is tuple and len(rec.ball_3d) == 3
+        assert type(rec.foot_pixel) is tuple and len(rec.foot_pixel) == 2
+        assert all(type(c) is float for c in (*rec.ball_3d, *rec.foot_pixel))
+
+    def test_json_dict_writes_the_fields_as_lists(self, clean_samples):
+        cal, px, h, _ = next(sample_rows(clean_samples))
+        rec = reconstruct_from_height(cal, px, h)
+        x, y, z = rec.ball_3d
+        assert rec.to_json_dict() == {
+            "ball_3d": [x, y, z],
+            "ground_projection": [x, y, 0.0],
+            "foot_pixel": [*rec.foot_pixel],
+            "vertical_angle": rec.vertical_angle,
+        }
+
 
 class TestForwardOracle:
     def test_ground_ball_has_zero_height(self, cam_a):
