@@ -63,9 +63,12 @@ STATUS_NONFINITE_INPUT = 9
 EPS_DEPTH = 1e-9
 EPS_AXIS = 1e-9
 
-# Undistortion by Newton's method: a row stops once its residual is at
-# float noise (in-frame pixels take 3 or 4 steps), and fails if it is
-# still above 1e-8 normalized units after the last step.
+# Undistortion by Newton's method: a row stops once its normalized
+# residual is at most 1e-13, about 450 ulps of 1.0 and so above float
+# noise (in-frame pixels take 3 or 4 steps), and fails if it is still above
+# 1e-8 after the last step. On `synth --n 5000 --arenas 12 --seed 1` at
+# exact inputs that stop leaves the lifts up to 5.5e-13 of the ball's
+# distance from the camera away from their exact values.
 UNDISTORT_MAX_ITER = 20
 UNDISTORT_STOP_TOL = 1e-13
 UNDISTORT_FAIL_TOL = 1e-8

@@ -1,8 +1,9 @@
 """Command-line frontend: synth, evaluate, reconstruct, sweep.
 
-`evaluate` and `sweep` share one pass: predictions in, 3D positions
-through the known cameras, a report out. `run_evaluation` and
-`run_sweep` drive it over a `Samples` table.
+`evaluate` and `sweep` share one pass loop over ball rays built once per
+command. `run_evaluation`'s passes are labelled "repeat r", `run_sweep`'s
+"level L px", and the EmptyInput raised when a pass fails every row
+names its label.
 
 Every command is deterministic given its flags and seed: reports carry no
 timestamps or scheduling information, and randomness comes from
@@ -119,32 +120,36 @@ def predict_diameters(*args, **kwargs):
 
 
 def _sample_arrays(samples: Samples):
-    """The samples' ball rays, built once per command for every set of
-    predictions, and the truth columns the metrics take."""
-    s = samples
-    return ball_rays(s.cameras.values(), s.cal_index, s.ball_px), s.ball_3d, s.h_true
+    """The samples' ball rays, built once per command for every pass."""
+    return ball_rays(samples.cameras.values(), samples.cal_index, samples.ball_px)
 
 
-def _evaluate(arrays, method, preds, ball_diameter_m, what):
-    """Reconstruct `preds`, a pixel height or image diameter per sample as
-    `method` says, and evaluate the rows that succeed; also return how
-    many failed (e.g. a foot pixel pushed past the horizon by an extreme
-    prediction). The diameter method assumes a ball of `ball_diameter_m`.
-    When every row fails, raise EmptyInput naming the pass, `what`."""
-    rays, truth, h_true = arrays
-    if method == "height":
-        batch = reconstruct_from_height_batch(rays, preds)
-        columns = [truth, h_true, preds, batch.ball_3d]
-    else:
-        batch = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
-        columns = [truth, None, None, batch.ball_3d]
-    ok = batch.ok
-    n_failed = int((~ok).sum())
-    if n_failed and n_failed == len(ok):
-        raise EmptyInput(f"{what}: all {n_failed} samples failed to reconstruct")
-    if n_failed:  # a boolean index copies the rows: only when some failed
-        columns = [None if c is None else c[ok] for c in columns]
-    return evaluate_arrays(*columns), n_failed
+def _run_passes(samples: Samples, method, passes, ball_diameter_m):
+    """Lift each pass's predictions along the samples' ball rays (pixel
+    heights, or image diameters of a ball of `ball_diameter_m`, as `method`
+    says) and score the rows that succeed. A pass is a (label, predictions)
+    pair. Return each pass's report and count of failed rows; raise
+    EmptyInput naming the label of a pass whose every row fails."""
+    if method not in ("height", "diameter"):
+        raise ValueError(f"unknown method {method!r}")
+    rays = _sample_arrays(samples)
+    reports, failed = [], []
+    for label, preds in passes:
+        if method == "height":
+            batch = reconstruct_from_height_batch(rays, preds)
+            columns = [samples.ball_3d, samples.h_true, preds, batch.ball_3d]
+        else:
+            batch = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
+            columns = [samples.ball_3d, None, None, batch.ball_3d]
+        ok = batch.ok
+        n_failed = int((~ok).sum())
+        if n_failed and n_failed == len(ok):
+            raise EmptyInput(f"{label}: all {n_failed} samples failed to reconstruct")
+        if n_failed:  # a boolean index copies the rows: only when some failed
+            columns = [None if c is None else c[ok] for c in columns]
+        reports.append(evaluate_arrays(*columns))
+        failed.append(n_failed)
+    return reports, failed
 
 
 def run_evaluation(
@@ -156,30 +161,27 @@ def run_evaluation(
 ) -> tuple[list[EvalReport], list[int]]:
     """k repeats of predict -> reconstruct -> evaluate, 8 predicted at a time;
     repeat r perturbs the truth by noise r of each sample's stream (spec.seed, id)."""
-    if method not in ("height", "diameter"):
-        raise ValueError(f"unknown method {method!r}")
-    arrays = _sample_arrays(samples)
     predict = predict_heights if method == "height" else predict_diameters
     truth = samples.h_true if method == "height" else samples.d_true
-    results = []
-    for start in range(0, repeats, 8):
-        runs = range(start, min(start + 8, repeats))
-        results += [
-            _evaluate(arrays, method, preds, ball_diameter_m, f"repeat {r}")
-            for r, preds in zip(runs, predict(spec, samples.ids, truth, runs))
-        ]
-    return [report for report, _ in results], [n_failed for _, n_failed in results]
+    blocks = (range(start, min(start + 8, repeats)) for start in range(0, repeats, 8))
+    passes = (
+        (f"repeat {r}", preds)
+        for runs in blocks
+        for r, preds in zip(runs, predict(spec, samples.ids, truth, runs))
+    )
+    return _run_passes(samples, method, passes, ball_diameter_m)
 
 
 def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[EvalReport], list[int]]:
     """One height-method pass per level of `grid`, the level (px) added
     to every true pixel height as the prediction."""
-    arrays = _sample_arrays(samples)
-    results = [
-        _evaluate(arrays, "height", samples.h_true + float(level), None, f"level {level:g} px")
-        for level in grid
-    ]
-    return [report for report, _ in results], [n_failed for _, n_failed in results]
+    passes = ((f"level {level:g} px", samples.h_true + float(level)) for level in grid)
+    return _run_passes(samples, "height", passes, None)
+
+
+def _report_row(report: EvalReport, n_failed: int) -> dict:
+    """A pass's row in a report: its metrics, sample count and failures."""
+    return {**dataclasses.asdict(report), "n_failed": n_failed}
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +310,7 @@ def cmd_evaluate(args, parser) -> int:
             "repeats": args.repeats,
         },
         "aggregate": dataclasses.asdict(agg),
-        "repeats": [
-            {**dataclasses.asdict(r), "n_failed": nf} for r, nf in zip(reports, failed)
-        ],
+        "repeats": [_report_row(r, nf) for r, nf in zip(reports, failed)],
     }
     lines = []
     for name in METRIC_NAMES:
@@ -342,16 +342,11 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"--grid levels must be finite, got {args.grid!r}")
     reports, failed = run_sweep(_load_samples(args), grid)
     rows = [
-        {
-            "level_px": level,
-            "mae_px": report.mae_px,
-            "mape_m": report.mape_m,
-            "ma3de_m": report.ma3de_m,
-            "n_samples": report.n_samples,
-            "n_failed": n_failed,
-        }
+        {"level_px": level, **_report_row(report, n_failed)}
         for level, report, n_failed in zip(grid, reports, failed)
     ]
+    for row in rows:  # the medians would change the sweep report's contract
+        del row["mdnape_m"], row["mdna3de_m"]
     payload = {
         "schema_version": 1,
         "command": "sweep",

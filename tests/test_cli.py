@@ -462,11 +462,17 @@ class TestEvaluate:
         monkeypatch.setattr(cli, name, recording)
         reports, failed = cli.run_evaluation(samples, spec, method=method, repeats=20)
         assert asked == [range(0, 8), range(8, 16), range(16, 20)]
-        arrays = cli._sample_arrays(samples)
         for r in range(20):
             preds = predict(spec, samples.ids, truth, range(r, r + 1))[0]
-            expected = cli._evaluate(arrays, method, preds, cli.BALL_DIAMETER_M, "")
-            assert (reports[r], failed[r]) == expected
+            passes = [(f"repeat {r}", preds)]
+            expected = cli._run_passes(samples, method, passes, cli.BALL_DIAMETER_M)
+            assert ([reports[r]], [failed[r]]) == expected
+
+    def test_unknown_method_raises_before_any_ray_is_built(self, dataset_file, monkeypatch):
+        samples = read_dataset(dataset_file).samples
+        monkeypatch.setattr(cli, "_sample_arrays", lambda samples: pytest.fail("rays built"))
+        with pytest.raises(ValueError, match="unknown method 'depth'"):
+            cli.run_evaluation(samples, PredictorSpec(kind="oracle"), method="depth")
 
 
 class TestReconstruct:
@@ -668,6 +674,28 @@ def test_noise_past_the_float_range_fails_rows_typed(
         assert 0 < n_failed < 300
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        ("sweep --grid=0,-100000", "level -100000 px"),
+        ("sweep --grid=0,10,-100000", "level -100000 px"),
+        ("evaluate --method diameter --ball-diameter 1e308", "repeat 0"),
+    ],
+    ids=["sweep-level-2", "sweep-level-3", "evaluate-diameter"],
+)
+def test_a_pass_where_every_sample_fails_is_empty_input(
+    argv, label, dataset_file, tmp_path, capsys
+):
+    # The error names the pass: a sweep level that puts every foot past
+    # the horizon, or a ball so large that every depth overflows. The
+    # passes before it do not get a report either.
+    out = tmp_path / "s"
+    assert main([*argv.split(), "--dataset", str(dataset_file), "--out", str(out)]) == 1
+    message = f"{label}: all 300 samples failed to reconstruct"
+    assert capsys.readouterr().err == f"error: EmptyInput: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSweep:
     def test_monotone_grid(self, dataset_file, tmp_path):
         out = tmp_path / "sweep"
@@ -703,14 +731,6 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--grid", "0,1", "--out", str(tmp_path / "s")])
         assert exc.value.code == 2
-
-    def test_level_where_every_sample_fails_is_empty_input(self, dataset_file, tmp_path, capsys):
-        out = tmp_path / "s"
-        rc = main(["sweep", "--dataset", str(dataset_file), "--grid=0,-100000", "--out", str(out)])
-        assert rc == 1
-        message = "level -100000 px: all 300 samples failed to reconstruct"
-        assert capsys.readouterr().err == f"error: EmptyInput: {message}\n"
-        assert list(tmp_path.iterdir()) == []
 
 
 def _loaded_before_and_after(modules, commands):
