@@ -23,7 +23,6 @@ _HOMES = {
     "CameraCalibration": "camera",
     "Dataset": "dataio",
     "EvalReport": "metrics",
-    "HeightBatch": "reconstruct",
     "HeightDistSpec": "synth",
     "METRIC_NAMES": "metrics",
     "PredictorSpec": "predictors",

@@ -35,6 +35,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
+from ._kernels import STATUS_OK
 from .dataio import RECORD_DTYPE, Dataset, Samples, assign_folds, read_dataset, write_dataset
 from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
@@ -136,12 +137,12 @@ def _run_passes(samples: Samples, method, passes, ball_diameter_m):
     reports, failed = [], []
     for label, preds in passes:
         if method == "height":
-            batch = reconstruct_from_height_batch(rays, preds)
-            columns = [samples.ball_3d, samples.h_true, preds, batch.ball_3d]
+            ball_3d, status = reconstruct_from_height_batch(rays, preds)
+            columns = [samples.ball_3d, samples.h_true, preds, ball_3d]
         else:
-            batch = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
-            columns = [samples.ball_3d, None, None, batch.ball_3d]
-        ok = batch.ok
+            ball_3d, status = reconstruct_from_diameter_batch(rays, preds, ball_diameter_m)
+            columns = [samples.ball_3d, None, None, ball_3d]
+        ok = status == STATUS_OK
         n_failed = int((~ok).sum())
         if n_failed and n_failed == len(ok):
             raise EmptyInput(f"{label}: all {n_failed} samples failed to reconstruct")

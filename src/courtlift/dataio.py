@@ -206,7 +206,10 @@ def _rows_in(samples: Samples, arenas) -> np.ndarray:
 
 
 def assign_folds(arena_ids: Sequence[int], n_folds: int) -> dict[str, set[int]]:
-    """Round-robin arenas into n_folds named A, B, C, ..."""
+    """Round-robin arenas into n_folds named A, B, C, ...; fewer folds
+    when there are fewer arenas, since a fold needs an arena of its own."""
+    if n_folds < 1:
+        raise ValueError(f"n_folds must be >= 1, got {n_folds}")
     arenas = sorted(set(arena_ids))
     n_folds = max(1, min(n_folds, len(arenas)))
     names = [_fold_name(i) for i in range(n_folds)]

@@ -138,13 +138,18 @@ def height_histogram(heights_m, bin_edges_m: Sequence[float]) -> np.ndarray:
     For edges (e0, ..., em) the bins are [e0, e1), ..., [e_{m-1}, em),
     [em, inf); heights below e0 (heights are nonnegative, edges
     conventionally start at 0) are clipped into the first bin so the
-    counts always sum to the sample count.
+    counts always sum to the sample count. A NaN or infinite height
+    raises ValueError naming its index.
     """
     edges = np.asarray(list(bin_edges_m), dtype=np.float64)
     if edges.size < 2:
         raise BadBins("need at least two bin edges")
     if not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0.0):
         raise BadBins("bin edges must be finite and strictly increasing")
-    z = np.maximum(np.asarray(heights_m, dtype=np.float64), edges[0])
+    z = np.asarray(heights_m, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"heights must be finite, got {z.flat[bad[0]]} at index {bad[0]}")
+    z = np.maximum(z, edges[0])
     counts, _ = np.histogram(z, bins=np.append(edges, np.inf))
     return counts

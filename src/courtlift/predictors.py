@@ -87,8 +87,8 @@ class PredictorSpec(ValueRecord):
             raise ValueError("the oracle adds no noise: it takes no sigma or target_mae")
         if self.target_mae is not None and self.sigma:
             raise ValueError("target_mae sets the noise scale: it takes no sigma")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 MEAN_ABS_NORMAL = math.sqrt(2.0 / math.pi)

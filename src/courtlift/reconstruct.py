@@ -23,7 +23,8 @@ vertical at its pixel. ``reconstruct_from_height_batch`` and
 ``reconstruct_from_diameter_batch`` then lift one set of predictions
 from those rays, so scoring many predictions of the same balls (the
 repeats of ``evaluate``, the levels of ``sweep``) computes each of these
-once. Both return a ``HeightBatch``: each row's ball and status.
+once. Both return two arrays, ``(ball_3d, status)``: each row's ball
+and status.
 
 ``reconstruct_from_height``, the one-ball form the ``reconstruct`` command
 calls, is the batch lift at n = 1: it takes the pixel as any pair (u, v),
@@ -87,22 +88,6 @@ def reconstruct_from_height(cal: CameraCalibration, ball_px_raw, h: float) -> Re
         foot_pixel=(fu.item(), fv.item()),
         vertical_angle=angle.item(),
     )
-
-
-@record
-class HeightBatch(Record):
-    """Struct of arrays, the result of either batch reconstruction:
-    ``ball_3d`` (n, 3), whose first two columns are each ball's floor
-    projection, and ``status`` (n,) int64, which ``camera.STATUS_NAMES``
-    maps to error names. A row with ``status != 0`` has a NaN ball.
-    """
-
-    ball_3d: np.ndarray
-    status: np.ndarray
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.status == _k.STATUS_OK
 
 
 def pack_calibrations(cals: Iterable[CameraCalibration]) -> np.ndarray:
@@ -183,16 +168,23 @@ def _per_ray(rays: BallRays, values) -> np.ndarray:
     return values
 
 
-def _batch(ball, status) -> HeightBatch:
+def _batch(ball, status) -> tuple[np.ndarray, np.ndarray]:
     ball = np.column_stack(ball)
     ball[status != _k.STATUS_OK] = np.nan
-    return HeightBatch(ball, status)
+    return ball, status
 
 
-def reconstruct_from_height_batch(rays: BallRays, heights: np.ndarray) -> HeightBatch:
+def reconstruct_from_height_batch(
+    rays: BallRays, heights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """reconstruct_from_height over the n rows of ``rays``, as whole-array
-    operations; ``heights[i]`` is row i's pixel height. Failures surface
-    as nonzero statuses rather than exceptions.
+    operations; ``heights[i]`` is row i's pixel height.
+
+    Returns ``(ball_3d, status)``: ``ball_3d`` (n, 3) float64, whose first
+    two columns are each ball's floor projection, and ``status`` (n,)
+    int64, 0 for OK, which ``camera.STATUS_NAMES`` maps to error names.
+    Failures surface as nonzero statuses rather than exceptions, and a
+    failed row's ball is NaN.
     """
     h = _per_ray(rays, heights)
     bz, gx, gy, _, _, _, status = _k.lift_height(rays, h)
@@ -203,14 +195,14 @@ def reconstruct_from_diameter_batch(
     rays: BallRays,
     diameters_px: np.ndarray,
     ball_diameter_m: float = BALL_DIAMETER_M,
-) -> HeightBatch:
+) -> tuple[np.ndarray, np.ndarray]:
     """Diameter baseline over the n rows of ``rays``: depth from apparent
     size, point on the pixel ray.
 
     Row i's depth along the optical axis is mean(fx, fy) * ball_diameter_m
     / diameters_px[i] by similar triangles, and the ball is placed on the
-    back-projected ray at that camera-frame depth. Failures surface as
-    nonzero statuses rather than exceptions.
+    back-projected ray at that camera-frame depth. Returns ``(ball_3d,
+    status)`` as ``reconstruct_from_height_batch`` does.
     """
     if not 0.0 < ball_diameter_m < math.inf:
         raise NonPositiveDiameter(f"ball diameter must be finite and > 0 m, got {ball_diameter_m}")

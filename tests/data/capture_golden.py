@@ -64,20 +64,20 @@ def main(path: str) -> None:
     k = len(OFFSETS_PX)
     heights = np.concatenate([h_true + off for off in OFFSETS_PX])
     h_rays = ball_rays(packed, np.tile(idx, k), np.tile(px, (k, 1)))
-    hb = reconstruct_from_height_batch(h_rays, heights)
+    h_ball, h_status = reconstruct_from_height_batch(h_rays, heights)
     h_foot, h_angle = foot_and_angle(h_rays, heights)
 
     rel = 0.3 * np.random.default_rng(SEED).standard_t(2.0, size=N)
     diameters = d_true * (1.0 + rel)
     diameters[::97] = 0.0
-    db = reconstruct_from_diameter_batch(ball_rays(packed, idx, px), diameters)
+    d_ball, d_status = reconstruct_from_diameter_batch(ball_rays(packed, idx, px), diameters)
 
     rng = np.random.default_rng(SEED)
     w_idx = rng.integers(0, ARENAS, WILD)
     w_px = np.column_stack([rng.uniform(-4500, 9000, WILD), rng.uniform(-1500, 3000, WILD)])
     w_heights = rng.uniform(-1000, 3000, WILD)
     w_rays = ball_rays(packed, w_idx, w_px)
-    wb = reconstruct_from_height_batch(w_rays, w_heights)
+    w_ball, w_status = reconstruct_from_height_batch(w_rays, w_heights)
     w_foot, w_angle = foot_and_angle(w_rays, w_heights)
 
     rng = np.random.default_rng(SEED)
@@ -100,17 +100,17 @@ def main(path: str) -> None:
         px=px,
         heights=heights,
         diameters=diameters,
-        h_status=hb.status,
-        h_ball=hb.ball_3d,
+        h_status=h_status,
+        h_ball=h_ball,
         h_foot=h_foot,
         h_angle=h_angle,
-        d_status=db.status,
-        d_ball=db.ball_3d,
+        d_status=d_status,
+        d_ball=d_ball,
         w_cal_index=w_idx,
         w_px=w_px,
         w_heights=w_heights,
-        w_status=wb.status,
-        w_ball=wb.ball_3d,
+        w_status=w_status,
+        w_ball=w_ball,
         w_foot=w_foot,
         w_angle=w_angle,
         t_cals=t_cals,

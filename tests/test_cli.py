@@ -16,6 +16,7 @@ import pytest
 import courtlift
 from courtlift import (
     Dataset,
+    generate_dataset,
     project,
     read_dataset,
     write_dataset,
@@ -863,6 +864,19 @@ def test_readme_library_examples_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_batch_example_scores_each_ok_row():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    after = readme.split("Batch reconstruction takes two steps", 1)[1]
+    block = after.split("```python\n", 1)[1].split("```", 1)[0]
+    samples = generate_dataset(seed=2, n=60, n_arenas=3)
+    namespace = {"samples": samples, "noisy": samples.h_true + 1.0}
+    exec(compile(block, "README.md", "exec"), namespace)
+    err, ok = namespace["err"], namespace["ok"]
+    assert ok.shape == (len(samples),) and ok.any()
+    assert err.shape == (int(ok.sum()),)
+    assert np.isfinite(err).all()
 
 
 # ---------------------------------------------------------------------------

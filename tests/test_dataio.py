@@ -595,6 +595,15 @@ PAST_INT64 = [-(2**63) - 1, 2**63, 2**64]
 
 
 class TestFold:
+    @pytest.mark.parametrize("n_folds", [0, -3])
+    def test_assign_folds_refuses_fewer_than_one_fold(self, n_folds):
+        with pytest.raises(ValueError, match=f"n_folds must be >= 1, got {n_folds}"):
+            assign_folds([0, 1, 2], n_folds)
+
+    def test_assign_folds_clamps_to_the_arena_count(self):
+        assert assign_folds([2, 0, 1, 2], 1) == {"A": {0, 1, 2}}
+        assert assign_folds([2, 0, 1, 2], 5) == {"A": {0}, "B": {1}, "C": {2}}
+
     def test_single_fold_gives_every_row(self):
         ds = Dataset(samples=_samples(range(4)), folds={"A": {0}})
         assert ds.fold("A").ids.tolist() == [0, 1, 2, 3]

@@ -56,11 +56,12 @@ def _lift(rays, heights):
 
 
 def _check(batch, g, prefix, rows=slice(None)):
-    """Compare a batch's statuses and balls with the golden rows ``rows``
-    of ``prefix``."""
-    np.testing.assert_array_equal(batch.status, g[f"{prefix}_status"][rows])
-    ok = batch.ok
-    np.testing.assert_array_equal(batch.ball_3d[ok], g[f"{prefix}_ball"][rows][ok])
+    """Compare a batch lift's (ball_3d, status) with the golden rows
+    ``rows`` of ``prefix``."""
+    ball_3d, status = batch
+    np.testing.assert_array_equal(status, g[f"{prefix}_status"][rows])
+    ok = status == _k.STATUS_OK
+    np.testing.assert_array_equal(ball_3d[ok], g[f"{prefix}_ball"][rows][ok])
 
 
 def _check_foot_and_angle(rays, heights, g, prefix, rows=slice(None)):
@@ -87,10 +88,12 @@ def test_wild_pixels_match_golden(golden):
     g = golden
     wild = ball_rays(g["cals"], g["w_cal_index"], g["w_px"])
     batch = reconstruct_from_height_batch(wild, g["w_heights"])
-    assert (batch.status == 2).any()  # undistortion failures are covered
+    ball_3d, status = batch
+    assert (status == 2).any()  # undistortion failures are covered
     # A ball above its camera images above the horizon, where its own
     # ray never meets the floor; only the foot's must.
-    above = batch.ball_3d[batch.ok, 2] > _k.camera_center(wild.cal[:, batch.ok])[2]
+    ok = status == _k.STATUS_OK
+    above = ball_3d[ok, 2] > _k.camera_center(wild.cal[:, ok])[2]
     assert above.sum() >= 150
     _check(batch, g, "w")
     _check_foot_and_angle(wild, g["w_heights"], g, "w")
@@ -99,7 +102,8 @@ def test_wild_pixels_match_golden(golden):
 def test_diameter_path_matches_golden(golden, rays):
     g = golden
     batch = reconstruct_from_diameter_batch(rays, g["diameters"])
-    assert (batch.status != 0).any()
+    _, status = batch
+    assert (status != 0).any()
     _check(batch, g, "d")
 
 

@@ -194,6 +194,19 @@ class TestHeightHistogram:
         with pytest.raises(BadBins):
             height_histogram([1.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "heights, shown",
+        [
+            ([1.0, math.nan], "nan at index 1"),
+            ([0.5, 2.0, math.inf, math.nan], "inf at index 2"),
+            ([-math.inf], "-inf at index 0"),
+        ],
+    )
+    def test_non_finite_heights_raise(self, heights, shown):
+        # Dropping or clipping one would break the counts' sum.
+        with pytest.raises(ValueError, match=f"heights must be finite, got {shown}"):
+            height_histogram(heights, [0, 1, 2])
+
 
 class TestSerialization:
     def test_csv_rows_cover_all_metrics(self):

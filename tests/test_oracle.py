@@ -137,11 +137,11 @@ def _heights(golden, offset):
 
 @pytest.mark.parametrize("offset", range(len(OFFSETS_PX)))
 def test_kernel_ball_matches_projective_oracle(golden, rays, offset):
-    batch, (ball, _) = _lift(rays, _heights(golden, offset))
-    ok = batch.ok
+    (ball_3d, status), (ball, _) = _lift(rays, _heights(golden, offset))
+    ok = status == 0
     assert ok.any()
     tol = NEAR_HORIZON_TOL_M if OFFSETS_PX[offset] < 0 else TOL_M
-    error = np.abs(batch.ball_3d[ok] - ball[ok]).max()
+    error = np.abs(ball_3d[ok] - ball[ok]).max()
     assert error <= tol, (OFFSETS_PX[offset], float(error))
 
 
@@ -150,10 +150,10 @@ def _behind_camera_iff_nonpositive_weight(rays, heights):
     behind the camera) exactly where the ground weight at the foot is
     <= 0; where the ball pixel's would be does not matter. Returns the
     number of status-4 rows."""
-    batch, (_, w_foot) = _lift(rays, heights)
+    (_, status), (_, w_foot) = _lift(rays, heights)
     undistorted = rays.status == 0
-    np.testing.assert_array_equal(batch.status[undistorted] == 4, w_foot[undistorted] <= 0)
-    return (batch.status == 4).sum()
+    np.testing.assert_array_equal(status[undistorted] == 4, w_foot[undistorted] <= 0)
+    return (status == 4).sum()
 
 
 def test_behind_camera_status_iff_nonpositive_ground_weight(golden, rays):
@@ -169,9 +169,9 @@ def test_wild_behind_camera_status_iff_nonpositive_ground_weight(golden, wild_ra
 def test_wild_ok_rows_match_projective_oracle(golden, wild_rays):
     # Many of these ball pixels lie above the horizon, where the ball
     # pixel's own ray never meets the ground; the lift must not need it.
-    batch, (ball, w_foot) = _lift(wild_rays, golden["w_heights"])
-    ok = batch.ok
+    (ball_3d, status), (ball, w_foot) = _lift(wild_rays, golden["w_heights"])
+    ok = status == 0
     assert ok.sum() >= 600
-    error = np.abs(batch.ball_3d - ball).max(axis=1)
+    error = np.abs(ball_3d - ball).max(axis=1)
     tol = np.where(w_foot < FAR_WEIGHT, NEAR_HORIZON_TOL_M, WILD_TOL_M)
     assert (error[ok] <= tol[ok]).all(), float(error[ok].max())

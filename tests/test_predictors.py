@@ -61,6 +61,17 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 PredictorSpec(kind="heavy_tailed", **{field: value})
 
+    @pytest.mark.parametrize("kind", ["oracle", "gaussian", "heavy_tailed"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_uint64_raises_when_built(self, kind, seed):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+            PredictorSpec(kind=kind, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_uint64_ends_is_accepted(self, seed):
+        spec = PredictorSpec(kind="gaussian", sigma=1.0, seed=seed)
+        assert predict_heights(spec, [0, 1], [10.0, 20.0]).shape == (2,)
+
     @pytest.mark.parametrize("noise", [{"sigma": 1.0}, {"target_mae": 34.0}])
     def test_oracle_takes_no_noise(self, noise):
         with pytest.raises(ValueError, match="the oracle adds no noise"):

@@ -20,7 +20,7 @@ from courtlift import (
     reconstruct_from_height,
 )
 from courtlift import _kernels as _k
-from courtlift._kernels import STATUS_NONFINITE_INPUT
+from courtlift._kernels import STATUS_NONFINITE_INPUT, STATUS_OK
 from courtlift.camera import STATUS_NAMES, scale_calibration
 from courtlift import errors
 from courtlift.reconstruct import (
@@ -84,8 +84,8 @@ def _assert_diameter_row_matches_one_ray(batch, i, cal, px, d):
     """Row i of a diameter batch equals, bit for bit, the diameter baseline
     on a length-one BallRays of its camera and pixel alone."""
     one = reconstruct_from_diameter_batch(ball_rays([cal], [0], [px]), [d])
-    for name in ("ball_3d", "status"):
-        np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name)[0])
+    for array, one_array in zip(batch, one):
+        np.testing.assert_array_equal(array[i], one_array[0])
 
 
 def _assert_row_matches_one_ball(batch, foot_angle, i, cal, px, h):
@@ -93,13 +93,14 @@ def _assert_row_matches_one_ball(batch, foot_angle, i, cal, px, h):
     ``foot_angle`` (see _height_lift), equals, bit for bit,
     reconstruct_from_height, or reconstruct_from_height raises the error
     the row's status names."""
-    if not batch.ok[i]:
-        with pytest.raises(getattr(errors, STATUS_NAMES[int(batch.status[i])])):
+    ball_3d, status = batch
+    if status[i] != STATUS_OK:
+        with pytest.raises(getattr(errors, STATUS_NAMES[int(status[i])])):
             reconstruct_from_height(cal, px, h)
         return
     rec = reconstruct_from_height(cal, px, h)
     fu, fv, angle = foot_angle
-    np.testing.assert_array_equal(batch.ball_3d[i], np.asarray(rec.ball_3d))
+    np.testing.assert_array_equal(ball_3d[i], np.asarray(rec.ball_3d))
     np.testing.assert_array_equal([fu[i], fv[i]], np.asarray(rec.foot_pixel))
     np.testing.assert_array_equal(angle[i], rec.vertical_angle)
 
@@ -108,9 +109,9 @@ def _assert_row_matches_one_ball(batch, foot_angle, i, cal, px, h):
 @given(seed=seeds, arena=arenas)
 def test_exact_inputs_round_trip(seed, arena):
     samples = _samples(seed, arena)
-    batch = _height_batch(samples, samples.h_true)
-    assert batch.ok.all()
-    assert np.linalg.norm(batch.ball_3d - samples.ball_3d, axis=1).max() < 1e-6
+    ball_3d, status = _height_batch(samples, samples.h_true)
+    assert (status == STATUS_OK).all()
+    assert np.linalg.norm(ball_3d - samples.ball_3d, axis=1).max() < 1e-6
 
 
 # A camera 22-30 m from the court centre at 1.5-8 m, looking at the
@@ -139,9 +140,9 @@ def test_placed_balls_round_trip_above_and_below_the_camera(
     feet = [project(cal, (x, y, 0.0)) for x, y, _ in truth]
     heights = [math.hypot(b[0] - f[0], b[1] - f[1]) for b, f in zip(px, feet)]
     rays = ball_rays([cal], np.zeros(N, dtype=np.int64), px)
-    batch = reconstruct_from_height_batch(rays, heights)
-    assert batch.ok.all()
-    assert np.linalg.norm(batch.ball_3d - truth, axis=1).max() < 1e-6
+    ball_3d, status = reconstruct_from_height_batch(rays, heights)
+    assert (status == STATUS_OK).all()
+    assert np.linalg.norm(ball_3d - truth, axis=1).max() < 1e-6
 
 
 @PROPERTY
@@ -162,12 +163,12 @@ def test_batch_rows_equal_single_calls(seed, arena, offset, factor):
 def test_power_of_two_scale_invariance_is_bit_exact(seed, arena, ratio):
     samples = _samples(seed, arena)
     heights = samples.h_true
-    base = _height_batch(samples, heights)
+    base_ball, base_status = _height_batch(samples, heights)
     scaled_cals = [scale_calibration(cal, ratio) for cal in samples.cameras.values()]
     rays = ball_rays(scaled_cals, samples.cal_index, samples.ball_px * ratio)
-    scaled = reconstruct_from_height_batch(rays, heights * ratio)
-    assert base.ok.all() and scaled.ok.all()
-    np.testing.assert_array_equal(scaled.ball_3d, base.ball_3d)
+    scaled_ball, scaled_status = reconstruct_from_height_batch(rays, heights * ratio)
+    assert (base_status == STATUS_OK).all() and (scaled_status == STATUS_OK).all()
+    np.testing.assert_array_equal(scaled_ball, base_ball)
 
 
 @PROPERTY
@@ -176,12 +177,13 @@ def test_ok_rows_are_finite(seed, arena, offset, factor):
     samples = _samples(seed, arena)
     h_batch, (fu, fv, angle) = _height_lift(samples, samples.h_true + offset)
     d_batch = _diameter_batch(samples, samples.d_true * factor)
-    for batch in (h_batch, d_batch):
-        ok = batch.ok
-        assert np.isfinite(batch.ball_3d[ok]).all()
-        assert np.isnan(batch.ball_3d[~ok]).all()
-    ok = h_batch.ok
+    for ball_3d, status in (h_batch, d_batch):
+        ok = status == STATUS_OK
+        assert np.isfinite(ball_3d[ok]).all()
+        assert np.isnan(ball_3d[~ok]).all()
+    _, h_status = h_batch
+    ok = h_status == STATUS_OK
     assert all(np.isfinite(values[ok]).all() for values in (fu, fv, angle))
     nonfinite = ~np.isfinite(np.array(offset))
-    assert (h_batch.status[nonfinite] == STATUS_NONFINITE_INPUT).all()
+    assert (h_status[nonfinite] == STATUS_NONFINITE_INPUT).all()
 

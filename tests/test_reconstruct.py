@@ -93,8 +93,8 @@ def _oracle(cal: CameraCalibration, ball):
 def _diameter_row(cal: CameraCalibration, px, d: float, *ball_diameter_m):
     """The diameter baseline on one ray: (ball_3d, status)."""
     rays = ball_rays([cal], [0], [px])
-    batch = reconstruct_from_diameter_batch(rays, [d], *ball_diameter_m)
-    return batch.ball_3d[0], batch.status[0]
+    ball_3d, status = reconstruct_from_diameter_batch(rays, [d], *ball_diameter_m)
+    return ball_3d[0], status[0]
 
 
 class TestVerticalDirection:
@@ -226,8 +226,8 @@ class TestReconstructFromHeight:
         h = _oracle(cal, ball)[1]
         rec = reconstruct_from_height(cal, px, h)
         np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, rtol=0, atol=1e-9)
-        batch = reconstruct_from_height_batch(ball_rays([cal], [0], [px]), [h])
-        np.testing.assert_array_equal(batch.ball_3d[0], np.asarray(rec.ball_3d))
+        ball_3d, _ = reconstruct_from_height_batch(ball_rays([cal], [0], [px]), [h])
+        np.testing.assert_array_equal(ball_3d[0], np.asarray(rec.ball_3d))
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
         cal, px, h, _ = next(sample_rows(clean_samples))
@@ -306,9 +306,9 @@ class TestReconstructFromDiameter:
     def test_exact_diameter_recovers_ball(self, request, samples, tolerance_m):
         s = request.getfixturevalue(samples)
         rays = ball_rays(s.cameras.values(), s.cal_index, s.ball_px)
-        batch = reconstruct_from_diameter_batch(rays, s.d_true)
-        assert batch.ok.all()
-        assert np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1).max() < tolerance_m
+        ball_3d, status = reconstruct_from_diameter_batch(rays, s.d_true)
+        assert (status == STATUS_OK).all()
+        assert np.linalg.norm(ball_3d - s.ball_3d, axis=1).max() < tolerance_m
 
     @pytest.mark.parametrize("diameter", [0.0, -3.0])
     def test_non_positive_diameter_fails_the_row(self, identity_cal, diameter):
@@ -331,11 +331,11 @@ class TestReconstructFromDiameter:
         tolerance_m = 1e-9
         s = distorted_samples
         rays = ball_rays(s.cameras.values(), s.cal_index, s.ball_px)
-        batch = reconstruct_from_diameter_batch(rays, s.d_true * (1.0 + eps))
-        assert batch.ok.all()
+        ball_3d, status = reconstruct_from_diameter_batch(rays, s.d_true * (1.0 + eps))
+        assert (status == STATUS_OK).all()
         centre = np.column_stack(_k.camera_center(rays.cal))
         expected = np.linalg.norm(s.ball_3d - centre, axis=1) * abs(eps) / (1.0 + eps)
-        error = np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1)
+        error = np.linalg.norm(ball_3d - s.ball_3d, axis=1)
         np.testing.assert_allclose(error, expected, rtol=0, atol=tolerance_m)
 
 
@@ -344,21 +344,22 @@ class TestBatchPaths:
         subset = distorted_samples[:200]
         cals = pack_calibrations([subset.cameras[a] for a in subset.arena.tolist()])
         idx = np.arange(len(subset), dtype=np.int64)
-        batch = reconstruct_from_height_batch(ball_rays(cals, idx, subset.ball_px), subset.h_true)
-        assert batch.ok.all()
+        rays = ball_rays(cals, idx, subset.ball_px)
+        ball_3d, status = reconstruct_from_height_batch(rays, subset.h_true)
+        assert (status == STATUS_OK).all()
         for i, (cal, px, h, _) in enumerate(sample_rows(subset)):
             rec = reconstruct_from_height(cal, px, h)
-            np.testing.assert_array_equal(batch.ball_3d[i], np.asarray(rec.ball_3d))
+            np.testing.assert_array_equal(ball_3d[i], np.asarray(rec.ball_3d))
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
         subset = distorted_samples[:50]
         rays = ball_rays(subset.cameras.values(), subset.cal_index, subset.ball_px)
         before = [a.copy() for a in (rays.cal, rays.u, rays.v, rays.status)]
-        first = reconstruct_from_height_batch(rays, subset.h_true)
+        first, _ = reconstruct_from_height_batch(rays, subset.h_true)
         reconstruct_from_diameter_batch(rays, subset.d_true)
         reconstruct_from_height_batch(rays, subset.h_true - 400.0)
-        again = reconstruct_from_height_batch(rays, subset.h_true)
-        np.testing.assert_array_equal(again.ball_3d, first.ball_3d)
+        again, _ = reconstruct_from_height_batch(rays, subset.h_true)
+        np.testing.assert_array_equal(again, first)
         for array, copy in zip((rays.cal, rays.u, rays.v, rays.status), before):
             np.testing.assert_array_equal(array, copy)
             assert not array.flags.writeable
@@ -395,14 +396,16 @@ class TestWorldScale:
     def test_power_of_two_world_scale_scales_each_ball_bit_for_bit(self, scale):
         # The failed rows must fail alike.
         base = _symmetry_lifts(SEED_1.cameras.values())
-        assert [int((~batch.ok).sum()) for batch in base] == [0, 0, 0, 944, 0, 104]
+        assert [int((status != STATUS_OK).sum()) for _, status in base] == [0, 0, 0, 944, 0, 104]
         cameras = [
             dataclasses.replace(cal, translation=cal.translation * scale)
             for cal in SEED_1.cameras.values()
         ]
-        for before, after in zip(base, _symmetry_lifts(cameras, BALL_DIAMETER_M * scale)):
-            np.testing.assert_array_equal(after.status, before.status)
-            assert after.ball_3d.tobytes() == (before.ball_3d * scale).tobytes()
+        for (ball_before, status_before), (ball_after, status_after) in zip(
+            base, _symmetry_lifts(cameras, BALL_DIAMETER_M * scale)
+        ):
+            np.testing.assert_array_equal(status_after, status_before)
+            assert ball_after.tobytes() == (ball_before * scale).tobytes()
 
 
 class TestGroundPlaneMotion:
@@ -425,12 +428,14 @@ class TestGroundPlaneMotion:
             translation = cal.translation - rotation @ t
             cameras.append(dataclasses.replace(cal, rotation=rotation, translation=translation))
         base = _symmetry_lifts(SEED_1.cameras.values())
-        for before, after in zip(base, _symmetry_lifts(cameras)):
-            np.testing.assert_array_equal(after.status, before.status)
+        for (ball_before, status_before), (ball_after, status_after) in zip(
+            base, _symmetry_lifts(cameras)
+        ):
+            np.testing.assert_array_equal(status_after, status_before)
             # 1e-10 m, plus a few ulps of the position: at -400 px one row
             # lands 1.3e6 m away, where one ulp is 2.3e-10 m.
-            moved = before.ball_3d @ q.T + t
-            np.testing.assert_allclose(after.ball_3d, moved, rtol=1e-15, atol=1e-10)
+            moved = ball_before @ q.T + t
+            np.testing.assert_allclose(ball_after, moved, rtol=1e-15, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed, n", [(1, 5000), (17, 2000)])
@@ -439,12 +444,12 @@ def test_exact_inputs_round_trip_to_a_nanometre(seed, n):
     # 12 distorting arenas, at their true heights and diameters.
     s = SEED_1 if seed == 1 else synth.generate_dataset(seed=seed, n=n, n_arenas=12)
     rays = ball_rays(s.cameras.values(), s.cal_index, s.ball_px)
-    for batch in (
+    for ball_3d, status in (
         reconstruct_from_height_batch(rays, s.h_true),
         reconstruct_from_diameter_batch(rays, s.d_true),
     ):
-        assert batch.ok.all()
-        assert np.linalg.norm(batch.ball_3d - s.ball_3d, axis=1).max() < 1e-9
+        assert (status == STATUS_OK).all()
+        assert np.linalg.norm(ball_3d - s.ball_3d, axis=1).max() < 1e-9
 
 
 @pytest.mark.parametrize("px", [(1800.0,), (1800.0, 1000.0, 1.0)])
@@ -469,14 +474,14 @@ class TestNonFiniteInput:
         pixels = [px, px, [float("nan"), px[1]]]
         values = [50.0, float("inf"), 50.0]
         rays = ball_rays([side_cal], [0, 0, 0], pixels)
-        for batch in (
+        for ball_3d, status in (
             reconstruct_from_height_batch(rays, values),
             reconstruct_from_diameter_batch(rays, values),
         ):
             expected = [STATUS_OK, STATUS_NONFINITE_INPUT, STATUS_NONFINITE_INPUT]
-            np.testing.assert_array_equal(batch.status, expected)
-            assert np.isfinite(batch.ball_3d[0]).all()
-            assert np.isnan(batch.ball_3d[1:]).all()
+            np.testing.assert_array_equal(status, expected)
+            assert np.isfinite(ball_3d[0]).all()
+            assert np.isnan(ball_3d[1:]).all()
 
 
 class TestStatusPrecedence:
@@ -511,9 +516,9 @@ class TestStatusPrecedence:
         values = [value for _, value, _, _ in self.ROWS]
         rays = ball_rays([strong_barrel], [0] * len(self.ROWS), pixels)
         if method == "height":
-            batch = reconstruct_from_height_batch(rays, values)
+            _, status = reconstruct_from_height_batch(rays, values)
             expected = [row[2] for row in self.ROWS]
         else:
-            batch = reconstruct_from_diameter_batch(rays, values)
+            _, status = reconstruct_from_diameter_batch(rays, values)
             expected = [row[3] for row in self.ROWS]
-        np.testing.assert_array_equal(batch.status, expected)
+        np.testing.assert_array_equal(status, expected)

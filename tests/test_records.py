@@ -1,4 +1,4 @@
-"""The record contract of courtlift's 11 frozen dataclass types.
+"""The record contract of courtlift's 10 frozen dataclass types.
 
 Each record keeps what callers rely on: frozen fields, ``fields()`` order,
 ``replace()`` with validation, positional and keyword construction with
@@ -25,7 +25,6 @@ from courtlift import (
     CameraCalibration,
     Dataset,
     EvalReport,
-    HeightBatch,
     HeightDistSpec,
     PredictorSpec,
     Reconstruction,
@@ -91,11 +90,6 @@ RECORDS = {
         [("ball_3d", EMPTY), ("foot_pixel", EMPTY), ("vertical_angle", EMPTY)],
         lambda: {"ball_3d": (1.0, 2.0, 3.0), "foot_pixel": (10.0, 20.0), "vertical_angle": 0.25},
     ),
-    HeightBatch: (
-        ("ball_3d", "status"),
-        [("ball_3d", EMPTY), ("status", EMPTY)],
-        lambda: {"ball_3d": np.ones((1, 3)), "status": np.zeros(1, dtype=np.int64)},
-    ),
     BallRays: (
         ("cal", "u", "v", "status", "terms"),
         [("cal", EMPTY), ("u", EMPTY), ("v", EMPTY), ("status", EMPTY)],
@@ -128,7 +122,7 @@ RECORDS = {
             "ids", "arena", "cameras", "ball_3d", "ball_px", "foot_px", "h_true", "d_true")},
     ),
 }
-IDENTITY = {CameraCalibration, HeightBatch, BallRays, Samples}
+IDENTITY = {CameraCalibration, BallRays, Samples}
 # Fields derived in __post_init__: left out of the signature and the repr.
 DERIVED = {"_packed", "cal_index", "terms"}
 # A field change per record that its validation rejects, and the error.
@@ -172,7 +166,7 @@ def same_fields(a, b) -> bool:
 
 
 def test_the_table_covers_every_record_type():
-    assert len(RECORDS) == 11
+    assert len(RECORDS) == 10
     assert {cls.__name__ for cls in RECORDS} <= set(courtlift.__all__)
     assert all(dataclasses.is_dataclass(cls) for cls in RECORDS)
 
@@ -180,14 +174,14 @@ def test_the_table_covers_every_record_type():
 def test_public_api_names():
     assert courtlift.__all__ == [
         "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "CameraCalibration",
-        "Dataset", "EvalReport", "HeightBatch", "HeightDistSpec", "METRIC_NAMES",
-        "PredictorSpec", "Reconstruction", "Samples", "aggregate_repeats", "assign_folds",
-        "ball_rays", "errors", "evaluate_arrays", "generate_dataset", "height_histogram",
+        "Dataset", "EvalReport", "HeightDistSpec", "METRIC_NAMES", "PredictorSpec",
+        "Reconstruction", "Samples", "aggregate_repeats", "assign_folds", "ball_rays",
+        "errors", "evaluate_arrays", "generate_dataset", "height_histogram",
         "predict_diameters", "predict_heights", "project", "read_dataset",
         "reconstruct_from_diameter_batch", "reconstruct_from_height",
         "reconstruct_from_height_batch", "validate", "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 29
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 28
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 
