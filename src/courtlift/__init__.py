@@ -61,3 +61,14 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _main() -> None:
+    """The `courtlift` script: `cli.entrypoint`, its imports made with the
+    cyclic collector off, as ``python -m courtlift.cli`` makes them."""
+    import gc
+
+    gc.disable()
+    from .cli import entrypoint
+
+    entrypoint()

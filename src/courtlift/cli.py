@@ -15,20 +15,27 @@ subparser's arguments: `synth` imports the sampler (`synth`, `rng`),
 `evaluate` the predictors (`predictors`, `rng`, `_libm`), and `sweep`
 and `reconstruct` neither.
 
-`entrypoint`, which the `courtlift` script and `python -m courtlift.cli`
-run, freezes the heap the imports built (`gc.freeze`) before `main`, so
-the collector neither rescans it during the command nor tears it down
-at exit. `main` leaves the collector alone: tests and library callers
+Both launch paths, the `courtlift` script (`courtlift._main`) and
+`python -m courtlift.cli`, switch the cyclic garbage collector off
+before they import numpy. `entrypoint`, which both then run, freezes the
+heap the imports built (`gc.freeze`) and switches the collector back on
+before `main`. So no collection scans that heap, neither during the
+imports, nor during the command, nor at exit. Importing this module and
+calling `main` leave the collector alone: tests and library callers
 keep a normal one. When the reader closes stdout before the command has
 printed, `entrypoint` ends with status 1 and prints nothing.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # run as a program: import with the collector off
+    gc.disable()
+
 import argparse
 import csv
 import dataclasses
-import gc
 import json
 import math
 import os
@@ -274,8 +281,6 @@ def cmd_evaluate(args, parser) -> int:
 
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        parser.error(f"--seed must be in [0, 2**64 - 1], got {args.seed}")
     if not 0.0 < args.ball_diameter < math.inf:
         parser.error(f"--ball-diameter must be finite and > 0 m, got {args.ball_diameter}")
     if args.nu is not None and args.predictor != "heavy_tailed":
@@ -475,6 +480,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     gc.freeze()
+    gc.enable()
     try:
         try:
             status = main()

@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -223,6 +224,15 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
             "synth --n 5 --arenas 1 --out {out} --seed 18446744073709551616",
             "--seed must be in [0, 2**64 - 1], got 18446744073709551616",
         ),
+        # PredictorSpec owns evaluate's seed; synth's has no spec to check it.
+        (
+            "evaluate --dataset {dataset} --out {out} --seed -1",
+            "seed must lie in [0, 2**64), got -1",
+        ),
+        (
+            "evaluate --dataset {dataset} --out {out} --seed 18446744073709551616",
+            "seed must lie in [0, 2**64), got 18446744073709551616",
+        ),
         (
             "synth --n 5 --arenas 1 --out {out} --p-above-3m 2",
             "p_above_3m must be in [0, 1], got 2.0",
@@ -249,6 +259,7 @@ def test_usage_error_prints_the_commands_own_usage(argv, message, dataset_file, 
     err = capsys.readouterr().err
     assert err.startswith(f"usage: courtlift {command} [-h] ")
     assert f"\ncourtlift {command}: error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -880,8 +891,9 @@ def test_readme_batch_example_scores_each_ok_row():
 
 
 # ---------------------------------------------------------------------------
-# The entry point: the `courtlift` script and `python -m courtlift.cli` run
-# cli.entrypoint, which freezes the import-time heap before calling main.
+# The entry point: the `courtlift` script and `python -m courtlift.cli`
+# import with the collector off and run cli.entrypoint, which freezes the
+# import-time heap and switches the collector back on before calling main.
 
 
 @pytest.mark.parametrize(
@@ -999,6 +1011,57 @@ def test_only_the_entrypoint_freezes_the_heap(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0] == "0 True"
     assert lines[-1] == "0 True True"
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+def test_a_program_imports_with_the_collector_off(launcher, tmp_path, capsys, monkeypatch):
+    # Run as a program, through `python -m courtlift.cli` or the target
+    # pyproject.toml names for the `courtlift` script, a command imports
+    # numpy and its own modules with the collector off: no collection
+    # starts from numpy's import to the freeze. Then the collector is
+    # back on, and the command prints and writes what main does.
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    module, func = re.search(r'^courtlift = "(.+):(.+)"$', pyproject, re.M).groups()
+    launch = {
+        "module": "import runpy; runpy.run_module("
+        "'courtlift.cli', run_name='__main__', alter_sys=True)",
+        "script": f"from {module} import {func}; {func}()",
+    }[launcher]
+    argv = ["synth", "--n", "20", "--arenas", "2", "--seed", "3", "--out", "d.dat"]
+    seen = tmp_path / "seen.json"
+    code = (
+        "import gc, json, sys\n"
+        "starts = []\n"
+        "def count(phase, info):\n"
+        "    if phase == 'start' and 'numpy' in sys.modules and not gc.get_freeze_count():\n"
+        "        starts.append(info['generation'])\n"
+        "gc.callbacks.append(count)\n"
+        f"sys.argv = ['courtlift', *{argv!r}]\n"
+        "try:\n"
+        f"    {launch}\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        f"with open({str(seen)!r}, 'w') as f:\n"
+        "    json.dump([status, starts, gc.isenabled()], f)\n"
+    )
+    (tmp_path / "program").mkdir()
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path / "program",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    (tmp_path / "main").mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    status = main(argv)
+    status_seen, starts, enabled = json.loads(seen.read_text())
+    assert starts == []
+    assert status_seen == status == 0
+    assert (result.stdout, result.stderr) == capsys.readouterr()
+    assert (tmp_path / "program/d.dat").read_bytes() == (tmp_path / "main/d.dat").read_bytes()
+    assert enabled
 
 
 def test_outputs_do_not_depend_on_numpys_simd_dispatch(tmp_path):

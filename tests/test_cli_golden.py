@@ -38,8 +38,9 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
 
 
 def test_entrypoint_replays_the_golden_pipeline(tmp_path, capsys, monkeypatch):
-    # `python -m courtlift.cli` runs cli.entrypoint, which freezes the
-    # import-time heap before calling main. synth, evaluate on both
+    # `python -m courtlift.cli` imports with the collector off and runs
+    # cli.entrypoint, which freezes the import-time heap and switches the
+    # collector back on before calling main. synth, evaluate on both
     # methods and sweep, the first four commands, must still write the
     # golden bytes and print what main prints in-process.
     src = str(Path(courtlift.__file__).resolve().parents[1])
