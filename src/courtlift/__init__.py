@@ -16,17 +16,14 @@ __version__ = "0.1.0"
 
 # Each public name, and the module that defines it.
 _HOMES = {
-    "AggregateReport": "metrics",
     "ArenaSpec": "synth",
     "BALL_DIAMETER_M": "reconstruct",
     "BallRays": "reconstruct",
     "CameraCalibration": "camera",
     "Dataset": "dataio",
-    "EvalReport": "metrics",
     "HeightDistSpec": "synth",
     "METRIC_NAMES": "metrics",
     "PredictorSpec": "predictors",
-    "Reconstruction": "reconstruct",
     "Samples": "dataio",
     "aggregate_repeats": "metrics",
     "assign_folds": "dataio",

@@ -46,13 +46,7 @@ from ._kernels import STATUS_OK
 from .dataio import RECORD_DTYPE, Dataset, Samples, assign_folds, read_dataset, write_dataset
 from .dataio import load_arena_spec, load_calibration, read_json
 from .errors import CourtliftError, EmptyInput, InvalidCalibration, NonFiniteReport
-from .metrics import (
-    EvalReport,
-    METRIC_NAMES,
-    aggregate_repeats,
-    evaluate_arrays,
-    height_histogram,
-)
+from .metrics import METRIC_NAMES, aggregate_repeats, evaluate_arrays, height_histogram
 from .reconstruct import (
     BALL_DIAMETER_M,
     ball_rays,
@@ -136,7 +130,7 @@ def _run_passes(samples: Samples, method, passes, ball_diameter_m):
     """Lift each pass's predictions along the samples' ball rays (pixel
     heights, or image diameters of a ball of `ball_diameter_m`, as `method`
     says) and score the rows that succeed. A pass is a (label, predictions)
-    pair. Return each pass's report and count of failed rows; raise
+    pair. Return each pass's `evaluate_arrays` dict and count of failed rows; raise
     EmptyInput naming the label of a pass whose every row fails."""
     if method not in ("height", "diameter"):
         raise ValueError(f"unknown method {method!r}")
@@ -166,7 +160,7 @@ def run_evaluation(
     method: str = "height",
     repeats: int = 1,
     ball_diameter_m: float = BALL_DIAMETER_M,
-) -> tuple[list[EvalReport], list[int]]:
+) -> tuple[list[dict], list[int]]:
     """k repeats of predict -> reconstruct -> evaluate, 8 predicted at a time;
     repeat r perturbs the truth by noise r of each sample's stream (spec.seed, id)."""
     predict = predict_heights if method == "height" else predict_diameters
@@ -180,16 +174,16 @@ def run_evaluation(
     return _run_passes(samples, method, passes, ball_diameter_m)
 
 
-def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[EvalReport], list[int]]:
+def run_sweep(samples: Samples, grid: Sequence[float]) -> tuple[list[dict], list[int]]:
     """One height-method pass per level of `grid`, the level (px) added
     to every true pixel height as the prediction."""
     passes = ((f"level {level:g} px", samples.h_true + float(level)) for level in grid)
     return _run_passes(samples, "height", passes, None)
 
 
-def _report_row(report: EvalReport, n_failed: int) -> dict:
+def _report_row(report: dict, n_failed: int) -> dict:
     """A pass's row in a report: its metrics, sample count and failures."""
-    return {**dataclasses.asdict(report), "n_failed": n_failed}
+    return {**report, "n_failed": n_failed}
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +193,9 @@ def _report_row(report: EvalReport, n_failed: int) -> dict:
 def _load_samples(args) -> Samples:
     ds = read_dataset(args.dataset)
     fold = getattr(args, "fold", None)
-    samples = ds.fold(fold) if fold else ds.samples
+    samples = ds.samples if fold is None else ds.fold(fold)
     if not samples:
-        where = f"fold {fold!r} of {args.dataset}" if fold else args.dataset
+        where = args.dataset if fold is None else f"fold {fold!r} of {args.dataset}"
         raise EmptyInput(f"no samples in {where}")
     return samples
 
@@ -315,15 +309,19 @@ def cmd_evaluate(args, parser) -> int:
             "noise_stream": NOISE_STREAM,
             "repeats": args.repeats,
         },
-        "aggregate": dataclasses.asdict(agg),
+        "aggregate": agg,
         "repeats": [_report_row(r, nf) for r, nf in zip(reports, failed)],
     }
-    lines = []
+    csv_rows, lines = [["metric", "mean", "std"]], []
     for name in METRIC_NAMES:
-        m = agg.mean[name]
-        s = agg.std[name]
-        lines.append(f"{name}: n/a" if m is None else f"{name}: {m:.6g} +/- {s:.6g}")
-    _write_report(args.out, payload, [["metric", "mean", "std"], *agg.to_csv_rows()], lines)
+        m, s = agg["mean"][name], agg["std"][name]
+        if m is None:
+            csv_rows.append([name, "", ""])
+            lines.append(f"{name}: n/a")
+        else:
+            csv_rows.append([name, repr(m), repr(s)])
+            lines.append(f"{name}: {m:.6g} +/- {s:.6g}")
+    _write_report(args.out, payload, csv_rows, lines)
     return 0
 
 
@@ -332,8 +330,14 @@ def cmd_reconstruct(args, parser) -> int:
         cal = load_calibration("calibration", read_json(args.cal))
     except ValueError as exc:  # a JSON syntax error or a NaN or Infinity token included
         raise InvalidCalibration(f"{args.cal}: {exc}") from exc
-    result = reconstruct_from_height(cal, (args.x, args.y), args.height)
-    print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    (x, y, z), (fu, fv), angle = reconstruct_from_height(cal, (args.x, args.y), args.height)
+    result = {
+        "ball_3d": [x, y, z],
+        "ground_projection": [x, y, 0.0],
+        "foot_pixel": [fu, fv],
+        "vertical_angle": angle,
+    }
+    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 

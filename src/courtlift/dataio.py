@@ -93,8 +93,8 @@ class Samples(Record):
 
     Each row's own rules are checked in this order, the first row i
     that breaks one raising MalformedRecord(i): every float is finite
-    (naming row i's first non-finite field), every id lies in [0, 2**63)
-    (ids are stored as int64) and every arena has a camera.
+    (naming row i's first non-finite field), every id is a whole number
+    in [0, 2**63) (ids are stored as int64) and every arena has a camera.
     """
 
     ids: np.ndarray  # (n,) int64
@@ -119,12 +119,19 @@ class Samples(Record):
             i, name = min(faults, key=lambda fault: fault[0])
             raise MalformedRecord(i, f"{name} is not a finite number")
         # An id keys a sample's predictor streams and is packed as int64;
-        # the cast wraps a uint64 id of 2**63 or more to a negative one.
-        ids = self.ids.astype(np.int64, copy=False)
+        # the cast wraps a uint64 id of 2**63 or more to a negative one,
+        # and would truncate a float id of 0.5 or wrap NaN, so a float id
+        # that is not a whole number in range is cast from -1 instead.
+        ids = self.ids
+        if ids.dtype.kind == "f":
+            ids = np.where((np.floor(ids) == ids) & (ids >= 0.0) & (ids < 2.0**63), ids, -1.0)
+        ids = ids.astype(np.int64, copy=False)
         negative = ids < 0
         if negative.any():
             i = int(np.argmax(negative))
-            raise MalformedRecord(i, f"id {self.ids[i]} is outside [0, 2**63)")
+            x = self.ids[i]
+            fault = "is outside [0, 2**63)" if np.floor(x) == x else "is not a whole number"
+            raise MalformedRecord(i, f"id {x} {fault}")
         cameras = dict(self.cameras)
         # Binary search of the camera keys; a key past int64 names no row.
         # An arena past the last key has slot len(keys), read as the pad 0.

@@ -12,49 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._record import ValueRecord, record
 from .errors import BadBins, EmptyInput, LengthMismatch
 
 METRIC_NAMES = ("mae_px", "mape_m", "mdnape_m", "ma3de_m", "mdna3de_m")
-
-
-@record
-class EvalReport(ValueRecord):
-    """Metrics over one evaluation run.
-
-    ``mae_px`` is None when no height predictions exist (the diameter
-    baseline).
-    """
-
-    mae_px: float | None
-    mape_m: float
-    mdnape_m: float
-    ma3de_m: float
-    mdna3de_m: float
-    n_samples: int
-
-
-@record
-class AggregateReport(ValueRecord):
-    """Per-metric mean and std over k repeated evaluations."""
-
-    k: int
-    mean: dict[str, float | None]
-    std: dict[str, float | None]
-
-    def to_csv_rows(self) -> list[tuple[str, str, str]]:
-        rows = []
-        for name in METRIC_NAMES:
-            m = self.mean.get(name)
-            s = self.std.get(name)
-            rows.append(
-                (
-                    name,
-                    "" if m is None else repr(float(m)),
-                    "" if s is None else repr(float(s)),
-                )
-            )
-        return rows
 
 
 def evaluate_arrays(
@@ -62,12 +22,14 @@ def evaluate_arrays(
     h_true: np.ndarray | None,
     h_pred: np.ndarray | None,
     ball_xyz: np.ndarray,
-) -> EvalReport:
-    """Metrics from plain arrays.
+) -> dict:
+    """Metrics from plain arrays: a dict of the five ``METRIC_NAMES`` and
+    ``n_samples``, the sample count.
 
     truth_xyz: (n, 3) ground-truth ball positions; ball_xyz: (n, 3)
     reconstructed positions, whose x and y are the predicted floor
-    projections. h_true/h_pred may be None together (no height metric).
+    projections. h_true/h_pred may be None together (no height metric):
+    ``mae_px`` is then None, as for the diameter baseline.
     """
     truth = np.asarray(truth_xyz, dtype=np.float64)
     ball = np.asarray(ball_xyz, dtype=np.float64)
@@ -90,14 +52,14 @@ def evaluate_arrays(
         proj_err = np.hypot(dx, dy)
         # The sum np.linalg.norm(axis=1) takes, in its order, without its overhead.
         err3d = np.sqrt((dx * dx + dy * dy) + dz * dz)
-        return EvalReport(
-            mae_px=mae,
-            mape_m=float(np.mean(proj_err)),
-            mdnape_m=_median(proj_err),
-            ma3de_m=float(np.mean(err3d)),
-            mdna3de_m=_median(err3d),
-            n_samples=int(n),
-        )
+        return {
+            "mae_px": mae,
+            "mape_m": float(np.mean(proj_err)),
+            "mdnape_m": _median(proj_err),
+            "ma3de_m": float(np.mean(err3d)),
+            "mdna3de_m": _median(err3d),
+            "n_samples": int(n),
+        }
 
 
 def _median(x: np.ndarray) -> float:
@@ -111,15 +73,18 @@ def _median(x: np.ndarray) -> float:
     return float("nan") if np.isnan(part[-1]) else float(np.mean(part[middle]))
 
 
-def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:
-    """Per-metric sample mean and std (ddof 1; std 0 when k = 1)."""
+def aggregate_repeats(reports: Sequence[dict]) -> dict:
+    """Per-metric sample mean and std (ddof 1; std 0 when k = 1) of
+    ``evaluate_arrays`` dicts, as ``{"k", "mean", "std"}``: the count k
+    and a dict of each ``METRIC_NAMES`` value per statistic, None where a
+    report has none."""
     k = len(reports)
     if k == 0:
         raise EmptyInput("aggregate_repeats needs at least one report")
     mean: dict[str, float | None] = {}
     std: dict[str, float | None] = {}
     for name in METRIC_NAMES:
-        values = [getattr(r, name) for r in reports]
+        values = [r[name] for r in reports]
         if any(v is None for v in values):
             mean[name] = None
             std[name] = None
@@ -129,7 +94,7 @@ def aggregate_repeats(reports: Sequence[EvalReport]) -> AggregateReport:
         with np.errstate(over="ignore", invalid="ignore"):
             mean[name] = float(arr.mean())
             std[name] = 0.0 if k == 1 else float(arr.std(ddof=1))
-    return AggregateReport(k=k, mean=mean, std=std)
+    return {"k": k, "mean": mean, "std": std}
 
 
 def height_histogram(heights_m, bin_edges_m: Sequence[float]) -> np.ndarray:

@@ -164,9 +164,17 @@ def _noise(spec: PredictorSpec, ids: np.ndarray, purpose: int, repeats: range) -
 
 def _arrays(sample_ids, truth) -> tuple[np.ndarray, np.ndarray]:
     """Sample ids and true values as flat arrays, one value per id."""
-    unsigned = isinstance(sample_ids, (np.ndarray, np.generic)) and sample_ids.dtype.kind == "u"
+    ids = np.asarray(sample_ids).reshape(-1)
+    # A cast would truncate an id of 1.5 to 1, and wrap NaN or 1e30 with a warning.
+    if ids.dtype.kind == "f":
+        fraction = np.floor(ids) != ids  # NaN included
+        if fraction.any():
+            raise ValueError(f"sample ids must be whole numbers, got {ids[np.argmax(fraction)]}")
+        if ((ids < 0.0) | (ids >= 2.0**63)).any():
+            raise ValueError("sample ids must lie in [0, 2**63)")
+    unsigned = ids.dtype.kind == "u"
     try:
-        ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+        ids = ids.astype(np.int64, copy=False)
     except OverflowError:
         ids = None
     # A cast from an unsigned array wraps ids of 2**63 or more to negatives.

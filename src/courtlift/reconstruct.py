@@ -28,8 +28,8 @@ and status.
 
 ``reconstruct_from_height``, the one-ball form the ``reconstruct`` command
 calls, is the batch lift at n = 1: it takes the pixel as any pair (u, v),
-reports the ball, foot pixel and vertical angle as Python floats and
-raises a failed row's typed error. A known ball's pixel height and image
+returns the ball, foot pixel and vertical angle as a tuple of Python
+floats and raises a failed row's typed error. A known ball's pixel height and image
 diameter are the ``Samples`` columns ``h_true`` and ``d_true``; the lift
 itself is ``_kernels.lift_height``.
 """
@@ -43,51 +43,29 @@ from dataclasses import field
 import numpy as np
 
 from . import _kernels as _k
-from ._record import Record, ValueRecord, record
+from ._record import Record, record
 from .camera import CameraCalibration, raise_for_status
 from .errors import NonPositiveDiameter
 
 BALL_DIAMETER_M = 0.24
 
 
-@record
-class Reconstruction(ValueRecord):
-    """One ball lifted from its pixel and predicted height to the court.
-
-    ``ball_3d`` is the ball (x, y, z) in meters; ``to_json_dict`` writes
-    its floor projection, (x, y, 0), as ``ground_projection``.
-    ``foot_pixel`` is the foot (u, v) in undistorted image coordinates and
-    ``vertical_angle`` is the local vertical's angle there, in radians.
-    """
-
-    ball_3d: tuple[float, float, float]
-    foot_pixel: tuple[float, float]
-    vertical_angle: float
-
-    def to_json_dict(self) -> dict:
-        x, y, z = self.ball_3d
-        return {
-            "ball_3d": [x, y, z],
-            "ground_projection": [x, y, 0.0],
-            "foot_pixel": list(self.foot_pixel),
-            "vertical_angle": self.vertical_angle,
-        }
-
-
-def reconstruct_from_height(cal: CameraCalibration, ball_px_raw, h: float) -> Reconstruction:
+def reconstruct_from_height(
+    cal: CameraCalibration, ball_px_raw, h: float
+) -> tuple[tuple[float, float, float], tuple[float, float], float]:
     """Reconstruct the 3D ball from a raw (distorted) pixel (u, v) and a
     height.
 
-    Negative heights are legal predictor outputs and propagate through.
+    Returns ``(ball_3d, foot_pixel, vertical_angle)`` as Python floats:
+    the ball (x, y, z) in meters, whose floor projection is (x, y, 0);
+    the foot (u, v) in undistorted image coordinates; and the local
+    vertical's angle there, in radians. Negative heights are legal
+    predictor outputs and propagate through.
     """
     rays = ball_rays([cal], [0], [ball_px_raw])
     bz, gx, gy, fu, fv, angle, status = _k.lift_height(rays, _per_ray(rays, [h]))
     raise_for_status(status[0], "height reconstruction failed")
-    return Reconstruction(
-        ball_3d=(gx.item(), gy.item(), bz.item()),
-        foot_pixel=(fu.item(), fv.item()),
-        vertical_angle=angle.item(),
-    )
+    return (gx.item(), gy.item(), bz.item()), (fu.item(), fv.item()), angle.item()
 
 
 def pack_calibrations(cals: Iterable[CameraCalibration]) -> np.ndarray:

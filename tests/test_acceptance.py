@@ -72,16 +72,16 @@ def test_criterion_1_master_round_trip(big_clean_set):
     [report_d], [n_failed_d] = run_evaluation(distorted, ORACLE)
     ok = (
         n_failed == 0
-        and report.ma3de_m < 1e-6
-        and report.mape_m < 1e-6
+        and report["ma3de_m"] < 1e-6
+        and report["mape_m"] < 1e-6
         and elapsed < 5.0
         and n_failed_d == 0
-        and report_d.ma3de_m < 1e-11
+        and report_d["ma3de_m"] < 1e-11
     )
     _criterion(
         1,
-        f"master round trip: MA3DE {report.ma3de_m:.2e} m, MAPE {report.mape_m:.2e} m "
-        f"in {elapsed:.3f} s; distorted MA3DE {report_d.ma3de_m:.2e} m",
+        f"master round trip: MA3DE {report['ma3de_m']:.2e} m, MAPE {report['mape_m']:.2e} m "
+        f"in {elapsed:.3f} s; distorted MA3DE {report_d['ma3de_m']:.2e} m",
         ok,
     )
 
@@ -89,12 +89,13 @@ def test_criterion_1_master_round_trip(big_clean_set):
 def test_criterion_2_scale_invariance(big_clean_set):
     worst = 0.0
     for cal, px, h, _ in sample_rows(big_clean_set[:1000]):
-        base = np.asarray(reconstruct_from_height(cal, px, h).ball_3d)
+        base_3d, _, _ = reconstruct_from_height(cal, px, h)
+        base = np.asarray(base_3d)
         for ratio in (1.0, 0.5, 0.25, 0.125):
             scaled_cal = scale_calibration(cal, ratio)
             scaled_px = (px[0] * ratio, px[1] * ratio)
-            rec = reconstruct_from_height(scaled_cal, scaled_px, h * ratio)
-            worst = max(worst, float(np.linalg.norm(np.asarray(rec.ball_3d) - base)))
+            ball_3d, _, _ = reconstruct_from_height(scaled_cal, scaled_px, h * ratio)
+            worst = max(worst, float(np.linalg.norm(np.asarray(ball_3d) - base)))
     ok = worst < 1e-9
     _criterion(2, f"scale invariance: worst deviation {worst:.2e} m over 1000 samples", ok)
 
@@ -103,7 +104,7 @@ def test_criterion_3_noise_monotonicity(sweep_set):
     levels = [0.0, 5.0, 10.0, 20.0, 40.0]
     reports, failed = run_sweep(sweep_set, levels)
     assert failed == [0] * len(levels)
-    mapes = [report.mape_m for report in reports]
+    mapes = [report["mape_m"] for report in reports]
     steps = np.diff(mapes)
     ok = bool(np.all(steps >= 0.0) and (mapes[-1] - mapes[0]) > 0.0)
     _criterion(
@@ -117,8 +118,8 @@ def test_criterion_3_noise_monotonicity(sweep_set):
 def test_criterion_4_paper_scale_band(band_set):
     reports, _ = run_evaluation(band_set, GAUSS_34, method="height", repeats=3)
     agg = aggregate_repeats(reports)
-    mape = agg.mean["mape_m"]
-    mdnape = agg.mean["mdnape_m"]
+    mape = agg["mean"]["mape_m"]
+    mdnape = agg["mean"]["mdnape_m"]
     ok = 0.5 <= mape <= 2.5 and mdnape < mape
     _criterion(
         4,
@@ -131,8 +132,8 @@ def test_criterion_4_paper_scale_band(band_set):
 def test_criterion_5_baseline_inferiority(band_set):
     height_reports, _ = run_evaluation(band_set, GAUSS_34, method="height", repeats=3)
     diam_reports, _ = run_evaluation(band_set, DIAM_10PCT, method="diameter", repeats=3)
-    height_mape = aggregate_repeats(height_reports).mean["mape_m"]
-    diam_mape = aggregate_repeats(diam_reports).mean["mape_m"]
+    height_mape = aggregate_repeats(height_reports)["mean"]["mape_m"]
+    diam_mape = aggregate_repeats(diam_reports)["mean"]["mape_m"]
     ok = diam_mape > height_mape
     _criterion(
         5,
@@ -163,13 +164,13 @@ def test_criterion_7_repeat_aggregation(band_set):
     noisy_agg = aggregate_repeats(noisy_reports)
     oracle_agg = aggregate_repeats(oracle_reports)
     ok = (
-        noisy_agg.k == 8
-        and all(noisy_agg.std[name] > 0.0 for name in METRIC_NAMES)
-        and all(oracle_agg.std[name] == 0.0 for name in METRIC_NAMES)
+        noisy_agg["k"] == 8
+        and all(noisy_agg["std"][name] > 0.0 for name in METRIC_NAMES)
+        and all(oracle_agg["std"][name] == 0.0 for name in METRIC_NAMES)
     )
     _criterion(
         7,
-        f"k=8 aggregation: noisy stds all > 0 (mape std {noisy_agg.std['mape_m']:.4f}), "
+        f"k=8 aggregation: noisy stds all > 0 (mape std {noisy_agg['std']['mape_m']:.4f}), "
         "oracle stds all exactly 0",
         ok,
     )

@@ -20,6 +20,7 @@ from courtlift import (
     generate_dataset,
     project,
     read_dataset,
+    reconstruct_from_height,
     write_dataset,
 )
 from courtlift import cli
@@ -383,6 +384,17 @@ class TestEvaluate:
         assert rc == 1
         assert "UnknownFold" in capsys.readouterr().err
 
+    def test_empty_fold_name_is_an_unknown_fold(self, tmp_path, capsys):
+        # An empty name is falsy, but it names no fold: it must not select
+        # the whole dataset.
+        path = tmp_path / "three.dat"
+        assert main(["synth", "--n", "60", "--arenas", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--dataset", str(path), "--fold", "", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: UnknownFold: fold '' not in ['A', 'B', 'C']\n"
+        assert not list(tmp_path.glob("r.*"))
+
     def test_empty_fold_is_empty_input(self, dataset_file, tmp_path, capsys):
         line, body = dataset_file.read_bytes().split(b"\n", 1)
         header = json.loads(line)
@@ -516,6 +528,22 @@ class TestReconstruct:
             '  "vertical_angle": 0.08234877526037443\n'
             "}\n"
         )
+
+    def test_prints_the_one_ball_lift_as_lists(self, tmp_path, capsys):
+        # The command writes reconstruct_from_height's tuples as lists, and
+        # the ball's floor projection (x, y, 0) as ground_projection.
+        cal = make_camera((0, -20, 6), (0, 0, 0), 2000, 4500, 1500)
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(calibration_to_json_dict(cal)))
+        argv = ["reconstruct", "--cal", str(path), "--x", "2300", "--y", "700"]
+        assert main([*argv, "--height", "40"]) == 0
+        (x, y, z), foot_pixel, vertical_angle = reconstruct_from_height(cal, (2300, 700), 40)
+        assert json.loads(capsys.readouterr().out) == {
+            "ball_3d": [x, y, z],
+            "ground_projection": [x, y, 0.0],
+            "foot_pixel": [*foot_pixel],
+            "vertical_angle": vertical_angle,
+        }
 
     def test_lens_pixel_lifts_through_the_undistortion(self, tmp_path, capsys):
         # The README camera with every lens term set, so the command runs

@@ -3,6 +3,7 @@
 import io
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -493,6 +494,29 @@ class TestRowRules:
     def test_id_outside_int64_range_is_rejected_when_the_table_is_built(self, ids, message):
         with pytest.raises(MalformedRecord, match=message):
             replace(_samples([0, 1, 2]), ids=ids)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([0.0, 0.5, 1.5], "record 1: id 0.5 is not a whole number"),
+            ([0.0, 1.0, np.nan], "record 2: id nan is not a whole number"),
+            ([0.0, np.inf, 2.0], r"record 1: id inf is outside \[0, 2\*\*63\)"),
+            ([1e30, 1.0, 2.0], r"record 0: id 1e\+30 is outside \[0, 2\*\*63\)"),
+            ([0.0, 1.0, 2.0**63], r"record 2: id 9\.223372036854776e\+18 is outside"),
+        ],
+        ids=["fraction", "nan", "inf", "1e30", "2_to_the_63"],
+    )
+    def test_float_id_that_is_not_a_whole_number_in_range_is_rejected(self, ids, message):
+        # A cast to int64 would store 0.5 as 0, and wrap NaN or 1e30 with a
+        # float warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedRecord, match=message):
+                replace(_samples([0, 1, 2]), ids=np.array(ids))
+
+    def test_whole_float_ids_are_stored_as_int64(self):
+        samples = replace(_samples([0, 1, 2]), ids=np.array([0.0, 7.0, 2.0**62]))
+        assert samples.ids.dtype == np.int64 and samples.ids.tolist() == [0, 7, 2**62]
 
     def test_uint64_ids_are_stored_as_int64(self):
         # 2**63 - 1, the largest id, is kept; 2**63 is refused (past_int64).

@@ -5,7 +5,7 @@ MdnAPE median{1,1,1,10} = 1.0; two repeats {1.0, 2.0} give mean 1.5 and
 sample std sqrt(0.5) ~= 0.7071.
 """
 
-import dataclasses
+import json
 import math
 import warnings
 from pathlib import Path
@@ -15,7 +15,6 @@ import pytest
 
 from courtlift.errors import BadBins, EmptyInput, LengthMismatch
 from courtlift.metrics import (
-    EvalReport,
     METRIC_NAMES,
     aggregate_repeats,
     _median,
@@ -24,12 +23,9 @@ from courtlift.metrics import (
 )
 
 
-def _report(**metric_values) -> EvalReport:
-    base = dict(
-        mae_px=0.0, mape_m=0.0, mdnape_m=0.0, ma3de_m=0.0, mdna3de_m=0.0, n_samples=4
-    )
-    base.update(metric_values)
-    return EvalReport(**base)
+def _report(**metric_values) -> dict:
+    """An evaluate_arrays dict of 4 samples, every metric 0 unless given."""
+    return {**dict.fromkeys(METRIC_NAMES, 0.0), "n_samples": 4, **metric_values}
 
 
 def _arrays_from_proj_errors(errors):
@@ -45,23 +41,23 @@ class TestEvaluate:
     def test_outlier_example(self):
         truth, ball = _arrays_from_proj_errors([1.0, 1.0, 1.0, 10.0])
         report = evaluate_arrays(truth, None, None, ball)
-        assert report.mape_m == pytest.approx(3.25)
-        assert report.mdnape_m == pytest.approx(1.0)
-        assert report.ma3de_m == pytest.approx(3.25)
-        assert report.mae_px is None
-        assert report.n_samples == 4
+        assert report["mape_m"] == pytest.approx(3.25)
+        assert report["mdnape_m"] == pytest.approx(1.0)
+        assert report["ma3de_m"] == pytest.approx(3.25)
+        assert report["mae_px"] is None
+        assert report["n_samples"] == 4
 
     def test_two_sample_hand_values(self):
         truth = [[1.0, 2.0, 0.5], [-1.0, 0.0, 2.0]]
         ball = [[1.5, 2.0, 0.5], [-1.0, 1.0, 2.0]]
         report = evaluate_arrays(truth, [10.0, 20.0], [12.0, 17.0], ball)
-        assert report.mae_px == pytest.approx(2.5)  # (|2| + |-3|) / 2
-        assert report.mape_m == pytest.approx((0.5 + 1.0) / 2)
-        assert report.ma3de_m == pytest.approx((0.5 + 1.0) / 2)
+        assert report["mae_px"] == pytest.approx(2.5)  # (|2| + |-3|) / 2
+        assert report["mape_m"] == pytest.approx((0.5 + 1.0) / 2)
+        assert report["ma3de_m"] == pytest.approx((0.5 + 1.0) / 2)
 
     def test_floor_error_is_the_balls_x_and_y(self):
         report = evaluate_arrays([[0.0, 0.0, 1.0]], None, None, [[3.0, 4.0, 13.0]])
-        assert (report.mape_m, report.ma3de_m) == (5.0, 13.0)
+        assert (report["mape_m"], report["ma3de_m"]) == (5.0, 13.0)
 
     def test_3d_error_is_the_row_norm_on_the_golden_rows(self):
         # The golden height balls scored against the golden diameter balls
@@ -72,13 +68,13 @@ class TestEvaluate:
         ball, truth = g["h_ball"][:rows][ok], g["d_ball"][ok]
         err3d = np.linalg.norm(ball - truth, axis=1)
         report = evaluate_arrays(truth, None, None, ball)
-        assert report.ma3de_m == float(np.mean(err3d))
-        assert report.mdna3de_m == float(np.median(err3d))
+        assert report["ma3de_m"] == float(np.mean(err3d))
+        assert report["mdna3de_m"] == float(np.median(err3d))
 
     def test_even_median_is_midpoint(self):
         truth, ball = _arrays_from_proj_errors([1.0, 2.0, 3.0, 4.0])
         report = evaluate_arrays(truth, None, None, ball)
-        assert report.mdnape_m == pytest.approx(2.5)
+        assert report["mdnape_m"] == pytest.approx(2.5)
 
     def test_permutation_invariance(self):
         errors = [0.3, 1.2, 0.7, 5.0, 2.2]
@@ -87,7 +83,7 @@ class TestEvaluate:
         perm = np.array([3, 0, 4, 1, 2])
         r2 = evaluate_arrays(truth[perm], None, None, ball[perm])
         for name in METRIC_NAMES[1:]:
-            assert getattr(r1, name) == pytest.approx(getattr(r2, name))
+            assert r1[name] == pytest.approx(r2[name])
 
     def test_scale_consistency(self):
         errors = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
@@ -97,7 +93,7 @@ class TestEvaluate:
         r1 = evaluate_arrays(truth, h_true, errors, ball)
         r2 = evaluate_arrays(t2, h_true, 2.0 * errors, b2)
         for name in METRIC_NAMES:
-            assert getattr(r2, name) == pytest.approx(2.0 * getattr(r1, name))
+            assert r2[name] == pytest.approx(2.0 * r1[name])
 
     def test_median_robust_mean_not(self):
         errors = np.linspace(1.0, 11.0, 11)
@@ -108,10 +104,10 @@ class TestEvaluate:
         t2, b2 = _arrays_from_proj_errors(bumped)
         after = evaluate_arrays(t2, None, None, b2)
         # MAPE moves by exactly 9 * err / n.
-        assert after.mape_m - base.mape_m == pytest.approx(9.0 * 11.0 / 11.0)
+        assert after["mape_m"] - base["mape_m"] == pytest.approx(9.0 * 11.0 / 11.0)
         # MdnAPE moves by at most the largest gap between adjacent order stats.
         max_gap = np.diff(np.sort(errors)).max()
-        assert abs(after.mdnape_m - base.mdnape_m) <= max_gap + 1e-12
+        assert abs(after["mdnape_m"] - base["mdnape_m"]) <= max_gap + 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 57, 58, 4999, 5000])
     def test_median_equals_np_median(self, n):
@@ -125,14 +121,14 @@ class TestEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = evaluate_arrays([[0.0, 0.0, 1.0]], None, None, [[1e160, 0.0, 1.0]])
-        assert report.mape_m == report.mdnape_m == 1e160
-        assert report.ma3de_m == report.mdna3de_m == math.inf
+        assert report["mape_m"] == report["mdnape_m"] == 1e160
+        assert report["ma3de_m"] == report["mdna3de_m"] == math.inf
         # Finite errors whose sum passes the largest double: the means are inf.
         truth, ball = [[0.0, 0.0, 1.0]] * 3, [[1e308, 0.0, 1.0]] * 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = evaluate_arrays(truth, [0.0] * 3, [1e308] * 3, ball)
-        assert report.mae_px == report.mape_m == math.inf and report.mdnape_m == 1e308
+        assert report["mae_px"] == report["mape_m"] == math.inf and report["mdnape_m"] == 1e308
 
     def test_length_mismatch_and_empty(self):
         truth, ball = _arrays_from_proj_errors([1.0, 2.0])
@@ -145,23 +141,23 @@ class TestEvaluate:
 class TestAggregateRepeats:
     def test_single_report_has_zero_std(self):
         agg = aggregate_repeats([_report(mape_m=1.3)])
-        assert agg.k == 1
-        assert agg.mean["mape_m"] == pytest.approx(1.3)
-        assert agg.std["mape_m"] == 0.0
+        assert agg["k"] == 1
+        assert agg["mean"]["mape_m"] == pytest.approx(1.3)
+        assert agg["std"]["mape_m"] == 0.0
 
     def test_identical_reports_have_zero_std(self):
         agg = aggregate_repeats([_report(mape_m=1.3)] * 8)
-        assert agg.std["mape_m"] == pytest.approx(0.0)
+        assert agg["std"]["mape_m"] == pytest.approx(0.0)
 
     def test_two_reports_hand_value(self):
         agg = aggregate_repeats([_report(mape_m=1.0), _report(mape_m=2.0)])
-        assert agg.mean["mape_m"] == pytest.approx(1.5)
-        assert agg.std["mape_m"] == pytest.approx(math.sqrt(0.5))
+        assert agg["mean"]["mape_m"] == pytest.approx(1.5)
+        assert agg["std"]["mape_m"] == pytest.approx(math.sqrt(0.5))
 
     def test_none_metric_propagates(self):
         agg = aggregate_repeats([_report(mae_px=None), _report(mae_px=None)])
-        assert agg.mean["mae_px"] is None
-        assert agg.std["mae_px"] is None
+        assert agg["mean"]["mae_px"] is None
+        assert agg["std"]["mae_px"] is None
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -172,8 +168,8 @@ class TestAggregateRepeats:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             agg = aggregate_repeats(reports)
-        assert agg.mean["mape_m"] == agg.mean["ma3de_m"] == math.inf
-        assert math.isnan(agg.std["ma3de_m"])
+        assert agg["mean"]["mape_m"] == agg["mean"]["ma3de_m"] == math.inf
+        assert math.isnan(agg["std"]["ma3de_m"])
 
 
 class TestHeightHistogram:
@@ -209,14 +205,16 @@ class TestHeightHistogram:
 
 
 class TestSerialization:
-    def test_csv_rows_cover_all_metrics(self):
+    def test_aggregate_covers_all_metrics(self):
         agg = aggregate_repeats([_report(mape_m=1.0), _report(mape_m=2.0)])
-        rows = agg.to_csv_rows()
-        assert [r[0] for r in rows] == list(METRIC_NAMES)
-        assert float(rows[1][1]) == pytest.approx(1.5)
+        assert list(agg) == ["k", "mean", "std"]
+        assert list(agg["mean"]) == list(agg["std"]) == list(METRIC_NAMES)
+        assert agg["mean"]["mape_m"] == pytest.approx(1.5)
 
     def test_json_dict_round_trips_none(self):
-        report = _report(mae_px=None)
-        obj = dataclasses.asdict(report)
+        truth, ball = _arrays_from_proj_errors([1.0, 1.0, 1.0, 10.0])
+        report = evaluate_arrays(truth, None, None, ball)
+        assert list(report) == [*METRIC_NAMES, "n_samples"]
+        obj = json.loads(json.dumps(report))
         assert obj["mae_px"] is None
         assert obj["n_samples"] == 4

@@ -10,6 +10,7 @@ so a 5% relative gaussian diameter error gives relative MAE
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,34 @@ class TestNoiseStream4:
         np.testing.assert_array_equal(
             predict_heights(spec, ids, [1.0, 2.0, 3.0]),
             predict_heights(spec, ids.astype(np.int64), [1.0, 2.0, 3.0]),
+        )
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([1.2, 1.7], "sample ids must be whole numbers, got 1.2"),
+            ([0.0, math.nan], "sample ids must be whole numbers, got nan"),
+            ([1e30], r"sample ids must lie in \[0, 2\*\*63\)"),
+            ([0.0, math.inf], r"sample ids must lie in \[0, 2\*\*63\)"),
+            ([0.0, 2.0**63], r"sample ids must lie in \[0, 2\*\*63\)"),
+            ([3.0, -1.0], r"sample ids must lie in \[0, 2\*\*63\)"),
+        ],
+        ids=["fraction", "nan", "1e30", "inf", "2_to_the_63", "negative"],
+    )
+    def test_float_ids_must_be_whole_numbers_in_range(self, ids, message):
+        # A cast to int64 would truncate 1.2 and 1.7 to the one stream of
+        # id 1, and wrap NaN or 1e30 with a float warning; no draw is made.
+        for kind in ("oracle", "gaussian", "heavy_tailed"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    _unit_noise(kind, np.array(ids), 5)
+
+    def test_whole_float_ids_are_the_integer_ids(self):
+        spec = PredictorSpec(kind="heavy_tailed", sigma=2.0, seed=4)
+        np.testing.assert_array_equal(
+            predict_heights(spec, [0.0, 7.0, 2.0**62], [1.0, 2.0, 3.0]),
+            predict_heights(spec, [0, 7, 2**62], [1.0, 2.0, 3.0]),
         )
 
     def test_negative_id_raises(self):

@@ -98,11 +98,11 @@ def _assert_row_matches_one_ball(batch, foot_angle, i, cal, px, h):
         with pytest.raises(getattr(errors, STATUS_NAMES[int(status[i])])):
             reconstruct_from_height(cal, px, h)
         return
-    rec = reconstruct_from_height(cal, px, h)
+    one_ball, foot_pixel, vertical_angle = reconstruct_from_height(cal, px, h)
     fu, fv, angle = foot_angle
-    np.testing.assert_array_equal(ball_3d[i], np.asarray(rec.ball_3d))
-    np.testing.assert_array_equal([fu[i], fv[i]], np.asarray(rec.foot_pixel))
-    np.testing.assert_array_equal(angle[i], rec.vertical_angle)
+    np.testing.assert_array_equal(ball_3d[i], np.asarray(one_ball))
+    np.testing.assert_array_equal([fu[i], fv[i]], np.asarray(foot_pixel))
+    np.testing.assert_array_equal(angle[i], vertical_angle)
 
 
 @PROPERTY

@@ -156,21 +156,21 @@ class TestFootPixel:
 class TestReconstructFromHeight:
     def test_master_round_trip_zero_distortion(self, clean_samples):
         for cal, px, h, ball in sample_rows(clean_samples):
-            rec = reconstruct_from_height(cal, px, h)
-            err = np.linalg.norm(np.asarray(rec.ball_3d) - ball)
+            ball_3d, _, _ = reconstruct_from_height(cal, px, h)
+            err = np.linalg.norm(np.asarray(ball_3d) - ball)
             assert err < 1e-6
 
     def test_master_round_trip_with_distortion(self, distorted_samples):
         for cal, px, h, ball in sample_rows(distorted_samples):
-            rec = reconstruct_from_height(cal, px, h)
-            err = np.linalg.norm(np.asarray(rec.ball_3d) - ball)
+            ball_3d, _, _ = reconstruct_from_height(cal, px, h)
+            err = np.linalg.norm(np.asarray(ball_3d) - ball)
             assert err < 1e-9
 
     def test_zero_height_on_ground_point(self, cam_a):
         g = (2.5, -1.5, 0.0)
         px = project(cam_a, g)
-        rec = reconstruct_from_height(cam_a, px, 0.0)
-        np.testing.assert_allclose(np.asarray(rec.ball_3d), g, atol=1e-9)
+        ball_3d, _, _ = reconstruct_from_height(cam_a, px, 0.0)
+        np.testing.assert_allclose(np.asarray(ball_3d), g, atol=1e-9)
 
     def test_ball_ray_without_x_component(self, side_cal):
         # Ball in the camera's own Y-Z plane: the ball-ray x component is
@@ -179,18 +179,18 @@ class TestReconstructFromHeight:
         ball = (0.0, 0.0, 1.0)
         px = project(side_cal, ball)
         assert px[0] == side_cal.cx
-        rec = reconstruct_from_height(side_cal, px, _oracle(side_cal, ball)[1])
-        np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, atol=1e-6)
-        assert rec.ball_3d[0] == 0.0
+        ball_3d, _, _ = reconstruct_from_height(side_cal, px, _oracle(side_cal, ball)[1])
+        np.testing.assert_allclose(np.asarray(ball_3d), ball, atol=1e-6)
+        assert ball_3d[0] == 0.0
 
     def test_negative_height_is_propagated(self, side_cal):
         # Foot above the ball in the image: ground lands farther away and
         # the reconstructed ball is lower than the truth (may go negative).
         ball = (0.5, 0.0, 1.0)
         px = project(side_cal, ball)
-        rec = reconstruct_from_height(side_cal, px, -30.0)
-        assert math.isfinite(rec.ball_3d[2])
-        assert rec.ball_3d[2] < 1.0
+        ball_3d, _, _ = reconstruct_from_height(side_cal, px, -30.0)
+        assert math.isfinite(ball_3d[2])
+        assert ball_3d[2] < 1.0
 
     def test_extreme_negative_height_fails_cleanly(self, side_cal):
         # A -500 px prediction pushes the foot past the horizon, so the
@@ -211,8 +211,8 @@ class TestReconstructFromHeight:
         px = project(cal, ball)
         h = _oracle(cal, ball)[1]
         assert h == pytest.approx(34.35, abs=0.01)
-        rec = reconstruct_from_height(cal, px, h)
-        np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, atol=1e-9)
+        ball_3d, _, _ = reconstruct_from_height(cal, px, h)
+        np.testing.assert_allclose(np.asarray(ball_3d), ball, atol=1e-9)
         with pytest.raises(VerticalBehindCamera):
             reconstruct_from_height(cal, px, 1500.0)
 
@@ -224,23 +224,23 @@ class TestReconstructFromHeight:
         ball = (0.5, -5.0, z)
         px = project(cal, ball)
         h = _oracle(cal, ball)[1]
-        rec = reconstruct_from_height(cal, px, h)
-        np.testing.assert_allclose(np.asarray(rec.ball_3d), ball, rtol=0, atol=1e-9)
+        one_ball, _, _ = reconstruct_from_height(cal, px, h)
+        np.testing.assert_allclose(np.asarray(one_ball), ball, rtol=0, atol=1e-9)
         ball_3d, _ = reconstruct_from_height_batch(ball_rays([cal], [0], [px]), [h])
-        np.testing.assert_array_equal(ball_3d[0], np.asarray(rec.ball_3d))
+        np.testing.assert_array_equal(ball_3d[0], np.asarray(one_ball))
 
     def test_vertical_angle_reported(self, cam_a, clean_samples):
         cal, px, h, _ = next(sample_rows(clean_samples))
-        rec = reconstruct_from_height(cal, px, h)
-        _, angle, status = _vertical(cal, *rec.foot_pixel)
+        _, foot_pixel, vertical_angle = reconstruct_from_height(cal, px, h)
+        _, angle, status = _vertical(cal, *foot_pixel)
         assert status == STATUS_OK
-        assert rec.vertical_angle == pytest.approx(angle, abs=1e-9)
+        assert vertical_angle == pytest.approx(angle, abs=1e-9)
 
     def test_result_holds_finite_python_floats(self, clean_samples):
         # An OK row always has a foot pixel and a vertical angle.
         cal, px, h, _ = next(sample_rows(clean_samples))
-        rec = reconstruct_from_height(cal, px, h)
-        values = [*rec.ball_3d, *rec.foot_pixel, rec.vertical_angle]
+        ball_3d, foot_pixel, vertical_angle = reconstruct_from_height(cal, px, h)
+        values = [*ball_3d, *foot_pixel, vertical_angle]
         assert all(type(x) is float and math.isfinite(x) for x in values)
 
     @pytest.mark.parametrize(
@@ -258,20 +258,10 @@ class TestReconstructFromHeight:
         cal, px, h, _ = next(sample_rows(clean_samples))
         rec = reconstruct_from_height(cal, make(px), h)
         assert rec == reconstruct_from_height(cal, px, h)
-        assert type(rec.ball_3d) is tuple and len(rec.ball_3d) == 3
-        assert type(rec.foot_pixel) is tuple and len(rec.foot_pixel) == 2
-        assert all(type(c) is float for c in (*rec.ball_3d, *rec.foot_pixel))
-
-    def test_json_dict_writes_the_fields_as_lists(self, clean_samples):
-        cal, px, h, _ = next(sample_rows(clean_samples))
-        rec = reconstruct_from_height(cal, px, h)
-        x, y, z = rec.ball_3d
-        assert rec.to_json_dict() == {
-            "ball_3d": [x, y, z],
-            "ground_projection": [x, y, 0.0],
-            "foot_pixel": [*rec.foot_pixel],
-            "vertical_angle": rec.vertical_angle,
-        }
+        ball_3d, foot_pixel, _ = rec
+        assert type(ball_3d) is tuple and len(ball_3d) == 3
+        assert type(foot_pixel) is tuple and len(foot_pixel) == 2
+        assert all(type(c) is float for c in (*ball_3d, *foot_pixel))
 
 
 class TestForwardOracle:
@@ -348,8 +338,8 @@ class TestBatchPaths:
         ball_3d, status = reconstruct_from_height_batch(rays, subset.h_true)
         assert (status == STATUS_OK).all()
         for i, (cal, px, h, _) in enumerate(sample_rows(subset)):
-            rec = reconstruct_from_height(cal, px, h)
-            np.testing.assert_array_equal(ball_3d[i], np.asarray(rec.ball_3d))
+            one_ball, _, _ = reconstruct_from_height(cal, px, h)
+            np.testing.assert_array_equal(ball_3d[i], np.asarray(one_ball))
 
     def test_rays_serve_many_predictions_unchanged(self, distorted_samples):
         subset = distorted_samples[:50]

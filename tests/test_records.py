@@ -1,4 +1,4 @@
-"""The record contract of courtlift's 10 frozen dataclass types.
+"""The record contract of courtlift's 7 frozen dataclass types.
 
 Each record keeps what callers rely on: frozen fields, ``fields()`` order,
 ``replace()`` with validation, positional and keyword construction with
@@ -19,15 +19,12 @@ import pytest
 
 import courtlift
 from courtlift import (
-    AggregateReport,
     ArenaSpec,
     BallRays,
     CameraCalibration,
     Dataset,
-    EvalReport,
     HeightDistSpec,
     PredictorSpec,
-    Reconstruction,
     Samples,
     assign_folds,
     generate_dataset,
@@ -68,27 +65,10 @@ RECORDS = {
         [("samples", EMPTY), ("folds", EMPTY)],
         lambda: {"samples": SAMPLES, "folds": FOLDS},
     ),
-    EvalReport: (
-        ("mae_px", "mape_m", "mdnape_m", "ma3de_m", "mdna3de_m", "n_samples"),
-        [("mae_px", EMPTY), ("mape_m", EMPTY), ("mdnape_m", EMPTY), ("ma3de_m", EMPTY),
-         ("mdna3de_m", EMPTY), ("n_samples", EMPTY)],
-        lambda: {"mae_px": 3.0, "mape_m": 0.1, "mdnape_m": 0.05, "ma3de_m": 0.2,
-                 "mdna3de_m": 0.15, "n_samples": 40},
-    ),
-    AggregateReport: (
-        ("k", "mean", "std"),
-        [("k", EMPTY), ("mean", EMPTY), ("std", EMPTY)],
-        lambda: {"k": 2, "mean": {"mae_px": 3.0}, "std": {"mae_px": 0.5}},
-    ),
     PredictorSpec: (
         ("kind", "sigma", "nu", "target_mae", "seed"),
         [("kind", EMPTY), ("sigma", 0.0), ("nu", 3.0), ("target_mae", None), ("seed", 0)],
         lambda: {"kind": "heavy_tailed", "sigma": 0.0, "nu": 4.0, "target_mae": 34.0, "seed": 7},
-    ),
-    Reconstruction: (
-        ("ball_3d", "foot_pixel", "vertical_angle"),
-        [("ball_3d", EMPTY), ("foot_pixel", EMPTY), ("vertical_angle", EMPTY)],
-        lambda: {"ball_3d": (1.0, 2.0, 3.0), "foot_pixel": (10.0, 20.0), "vertical_angle": 0.25},
     ),
     BallRays: (
         ("cal", "u", "v", "status", "terms"),
@@ -138,10 +118,7 @@ INVALID = {
 # A field change per value record that makes it unequal to the example.
 DIFFERENT = {
     Dataset: {"samples": SAMPLES[:4]},
-    EvalReport: {"n_samples": 41},
-    AggregateReport: {"std": {}},
     PredictorSpec: {"seed": 8},
-    Reconstruction: {"foot_pixel": (0.0, 0.0)},
     ArenaSpec: {"ball_diameter_m": 0.24},
     HeightDistSpec: {"p_above_3m": 0.5},
 }
@@ -166,22 +143,22 @@ def same_fields(a, b) -> bool:
 
 
 def test_the_table_covers_every_record_type():
-    assert len(RECORDS) == 10
+    assert len(RECORDS) == 7
     assert {cls.__name__ for cls in RECORDS} <= set(courtlift.__all__)
     assert all(dataclasses.is_dataclass(cls) for cls in RECORDS)
 
 
 def test_public_api_names():
     assert courtlift.__all__ == [
-        "AggregateReport", "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "CameraCalibration",
-        "Dataset", "EvalReport", "HeightDistSpec", "METRIC_NAMES", "PredictorSpec",
-        "Reconstruction", "Samples", "aggregate_repeats", "assign_folds", "ball_rays",
+        "ArenaSpec", "BALL_DIAMETER_M", "BallRays", "CameraCalibration", "Dataset",
+        "HeightDistSpec", "METRIC_NAMES", "PredictorSpec", "Samples", "aggregate_repeats",
+        "assign_folds", "ball_rays",
         "errors", "evaluate_arrays", "generate_dataset", "height_histogram",
         "predict_diameters", "predict_heights", "project", "read_dataset",
         "reconstruct_from_diameter_batch", "reconstruct_from_height",
         "reconstruct_from_height_batch", "validate", "write_dataset",
     ]
-    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 28
+    assert courtlift.__all__ == sorted(courtlift.__all__) and len(courtlift.__all__) == 25
     assert all(hasattr(courtlift, name) for name in courtlift.__all__)
 
 
@@ -369,8 +346,8 @@ def test_repr_is_the_dataclass_form(cls):
 
 
 def test_repr_literals():
-    assert repr(Reconstruction((1.5, -2.0, 0.0), (3.0, 4.0), 0.25)) == (
-        "Reconstruction(ball_3d=(1.5, -2.0, 0.0), foot_pixel=(3.0, 4.0), vertical_angle=0.25)"
+    assert repr(HeightDistSpec("uniform")) == (
+        "HeightDistSpec(kind='uniform', p_above_3m=None, max_height=6.0)"
     )
     assert repr(PredictorSpec("gaussian", seed=3)) == (
         "PredictorSpec(kind='gaussian', sigma=0.0, nu=3.0, target_mae=None, seed=3)"
@@ -395,6 +372,14 @@ def _courtlift_classes():
         for value in vars(module).values():
             if isinstance(value, type) and value.__module__ == module.__name__:
                 yield value
+
+
+def test_every_record_checks_or_derives_its_fields():
+    # A record type exists only where it checks or derives something in
+    # __post_init__; a result that does neither is a plain dict or tuple.
+    records = [cls for cls in _courtlift_classes() if dataclasses.is_dataclass(cls)]
+    assert set(records) == set(RECORDS)
+    assert [cls.__name__ for cls in records if "__post_init__" not in vars(cls)] == []
 
 
 def test_no_class_holds_exec_generated_code():

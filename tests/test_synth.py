@@ -286,7 +286,7 @@ def test_ball_whose_ground_point_is_behind_the_camera_is_unusable():
         project(cal, (*ball[:2], 0.0))
     usable, u, v, _, _, h, _ = synth._annotate(column(cal), *one_row(*ball), arena)
     assert synth._in_bounds(u[0], v[0], arena)
-    lifted = reconstruct_from_height(cal, (u[0], v[0]), h[0]).ball_3d
+    lifted, _, _ = reconstruct_from_height(cal, (u[0], v[0]), h[0])
     assert math.dist(lifted, ball) > 0.5
     assert not usable[0]
 
