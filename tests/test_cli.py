@@ -27,6 +27,7 @@ from courtlift import cli
 from courtlift.cli import _write_json, build_parser, main
 from courtlift.dataio import RECORD_DTYPE, calibration_to_json_dict, load_calibration
 from courtlift.errors import NonFiniteReport
+from courtlift.metrics import METRIC_NAMES
 from courtlift.predictors import PredictorSpec
 from courtlift.synth import make_camera
 
@@ -340,6 +341,38 @@ class TestEvaluate:
         assert payload["aggregate"]["mean"]["mae_px"] is None
         assert payload["aggregate"]["mean"]["mape_m"] > 0
         assert payload["config"]["noise_stream"] == 4
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize(
+        "flags", [["--sigma", "2"], ["--method", "diameter", "--sigma", "0.05"]],
+        ids=["height", "diameter"],
+    )
+    def test_csv_and_printed_lines_are_the_aggregate(
+        self, flags, repeats, dataset_file, tmp_path, capsys
+    ):
+        # The CSV holds each aggregate mean and std by repr, empty where the
+        # method has no value; the printed lines round them to 6 digits.
+        out = tmp_path / "agg"
+        argv = ["evaluate", "--dataset", str(dataset_file), "--predictor", "gaussian", *flags]
+        assert main([*argv, "--repeats", str(repeats), "--out", str(out)]) == 0
+        agg = json.loads((tmp_path / "agg.json").read_text())["aggregate"]
+        assert agg["k"] == repeats
+        with open(tmp_path / "agg.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["metric", "mean", "std"]
+        assert [row[0] for row in rows] == list(METRIC_NAMES)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote {out}.json and {out}.csv"
+        for (name, mean, std), line in zip(rows, lines[:-1], strict=True):
+            m, s = agg["mean"][name], agg["std"][name]
+            if m is None:
+                assert (name, mean, std, line) == ("mae_px", "", "", "mae_px: n/a")
+                assert "diameter" in flags
+            else:
+                assert (mean, std) == (repr(m), repr(s))
+                assert float(mean) == m and float(std) == s
+                assert line == f"{name}: {m:.6g} +/- {s:.6g}"
+                assert (s == 0.0) == (repeats == 1)
 
     def test_fold_restriction_shrinks_sample_count(self, dataset_file, tmp_path):
         out_all = tmp_path / "all"
@@ -759,6 +792,27 @@ class TestSweep:
         assert mape[-1] > mape[0]
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert [lv["level_px"] for lv in payload["levels"]] == [0.0, 10.0, 20.0, 40.0]
+
+    def test_csv_rows_are_the_json_levels_by_repr(self, dataset_file, tmp_path, capsys):
+        # Each level's row holds the level and its three mean metrics by
+        # repr; the JSON level (keys sorted) has no medians.
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--dataset", str(dataset_file), "--grid", "0,7.5,30"]
+        assert main([*argv, "--out", str(out)]) == 0
+        levels = json.loads((tmp_path / "sweep.json").read_text())["levels"]
+        assert [list(level) for level in levels] == [
+            ["level_px", "ma3de_m", "mae_px", "mape_m", "n_failed", "n_samples"]
+        ] * 3
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        keys = ["level_px", "mae_px", "mape_m", "ma3de_m"]
+        assert header == keys
+        assert rows == [[repr(level[k]) for k in keys] for level in levels]
+        assert capsys.readouterr().out.splitlines() == [
+            f"level {lv['level_px']:g} px -> MAPE {lv['mape_m']:.6g} m, "
+            f"MA3DE {lv['ma3de_m']:.6g} m"
+            for lv in levels
+        ] + [f"wrote {out}.json and {out}.csv"]
 
     def test_empty_grid_is_usage_error(self, dataset_file, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -172,6 +172,43 @@ class TestAggregateRepeats:
         assert math.isnan(agg["std"]["ma3de_m"])
 
 
+class TestPlainResults:
+    """Both results are dicts of Python numbers: the reports write them
+    with json and their CSV with repr, which under numpy 2 spells a numpy
+    scalar as np.float64(...)."""
+
+    @staticmethod
+    def _heights_report(n):
+        rng = np.random.default_rng(n)
+        truth = rng.normal(size=(n, 3))
+        h_true = rng.uniform(20.0, 80.0, size=n)
+        return evaluate_arrays(truth, h_true, h_true + rng.normal(size=n), truth + 0.1)
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_each_metric_is_a_python_float(self, name):
+        # An odd and an even count: the median takes one or two middle values.
+        for n in (5, 6):
+            value = self._heights_report(n)[name]
+            assert type(value) is float and math.isfinite(value)
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_each_aggregate_statistic_is_a_python_float(self, name):
+        # k = 1 takes the std 0.0 branch; k = 3 numpy's ddof-1 std.
+        for reports in ([self._heights_report(5)], [self._heights_report(n) for n in (5, 6, 7)]):
+            agg = aggregate_repeats(reports)
+            assert type(agg["k"]) is int and agg["k"] == len(reports)
+            assert type(agg["mean"][name]) is float and type(agg["std"][name]) is float
+
+    @pytest.mark.parametrize("with_heights", [False, True], ids=["no-heights", "heights"])
+    def test_keys_in_report_order_and_an_int_sample_count(self, with_heights):
+        truth, ball = _arrays_from_proj_errors([1.0, 2.0, 4.0])
+        heights = [10.0, 20.0, 30.0] if with_heights else None
+        report = evaluate_arrays(truth, heights, heights, ball)
+        assert list(report) == [*METRIC_NAMES, "n_samples"]
+        assert type(report["n_samples"]) is int and report["n_samples"] == 3
+        assert (report["mae_px"] == 0.0) if with_heights else (report["mae_px"] is None)
+
+
 class TestHeightHistogram:
     def test_all_on_ground_fall_in_first_bin(self):
         counts = height_histogram([0.0] * 7, [0, 1, 2, 3])
