@@ -231,6 +231,7 @@ def _add_predictor_args(sub) -> None:
 
 
 def cmd_synth(args, parser) -> int:
+    from .rng import check_seed
     from .synth import ArenaSpec, HeightDistSpec
 
     if args.n < 1:
@@ -244,9 +245,8 @@ def cmd_synth(args, parser) -> int:
         parser.error(f"--arenas must be in [1, --n], got {args.arenas} for --n {args.n}")
     if args.n_folds < 1:
         parser.error("--n-folds must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        parser.error(f"--seed must be in [0, 2**64 - 1], got {args.seed}")
     try:
+        check_seed(args.seed)
         arena = load_arena_spec(read_json(args.arena_json)) if args.arena_json else ArenaSpec()
         dist = HeightDistSpec(
             kind=args.dist, p_above_3m=args.p_above_3m, max_height=args.max_height

@@ -74,6 +74,24 @@ RECORD_DTYPE = np.dtype(
 _FLOAT_COLUMNS = RECORD_DTYPE.names[2:]
 
 
+def check_ids(values) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """The sample-id rule: an id keys noise streams and is stored as int64,
+    so it is a whole number in [0, 2**63). A 1-D integer or float array
+    gives (its int64 ids, None), never truncated or wrapped; else (None,
+    (i, message)) for its first bad id i, 0 for bool, string or object data."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        return None, (0, f"ids must be integers or whole-number floats, got {values.dtype} data")
+    ids = values if values.dtype.kind == "f" else values.astype(np.int64, copy=False)
+    ok = ids >= 0  # a uint64 id of 2**63 or more has wrapped to a negative one
+    if values.dtype.kind == "f":
+        ok &= (np.floor(ids) == ids) & (ids < 2.0**63)  # NaN is no whole number
+    if ok.all():
+        return ids.astype(np.int64, copy=False), None
+    i = int(np.argmin(ok))
+    return None, (i, f"id {values[i].item()!r} is not a whole number in [0, 2**63)")
+
+
 @record
 class Samples(Record):
     """Annotated samples as columns: row i of every array is sample i.
@@ -91,10 +109,12 @@ class Samples(Record):
     takes. A slice, boolean mask or index array gives the table of those
     rows, with the same cameras.
 
-    Each row's own rules are checked in this order, the first row i
-    that breaks one raising MalformedRecord(i): every float is finite
-    (naming row i's first non-finite field), every id is a whole number
-    in [0, 2**63) (ids are stored as int64) and every arena has a camera.
+    A column not of its field's shape for the n ids, such as ``(n, 3)``
+    for ``ball_3d``, raises ValueError naming it. Then each row's rules
+    are checked in this order, the first row i that breaks one raising
+    MalformedRecord(i): every float is finite (naming row i's first
+    non-finite field), every id keeps `check_ids`' rule and every arena
+    has a camera.
     """
 
     ids: np.ndarray  # (n,) int64
@@ -108,30 +128,24 @@ class Samples(Record):
     cal_index: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) int64
 
     def __post_init__(self):
+        n = np.size(self.ids)
+        for name in RECORD_DTYPE.names:
+            shape, want = np.shape(getattr(self, name)), (n, *RECORD_DTYPE[name].shape)
+            if shape != want:
+                raise ValueError(f"{name} has shape {shape}, not {want}")
         # (first faulty row, field) per column; min names a row's first field.
         faults = []
         for name in _FLOAT_COLUMNS:
             finite = np.isfinite(getattr(self, name))
             if not finite.all():
-                rows = finite.reshape(len(finite), -1).all(axis=1)
+                rows = finite.reshape(n, -1).all(axis=1)
                 faults.append((int(np.argmin(rows)), name))
         if faults:
             i, name = min(faults, key=lambda fault: fault[0])
             raise MalformedRecord(i, f"{name} is not a finite number")
-        # An id keys a sample's predictor streams and is packed as int64;
-        # the cast wraps a uint64 id of 2**63 or more to a negative one,
-        # and would truncate a float id of 0.5 or wrap NaN, so a float id
-        # that is not a whole number in range is cast from -1 instead.
-        ids = self.ids
-        if ids.dtype.kind == "f":
-            ids = np.where((np.floor(ids) == ids) & (ids >= 0.0) & (ids < 2.0**63), ids, -1.0)
-        ids = ids.astype(np.int64, copy=False)
-        negative = ids < 0
-        if negative.any():
-            i = int(np.argmax(negative))
-            x = self.ids[i]
-            fault = "is outside [0, 2**63)" if np.floor(x) == x else "is not a whole number"
-            raise MalformedRecord(i, f"id {x} {fault}")
+        ids, fault = check_ids(self.ids)
+        if fault:
+            raise MalformedRecord(*fault)
         cameras = dict(self.cameras)
         # Binary search of the camera keys; a key past int64 names no row.
         # An arena past the last key has slot len(keys), read as the pad 0.
@@ -159,9 +173,7 @@ class Samples(Record):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             raise TypeError("index a Samples table with a slice, mask or index array")
-        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        del columns["cameras"]
-        return replace(self, **{name: column[key] for name, column in columns.items()})
+        return replace(self, **{name: getattr(self, name)[key] for name in RECORD_DTYPE.names})
 
 
 @record

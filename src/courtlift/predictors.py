@@ -49,7 +49,8 @@ import numpy as np
 
 from ._libm import cos_sin_2pi, expm1, log
 from ._record import ValueRecord, record
-from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, doubles, words
+from .dataio import check_ids
+from .rng import PURPOSE_DIAMETER_NOISE, PURPOSE_HEIGHT_NOISE, check_seed, doubles, words
 
 KINDS = ("oracle", "gaussian", "heavy_tailed")
 
@@ -65,7 +66,7 @@ class PredictorSpec(ValueRecord):
     ``sigma`` is the raw noise scale (px for heights, relative for
     diameters). Setting ``target_mae`` instead solves the scale so the
     noise MAE equals the target, so a spec with it takes no sigma. The
-    oracle adds no noise, so it takes neither.
+    oracle adds no noise, so it takes neither. `rng.check_seed` checks ``seed``.
     """
 
     kind: str
@@ -87,8 +88,7 @@ class PredictorSpec(ValueRecord):
             raise ValueError("the oracle adds no noise: it takes no sigma or target_mae")
         if self.target_mae is not None and self.sigma:
             raise ValueError("target_mae sets the noise scale: it takes no sigma")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
 
 MEAN_ABS_NORMAL = math.sqrt(2.0 / math.pi)
@@ -163,23 +163,10 @@ def _noise(spec: PredictorSpec, ids: np.ndarray, purpose: int, repeats: range) -
 
 
 def _arrays(sample_ids, truth) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ids and true values as flat arrays, one value per id."""
-    ids = np.asarray(sample_ids).reshape(-1)
-    # A cast would truncate an id of 1.5 to 1, and wrap NaN or 1e30 with a warning.
-    if ids.dtype.kind == "f":
-        fraction = np.floor(ids) != ids  # NaN included
-        if fraction.any():
-            raise ValueError(f"sample ids must be whole numbers, got {ids[np.argmax(fraction)]}")
-        if ((ids < 0.0) | (ids >= 2.0**63)).any():
-            raise ValueError("sample ids must lie in [0, 2**63)")
-    unsigned = ids.dtype.kind == "u"
-    try:
-        ids = ids.astype(np.int64, copy=False)
-    except OverflowError:
-        ids = None
-    # A cast from an unsigned array wraps ids of 2**63 or more to negatives.
-    if ids is None or (unsigned and (ids < 0).any()):
-        raise ValueError("sample ids must lie in [0, 2**63)")
+    """Sample ids (`dataio.check_ids`) and true values, flat, one value per id."""
+    ids, fault = check_ids(np.reshape(sample_ids, -1))
+    if fault:
+        raise ValueError("sample_ids[%d]: %s" % fault)
     truth = np.asarray(truth, dtype=np.float64).reshape(-1)
     if len(ids) != len(truth):
         raise ValueError(f"{len(ids)} sample ids for {len(truth)} true values")
@@ -205,12 +192,12 @@ def _predict(spec, sample_ids, truth, purpose, repeats, perturb) -> np.ndarray:
 def predict_heights(spec: PredictorSpec, sample_ids, h_true, repeats=None) -> np.ndarray:
     """Predicted pixel heights (px; may be negative), additive noise.
 
-    ``sample_ids`` keys each sample's noise stream; ``h_true`` holds the
-    true pixel heights, one per id, else ValueError. The result is
-    repeat 0, one height per id; with ``repeats``, a range of repeat
-    numbers of step 1, it is one row per repeat. A row whose noise
-    passes the float range comes back as an infinity, which the lift
-    refuses as NonFiniteInput.
+    ``sample_ids`` keys each sample's noise stream (`dataio.check_ids`'
+    rule); ``h_true`` holds the true pixel heights, one per id, else
+    ValueError. The result is repeat 0, one height per id; with
+    ``repeats``, a range of repeat numbers of step 1, it is one row per
+    repeat. A row whose noise passes the float range comes back as an
+    infinity, which the lift refuses as NonFiniteInput.
     """
     return _predict(spec, sample_ids, h_true, PURPOSE_HEIGHT_NOISE, repeats, np.add)
 

@@ -32,12 +32,14 @@ PURPOSE_BALL = 2
 PURPOSE_HEIGHT_NOISE = 3
 PURPOSE_DIAMETER_NOISE = 4
 
-_UINT64_MAX = 2**64 - 1
 
-
-def _check_uint64(name: str, value: int) -> None:
-    if value < 0 or value > _UINT64_MAX:
-        raise ValueError(f"{name} must fit in uint64, got {value}")
+def check_seed(seed, name: str = "seed") -> int:
+    """courtlift's one seed rule: ``seed`` as a Python int if it is an int, not
+    a bool or a float (never truncated), in [0, 2**64); else ValueError."""
+    whole = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (whole and 0 <= int(seed) < 2**64):
+        raise ValueError(f"{name} must be an int in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 # Philox computes four uint64 words per counter step into a buffer.
@@ -45,15 +47,12 @@ _BLOCK_WORDS = 4
 
 
 def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
-    """Independent Philox stream for (seed, index, purpose).
-
-    seed and index must be representable as unsigned 64-bit integers.
-    """
-    _check_uint64("seed", seed)
-    _check_uint64("index", index)
+    """Independent Philox stream for (seed, index, purpose); `check_seed`
+    checks both key words."""
+    key = (check_seed(seed), check_seed(index, "index"))
     return np.random.Generator(
         np.random.Philox(
-            key=np.array((seed, index), dtype=np.uint64),
+            key=np.array(key, dtype=np.uint64),
             counter=np.array((0, 0, 0, purpose), dtype=np.uint64),
         )
     )
@@ -83,13 +82,14 @@ def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
 
 
 def _uint64(name: str, values) -> np.ndarray:
-    """``values`` (an array, or an int or sequence of ints) as uint64,
-    range-checked first."""
-    values = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if values.size:
-        _check_uint64(name, int(values.min()))
-        _check_uint64(name, int(values.max()))
-    return values.astype(np.uint64)
+    """``values`` (an integer array, or an int or sequence of ints) as
+    uint64, each checked first by `check_seed`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        for value in (values.min(), values.max()) if values.size else ():
+            check_seed(value.item(), name)
+        return values.astype(np.uint64)
+    values = np.array(values, dtype=object)  # each value as given, ints of any size exact
+    return np.array([check_seed(v, name) for v in values.flat], np.uint64).reshape(values.shape)
 
 
 def words(seed: int, ids, purpose: int, start: int, count: int, lane=0) -> np.ndarray:
@@ -102,11 +102,10 @@ def words(seed: int, ids, purpose: int, start: int, count: int, lane=0) -> np.nd
     0, 0, purpose)``. ``lane``, one int or one per id, is the counter's
     second word in place of 0: the words of numpy's ``Philox(key=(seed,
     id), counter=(0, lane, 0, purpose))``, a stream of its own. The
-    seed, every id and every lane are range-checked before any
-    arithmetic.
+    seed, every id and every lane keep `check_seed`'s rule, checked
+    before any arithmetic.
     """
-    _check_uint64("seed", seed)
-    key0 = np.array([seed], dtype=np.uint64)  # an array: numpy warns when scalars wrap
+    key0 = np.array([check_seed(seed)], dtype=np.uint64)  # scalars warn when they wrap
     key1 = _uint64("index", ids if isinstance(ids, np.ndarray) else list(ids))
     c1 = _uint64("lane", lane).reshape(1, -1)
     first, last = start // _BLOCK_WORDS, (start + count - 1) // _BLOCK_WORDS

@@ -36,7 +36,7 @@ from .camera import CameraCalibration, project, validate
 from .dataio import Samples
 from .errors import DepthNonPositive, FrameCoverageFailure
 from .reconstruct import BALL_DIAMETER_M, BallRays, calibration_columns, pack_calibrations
-from .rng import PURPOSE_BALL, PURPOSE_CAMERA, doubles, words
+from .rng import PURPOSE_BALL, PURPOSE_CAMERA, check_seed, doubles, words
 
 DEEPSPORT_P_ABOVE_3M = 60.0 / 801.0
 BALLISTIC_P_ABOVE_3M = 102.0 / 233.0
@@ -322,8 +322,9 @@ def generate_dataset(
     identical no matter how generation is scheduled. Balls that fail the
     visibility/reconstructability check are redrawn from the rest of
     their stream, up to 100 times each, then FrameCoverageFailure is
-    raised.
+    raised. ``seed`` is checked (`rng.check_seed`) before any allocation.
     """
+    check_seed(seed)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= n_arenas <= n:

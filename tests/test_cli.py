@@ -220,20 +220,20 @@ def test_bad_flag_values_are_usage_errors(argv, dataset_file, tmp_path):
         ("synth --n 5 --arenas 0 --out {out}", "--arenas must be in [1, --n], got 0 for --n 5"),
         (
             "synth --n 5 --arenas 1 --out {out} --seed -1",
-            "--seed must be in [0, 2**64 - 1], got -1",
+            "seed must be an int in [0, 2**64), got -1",
         ),
         (
             "synth --n 5 --arenas 1 --out {out} --seed 18446744073709551616",
-            "--seed must be in [0, 2**64 - 1], got 18446744073709551616",
+            "seed must be an int in [0, 2**64), got 18446744073709551616",
         ),
-        # PredictorSpec owns evaluate's seed; synth's has no spec to check it.
+        # rng.check_seed is both commands' seed rule, with one message.
         (
             "evaluate --dataset {dataset} --out {out} --seed -1",
-            "seed must lie in [0, 2**64), got -1",
+            "seed must be an int in [0, 2**64), got -1",
         ),
         (
             "evaluate --dataset {dataset} --out {out} --seed 18446744073709551616",
-            "seed must lie in [0, 2**64), got 18446744073709551616",
+            "seed must be an int in [0, 2**64), got 18446744073709551616",
         ),
         (
             "synth --n 5 --arenas 1 --out {out} --p-above-3m 2",

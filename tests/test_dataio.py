@@ -297,7 +297,7 @@ class TestReadValidation:
     def test_negative_id_is_malformed_with_index(self, bits, shown):
         header, table = self._three_records()
         table["ids"][2] = bits
-        message = rf"record 2: id {shown} is outside \[0, 2\*\*63\)"
+        message = rf"record 2: id {shown} is not a whole number in \[0, 2\*\*63\)"
         with pytest.raises(MalformedRecord, match=message):
             read_dataset(_file(header, table))
 
@@ -486,7 +486,7 @@ class TestRowRules:
     @pytest.mark.parametrize(
         "ids, message",
         [
-            (np.array([0, -1, 2]), "record 1: id -1 is outside"),
+            (np.array([0, -1, 2]), "record 1: id -1 is not a whole number in"),
             (np.array([0, 1, 2**63], dtype=np.uint64), "record 2: id 9223372036854775808 is"),
         ],
         ids=["negative", "past_int64"],
@@ -500,9 +500,9 @@ class TestRowRules:
         [
             ([0.0, 0.5, 1.5], "record 1: id 0.5 is not a whole number"),
             ([0.0, 1.0, np.nan], "record 2: id nan is not a whole number"),
-            ([0.0, np.inf, 2.0], r"record 1: id inf is outside \[0, 2\*\*63\)"),
-            ([1e30, 1.0, 2.0], r"record 0: id 1e\+30 is outside \[0, 2\*\*63\)"),
-            ([0.0, 1.0, 2.0**63], r"record 2: id 9\.223372036854776e\+18 is outside"),
+            ([0.0, np.inf, 2.0], r"record 1: id inf is not a whole number in \[0, 2\*\*63\)"),
+            ([1e30, 1.0, 2.0], r"record 0: id 1e\+30 is not a whole number in \[0, 2\*\*63\)"),
+            ([0.0, 1.0, 2.0**63], r"record 2: id 9\.223372036854776e\+18 is not a whole"),
         ],
         ids=["fraction", "nan", "inf", "1e30", "2_to_the_63"],
     )
@@ -518,6 +518,22 @@ class TestRowRules:
         samples = replace(_samples([0, 1, 2]), ids=np.array([0.0, 7.0, 2.0**62]))
         assert samples.ids.dtype == np.int64 and samples.ids.tolist() == [0, 7, 2**62]
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([True, False, True]),
+            np.array(["0", "1", "2"]),
+            np.array([0, 1, 2], dtype=object),
+        ],
+        ids=["bool", "string", "object"],
+    )
+    def test_bool_string_and_object_ids_are_rejected(self, ids):
+        # A mask passed where ids belong would store ids 1, 0 and 1, and
+        # the strings would be parsed as ids.
+        message = "record 0: ids must be integers or whole-number floats, got"
+        with pytest.raises(MalformedRecord, match=message):
+            replace(_samples([0, 1, 2]), ids=ids)
+
     def test_uint64_ids_are_stored_as_int64(self):
         # 2**63 - 1, the largest id, is kept; 2**63 is refused (past_int64).
         samples = replace(_samples([0, 1]), ids=np.array([0, 2**63 - 1], dtype=np.uint64))
@@ -530,7 +546,7 @@ class TestRowRules:
             ([0, -1, 2, 3], {"d_true": (1, np.nan)}, "record 1: d_true is not"),
             # An earlier row's fault wins over a later row's in an earlier column.
             ([0, 1, 2, 3], {"ball_3d": (2, np.inf), "d_true": (1, np.nan)}, "record 1: d_true"),
-            ([0, -1, -2, 3], {}, "record 1: id -1 is outside"),
+            ([0, -1, -2, 3], {}, "record 1: id -1 is not a whole number"),
             # Within a row, the first faulty field is named.
             ([0, 1, 2, 3], {"ball_3d": (1, np.nan), "d_true": (1, np.nan)}, "record 1: ball_3d"),
             # Every row is checked for finite floats before any id.
@@ -545,6 +561,40 @@ class TestRowRules:
             columns[name][row] = value
         with pytest.raises(MalformedRecord, match=message):
             replace(samples, ids=np.array(ids), **columns)
+
+
+class TestColumnShapes:
+    """Every column has its record field's shape for the table's ids,
+    checked before any row rule, so a table with a short or 2-D column
+    cannot be built."""
+
+    @pytest.mark.parametrize(
+        "name, cut, message",
+        [
+            ("h_true", np.s_[:2], r"h_true has shape \(2,\), not \(3,\)"),
+            ("ball_3d", np.s_[:, :2], r"ball_3d has shape \(3, 2\), not \(3, 3\)"),
+            ("ids", np.s_[None], r"ids has shape \(1, 3\), not \(3,\)"),
+        ],
+        ids=["short", "narrow", "two_dimensional_ids"],
+    )
+    def test_column_of_the_wrong_shape_raises(self, name, cut, message):
+        samples = _samples([0, 1, 2])
+        with pytest.raises(ValueError, match=message):
+            replace(samples, **{name: getattr(samples, name)[cut]})
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [(None, r"ids has shape \(1, 3\), not \(3,\)"), (np.False_, r"ids has shape \(0, 3\)")],
+        ids=["none", "false"],
+    )
+    def test_index_that_adds_an_axis_raises(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            _samples([0, 1, 2])[key]
+
+    def test_a_shape_fault_is_named_before_a_row_fault(self):
+        samples = _samples([0, 1, 2])
+        with pytest.raises(ValueError, match="d_true has shape"):
+            replace(samples, ids=np.array([0, -1, 2]), d_true=samples.d_true[:1])
 
 
 class TestOneCameraPerArena:

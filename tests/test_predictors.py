@@ -63,9 +63,10 @@ class TestSpecValidation:
                 PredictorSpec(kind="heavy_tailed", **{field: value})
 
     @pytest.mark.parametrize("kind", ["oracle", "gaussian", "heavy_tailed"])
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    # 1.7 and True are no uint64 either: cast, both would run seed 1's streams.
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.7, True])
     def test_seed_outside_uint64_raises_when_built(self, kind, seed):
-        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        with pytest.raises(ValueError, match=rf"seed must be an int in \[0, 2\*\*64\), got {seed}"):
             PredictorSpec(kind=kind, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -398,8 +399,11 @@ class TestNoiseStream4:
             assert _unit_noise(kind, [], 5, repeats=range(3)).shape == (3, 0)
 
     def test_id_of_2_to_the_63_raises(self):
+        # numpy 1.24 reads [0, 2**63] as uint64 and numpy 2 as float64: the
+        # id is refused either way, and the message shows it as read.
+        message = r"sample_ids\[1\]: id \S+ is not a whole number in \[0, 2\*\*63\)"
         for kind in ("oracle", "gaussian", "heavy_tailed"):
-            with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
+            with pytest.raises(ValueError, match=message):
                 _unit_noise(kind, [0, 2**63], 5)
 
     @pytest.mark.parametrize("sample_id", [2**63, 2**64 - 1])
@@ -409,9 +413,10 @@ class TestNoiseStream4:
         ids = np.array([0, sample_id], dtype=np.uint64)
         for kind in ("oracle", "gaussian", "heavy_tailed"):
             spec = _spec(kind, 0.1)
-            with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
+            message = rf"\[{{}}\]: id {sample_id} is not a whole number in \[0, 2\*\*63\)"
+            with pytest.raises(ValueError, match=message.format(1)):
                 predict(spec, ids, [10.0, 20.0])
-            with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\*\*63\)"):
+            with pytest.raises(ValueError, match=message.format(0)):
                 predict(spec, ids[1], [10.0])
 
     def test_unsigned_ids_below_2_to_the_63_are_the_signed_ids(self):
@@ -425,12 +430,12 @@ class TestNoiseStream4:
     @pytest.mark.parametrize(
         "ids, message",
         [
-            ([1.2, 1.7], "sample ids must be whole numbers, got 1.2"),
-            ([0.0, math.nan], "sample ids must be whole numbers, got nan"),
-            ([1e30], r"sample ids must lie in \[0, 2\*\*63\)"),
-            ([0.0, math.inf], r"sample ids must lie in \[0, 2\*\*63\)"),
-            ([0.0, 2.0**63], r"sample ids must lie in \[0, 2\*\*63\)"),
-            ([3.0, -1.0], r"sample ids must lie in \[0, 2\*\*63\)"),
+            ([1.2, 1.7], r"sample_ids\[0\]: id 1\.2 is not a whole number in \[0, 2\*\*63\)"),
+            ([0.0, math.nan], r"sample_ids\[1\]: id nan is not a whole number in \[0, 2\*\*63\)"),
+            ([1e30], r"sample_ids\[0\]: id 1e\+30 is not a whole number in \[0, 2\*\*63\)"),
+            ([0.0, math.inf], r"sample_ids\[1\]: id inf is not a whole number in \[0, 2\*\*63\)"),
+            ([0.0, 2.0**63], r"sample_ids\[1\]: id 9\.223372036854776e\+18 is not a whole number"),
+            ([3.0, -1.0], r"sample_ids\[1\]: id -1\.0 is not a whole number in \[0, 2\*\*63\)"),
         ],
         ids=["fraction", "nan", "1e30", "inf", "2_to_the_63", "negative"],
     )
@@ -450,9 +455,24 @@ class TestNoiseStream4:
             predict_heights(spec, [0, 7, 2**62], [1.0, 2.0, 3.0]),
         )
 
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([True, False]), np.array(["1", "2"]), np.array([1, 2], dtype=object)],
+        ids=["bool", "string", "object"],
+    )
+    @pytest.mark.parametrize("predict", [predict_heights, predict_diameters])
+    def test_bool_string_and_object_ids_raise(self, predict, ids):
+        # A mask passed where ids belong would run ids 1 and 0, and the
+        # strings would be parsed as ids.
+        message = r"sample_ids\[0\]: ids must be integers or whole-number floats, got"
+        for kind in ("oracle", "gaussian", "heavy_tailed"):
+            with pytest.raises(ValueError, match=message):
+                predict(_spec(kind, 0.1), ids, [10.0, 20.0])
+
     def test_negative_id_raises(self):
-        for kind in ("gaussian", "heavy_tailed"):
-            with pytest.raises(ValueError, match="index must fit in uint64, got -1"):
+        message = r"sample_ids\[1\]: id -1 is not a whole number in \[0, 2\*\*63\)"
+        for kind in ("oracle", "gaussian", "heavy_tailed"):
+            with pytest.raises(ValueError, match=message):
                 _unit_noise(kind, [0, -1, 2], 5)
 
     # Repeat 1 of the gaussian is a Box-Muller sine; of the Student-t,

@@ -126,10 +126,18 @@ def test_no_indices_give_no_columns(indices):
 @pytest.mark.parametrize(
     "seed, indices, match",
     [
-        (-1, [0, 1], "seed must fit in uint64, got -1"),
-        (1, [0, -1, 2], "index must fit in uint64, got -1"),
-        (1, np.array([0, -1, 2]), "index must fit in uint64, got -1"),
-        (1, [0, 2**64, 2], "index must fit in uint64, got 18446744073709551616"),
+        (-1, [0, 1], r"seed must be an int in \[0, 2\*\*64\), got -1"),
+        (1, [0, -1, 2], r"index must be an int in \[0, 2\*\*64\), got -1"),
+        (1, np.array([0, -1, 2]), r"index must be an int in \[0, 2\*\*64\), got -1"),
+        (1, [0, 2**64, 2], r"index must be an int in \[0, 2\*\*64\), got 18446744073709551616"),
+        # A float or bool key is refused, not cast: seed 1.7 or True would
+        # run seed 1's streams, and id 0.5 id 0's.
+        (1.7, [0, 1], r"seed must be an int in \[0, 2\*\*64\), got 1\.7"),
+        (True, [0, 1], r"seed must be an int in \[0, 2\*\*64\), got True"),
+        (1, [0, 0.5], r"index must be an int in \[0, 2\*\*64\), got 0\.5"),
+        (1, np.array([0.5, 1.0]), r"index must be an int in \[0, 2\*\*64\), got 0\.5"),
+        (1, [1, True], r"index must be an int in \[0, 2\*\*64\), got True"),
+        (1, np.array([True]), r"index must be an int in \[0, 2\*\*64\), got True"),
     ],
 )
 def test_words_range_check_seed_and_indices(seed, indices, match):
@@ -137,7 +145,12 @@ def test_words_range_check_seed_and_indices(seed, indices, match):
         words(seed, indices, PURPOSE_BALL, 0, 4)
 
 
-@pytest.mark.parametrize("lane", [-1, 2**64, np.array([0, -1])])
+def test_numpy_integer_keys_are_the_int_keys():
+    got = words(np.uint64(UINT64_MAX), np.array([3, 4], dtype=np.uint8), PURPOSE_BALL, 0, 4)
+    np.testing.assert_array_equal(got, words(UINT64_MAX, [3, 4], PURPOSE_BALL, 0, 4))
+
+
+@pytest.mark.parametrize("lane", [-1, 2**64, np.array([0, -1]), 1.5, True, np.array([0.0, 1.0])])
 def test_words_range_check_lanes(lane):
-    with pytest.raises(ValueError, match="lane must fit in uint64, got"):
+    with pytest.raises(ValueError, match=r"lane must be an int in \[0, 2\*\*64\), got"):
         words(1, [0, 1], PURPOSE_BALL, 0, 4, lane)

@@ -188,6 +188,12 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match=r"n_arenas must be in \[1, n\], got 7 for n = 3"):
             generate_dataset(seed=1, n=3, n_arenas=7)
 
+    @pytest.mark.parametrize("seed", [1.7, True, -1], ids=["float", "bool", "negative"])
+    def test_seed_is_checked_before_any_column_is_allocated(self, seed):
+        # 2**62 rows could not be allocated: the seed must be refused first.
+        with pytest.raises(ValueError, match=rf"seed must be an int in \[0, 2\*\*64\), got {seed}"):
+            generate_dataset(seed=seed, n=2**62)
+
     def test_frame_coverage_failure_when_nothing_fits(self):
         # A 10 px image with a 3000 px focal cannot frame the court.
         arena = ArenaSpec(
